@@ -5,8 +5,8 @@
 //! * `tests/corpus/adapters/` — hand-written malformed recordings, one
 //!   per diagnostic family (truncation, cyclic references, clock-width
 //!   overflow, hostile counts). `MANIFEST.txt` pins each file's format
-//!   and expected error kind; every entry must be *rejected* with
-//!   exactly that kind, line-diagnosed, and never panic.
+//!   and expected error kind and line; every entry must be *rejected*
+//!   with exactly that kind on exactly that line, and never panic.
 //! * `examples/fixtures/` — pinned-seed recordings and their curated
 //!   pattern files. Each recording must be byte-identical to its
 //!   `testgen` generator at the pinned parameters (the same
@@ -19,9 +19,11 @@
 //! cargo test --test adapters_corpus -- --ignored regenerate
 //! ```
 
-use ocep_repro::adapters::testgen::{fixtures, Recording};
-use ocep_repro::adapters::{self, AdapterErrorKind};
+use ocep_repro::adapters::testgen::{self, fixtures, Recording};
+use ocep_repro::adapters::{self, AdapterErrorKind, AdapterOutput};
+use ocep_repro::poet::EventKind;
 use ocep_repro::simulator::workloads::{random_walk, replicated_service};
+use ocep_rng::Rng;
 use std::path::{Path, PathBuf};
 
 fn repo(rel: &str) -> PathBuf {
@@ -111,10 +113,11 @@ fn corpus_recordings_are_rejected_with_the_pinned_kind() {
             continue;
         }
         let mut toks = line.split_whitespace();
-        let (format, rel, kind) = (
+        let (format, rel, kind, at) = (
             toks.next().expect("manifest: format"),
             toks.next().expect("manifest: path"),
             toks.next().expect("manifest: expected kind"),
+            toks.next().expect("manifest: expected line"),
         );
         let adapter = adapters::by_name(format)
             .unwrap_or_else(|| panic!("manifest names unknown format {format}"));
@@ -124,7 +127,7 @@ fn corpus_recordings_are_rejected_with_the_pinned_kind() {
             .err()
             .unwrap_or_else(|| panic!("{rel} must be rejected"));
         assert_eq!(err.kind.name(), kind, "{rel}: {err}");
-        assert!(err.line >= 1, "{rel}: diagnostics carry a 1-based line");
+        assert_eq!(err.line.to_string(), at, "{rel}: {err}");
         let shown = err.to_string();
         assert!(shown.contains("line "), "{rel}: {shown}");
         assert!(shown.contains(kind), "{rel}: {shown}");
@@ -182,4 +185,320 @@ fn regenerate() {
         std::fs::write(repo(path), &canonical).unwrap();
         eprintln!("wrote {path}");
     }
+}
+
+// ── Output pins ─────────────────────────────────────────────────────
+//
+// The corpus tests above pin the recording *text* and the error
+// *kinds*; the transparency suite compares offline vs served on one
+// parse. Nothing there pins **what a reader emits**. The digests below
+// do: any change to a reader must reproduce every constant.
+
+/// FNV-1a 64 with length-prefixed strings, so field boundaries count.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 = (self.0 ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn num(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn text(&mut self, s: &str) {
+        self.num(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+}
+
+/// Digest over every field of every event (trace, index, kind, type,
+/// text, partner, clock entries), the trace names and the stats.
+fn output_digest(out: &AdapterOutput) -> u64 {
+    let mut h = Fnv::new();
+    h.num(out.n_traces as u64);
+    for name in &out.trace_names {
+        h.text(name);
+    }
+    h.num(out.events.len() as u64);
+    for e in &out.events {
+        h.num(u64::from(e.trace().as_u32()));
+        h.num(u64::from(e.index().get()));
+        h.num(match e.kind() {
+            EventKind::Send => 1,
+            EventKind::Receive => 2,
+            EventKind::Unary => 3,
+        });
+        h.text(e.ty());
+        h.text(e.text());
+        match e.partner() {
+            Some(p) => {
+                h.num(1);
+                h.num(u64::from(p.trace().as_u32()));
+                h.num(u64::from(p.index().get()));
+            }
+            None => h.num(0),
+        }
+        for entry in e.clock().entries() {
+            h.num(u64::from(*entry));
+        }
+    }
+    let s = out.stats;
+    for v in [s.lines, s.records, s.events, s.edges, s.synthesized] {
+        h.num(v);
+    }
+    h.0
+}
+
+#[test]
+fn reader_output_digests_are_pinned() {
+    let mut got = Vec::new();
+    for (format, path, rec) in fixture_recordings() {
+        got.push((path.to_owned(), output_digest(&rec.parse(format))));
+    }
+    for (name, format, rec) in [
+        (
+            "mpi_soak(1, 8, 20000)",
+            "mpi",
+            testgen::mpi_soak(1, 8, 20_000),
+        ),
+        (
+            "zookeeper_otlp(1, 20, 30, 0.05)",
+            "otlp",
+            testgen::zookeeper_otlp(1, 20, 30, 0.05),
+        ),
+        (
+            "saga_otlp(9, 400, 0.3, 0.5)",
+            "otlp",
+            testgen::saga_otlp(9, 400, 0.3, 0.5),
+        ),
+        (
+            "session_ryw(4, 300, 0.2)",
+            "session",
+            testgen::session_ryw(4, 300, 0.2),
+        ),
+    ] {
+        got.push((name.to_owned(), output_digest(&rec.parse(format))));
+    }
+    let want: [(&str, u64); 8] = [
+        (
+            "examples/fixtures/mpi_deadlock.trace",
+            0x4c3b_699d_2ad3_b72e,
+        ),
+        (
+            "examples/fixtures/zookeeper_spans.jsonl",
+            0xaa99_361e_834a_5bec,
+        ),
+        ("examples/fixtures/saga_spans.jsonl", 0x8b97_3a4b_6da4_38f8),
+        (
+            "examples/fixtures/session_handoff.jsonl",
+            0x3cfb_b155_05f4_3edc,
+        ),
+        ("mpi_soak(1, 8, 20000)", 0x0aeb_3a22_ccb0_d9ac),
+        ("zookeeper_otlp(1, 20, 30, 0.05)", 0xca87_8894_b172_4ac9),
+        ("saga_otlp(9, 400, 0.3, 0.5)", 0xee72_56ec_ff16_9808),
+        ("session_ryw(4, 300, 0.2)", 0x738f_92a2_0db4_b032),
+    ];
+    let shown: Vec<String> = got
+        .iter()
+        .map(|(name, d)| format!("(\"{name}\", {d:#018x}),"))
+        .collect();
+    for ((name, d), (want_name, want_d)) in got.iter().zip(want) {
+        assert_eq!(name, want_name);
+        assert_eq!(
+            *d,
+            want_d,
+            "{name}: reader output changed; all digests now:\n{}",
+            shown.join("\n")
+        );
+    }
+}
+
+// ── Seeded mutation harness ─────────────────────────────────────────
+
+/// Checks that `out` is a valid linearization with Fidge clocks: per
+/// trace the indices count up from 1, every clock's own entry is the
+/// event's index, no clock names an event not yet emitted, and every
+/// receive follows its partner.
+fn assert_valid_linearization(out: &AdapterOutput, ctx: &str) {
+    assert_eq!(out.trace_names.len(), out.n_traces, "{ctx}");
+    assert_eq!(out.events.len() as u64, out.stats.events, "{ctx}");
+    let mut seen = vec![0u32; out.n_traces];
+    for e in &out.events {
+        let t = e.trace().as_usize();
+        assert_eq!(
+            e.index().get(),
+            seen[t] + 1,
+            "{ctx}: {e} out of trace order"
+        );
+        assert_eq!(
+            e.clock().entry(e.trace()),
+            e.index(),
+            "{ctx}: {e} own entry"
+        );
+        seen[t] += 1;
+        for (other, entry) in e.clock().entries().iter().enumerate() {
+            assert!(
+                *entry <= seen[other],
+                "{ctx}: {e} depends on an unseen event"
+            );
+        }
+        assert_eq!(
+            e.partner().is_some(),
+            e.kind() == EventKind::Receive,
+            "{ctx}: {e} partner/kind mismatch"
+        );
+        if let Some(p) = e.partner() {
+            assert!(
+                p.index().get() <= seen[p.trace().as_usize()] && p != e.id(),
+                "{ctx}: {e} precedes its partner {p}"
+            );
+        }
+    }
+}
+
+/// Snippets injected into string bodies: escapes that decode (so the
+/// owned and the borrowed string paths both run), escapes that must be
+/// rejected, and raw non-ASCII.
+const INJECT: &[&str] = &[
+    "\\n", "\\\"", "\\\\", "\\/", "\\u0041", "\\u00e9", "\\ud800", "\\x", "\\u12", "é", "日本",
+    "\u{1}",
+];
+
+fn mutate(rng: &mut Rng, base: &str) -> String {
+    let mut lines: Vec<String> = base.lines().map(str::to_owned).collect();
+    let pick = |rng: &mut Rng, n: usize| rng.gen_range(0usize..n);
+    match rng.gen_range(0u32..8) {
+        0 => {
+            // Flip a few bytes anywhere.
+            let mut bytes = base.as_bytes().to_vec();
+            for _ in 0..rng.gen_range(1usize..4) {
+                let at = pick(rng, bytes.len());
+                bytes[at] = rng.next_u32() as u8;
+            }
+            return String::from_utf8_lossy(&bytes).into_owned();
+        }
+        1 => {
+            let bytes = &base.as_bytes()[..pick(rng, base.len())];
+            return String::from_utf8_lossy(bytes).into_owned();
+        }
+        2 => {
+            // Splice a slice of the text over another place.
+            let mut bytes = base.as_bytes().to_vec();
+            let from = pick(rng, bytes.len());
+            let len = rng.gen_range(1usize..40).min(bytes.len() - from);
+            let piece = bytes[from..from + len].to_vec();
+            let to = pick(rng, bytes.len());
+            bytes.splice(to..(to + len).min(bytes.len()), piece);
+            return String::from_utf8_lossy(&bytes).into_owned();
+        }
+        3 => {
+            let at = pick(rng, lines.len());
+            lines.insert(at, lines[at].clone());
+        }
+        4 => {
+            let at = pick(rng, lines.len());
+            lines.remove(at);
+        }
+        5 => {
+            let (a, b) = (pick(rng, lines.len()), pick(rng, lines.len()));
+            lines.swap(a, b);
+        }
+        6 => {
+            // Inject a snippet just inside a string (after an opening
+            // quote), or anywhere when the line has no strings.
+            let at = pick(rng, lines.len());
+            let line = &mut lines[at];
+            let opens: Vec<usize> = line
+                .match_indices('"')
+                .step_by(2)
+                .map(|(i, _)| i + 1)
+                .collect();
+            let pos = match opens.is_empty() {
+                true if line.is_empty() => 0,
+                true => {
+                    let mut p = pick(rng, line.len());
+                    while !line.is_char_boundary(p) {
+                        p -= 1;
+                    }
+                    p
+                }
+                false => opens[pick(rng, opens.len())],
+            };
+            line.insert_str(pos, INJECT[pick(rng, INJECT.len())]);
+        }
+        _ => {
+            // Re-spell one ASCII letter as its \u escape: inside a
+            // string this decodes back to the same text.
+            let at = pick(rng, lines.len());
+            let line = &mut lines[at];
+            let letters: Vec<usize> = line
+                .char_indices()
+                .filter(|(_, c)| c.is_ascii_alphabetic())
+                .map(|(i, _)| i)
+                .collect();
+            if let Some(&i) = letters.get(pick(rng, letters.len().max(1))) {
+                let c = line.as_bytes()[i];
+                line.replace_range(i..=i, &format!("\\u{:04x}", u32::from(c)));
+            }
+        }
+    }
+    let mut text = lines.join("\n");
+    text.push('\n');
+    text
+}
+
+#[test]
+fn seeded_mutations_never_panic_the_readers() {
+    // 2,000 mutations of the head of every committed fixture. A reader
+    // must answer each with a line-diagnosed error or a valid
+    // linearization. The outcome digest (error kind and line, or the
+    // output digest) pins *which* answer: a rewritten reader diagnoses
+    // every malformed input on the same line as before.
+    let want: [u64; 4] = [
+        0x8a07_baea_7bec_74a6,
+        0x88ff_f47b_e330_90c4,
+        0xab4e_9bd6_5375_335a,
+        0x50b0_80ad_499a_5142,
+    ];
+    let mut got = Vec::new();
+    for (format, path, rec) in fixture_recordings() {
+        let adapter = adapters::by_name(format).unwrap();
+        let base: String = rec.text.lines().take(40).flat_map(|l| [l, "\n"]).collect();
+        assert_valid_linearization(&adapter.parse_str(&base).expect("fixture head"), path);
+        let mut rng = Rng::seed_from_u64(0x0ADA_97E5);
+        let mut outcomes = Fnv::new();
+        let (mut ok, mut rejected) = (0u32, 0u32);
+        for round in 0..2_000 {
+            let text = mutate(&mut rng, &base);
+            let ctx = format!("{path} mutation {round}");
+            match adapter.parse_str(&text) {
+                Ok(out) => {
+                    assert_valid_linearization(&out, &ctx);
+                    outcomes.num(output_digest(&out));
+                    ok += 1;
+                }
+                Err(err) => {
+                    let lines = text.lines().count().max(1);
+                    assert!((1..=lines).contains(&err.line), "{ctx}: {err}");
+                    assert!(err.to_string().contains("line "), "{ctx}: {err}");
+                    outcomes.text(err.kind.name());
+                    outcomes.num(err.line as u64);
+                    rejected += 1;
+                }
+            }
+        }
+        assert!(
+            ok >= 100 && rejected >= 100,
+            "{path}: {ok} ok, {rejected} rejected"
+        );
+        got.push(outcomes.0);
+    }
+    assert_eq!(got, want, "mutation outcomes changed: {got:#018x?}");
 }
