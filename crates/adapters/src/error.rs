@@ -6,6 +6,8 @@
 //! `Display` form always embeds `line {n}:` so operators (and the
 //! corpus tests) can grep for the locus.
 
+use crate::MAX_RECORDS;
+
 /// Classification of what went wrong while reading a recording.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdapterErrorKind {
@@ -64,6 +66,21 @@ impl AdapterError {
             detail: detail.into(),
         }
     }
+}
+
+/// A [`AdapterErrorKind::Syntax`] error on `line`.
+pub(crate) fn syn(line: usize, detail: impl Into<String>) -> AdapterError {
+    AdapterError::new(AdapterErrorKind::Syntax, line, detail)
+}
+
+/// A [`AdapterErrorKind::Limit`] error on `line`.
+pub(crate) fn limit(line: usize, detail: impl Into<String>) -> AdapterError {
+    AdapterError::new(AdapterErrorKind::Limit, line, detail)
+}
+
+/// The [`MAX_RECORDS`] backstop tripping on `line`.
+pub(crate) fn too_many_records(line: usize) -> AdapterError {
+    limit(line, format!("recording exceeds {MAX_RECORDS} records"))
 }
 
 impl std::fmt::Display for AdapterError {

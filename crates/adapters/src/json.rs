@@ -1,117 +1,88 @@
-//! A minimal std-only JSON reader for JSON-lines adapter inputs.
+//! A minimal std-only JSON scanner for JSON-lines adapter inputs.
 //!
 //! The workspace already owns a JSON *serializer* (`ocep-bench`'s
-//! `json.rs`); this is its untrusted-input counterpart: one `parse`
+//! `json.rs`); this is its untrusted-input counterpart: one [`scan`]
 //! call per input line, byte-offset-diagnosed errors, a hard recursion
-//! bound (hostile nesting must not overflow the stack), and no
-//! allocation proportional to anything but the actual input. Numbers
-//! are kept as `f64` (adapters range-check before narrowing); objects
-//! preserve field order in a flat `Vec` — record objects are tiny, so
-//! linear field lookup beats a map.
+//! bound (hostile nesting must not overflow the stack), and no tree.
+//! A record is a flat object with a handful of known fields, so the
+//! scanner validates the whole line and keeps only the fields the
+//! reader asked for; a string without escapes is a slice of the line,
+//! and one with escapes is decoded into an owned buffer. Numbers are
+//! kept as `f64` (adapters range-check before narrowing).
 
-/// One parsed JSON value.
+use std::borrow::Cow;
+
+/// One wanted field's value.
 #[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
+pub(crate) enum Value<'a> {
     /// `null`.
     Null,
-    /// `true` / `false`.
-    Bool(bool),
     /// Any JSON number.
     Num(f64),
-    /// A string (escapes decoded).
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object, fields in input order.
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Looks a field up on an object; `None` on missing field or
-    /// non-object receiver.
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if it is one.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a number, if it is one.
-    #[must_use]
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice, if it is one.
-    #[must_use]
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
+    /// A string, escapes decoded; a slice of the line when it had none.
+    Str(Cow<'a, str>),
+    /// An array's elements. Only a wanted field's own array is kept:
+    /// an array nested in it is validated and left empty.
+    Arr(Vec<Value<'a>>),
+    /// `true`, `false` or an object — nothing a record field may be.
+    Other,
 }
 
 /// Maximum nesting depth accepted — hostile inputs like ten thousand
-/// `[` must fail cleanly, not overflow the parser's stack.
+/// `[` must fail cleanly, not overflow the scanner's stack.
 const MAX_DEPTH: usize = 64;
 
-/// Parses one complete JSON value from `input`, rejecting trailing
-/// garbage. Errors are `(byte_offset, detail)` pairs relative to
-/// `input`; the adapter folds them into its line-diagnosed
+/// A wanted field as [`scan`] found it; `None` when absent.
+pub(crate) type Field<'a> = Option<Value<'a>>;
+
+type ScanError = (usize, String);
+
+/// Validates one complete JSON value in `input`, rejecting trailing
+/// garbage, and returns the values of the fields named `keys` of the
+/// top-level object (first occurrence; all `None` when the value is
+/// not an object). Errors are `(byte_offset, detail)` pairs relative
+/// to `input`; the adapter folds them into its line-diagnosed
 /// [`crate::AdapterError`].
-pub fn parse(input: &str) -> Result<JsonValue, (usize, String)> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        at: 0,
-    };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.at != p.bytes.len() {
-        return Err((p.at, "trailing bytes after JSON value".to_owned()));
+pub(crate) fn scan<'a, const N: usize>(
+    input: &'a str,
+    keys: &[&str; N],
+) -> Result<[Field<'a>; N], ScanError> {
+    let mut s = Scanner { src: input, at: 0 };
+    let mut fields = [const { None }; N];
+    s.skip_ws();
+    if s.peek() == Some(b'{') {
+        s.object(0, keys, &mut fields)?;
+    } else {
+        s.value(0, false)?;
     }
-    Ok(v)
+    s.skip_ws();
+    if s.at != input.len() {
+        return s.err("trailing bytes after JSON value");
+    }
+    Ok(fields)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+struct Scanner<'a> {
+    src: &'a str,
     at: usize,
 }
 
-impl Parser<'_> {
-    fn err<T>(&self, detail: impl Into<String>) -> Result<T, (usize, String)> {
+impl<'a> Scanner<'a> {
+    fn err<T>(&self, detail: impl Into<String>) -> Result<T, ScanError> {
         Err((self.at, detail.into()))
     }
 
     fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.at) {
-            if matches!(b, b' ' | b'\t' | b'\r' | b'\n') {
-                self.at += 1;
-            } else {
-                break;
-            }
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
+            self.at += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.at).copied()
+        self.src.as_bytes().get(self.at).copied()
     }
 
-    fn eat(&mut self, b: u8, what: &str) -> Result<(), (usize, String)> {
+    fn eat(&mut self, b: u8, what: &str) -> Result<(), ScanError> {
         if self.peek() == Some(b) {
             self.at += 1;
             Ok(())
@@ -120,8 +91,8 @@ impl Parser<'_> {
         }
     }
 
-    fn eat_lit(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, (usize, String)> {
-        if self.bytes[self.at..].starts_with(lit.as_bytes()) {
+    fn eat_lit(&mut self, lit: &str, v: Value<'a>) -> Result<Value<'a>, ScanError> {
+        if self.src.as_bytes()[self.at..].starts_with(lit.as_bytes()) {
             self.at += lit.len();
             Ok(v)
         } else {
@@ -129,53 +100,67 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<JsonValue, (usize, String)> {
+    /// Scans one value; `keep` says whether an array's elements are
+    /// collected or only validated.
+    fn value(&mut self, depth: usize, keep: bool) -> Result<Value<'a>, ScanError> {
         if depth > MAX_DEPTH {
             return self.err(format!("nesting deeper than {MAX_DEPTH}"));
         }
         match self.peek() {
             None => self.err("truncated input: expected a value"),
-            Some(b'n') => self.eat_lit("null", JsonValue::Null),
-            Some(b't') => self.eat_lit("true", JsonValue::Bool(true)),
-            Some(b'f') => self.eat_lit("false", JsonValue::Bool(false)),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
+            Some(b'n') => self.eat_lit("null", Value::Null),
+            Some(b't') => self.eat_lit("true", Value::Other),
+            Some(b'f') => self.eat_lit("false", Value::Other),
+            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b'[') => self.array(depth, keep),
+            Some(b'{') => {
+                self.object(depth, &[], &mut [])?;
+                Ok(Value::Other)
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(b) => self.err(format!("unexpected byte 0x{b:02x}")),
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<JsonValue, (usize, String)> {
-        self.eat(b'[', "`[`")?;
+    fn array(&mut self, depth: usize, keep: bool) -> Result<Value<'a>, ScanError> {
+        self.at += 1; // the `[` the caller peeked
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.at += 1;
-            return Ok(JsonValue::Arr(items));
+            return Ok(Value::Arr(items));
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            let item = self.value(depth + 1, false)?;
+            if keep {
+                items.push(item);
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.at += 1,
                 Some(b']') => {
                     self.at += 1;
-                    return Ok(JsonValue::Arr(items));
+                    return Ok(Value::Arr(items));
                 }
                 _ => return self.err("expected `,` or `]` in array"),
             }
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<JsonValue, (usize, String)> {
-        self.eat(b'{', "`{`")?;
-        let mut fields = Vec::new();
+    /// Scans an object, storing the first value of each field named in
+    /// `keys` into the matching slot of `fields`.
+    fn object<const N: usize>(
+        &mut self,
+        depth: usize,
+        keys: &[&str; N],
+        fields: &mut [Field<'a>; N],
+    ) -> Result<(), ScanError> {
+        self.at += 1; // the `{` the caller peeked
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.at += 1;
-            return Ok(JsonValue::Obj(fields));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -183,31 +168,47 @@ impl Parser<'_> {
             self.skip_ws();
             self.eat(b':', "`:` after object key")?;
             self.skip_ws();
-            let val = self.value(depth + 1)?;
-            fields.push((key, val));
+            let slot = keys.iter().position(|k| *k == key);
+            let val = self.value(depth + 1, slot.is_some())?;
+            if let Some(slot) = slot {
+                fields[slot].get_or_insert(val);
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.at += 1,
                 Some(b'}') => {
                     self.at += 1;
-                    return Ok(JsonValue::Obj(fields));
+                    return Ok(());
                 }
                 _ => return self.err("expected `,` or `}` in object"),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, (usize, String)> {
+    fn string(&mut self) -> Result<Cow<'a, str>, ScanError> {
         self.eat(b'"', "`\"`")?;
-        let mut out = String::new();
+        // Decoded text so far, once an escape forced a copy; `run` is
+        // where the not-yet-copied literal stretch starts. Both stop
+        // only at ASCII bytes, so every slice is on a char boundary.
+        let mut decoded: Option<String> = None;
+        let mut run = self.at;
         loop {
             match self.peek() {
                 None => return self.err("truncated input: unterminated string"),
                 Some(b'"') => {
+                    let tail = &self.src[run..self.at];
                     self.at += 1;
-                    return Ok(out);
+                    return Ok(match decoded {
+                        None => Cow::Borrowed(tail),
+                        Some(mut out) => {
+                            out.push_str(tail);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(b'\\') => {
+                    let out = decoded.get_or_insert_with(String::new);
+                    out.push_str(&self.src[run..self.at]);
                     self.at += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -228,28 +229,21 @@ impl Parser<'_> {
                                 Some(c) => out.push(c),
                                 None => return self.err("invalid \\u escape (surrogate)"),
                             }
+                            run = self.at;
                             continue;
                         }
                         _ => return self.err("invalid escape"),
                     }
                     self.at += 1;
+                    run = self.at;
                 }
                 Some(b) if b < 0x20 => return self.err("raw control byte in string"),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so
-                    // char boundaries are valid).
-                    let rest = &self.bytes[self.at..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| (self.at, "invalid UTF-8 in string".to_owned()))?;
-                    let c = s.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.at += c.len_utf8();
-                }
+                Some(_) => self.at += 1,
             }
         }
     }
 
-    fn hex4(&mut self) -> Result<u32, (usize, String)> {
+    fn hex4(&mut self) -> Result<u32, ScanError> {
         let mut cp = 0u32;
         for _ in 0..4 {
             let d = match self.peek() {
@@ -264,7 +258,7 @@ impl Parser<'_> {
         Ok(cp)
     }
 
-    fn number(&mut self) -> Result<JsonValue, (usize, String)> {
+    fn number(&mut self) -> Result<Value<'a>, ScanError> {
         let start = self.at;
         if self.peek() == Some(b'-') {
             self.at += 1;
@@ -275,9 +269,9 @@ impl Parser<'_> {
         ) {
             self.at += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.at]).expect("ascii digits");
+        let text = &self.src[start..self.at];
         match text.parse::<f64>() {
-            Ok(n) if n.is_finite() => Ok(JsonValue::Num(n)),
+            Ok(n) if n.is_finite() => Ok(Value::Num(n)),
             _ => Err((start, format!("invalid number `{text}`"))),
         }
     }
@@ -287,57 +281,85 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
+    fn one(input: &str) -> Result<Option<Value<'_>>, ScanError> {
+        scan(input, &["v"]).map(|[v]| v)
+    }
+
     #[test]
-    fn round_trips_a_record_object() {
-        let v = parse(
-            r#"{"service":"checkout","span":"a1","start":12,"links":["bA"],"ok":true,"x":null}"#,
+    fn scans_the_wanted_fields_of_a_record_object() {
+        let [service, start, links, ok, x, missing] = scan(
+            r#"{"service":"checkout","span":"a1","start":12,"links":["bA",[1],{}],"ok":true,"x":null}"#,
+            &["service", "start", "links", "ok", "x", "missing"],
         )
         .unwrap();
-        assert_eq!(v.get("service").unwrap().as_str(), Some("checkout"));
-        assert_eq!(v.get("start").unwrap().as_num(), Some(12.0));
+        assert_eq!(service, Some(Value::Str("checkout".into())));
+        assert!(matches!(service, Some(Value::Str(Cow::Borrowed(_)))));
+        assert_eq!(start, Some(Value::Num(12.0)));
         assert_eq!(
-            v.get("links").unwrap().as_arr().unwrap()[0].as_str(),
-            Some("bA")
+            links,
+            Some(Value::Arr(vec![
+                Value::Str("bA".into()),
+                Value::Arr(Vec::new()),
+                Value::Other
+            ]))
         );
-        assert_eq!(v.get("ok"), Some(&JsonValue::Bool(true)));
-        assert_eq!(v.get("x"), Some(&JsonValue::Null));
-        assert_eq!(v.get("missing"), None);
+        assert_eq!(ok, Some(Value::Other));
+        assert_eq!(x, Some(Value::Null));
+        assert_eq!(missing, None);
+    }
+
+    #[test]
+    fn first_occurrence_wins_and_non_objects_have_no_fields() {
+        assert_eq!(
+            one(r#"{"v": 1, "\u0076": 2}"#).unwrap(),
+            Some(Value::Num(1.0))
+        );
+        assert_eq!(one(r#"{"w": {"v": 1}}"#).unwrap(), None);
+        assert_eq!(one(r#"["v", 1]"#).unwrap(), None);
+        assert_eq!(one("7").unwrap(), None);
     }
 
     #[test]
     fn truncated_inputs_are_offset_diagnosed() {
-        for bad in [
-            r#"{"a": "#,
-            r#"{"a": "unterminated"#,
-            r#"["#,
-            r#"{"a" 1}"#,
-            r#"{"a": 1} trailing"#,
-            "",
+        for (bad, at) in [
+            (r#"{"a": "#, 6),
+            (r#"{"a": "unterminated"#, 19),
+            (r#"["#, 1),
+            (r#"{"a" 1}"#, 5),
+            (r#"{"a": 1} trailing"#, 9),
+            (r#"{"a": -1e}"#, 6),
+            ("", 0),
         ] {
-            let err = parse(bad).unwrap_err();
-            assert!(err.0 <= bad.len(), "offset within input for {bad:?}");
+            let err = one(bad).unwrap_err();
+            assert_eq!(err.0, at, "{bad:?}: {}", err.1);
             assert!(!err.1.is_empty());
         }
     }
 
     #[test]
     fn hostile_nesting_is_bounded() {
-        let deep = "[".repeat(10_000);
-        let err = parse(&deep).unwrap_err();
-        assert!(err.1.contains("nesting"), "{err:?}");
+        for deep in ["[".repeat(10_000), r#"{"v":"#.repeat(10_000)] {
+            let err = one(&deep).unwrap_err();
+            assert!(err.1.contains("nesting"), "{err:?}");
+        }
     }
 
     #[test]
     fn numbers_parse_and_infinities_rejected() {
-        assert_eq!(parse("-3.5e2").unwrap().as_num(), Some(-350.0));
-        assert!(parse("1e999").is_err());
-        assert!(parse("-").is_err());
+        assert_eq!(one(r#"{"v": -3.5e2}"#).unwrap(), Some(Value::Num(-350.0)));
+        assert!(one("1e999").is_err());
+        assert!(one("-").is_err());
     }
 
     #[test]
     fn utf8_and_escapes_in_strings() {
-        let v = parse(r#""héllo\n\"q\"""#).unwrap();
-        assert_eq!(v.as_str(), Some("héllo\n\"q\""));
-        assert!(parse("\"ctrl\u{1}\"").is_err());
+        let v = one(r#"{"v": "héllo\n\"q\" \u00e9\u0041"}"#).unwrap();
+        assert_eq!(v, Some(Value::Str("héllo\n\"q\" éA".into())));
+        assert!(matches!(v, Some(Value::Str(Cow::Owned(_)))));
+        let v = one(r#"{"v": "héllo"}"#).unwrap();
+        assert!(matches!(v, Some(Value::Str(Cow::Borrowed("héllo")))));
+        assert!(one("\"ctrl\u{1}\"").is_err());
+        assert!(one(r#""\ud800""#).is_err());
+        assert!(one(r#""\x""#).is_err());
     }
 }

@@ -43,6 +43,7 @@
 
 #![forbid(unsafe_code)]
 
+mod emit;
 mod error;
 mod json;
 pub mod mpi;
@@ -51,7 +52,6 @@ pub mod session;
 pub mod testgen;
 
 pub use error::{AdapterError, AdapterErrorKind};
-pub use json::JsonValue;
 
 use ocep_poet::Event;
 
@@ -125,6 +125,20 @@ pub trait Adapter {
     /// Returns a line-diagnosed [`AdapterError`] on any structural or
     /// causal defect; never panics on corrupt input.
     fn parse_str(&self, input: &str) -> Result<AdapterOutput, AdapterError>;
+}
+
+/// The record lines of a line-oriented recording, each trimmed and
+/// paired with its 1-based line number; blank lines and `#` comments
+/// are skipped. `seen` counts every line passed over, skipped or not.
+fn record_lines<'a>(
+    input: &'a str,
+    seen: &'a mut u64,
+) -> impl Iterator<Item = (usize, &'a str)> + 'a {
+    input.lines().enumerate().filter_map(move |(i, raw)| {
+        *seen += 1;
+        let text = raw.trim();
+        (!text.is_empty() && !text.starts_with('#')).then_some((i + 1, text))
+    })
 }
 
 /// Looks an adapter up by format name (`"otlp"`, `"mpi"`,

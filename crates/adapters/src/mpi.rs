@@ -21,9 +21,9 @@
 //!
 //! # Causality synthesis
 //!
-//! The reader drives a real [`PoetServer`]: per-rank program order is
-//! file order, and every matched `recv` joins the clock of its send —
-//! the same edges `crates/poet`'s `MpiPlugin` records for live
+//! One pass over the file feeds the emit core: per-rank program order
+//! is file order, and every matched `recv` joins the clock of its send
+//! — the same edges `crates/poet`'s `MpiPlugin` records for live
 //! instrumented runs. Event types are the plugin vocabulary
 //! (`mpi_send`, `mpi_block_send`, `mpi_recv`), and a send's *text*
 //! carries the destination trace (`"T3"`), so the curated deadlock
@@ -38,19 +38,16 @@
 //! clock storage is allocated: a hostile `mpi 4000000000` is a
 //! clock-width overflow diagnostic, not a 16 GB allocation.
 
-use crate::{Adapter, AdapterError, AdapterErrorKind, AdapterOutput, AdapterStats};
+use crate::emit::{Emitter, Interner, Sym};
+use crate::error::{limit, syn, too_many_records};
+use crate::{record_lines, Adapter, AdapterError, AdapterErrorKind, AdapterOutput, AdapterStats};
 use crate::{MAX_RECORDS, MAX_TRACES};
-use ocep_poet::{EventKind, PoetServer};
-use ocep_vclock::{EventId, TraceId};
+use ocep_vclock::TraceId;
 use std::collections::{HashMap, VecDeque};
 
 /// The MPI trace adapter (format name `mpi`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MpiAdapter;
-
-fn syn(line: usize, detail: impl Into<String>) -> AdapterError {
-    AdapterError::new(AdapterErrorKind::Syntax, line, detail)
-}
 
 fn parse_rank(tok: &str, n: usize, line: usize, what: &str) -> Result<u32, AdapterError> {
     let rank: u64 = tok
@@ -66,6 +63,33 @@ fn parse_rank(tok: &str, n: usize, line: usize, what: &str) -> Result<u32, Adapt
     }
 }
 
+/// The rank count claimed by the header record `text`.
+fn parse_header(text: &str, line: usize) -> Result<usize, AdapterError> {
+    let mut toks = text.split_whitespace();
+    if toks.next() != Some("mpi") {
+        return Err(syn(line, "first record must be the header `mpi <nranks>`"));
+    }
+    let (Some(count), None) = (toks.next(), toks.next()) else {
+        return Err(syn(line, "header is `mpi <nranks>`"));
+    };
+    let claimed: u64 = count
+        .parse()
+        .map_err(|_| syn(line, format!("rank count `{count}` is not a number")))?;
+    if claimed == 0 {
+        return Err(syn(line, "rank count must be at least 1"));
+    }
+    if claimed as usize > MAX_TRACES {
+        return Err(limit(
+            line,
+            format!(
+                "header claims {claimed} ranks — the clock width is capped at \
+                 {MAX_TRACES} traces"
+            ),
+        ));
+    }
+    Ok(claimed as usize)
+}
+
 impl Adapter for MpiAdapter {
     fn format(&self) -> &'static str {
         "mpi"
@@ -73,91 +97,62 @@ impl Adapter for MpiAdapter {
 
     fn parse_str(&self, input: &str) -> Result<AdapterOutput, AdapterError> {
         let mut stats = AdapterStats::default();
-        let mut poet: Option<PoetServer> = None;
-        let mut n = 0usize;
-        // FIFO of unmatched sends per (src, dst, tag) channel.
-        let mut channels: HashMap<(u32, u32, String), VecDeque<EventId>> = HashMap::new();
+        let mut records = record_lines(input, &mut stats.lines);
+        let Some((line, header)) = records.next() else {
+            return Err(syn(
+                input.lines().count().max(1),
+                "empty recording: missing `mpi <nranks>` header",
+            ));
+        };
+        let n = parse_header(header, line)?;
+        stats.records += 1;
 
-        for (i, raw) in input.lines().enumerate() {
-            let line = i + 1;
-            stats.lines += 1;
-            let text = raw.trim();
-            if text.is_empty() || text.starts_with('#') {
-                continue;
-            }
-            let toks: Vec<&str> = text.split_whitespace().collect();
+        let rank_names = (0..n).map(|r| format!("rank-{r}")).collect();
+        let mut em = Emitter::new(rank_names, Interner::default(), 0);
+        let [send_ty, block_send_ty, recv_ty] =
+            ["mpi_send", "mpi_block_send", "mpi_recv"].map(|ty| em.strings.intern(ty));
+        // A send's text names its destination trace: `"T{dst}"`.
+        let dst_text: Vec<Sym> = (0..n as u32)
+            .map(|dst| em.strings.intern(&TraceId::new(dst).to_string()))
+            .collect();
+        // FIFO of unmatched sends (output positions) per
+        // `(src, dst, tag)` channel.
+        let mut channels: HashMap<(u32, u32, Sym), VecDeque<usize>> = HashMap::new();
 
-            let Some(poet_ref) = poet.as_mut() else {
-                // First record must be the header.
-                if toks[0] != "mpi" {
-                    return Err(syn(line, "first record must be the header `mpi <nranks>`"));
-                }
-                if toks.len() != 2 {
-                    return Err(syn(line, "header is `mpi <nranks>`"));
-                }
-                let claimed: u64 = toks[1]
-                    .parse()
-                    .map_err(|_| syn(line, format!("rank count `{}` is not a number", toks[1])))?;
-                if claimed == 0 {
-                    return Err(syn(line, "rank count must be at least 1"));
-                }
-                if claimed as usize > MAX_TRACES {
-                    return Err(AdapterError::new(
-                        AdapterErrorKind::Limit,
-                        line,
-                        format!(
-                            "header claims {claimed} ranks — the clock width is capped at \
-                             {MAX_TRACES} traces"
-                        ),
-                    ));
-                }
-                n = claimed as usize;
-                poet = Some(PoetServer::new(n));
-                stats.records += 1;
-                continue;
-            };
-
-            if toks[0] == "mpi" {
+        for (line, text) in records {
+            let mut toks = text.split_whitespace();
+            let head = (toks.next(), toks.next(), toks.next());
+            if head.0 == Some("mpi") {
                 return Err(syn(line, "duplicate `mpi` header"));
             }
             if stats.records as usize >= MAX_RECORDS {
-                return Err(AdapterError::new(
-                    AdapterErrorKind::Limit,
-                    line,
-                    format!("recording exceeds {MAX_RECORDS} records"),
-                ));
+                return Err(too_many_records(line));
             }
-            if toks.len() < 3 {
+            let (Some(rank), Some(op), Some(arg)) = head else {
                 return Err(syn(
                     line,
                     "record is `<rank> send|bsend|recv|local <arg> [tag|text]`",
                 ));
-            }
-            let rank = parse_rank(toks[0], n, line, "rank")?;
-            let tag = toks.get(3).copied().unwrap_or("");
-            match toks[1] {
-                op @ ("send" | "bsend") => {
-                    let dst = parse_rank(toks[2], n, line, "destination")?;
+            };
+            let rank = parse_rank(rank, n, line, "rank")?;
+            let tag = toks.next().unwrap_or("");
+            match op {
+                "send" | "bsend" => {
+                    let dst = parse_rank(arg, n, line, "destination")?;
                     let ty = if op == "bsend" {
-                        "mpi_block_send"
+                        block_send_ty
                     } else {
-                        "mpi_send"
+                        send_ty
                     };
-                    let e = poet_ref.record(
-                        TraceId::new(rank),
-                        EventKind::Send,
-                        ty,
-                        TraceId::new(dst).to_string(),
-                    );
-                    channels
-                        .entry((rank, dst, tag.to_owned()))
-                        .or_default()
-                        .push_back(e.id());
+                    let at = em.local(rank, true, ty, dst_text[dst as usize]);
+                    let tag = em.strings.intern(tag);
+                    channels.entry((rank, dst, tag)).or_default().push_back(at);
                 }
                 "recv" => {
-                    let src = parse_rank(toks[2], n, line, "source")?;
+                    let src = parse_rank(arg, n, line, "source")?;
+                    let tag_sym = em.strings.intern(tag);
                     let send = channels
-                        .get_mut(&(src, rank, tag.to_owned()))
+                        .get_mut(&(src, rank, tag_sym))
                         .and_then(VecDeque::pop_front);
                     let Some(send) = send else {
                         return Err(AdapterError::new(
@@ -169,12 +164,12 @@ impl Adapter for MpiAdapter {
                             ),
                         ));
                     };
-                    poet_ref.record_receive(TraceId::new(rank), send, "mpi_recv", tag);
+                    em.receive(rank, send, recv_ty, tag_sym);
                     stats.edges += 1;
                 }
                 "local" => {
-                    let ty = toks[2];
-                    poet_ref.record(TraceId::new(rank), EventKind::Unary, ty, tag);
+                    let (ty, text) = (em.strings.intern(arg), em.strings.intern(tag));
+                    em.local(rank, false, ty, text);
                 }
                 op => {
                     return Err(syn(
@@ -186,20 +181,7 @@ impl Adapter for MpiAdapter {
             stats.records += 1;
         }
 
-        let Some(poet) = poet else {
-            return Err(syn(
-                stats.lines.max(1) as usize,
-                "empty recording: missing `mpi <nranks>` header",
-            ));
-        };
-        let events: Vec<_> = poet.store().iter_arrival().cloned().collect();
-        stats.events = events.len() as u64;
-        Ok(AdapterOutput {
-            n_traces: n,
-            trace_names: (0..n).map(|r| format!("rank-{r}")).collect(),
-            events,
-            stats,
-        })
+        Ok(em.finish(stats))
     }
 }
 

@@ -52,13 +52,13 @@
 //! references to unknown spans (orphan parents, dangling links) are
 //! rejected with the offending line and span id — never a panic.
 
-use crate::json::{self, JsonValue};
-use crate::{Adapter, AdapterError, AdapterErrorKind, AdapterOutput, AdapterStats};
-use crate::{MAX_LINKS_PER_SPAN, MAX_RECORDS, MAX_TRACES};
-use ocep_poet::{Event, EventKind};
-use ocep_vclock::{ClockAssigner, StampedEvent, TraceId};
+use crate::emit::{Emitter, Interner, Sym};
+use crate::error::{limit, syn, too_many_records};
+use crate::json::{self, Field, Value};
+use crate::{record_lines, Adapter, AdapterError, AdapterErrorKind, AdapterOutput, AdapterStats};
+use crate::{MAX_LINKS_PER_SPAN, MAX_RECORDS};
+use std::borrow::Cow;
 use std::cmp::Reverse;
-use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 
 /// Event type of the synthetic receives materialized for secondary
@@ -69,51 +69,73 @@ pub const SPAN_LINK_TYPE: &str = "span_link";
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OtlpAdapter;
 
-struct Span {
+/// The record fields the reader looks at, in [`json::scan`] order.
+const FIELDS: [&str; 7] = [
+    "service", "span", "name", "start", "parent", "attr", "links",
+];
+
+struct Span<'a> {
     line: usize,
-    trace: usize,
-    id: String,
-    name: String,
-    parent: Option<String>,
-    links: Vec<String>,
+    trace: u32,
+    id: Cow<'a, str>,
+    name: Sym,
+    attr: Sym,
+    parent: Option<Cow<'a, str>>,
+    links: Vec<Cow<'a, str>>,
     start: u64,
-    attr: String,
-    /// Position in its trace's `(start, line)` order; filled after
-    /// parsing.
-    pos: usize,
 }
 
-fn syn(line: usize, detail: impl Into<String>) -> AdapterError {
-    AdapterError::new(AdapterErrorKind::Syntax, line, detail)
-}
-
-fn req_str(v: &JsonValue, field: &str, line: usize) -> Result<String, AdapterError> {
-    match v.get(field) {
-        Some(JsonValue::Str(s)) if !s.is_empty() => Ok(s.clone()),
-        Some(JsonValue::Str(_)) => Err(syn(line, format!("field `{field}` must be non-empty"))),
+fn req_str<'a>(v: Field<'a>, field: &str, line: usize) -> Result<Cow<'a, str>, AdapterError> {
+    match v {
+        Some(Value::Str(s)) if !s.is_empty() => Ok(s),
+        Some(Value::Str(_)) => Err(syn(line, format!("field `{field}` must be non-empty"))),
         Some(_) => Err(syn(line, format!("field `{field}` must be a string"))),
         None => Err(syn(line, format!("missing required field `{field}`"))),
     }
 }
 
-fn opt_str(v: &JsonValue, field: &str, line: usize) -> Result<Option<String>, AdapterError> {
-    match v.get(field) {
-        Some(JsonValue::Str(s)) => Ok(Some(s.clone())),
-        Some(JsonValue::Null) | None => Ok(None),
+fn opt_str<'a>(
+    v: Field<'a>,
+    field: &str,
+    line: usize,
+) -> Result<Option<Cow<'a, str>>, AdapterError> {
+    match v {
+        Some(Value::Str(s)) => Ok(Some(s)),
+        Some(Value::Null) | None => Ok(None),
         Some(_) => Err(syn(line, format!("field `{field}` must be a string"))),
     }
 }
 
-fn req_u64(v: &JsonValue, field: &str, line: usize) -> Result<u64, AdapterError> {
-    match v.get(field) {
-        Some(JsonValue::Num(n)) if *n >= 0.0 && n.fract() == 0.0 && *n < 9.0e15 => Ok(*n as u64),
-        Some(JsonValue::Num(_)) => Err(syn(
+fn req_u64(v: Field<'_>, field: &str, line: usize) -> Result<u64, AdapterError> {
+    match v {
+        Some(Value::Num(n)) if n >= 0.0 && n.fract() == 0.0 && n < 9.0e15 => Ok(n as u64),
+        Some(Value::Num(_)) => Err(syn(
             line,
             format!("field `{field}` must be a non-negative integer"),
         )),
         Some(_) => Err(syn(line, format!("field `{field}` must be a number"))),
         None => Err(syn(line, format!("missing required field `{field}`"))),
     }
+}
+
+fn link_ids<'a>(v: Field<'a>, id: &str, line: usize) -> Result<Vec<Cow<'a, str>>, AdapterError> {
+    let items = match v {
+        Some(Value::Arr(items)) => items,
+        Some(Value::Null) | None => return Ok(Vec::new()),
+        Some(_) => return Err(syn(line, "field `links` must be an array of span ids")),
+    };
+    if items.len() > MAX_LINKS_PER_SPAN {
+        let n = items.len();
+        let detail = format!("span `{id}` carries {n} links, more than {MAX_LINKS_PER_SPAN}");
+        return Err(limit(line, detail));
+    }
+    items
+        .into_iter()
+        .map(|it| match it {
+            Value::Str(s) if !s.is_empty() => Ok(s),
+            _ => Err(syn(line, "`links` entries must be non-empty strings")),
+        })
+        .collect()
 }
 
 impl Adapter for OtlpAdapter {
@@ -124,232 +146,142 @@ impl Adapter for OtlpAdapter {
     fn parse_str(&self, input: &str) -> Result<AdapterOutput, AdapterError> {
         let mut stats = AdapterStats::default();
         let mut spans: Vec<Span> = Vec::new();
-        let mut trace_names: Vec<String> = Vec::new();
-        let mut trace_of: HashMap<String, usize> = HashMap::new();
-        let mut span_ix: HashMap<String, usize> = HashMap::new();
+        let mut traces = Interner::default();
+        let mut strings = Interner::default();
+        let mut span_ix: HashMap<Cow<str>, usize> = HashMap::new();
 
         // ── Pass 1: parse records ───────────────────────────────────
-        for (i, raw) in input.lines().enumerate() {
-            let line = i + 1;
-            stats.lines += 1;
-            let text = raw.trim();
-            if text.is_empty() || text.starts_with('#') {
-                continue;
-            }
-            let v = json::parse(text)
+        for (line, text) in record_lines(input, &mut stats.lines) {
+            let [service, id, name, start, parent, attr, links] = json::scan(text, &FIELDS)
                 .map_err(|(at, detail)| syn(line, format!("byte {at}: {detail}")))?;
             if spans.len() >= MAX_RECORDS {
-                return Err(AdapterError::new(
-                    AdapterErrorKind::Limit,
-                    line,
-                    format!("recording exceeds {MAX_RECORDS} records"),
-                ));
+                return Err(too_many_records(line));
             }
-            let service = req_str(&v, "service", line)?;
-            let id = req_str(&v, "span", line)?;
-            let name = req_str(&v, "name", line)?;
-            let start = req_u64(&v, "start", line)?;
-            let parent = opt_str(&v, "parent", line)?;
-            let attr = opt_str(&v, "attr", line)?.unwrap_or_default();
-            let links = match v.get("links") {
-                Some(JsonValue::Arr(items)) => {
-                    if items.len() > MAX_LINKS_PER_SPAN {
-                        return Err(AdapterError::new(
-                            AdapterErrorKind::Limit,
-                            line,
-                            format!(
-                                "span `{id}` carries {} links, more than {MAX_LINKS_PER_SPAN}",
-                                items.len()
-                            ),
-                        ));
-                    }
-                    let mut out = Vec::with_capacity(items.len());
-                    for it in items {
-                        match it.as_str() {
-                            Some(s) if !s.is_empty() => out.push(s.to_owned()),
-                            _ => {
-                                return Err(syn(line, "`links` entries must be non-empty strings"))
-                            }
-                        }
-                    }
-                    out
-                }
-                Some(JsonValue::Null) | None => Vec::new(),
-                Some(_) => return Err(syn(line, "field `links` must be an array of span ids")),
-            };
+            let service = req_str(service, "service", line)?;
+            let id = req_str(id, "span", line)?;
+            let name = req_str(name, "name", line)?;
+            let start = req_u64(start, "start", line)?;
+            let parent = opt_str(parent, "parent", line)?;
+            let attr = opt_str(attr, "attr", line)?.unwrap_or_default();
+            let links = link_ids(links, &id, line)?;
 
-            let trace = match trace_of.entry(service.clone()) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    if trace_names.len() >= MAX_TRACES {
-                        return Err(AdapterError::new(
-                            AdapterErrorKind::Limit,
-                            line,
-                            format!(
-                                "service `{service}` would be trace {} — the clock width \
-                                 is capped at {MAX_TRACES} traces",
-                                trace_names.len() + 1
-                            ),
-                        ));
-                    }
-                    trace_names.push(service.clone());
-                    *e.insert(trace_names.len() - 1)
-                }
-            };
-            match span_ix.entry(id.clone()) {
-                Entry::Occupied(prev) => {
-                    return Err(syn(
-                        line,
-                        format!(
-                            "duplicate span id `{id}` (first defined on line {})",
-                            spans[*prev.get()].line
-                        ),
-                    ));
-                }
-                Entry::Vacant(e) => {
-                    e.insert(spans.len());
-                }
+            let trace = traces.trace(&service, line, "service")?;
+            if let Some(first) = span_ix.insert(id.clone(), spans.len()) {
+                let first = spans[first].line;
+                let detail = format!("duplicate span id `{id}` (first defined on line {first})");
+                return Err(syn(line, detail));
             }
             stats.records += 1;
             spans.push(Span {
                 line,
                 trace,
                 id,
-                name,
+                name: strings.intern(&name),
+                attr: strings.intern(&attr),
                 parent,
                 links,
                 start,
-                attr,
-                pos: 0,
             });
         }
 
         // ── Pass 2: per-trace order + dependency graph ──────────────
-        let n_traces = trace_names.len();
-        let mut by_trace: Vec<Vec<usize>> = vec![Vec::new(); n_traces];
-        for (i, s) in spans.iter().enumerate() {
-            by_trace[s.trace].push(i);
-        }
-        for list in &mut by_trace {
-            list.sort_by_key(|&i| (spans[i].start, spans[i].line));
-            for (pos, &i) in list.iter().enumerate() {
-                spans[i].pos = pos;
-            }
+        // `order` lists spans trace by trace, each trace in `(start,
+        // input line)` order: a span's program-order successor is the
+        // next entry when that is on the same trace, and its rank (its
+        // place in `order`) is its priority in the sweep.
+        let mut order: Vec<usize> = (0..spans.len()).collect();
+        order.sort_unstable_by_key(|&i| (spans[i].trace, spans[i].start, spans[i].line));
+        let mut rank = vec![0usize; spans.len()];
+        let mut indegree = vec![0u32; spans.len()];
+        for (r, &i) in order.iter().enumerate() {
+            rank[i] = r;
+            indegree[i] = u32::from(r > 0 && spans[order[r - 1]].trace == spans[i].trace);
         }
 
-        // deps[i] = causal predecessors of span i (span indices);
-        // program-order predecessor first, then parent, then links.
-        let mut deps: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
-        let mut indegree: Vec<usize> = vec![0; spans.len()];
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
-        let mut sends: Vec<bool> = vec![false; spans.len()];
-        let add_edge = |from: usize,
-                        to: usize,
-                        deps: &mut Vec<Vec<usize>>,
-                        indegree: &mut Vec<usize>,
-                        succs: &mut Vec<Vec<usize>>| {
-            deps[to].push(from);
-            indegree[to] += 1;
-            succs[from].push(to);
-        };
-        for list in &by_trace {
-            for w in list.windows(2) {
-                add_edge(w[0], w[1], &mut deps, &mut indegree, &mut succs);
-            }
-        }
         let resolve = |from_id: &str, to: usize, what: &str| -> Result<usize, AdapterError> {
-            let span = &spans[to];
-            match span_ix.get(from_id) {
-                None => Err(AdapterError::new(
-                    AdapterErrorKind::OrphanRef,
-                    span.line,
-                    format!(
-                        "span `{}` names {what} `{from_id}`, which no record defines",
-                        span.id
-                    ),
-                )),
-                Some(&p) if p == to => Err(AdapterError::new(
+            let Span { line, id, .. } = &spans[to];
+            let (kind, detail) = match span_ix.get(from_id) {
+                Some(&p) if p != to => return Ok(p),
+                Some(_) => (
                     AdapterErrorKind::Cycle,
-                    span.line,
-                    format!("span `{}` names itself as {what}", span.id),
-                )),
-                Some(&p) => Ok(p),
-            }
+                    format!("span `{id}` names itself as {what}"),
+                ),
+                None => (
+                    AdapterErrorKind::OrphanRef,
+                    format!("span `{id}` names {what} `{from_id}`, which no record defines"),
+                ),
+            };
+            Err(AdapterError::new(kind, *line, detail))
         };
-        // Cross-trace causal deps per span (beyond program order).
-        let mut cross: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
-        for i in 0..spans.len() {
-            let parent = spans[i].parent.clone();
-            if let Some(pid) = parent {
-                let p = resolve(&pid, i, "parent")?;
-                add_edge(p, i, &mut deps, &mut indegree, &mut succs);
-                if spans[p].trace != spans[i].trace {
-                    cross[i].push(p);
+        // The parent/link edges as two CSR lists. `preds[pred_off[i]..
+        // pred_off[i + 1]]` are span i's causal predecessors, parent
+        // first, then links; `succs` is the same edge set keyed by the
+        // predecessor, filled by a counting sort.
+        let mut preds: Vec<usize> = Vec::new();
+        let mut pred_off = Vec::with_capacity(spans.len() + 1);
+        let mut succ_off = vec![0usize; spans.len() + 1];
+        let mut sends = vec![false; spans.len()];
+        for (i, span) in spans.iter().enumerate() {
+            pred_off.push(preds.len());
+            let parent = span.parent.iter().map(|p| (p, "parent"));
+            for (from_id, what) in parent.chain(span.links.iter().map(|l| (l, "link"))) {
+                let p = resolve(from_id, i, what)?;
+                preds.push(p);
+                indegree[i] += 1;
+                succ_off[p + 1] += 1;
+                if spans[p].trace != span.trace {
                     sends[p] = true;
                     stats.edges += 1;
                 }
             }
-            let links = spans[i].links.clone();
-            for lid in links {
-                let l = resolve(&lid, i, "link")?;
-                add_edge(l, i, &mut deps, &mut indegree, &mut succs);
-                if spans[l].trace != spans[i].trace {
-                    cross[i].push(l);
-                    sends[l] = true;
-                    stats.edges += 1;
-                }
+        }
+        pred_off.push(preds.len());
+        for p in 0..spans.len() {
+            succ_off[p + 1] += succ_off[p];
+        }
+        let mut succs = vec![0usize; preds.len()];
+        let mut fill = succ_off.clone();
+        for i in 0..spans.len() {
+            for &p in &preds[pred_off[i]..pred_off[i + 1]] {
+                succs[fill[p]] = i;
+                fill[p] += 1;
             }
         }
 
         // ── Pass 3: deterministic topological sweep ─────────────────
-        let mut ready: BinaryHeap<Reverse<(usize, usize, usize)>> = BinaryHeap::new();
-        for (i, s) in spans.iter().enumerate() {
-            if indegree[i] == 0 {
-                ready.push(Reverse((s.trace, s.pos, i)));
-            }
-        }
-        let mut asn = ClockAssigner::new(n_traces);
-        let mut stamp_of: Vec<Option<StampedEvent>> = vec![None; spans.len()];
-        let mut events: Vec<Event> = Vec::with_capacity(spans.len());
+        let mut ready: BinaryHeap<Reverse<usize>> = (0..spans.len())
+            .filter(|&i| indegree[i] == 0)
+            .map(|i| Reverse(rank[i]))
+            .collect();
+        let link_ty = strings.intern(SPAN_LINK_TYPE);
+        let mut em = Emitter::new(traces.into_names(), strings, spans.len());
+        // Output position of each swept span's own event.
+        let mut at = vec![0usize; spans.len()];
         let mut done = 0usize;
-        while let Some(Reverse((_, _, i))) = ready.pop() {
+        while let Some(Reverse(r)) = ready.pop() {
             done += 1;
+            let i = order[r];
             let s = &spans[i];
-            let t = TraceId::new(u32::try_from(s.trace).expect("bounded by MAX_TRACES"));
+            let mut cross = preds[pred_off[i]..pred_off[i + 1]]
+                .iter()
+                .filter(|&&d| spans[d].trace != s.trace);
+            let first = cross.next();
             // Secondary cross-trace predecessors each get a synthetic
             // receive carrying exactly one message edge.
-            for &d in cross[i].iter().skip(1) {
-                let dep = stamp_of[d].clone().expect("topo order: dep already swept");
-                let stamp = asn.receive(t, &dep);
-                events.push(Event::new(
-                    stamp,
-                    EventKind::Receive,
-                    SPAN_LINK_TYPE,
-                    s.id.as_str(),
-                    Some(dep.id()),
-                ));
+            for &d in cross {
+                let text = em.strings.intern(&s.id);
+                em.receive(s.trace, at[d], link_ty, text);
                 stats.synthesized += 1;
             }
-            let (stamp, kind, partner) = match cross[i].first() {
-                Some(&d) => {
-                    let dep = stamp_of[d].clone().expect("topo order: dep already swept");
-                    (asn.receive(t, &dep), EventKind::Receive, Some(dep.id()))
-                }
-                None if sends[i] => (asn.local(t), EventKind::Send, None),
-                None => (asn.local(t), EventKind::Unary, None),
+            at[i] = match first {
+                Some(&d) => em.receive(s.trace, at[d], s.name, s.attr),
+                None => em.local(s.trace, sends[i], s.name, s.attr),
             };
-            stamp_of[i] = Some(stamp.clone());
-            events.push(Event::new(
-                stamp,
-                kind,
-                s.name.as_str(),
-                s.attr.as_str(),
-                partner,
-            ));
-            for &n in &succs[i] {
+            let next = order.get(r + 1).filter(|&&n| spans[n].trace == s.trace);
+            for &n in succs[succ_off[i]..succ_off[i + 1]].iter().chain(next) {
                 indegree[n] -= 1;
                 if indegree[n] == 0 {
-                    ready.push(Reverse((spans[n].trace, spans[n].pos, n)));
+                    ready.push(Reverse(rank[n]));
                 }
             }
         }
@@ -359,24 +291,14 @@ impl Adapter for OtlpAdapter {
                 .filter(|&i| indegree[i] > 0)
                 .min_by_key(|&i| spans[i].line)
                 .expect("done < len implies a blocked span");
-            return Err(AdapterError::new(
-                AdapterErrorKind::Cycle,
-                spans[stuck].line,
-                format!(
-                    "span `{}` participates in a causal cycle ({} span(s) unresolvable; \
-                     parent/link edges contradict each other or same-service start order)",
-                    spans[stuck].id,
-                    spans.len() - done
-                ),
-            ));
+            let (Span { line, id, .. }, left) = (&spans[stuck], spans.len() - done);
+            let detail = format!(
+                "span `{id}` participates in a causal cycle ({left} span(s) unresolvable; \
+                 parent/link edges contradict each other or same-service start order)"
+            );
+            return Err(AdapterError::new(AdapterErrorKind::Cycle, *line, detail));
         }
-        stats.events = events.len() as u64;
-        Ok(AdapterOutput {
-            n_traces,
-            trace_names,
-            events,
-            stats,
-        })
+        Ok(em.finish(stats))
     }
 }
 
@@ -384,6 +306,8 @@ impl Adapter for OtlpAdapter {
 mod tests {
     use super::*;
     use crate::Adapter;
+    use ocep_poet::EventKind;
+    use ocep_vclock::TraceId;
 
     fn parse(input: &str) -> Result<AdapterOutput, AdapterError> {
         OtlpAdapter.parse_str(input)

@@ -49,29 +49,48 @@
 //! *later* record violates replayability (`unmatched`); naming itself
 //! is a cycle. All are line-diagnosed; corrupt input never panics.
 
-use crate::json::{self, JsonValue};
-use crate::{Adapter, AdapterError, AdapterErrorKind, AdapterOutput, AdapterStats};
-use crate::{MAX_RECORDS, MAX_TRACES};
-use ocep_poet::{Event, EventKind};
-use ocep_vclock::{ClockAssigner, StampedEvent, TraceId};
-use std::collections::hash_map::Entry;
+use crate::emit::{Emitter, Interner, Sym};
+use crate::error::{syn, too_many_records};
+use crate::json::{self, Field, Value};
+use crate::{
+    record_lines, Adapter, AdapterError, AdapterErrorKind, AdapterOutput, AdapterStats, MAX_RECORDS,
+};
+use ocep_vclock::TraceId;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// The agent-session recording adapter (format name `session`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SessionAdapter;
 
-fn syn(line: usize, detail: impl Into<String>) -> AdapterError {
-    AdapterError::new(AdapterErrorKind::Syntax, line, detail)
+/// The record fields the reader looks at, in [`json::scan`] order.
+const FIELDS: [&str; 7] = ["session", "kind", "op", "target", "attr", "id", "from"];
+
+/// An optional string field: absent and `null` are `None`; present, it
+/// must be a non-empty string.
+fn get_str<'a>(
+    v: Field<'a>,
+    field: &str,
+    line: usize,
+) -> Result<Option<Cow<'a, str>>, AdapterError> {
+    match v {
+        Some(Value::Str(s)) if !s.is_empty() => Ok(Some(s)),
+        Some(Value::Str(_)) => Err(syn(line, format!("field `{field}` must be non-empty"))),
+        Some(Value::Null) | None => Ok(None),
+        Some(_) => Err(syn(line, format!("field `{field}` must be a string"))),
+    }
 }
 
 struct Record {
     line: usize,
     trace: u32,
-    ty: String,
-    text: String,
-    kind: EventKind,
-    /// Index into `records` of the `from` target.
+    ty: Sym,
+    text: Sym,
+    /// A message send: a `spawn`, or the target of a later `from`
+    /// (unless it is a receive itself, which keeps its partner).
+    send: bool,
+    /// Index into `records` (and so output position) of the `from`
+    /// target.
     from: Option<usize>,
 }
 
@@ -82,102 +101,53 @@ impl Adapter for SessionAdapter {
 
     fn parse_str(&self, input: &str) -> Result<AdapterOutput, AdapterError> {
         let mut stats = AdapterStats::default();
-        let mut trace_names: Vec<String> = Vec::new();
-        let mut trace_of: HashMap<String, u32> = HashMap::new();
-        let mut intern = |name: &str, line: usize| -> Result<u32, AdapterError> {
-            match trace_of.entry(name.to_owned()) {
-                Entry::Occupied(e) => Ok(*e.get()),
-                Entry::Vacant(e) => {
-                    if trace_names.len() >= MAX_TRACES {
-                        return Err(AdapterError::new(
-                            AdapterErrorKind::Limit,
-                            line,
-                            format!(
-                                "session `{name}` would be trace {} — the clock width is \
-                                 capped at {MAX_TRACES} traces",
-                                trace_names.len() + 1
-                            ),
-                        ));
-                    }
-                    trace_names.push(name.to_owned());
-                    Ok(*e.insert((trace_names.len() - 1) as u32))
-                }
-            }
-        };
+        let mut traces = Interner::default();
+        let mut strings = Interner::default();
 
         // ── Pass 1: parse records, resolve ids and references ───────
         let mut records: Vec<Record> = Vec::new();
-        let mut id_of: HashMap<String, usize> = HashMap::new();
-        // References that could not be resolved yet: (line, id, index
-        // of the referencing record). Resolved or diagnosed in pass 2.
-        let mut pending: Vec<(usize, String, usize)> = Vec::new();
+        let mut id_of: HashMap<Cow<str>, usize> = HashMap::new();
+        // The first reference that could not be resolved yet: (line,
+        // id). Diagnosed in pass 2.
+        let mut unresolved: Option<(usize, Cow<str>)> = None;
 
-        for (i, raw) in input.lines().enumerate() {
-            let line = i + 1;
-            stats.lines += 1;
-            let text = raw.trim();
-            if text.is_empty() || text.starts_with('#') {
-                continue;
-            }
+        for (line, text) in record_lines(input, &mut stats.lines) {
             if records.len() >= MAX_RECORDS {
-                return Err(AdapterError::new(
-                    AdapterErrorKind::Limit,
-                    line,
-                    format!("recording exceeds {MAX_RECORDS} records"),
-                ));
+                return Err(too_many_records(line));
             }
-            let v = json::parse(text)
+            let [session, kind, op, target, attr, id, from] = json::scan(text, &FIELDS)
                 .map_err(|(at, detail)| syn(line, format!("byte {at}: {detail}")))?;
-            let get_str = |field: &str| -> Result<Option<String>, AdapterError> {
-                match v.get(field) {
-                    Some(JsonValue::Str(s)) if !s.is_empty() => Ok(Some(s.clone())),
-                    Some(JsonValue::Str(_)) => {
-                        Err(syn(line, format!("field `{field}` must be non-empty")))
-                    }
-                    Some(JsonValue::Null) | None => Ok(None),
-                    Some(_) => Err(syn(line, format!("field `{field}` must be a string"))),
-                }
-            };
-            let session =
-                get_str("session")?.ok_or_else(|| syn(line, "missing required field `session`"))?;
-            let kind =
-                get_str("kind")?.ok_or_else(|| syn(line, "missing required field `kind`"))?;
-            if !matches!(
-                kind.as_str(),
-                "message" | "tool_call" | "tool_result" | "spawn"
-            ) {
+            let session = get_str(session, "session", line)?
+                .ok_or_else(|| syn(line, "missing required field `session`"))?;
+            let kind = get_str(kind, "kind", line)?
+                .ok_or_else(|| syn(line, "missing required field `kind`"))?;
+            if !matches!(&*kind, "message" | "tool_call" | "tool_result" | "spawn") {
                 return Err(syn(
                     line,
                     format!("unknown kind `{kind}` (message|tool_call|tool_result|spawn)"),
                 ));
             }
-            let trace = intern(&session, line)?;
-            let ty = get_str("op")?.unwrap_or_else(|| kind.clone());
-            let text = if kind == "spawn" {
-                let target = get_str("target")?
+            let spawn = kind == "spawn";
+            let trace = traces.trace(&session, line, "session")?;
+            let ty = strings.intern(&get_str(op, "op", line)?.unwrap_or(kind));
+            let text = if spawn {
+                let target = get_str(target, "target", line)?
                     .ok_or_else(|| syn(line, "`spawn` records require field `target`"))?;
-                TraceId::new(intern(&target, line)?).to_string()
+                let target = TraceId::new(traces.trace(&target, line, "session")?);
+                strings.intern(&target.to_string())
             } else {
-                get_str("attr")?.unwrap_or_default()
+                strings.intern(&get_str(attr, "attr", line)?.unwrap_or_default())
             };
             let ix = records.len();
-            if let Some(id) = get_str("id")? {
-                match id_of.entry(id.clone()) {
-                    Entry::Occupied(prev) => {
-                        return Err(syn(
-                            line,
-                            format!(
-                                "duplicate record id `{id}` (first defined on line {})",
-                                records[*prev.get()].line
-                            ),
-                        ));
-                    }
-                    Entry::Vacant(e) => {
-                        e.insert(ix);
-                    }
+            if let Some(id) = get_str(id, "id", line)? {
+                if let Some(first) = id_of.insert(id.clone(), ix) {
+                    let first = records[first].line;
+                    let detail =
+                        format!("duplicate record id `{id}` (first defined on line {first})");
+                    return Err(syn(line, detail));
                 }
             }
-            let from = match get_str("from")? {
+            let from = match get_str(from, "from", line)? {
                 None => None,
                 Some(fid) => match id_of.get(&fid) {
                     Some(&t) if t == ix => {
@@ -187,19 +157,17 @@ impl Adapter for SessionAdapter {
                             format!("record `{fid}` references itself"),
                         ));
                     }
-                    Some(&t) => Some(t),
+                    Some(&t) => {
+                        records[t].send = true;
+                        Some(t)
+                    }
                     None => {
                         // Defined later (forward ref) or never; pass 2
                         // tells them apart for the diagnostic.
-                        pending.push((line, fid, ix));
+                        unresolved.get_or_insert((line, fid));
                         None
                     }
                 },
-            };
-            let ekind = match (&from, kind.as_str()) {
-                (Some(_), _) => EventKind::Receive,
-                (None, "spawn") => EventKind::Send,
-                _ => EventKind::Unary,
             };
             stats.records += 1;
             records.push(Record {
@@ -207,17 +175,17 @@ impl Adapter for SessionAdapter {
                 trace,
                 ty,
                 text,
-                kind: ekind,
+                send: spawn,
                 from,
             });
         }
 
         // ── Pass 2: diagnose unresolved references ──────────────────
-        if let Some((line, fid, _)) = pending.first() {
-            return Err(match id_of.get(fid) {
+        if let Some((line, fid)) = unresolved {
+            return Err(match id_of.get(&fid) {
                 Some(&def) => AdapterError::new(
                     AdapterErrorKind::Unmatched,
-                    *line,
+                    line,
                     format!(
                         "forward causal reference: `from` names `{fid}`, defined later on \
                          line {} — a replayable recording logs causes before effects",
@@ -226,56 +194,24 @@ impl Adapter for SessionAdapter {
                 ),
                 None => AdapterError::new(
                     AdapterErrorKind::OrphanRef,
-                    *line,
+                    line,
                     format!("`from` names `{fid}`, which no record defines"),
                 ),
             });
         }
 
-        // Records referenced by a `from` are message sends (unless
-        // they are receives themselves, which keep their partner).
-        let mut referenced = vec![false; records.len()];
-        for r in &records {
-            if let Some(f) = r.from {
-                referenced[f] = true;
-            }
-        }
-
         // ── Pass 3: single-sweep clock synthesis in file order ──────
-        let n_traces = trace_names.len();
-        let mut asn = ClockAssigner::new(n_traces);
-        let mut stamps: Vec<StampedEvent> = Vec::with_capacity(records.len());
-        let mut events: Vec<Event> = Vec::with_capacity(records.len());
-        for (i, r) in records.iter().enumerate() {
-            let t = TraceId::new(r.trace);
-            let (stamp, partner) = match r.from {
+        let mut em = Emitter::new(traces.into_names(), strings, records.len());
+        for r in &records {
+            match r.from {
                 Some(f) => {
                     stats.edges += 1;
-                    (asn.receive(t, &stamps[f]), Some(stamps[f].id()))
+                    em.receive(r.trace, f, r.ty, r.text)
                 }
-                None => (asn.local(t), None),
+                None => em.local(r.trace, r.send, r.ty, r.text),
             };
-            let kind = match r.kind {
-                EventKind::Receive => EventKind::Receive,
-                _ if referenced[i] => EventKind::Send,
-                k => k,
-            };
-            stamps.push(stamp.clone());
-            events.push(Event::new(
-                stamp,
-                kind,
-                r.ty.as_str(),
-                r.text.as_str(),
-                partner,
-            ));
         }
-        stats.events = events.len() as u64;
-        Ok(AdapterOutput {
-            n_traces,
-            trace_names,
-            events,
-            stats,
-        })
+        Ok(em.finish(stats))
     }
 }
 
@@ -283,6 +219,7 @@ impl Adapter for SessionAdapter {
 mod tests {
     use super::*;
     use crate::Adapter;
+    use ocep_poet::EventKind;
 
     fn parse(input: &str) -> Result<AdapterOutput, AdapterError> {
         SessionAdapter.parse_str(input)

@@ -28,12 +28,23 @@ use std::io::{BufReader, BufWriter, Write as IoWrite};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 pub use crate::engine::{MatchCoords, ServeConfig, ServeReport};
 
 /// How many queued frames the engine accepts before inbound readers
 /// (and, through TCP, their producers) stall.
 const ENGINE_QUEUE: usize = 1024;
+
+/// How long [`Server::join`] waits for the connection writers to flush
+/// what the engine queued last (the final `StatsReport`). A writer only
+/// outlives its closed queue while a peer is not reading; that peer
+/// forfeits its last frames rather than holding shutdown up.
+const WRITER_DRAIN: Duration = Duration::from_secs(2);
+
+/// The writer thread of every connection still open, with its queue.
+type Writers = Vec<(OutQueue, JoinHandle<()>)>;
 
 enum EngineMsg {
     Accepted {
@@ -93,8 +104,8 @@ impl std::fmt::Debug for ServerHandle {
 #[derive(Debug)]
 pub struct Server {
     addr: SocketAddr,
-    engine: std::thread::JoinHandle<ServeReport>,
-    acceptor: std::thread::JoinHandle<()>,
+    engine: JoinHandle<ServeReport>,
+    acceptor: JoinHandle<Writers>,
     handle: ServerHandle,
 }
 
@@ -137,7 +148,7 @@ impl Server {
             let clock = Arc::clone(&clock);
             let config = config.clone();
             std::thread::spawn(move || {
-                accept_loop(&listener, &tx, &stop, &bytes_out, &clock, &config);
+                accept_loop(&listener, &tx, &stop, &bytes_out, &clock, &config)
             })
         };
 
@@ -170,13 +181,31 @@ impl Server {
     /// Waits for the serving loop to finish (a `Shutdown` frame or
     /// [`ServerHandle::shutdown`]) and returns its report.
     ///
+    /// Every frame the engine queued — each connection's final
+    /// `StatsReport` included — is on its socket when this returns, so
+    /// the caller may exit the process without cutting a peer's
+    /// shutdown handshake short. (The wait is bounded: a peer that has
+    /// stopped reading forfeits its last frames after two seconds.)
+    ///
     /// # Panics
     ///
-    /// Panics if the engine or acceptor thread panicked.
+    /// Panics if the engine, the acceptor or a writer thread panicked.
     #[must_use]
     pub fn join(self) -> ServeReport {
         let report = self.engine.join().expect("engine thread panicked");
-        self.acceptor.join().expect("acceptor thread panicked");
+        let writers = self.acceptor.join().expect("acceptor thread panicked");
+        let deadline = Instant::now() + WRITER_DRAIN;
+        for (out, writer) in writers {
+            // The engine closed the queues of the connections it knew;
+            // one accepted as it stopped is closed here.
+            out.close();
+            while !writer.is_finished() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            if writer.is_finished() {
+                writer.join().expect("writer thread panicked");
+            }
+        }
         report
     }
 }
@@ -226,8 +255,9 @@ fn accept_loop(
     bytes_out: &Arc<AtomicU64>,
     clock: &Arc<dyn NetClock>,
     config: &ServeConfig,
-) {
+) -> Writers {
     let mut next_id: u64 = 0;
+    let mut writers = Writers::new();
     for stream in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
             break;
@@ -251,19 +281,28 @@ fn accept_loop(
         {
             break; // engine gone
         }
-        spawn_writer(conn, &stream, &out, bytes_out);
+        writers.retain(|(_, writer)| !writer.is_finished());
+        if let Some(writer) = spawn_writer(conn, &stream, &out, bytes_out) {
+            writers.push((out.clone(), writer));
+        }
         spawn_reader(conn, stream, tx.clone(), out, Arc::clone(clock));
     }
+    writers
 }
 
-fn spawn_writer(conn: u64, stream: &TcpStream, out: &OutQueue, bytes_out: &Arc<AtomicU64>) {
+fn spawn_writer(
+    conn: u64,
+    stream: &TcpStream,
+    out: &OutQueue,
+    bytes_out: &Arc<AtomicU64>,
+) -> Option<JoinHandle<()>> {
     let Ok(stream) = stream.try_clone() else {
         out.close();
-        return;
+        return None;
     };
     let out = out.clone();
     let bytes_out = Arc::clone(bytes_out);
-    std::thread::Builder::new()
+    let writer = std::thread::Builder::new()
         .name(format!("ocwp-writer-{conn}"))
         .spawn(move || {
             let raw = stream.try_clone();
@@ -286,6 +325,7 @@ fn spawn_writer(conn: u64, stream: &TcpStream, out: &OutQueue, bytes_out: &Arc<A
             }
         })
         .expect("spawn writer");
+    Some(writer)
 }
 
 fn spawn_reader(

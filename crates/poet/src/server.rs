@@ -30,8 +30,9 @@ use std::sync::mpsc;
 pub struct PoetServer {
     assigner: ClockAssigner,
     store: TraceStore,
-    /// Events recorded since the last `linearization()` drain.
-    pending: Vec<Event>,
+    /// How many events, in the store's arrival order, `linearization()`
+    /// has already drained.
+    drained: usize,
     subscribers: Vec<mpsc::Sender<Event>>,
 }
 
@@ -42,7 +43,7 @@ impl PoetServer {
         PoetServer {
             assigner: ClockAssigner::new(n_traces),
             store: TraceStore::new(n_traces),
-            pending: Vec::new(),
+            drained: 0,
             subscribers: Vec::new(),
         }
     }
@@ -73,7 +74,7 @@ impl PoetServer {
         );
         let stamp = self.assigner.local(t);
         let event = Event::new(stamp, kind, ty, text, None);
-        self.commit(event.clone());
+        self.commit(&event);
         event
     }
 
@@ -97,24 +98,25 @@ impl PoetServer {
             .clone();
         let stamp = self.assigner.receive(t, &send_stamp);
         let event = Event::new(stamp, EventKind::Receive, ty, text, Some(sender));
-        self.commit(event.clone());
+        self.commit(&event);
         event
     }
 
-    fn commit(&mut self, event: Event) {
+    /// Stores the one copy the server keeps, and one per subscriber.
+    fn commit(&mut self, event: &Event) {
         self.store
             .push(event.clone())
             .expect("server-assigned events are always consistent");
         self.subscribers.retain(|tx| tx.send(event.clone()).is_ok());
-        self.pending.push(event);
     }
 
     /// Drains the events recorded since the previous call, in arrival
     /// order — a valid linearization of the partial order, because a
     /// receive is always recorded after its send and each trace records in
     /// program order.
-    pub fn linearization(&mut self) -> impl Iterator<Item = Event> {
-        std::mem::take(&mut self.pending).into_iter()
+    pub fn linearization(&mut self) -> impl Iterator<Item = Event> + '_ {
+        let from = std::mem::replace(&mut self.drained, self.store.len());
+        self.store.iter_arrival_from(from).cloned()
     }
 
     /// Opens a channel-based subscription that will receive every event

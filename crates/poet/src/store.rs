@@ -100,7 +100,14 @@ impl TraceStore {
     /// Iterates over every stored event in global arrival order (a valid
     /// linearization of the partial order).
     pub fn iter_arrival(&self) -> impl Iterator<Item = &Event> + '_ {
-        self.arrival.iter().filter_map(move |id| self.get(*id))
+        self.iter_arrival_from(0)
+    }
+
+    /// Iterates in global arrival order from the `from`-th arrival on
+    /// (nothing when fewer events have arrived).
+    pub fn iter_arrival_from(&self, from: usize) -> impl Iterator<Item = &Event> + '_ {
+        let rest = self.arrival.get(from..).unwrap_or(&[]);
+        rest.iter().filter_map(move |id| self.get(*id))
     }
 
     /// `GP(a, t)`: index of the most recent event on `t` happening before

@@ -840,6 +840,50 @@ fn serve_without_matches_exits_zero() {
     assert_eq!(out.status.code(), Some(0));
 }
 
+/// `serve` exits as soon as `Server::join` returns. If a connection's
+/// writer thread has not flushed the final `StatsReport` by then, the
+/// producer's shutdown handshake dies with "connection closed" and
+/// `send` exits 3. Four workers keep the machine busy while each runs
+/// the handshake over and over: every `send` must exit 0 or 1.
+#[test]
+fn shutdown_handshake_survives_the_server_exiting() {
+    let (dump, _pattern) = demo_dump("net-handshake");
+    let pattern = tmp("net-handshake-nomatch.ocep");
+    std::fs::write(&pattern, "Z := [*, no_such_event_type, *]; pattern := Z;").unwrap();
+    std::thread::scope(|scope| {
+        for worker in 0..4 {
+            let (dump, pattern) = (&dump, &pattern);
+            scope.spawn(move || {
+                for round in 0..13 {
+                    let port_file = tmp(&format!("net-handshake-{worker}-{round}.port"));
+                    let _ = std::fs::remove_file(&port_file);
+                    let mut serve = ocep()
+                        .args(["serve", pattern.to_str().unwrap(), "--traces", "10"])
+                        .args(["--addr", "127.0.0.1:0", "--port-file"])
+                        .arg(&port_file)
+                        .stdout(std::process::Stdio::null())
+                        .stderr(std::process::Stdio::null())
+                        .spawn()
+                        .unwrap();
+                    let addr = wait_port(&port_file);
+                    let send = ocep()
+                        .args(["send", &addr, dump.to_str().unwrap(), "--shutdown"])
+                        .output()
+                        .unwrap();
+                    assert_eq!(
+                        send.status.code(),
+                        Some(0),
+                        "worker {worker} round {round}: {}",
+                        String::from_utf8_lossy(&send.stderr)
+                    );
+                    assert_eq!(serve.wait().unwrap().code(), Some(0));
+                    let _ = std::fs::remove_file(&port_file);
+                }
+            });
+        }
+    });
+}
+
 #[test]
 fn crash_during_checkpoint_leaves_a_rejected_torn_file() {
     let (dump, pattern) = demo_dump("net-torn");
