@@ -36,9 +36,9 @@ EXPERIMENTS:
     wal                   durable-log microbenchmarks: append records/s per
                           durability mode, recovery ms per 100k records, and
                           batch-WAL vs no-WAL ingest medians
-    shards                N-shard engine scaling: threaded ShardGroup ingest
-                          throughput at shards 1/2/4 over a multi-tenant
-                          pattern registry, ratio vs the 1-shard run
+    shards                N-shard engine scaling: ShardGroup ingest throughput
+                          at shards 1/2/4 (threaded above 1) over a
+                          multi-tenant pattern registry, ratio vs 1 shard
     soak                  sustained-ingestion soak: an adapter-parsed MPI
                           recording (>= 1M events; --events raises it)
                           streamed through a live loopback server under

@@ -1,13 +1,14 @@
 //! Shard-scaling benchmark (`ocep-bench shards`).
 //!
 //! Registers copies of the deadlock pattern across tenants and streams
-//! the same workload through a **threaded** [`ShardGroup`] at 1, 2,
-//! and 4 shards, measuring sustained ingest throughput. The
-//! interesting number is the scaling ratio `shards=N / shards=1`: the
-//! per-monitor match search is what partitions, so on a multi-core box
-//! the ratio should exceed 1, while on a single core it measures pure
-//! fan-out overhead (SPSC rings, broadcast guard replicas) and must
-//! stay ≥ 0.9 — the `pr9_shards` gate in `BENCH_core.json`.
+//! the same workload through a [`ShardGroup`] at 1, 2, and 4 shards
+//! (threaded above 1; a single partition runs inline), measuring
+//! sustained ingest throughput. The interesting number is the scaling
+//! ratio `shards=N / shards=1`: the per-monitor match search is what
+//! partitions, so on a multi-core box the ratio should exceed 1, while
+//! on a single core it measures pure fan-out overhead (SPSC rings,
+//! verdict merge) and must stay ≥ 0.9 — the `pr9_shards` gate in
+//! `BENCH_core.json`.
 
 use crate::figures::deadlock_params;
 use crate::output;
@@ -29,7 +30,7 @@ const BATCH: usize = 256;
 /// One measured shard-count configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardRun {
-    /// Engine shards (1 = the degenerate single-shard group).
+    /// Matcher partitions (1 = everything inline on the caller).
     pub shards: usize,
     /// Events streamed per repetition.
     pub events: usize,

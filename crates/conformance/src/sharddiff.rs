@@ -5,9 +5,9 @@
 //! [`ShardGroup`] (the engine core behind `ocep serve --shards N`) —
 //! and demands **bit-identical** verdict sequences, representative
 //! subsets, [`IngestStats`], and per-monitor checkpoint bytes. The
-//! shard count is an implementation detail: splitting the monitor
-//! partition across N admission-guard replicas and re-merging the
-//! verdict fan-in must not change a single conclusion, byte, or
+//! shard count is an implementation detail: splitting the monitors
+//! across N partitions behind the one admission guard and re-merging
+//! the verdict fan-in must not change a single conclusion, byte, or
 //! counter.
 //!
 //! [`MonitorSet::observe_raw`]: ocep_core::MonitorSet::observe_raw
@@ -16,7 +16,7 @@
 use crate::netdiff::{build_set, match_ids, Fingerprint, MONITOR};
 use crate::{Case, Invariant, Mismatch};
 use ocep_core::MonitorSet;
-use ocep_net::ShardGroup;
+use ocep_net::{FaultHooks, ShardGroup};
 use ocep_poet::Event;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,9 +66,10 @@ fn sharded(
     let mut sources = HashMap::new();
     sources.insert(MONITOR.to_string(), case.pattern_src.clone());
     let mut group = ShardGroup::new(set, shards, &sources);
-    if sabotage {
-        group.sabotage_misroute_next();
-    }
+    group.set_fault_hooks(FaultHooks {
+        misroute_next: sabotage,
+        ..FaultHooks::default()
+    });
     let mut verdicts = Vec::new();
     if batch <= 1 {
         for e in events {
@@ -81,8 +82,8 @@ fn sharded(
     }
     verdicts.extend(group.flush().verdicts);
 
-    // Checkpoint through the real per-shard path: one `.ockp` file per
-    // owned monitor, written into a scratch directory.
+    // Checkpoint through the real path: one `.ockp` file per monitor,
+    // written into a scratch directory.
     static SCRATCH: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
         "ocep-sharddiff-{}-{}",

@@ -1,10 +1,12 @@
 //! The transport-free serving engine.
 //!
 //! [`EngineCore`] is the single-owner state machine behind `ocep serve`:
-//! it owns the [`MonitorSet`], speaks OCWP at the frame level, grants
-//! Ack credits, applies the slow-client policy per subscriber, and
-//! assembles the final [`ServeReport`]. It performs **no I/O and reads
-//! no real clock** — connections hand it decoded [`Frame`]s tagged with
+//! it speaks OCWP at the frame level, grants Ack credits, applies the
+//! slow-client policy per subscriber, journals what it ingests, and
+//! assembles the final [`ServeReport`] — all over exactly one
+//! [`ShardGroup`], the data plane that owns the admission guard, the
+//! durable log and the matcher partitions. It performs **no network I/O
+//! and reads no real clock** — connections hand it decoded [`Frame`]s tagged with
 //! a connection id and a receipt timestamp from a [`NetClock`], and
 //! outbound frames leave through per-connection [`OutQueue`]s. The TCP
 //! harness in [`crate::server`] drives it from reader threads over
@@ -19,20 +21,11 @@
 //! ground truth a replay harness feeds to an in-process reference
 //! `MonitorSet` to demand bit-identical verdicts.
 
-use crate::shard::ShardGroup;
-use crate::wire::{
-    decode_body, encode_body, put_str, FaultCode, Frame, Mode, StatsReport, VerdictFrame,
-};
+use crate::shard::{FaultHooks, ShardGroup};
+use crate::wire::{FaultCode, Frame, Mode, StatsReport, VerdictFrame};
 use ocep_core::ingest::{IngestFault, OverflowPolicy};
-use ocep_core::{
-    load_set_at, save_set, save_set_at, Histogram, Match, MetricsSnapshot, MonitorConfig,
-    MonitorSet,
-};
-use ocep_pattern::Pattern;
-use ocep_wal::{
-    Durability, Record, Wal, WalOptions, REC_CHECKPOINT, REC_DELIVER, REC_FLUSH, REC_REGISTER,
-    REC_UNREGISTER, REC_WATERMARK,
-};
+use ocep_core::{Histogram, Match, MetricsSnapshot, MonitorConfig, MonitorSet};
+use ocep_wal::Durability;
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,12 +65,11 @@ pub struct ServeConfig {
     /// prefixes dominated by the guard's low-watermark clock, recording
     /// the watermark in the log so replay re-applies it.
     pub history_gc: bool,
-    /// Number of engine shards. `0` (the default) keeps the classic
-    /// single-engine core; `N > 0` partitions the monitors across `N`
-    /// shards routed by `fnv1a64(name) % N`, each with its own
-    /// admission-guard replica, durable log (`wal-shard-{i}` under
-    /// `wal_dir`), and checkpoints — bit-identical to the single engine
-    /// by construction (see `docs/SHARDING.md`).
+    /// Number of matcher partitions the monitors are spread over by
+    /// `fnv1a64(name) % N`, each on its own thread behind the one
+    /// admission guard and the one log; `0` and `1` both mean a single
+    /// partition run inline on the engine thread. Unobservable in every
+    /// output and on disk (see `docs/SHARDING.md`).
     pub shards: usize,
 }
 
@@ -353,26 +345,16 @@ struct Conn {
     tenant_filter: Option<String>,
 }
 
-/// The engine's matcher backend: the classic single [`MonitorSet`], or
-/// the N-shard group behind it. Selected once at construction from
-/// [`ServeConfig::shards`]; every observable output is bit-identical
-/// between the two (the shard-transparency suite's contract).
-enum Backend {
-    Single(MonitorSet),
-    Sharded(ShardGroup),
-}
-
 /// The transport-free serving engine: OCWP frame semantics, credit
-/// windows, slow-client policies, checkpoints, and report assembly over
-/// a [`MonitorSet`] — with time injected through a [`NetClock`] and all
+/// windows, slow-client policies, tails and report assembly over one
+/// [`ShardGroup`] — with time injected through a [`NetClock`] and all
 /// I/O delegated to the caller. See the [module docs](self).
 pub struct EngineCore {
-    backend: Backend,
+    group: ShardGroup,
     config: ServeConfig,
     clock: Arc<dyn NetClock>,
     bytes_out: Arc<AtomicU64>,
     conns: HashMap<u64, Conn>,
-    verdicts: Vec<(String, Match)>,
     connections_total: u64,
     data_frames: u64,
     frames_in: HashMap<&'static str, u64>,
@@ -391,39 +373,10 @@ pub struct EngineCore {
     /// connection's self-reported name.
     finished_conns: Vec<(String, u64)>,
     journal: Option<Vec<EngineOp>>,
-    /// The durable event log, opened by [`EngineCore::recover_wal`];
-    /// `None` when serving non-durably (or after an append failure
-    /// degraded the log).
-    wal: Option<Wal>,
-    /// LSN of the event record that fired each entry of `verdicts`,
-    /// parallel to it; 0 without a WAL.
-    verdict_lsns: Vec<u64>,
-    /// LSN of the most recently appended record.
-    last_lsn: u64,
-    /// Durable event count per named producer session (recovered from
-    /// the log, then maintained live) — what `Resume` reports.
-    durable_sessions: HashMap<String, u64>,
     events_since_checkpoint: u64,
     events_since_gc: u64,
-    /// Events replayed from the log during recovery.
-    recovered_events: u64,
-    /// History events released by the GC watermark rule.
-    gc_released: u64,
-    wal_append_errors: u64,
-    /// Fault-injection hook (simulator sabotage): silently drop the
-    /// next deliver append, leaving a gap the conformance oracle must
-    /// flag.
-    wal_drop_next: bool,
-    /// Test hook (`OCEP_TEST_SHARD_RESTART="i@frames"`): kill and
-    /// restart shard `i` once `frames` data frames have been processed.
-    shard_restart_hook: Option<(usize, u64)>,
-    shard_restarted: bool,
-    /// Shards killed and rebuilt over the server lifetime (exported as
-    /// `ocep_net_shard_restarts_total`).
-    shard_restarts: u64,
-    /// True once [`EngineCore::recover_wal`] opened the per-shard logs
-    /// (the sharded counterpart of `wal.is_some()`).
-    sharded_wal: bool,
+    /// [`FaultHooks::restart_shard`], until it fires.
+    restart_hook: Option<(usize, u64)>,
 }
 
 /// True when `monitor` is in `filter`'s tenant scope (no filter admits
@@ -436,11 +389,18 @@ fn tenant_matches(filter: Option<&str>, monitor: &str) -> bool {
     })
 }
 
+fn bindings_of(m: &Match) -> Vec<(u32, u32)> {
+    m.events()
+        .iter()
+        .map(|e| (e.trace().as_u32(), e.index().get()))
+        .collect()
+}
+
 impl std::fmt::Debug for EngineCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineCore")
             .field("conns", &self.conns.len())
-            .field("verdicts", &self.verdicts.len())
+            .field("verdicts", &self.group.history().len())
             .field("data_frames", &self.data_frames)
             .finish_non_exhaustive()
     }
@@ -449,35 +409,25 @@ impl std::fmt::Debug for EngineCore {
 impl EngineCore {
     /// An engine over `set`, reading time from `clock` and accounting
     /// outbound bytes into `bytes_out` (shared with whatever performs
-    /// the actual writes).
+    /// the actual writes). `hooks` is fault injection for tests and the
+    /// simulator; a daemon passes the default.
     #[must_use]
     pub fn new(
         set: MonitorSet,
         config: ServeConfig,
         clock: Arc<dyn NetClock>,
         bytes_out: Arc<AtomicU64>,
+        hooks: FaultHooks,
     ) -> EngineCore {
         let pool = ocep_vclock::ClockPool::new(set.n_traces());
-        let backend = if config.shards > 0 {
-            Backend::Sharded(ShardGroup::new(set, config.shards, &config.pattern_sources))
-        } else {
-            Backend::Single(set)
-        };
-        // Test hook: "i@frames" kills and restarts shard i once that
-        // many data frames have been processed.
-        let shard_restart_hook = std::env::var("OCEP_TEST_SHARD_RESTART")
-            .ok()
-            .and_then(|spec| {
-                let (i, at) = spec.split_once('@')?;
-                Some((i.trim().parse().ok()?, at.trim().parse().ok()?))
-            });
+        let mut group = ShardGroup::new(set, config.shards, &config.pattern_sources);
+        group.set_fault_hooks(hooks);
         EngineCore {
-            backend,
+            group,
             config,
             clock,
             bytes_out,
             conns: HashMap::new(),
-            verdicts: Vec::new(),
             connections_total: 0,
             data_frames: 0,
             frames_in: HashMap::new(),
@@ -490,90 +440,17 @@ impl EngineCore {
             pool,
             finished_conns: Vec::new(),
             journal: None,
-            wal: None,
-            verdict_lsns: Vec::new(),
-            last_lsn: 0,
-            durable_sessions: HashMap::new(),
             events_since_checkpoint: 0,
             events_since_gc: 0,
-            recovered_events: 0,
-            gc_released: 0,
-            wal_append_errors: 0,
-            wal_drop_next: false,
-            shard_restart_hook,
-            shard_restarted: false,
-            shard_restarts: 0,
-            sharded_wal: false,
+            restart_hook: hooks.restart_shard,
         }
     }
 
-    /// Number of engine shards (0 in the classic single-engine core).
-    #[must_use]
-    pub fn n_shards(&self) -> usize {
-        match &self.backend {
-            Backend::Single(_) => 0,
-            Backend::Sharded(g) => g.n_shards(),
-        }
-    }
-
-    fn is_sharded(&self) -> bool {
-        matches!(self.backend, Backend::Sharded(_))
-    }
-
-    fn sharded(&mut self) -> &mut ShardGroup {
-        match &mut self.backend {
-            Backend::Sharded(g) => g,
-            Backend::Single(_) => unreachable!("sharded() on a single-engine core"),
-        }
-    }
-
-    fn single(&mut self) -> &mut MonitorSet {
-        match &mut self.backend {
-            Backend::Single(set) => set,
-            Backend::Sharded(_) => unreachable!("single() on a sharded core"),
-        }
-    }
-
-    fn n_traces(&self) -> usize {
-        match &self.backend {
-            Backend::Single(set) => set.n_traces(),
-            Backend::Sharded(g) => g.n_traces(),
-        }
-    }
-
-    /// True when serving durably (a single-engine WAL, or recovered
-    /// per-shard logs).
-    fn has_wal(&self) -> bool {
-        self.wal.is_some() || self.sharded_wal
-    }
-
-    fn durable_count(&self, session: &str) -> u64 {
-        match &self.backend {
-            Backend::Single(_) => self.durable_sessions.get(session).copied().unwrap_or(0),
-            Backend::Sharded(g) => g.durable(session),
-        }
-    }
-
-    fn monitor_exists(&self, name: &str) -> bool {
-        match &self.backend {
-            Backend::Single(set) => set.monitor(name).is_some(),
-            Backend::Sharded(g) => g.is_live(name),
-        }
-    }
-
-    /// Live monitor count in `tenant`'s namespace (the `Registered`
-    /// acknowledgement payload).
-    fn tenant_live(&self, tenant: &str) -> u32 {
-        let count = |names: &mut dyn Iterator<Item = &str>| {
-            names.filter(|n| tenant_matches(Some(tenant), n)).count() as u32
-        };
-        match &self.backend {
-            Backend::Single(set) => count(&mut set.iter().map(|(n, _)| n)),
-            Backend::Sharded(g) => {
-                let names = g.names();
-                count(&mut names.iter().map(String::as_str))
-            }
-        }
+    /// The data plane: guard, log, registry and matcher partitions. The
+    /// simulator reaches through it to checkpoint the set and to crash
+    /// and restore single partitions.
+    pub fn group(&mut self) -> &mut ShardGroup {
+        &mut self.group
     }
 
     fn conn_name(&self, conn: u64) -> String {
@@ -583,87 +460,12 @@ impl EngineCore {
             .unwrap_or_default()
     }
 
-    /// Spawns the per-shard engine threads (no-op on a single-engine
-    /// core or when threads already run). The TCP server calls this
-    /// after recovery; the simulator never does — it drives the shards
-    /// inline for determinism.
+    /// Moves the matcher partitions onto their own threads (a no-op for
+    /// a single partition). The TCP server calls this after recovery;
+    /// the simulator never does — it drives the partitions inline for
+    /// determinism.
     pub fn start_shard_threads(&mut self) {
-        if let Backend::Sharded(g) = &mut self.backend {
-            g.start_threads();
-        }
-    }
-
-    /// Kills and rebuilds shard `i` (see [`ShardGroup::restart_shard`]):
-    /// with per-shard logs the shard replays its own `wal-shard-{i}`;
-    /// without, it restarts blank and resyncs its delivery counter from
-    /// a neighbour.
-    ///
-    /// # Errors
-    ///
-    /// Not a sharded engine, or the shard could not be rebuilt.
-    pub fn restart_shard(&mut self, i: usize) -> Result<(), String> {
-        let root = if self.sharded_wal {
-            self.config.wal_dir.clone()
-        } else {
-            None
-        };
-        let durability = self.config.durability;
-        match &mut self.backend {
-            Backend::Sharded(g) => {
-                g.restart_shard(i, root.as_deref(), durability)?;
-                self.shard_restarts += 1;
-                Ok(())
-            }
-            Backend::Single(_) => Err("not a sharded engine".into()),
-        }
-    }
-
-    /// Serializes shard `i`'s state to a blob for the simulator's
-    /// virtual disk (empty on a single-engine core). Inline mode only.
-    #[must_use]
-    pub fn shard_checkpoint(&self, i: usize) -> Vec<u8> {
-        match &self.backend {
-            Backend::Sharded(g) => g.shard_checkpoint(i),
-            Backend::Single(_) => Vec::new(),
-        }
-    }
-
-    /// Restores shard `i` from a [`EngineCore::shard_checkpoint`] blob.
-    ///
-    /// # Errors
-    ///
-    /// Not a sharded engine, or an undecodable blob.
-    pub fn restore_shard(&mut self, i: usize, blob: &[u8]) -> Result<(), String> {
-        match &mut self.backend {
-            Backend::Sharded(g) => g.restore_shard(i, blob),
-            Backend::Single(_) => Err("not a sharded engine".into()),
-        }
-    }
-
-    /// Replays one event into shard `i` only (crash catch-up after
-    /// [`EngineCore::restore_shard`]); its verdicts are discarded — the
-    /// group already reported them live.
-    pub fn shard_replay(&mut self, i: usize, event: &ocep_poet::Event) {
-        if let Backend::Sharded(g) = &mut self.backend {
-            g.shard_replay(i, event);
-        }
-    }
-
-    /// Replays one guard flush into shard `i` only (see
-    /// [`EngineCore::shard_replay`]).
-    pub fn shard_replay_flush(&mut self, i: usize) {
-        if let Backend::Sharded(g) = &mut self.backend {
-            g.shard_replay_flush(i);
-        }
-    }
-
-    /// Arms the shard-transparency sabotage hook: the next data frame
-    /// skips the shard owning the first live monitor, which must break
-    /// bit-identity with the single-engine oracle.
-    pub fn sabotage_misroute_next(&mut self) {
-        if let Backend::Sharded(g) = &mut self.backend {
-            g.sabotage_misroute_next();
-        }
+        self.group.start_threads();
     }
 
     /// Starts recording every ingested event and guard flush as
@@ -689,81 +491,6 @@ impl EngineCore {
         }
     }
 
-    /// Arms the simulator's sabotage hook: the next deliver append is
-    /// silently dropped from the log. The live state machine still
-    /// observes the event, so a subsequent crash-recovery diverges from
-    /// the oracle — which must flag it.
-    pub fn sabotage_drop_next_append(&mut self) {
-        self.wal_drop_next = true;
-    }
-
-    /// LSN of the most recently appended log record (0 without a WAL).
-    #[must_use]
-    pub fn wal_last_lsn(&self) -> u64 {
-        self.last_lsn
-    }
-
-    /// Hands buffered log appends to the kernel. Must run before any
-    /// frame an observer could treat as an acknowledgement leaves the
-    /// engine: once a client sees an ack, the corresponding records have
-    /// to survive a SIGKILL, and kernel-visible is exactly that line.
-    /// A flush failure degrades to non-durable serving like an append
-    /// failure does.
-    fn wal_flush_os(&mut self) {
-        if let Backend::Sharded(g) = &mut self.backend {
-            g.flush_os();
-            return;
-        }
-        if let Some(wal) = self.wal.as_mut() {
-            if wal.flush_os().is_err() {
-                self.wal_append_errors += 1;
-                self.wal = None;
-            }
-        }
-    }
-
-    /// Appends one record to the durable log, updating `last_lsn`. An
-    /// append failure degrades the server to non-durable serving (the
-    /// log is dropped, the error counted) rather than killing ingest.
-    fn wal_append(&mut self, rtype: u8, payload: &[u8]) -> Option<u64> {
-        let wal = self.wal.as_mut()?;
-        match wal.append(rtype, payload) {
-            Ok(lsn) => {
-                self.last_lsn = lsn;
-                Some(lsn)
-            }
-            Err(_) => {
-                self.wal_append_errors += 1;
-                self.wal = None;
-                None
-            }
-        }
-    }
-
-    /// Appends a deliver record `[session:str][Event frame body]` for an
-    /// event about to enter the set, crediting the producer session's
-    /// durable count.
-    fn wal_append_deliver(&mut self, conn: u64, e: &ocep_poet::Event) {
-        if self.wal.is_none() {
-            return;
-        }
-        if self.wal_drop_next {
-            self.wal_drop_next = false;
-            return;
-        }
-        let session = self
-            .conns
-            .get(&conn)
-            .map(|c| c.name.clone())
-            .unwrap_or_default();
-        let mut payload = Vec::with_capacity(32 + 4 * e.clock().len());
-        put_str(&mut payload, &session);
-        crate::wire::put_event_body(&mut payload, e);
-        if self.wal_append(REC_DELIVER, &payload).is_some() {
-            *self.durable_sessions.entry(session).or_insert(0) += 1;
-        }
-    }
-
     /// Post-ingest housekeeping: the periodic checkpoint trigger and
     /// the history-GC cadence.
     fn after_ingest(&mut self, n: u64) {
@@ -784,249 +511,37 @@ impl EngineCore {
             };
             if self.events_since_gc >= every {
                 self.events_since_gc = 0;
-                self.gc_now();
+                self.group.gc(GC_KEEP_RECENT);
             }
-        }
-    }
-
-    /// Runs the watermark truncation rule and records the watermark in
-    /// the log so point-in-time replay re-applies it at the same stream
-    /// position.
-    fn gc_now(&mut self) {
-        if self.is_sharded() {
-            // Each shard runs the watermark rule against its own guard
-            // replica and logs the watermark in its own stream.
-            self.gc_released += self.sharded().gc(GC_KEEP_RECENT) as u64;
-            return;
-        }
-        let Some(watermark) = self.single().admitted_watermark() else {
-            return;
-        };
-        let released = self.single().gc_histories(&watermark, GC_KEEP_RECENT);
-        self.gc_released += released as u64;
-        if self.wal.is_some() {
-            let mut payload = Vec::new();
-            payload.extend_from_slice(&(GC_KEEP_RECENT as u32).to_le_bytes());
-            payload.extend_from_slice(&(watermark.len() as u32).to_le_bytes());
-            for v in &watermark {
-                payload.extend_from_slice(&v.to_le_bytes());
-            }
-            self.wal_append(REC_WATERMARK, &payload);
         }
     }
 
     /// Writes a full checkpoint: the history-GC pass first (smaller
-    /// state), then a log-anchored `OCKS` record in the WAL, then the
+    /// state), then a log-anchored checkpoint record, then the
     /// per-monitor `.ockp` files when a checkpoint directory is
     /// configured.
-    fn checkpoint_now(&mut self) -> Result<Vec<PathBuf>, std::io::Error> {
+    fn checkpoint_now(&mut self) -> Result<Vec<PathBuf>, String> {
         if self.config.history_gc {
             self.events_since_gc = 0;
-            self.gc_now();
+            self.group.gc(GC_KEEP_RECENT);
         }
-        if self.is_sharded() {
-            let dir = self.config.checkpoint_dir.clone();
-            return self
-                .sharded()
-                .checkpoint(dir.as_deref())
-                .map_err(std::io::Error::other);
-        }
-        self.append_wal_checkpoint();
-        self.write_checkpoints()
-    }
-
-    /// Appends a `REC_CHECKPOINT` record: the set-level `OCKS` blob plus
-    /// every verdict reported so far (monitor, firing LSN, bound events)
-    /// so a recovered server can reprint its full verdict history and
-    /// serve `tail --from`. Synced regardless of durability mode — a
-    /// checkpoint that may vanish anchors nothing.
-    fn append_wal_checkpoint(&mut self) {
-        if self.wal.is_none() {
-            return;
-        }
-        let Backend::Single(set) = &self.backend else {
-            return; // sharded checkpoints live in the per-shard logs
-        };
-        let ocks = save_set_at(set, &self.config.pattern_sources, self.last_lsn);
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&(ocks.len() as u32).to_le_bytes());
-        payload.extend_from_slice(&ocks);
-        payload.extend_from_slice(&(self.verdicts.len() as u32).to_le_bytes());
-        for ((name, m), lsn) in self.verdicts.iter().zip(&self.verdict_lsns) {
-            payload.extend_from_slice(&lsn.to_le_bytes());
-            put_str(&mut payload, name);
-            let body = encode_body(&Frame::EventBatch(m.events().to_vec()));
-            payload.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            payload.extend_from_slice(&body);
-        }
-        if self.wal_append(REC_CHECKPOINT, &payload).is_some() {
-            if let Some(wal) = &mut self.wal {
-                let _ = wal.sync();
-            }
-        }
+        self.group.checkpoint(self.config.checkpoint_dir.as_deref())
     }
 
     /// Opens the configured durable log and rebuilds serving state from
-    /// it: loads the newest log-anchored checkpoint (set state plus the
-    /// verdict history at its firing LSNs), replays every record after
-    /// it through the set, recounts per-session durable offsets, and
-    /// installs the log for appending. Call once, before processing any
-    /// frame. No-op (`Ok(false)`) when no `wal_dir` is configured.
+    /// it (see [`ShardGroup::recover`]). Call once, before processing
+    /// any frame. No-op (`Ok(false)`) when no `wal_dir` is configured.
     ///
     /// # Errors
     ///
-    /// A corrupt log (anything the repair scan cannot attribute to a
-    /// torn tail) or an undecodable record — each diagnosed with its
-    /// segment and byte offset, never a panic.
+    /// A corrupt or undecodable log, or one in the per-shard layout of
+    /// older versions — each diagnosed, never a panic.
     pub fn recover_wal(&mut self) -> Result<bool, String> {
-        let Some(dir) = self.config.wal_dir.clone() else {
+        let Some(dir) = &self.config.wal_dir else {
             return Ok(false);
         };
-        if self.is_sharded() {
-            let durability = self.config.durability;
-            let rec = self.sharded().recover(&dir, durability)?;
-            for (name, m, lsn) in rec.verdicts {
-                self.verdicts.push((name, m));
-                self.verdict_lsns.push(lsn);
-            }
-            self.recovered_events = rec.recovered_events;
-            self.last_lsn = rec.last_lsn;
-            self.sharded_wal = true;
-            return Ok(true);
-        }
-        let opts = WalOptions {
-            durability: self.config.durability,
-            ..WalOptions::default()
-        };
-        let (wal, recovery) = Wal::open(&dir, opts).map_err(|e| e.to_string())?;
-        self.replay_records(&recovery.records)?;
-        self.last_lsn = recovery.records.last().map_or(0, |r| r.lsn);
-        self.wal = Some(wal);
+        self.group.recover(dir, self.config.durability)?;
         Ok(true)
-    }
-
-    /// Rebuilds set state, verdict history, and session offsets from a
-    /// scanned record sequence (see [`EngineCore::recover_wal`]).
-    fn replay_records(&mut self, records: &[Record]) -> Result<(), String> {
-        // Durable session offsets count every deliver in the log —
-        // including pre-checkpoint ones — because producers number
-        // their session events from the start of the stream.
-        for rec in records {
-            if rec.rtype == REC_DELIVER {
-                let (session, _) = decode_deliver(&rec.payload)
-                    .map_err(|e| format!("log record at lsn {}: {e}", rec.lsn))?;
-                *self.durable_sessions.entry(session).or_insert(0) += 1;
-            }
-        }
-        let start = match records.iter().rposition(|r| r.rtype == REC_CHECKPOINT) {
-            Some(i) => {
-                self.load_checkpoint_record(&records[i].payload)
-                    .map_err(|e| format!("log checkpoint at lsn {}: {e}", records[i].lsn))?;
-                i + 1
-            }
-            None => 0,
-        };
-        for rec in &records[start..] {
-            match rec.rtype {
-                REC_DELIVER => {
-                    let (_, mut e) = decode_deliver(&rec.payload)
-                        .map_err(|err| format!("log record at lsn {}: {err}", rec.lsn))?;
-                    e.intern_clock(&mut self.pool);
-                    self.last_lsn = rec.lsn;
-                    let verdicts = self.single().observe_raw(&e);
-                    for (name, m) in verdicts {
-                        self.verdicts.push((name, m));
-                        self.verdict_lsns.push(rec.lsn);
-                    }
-                    self.recovered_events += 1;
-                }
-                REC_FLUSH => {
-                    self.last_lsn = rec.lsn;
-                    let verdicts = self.single().flush_guard();
-                    for (name, m) in verdicts {
-                        self.verdicts.push((name, m));
-                        self.verdict_lsns.push(rec.lsn);
-                    }
-                }
-                REC_WATERMARK => {
-                    let (keep, watermark) = decode_watermark(&rec.payload)
-                        .map_err(|e| format!("log watermark at lsn {}: {e}", rec.lsn))?;
-                    self.gc_released += self.single().gc_histories(&watermark, keep) as u64;
-                }
-                REC_REGISTER => {
-                    self.last_lsn = rec.lsn;
-                    let (name, source) = crate::shard::decode_register(&rec.payload)
-                        .map_err(|e| format!("log register at lsn {}: {e}", rec.lsn))?;
-                    // Skip-if-present: a checkpoint written after this
-                    // registration already restored the monitor with its
-                    // accumulated history.
-                    if self.single().monitor(&name).is_none() {
-                        let pattern = Pattern::parse(&source)
-                            .map_err(|e| format!("log register at lsn {}: {e}", rec.lsn))?;
-                        self.single().add(name.clone(), pattern);
-                    }
-                    self.config.pattern_sources.insert(name, source);
-                }
-                REC_UNREGISTER => {
-                    self.last_lsn = rec.lsn;
-                    let name = crate::shard::decode_unregister(&rec.payload)
-                        .map_err(|e| format!("log unregister at lsn {}: {e}", rec.lsn))?;
-                    self.single().remove(&name);
-                    self.config.pattern_sources.remove(&name);
-                }
-                _ => {} // an older checkpoint before `start`, or unknown
-            }
-        }
-        // Replay happens with no connections: quarantines recorded by
-        // the guard stay in its stats, but there is no producer to
-        // relay them to.
-        let _ = self.single().take_ingest_faults();
-        Ok(())
-    }
-
-    /// Restores the set and verdict history from a `REC_CHECKPOINT`
-    /// payload.
-    fn load_checkpoint_record(&mut self, payload: &[u8]) -> Result<(), String> {
-        let mut r = ocep_poet::dump::Reader::new(payload);
-        let ocks_len = r.u32("ocks length").map_err(|e| e.to_string())? as usize;
-        let ocks = r.bytes(ocks_len, "ocks blob").map_err(|e| e.to_string())?;
-        let (set, sources, _lsn) = load_set_at(ocks).map_err(|e| e.to_string())?;
-        self.backend = Backend::Single(set);
-        // Checkpointed sources cover monitors registered over the wire
-        // after startup — without them a post-recovery checkpoint could
-        // not serialize those monitors.
-        for (name, src) in sources {
-            self.config.pattern_sources.entry(name).or_insert(src);
-        }
-        let n = r.u32("verdict count").map_err(|e| e.to_string())? as usize;
-        for i in 0..n {
-            let lsn = r.u64("verdict lsn").map_err(|e| e.to_string())?;
-            let name = r
-                .str(&format!("verdict {i} monitor"))
-                .map_err(|e| e.to_string())?
-                .to_owned();
-            let body_len = r
-                .u32(&format!("verdict {i} body length"))
-                .map_err(|e| e.to_string())? as usize;
-            let body = r
-                .bytes(body_len, "verdict events")
-                .map_err(|e| e.to_string())?;
-            let Frame::EventBatch(events) = decode_body(body).map_err(|e| e.to_string())? else {
-                return Err(format!("verdict {i} payload is not an event batch"));
-            };
-            // A verdict can outlive its monitor (unregistered after it
-            // fired); without the pattern its bindings cannot be
-            // rebuilt, so the historic entry is dropped.
-            let Some(monitor) = self.single().monitor(&name) else {
-                continue;
-            };
-            let pattern = monitor.pattern_arc();
-            let m = Match::from_bound_events(pattern, events)?;
-            self.verdicts.push((name, m));
-            self.verdict_lsns.push(lsn);
-        }
-        r.finish().map_err(|e| e.to_string())?;
-        Ok(())
     }
 
     /// Registers a newly accepted connection with its outbound queue.
@@ -1073,12 +588,9 @@ impl EngineCore {
             c.frames_in += 1;
         }
         let shutdown = self.handle_frame(conn, frame, received_ns);
-        if let Some((shard, at)) = self.shard_restart_hook {
-            if !self.shard_restarted && self.is_sharded() && self.data_frames >= at {
-                self.shard_restarted = true;
-                if let Err(e) = self.restart_shard(shard) {
-                    self.fault(conn, FaultCode::Protocol, format!("shard restart: {e}"));
-                }
+        if let Some((shard, _)) = self.restart_hook.take_if(|(_, at)| self.data_frames >= *at) {
+            if let Err(e) = self.group.restart_shard(shard) {
+                self.fault(conn, FaultCode::Protocol, format!("shard restart: {e}"));
             }
         }
         shutdown
@@ -1089,7 +601,7 @@ impl EngineCore {
         // writer thread can put this frame on the wire immediately, so
         // the records it implicitly acknowledges must already be in the
         // kernel by the time it is queued.
-        self.wal_flush_os();
+        self.group.flush_os();
         *self.frames_out.entry(frame.type_name()).or_insert(0) += 1;
         if let Some(c) = self.conns.get(&conn) {
             c.out.push_control(frame);
@@ -1099,6 +611,17 @@ impl EngineCore {
     fn fault(&mut self, conn: u64, code: FaultCode, detail: String) {
         *self.decode_faults.entry(code.name()).or_insert(0) += 1;
         self.send_control(conn, Frame::Fault { code, detail });
+    }
+
+    /// Acknowledges a tenant-scoped frame with the live monitor count
+    /// in the tenant's namespace.
+    fn send_registered(&mut self, conn: u64, tenant: String) {
+        let patterns = self
+            .group
+            .names()
+            .filter(|n| tenant_matches(Some(&tenant), n))
+            .count() as u32;
+        self.send_control(conn, Frame::Registered { tenant, patterns });
     }
 
     /// Returns true when the frame requests shutdown.
@@ -1114,13 +637,13 @@ impl EngineCore {
                     self.fault(conn, FaultCode::Protocol, "duplicate hello".into());
                     return false;
                 }
-                if hello_mode == Mode::Producer && n_traces as usize != self.n_traces() {
+                if hello_mode == Mode::Producer && n_traces as usize != self.group.n_traces() {
                     self.fault(
                         conn,
                         FaultCode::Protocol,
                         format!(
                             "producer announces {n_traces} trace(s), server monitors {}",
-                            self.n_traces()
+                            self.group.n_traces()
                         ),
                     );
                     return false;
@@ -1133,20 +656,14 @@ impl EngineCore {
                     }
                     c.granted = i64::from(window);
                 }
-                let resume = if hello_mode == Mode::Producer && self.has_wal() {
-                    let session = self.conn_name(conn);
-                    Some(self.durable_count(&session))
-                } else {
-                    None
-                };
                 // Durable serving: tell the producer how much of its
                 // named session already survived in the log, *before*
                 // the credit grant, so it never re-sends that prefix.
-                if let Some(durable) = resume {
+                if hello_mode == Mode::Producer && self.group.has_wal() {
+                    let durable = self.group.durable(&self.conn_name(conn));
                     self.send_control(conn, Frame::Resume { durable });
                 }
                 self.send_control(conn, Frame::Ack { credits: window });
-                false
             }
             Frame::Event(_) | Frame::EventBatch(_) | Frame::Flush
                 if mode != Some(Mode::Producer) =>
@@ -1156,36 +673,24 @@ impl EngineCore {
                     FaultCode::Protocol,
                     format!("{} frame before producer hello", frame.type_name()),
                 );
-                false
             }
             Frame::Event(e) => {
                 self.data_frame_start(conn);
-                self.ingest(&[*e], conn, received_ns);
+                self.ingest(vec![*e], conn, received_ns);
                 self.ack_data(conn);
-                false
             }
             Frame::EventBatch(events) => {
                 self.data_frame_start(conn);
-                self.ingest_batch(events, conn, received_ns);
+                self.ingest(events, conn, received_ns);
                 self.ack_data(conn);
-                false
             }
             Frame::Flush => {
                 self.data_frame_start(conn);
                 self.journal_op(EngineOp::Flush);
-                if self.is_sharded() {
-                    let out = self.sharded().flush();
-                    self.last_lsn = out.last_lsn;
-                    self.publish(out.verdicts);
-                    self.relay_faults(conn, out.faults);
-                } else {
-                    self.wal_append(REC_FLUSH, &[]);
-                    let verdicts = self.single().flush_guard();
-                    self.publish(verdicts);
-                    self.report_ingest_faults(conn);
-                }
+                let out = self.group.flush();
+                self.publish(&out.verdicts);
+                self.relay_faults(conn, out.faults);
                 self.ack_data(conn);
-                false
             }
             Frame::CheckpointReq => {
                 if let Err(e) = self.checkpoint_now() {
@@ -1194,7 +699,6 @@ impl EngineCore {
                     let report = self.stats_report();
                     self.send_control(conn, Frame::StatsReport(report));
                 }
-                false
             }
             Frame::TailFrom { from } => {
                 if mode != Some(Mode::Tail) {
@@ -1212,35 +716,29 @@ impl EngineCore {
                 // tail only sees its own namespace.
                 let filter = self.conns.get(&conn).and_then(|c| c.tenant_filter.clone());
                 let backlog: Vec<Frame> = self
-                    .verdicts
+                    .group
+                    .history()
                     .iter()
-                    .zip(&self.verdict_lsns)
-                    .filter(|&((name, _), &lsn)| {
-                        lsn >= from && tenant_matches(filter.as_deref(), name)
+                    .filter(|(lsn, name, _)| {
+                        *lsn >= from && tenant_matches(filter.as_deref(), name)
                     })
-                    .map(|((name, m), &lsn)| Frame::VerdictAt {
-                        lsn,
+                    .map(|(lsn, name, m)| Frame::VerdictAt {
+                        lsn: *lsn,
                         verdict: VerdictFrame {
                             monitor: name.clone(),
-                            bindings: m
-                                .events()
-                                .iter()
-                                .map(|e| (e.trace().as_u32(), e.index().get()))
-                                .collect(),
+                            bindings: bindings_of(m),
                         },
                     })
                     .collect();
                 for f in backlog {
                     self.send_control(conn, f);
                 }
-                false
             }
             Frame::StatsReq => {
                 let report = self.stats_report();
                 self.send_control(conn, Frame::StatsReport(report));
-                false
             }
-            Frame::Shutdown => true,
+            Frame::Shutdown => return true,
             Frame::Register { tenant, patterns } => {
                 if mode.is_none() {
                     self.fault(
@@ -1252,53 +750,20 @@ impl EngineCore {
                 }
                 for (pname, source) in patterns {
                     let full = format!("{tenant}/{pname}");
-                    if self.monitor_exists(&full) {
+                    if self.group.is_live(&full) {
                         self.fault(
                             conn,
                             FaultCode::Protocol,
                             format!("pattern {full} is already registered"),
                         );
-                        continue;
-                    }
-                    let result = match &mut self.backend {
-                        Backend::Sharded(g) => g.register(&full, &source, MonitorConfig::default()),
-                        Backend::Single(set) => match Pattern::parse(&source) {
-                            Ok(p) => {
-                                set.add(full.clone(), p);
-                                Ok(())
-                            }
-                            Err(e) => Err(e.to_string()),
-                        },
-                    };
-                    match result {
-                        Ok(()) => {
-                            self.config
-                                .pattern_sources
-                                .insert(full.clone(), source.clone());
-                            if !self.is_sharded() {
-                                // The shard group logs registrations in
-                                // every shard's stream itself; the
-                                // single engine logs them here.
-                                let mut payload = Vec::new();
-                                put_str(&mut payload, &full);
-                                put_str(&mut payload, &source);
-                                self.wal_append(REC_REGISTER, &payload);
-                            }
-                        }
-                        Err(e) => {
-                            self.fault(conn, FaultCode::Protocol, format!("pattern {full}: {e}"));
-                        }
+                    } else if let Err(e) =
+                        self.group
+                            .register(&full, &source, MonitorConfig::default())
+                    {
+                        self.fault(conn, FaultCode::Protocol, format!("pattern {full}: {e}"));
                     }
                 }
-                let live = self.tenant_live(&tenant);
-                self.send_control(
-                    conn,
-                    Frame::Registered {
-                        tenant,
-                        patterns: live,
-                    },
-                );
-                false
+                self.send_registered(conn, tenant);
             }
             Frame::Unregister { tenant, patterns } => {
                 if mode.is_none() {
@@ -1311,18 +776,7 @@ impl EngineCore {
                 }
                 for pname in patterns {
                     let full = format!("{tenant}/{pname}");
-                    let removed = match &mut self.backend {
-                        Backend::Sharded(g) => g.unregister(&full),
-                        Backend::Single(set) => set.remove(&full),
-                    };
-                    if removed {
-                        self.config.pattern_sources.remove(&full);
-                        if !self.is_sharded() {
-                            let mut payload = Vec::new();
-                            put_str(&mut payload, &full);
-                            self.wal_append(REC_UNREGISTER, &payload);
-                        }
-                    } else {
+                    if !self.group.unregister(&full) {
                         self.fault(
                             conn,
                             FaultCode::Protocol,
@@ -1330,15 +784,7 @@ impl EngineCore {
                         );
                     }
                 }
-                let live = self.tenant_live(&tenant);
-                self.send_control(
-                    conn,
-                    Frame::Registered {
-                        tenant,
-                        patterns: live,
-                    },
-                );
-                false
+                self.send_registered(conn, tenant);
             }
             Frame::TailTenant { tenant } => {
                 if mode != Some(Mode::Tail) {
@@ -1349,18 +795,10 @@ impl EngineCore {
                     );
                     return false;
                 }
-                let live = self.tenant_live(&tenant);
                 if let Some(c) = self.conns.get_mut(&conn) {
                     c.tenant_filter = Some(tenant.clone());
                 }
-                self.send_control(
-                    conn,
-                    Frame::Registered {
-                        tenant,
-                        patterns: live,
-                    },
-                );
-                false
+                self.send_registered(conn, tenant);
             }
             // Client-to-server frames that make no sense here.
             Frame::Ack { .. }
@@ -1375,9 +813,9 @@ impl EngineCore {
                     FaultCode::Protocol,
                     format!("unexpected {} frame from client", frame.type_name()),
                 );
-                false
             }
         }
+        false
     }
 
     fn data_frame_start(&mut self, conn: u64) {
@@ -1405,88 +843,31 @@ impl EngineCore {
         self.send_control(conn, Frame::Ack { credits: 1 });
     }
 
-    fn ingest(&mut self, events: &[ocep_poet::Event], conn: u64, received_ns: u64) {
-        if self.is_sharded() {
-            let session = self.conn_name(conn);
-            for e in events {
-                let mut e = e.clone();
-                e.intern_clock(&mut self.pool);
-                self.journal_op(EngineOp::Deliver(Box::new(e.clone())));
-                let out = self.sharded().deliver(&session, &e);
-                let elapsed = self.clock.now_ns().saturating_sub(received_ns);
-                self.latency.record(elapsed);
-                self.last_lsn = out.last_lsn;
-                self.publish(out.verdicts);
-                self.relay_faults(conn, out.faults);
-            }
-            self.after_ingest(events.len() as u64);
-            return;
-        }
-        for e in events {
-            let mut e = e.clone();
-            e.intern_clock(&mut self.pool);
-            self.journal_op(EngineOp::Deliver(Box::new(e.clone())));
-            self.wal_append_deliver(conn, &e);
-            let verdicts = self.single().observe_raw(&e);
-            let elapsed = self.clock.now_ns().saturating_sub(received_ns);
-            self.latency.record(elapsed);
-            self.publish(verdicts);
-        }
-        self.report_ingest_faults(conn);
-        self.after_ingest(events.len() as u64);
-    }
-
-    /// Batched ingest for `EventBatch` frames. Each event's clock is
-    /// interned through the per-trace pool first (a value-wise no-op
-    /// that collapses duplicate deliveries to pointer-equal buffers),
-    /// one [`EngineOp::Deliver`] is journaled per raw event, and the
-    /// whole frame is admitted through
-    /// [`MonitorSet::observe_raw_batch`] — so the journal, verdict
-    /// order, guard counters, and latency sample count are all
-    /// bit-identical to running [`EngineCore::ingest`] per event, while
-    /// the guard checkout and delivery-buffer swap happen once per
-    /// frame.
-    fn ingest_batch(&mut self, mut events: Vec<ocep_poet::Event>, conn: u64, received_ns: u64) {
+    /// Ingests one data frame's events. Each clock is interned through
+    /// the per-trace pool first (a value-wise no-op that collapses
+    /// duplicate deliveries to pointer-equal buffers), one
+    /// [`EngineOp::Deliver`] is journaled per raw event, and the whole
+    /// frame goes through [`ShardGroup::deliver_batch`] — bit-identical
+    /// to delivering it event by event, with one latency sample per
+    /// event either way.
+    fn ingest(&mut self, mut events: Vec<ocep_poet::Event>, conn: u64, received_ns: u64) {
         for e in &mut events {
             e.intern_clock(&mut self.pool);
             self.journal_op(EngineOp::Deliver(Box::new(e.clone())));
         }
         let n = events.len() as u64;
-        if self.is_sharded() {
-            let session = self.conn_name(conn);
-            let out = self.sharded().deliver_batch(&session, events);
-            let elapsed = self.clock.now_ns().saturating_sub(received_ns);
-            for _ in 0..n {
-                self.latency.record(elapsed);
-            }
-            self.last_lsn = out.last_lsn;
-            self.publish(out.verdicts);
-            self.relay_faults(conn, out.faults);
-            self.after_ingest(n);
-            return;
-        }
-        for e in &events {
-            self.wal_append_deliver(conn, e);
-        }
-        let verdicts = self.single().observe_raw_batch(&events);
+        let out = self.group.deliver_batch(&self.conn_name(conn), events);
         let elapsed = self.clock.now_ns().saturating_sub(received_ns);
-        for _ in &events {
+        for _ in 0..n {
             self.latency.record(elapsed);
         }
-        self.publish(verdicts);
-        self.report_ingest_faults(conn);
+        self.publish(&out.verdicts);
+        self.relay_faults(conn, out.faults);
         self.after_ingest(n);
     }
 
     /// Relays guard quarantines back to the offending producer as
     /// `Fault` frames — the wire-level visibility of `IngestFault`s.
-    fn report_ingest_faults(&mut self, conn: u64) {
-        let faults = self.single().take_ingest_faults();
-        self.relay_faults(conn, faults);
-    }
-
-    /// Relays already-drained guard faults (the sharded deliver path
-    /// returns them in [`DeliverOut`]) to the offending producer.
     fn relay_faults(&mut self, conn: u64, faults: Vec<IngestFault>) {
         for f in faults {
             self.ingest_fault_frames += 1;
@@ -1500,33 +881,24 @@ impl EngineCore {
         }
     }
 
-    fn publish(&mut self, verdicts: Vec<(String, Match)>) {
+    /// Streams fresh verdicts to every tail subscriber in scope.
+    fn publish(&mut self, verdicts: &[(String, Match)]) {
         if !verdicts.is_empty() {
             // A verdict visible to a tail implies its deliveries are
             // recoverable: flush so a SIGKILL after the broadcast still
             // replays to the same conclusion.
-            self.wal_flush_os();
+            self.group.flush_os();
         }
         for (name, m) in verdicts {
             let frame = Frame::Verdict(VerdictFrame {
                 monitor: name.clone(),
-                bindings: m
-                    .events()
-                    .iter()
-                    .map(|e| (e.trace().as_u32(), e.index().get()))
-                    .collect(),
+                bindings: bindings_of(m),
             });
-            let tails: Vec<u64> = self
-                .conns
-                .iter()
-                .filter(|(_, c)| {
-                    c.mode == Some(Mode::Tail) && tenant_matches(c.tenant_filter.as_deref(), &name)
-                })
-                .map(|(id, _)| *id)
-                .collect();
-            for id in tails {
-                let action = self.conns[&id].out.push_verdict(frame.clone());
-                let label = match action {
+            for c in self.conns.values() {
+                if c.mode != Some(Mode::Tail) || !tenant_matches(c.tenant_filter.as_deref(), name) {
+                    continue;
+                }
+                let label = match c.out.push_verdict(frame.clone()) {
                     SlowAction::Delivered => {
                         *self.frames_out.entry("verdict").or_insert(0) += 1;
                         continue;
@@ -1537,8 +909,6 @@ impl EngineCore {
                 };
                 *self.slow_actions.entry(label).or_insert(0) += 1;
             }
-            self.verdicts.push((name, m));
-            self.verdict_lsns.push(self.last_lsn);
         }
     }
 
@@ -1546,66 +916,16 @@ impl EngineCore {
     /// the shutdown broadcast report).
     #[must_use]
     pub fn stats_report(&self) -> StatsReport {
-        let (g, degraded) = match &self.backend {
-            Backend::Single(set) => (set.ingest_stats(), set.ingest_degraded()),
-            Backend::Sharded(gr) => (gr.ingest_stats(), gr.ingest_degraded()),
-        };
+        let g = self.group.ingest_stats();
         StatsReport {
             admitted: g.admitted,
             quarantined: g.quarantined(),
             duplicates: g.duplicates_dropped,
-            degraded,
-            matches: self.verdicts.len() as u64,
+            degraded: g.is_degraded(),
+            matches: self.group.history().len() as u64,
             connections: self.connections_total.min(u64::from(u32::MAX)) as u32,
             frames: self.data_frames,
         }
-    }
-
-    /// Serializes the whole set (every monitor with a configured pattern
-    /// source, plus the admission guard's reorder state) to one `OCKS`
-    /// blob — the in-memory checkpoint path the simulator's virtual
-    /// disk uses in place of the per-monitor files written on
-    /// `CheckpointReq` and shutdown. Empty on a sharded core, whose
-    /// checkpoints are per shard ([`EngineCore::shard_checkpoint`]).
-    #[must_use]
-    pub fn checkpoint_set(&self) -> Vec<u8> {
-        match &self.backend {
-            Backend::Single(set) => save_set(set, &self.config.pattern_sources),
-            Backend::Sharded(_) => Vec::new(),
-        }
-    }
-
-    fn write_checkpoints(&self) -> Result<Vec<PathBuf>, std::io::Error> {
-        let Some(dir) = &self.config.checkpoint_dir else {
-            return Ok(Vec::new());
-        };
-        let Backend::Single(set) = &self.backend else {
-            return Ok(Vec::new()); // sharded: ShardGroup::checkpoint writes them
-        };
-        std::fs::create_dir_all(dir)?;
-        let mut written = Vec::new();
-        for (name, m) in set.iter() {
-            let Some(src) = self.config.pattern_sources.get(name) else {
-                continue;
-            };
-            let path = dir.join(format!("{name}.ockp"));
-            if let Some(parent) = path.parent() {
-                // Tenant monitors are named `{tenant}/{pattern}`, so a
-                // checkpoint file can live one directory down.
-                std::fs::create_dir_all(parent)?;
-            }
-            let bytes = ocep_core::save_at(m, src, self.last_lsn);
-            if std::env::var_os("OCEP_TEST_PARTIAL_CHECKPOINT").is_some() {
-                // Crash-injection hook (tests only): die between the
-                // OCKP header and the body, leaving a torn file exactly
-                // as a power cut mid-write would.
-                std::fs::write(&path, &bytes[..6])?;
-                std::process::exit(121);
-            }
-            std::fs::write(&path, bytes)?;
-            written.push(path);
-        }
-        Ok(written)
     }
 
     /// Drains the guard, writes checkpoints, broadcasts final stats to
@@ -1615,28 +935,15 @@ impl EngineCore {
     pub fn finish(&mut self) -> ServeReport {
         // Graceful drain: deliver everything the guard still buffers.
         self.journal_op(EngineOp::Flush);
-        let checkpoints = if self.is_sharded() {
-            let out = self.sharded().flush();
-            self.last_lsn = out.last_lsn;
-            self.publish(out.verdicts);
-            // Seal the shard threads so the report can borrow monitors
-            // directly; checkpoints then run inline (synced per shard).
-            self.sharded().seal();
-            let dir = self.config.checkpoint_dir.clone();
-            self.sharded()
-                .checkpoint(dir.as_deref())
-                .unwrap_or_default()
-        } else {
-            self.wal_append(REC_FLUSH, &[]);
-            let verdicts = self.single().flush_guard();
-            self.publish(verdicts);
-            self.append_wal_checkpoint();
-            let checkpoints = self.write_checkpoints().unwrap_or_default();
-            if let Some(wal) = &mut self.wal {
-                let _ = wal.sync();
-            }
-            checkpoints
-        };
+        let out = self.group.flush();
+        self.publish(&out.verdicts);
+        // Take the partitions back inline so the report can borrow
+        // their monitors.
+        self.group.seal();
+        let checkpoints = self
+            .group
+            .checkpoint(self.config.checkpoint_dir.as_deref())
+            .unwrap_or_default();
         let stats = self.stats_report();
         for (_, c) in self.conns.drain() {
             *self.frames_out.entry("stats_report").or_insert(0) += 1;
@@ -1644,63 +951,45 @@ impl EngineCore {
             c.out.close();
             self.finished_conns.push((c.name, c.frames_in));
         }
-        let metrics = self.metrics();
-        let subset_of = |m: &ocep_core::Monitor| -> MatchCoords {
-            m.subset()
-                .iter()
-                .map(|mm| {
-                    mm.events()
-                        .iter()
-                        .map(|e| (e.trace().as_u32(), e.index().get()))
-                        .collect()
-                })
-                .collect()
-        };
-        let (subsets, ingest) = match &self.backend {
-            Backend::Single(set) => (
-                set.iter()
-                    .map(|(name, m)| (name.to_owned(), subset_of(m)))
-                    .collect(),
-                set.ingest_stats(),
-            ),
-            Backend::Sharded(g) => (
-                g.live_monitors()
-                    .into_iter()
-                    .map(|(name, m)| (name.to_owned(), subset_of(m)))
-                    .collect(),
-                g.ingest_stats(),
-            ),
-        };
         ServeReport {
-            verdicts: std::mem::take(&mut self.verdicts),
+            verdicts: self
+                .group
+                .history()
+                .iter()
+                .map(|(_, name, m)| (name.clone(), m.clone()))
+                .collect(),
             stats,
-            ingest,
-            metrics,
+            ingest: self.group.ingest_stats(),
+            metrics: self.metrics(),
             checkpoints,
-            wal_last_lsn: self.last_lsn,
-            recovered_events: self.recovered_events,
-            subsets,
+            wal_last_lsn: self.group.last_lsn(),
+            recovered_events: self.group.recovered_events(),
+            subsets: self
+                .group
+                .live_monitors()
+                .map(|(name, m)| {
+                    (
+                        name.to_owned(),
+                        m.subset().iter().map(|mm| bindings_of(mm)).collect(),
+                    )
+                })
+                .collect(),
             latency: std::mem::take(&mut self.latency),
         }
     }
 
     fn metrics(&self) -> MetricsSnapshot {
-        let mut s = match &self.backend {
-            Backend::Single(set) => set.metrics(),
-            Backend::Sharded(g) => g.metrics(),
-        };
-        if let Backend::Sharded(g) = &self.backend {
-            s.gauge(
-                "ocep_net_shards",
-                "Engine shards serving this monitor set.",
-                g.n_shards() as u64,
-            );
-            s.counter(
-                "ocep_net_shard_restarts_total",
-                "Shards killed and rebuilt over the server lifetime.",
-                self.shard_restarts,
-            );
-        }
+        let mut s = self.group.metrics();
+        s.gauge(
+            "ocep_net_shards",
+            "Matcher partitions serving this monitor set.",
+            self.group.n_shards() as u64,
+        );
+        s.counter(
+            "ocep_net_shard_restarts_total",
+            "Partitions killed and rebuilt over the server lifetime.",
+            self.group.restarts(),
+        );
         s.counter(
             "ocep_net_connections_total",
             "Connections accepted over the server lifetime.",
@@ -1762,24 +1051,24 @@ impl EngineCore {
             s.gauge(
                 "ocep_wal_last_lsn",
                 "Log sequence number of the newest durable-log record.",
-                self.last_lsn,
+                self.group.last_lsn(),
             );
             s.counter(
                 "ocep_wal_recovered_events_total",
                 "Events replayed from the durable log at startup.",
-                self.recovered_events,
+                self.group.recovered_events(),
             );
             s.counter(
                 "ocep_wal_append_errors_total",
                 "Durable-log append failures (the log degrades to off).",
-                self.wal_append_errors,
+                self.group.wal_append_errors(),
             );
         }
         if self.config.history_gc {
             s.counter(
                 "ocep_history_gc_released_total",
                 "History events released by the watermark truncation rule.",
-                self.gc_released,
+                self.group.gc_released(),
             );
         }
         let mut slow: Vec<_> = self.slow_actions.iter().collect();
@@ -1818,52 +1107,4 @@ impl EngineCore {
         }
         s
     }
-}
-
-/// Decodes a `REC_DELIVER` payload: `[session:str][Event frame body]`.
-///
-/// # Errors
-///
-/// A structural diagnostic with a byte offset; never panics.
-pub fn decode_deliver(payload: &[u8]) -> Result<(String, ocep_poet::Event), String> {
-    let mut r = ocep_poet::dump::Reader::new(payload);
-    let session = r
-        .str("deliver session")
-        .map_err(|e| e.to_string())?
-        .to_owned();
-    let n = r.remaining();
-    let body = r
-        .bytes(n, "deliver event frame")
-        .map_err(|e| e.to_string())?;
-    match decode_body(body).map_err(|e| e.to_string())? {
-        Frame::Event(e) => Ok((session, *e)),
-        other => Err(format!(
-            "deliver payload carries a {} frame, expected event",
-            other.type_name()
-        )),
-    }
-}
-
-/// Decodes a `REC_WATERMARK` payload: `keep:u32 n:u32 (u32)*`.
-///
-/// # Errors
-///
-/// A structural diagnostic with a byte offset; never panics.
-pub fn decode_watermark(payload: &[u8]) -> Result<(usize, Vec<u32>), String> {
-    let mut r = ocep_poet::dump::Reader::new(payload);
-    let keep = r.u32("watermark keep").map_err(|e| e.to_string())? as usize;
-    let n_at = r.offset();
-    let n = r.u32("watermark width").map_err(|e| e.to_string())? as usize;
-    if n > r.remaining() / 4 + 1 {
-        return Err(format!(
-            "watermark claims width {n} at byte {n_at}, only {} byte(s) left",
-            r.remaining()
-        ));
-    }
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push(r.u32("watermark entry").map_err(|e| e.to_string())?);
-    }
-    r.finish().map_err(|e| e.to_string())?;
-    Ok((keep, entries))
 }

@@ -16,16 +16,16 @@
 //!   machine runs over real sockets and over the deterministic
 //!   simulator's virtual time.
 //! * [`server`] — the serving loop: a TCP acceptor, per-connection
-//!   reader/writer threads, and a single engine thread that owns the
-//!   [`MonitorSet`] and feeds every decoded arrival through the
-//!   admission guard via [`MonitorSet::observe_raw`] — so a remote
-//!   producer gets byte-identical verdicts to in-process delivery, and
-//!   a hostile one is quarantined by exactly the same machinery.
-//! * [`shard`] — the N-shard engine core: monitors partitioned by
-//!   `fnv1a64(name) % N` across per-shard engine threads fed over SPSC
-//!   rings, each shard owning its own admission-guard replica, durable
-//!   log (`wal-shard-{i}`), and checkpoints, with verdicts re-merged
-//!   into the single-engine order (`docs/SHARDING.md`).
+//!   reader/writer threads, and a single engine thread that feeds
+//!   every decoded arrival through the admission guard — so a remote
+//!   producer gets byte-identical verdicts to in-process
+//!   [`MonitorSet::observe_raw`] delivery, and a hostile one is
+//!   quarantined by exactly the same machinery.
+//! * [`shard`] — the data plane under the engine: one admission guard
+//!   and one durable log in front of N matcher partitions
+//!   (`fnv1a64(name) % N`, each on its own thread fed over an SPSC ring
+//!   when N > 1), with verdicts re-merged into the single-set order
+//!   (`docs/SHARDING.md`).
 //! * [`client`] — producer and tail handles used by the `ocep serve`,
 //!   `ocep send`, and `ocep tail` subcommands.
 //!
@@ -36,7 +36,6 @@
 //! policies. See `docs/WIRE.md` for the full grammar and failure
 //! semantics.
 //!
-//! [`MonitorSet`]: ocep_core::MonitorSet
 //! [`MonitorSet::observe_raw`]: ocep_core::MonitorSet::observe_raw
 
 #![forbid(unsafe_code)]
@@ -51,7 +50,7 @@ pub mod wire;
 pub use client::{register_patterns, Client, Tail};
 pub use engine::{EngineCore, EngineOp, NetClock, OutQueue, SlowAction, SystemClock};
 pub use server::{ServeConfig, ServeReport, Server, ServerHandle};
-pub use shard::{route_of, DeliverOut, ShardGroup, ShardRecovery};
+pub use shard::{route_of, DeliverOut, FaultHooks, ShardGroup};
 pub use wire::{
     Decoded, FaultCode, Frame, FrameDecoder, Mode, StatsReport, VerdictFrame, WireError,
 };

@@ -2,7 +2,7 @@
 //! [`MonitorSet`].
 //!
 //! One **engine thread** owns an [`EngineCore`] (and through it the
-//! `MonitorSet`) and processes every decoded frame in arrival order, so
+//! monitors) and processes every decoded frame in arrival order, so
 //! a single producer connection sees exactly the verdicts of in-process
 //! delivery (the network-transparency property the conformance suite
 //! pins). Each accepted connection gets a **reader thread** (frame
@@ -22,6 +22,7 @@
 //! from a virtual-time scheduler instead.
 
 use crate::engine::{EngineCore, NetClock, OutQueue, SystemClock};
+use crate::shard::FaultHooks;
 use crate::wire::{decode_body, read_frame_body, write_frame, FaultCode, Frame, WireError};
 use ocep_core::MonitorSet;
 use std::io::{BufReader, BufWriter, Write as IoWrite};
@@ -112,8 +113,9 @@ pub struct Server {
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts
     /// serving `set`. The set should already have its admission guard
-    /// enabled via [`MonitorSet::enable_guard`]; every decoded event
-    /// flows through [`MonitorSet::observe_raw`].
+    /// enabled via [`MonitorSet::enable_guard`]: the engine takes it
+    /// over and runs every decoded event through it once, in front of
+    /// the matcher partitions.
     ///
     /// # Errors
     ///
@@ -122,6 +124,21 @@ impl Server {
     /// and a corrupt log surfaces as `InvalidData` with the segment and
     /// byte offset of the first bad record.
     pub fn bind(addr: &str, set: MonitorSet, config: ServeConfig) -> std::io::Result<Server> {
+        Server::bind_with_faults(addr, set, config, FaultHooks::default())
+    }
+
+    /// [`Server::bind`] with fault injection armed — for smoke tests
+    /// that crash a real daemon at a chosen point.
+    ///
+    /// # Errors
+    ///
+    /// See [`Server::bind`].
+    pub fn bind_with_faults(
+        addr: &str,
+        set: MonitorSet,
+        config: ServeConfig,
+        hooks: FaultHooks,
+    ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let (tx, rx) = mpsc::sync_channel::<EngineMsg>(ENGINE_QUEUE);
@@ -134,11 +151,12 @@ impl Server {
             config.clone(),
             Arc::clone(&clock),
             Arc::clone(&bytes_out),
+            hooks,
         );
         core.recover_wal()
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        // Sharded serving: recovery ran inline (above); from here each
-        // shard runs on its own engine thread fed over SPSC rings.
+        // Recovery ran inline (above); from here each matcher partition
+        // of several runs on its own thread fed over an SPSC ring.
         core.start_shard_threads();
 
         let acceptor = {

@@ -1,38 +1,37 @@
-//! The N-shard engine core: partitioned monitors behind replicated
-//! admission guards.
+//! The engine's data plane: one admission stage, one log, N matcher
+//! partitions.
 //!
-//! A [`ShardGroup`] splits a [`MonitorSet`] into `N` disjoint
-//! partitions routed by `fnv1a64(monitor_name) % N`. Every data frame
-//! is **broadcast** to all shards: each shard runs its own replica of
-//! the set-level [`AdmissionGuard`](ocep_core::AdmissionGuard) over the
-//! full raw stream, so every shard makes identical admission decisions
-//! and assigns identical delivery sequence numbers — the alignment that
-//! makes shard count unobservable. Verdicts come back tagged
-//! `(delivery_seq, name)` and are merged by a stable sort on
-//! `(delivery_seq, global_registration_index)`, which reproduces the
-//! single-engine delivery-major / registration-minor report order
-//! bit-for-bit.
+//! A [`ShardGroup`] runs the same pipeline at every partition count:
 //!
-//! Durability is per shard: shard `i` owns the `wal-shard-{i}`
-//! directory under the configured log root, appends the same broadcast
-//! record sequence (so LSNs agree across shards), and anchors its own
-//! `REC_CHECKPOINT` records holding the shard-local `OCKS` blob plus
-//! the shard's verdict subset. Recovery replays each shard's own log
-//! and re-merges the replayed verdicts.
+//! ```text
+//! raw arrival → log append → AdmissionGuard → delivery sequence stamp
+//!             → fan out to N partitions → merge by (seq, registration)
+//! ```
 //!
-//! Two execution modes share one code path: **inline** (the
-//! deterministic simulator's choice — every operation runs on the
-//! caller's thread) and **threaded** ([`ShardGroup::start_threads`] —
-//! one engine thread per shard fed through bounded SPSC rings, the mode
-//! `ocep serve --shards N` runs). All operations are lockstep: a job is
-//! pushed to every shard, then one reply is collected from each, so the
-//! two modes are observationally identical.
+//! The causal linearization is a property of the stream, so it is
+//! derived once: the group owns the one [`AdmissionGuard`] and the one
+//! durable [`Wal`], and only *admitted* events — already validated,
+//! deduplicated, ordered and numbered — reach the partitions. A
+//! partition is a guard-less [`MonitorSet`] holding the monitors that
+//! [`route_of`] assigns to it. Verdicts come back tagged with their
+//! delivery sequence number and are merged by a stable sort on
+//! `(delivery_seq, registration index)`, which is the order one set
+//! holding every monitor would have reported them in — so the partition
+//! count is unobservable, in the verdict stream and on disk.
+//!
+//! With one partition everything runs inline on the caller's thread.
+//! With more, [`ShardGroup::start_threads`] moves each partition onto
+//! its own thread behind a bounded SPSC ring; every operation is
+//! lockstep (a job is pushed to each partition, then one reply is
+//! collected from each), so threaded and inline runs are
+//! observationally identical. The deterministic simulator never starts
+//! the threads.
 
-use crate::engine::{decode_deliver, decode_watermark};
 use crate::wire::{decode_body, encode_body, put_event_body, put_str, Frame};
-use ocep_core::ingest::{GuardConfig, IngestFault, IngestStats};
+use ocep_core::ingest::{AdmissionGuard, IngestFault, IngestStats};
 use ocep_core::{
-    load_set_at, save_set_at, Match, MetricsSnapshot, Monitor, MonitorConfig, MonitorSet,
+    load_set, load_set_at, save_at, save_parts_at, Match, MetricsSnapshot, Monitor, MonitorConfig,
+    MonitorSet,
 };
 use ocep_pattern::Pattern;
 use ocep_poet::Event;
@@ -45,14 +44,14 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// Capacity of each per-shard job/reply ring.
+/// Capacity of each per-partition job/reply ring.
 const RING_CAPACITY: usize = 1024;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// The stable routing rule: `fnv1a64(name) % n_shards`. Documented in
-/// `docs/SHARDING.md`; changing it would re-partition every deployment.
+/// The routing rule: `fnv1a64(name) % n_shards`. It only decides which
+/// thread matches which pattern; nothing on disk depends on it.
 #[must_use]
 pub fn route_of(name: &str, n_shards: usize) -> usize {
     let mut h = FNV_OFFSET;
@@ -63,14 +62,34 @@ pub fn route_of(name: &str, n_shards: usize) -> usize {
     (h % n_shards.max(1) as u64) as usize
 }
 
+/// Fault injection for tests, the simulator and CI smoke jobs. The
+/// default injects nothing; a production daemon never sets a field.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultHooks {
+    /// The next data frame is not delivered to the partition owning the
+    /// first registered monitor — the routing bug the shard-transparency
+    /// suite must catch.
+    pub misroute_next: bool,
+    /// The next deliver record is silently left out of the log. The
+    /// live engine still observes the event, so a later crash recovery
+    /// diverges from the oracle — which must flag it.
+    pub drop_next_append: bool,
+    /// `(i, frames)`: kill and rebuild partition `i` once `frames` data
+    /// frames have been processed.
+    pub restart_shard: Option<(usize, u64)>,
+    /// Die (exit code 121) between the header and the body of the first
+    /// `.ockp` file written, leaving the torn file a power cut would.
+    pub partial_checkpoint: bool,
+}
+
 struct RingState<T> {
     queue: VecDeque<T>,
     closed: bool,
 }
 
 /// A bounded blocking SPSC ring (mutex + condvar — this crate forbids
-/// unsafe code) connecting the engine thread to one shard thread.
-pub struct SpscRing<T> {
+/// unsafe code) connecting the engine thread to one partition thread.
+struct SpscRing<T> {
     inner: Arc<(Mutex<RingState<T>>, Condvar, Condvar)>,
     cap: usize,
 }
@@ -85,9 +104,7 @@ impl<T> Clone for SpscRing<T> {
 }
 
 impl<T> SpscRing<T> {
-    /// A ring holding at most `cap` items.
-    #[must_use]
-    pub fn new(cap: usize) -> Self {
+    fn new(cap: usize) -> Self {
         SpscRing {
             inner: Arc::new((
                 Mutex::new(RingState {
@@ -103,7 +120,7 @@ impl<T> SpscRing<T> {
 
     /// Blocks until there is room, then enqueues `item`. Returns false
     /// (dropping the item) once the ring is closed.
-    pub fn push(&self, item: T) -> bool {
+    fn push(&self, item: T) -> bool {
         let (lock, not_empty, not_full) = &*self.inner;
         let mut st = lock.lock().unwrap();
         while st.queue.len() >= self.cap && !st.closed {
@@ -118,7 +135,7 @@ impl<T> SpscRing<T> {
     }
 
     /// Blocks for the next item; `None` once closed and drained.
-    pub fn pop(&self) -> Option<T> {
+    fn pop(&self) -> Option<T> {
         let (lock, not_empty, not_full) = &*self.inner;
         let mut st = lock.lock().unwrap();
         loop {
@@ -134,7 +151,7 @@ impl<T> SpscRing<T> {
     }
 
     /// Closes the ring, waking both ends.
-    pub fn close(&self) {
+    fn close(&self) {
         let (lock, not_empty, not_full) = &*self.inner;
         lock.lock().unwrap().closed = true;
         not_empty.notify_all();
@@ -142,553 +159,150 @@ impl<T> SpscRing<T> {
     }
 }
 
-/// Closes a reply ring when its shard thread unwinds, so the engine
+/// Closes a reply ring when its partition thread unwinds, so the engine
 /// sees a closed ring (and panics with a diagnosis) instead of blocking
 /// forever on a reply that will never come.
-struct CloseOnDrop<T>(SpscRing<T>, bool);
+struct CloseOnDrop<T>(SpscRing<T>);
 
 impl<T> Drop for CloseOnDrop<T> {
     fn drop(&mut self) {
-        if !self.1 {
-            self.0.close();
-        }
+        self.0.close();
     }
 }
 
-/// One job broadcast to a shard. Every job except `Stop` produces
-/// exactly one [`Reply`].
+/// One job for a partition; each produces exactly one [`Reply`].
 enum Job {
-    Deliver {
-        session: Arc<str>,
-        event: Arc<Event>,
-    },
-    DeliverBatch {
-        session: Arc<str>,
+    /// Admitted events, in delivery order; the first is delivery number
+    /// `first_seq`.
+    Observe {
+        first_seq: u64,
         events: Arc<Vec<Event>>,
     },
-    Flush,
-    FlushOs,
     Gc {
+        watermark: Arc<Vec<u32>>,
         keep: usize,
     },
-    Checkpoint {
-        dir: Option<PathBuf>,
-    },
-    Register {
+    Add {
         name: String,
-        source: String,
-        config: MonitorConfig,
+        monitor: Box<Monitor>,
     },
-    Unregister {
+    Remove {
         name: String,
     },
-    Query,
     Metrics,
-    Stop,
-}
-
-/// Verdicts and bookkeeping from one shard for one data operation.
-struct DeliverReply {
-    /// `(delivery_seq, name, match)` in shard-local order.
-    tagged: Vec<(u64, String, Match)>,
-    /// Guard faults drained after the operation.
-    faults: Vec<IngestFault>,
-    /// LSN of this shard's newest log record (0 without a log).
-    last_lsn: u64,
-    /// Deliver records durably appended by this operation.
-    appended: u64,
-}
-
-struct QueryReply {
-    stats: IngestStats,
-    degraded: bool,
-    delivery_seq: u64,
 }
 
 enum Reply {
-    Deliver(DeliverReply),
-    Unit,
-    Gc { released: usize },
-    Checkpoint(Result<Vec<PathBuf>, String>),
-    Register(Result<(), String>),
-    Query(Box<QueryReply>),
+    /// `(delivery_seq, monitor, match)` in partition-local order.
+    Verdicts(Vec<(u64, String, Match)>),
+    Released(usize),
+    Done,
     Metrics(Box<MetricsSnapshot>),
 }
 
+/// Executes one job against a partition — shared verbatim by the inline
+/// path and the partition-thread loop, which is what keeps the two
+/// modes observationally identical.
+fn exec(set: &mut MonitorSet, job: Job) -> Reply {
+    match job {
+        Job::Observe { first_seq, events } => {
+            let mut tagged = Vec::new();
+            for (seq, e) in (first_seq..).zip(events.iter()) {
+                tagged.extend(set.observe(e).into_iter().map(|(n, m)| (seq, n, m)));
+            }
+            Reply::Verdicts(tagged)
+        }
+        Job::Gc { watermark, keep } => Reply::Released(set.gc_histories(&watermark, keep)),
+        Job::Add { name, monitor } => {
+            set.insert_monitor(name, *monitor);
+            Reply::Done
+        }
+        Job::Remove { name } => {
+            set.remove(&name);
+            Reply::Done
+        }
+        Job::Metrics => Reply::Metrics(Box::new(set.metrics())),
+    }
+}
+
+fn partition_loop(
+    mut set: Box<MonitorSet>,
+    jobs: &SpscRing<Job>,
+    replies: &SpscRing<Reply>,
+) -> Box<MonitorSet> {
+    let _close = CloseOnDrop(replies.clone());
+    while let Some(job) = jobs.pop() {
+        if !replies.push(exec(&mut set, job)) {
+            break;
+        }
+    }
+    set
+}
+
+enum Slot {
+    Inline(Box<MonitorSet>),
+    Thread {
+        jobs: SpscRing<Job>,
+        replies: SpscRing<Reply>,
+        handle: JoinHandle<Box<MonitorSet>>,
+    },
+}
+
 /// What [`ShardGroup::deliver`] (and batch/flush) hands back to the
-/// engine: merged verdicts plus shard-0 bookkeeping.
+/// engine.
 pub struct DeliverOut {
-    /// Verdicts merged across shards by
-    /// `(delivery_seq, registration index)` — the single-engine order.
+    /// Verdicts merged across partitions by
+    /// `(delivery_seq, registration index)` — the single-set order.
     pub verdicts: Vec<(String, Match)>,
-    /// Guard faults (every shard's guard reports identically; these are
-    /// the lowest live shard's, and the others' are drained).
+    /// Guard faults raised by this operation.
     pub faults: Vec<IngestFault>,
     /// LSN of the newest log record (0 without a log).
     pub last_lsn: u64,
 }
 
-/// What [`ShardGroup::recover`] rebuilt from the per-shard logs.
-pub struct ShardRecovery {
-    /// Replayed verdicts merged across shards, each with its firing LSN.
-    pub verdicts: Vec<(String, Match, u64)>,
-    /// Events replayed through shard 0 (every shard replays the same
-    /// broadcast stream, so this is the engine-visible count).
-    pub recovered_events: u64,
-    /// LSN of the newest record in shard 0's log.
-    pub last_lsn: u64,
-}
-
-/// A dynamic-registry operation recovered from a shard's log.
-enum RegOp {
-    Add { name: String, source: String },
-    Remove { name: String },
-}
-
-/// One registry row: a monitor name, where it routes, and what is
-/// needed to rebuild it after a shard restart.
-#[derive(Debug, Clone)]
+/// One registry row: a live monitor, where it routes, and what is
+/// needed to checkpoint it and to rebuild its partition.
 struct RegEntry {
     name: String,
-    /// Pattern source, when known — required to rebuild the monitor on
-    /// a shard restart and to write its checkpoint file.
+    /// Pattern source, when known.
     source: Option<String>,
     config: MonitorConfig,
-    shard: usize,
-    /// False once unregistered. Dead entries keep their index so the
-    /// merge order of historic verdicts stays stable.
-    live: bool,
-    /// True for monitors registered over the wire mid-stream (they must
-    /// not be rebuilt into a blank shard ahead of their registration
-    /// record during log replay).
+    part: usize,
+    /// Registered mid-stream (over the wire or by a replayed
+    /// `REC_REGISTER`) rather than configured at startup: a partition
+    /// rebuild lets the log re-register it at its stream position.
     dynamic: bool,
 }
 
-/// One shard's owned state: its partition of the monitors behind its
-/// own guard replica, its own durable log, and its retained verdicts.
-struct ShardCore {
-    index: usize,
-    n_shards: usize,
-    set: MonitorSet,
-    /// Pattern source per owned monitor (checkpoint prerequisite).
-    sources: HashMap<String, String>,
-    wal: Option<Wal>,
-    last_lsn: u64,
-    wal_append_errors: u64,
-    /// Shard-retained verdict history `(lsn, delivery_seq, name, match)`
-    /// — the payload of this shard's checkpoint records.
-    verdicts: Vec<(u64, u64, String, Match)>,
-    /// Durable deliver count per producer session, from this shard's
-    /// own log.
-    durable: HashMap<String, u64>,
-    recovered_events: u64,
-}
-
-impl ShardCore {
-    fn new(index: usize, n_shards: usize, n_traces: usize, guard: Option<GuardConfig>) -> Self {
-        let mut set = MonitorSet::new(n_traces);
-        if let Some(cfg) = guard {
-            set.enable_guard(cfg);
-        }
-        ShardCore {
-            index,
-            n_shards,
-            set,
-            sources: HashMap::new(),
-            wal: None,
-            last_lsn: 0,
-            wal_append_errors: 0,
-            verdicts: Vec::new(),
-            durable: HashMap::new(),
-            recovered_events: 0,
-        }
-    }
-
-    fn owns(&self, name: &str) -> bool {
-        route_of(name, self.n_shards) == self.index
-    }
-
-    /// Appends one record, degrading to logless on failure (mirrors the
-    /// single engine's policy: a sick disk slows durability, not
-    /// ingest).
-    fn append(&mut self, rtype: u8, payload: &[u8]) -> Option<u64> {
-        let wal = self.wal.as_mut()?;
-        match wal.append(rtype, payload) {
-            Ok(lsn) => {
-                self.last_lsn = lsn;
-                Some(lsn)
-            }
-            Err(_) => {
-                self.wal_append_errors += 1;
-                self.wal = None;
-                None
-            }
-        }
-    }
-
-    fn append_deliver(&mut self, session: &str, e: &Event) -> bool {
-        if self.wal.is_none() {
-            return false;
-        }
-        let mut payload = Vec::with_capacity(32 + 4 * e.clock().len());
-        put_str(&mut payload, session);
-        put_event_body(&mut payload, e);
-        if self.append(REC_DELIVER, &payload).is_some() {
-            *self.durable.entry(session.to_owned()).or_insert(0) += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn retain(&mut self, tagged: &[(u64, String, Match)]) {
-        for (seq, name, m) in tagged {
-            self.verdicts
-                .push((self.last_lsn, *seq, name.clone(), m.clone()));
-        }
-    }
-
-    fn deliver(&mut self, session: &str, e: &Event) -> DeliverReply {
-        let appended = u64::from(self.append_deliver(session, e));
-        let tagged = self.set.observe_raw_tagged(e);
-        self.retain(&tagged);
-        DeliverReply {
-            tagged,
-            faults: self.set.take_ingest_faults(),
-            last_lsn: self.last_lsn,
-            appended,
-        }
-    }
-
-    fn deliver_batch(&mut self, session: &str, events: &[Event]) -> DeliverReply {
-        let mut appended = 0;
-        for e in events {
-            appended += u64::from(self.append_deliver(session, e));
-        }
-        let tagged = self.set.observe_raw_batch_tagged(events);
-        self.retain(&tagged);
-        DeliverReply {
-            tagged,
-            faults: self.set.take_ingest_faults(),
-            last_lsn: self.last_lsn,
-            appended,
-        }
-    }
-
-    fn flush(&mut self) -> DeliverReply {
-        self.append(REC_FLUSH, &[]);
-        let tagged = self.set.flush_guard_tagged();
-        self.retain(&tagged);
-        DeliverReply {
-            tagged,
-            faults: self.set.take_ingest_faults(),
-            last_lsn: self.last_lsn,
-            appended: 0,
-        }
-    }
-
-    fn flush_os(&mut self) {
-        if let Some(wal) = self.wal.as_mut() {
-            if wal.flush_os().is_err() {
-                self.wal_append_errors += 1;
-                self.wal = None;
-            }
-        }
-    }
-
-    fn gc(&mut self, keep: usize) -> usize {
-        let Some(watermark) = self.set.admitted_watermark() else {
-            return 0;
-        };
-        let released = self.set.gc_histories(&watermark, keep);
-        if self.wal.is_some() {
-            let mut payload = Vec::new();
-            payload.extend_from_slice(&(keep as u32).to_le_bytes());
-            payload.extend_from_slice(&(watermark.len() as u32).to_le_bytes());
-            for v in &watermark {
-                payload.extend_from_slice(&v.to_le_bytes());
-            }
-            self.append(REC_WATERMARK, &payload);
-        }
-        released
-    }
-
-    /// The shard's log-anchored checkpoint payload: delivery counter,
-    /// shard-local `OCKS` blob, and the shard's retained verdicts.
-    fn checkpoint_payload(&self) -> Vec<u8> {
-        let ocks = save_set_at(&self.set, &self.sources, self.last_lsn);
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&self.set.delivery_seq().to_le_bytes());
-        payload.extend_from_slice(&(ocks.len() as u32).to_le_bytes());
-        payload.extend_from_slice(&ocks);
-        payload.extend_from_slice(&(self.verdicts.len() as u32).to_le_bytes());
-        for (lsn, seq, name, m) in &self.verdicts {
-            payload.extend_from_slice(&lsn.to_le_bytes());
-            payload.extend_from_slice(&seq.to_le_bytes());
-            put_str(&mut payload, name);
-            let body = encode_body(&Frame::EventBatch(m.events().to_vec()));
-            payload.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            payload.extend_from_slice(&body);
-        }
-        payload
-    }
-
-    /// Anchors a checkpoint record in the shard's log and writes one
-    /// `.ockp` file per owned monitor with a known source into `dir`.
-    fn checkpoint(&mut self, dir: Option<&Path>) -> Result<Vec<PathBuf>, String> {
-        if self.wal.is_some() {
-            let payload = self.checkpoint_payload();
-            if self.append(REC_CHECKPOINT, &payload).is_some() {
-                if let Some(wal) = &mut self.wal {
-                    let _ = wal.sync();
-                }
-            }
-        }
-        let Some(dir) = dir else {
-            return Ok(Vec::new());
-        };
-        let mut written = Vec::new();
-        for (name, m) in self.set.iter() {
-            let Some(src) = self.sources.get(name) else {
-                continue;
-            };
-            let path = dir.join(format!("{name}.ockp"));
-            if let Some(parent) = path.parent() {
-                std::fs::create_dir_all(parent)
-                    .map_err(|e| format!("{}: {e}", parent.display()))?;
-            }
-            let bytes = ocep_core::save_at(m, src, self.last_lsn);
-            std::fs::write(&path, bytes).map_err(|e| format!("{}: {e}", path.display()))?;
-            written.push(path);
-        }
-        Ok(written)
-    }
-
-    /// Logs a registration on every shard; the owning shard also
-    /// installs the monitor. The group validated the source already, so
-    /// a parse failure here is a real divergence worth surfacing.
-    fn register(&mut self, name: &str, source: &str, config: MonitorConfig) -> Result<(), String> {
-        let mut payload = Vec::new();
-        put_str(&mut payload, name);
-        put_str(&mut payload, source);
-        self.append(REC_REGISTER, &payload);
-        if self.owns(name) {
-            let pattern = Pattern::parse(source).map_err(|e| e.to_string())?;
-            self.set.add_with_config(name, pattern, config);
-            self.sources.insert(name.to_owned(), source.to_owned());
-        }
-        Ok(())
-    }
-
-    fn unregister(&mut self, name: &str) {
-        let mut payload = Vec::new();
-        put_str(&mut payload, name);
-        self.append(REC_UNREGISTER, &payload);
-        if self.owns(name) {
-            self.set.remove(name);
-            self.sources.remove(name);
-        }
-    }
-
-    /// Restores the shard from a `REC_CHECKPOINT` payload.
-    fn load_checkpoint(&mut self, payload: &[u8]) -> Result<(), String> {
-        let mut r = ocep_poet::dump::Reader::new(payload);
-        let seq = r.u64("shard delivery seq").map_err(|e| e.to_string())?;
-        let ocks_len = r.u32("ocks length").map_err(|e| e.to_string())? as usize;
-        let ocks = r.bytes(ocks_len, "ocks blob").map_err(|e| e.to_string())?;
-        let (mut set, sources, _lsn) = load_set_at(ocks).map_err(|e| e.to_string())?;
-        set.set_delivery_seq(seq);
-        self.set = set;
-        self.sources = sources.into_iter().collect();
-        self.verdicts.clear();
-        let n = r.u32("verdict count").map_err(|e| e.to_string())? as usize;
-        for i in 0..n {
-            let lsn = r.u64("verdict lsn").map_err(|e| e.to_string())?;
-            let vseq = r.u64("verdict seq").map_err(|e| e.to_string())?;
-            let name = r
-                .str(&format!("verdict {i} monitor"))
-                .map_err(|e| e.to_string())?
-                .to_owned();
-            let body_len = r
-                .u32(&format!("verdict {i} body length"))
-                .map_err(|e| e.to_string())? as usize;
-            let body = r
-                .bytes(body_len, "verdict events")
-                .map_err(|e| e.to_string())?;
-            let Frame::EventBatch(events) = decode_body(body).map_err(|e| e.to_string())? else {
-                return Err(format!("verdict {i} payload is not an event batch"));
-            };
-            // A verdict may outlive its monitor (unregistered since):
-            // without the pattern it cannot be reassembled, so it drops
-            // from the recovered history.
-            let Some(monitor) = self.set.monitor(&name) else {
-                continue;
-            };
-            let m = Match::from_bound_events(monitor.pattern_arc(), events)?;
-            self.verdicts.push((lsn, vseq, name, m));
-        }
-        r.finish().map_err(|e| e.to_string())?;
-        Ok(())
-    }
-
-    /// Rebuilds shard state from its scanned log: durable session
-    /// counts over the whole log, the newest checkpoint, then replay of
-    /// everything after it. Returns the full dynamic-registry history
-    /// (all shards log every registration, so any shard's list rebuilds
-    /// the global registry).
-    fn recover_records(&mut self, records: &[Record]) -> Result<Vec<RegOp>, String> {
-        let mut reg_ops = Vec::new();
-        for rec in records {
-            match rec.rtype {
-                REC_DELIVER => {
-                    let (session, _) = decode_deliver(&rec.payload)
-                        .map_err(|e| format!("shard {} log at lsn {}: {e}", self.index, rec.lsn))?;
-                    *self.durable.entry(session).or_insert(0) += 1;
-                }
-                REC_REGISTER => {
-                    let (name, source) = decode_register(&rec.payload)
-                        .map_err(|e| format!("shard {} log at lsn {}: {e}", self.index, rec.lsn))?;
-                    reg_ops.push(RegOp::Add { name, source });
-                }
-                REC_UNREGISTER => {
-                    let name = decode_unregister(&rec.payload)
-                        .map_err(|e| format!("shard {} log at lsn {}: {e}", self.index, rec.lsn))?;
-                    reg_ops.push(RegOp::Remove { name });
-                }
-                _ => {}
-            }
-        }
-        let start = match records.iter().rposition(|r| r.rtype == REC_CHECKPOINT) {
-            Some(i) => {
-                self.load_checkpoint(&records[i].payload).map_err(|e| {
-                    format!(
-                        "shard {} checkpoint at lsn {}: {e}",
-                        self.index, records[i].lsn
-                    )
-                })?;
-                i + 1
-            }
-            None => 0,
-        };
-        for rec in &records[start..] {
-            match rec.rtype {
-                REC_DELIVER => {
-                    let (_, e) = decode_deliver(&rec.payload)
-                        .map_err(|e| format!("shard {} log at lsn {}: {e}", self.index, rec.lsn))?;
-                    self.last_lsn = rec.lsn;
-                    let tagged = self.set.observe_raw_tagged(&e);
-                    self.retain(&tagged);
-                    self.recovered_events += 1;
-                }
-                REC_FLUSH => {
-                    self.last_lsn = rec.lsn;
-                    let tagged = self.set.flush_guard_tagged();
-                    self.retain(&tagged);
-                }
-                REC_WATERMARK => {
-                    let (keep, watermark) = decode_watermark(&rec.payload)
-                        .map_err(|e| format!("shard {} log at lsn {}: {e}", self.index, rec.lsn))?;
-                    self.set.gc_histories(&watermark, keep);
-                }
-                REC_REGISTER => {
-                    let (name, source) = decode_register(&rec.payload)
-                        .map_err(|e| format!("shard {} log at lsn {}: {e}", self.index, rec.lsn))?;
-                    self.last_lsn = rec.lsn;
-                    if self.owns(&name) && self.set.monitor(&name).is_none() {
-                        let pattern = Pattern::parse(&source).map_err(|e| {
-                            format!("shard {} log at lsn {}: {e}", self.index, rec.lsn)
-                        })?;
-                        self.set
-                            .add_with_config(&*name, pattern, MonitorConfig::default());
-                        self.sources.insert(name, source);
-                    }
-                }
-                REC_UNREGISTER => {
-                    let name = decode_unregister(&rec.payload)
-                        .map_err(|e| format!("shard {} log at lsn {}: {e}", self.index, rec.lsn))?;
-                    self.last_lsn = rec.lsn;
-                    if self.owns(&name) {
-                        self.set.remove(&name);
-                        self.sources.remove(&name);
-                    }
-                }
-                _ => {}
-            }
-        }
-        // Replay runs with no producer connected; quarantines stay in
-        // the guard's counters.
-        let _ = self.set.take_ingest_faults();
-        Ok(reg_ops)
-    }
-}
-
-/// Executes one job against a shard core — shared verbatim by the
-/// inline path and the shard-thread loop, which is what keeps the two
-/// modes observationally identical.
-fn exec(core: &mut ShardCore, job: Job) -> Reply {
-    match job {
-        Job::Deliver { session, event } => Reply::Deliver(core.deliver(&session, &event)),
-        Job::DeliverBatch { session, events } => {
-            Reply::Deliver(core.deliver_batch(&session, &events))
-        }
-        Job::Flush => Reply::Deliver(core.flush()),
-        Job::FlushOs => {
-            core.flush_os();
-            Reply::Unit
-        }
-        Job::Gc { keep } => Reply::Gc {
-            released: core.gc(keep),
-        },
-        Job::Checkpoint { dir } => Reply::Checkpoint(core.checkpoint(dir.as_deref())),
-        Job::Register {
-            name,
-            source,
-            config,
-        } => Reply::Register(core.register(&name, &source, config)),
-        Job::Unregister { name } => {
-            core.unregister(&name);
-            Reply::Unit
-        }
-        Job::Query => Reply::Query(Box::new(QueryReply {
-            stats: core.set.ingest_stats(),
-            degraded: core.set.ingest_degraded(),
-            delivery_seq: core.set.delivery_seq(),
-        })),
-        Job::Metrics => Reply::Metrics(Box::new(if core.index == 0 {
-            core.set.metrics()
-        } else {
-            core.set.monitor_metrics()
-        })),
-        Job::Stop => Reply::Unit,
-    }
-}
-
-enum Slot {
-    Inline {
-        core: Box<ShardCore>,
-        pending: Option<Reply>,
-    },
-    Thread {
-        jobs: SpscRing<Job>,
-        replies: SpscRing<Reply>,
-        handle: Option<JoinHandle<Box<ShardCore>>>,
-    },
-}
-
-/// The N-shard engine core (see the [module docs](self)).
+/// The engine's data plane (see the [module docs](self)).
+#[derive(Default)]
 pub struct ShardGroup {
     slots: Vec<Slot>,
     n_traces: usize,
-    guard: Option<GuardConfig>,
+    guard: Option<AdmissionGuard>,
+    /// Sequence number of the next delivery.
+    next_seq: u64,
+    /// Live monitors in registration order.
     registry: Vec<RegEntry>,
-    /// Monitor name → its latest registry index (never removed, so
-    /// historic verdicts keep a stable merge key).
+    /// Monitor name → its `registry` index (the merge key).
     index_of: HashMap<String, usize>,
-    /// Durable deliver count per producer session — the minimum across
-    /// shards at recovery (an event is only durable once every shard
-    /// logged it), maintained live from shard 0's appends.
+    /// Every verdict reported so far as `(firing LSN, monitor, match)` —
+    /// what a checkpoint record carries so a recovered server can
+    /// reprint its history and serve `tail --from`.
+    history: Vec<(u64, String, Match)>,
+    wal: Option<Wal>,
+    wal_dir: Option<PathBuf>,
+    last_lsn: u64,
+    wal_append_errors: u64,
+    /// Durable deliver count per producer session.
     durable: HashMap<String, u64>,
-    misroute_next: bool,
+    recovered_events: u64,
+    gc_released: u64,
+    restarts: u64,
+    /// A partition rebuild's scratch group installs monitors on this
+    /// partition only.
+    only: Option<usize>,
+    hooks: FaultHooks,
 }
 
 impl std::fmt::Debug for ShardGroup {
@@ -701,55 +315,48 @@ impl std::fmt::Debug for ShardGroup {
 }
 
 impl ShardGroup {
-    /// Partitions `set` across `n_shards` shards by
-    /// [`route_of`], replicating its set-level guard configuration on
-    /// every shard. `sources` supplies pattern text per monitor name
-    /// (needed to checkpoint and to rebuild a shard after a restart).
-    #[must_use]
-    pub fn new(set: MonitorSet, n_shards: usize, sources: &HashMap<String, String>) -> ShardGroup {
-        let n_shards = n_shards.max(1);
-        let (n_traces, entries, guard) = set.into_parts();
-        let mut cores: Vec<ShardCore> = (0..n_shards)
-            .map(|i| ShardCore::new(i, n_shards, n_traces, guard))
-            .collect();
-        let mut registry = Vec::new();
-        let mut index_of = HashMap::new();
-        for (name, monitor) in entries {
-            let shard = route_of(&name, n_shards);
-            let config = *monitor.config();
-            let source = sources.get(&name).cloned();
-            if let Some(src) = &source {
-                cores[shard].sources.insert(name.clone(), src.clone());
-            }
-            index_of.insert(name.clone(), registry.len());
-            registry.push(RegEntry {
-                name: name.clone(),
-                source,
-                config,
-                shard,
-                live: true,
-                dynamic: false,
-            });
-            cores[shard].set.insert_monitor(name, monitor);
-        }
+    fn blank(n_traces: usize, n_shards: usize) -> ShardGroup {
         ShardGroup {
-            slots: cores
-                .into_iter()
-                .map(|c| Slot::Inline {
-                    core: Box::new(c),
-                    pending: None,
-                })
+            slots: (0..n_shards.max(1))
+                .map(|_| Slot::Inline(Box::new(MonitorSet::new(n_traces))))
                 .collect(),
             n_traces,
-            guard,
-            registry,
-            index_of,
-            durable: HashMap::new(),
-            misroute_next: false,
+            ..ShardGroup::default()
         }
     }
 
-    /// Number of shards.
+    /// Distributes `set` across `n_shards` partitions (`0` means one) by
+    /// [`route_of`], behind the set's own guard. `sources` supplies
+    /// pattern text per monitor name (needed to checkpoint a monitor and
+    /// to rebuild its partition).
+    #[must_use]
+    pub fn new(set: MonitorSet, n_shards: usize, sources: &HashMap<String, String>) -> ShardGroup {
+        let mut group = ShardGroup::blank(set.n_traces(), n_shards);
+        group.adopt(set, |name| sources.get(name).cloned());
+        group
+    }
+
+    /// Replaces guard, registry and partition contents with `set`'s.
+    fn adopt(&mut self, set: MonitorSet, source_of: impl Fn(&str) -> Option<String>) {
+        let (n_traces, entries, guard) = set.into_parts();
+        self.guard = guard;
+        self.registry.clear();
+        self.index_of.clear();
+        for slot in &mut self.slots {
+            *slot = Slot::Inline(Box::new(MonitorSet::new(n_traces)));
+        }
+        for (name, monitor) in entries {
+            let source = source_of(&name);
+            self.install(name, source, monitor, false);
+        }
+    }
+
+    /// Arms fault injection (see [`FaultHooks`]).
+    pub fn set_fault_hooks(&mut self, hooks: FaultHooks) {
+        self.hooks = hooks;
+    }
+
+    /// Number of partitions.
     #[must_use]
     pub fn n_shards(&self) -> usize {
         self.slots.len()
@@ -764,19 +371,12 @@ impl ShardGroup {
     /// True when `name` is currently registered.
     #[must_use]
     pub fn is_live(&self, name: &str) -> bool {
-        self.index_of
-            .get(name)
-            .is_some_and(|&i| self.registry[i].live)
+        self.index_of.contains_key(name)
     }
 
-    /// Live monitor names, in global registration order.
-    #[must_use]
-    pub fn names(&self) -> Vec<String> {
-        self.registry
-            .iter()
-            .filter(|e| e.live)
-            .map(|e| e.name.clone())
-            .collect()
+    /// Live monitor names, in registration order.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        self.registry.iter().map(|e| e.name.as_str())
     }
 
     /// Durable deliver count for `session` (what `Resume` reports).
@@ -785,700 +385,803 @@ impl ShardGroup {
         self.durable.get(session).copied().unwrap_or(0)
     }
 
-    /// Arms the sabotage hook: the next data frame is not delivered to
-    /// the shard owning the first registered monitor. Exists so the
-    /// shard-transparency suite can prove it would catch a routing bug.
-    pub fn sabotage_misroute_next(&mut self) {
-        self.misroute_next = true;
+    /// True while a durable log is open (false when none was configured,
+    /// and after an append failure degraded it).
+    #[must_use]
+    pub fn has_wal(&self) -> bool {
+        self.wal.is_some()
     }
 
-    fn take_misroute(&mut self) -> Option<usize> {
-        if !self.misroute_next {
-            return None;
+    /// LSN of the newest log record (0 without a log).
+    #[must_use]
+    pub fn last_lsn(&self) -> u64 {
+        self.last_lsn
+    }
+
+    /// Log append and flush failures; the first one closes the log.
+    #[must_use]
+    pub fn wal_append_errors(&self) -> u64 {
+        self.wal_append_errors
+    }
+
+    /// Events replayed from the log by [`ShardGroup::recover`].
+    #[must_use]
+    pub fn recovered_events(&self) -> u64 {
+        self.recovered_events
+    }
+
+    /// History events released by [`ShardGroup::gc`], replayed
+    /// watermarks included.
+    #[must_use]
+    pub fn gc_released(&self) -> u64 {
+        self.gc_released
+    }
+
+    /// Partitions killed and rebuilt by [`ShardGroup::restart_shard`].
+    #[must_use]
+    pub fn restarts(&self) -> u64 {
+        self.restarts
+    }
+
+    /// Every verdict reported so far as `(firing LSN, monitor, match)`,
+    /// recovered history included.
+    #[must_use]
+    pub fn history(&self) -> &[(u64, String, Match)] {
+        &self.history
+    }
+
+    /// Pushes one job to every partition `job_for` names, then collects
+    /// one reply from each, in partition order.
+    fn fan_out(&mut self, mut job_for: impl FnMut(usize) -> Option<Job>) -> Vec<Reply> {
+        let mut replies: Vec<Option<Reply>> = Vec::with_capacity(self.slots.len());
+        let mut waiting = Vec::new();
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            let reply = match (job_for(i), slot) {
+                (None, _) => None,
+                (Some(job), Slot::Inline(set)) => Some(exec(set, job)),
+                (Some(job), Slot::Thread { jobs, .. }) => {
+                    assert!(jobs.push(job), "partition {i} thread is gone");
+                    waiting.push(i);
+                    None
+                }
+            };
+            replies.push(reply);
         }
-        self.misroute_next = false;
-        self.registry.iter().find(|e| e.live).map(|e| e.shard)
-    }
-
-    fn dispatch(&mut self, i: usize, job: Job) {
-        match &mut self.slots[i] {
-            Slot::Inline { core, pending } => *pending = Some(exec(core, job)),
-            Slot::Thread { jobs, .. } => {
-                assert!(jobs.push(job), "shard {i} thread is gone");
-            }
+        for i in waiting {
+            let Slot::Thread { replies: ring, .. } = &self.slots[i] else {
+                unreachable!("only threaded partitions are waited on");
+            };
+            let reply = ring.pop();
+            assert!(reply.is_some(), "partition {i} thread died before replying");
+            replies[i] = reply;
         }
+        replies.into_iter().flatten().collect()
     }
 
-    fn collect(&mut self, i: usize) -> Reply {
-        match &mut self.slots[i] {
-            Slot::Inline { pending, .. } => pending.take().expect("no job dispatched"),
-            Slot::Thread { replies, .. } => replies.pop().unwrap_or_else(|| {
-                panic!("shard {i} thread died before replying");
-            }),
-        }
-    }
-
-    /// Spawns one engine thread per shard, fed through SPSC rings. The
-    /// group stays observationally identical to inline mode; only
-    /// wall-clock parallelism changes. Idempotent.
+    /// Spawns one thread per partition, fed through SPSC rings. The
+    /// group stays observationally identical to inline mode. A single
+    /// partition stays inline: there is nothing to run beside it.
+    /// Idempotent.
     pub fn start_threads(&mut self) {
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if matches!(slot, Slot::Thread { .. }) {
-                continue;
-            }
-            let jobs: SpscRing<Job> = SpscRing::new(RING_CAPACITY);
-            let replies: SpscRing<Reply> = SpscRing::new(RING_CAPACITY);
-            let placeholder = Slot::Thread {
-                jobs: jobs.clone(),
-                replies: replies.clone(),
-                handle: None,
-            };
-            let Slot::Inline { core, .. } = std::mem::replace(slot, placeholder) else {
-                unreachable!()
-            };
-            let handle = std::thread::Builder::new()
-                .name(format!("ocep-shard-{i}"))
-                .spawn(move || shard_loop(core, &jobs, &replies))
-                .expect("spawn shard thread");
-            let Slot::Thread {
-                handle: handle_slot,
-                ..
-            } = slot
-            else {
-                unreachable!()
-            };
-            *handle_slot = Some(handle);
+        if self.slots.len() < 2 {
+            return;
         }
-    }
-
-    /// Stops every shard thread and takes the cores back inline, so the
-    /// caller can borrow monitors directly (shutdown/report path).
-    /// Idempotent; a no-op for inline slots.
-    pub fn seal(&mut self) {
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            let Slot::Thread {
-                jobs,
-                handle: handle_slot,
-                ..
-            } = slot
-            else {
-                continue;
-            };
-            jobs.push(Job::Stop);
-            jobs.close();
-            let handle = handle_slot.take().expect("thread handle present");
-            let core = handle
-                .join()
-                .unwrap_or_else(|_| panic!("shard {i} thread panicked"));
-            *slot = Slot::Inline {
-                core,
-                pending: None,
-            };
-        }
-    }
-
-    fn core(&self, i: usize) -> &ShardCore {
-        match &self.slots[i] {
-            Slot::Inline { core, .. } => core,
-            Slot::Thread { .. } => panic!("shard {i} is threaded; seal() first"),
-        }
-    }
-
-    fn core_mut(&mut self, i: usize) -> &mut ShardCore {
-        match &mut self.slots[i] {
-            Slot::Inline { core, .. } => core,
-            Slot::Thread { .. } => panic!("shard {i} is threaded; seal() first"),
-        }
-    }
-
-    /// Live `(name, monitor)` pairs in registration order. Inline mode
-    /// only (call [`ShardGroup::seal`] first when threaded).
-    pub fn live_monitors(&self) -> Vec<(&str, &Monitor)> {
-        self.registry
-            .iter()
-            .filter(|e| e.live)
-            .filter_map(|e| {
-                self.core(e.shard)
-                    .set
-                    .monitor(&e.name)
-                    .map(|m| (e.name.as_str(), m))
+        let slots = std::mem::take(&mut self.slots);
+        self.slots = slots
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| match slot {
+                Slot::Inline(set) => {
+                    let jobs: SpscRing<Job> = SpscRing::new(RING_CAPACITY);
+                    let replies: SpscRing<Reply> = SpscRing::new(RING_CAPACITY);
+                    let (thread_jobs, thread_replies) = (jobs.clone(), replies.clone());
+                    let handle = std::thread::Builder::new()
+                        .name(format!("ocep-shard-{i}"))
+                        .spawn(move || partition_loop(set, &thread_jobs, &thread_replies))
+                        .expect("spawn partition thread");
+                    Slot::Thread {
+                        jobs,
+                        replies,
+                        handle,
+                    }
+                }
+                threaded => threaded,
             })
-            .collect()
+            .collect();
+    }
+
+    /// Stops every partition thread and takes the partitions back
+    /// inline, so the caller can borrow monitors directly. Idempotent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a partition thread panicked.
+    pub fn seal(&mut self) {
+        let slots = std::mem::take(&mut self.slots);
+        self.slots = slots
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| match slot {
+                Slot::Thread { jobs, handle, .. } => {
+                    jobs.close();
+                    match handle.join() {
+                        Ok(set) => Slot::Inline(set),
+                        Err(_) => panic!("partition {i} thread panicked"),
+                    }
+                }
+                inline => inline,
+            })
+            .collect();
+    }
+
+    /// Runs `f` with every partition inline, restarting the threads
+    /// afterwards if they were running.
+    fn sealed<R>(&mut self, f: impl FnOnce(&mut ShardGroup) -> R) -> R {
+        let threaded = matches!(self.slots.first(), Some(Slot::Thread { .. }));
+        self.seal();
+        let out = f(self);
+        if threaded {
+            self.start_threads();
+        }
+        out
+    }
+
+    fn part(&self, i: usize) -> &MonitorSet {
+        match &self.slots[i] {
+            Slot::Inline(set) => set,
+            Slot::Thread { .. } => panic!("partition {i} is threaded; seal() first"),
+        }
     }
 
     /// The monitor registered under `name`. Inline mode only.
     #[must_use]
     pub fn monitor(&self, name: &str) -> Option<&Monitor> {
         let &i = self.index_of.get(name)?;
-        if !self.registry[i].live {
-            return None;
-        }
-        self.core(self.registry[i].shard).set.monitor(name)
+        self.part(self.registry[i].part).monitor(name)
     }
 
-    fn credit_durable(&mut self, session: &str, appended: u64) {
-        if appended > 0 {
-            *self.durable.entry(session.to_owned()).or_insert(0) += appended;
-        }
+    /// Live `(name, monitor)` pairs in registration order. Inline mode
+    /// only (call [`ShardGroup::seal`] first when threaded).
+    pub fn live_monitors(&self) -> impl Iterator<Item = (&str, &Monitor)> {
+        self.registry.iter().filter_map(|e| {
+            self.part(e.part)
+                .monitor(&e.name)
+                .map(|m| (e.name.as_str(), m))
+        })
     }
 
-    /// Broadcasts one raw event to every shard and merges the verdicts.
-    pub fn deliver(&mut self, session: &str, event: &Event) -> DeliverOut {
-        let skip = self.take_misroute();
-        let session_arc: Arc<str> = Arc::from(session);
-        let event = Arc::new(event.clone());
-        for i in 0..self.slots.len() {
-            if skip == Some(i) {
-                continue;
+    /// `(name, monitor, pattern source)` for every live monitor with a
+    /// known source — on partition `part` only when given — in
+    /// registration order: the monitors a checkpoint can carry.
+    fn saved(&self, part: Option<usize>) -> Vec<(&str, &Monitor, &str)> {
+        self.registry
+            .iter()
+            .filter(|e| part.is_none_or(|p| p == e.part))
+            .filter_map(|e| {
+                let m = self.part(e.part).monitor(&e.name)?;
+                Some((e.name.as_str(), m, e.source.as_deref()?))
+            })
+            .collect()
+    }
+
+    // ---- the log ------------------------------------------------------
+
+    /// Counts a log failure and closes the log: a sick disk costs
+    /// durability, not ingest.
+    fn degrade(&mut self) {
+        self.wal_append_errors += 1;
+        self.wal = None;
+    }
+
+    fn append(&mut self, rtype: u8, payload: &[u8]) -> Option<u64> {
+        match self.wal.as_mut()?.append(rtype, payload) {
+            Ok(lsn) => {
+                self.last_lsn = lsn;
+                Some(lsn)
             }
-            self.dispatch(
-                i,
-                Job::Deliver {
-                    session: Arc::clone(&session_arc),
-                    event: Arc::clone(&event),
-                },
-            );
-        }
-        let (out, appended) = self.merge_with_appended(skip);
-        self.credit_durable(session, appended);
-        out
-    }
-
-    /// Broadcasts a whole event batch to every shard and merges.
-    pub fn deliver_batch(&mut self, session: &str, events: Vec<Event>) -> DeliverOut {
-        let skip = self.take_misroute();
-        let session_arc: Arc<str> = Arc::from(session);
-        let events = Arc::new(events);
-        for i in 0..self.slots.len() {
-            if skip == Some(i) {
-                continue;
+            Err(_) => {
+                self.degrade();
+                None
             }
-            self.dispatch(
-                i,
-                Job::DeliverBatch {
-                    session: Arc::clone(&session_arc),
-                    events: Arc::clone(&events),
-                },
-            );
         }
-        let (out, appended) = self.merge_with_appended(skip);
-        self.credit_durable(session, appended);
-        out
     }
 
-    fn merge_with_appended(&mut self, skip: Option<usize>) -> (DeliverOut, u64) {
-        // `merge` collects the lockstep replies; the appended count of
-        // the lowest collected shard credits the session.
-        let mut appended_probe = 0;
-        let out = {
-            let mut tagged: Vec<(u64, usize, String, Match)> = Vec::new();
-            let mut faults = Vec::new();
-            let mut last_lsn = 0;
-            let mut first = true;
-            for i in 0..self.slots.len() {
-                if skip == Some(i) {
-                    continue;
-                }
-                let Reply::Deliver(d) = self.collect(i) else {
-                    panic!("shard {i} replied out of protocol");
-                };
-                if first {
-                    first = false;
-                    faults = d.faults;
-                    last_lsn = d.last_lsn;
-                    appended_probe = d.appended;
-                }
-                for (seq, name, m) in d.tagged {
-                    let gidx = self.index_of.get(&name).copied().unwrap_or(usize::MAX);
-                    tagged.push((seq, gidx, name, m));
-                }
-            }
-            tagged.sort_by_key(|a| (a.0, a.1));
-            DeliverOut {
-                verdicts: tagged.into_iter().map(|(_, _, n, m)| (n, m)).collect(),
-                faults,
-                last_lsn,
-            }
-        };
-        (out, appended_probe)
-    }
-
-    /// Broadcasts a guard flush (end-of-stream or `Flush` frame).
-    pub fn flush(&mut self) -> DeliverOut {
-        for i in 0..self.slots.len() {
-            self.dispatch(i, Job::Flush);
+    /// Appends `[session:str][Event frame body]` for a raw arrival about
+    /// to enter the guard; true when the record was logged.
+    fn append_deliver(&mut self, session: &str, e: &Event) -> bool {
+        if self.wal.is_none() || std::mem::take(&mut self.hooks.drop_next_append) {
+            return false;
         }
-        let (out, _) = self.merge_with_appended(None);
-        out
+        let mut payload = Vec::with_capacity(32 + 4 * e.clock().len());
+        put_str(&mut payload, session);
+        put_event_body(&mut payload, e);
+        self.append(REC_DELIVER, &payload).is_some()
     }
 
-    /// Hands every shard's buffered log appends to the kernel (the ack
-    /// invariant barrier).
+    /// Hands buffered log appends to the kernel. Must run before any
+    /// frame an observer could treat as an acknowledgement leaves the
+    /// engine: once a client sees an ack, the corresponding records have
+    /// to survive a SIGKILL, and kernel-visible is exactly that line.
     pub fn flush_os(&mut self) {
-        for i in 0..self.slots.len() {
-            self.dispatch(i, Job::FlushOs);
-        }
-        for i in 0..self.slots.len() {
-            let _ = self.collect(i);
+        if self.wal.as_mut().is_some_and(|wal| wal.flush_os().is_err()) {
+            self.degrade();
         }
     }
 
-    /// Runs the history-GC watermark rule on every shard (each computes
-    /// its own — identical — watermark and logs it); returns the total
-    /// events released.
-    pub fn gc(&mut self, keep: usize) -> usize {
-        for i in 0..self.slots.len() {
-            self.dispatch(i, Job::Gc { keep });
+    // ---- ingest -------------------------------------------------------
+
+    /// Logs one raw event, admits it, and matches whatever the guard
+    /// released.
+    pub fn deliver(&mut self, session: &str, event: &Event) -> DeliverOut {
+        self.deliver_raw(session, std::slice::from_ref(event))
+    }
+
+    /// [`ShardGroup::deliver`] for a whole frame: bit-identical to
+    /// delivering its events one by one, with one fan-out.
+    pub fn deliver_batch(&mut self, session: &str, events: Vec<Event>) -> DeliverOut {
+        self.deliver_raw(session, &events)
+    }
+
+    fn deliver_raw(&mut self, session: &str, events: &[Event]) -> DeliverOut {
+        let logged = events
+            .iter()
+            .filter(|e| self.append_deliver(session, e))
+            .count();
+        if logged > 0 {
+            *self.durable.entry(session.to_owned()).or_insert(0) += logged as u64;
         }
-        let mut total = 0;
-        for i in 0..self.slots.len() {
-            let Reply::Gc { released } = self.collect(i) else {
-                panic!("shard {i} replied out of protocol");
-            };
-            total += released;
+        let admitted = self.admit(events);
+        self.dispatch(admitted)
+    }
+
+    /// Logs and performs a guard flush (end of stream or a `Flush`
+    /// frame): whatever the reorder buffer still holds is delivered.
+    pub fn flush(&mut self) -> DeliverOut {
+        self.append(REC_FLUSH, &[]);
+        let admitted = self.admit_flush();
+        self.dispatch(admitted)
+    }
+
+    fn admit(&mut self, raw: &[Event]) -> Vec<Event> {
+        let mut admitted = Vec::new();
+        match &mut self.guard {
+            Some(guard) => guard.admit_batch(raw, &mut admitted),
+            None => admitted.extend_from_slice(raw),
+        }
+        admitted
+    }
+
+    fn admit_flush(&mut self) -> Vec<Event> {
+        let mut admitted = Vec::new();
+        if let Some(guard) = &mut self.guard {
+            guard.flush(&mut admitted);
+        }
+        admitted
+    }
+
+    /// Stamps `admitted` with delivery sequence numbers, fans it out,
+    /// merges the verdicts into single-set order and retains them at the
+    /// current LSN.
+    fn dispatch(&mut self, admitted: Vec<Event>) -> DeliverOut {
+        let skip = if std::mem::take(&mut self.hooks.misroute_next) {
+            self.registry.first().map(|e| e.part)
+        } else {
+            None
+        };
+        let first_seq = self.next_seq;
+        self.next_seq += admitted.len() as u64;
+        let mut tagged = Vec::new();
+        if !admitted.is_empty() {
+            let events = Arc::new(admitted);
+            for reply in self.fan_out(|i| {
+                (Some(i) != skip).then(|| Job::Observe {
+                    first_seq,
+                    events: Arc::clone(&events),
+                })
+            }) {
+                let Reply::Verdicts(v) = reply else {
+                    unreachable!("observe jobs reply with verdicts");
+                };
+                tagged.extend(v);
+            }
+        }
+        if self.slots.len() > 1 {
+            tagged.sort_by_cached_key(|(seq, name, _)| (*seq, self.index_of.get(name).copied()));
+        }
+        let verdicts: Vec<(String, Match)> = tagged.into_iter().map(|(_, n, m)| (n, m)).collect();
+        for (name, m) in &verdicts {
+            self.history.push((self.last_lsn, name.clone(), m.clone()));
+        }
+        DeliverOut {
+            verdicts,
+            faults: self
+                .guard
+                .as_mut()
+                .map(AdmissionGuard::take_faults)
+                .unwrap_or_default(),
+            last_lsn: self.last_lsn,
+        }
+    }
+
+    /// The guard's ingestion counters (all zero without a guard).
+    #[must_use]
+    pub fn ingest_stats(&self) -> IngestStats {
+        self.guard.as_ref().map(|g| *g.stats()).unwrap_or_default()
+    }
+
+    /// Merged metrics: monitor families from every partition, guard
+    /// (`ocep_ingest_*`) families from the one guard.
+    #[must_use]
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let mut total = MetricsSnapshot::default();
+        for (i, slot) in self.slots.iter().enumerate() {
+            match slot {
+                Slot::Inline(set) => total.absorb(&set.metrics()),
+                Slot::Thread { jobs, replies, .. } => {
+                    assert!(jobs.push(Job::Metrics), "partition {i} thread is gone");
+                    match replies.pop() {
+                        Some(Reply::Metrics(m)) => total.absorb(&m),
+                        _ => panic!("partition {i} replied out of protocol"),
+                    }
+                }
+            }
+        }
+        if let Some(guard) = &self.guard {
+            total.record_ingest(guard.stats());
         }
         total
     }
 
-    /// Anchors a checkpoint on every shard (log record + `.ockp` files
-    /// in `dir`); returns every file written, in registry order.
-    pub fn checkpoint(&mut self, dir: Option<&Path>) -> Result<Vec<PathBuf>, String> {
-        let dir_buf = dir.map(Path::to_path_buf);
-        if let Some(d) = &dir_buf {
-            std::fs::create_dir_all(d).map_err(|e| format!("{}: {e}", d.display()))?;
-        }
-        for i in 0..self.slots.len() {
-            self.dispatch(
-                i,
-                Job::Checkpoint {
-                    dir: dir_buf.clone(),
-                },
-            );
-        }
-        let mut written = Vec::new();
-        for i in 0..self.slots.len() {
-            match self.collect(i) {
-                Reply::Checkpoint(Ok(paths)) => written.extend(paths),
-                Reply::Checkpoint(Err(e)) => return Err(format!("shard {i}: {e}")),
-                _ => panic!("shard {i} replied out of protocol"),
+    // ---- history GC ---------------------------------------------------
+
+    /// Truncates leaf-history prefixes dominated by the guard's
+    /// low-watermark clock on every partition, and records the watermark
+    /// in the log so replay re-applies it at the same stream position.
+    /// Returns the events released (0 without a guard).
+    pub fn gc(&mut self, keep: usize) -> usize {
+        let Some(watermark) = self.guard.as_ref().map(|g| g.watermark().to_vec()) else {
+            return 0;
+        };
+        let released = self.gc_at(&watermark, keep);
+        if self.wal.is_some() {
+            let mut payload = Vec::with_capacity(8 + 4 * watermark.len());
+            payload.extend_from_slice(&(keep as u32).to_le_bytes());
+            payload.extend_from_slice(&(watermark.len() as u32).to_le_bytes());
+            for v in &watermark {
+                payload.extend_from_slice(&v.to_le_bytes());
             }
+            self.append(REC_WATERMARK, &payload);
         }
-        // Stable report order: registry order, like the single engine's
-        // set-iteration order.
-        let rank: HashMap<&str, usize> = self
-            .registry
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.name.as_str(), i))
-            .collect();
-        written.sort_by_key(|p| {
-            let stem = p
-                .strip_prefix(dir.unwrap_or_else(|| Path::new("")))
-                .unwrap_or(p)
-                .with_extension("");
-            rank.get(stem.to_string_lossy().as_ref())
-                .copied()
-                .unwrap_or(usize::MAX)
-        });
-        Ok(written)
+        released
     }
 
-    /// Registers `name` on its owning shard (logging the registration
-    /// on every shard) and appends it to the global registry.
+    fn gc_at(&mut self, watermark: &[u32], keep: usize) -> usize {
+        let watermark = Arc::new(watermark.to_vec());
+        let released = self
+            .fan_out(|_| {
+                Some(Job::Gc {
+                    watermark: Arc::clone(&watermark),
+                    keep,
+                })
+            })
+            .into_iter()
+            .map(|r| match r {
+                Reply::Released(n) => n,
+                _ => unreachable!("gc jobs reply with a count"),
+            })
+            .sum();
+        self.gc_released += released as u64;
+        released
+    }
+
+    // ---- the registry -------------------------------------------------
+
+    /// Appends `monitor` to the registry and hands it to its partition.
+    fn install(&mut self, name: String, source: Option<String>, monitor: Monitor, dynamic: bool) {
+        let part = route_of(&name, self.slots.len());
+        self.index_of.insert(name.clone(), self.registry.len());
+        self.registry.push(RegEntry {
+            name: name.clone(),
+            source,
+            config: *monitor.config(),
+            part,
+            dynamic,
+        });
+        if self.only.is_none_or(|only| only == part) {
+            let monitor = Box::new(monitor);
+            self.send_to(part, Job::Add { name, monitor });
+        }
+    }
+
+    /// Runs `job` on partition `part` alone.
+    fn send_to(&mut self, part: usize, job: Job) {
+        let mut job = Some(job);
+        self.fan_out(|i| job.take_if(|_| i == part));
+    }
+
+    fn add_monitor(
+        &mut self,
+        name: &str,
+        source: &str,
+        config: MonitorConfig,
+        dynamic: bool,
+    ) -> Result<(), String> {
+        let pattern = Pattern::parse(source).map_err(|e| e.to_string())?;
+        let monitor = Monitor::with_config(pattern, self.n_traces, config);
+        self.install(name.to_owned(), Some(source.to_owned()), monitor, dynamic);
+        Ok(())
+    }
+
+    fn remove_monitor(&mut self, name: &str) -> bool {
+        let Some(idx) = self.index_of.remove(name) else {
+            return false;
+        };
+        let part = self.registry.remove(idx).part;
+        for (i, e) in self.registry.iter().enumerate().skip(idx) {
+            self.index_of.insert(e.name.clone(), i);
+        }
+        let name = name.to_owned();
+        self.send_to(part, Job::Remove { name });
+        true
+    }
+
+    /// Registers `name` mid-stream: logged, appended to the registry,
+    /// and installed on its partition.
     ///
     /// # Errors
     ///
-    /// An unparsable pattern source; the registry is unchanged.
+    /// An unparsable pattern source; nothing is logged or changed.
     pub fn register(
         &mut self,
         name: &str,
         source: &str,
         config: MonitorConfig,
     ) -> Result<(), String> {
-        Pattern::parse(source).map_err(|e| e.to_string())?;
-        for i in 0..self.slots.len() {
-            self.dispatch(
-                i,
-                Job::Register {
-                    name: name.to_owned(),
-                    source: source.to_owned(),
-                    config,
-                },
-            );
-        }
-        for i in 0..self.slots.len() {
-            match self.collect(i) {
-                Reply::Register(Ok(())) => {}
-                Reply::Register(Err(e)) => return Err(format!("shard {i}: {e}")),
-                _ => panic!("shard {i} replied out of protocol"),
-            }
-        }
-        self.index_of.insert(name.to_owned(), self.registry.len());
-        self.registry.push(RegEntry {
-            name: name.to_owned(),
-            source: Some(source.to_owned()),
-            config,
-            shard: route_of(name, self.slots.len()),
-            live: true,
-            dynamic: true,
-        });
+        self.add_monitor(name, source, config, true)?;
+        let mut payload = Vec::new();
+        put_str(&mut payload, name);
+        put_str(&mut payload, source);
+        self.append(REC_REGISTER, &payload);
         Ok(())
     }
 
-    /// Unregisters `name` everywhere; false when it was not live.
+    /// Unregisters `name` and logs it; false when it was not live.
     pub fn unregister(&mut self, name: &str) -> bool {
-        let Some(&idx) = self.index_of.get(name) else {
-            return false;
-        };
-        if !self.registry[idx].live {
+        if !self.remove_monitor(name) {
             return false;
         }
-        for i in 0..self.slots.len() {
-            self.dispatch(
-                i,
-                Job::Unregister {
-                    name: name.to_owned(),
-                },
-            );
-        }
-        for i in 0..self.slots.len() {
-            let _ = self.collect(i);
-        }
-        self.registry[idx].live = false;
+        let mut payload = Vec::new();
+        put_str(&mut payload, name);
+        self.append(REC_UNREGISTER, &payload);
         true
     }
 
-    fn query(&self, i: usize) -> QueryReply {
-        match &self.slots[i] {
-            Slot::Inline { core, .. } => QueryReply {
-                stats: core.set.ingest_stats(),
-                degraded: core.set.ingest_degraded(),
-                delivery_seq: core.set.delivery_seq(),
-            },
-            Slot::Thread { jobs, replies, .. } => {
-                assert!(jobs.push(Job::Query), "shard {i} thread is gone");
-                match replies.pop() {
-                    Some(Reply::Query(q)) => *q,
-                    _ => panic!("shard {i} replied out of protocol"),
-                }
+    // ---- checkpoints --------------------------------------------------
+
+    /// The whole set — every monitor with a known source plus the
+    /// guard's reorder state — as one `OCKS` blob, byte-identical to
+    /// what [`ocep_core::save_set`] writes for one set holding every
+    /// monitor. Inline mode only.
+    #[must_use]
+    pub fn checkpoint_set(&self) -> Vec<u8> {
+        save_parts_at(self.n_traces, &self.saved(None), self.guard.as_ref(), 0)
+    }
+
+    /// A `REC_CHECKPOINT` payload: the set-level `OCKS` blob anchored at
+    /// the current LSN, then the verdict history.
+    fn checkpoint_payload(&self) -> Vec<u8> {
+        let ocks = save_parts_at(
+            self.n_traces,
+            &self.saved(None),
+            self.guard.as_ref(),
+            self.last_lsn,
+        );
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&(ocks.len() as u32).to_le_bytes());
+        payload.extend_from_slice(&ocks);
+        payload.extend_from_slice(&(self.history.len() as u32).to_le_bytes());
+        for (lsn, name, m) in &self.history {
+            payload.extend_from_slice(&lsn.to_le_bytes());
+            put_str(&mut payload, name);
+            let body = encode_body(&Frame::EventBatch(m.events().to_vec()));
+            payload.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            payload.extend_from_slice(&body);
+        }
+        payload
+    }
+
+    /// Anchors a checkpoint record in the log — synced regardless of
+    /// durability mode, since a checkpoint that may vanish anchors
+    /// nothing — then writes one `.ockp` file per monitor with a known
+    /// source into `dir`. Returns the files written, in registration
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// A checkpoint file or directory that could not be written.
+    pub fn checkpoint(&mut self, dir: Option<&Path>) -> Result<Vec<PathBuf>, String> {
+        self.sealed(|group| group.checkpoint_inline(dir))
+    }
+
+    fn checkpoint_inline(&mut self, dir: Option<&Path>) -> Result<Vec<PathBuf>, String> {
+        if self.wal.is_some() {
+            let payload = self.checkpoint_payload();
+            self.append(REC_CHECKPOINT, &payload);
+            // A failed append closed the log; otherwise make it stick.
+            if let Some(wal) = &mut self.wal {
+                let _ = wal.sync();
             }
         }
-    }
-
-    /// The replicated guard's ingestion counters (shard 0's replica;
-    /// all replicas agree).
-    #[must_use]
-    pub fn ingest_stats(&self) -> IngestStats {
-        self.query(0).stats
-    }
-
-    /// True when the replicated guard lost or reordered information.
-    #[must_use]
-    pub fn ingest_degraded(&self) -> bool {
-        self.query(0).degraded
-    }
-
-    /// Merged metrics: monitor families from every shard, guard
-    /// (`ocep_ingest_*`) families from shard 0's replica only.
-    #[must_use]
-    pub fn metrics(&self) -> MetricsSnapshot {
-        let mut total = MetricsSnapshot::default();
-        for i in 0..self.slots.len() {
-            let snap = match &self.slots[i] {
-                Slot::Inline { core, .. } => {
-                    if i == 0 {
-                        core.set.metrics()
-                    } else {
-                        core.set.monitor_metrics()
-                    }
-                }
-                Slot::Thread { jobs, replies, .. } => {
-                    assert!(jobs.push(Job::Metrics), "shard {i} thread is gone");
-                    match replies.pop() {
-                        Some(Reply::Metrics(m)) => *m,
-                        _ => panic!("shard {i} replied out of protocol"),
-                    }
-                }
-            };
-            total.absorb(&snap);
+        let Some(dir) = dir else {
+            return Ok(Vec::new());
+        };
+        let mut written = Vec::new();
+        for (name, m, src) in self.saved(None) {
+            // Tenant monitors are named `{tenant}/{pattern}`, so a file
+            // can live one directory down.
+            let path = dir.join(format!("{name}.ockp"));
+            let parent = path.parent().unwrap_or(dir);
+            std::fs::create_dir_all(parent).map_err(|e| format!("{}: {e}", parent.display()))?;
+            let bytes = save_at(m, src, self.last_lsn);
+            if self.hooks.partial_checkpoint {
+                let _ = std::fs::write(&path, &bytes[..6]);
+                std::process::exit(121);
+            }
+            std::fs::write(&path, bytes).map_err(|e| format!("{}: {e}", path.display()))?;
+            written.push(path);
         }
-        total
+        Ok(written)
     }
 
-    /// Opens `wal-shard-{i}` under `wal_root` for every shard and
-    /// rebuilds each from its own log. Must run before
+    /// Restores guard, registry, partitions and verdict history from a
+    /// `REC_CHECKPOINT` payload.
+    fn load_checkpoint(&mut self, payload: &[u8]) -> Result<(), String> {
+        let mut r = ocep_poet::dump::Reader::new(payload);
+        let ocks_len = r.u32("ocks length").map_err(|e| e.to_string())? as usize;
+        let ocks = r.bytes(ocks_len, "ocks blob").map_err(|e| e.to_string())?;
+        let (set, sources, _lsn) = load_set_at(ocks).map_err(|e| e.to_string())?;
+        let sources: HashMap<String, String> = sources.into_iter().collect();
+        self.adopt(set, |name| sources.get(name).cloned());
+        self.history.clear();
+        let n = r.u32("verdict count").map_err(|e| e.to_string())? as usize;
+        for i in 0..n {
+            let lsn = r.u64("verdict lsn").map_err(|e| e.to_string())?;
+            let name = r
+                .str(&format!("verdict {i} monitor"))
+                .map_err(|e| e.to_string())?
+                .to_owned();
+            let body_len = r
+                .u32(&format!("verdict {i} body length"))
+                .map_err(|e| e.to_string())? as usize;
+            let body = r
+                .bytes(body_len, "verdict events")
+                .map_err(|e| e.to_string())?;
+            let Frame::EventBatch(events) = decode_body(body).map_err(|e| e.to_string())? else {
+                return Err(format!("verdict {i} payload is not an event batch"));
+            };
+            // A verdict can outlive its monitor (unregistered after it
+            // fired); without the pattern its bindings cannot be
+            // rebuilt, so the historic entry is dropped. A partition
+            // rebuild holds one partition's monitors and discards the
+            // history anyway.
+            let Some(pattern) = self.monitor(&name).map(Monitor::pattern_arc) else {
+                continue;
+            };
+            let m = Match::from_bound_events(pattern, events)?;
+            self.history.push((lsn, name, m));
+        }
+        r.finish().map_err(|e| e.to_string())
+    }
+
+    // ---- recovery -----------------------------------------------------
+
+    /// Opens the log under `dir` and rebuilds the group from it: durable
+    /// session offsets from every deliver record, state and verdict
+    /// history from the newest checkpoint, then everything after it
+    /// replayed through the guard and the partitions. Must run before
     /// [`ShardGroup::start_threads`] and before any frame.
     ///
     /// # Errors
     ///
-    /// A corrupt or undecodable shard log, diagnosed with its shard.
-    pub fn recover(
-        &mut self,
-        wal_root: &Path,
-        durability: Durability,
-    ) -> Result<ShardRecovery, String> {
+    /// A corrupt log (anything the repair scan cannot attribute to a
+    /// torn tail) or an undecodable record, diagnosed with its position;
+    /// a log root still holding the per-shard `wal-shard-{i}`
+    /// directories older versions wrote.
+    pub fn recover(&mut self, dir: &Path, durability: Durability) -> Result<(), String> {
+        if let Some(legacy) = std::fs::read_dir(dir).ok().and_then(|entries| {
+            entries
+                .flatten()
+                .map(|e| e.file_name().to_string_lossy().into_owned())
+                .find(|name| name.starts_with("wal-shard-"))
+        }) {
+            return Err(format!(
+                "{} holds per-shard logs ({legacy}) from an older version; \
+                 this version keeps one log under the root and does not read them \
+                 (docs/DURABILITY.md)",
+                dir.display()
+            ));
+        }
         let opts = WalOptions {
             durability,
             ..WalOptions::default()
         };
-        let mut reg_history: Option<Vec<RegOp>> = None;
-        for i in 0..self.slots.len() {
-            let dir = wal_root.join(format!("wal-shard-{i}"));
-            let (wal, recovery) = Wal::open(&dir, opts).map_err(|e| e.to_string())?;
-            let core = self.core_mut(i);
-            let ops = core.recover_records(&recovery.records)?;
-            core.last_lsn = recovery.records.last().map_or(0, |r| r.lsn);
-            core.wal = Some(wal);
-            if i == 0 {
-                reg_history = Some(ops);
-            }
-        }
-        // Rebuild the dynamic registry from shard 0's log (every shard
-        // logs every registration, so any one of them is authoritative).
-        for op in reg_history.unwrap_or_default() {
-            match op {
-                RegOp::Add { name, source } => {
-                    if self.is_live(&name) {
-                        continue;
-                    }
-                    self.index_of.insert(name.clone(), self.registry.len());
-                    let shard = route_of(&name, self.slots.len());
-                    self.registry.push(RegEntry {
-                        name,
-                        source: Some(source),
-                        config: MonitorConfig::default(),
-                        shard,
-                        live: true,
-                        dynamic: true,
-                    });
-                }
-                RegOp::Remove { name } => {
-                    if let Some(&idx) = self.index_of.get(&name) {
-                        self.registry[idx].live = false;
-                    }
-                }
-            }
-        }
-        // Durable offsets: an event is durable only once *every* shard
-        // logged it, so sessions resume from the minimum.
-        let mut durable: HashMap<String, u64> = HashMap::new();
-        for i in 0..self.slots.len() {
-            let core = self.core(i);
-            if i == 0 {
-                durable = core.durable.clone();
-            } else {
-                for (session, n) in &mut durable {
-                    *n = (*n).min(core.durable.get(session).copied().unwrap_or(0));
-                }
-            }
-        }
-        self.durable = durable;
-        // Merge every shard's replayed verdicts into report order.
-        let mut tagged: Vec<(u64, u64, usize, String, Match)> = Vec::new();
-        for i in 0..self.slots.len() {
-            for (lsn, seq, name, m) in &self.core(i).verdicts {
-                let gidx = self.index_of.get(name).copied().unwrap_or(usize::MAX);
-                tagged.push((*lsn, *seq, gidx, name.clone(), m.clone()));
-            }
-        }
-        tagged.sort_by_key(|a| (a.0, a.1, a.2));
-        let shard0 = self.core(0);
-        Ok(ShardRecovery {
-            verdicts: tagged
-                .into_iter()
-                .map(|(lsn, _, _, name, m)| (name, m, lsn))
-                .collect(),
-            recovered_events: shard0.recovered_events,
-            last_lsn: shard0.last_lsn,
-        })
+        let (wal, recovery) = Wal::open(dir, opts).map_err(|e| e.to_string())?;
+        self.replay(&recovery.records)?;
+        self.last_lsn = recovery.records.last().map_or(0, |r| r.lsn);
+        self.wal = Some(wal);
+        self.wal_dir = Some(dir.to_path_buf());
+        Ok(())
     }
 
-    /// Kills shard `i` (its in-memory state is discarded, as a crash
-    /// would) and rebuilds it: statically registered monitors from the
-    /// registry, then — when `wal_root` is set — a full replay of the
-    /// shard's own `wal-shard-{i}` log (checkpoint restore included),
-    /// which also re-applies dynamic registrations at their original
-    /// stream positions. Without a log the shard restarts empty-handed:
-    /// every live monitor is rebuilt fresh and the delivery counter is
-    /// resynced from shard `(i+1) % n`, so the group keeps merging
-    /// deterministically (history before the restart is lost — the
-    /// logless trade-off).
-    ///
-    /// # Errors
-    ///
-    /// A monitor without a stored pattern source, an unreadable shard
-    /// log, or a single-shard group (nothing to resync from).
-    pub fn restart_shard(
-        &mut self,
-        i: usize,
-        wal_root: Option<&Path>,
-        durability: Durability,
-    ) -> Result<(), String> {
-        assert!(i < self.slots.len(), "shard index out of range");
-        let was_threaded = matches!(self.slots[i], Slot::Thread { .. });
-        if let Slot::Thread {
-            jobs,
-            handle: handle_slot,
-            ..
-        } = &mut self.slots[i]
-        {
-            jobs.push(Job::Stop);
-            jobs.close();
-            if let Some(handle) = handle_slot.take() {
-                let _ = handle.join(); // crashed: state discarded
+    /// Applies a scanned record sequence (see [`ShardGroup::recover`]).
+    fn replay(&mut self, records: &[Record]) -> Result<(), String> {
+        let checkpoint = records.iter().rposition(|r| r.rtype == REC_CHECKPOINT);
+        for (i, rec) in records.iter().enumerate() {
+            let at = |e: String| format!("log record at lsn {}: {e}", rec.lsn);
+            // Records before the newest checkpoint are already part of
+            // it — except that producers number their session events
+            // from the start of the stream, so every deliver counts.
+            let live = checkpoint.is_none_or(|c| i > c);
+            match rec.rtype {
+                REC_DELIVER => {
+                    let (session, e) = decode_deliver(&rec.payload).map_err(at)?;
+                    *self.durable.entry(session).or_insert(0) += 1;
+                    if live {
+                        self.last_lsn = rec.lsn;
+                        self.recovered_events += 1;
+                        let admitted = self.admit(std::slice::from_ref(&e));
+                        self.dispatch(admitted);
+                    }
+                }
+                REC_CHECKPOINT if checkpoint == Some(i) => {
+                    self.load_checkpoint(&rec.payload).map_err(at)?;
+                }
+                _ if !live => {}
+                REC_FLUSH => {
+                    self.last_lsn = rec.lsn;
+                    let admitted = self.admit_flush();
+                    self.dispatch(admitted);
+                }
+                REC_WATERMARK => {
+                    let (keep, watermark) = decode_watermark(&rec.payload).map_err(at)?;
+                    self.gc_at(&watermark, keep);
+                }
+                REC_REGISTER => {
+                    self.last_lsn = rec.lsn;
+                    let (name, source) = decode_register(&rec.payload).map_err(at)?;
+                    if !self.is_live(&name) {
+                        self.add_monitor(&name, &source, MonitorConfig::default(), true)
+                            .map_err(at)?;
+                    }
+                }
+                REC_UNREGISTER => {
+                    self.last_lsn = rec.lsn;
+                    let name = decode_unregister(&rec.payload).map_err(at)?;
+                    self.remove_monitor(&name);
+                }
+                _ => {}
             }
-        }
-        let mut core = ShardCore::new(i, self.slots.len(), self.n_traces, self.guard);
-        let rebuild_dynamic = wal_root.is_none();
-        for entry in &self.registry {
-            if entry.shard != i || !entry.live || (entry.dynamic && !rebuild_dynamic) {
-                continue;
-            }
-            let Some(source) = &entry.source else {
-                return Err(format!(
-                    "cannot rebuild monitor {}: no pattern source recorded",
-                    entry.name
-                ));
-            };
-            let pattern = Pattern::parse(source).map_err(|e| e.to_string())?;
-            core.set
-                .add_with_config(entry.name.clone(), pattern, entry.config);
-            core.sources.insert(entry.name.clone(), source.clone());
-        }
-        if let Some(root) = wal_root {
-            let opts = WalOptions {
-                durability,
-                ..WalOptions::default()
-            };
-            let dir = root.join(format!("wal-shard-{i}"));
-            let (wal, recovery) = Wal::open(&dir, opts).map_err(|e| e.to_string())?;
-            core.recover_records(&recovery.records)?;
-            core.last_lsn = recovery.records.last().map_or(0, |r| r.lsn);
-            core.wal = Some(wal);
-        } else {
-            if self.slots.len() == 1 {
-                return Err("single-shard group without a log cannot resync".into());
-            }
-            let donor = (i + 1) % self.slots.len();
-            core.set.set_delivery_seq(self.query(donor).delivery_seq);
-        }
-        self.slots[i] = Slot::Inline {
-            core: Box::new(core),
-            pending: None,
-        };
-        if was_threaded {
-            self.start_threads_for(i);
         }
         Ok(())
     }
 
-    fn start_threads_for(&mut self, i: usize) {
-        let jobs: SpscRing<Job> = SpscRing::new(RING_CAPACITY);
-        let replies: SpscRing<Reply> = SpscRing::new(RING_CAPACITY);
-        let placeholder = Slot::Thread {
-            jobs: jobs.clone(),
-            replies: replies.clone(),
-            handle: None,
-        };
-        let Slot::Inline { core, .. } = std::mem::replace(&mut self.slots[i], placeholder) else {
-            unreachable!()
-        };
-        let handle = std::thread::Builder::new()
-            .name(format!("ocep-shard-{i}"))
-            .spawn(move || shard_loop(core, &jobs, &replies))
-            .expect("spawn shard thread");
-        let Slot::Thread {
-            handle: handle_slot,
-            ..
-        } = &mut self.slots[i]
-        else {
-            unreachable!()
-        };
-        *handle_slot = Some(handle);
+    /// Kills partition `i` (its in-memory state is discarded, as a crash
+    /// would) and rebuilds it. With a log: the startup monitors routed
+    /// to `i` are built fresh, then the one log is scanned and run
+    /// through a scratch guard — restored, with the partition's
+    /// monitors, from the newest checkpoint — delivering to partition
+    /// `i` only, which also re-applies mid-stream registrations at their
+    /// stream positions. Without a log the partition's live monitors
+    /// restart empty: history before the restart is lost.
+    ///
+    /// # Errors
+    ///
+    /// No partition `i`, a monitor without a recorded pattern source,
+    /// or an unreadable log.
+    pub fn restart_shard(&mut self, i: usize) -> Result<(), String> {
+        if i >= self.slots.len() {
+            return Err(format!("no partition {i} among {}", self.slots.len()));
+        }
+        self.flush_os();
+        self.sealed(|group| {
+            let mut scratch = ShardGroup::blank(group.n_traces, group.slots.len());
+            scratch.only = Some(i);
+            scratch.guard = group
+                .guard
+                .as_ref()
+                .map(|g| AdmissionGuard::new(group.n_traces, *g.config()));
+            // The log re-registers mid-stream monitors itself.
+            let log_dir = group.wal.as_ref().and(group.wal_dir.clone());
+            let logged = log_dir.is_some();
+            for e in group.registry.iter().filter(|e| !(logged && e.dynamic)) {
+                let source = e.source.as_deref().ok_or_else(|| {
+                    format!(
+                        "cannot rebuild monitor {}: no pattern source recorded",
+                        e.name
+                    )
+                })?;
+                scratch.add_monitor(&e.name, source, e.config, e.dynamic)?;
+            }
+            if let Some(dir) = log_dir {
+                let scanned = ocep_wal::scan(&dir).map_err(|e| e.to_string())?;
+                scratch.replay(&scanned.records)?;
+            }
+            group.slots[i] = scratch.slots.swap_remove(i);
+            group.restarts += 1;
+            Ok(())
+        })
     }
 
-    /// Serializes shard `i` to a blob (delivery counter + shard-local
-    /// `OCKS`) — the simulator's virtual-disk checkpoint path. Inline
-    /// mode only.
+    /// Serializes partition `i`'s monitors to an `OCKS` blob — the
+    /// simulator's virtual-disk path for a partition crash. Inline mode
+    /// only.
     #[must_use]
     pub fn shard_checkpoint(&self, i: usize) -> Vec<u8> {
-        let core = self.core(i);
-        let ocks = save_set_at(&core.set, &core.sources, core.last_lsn);
-        let mut blob = Vec::with_capacity(8 + ocks.len());
-        blob.extend_from_slice(&core.set.delivery_seq().to_le_bytes());
-        blob.extend_from_slice(&ocks);
-        blob
+        save_parts_at(self.n_traces, &self.saved(Some(i)), None, 0)
     }
 
-    /// Restores shard `i` from a [`ShardGroup::shard_checkpoint`] blob
-    /// (the simulator's crash/restore path). Inline mode only. The
-    /// caller is responsible for replaying the raw stream observed
-    /// since the blob was taken (see [`ShardGroup::shard_replay`]).
+    /// Replaces partition `i` with the monitors of a
+    /// [`ShardGroup::shard_checkpoint`] blob. Inline mode only.
     ///
     /// # Errors
     ///
     /// A structurally invalid blob, diagnosed without panicking.
     pub fn restore_shard(&mut self, i: usize, blob: &[u8]) -> Result<(), String> {
-        if blob.len() < 8 {
-            return Err("shard blob too short for delivery counter".into());
-        }
-        let seq = u64::from_le_bytes(blob[..8].try_into().expect("8 bytes"));
-        let (mut set, sources, _lsn) = load_set_at(&blob[8..]).map_err(|e| e.to_string())?;
-        set.set_delivery_seq(seq);
-        let n_traces = self.n_traces;
-        let guard = self.guard;
-        let core = self.core_mut(i);
-        if set.guard().is_none() {
-            if let Some(cfg) = guard {
-                set.enable_guard(cfg);
-            }
-        }
-        let _ = n_traces;
-        core.set = set;
-        core.sources = sources.into_iter().collect();
-        core.verdicts.clear();
+        let (set, _sources) = load_set(blob).map_err(|e| e.to_string())?;
+        self.slots[i] = Slot::Inline(Box::new(set));
         Ok(())
     }
+}
 
-    /// Redelivers one raw event to shard `i` only — the catch-up path
-    /// after [`ShardGroup::restore_shard`]. Verdicts are discarded (the
-    /// engine already published them). Inline mode only.
-    pub fn shard_replay(&mut self, i: usize, event: &Event) {
-        let core = self.core_mut(i);
-        let _ = core.set.observe_raw_tagged(event);
-        let _ = core.set.take_ingest_faults();
-    }
-
-    /// Replays a guard flush into shard `i` only (see
-    /// [`ShardGroup::shard_replay`]). Inline mode only.
-    pub fn shard_replay_flush(&mut self, i: usize) {
-        let core = self.core_mut(i);
-        let _ = core.set.flush_guard_tagged();
-        let _ = core.set.take_ingest_faults();
+/// Decodes a `REC_DELIVER` payload: `[session:str][Event frame body]`.
+///
+/// # Errors
+///
+/// A structural diagnostic with a byte offset; never panics.
+pub fn decode_deliver(payload: &[u8]) -> Result<(String, Event), String> {
+    let mut r = ocep_poet::dump::Reader::new(payload);
+    let session = r
+        .str("deliver session")
+        .map_err(|e| e.to_string())?
+        .to_owned();
+    let n = r.remaining();
+    let body = r
+        .bytes(n, "deliver event frame")
+        .map_err(|e| e.to_string())?;
+    match decode_body(body).map_err(|e| e.to_string())? {
+        Frame::Event(e) => Ok((session, *e)),
+        other => Err(format!(
+            "deliver payload carries a {} frame, expected event",
+            other.type_name()
+        )),
     }
 }
 
-fn shard_loop(
-    mut core: Box<ShardCore>,
-    jobs: &SpscRing<Job>,
-    replies: &SpscRing<Reply>,
-) -> Box<ShardCore> {
-    let mut guard = CloseOnDrop(replies.clone(), false);
-    while let Some(job) = jobs.pop() {
-        if matches!(job, Job::Stop) {
-            break;
-        }
-        let reply = exec(&mut core, job);
-        if !replies.push(reply) {
-            break;
-        }
+/// Decodes a `REC_WATERMARK` payload: `keep:u32 n:u32 (u32)*`.
+///
+/// # Errors
+///
+/// A structural diagnostic with a byte offset; never panics.
+pub fn decode_watermark(payload: &[u8]) -> Result<(usize, Vec<u32>), String> {
+    let mut r = ocep_poet::dump::Reader::new(payload);
+    let keep = r.u32("watermark keep").map_err(|e| e.to_string())? as usize;
+    let n_at = r.offset();
+    let n = r.u32("watermark width").map_err(|e| e.to_string())? as usize;
+    if n > r.remaining() / 4 + 1 {
+        return Err(format!(
+            "watermark claims width {n} at byte {n_at}, only {} byte(s) left",
+            r.remaining()
+        ));
     }
-    guard.1 = true; // orderly exit: leave the ring to the engine
-    replies.close();
-    core
+    let mut entries = Vec::with_capacity(n);
+    for _ in 0..n {
+        entries.push(r.u32("watermark entry").map_err(|e| e.to_string())?);
+    }
+    r.finish().map_err(|e| e.to_string())?;
+    Ok((keep, entries))
 }
 
-pub(crate) fn decode_register(payload: &[u8]) -> Result<(String, String), String> {
+fn decode_register(payload: &[u8]) -> Result<(String, String), String> {
     let mut r = ocep_poet::dump::Reader::new(payload);
     let name = r
         .str("register name")
@@ -1492,7 +1195,7 @@ pub(crate) fn decode_register(payload: &[u8]) -> Result<(String, String), String
     Ok((name, source))
 }
 
-pub(crate) fn decode_unregister(payload: &[u8]) -> Result<String, String> {
+fn decode_unregister(payload: &[u8]) -> Result<String, String> {
     let mut r = ocep_poet::dump::Reader::new(payload);
     let name = r
         .str("unregister name")
@@ -1505,12 +1208,14 @@ pub(crate) fn decode_unregister(payload: &[u8]) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ocep_core::ingest::GuardConfig;
     use ocep_poet::{EventKind, PoetServer};
     use ocep_vclock::TraceId;
 
     const HB: &str = "A := [*, a, *]; B := [*, b, *]; pattern := A -> B;";
     const CONC: &str = "X := [*, a, *]; Y := [*, c, *]; pattern := X || Y;";
     const LONE: &str = "C := [*, c, *]; pattern := C;";
+    const ALL: [(&str, &str); 3] = [("hb", HB), ("conc", CONC), ("lone", LONE)];
 
     fn t(i: u32) -> TraceId {
         TraceId::new(i)
@@ -1525,6 +1230,20 @@ mod tests {
         }
         set.enable_guard(GuardConfig::default());
         (set, sources)
+    }
+
+    fn build_group(names: &[(&str, &str)], shards: usize) -> ShardGroup {
+        let (set, sources) = build_set(names);
+        ShardGroup::new(set, shards, &sources)
+    }
+
+    /// Under the workspace's ignored `target/`: this crate reads no
+    /// environment, its tests included.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/tmp"))
+            .join(format!("ocep-shard-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
     }
 
     fn scrambled_stream() -> Vec<Event> {
@@ -1542,7 +1261,7 @@ mod tests {
     }
 
     fn single_reference(stream: &[Event]) -> (Vec<String>, IngestStats) {
-        let (mut set, _) = build_set(&[("hb", HB), ("conc", CONC), ("lone", LONE)]);
+        let (mut set, _) = build_set(&ALL);
         let mut names = Vec::new();
         for e in stream {
             names.extend(set.observe_raw(e).into_iter().map(|(n, _)| n));
@@ -1561,15 +1280,18 @@ mod tests {
         names
     }
 
+    fn history_names(group: &ShardGroup) -> Vec<String> {
+        group.history().iter().map(|(_, n, _)| n.clone()).collect()
+    }
+
     #[test]
     fn sharded_group_matches_single_set_inline_and_threaded() {
         let stream = scrambled_stream();
         let (reference, ref_stats) = single_reference(&stream);
         assert!(!reference.is_empty());
-        for shards in [1, 2, 4, 8] {
+        for shards in [0, 1, 2, 4, 8] {
             for threaded in [false, true] {
-                let (set, sources) = build_set(&[("hb", HB), ("conc", CONC), ("lone", LONE)]);
-                let mut group = ShardGroup::new(set, shards, &sources);
+                let mut group = build_group(&ALL, shards);
                 if threaded {
                     group.start_threads();
                 }
@@ -1585,8 +1307,7 @@ mod tests {
     fn batch_delivery_matches_per_event() {
         let stream = scrambled_stream();
         let (reference, _) = single_reference(&stream);
-        let (set, sources) = build_set(&[("hb", HB), ("conc", CONC), ("lone", LONE)]);
-        let mut group = ShardGroup::new(set, 3, &sources);
+        let mut group = build_group(&ALL, 3);
         let mut names: Vec<String> = group
             .deliver_batch("s", stream.clone())
             .verdicts
@@ -1601,10 +1322,17 @@ mod tests {
     fn misroute_sabotage_is_observable() {
         let stream = scrambled_stream();
         let (reference, _) = single_reference(&stream);
-        let (set, sources) = build_set(&[("hb", HB), ("conc", CONC), ("lone", LONE)]);
-        let mut group = ShardGroup::new(set, 2, &sources);
-        group.sabotage_misroute_next();
-        let names = group_names(&mut group, &stream);
+        let mut group = build_group(&ALL, 2);
+        group.set_fault_hooks(FaultHooks {
+            misroute_next: true,
+            ..FaultHooks::default()
+        });
+        let names: Vec<String> = group
+            .deliver_batch("s", stream)
+            .verdicts
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect();
         assert_ne!(
             names, reference,
             "a mis-routed frame must change the merged verdict stream"
@@ -1612,83 +1340,143 @@ mod tests {
     }
 
     #[test]
-    fn registration_and_removal_route_to_owning_shards() {
-        let (set, sources) = build_set(&[("hb", HB)]);
-        let mut group = ShardGroup::new(set, 4, &sources);
-        group
-            .register("t0/lone", LONE, MonitorConfig::default())
-            .unwrap();
-        assert!(group.is_live("t0/lone"));
-        assert!(group
-            .register("t0/bad", "pattern :=", MonitorConfig::default())
-            .is_err());
-        assert!(!group.is_live("t0/bad"));
-        let stream = scrambled_stream();
-        let names = group_names(&mut group, &stream);
-        assert!(names.iter().any(|n| n == "t0/lone"), "{names:?}");
-        assert!(group.unregister("t0/lone"));
-        assert!(!group.unregister("t0/lone"));
-        assert_eq!(group.names(), vec!["hb".to_owned()]);
-    }
-
-    #[test]
-    fn per_shard_logs_recover_the_group() {
-        let tmp = std::env::temp_dir().join(format!("ocep-shard-rec-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&tmp);
-        let stream = scrambled_stream();
-        let (reference, _) = single_reference(&stream);
-
-        let (set, sources) = build_set(&[("hb", HB), ("conc", CONC), ("lone", LONE)]);
-        let mut group = ShardGroup::new(set, 2, &sources);
-        let rec = group.recover(&tmp, Durability::Strict).unwrap();
-        assert!(rec.verdicts.is_empty());
-        let live_names = group_names(&mut group, &stream);
-        assert_eq!(live_names, reference);
-        assert_eq!(group.durable("s"), 4);
-
-        // A fresh group (simulated process restart) replays both logs
-        // and reprints the same merged verdict history.
-        let (set2, sources2) = build_set(&[("hb", HB), ("conc", CONC), ("lone", LONE)]);
-        let mut group2 = ShardGroup::new(set2, 2, &sources2);
-        let rec2 = group2.recover(&tmp, Durability::Strict).unwrap();
-        let replayed: Vec<String> = rec2.verdicts.iter().map(|(n, _, _)| n.clone()).collect();
-        assert_eq!(replayed, reference);
-        assert_eq!(group2.durable("s"), 4);
-        let _ = std::fs::remove_dir_all(&tmp);
-    }
-
-    #[test]
-    fn shard_restart_replays_its_own_log() {
-        let tmp = std::env::temp_dir().join(format!("ocep-shard-restart-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&tmp);
-        let stream = scrambled_stream();
-        let (reference, _) = single_reference(&stream);
-
-        let (set, sources) = build_set(&[("hb", HB), ("conc", CONC), ("lone", LONE)]);
-        let mut group = ShardGroup::new(set, 2, &sources);
-        group.recover(&tmp, Durability::Strict).unwrap();
-        let mut names = Vec::new();
-        for (i, e) in stream.iter().enumerate() {
-            if i == 2 {
-                // Crash and restart shard 1 mid-stream: its log rebuilds
-                // it to the exact pre-crash state.
-                group
-                    .restart_shard(1, Some(&tmp), Durability::Strict)
-                    .unwrap();
+    fn registration_and_removal_route_to_owning_partitions() {
+        for threaded in [false, true] {
+            let mut group = build_group(&[("hb", HB)], 4);
+            if threaded {
+                group.start_threads();
             }
+            group
+                .register("t0/lone", LONE, MonitorConfig::default())
+                .unwrap();
+            assert!(group.is_live("t0/lone"));
+            assert!(group
+                .register("t0/bad", "pattern :=", MonitorConfig::default())
+                .is_err());
+            assert!(!group.is_live("t0/bad"));
+            let names = group_names(&mut group, &scrambled_stream());
+            assert!(names.iter().any(|n| n == "t0/lone"), "{names:?}");
+            assert!(group.unregister("t0/lone"));
+            assert!(!group.unregister("t0/lone"));
+            assert_eq!(group.names().collect::<Vec<_>>(), ["hb"]);
+            group.seal();
+        }
+    }
+
+    #[test]
+    fn one_log_recovers_the_group_at_any_partition_count() {
+        let tmp = scratch_dir("rec");
+        let stream = scrambled_stream();
+        let (reference, ref_stats) = single_reference(&stream);
+
+        let mut group = build_group(&ALL, 2);
+        group.recover(&tmp, Durability::Strict).unwrap();
+        assert!(group.history().is_empty());
+        assert_eq!(group_names(&mut group, &stream), reference);
+        assert_eq!(group.durable("s"), 4);
+        drop(group);
+
+        // A fresh group (simulated process restart) replays the one log
+        // — whatever its partition count — and reprints the same merged
+        // verdict history.
+        for shards in [0, 2, 4] {
+            let image = scratch_dir("rec-image");
+            std::fs::create_dir_all(&image).unwrap();
+            for entry in std::fs::read_dir(&tmp).unwrap() {
+                let entry = entry.unwrap();
+                std::fs::copy(entry.path(), image.join(entry.file_name())).unwrap();
+            }
+            let mut again = build_group(&ALL, shards);
+            again.recover(&image, Durability::Strict).unwrap();
+            assert_eq!(history_names(&again), reference, "shards={shards}");
+            assert_eq!(again.durable("s"), 4);
+            assert_eq!(again.recovered_events(), 4);
+            assert_eq!(again.ingest_stats(), ref_stats);
+            let _ = std::fs::remove_dir_all(&image);
+        }
+        let _ = std::fs::remove_dir_all(&tmp);
+    }
+
+    #[test]
+    fn partition_restart_replays_the_one_log() {
+        for threaded in [false, true] {
+            let tmp = scratch_dir(if threaded { "restart-t" } else { "restart" });
+            let stream = scrambled_stream();
+            let (reference, _) = single_reference(&stream);
+
+            // `lone` is registered mid-stream, before the event it
+            // matches: the rebuild must re-register it from the log.
+            let mut group = build_group(&[("hb", HB), ("conc", CONC)], 2);
+            group.recover(&tmp, Durability::Strict).unwrap();
+            if threaded {
+                group.start_threads();
+            }
+            let mut names = Vec::new();
+            for (i, e) in stream.iter().enumerate() {
+                if i == 1 {
+                    group
+                        .register("lone", LONE, MonitorConfig::default())
+                        .unwrap();
+                }
+                if i == 2 {
+                    // Crash and rebuild every partition mid-stream: the
+                    // log restores each to its exact pre-crash state.
+                    group.restart_shard(0).unwrap();
+                    group.restart_shard(1).unwrap();
+                }
+                names.extend(group.deliver("s", e).verdicts.into_iter().map(|(n, _)| n));
+            }
+            names.extend(group.flush().verdicts.into_iter().map(|(n, _)| n));
+            assert_eq!(names, reference, "threaded={threaded}");
+            assert_eq!(group.restarts(), 2);
+            group.seal();
+            let _ = std::fs::remove_dir_all(&tmp);
+        }
+    }
+
+    /// A failed append closes the one log for every partition at once:
+    /// the error is counted, session offsets stop advancing, and ingest
+    /// carries on non-durably.
+    #[test]
+    fn append_failure_degrades_to_non_durable_at_two_shards() {
+        let tmp = scratch_dir("degrade");
+        let stream = scrambled_stream();
+        let (reference, _) = single_reference(&stream);
+        let mut group = build_group(&ALL, 2);
+        group.recover(&tmp, Durability::None).unwrap();
+        let mut names: Vec<String> = Vec::new();
+        for e in &stream[..2] {
+            names.extend(group.deliver("s", e).verdicts.into_iter().map(|(n, _)| n));
+        }
+        assert_eq!(group.durable("s"), 2);
+        assert_eq!(group.wal_append_errors(), 0);
+
+        // The log directory vanishes; the open segment still takes
+        // writes, so the next record that needs a new segment — one
+        // larger than a whole segment — is the append that fails.
+        std::fs::remove_dir_all(&tmp).unwrap();
+        let padded = format!("{}{LONE}", " ".repeat(9 << 20));
+        group
+            .register("t0/padded", &padded, MonitorConfig::default())
+            .unwrap();
+        assert_eq!(group.wal_append_errors(), 1);
+        assert!(!group.has_wal());
+        assert!(group.unregister("t0/padded"));
+
+        for e in &stream[2..] {
             names.extend(group.deliver("s", e).verdicts.into_iter().map(|(n, _)| n));
         }
         names.extend(group.flush().verdicts.into_iter().map(|(n, _)| n));
-        assert_eq!(names, reference);
-        let _ = std::fs::remove_dir_all(&tmp);
+        assert_eq!(names, reference, "ingest continues");
+        assert_eq!(group.durable("s"), 2, "durable offset stops advancing");
+        assert_eq!(group.wal_append_errors(), 1);
     }
 
     #[test]
-    fn blob_checkpoint_round_trips_a_shard() {
+    fn blob_checkpoint_round_trips_a_partition() {
         let stream = scrambled_stream();
         let (reference, _) = single_reference(&stream);
-        let (set, sources) = build_set(&[("hb", HB), ("conc", CONC), ("lone", LONE)]);
-        let mut group = ShardGroup::new(set, 2, &sources);
+        let mut group = build_group(&ALL, 2);
         let mut names = Vec::new();
         for (i, e) in stream.iter().enumerate() {
             if i == 2 {

@@ -79,6 +79,7 @@ fn run_stalled_tail(policy: OverflowPolicy) -> (ocep_net::ServeReport, OutQueue)
         config.clone(),
         Arc::clone(&clock),
         Arc::new(AtomicU64::new(0)),
+        ocep_net::FaultHooks::default(),
     );
 
     let frame_bytes = |f: &Frame| 4 + encode_body(f).len() as u64;

@@ -902,23 +902,38 @@ pub fn save_set(set: &MonitorSet, sources: &HashMap<String, String>) -> Vec<u8> 
 /// LSN.
 #[must_use]
 pub fn save_set_at(set: &MonitorSet, sources: &HashMap<String, String>, wal_lsn: u64) -> Vec<u8> {
+    let monitors: Vec<(&str, &Monitor, &str)> = set
+        .iter()
+        .filter_map(|(name, m)| sources.get(name).map(|src| (name, m, src.as_str())))
+        .collect();
+    save_parts_at(set.n_traces(), &monitors, set.guard(), wal_lsn)
+}
+
+/// [`save_set_at`] over a set held in pieces: `(name, monitor, pattern
+/// source)` triples in registration order plus the set-level guard. A
+/// sharded engine keeps its monitors in several partitions behind one
+/// guard and still writes the bytes the whole set would.
+#[must_use]
+pub fn save_parts_at(
+    n_traces: usize,
+    monitors: &[(&str, &Monitor, &str)],
+    guard: Option<&crate::ingest::AdmissionGuard>,
+    wal_lsn: u64,
+) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.extend_from_slice(SET_MAGIC);
     buf.extend_from_slice(&SET_VERSION.to_le_bytes());
-    put_u32(&mut buf, set.n_traces() as u32);
+    put_u32(&mut buf, n_traces as u32);
 
-    let saved: Vec<(&str, Vec<u8>)> = set
-        .iter()
-        .filter_map(|(name, m)| sources.get(name).map(|src| (name, save(m, src))))
-        .collect();
-    put_u32(&mut buf, saved.len() as u32);
-    for (name, blob) in &saved {
+    put_u32(&mut buf, monitors.len() as u32);
+    for (name, m, src) in monitors {
+        let blob = save(m, src);
         put_str(&mut buf, name);
         put_u32(&mut buf, blob.len() as u32);
-        buf.extend_from_slice(blob);
+        buf.extend_from_slice(&blob);
     }
 
-    match set.guard() {
+    match guard {
         Some(g) => {
             buf.push(1);
             put_u64(&mut buf, g.config.capacity as u64);
@@ -997,7 +1012,7 @@ pub fn load_set_at(data: &[u8]) -> Result<LoadedSet, CheckpointError> {
                 monitor.history.n_traces()
             )));
         }
-        set.insert_restored(name.clone(), monitor);
+        set.insert_monitor(name.clone(), monitor);
         sources.push((name, src));
     }
 

@@ -75,8 +75,8 @@ pub mod obs;
 pub use self::obs as ocep_obs;
 
 pub use checkpoint::{
-    load, load_at, load_set, load_set_at, save, save_at, save_set, save_set_at, strip_metrics,
-    CheckpointError,
+    load, load_at, load_set, load_set_at, save, save_at, save_parts_at, save_set, save_set_at,
+    strip_metrics, CheckpointError,
 };
 pub use history::LeafHistory;
 pub use ingest::{
@@ -84,7 +84,7 @@ pub use ingest::{
 };
 pub use matching::Match;
 pub use monitor::{Monitor, MonitorConfig, SubsetPolicy, OBS_TIMING_SAMPLE};
-pub use multi::{MonitorSet, TaggedVerdict};
+pub use multi::MonitorSet;
 pub use obs::{
     ArrivalRecord, Histogram, MetricFamily, MetricKind, MetricSample, MetricValue, Metrics,
     MetricsSnapshot, ObsLevel, SearchObs, Stage,

@@ -60,17 +60,7 @@ pub struct MonitorSet {
     guard: Option<AdmissionGuard>,
     /// Reused output buffer for set-level guard deliveries.
     admit_buf: Vec<Event>,
-    /// Monotone count of post-guard deliveries (each [`MonitorSet::observe`]
-    /// pass over the entries is one delivery). Two sets with identical
-    /// guards fed the same raw stream assign identical sequence numbers
-    /// to each delivery regardless of which monitors they hold — the
-    /// alignment a sharded engine merges verdicts on.
-    delivery_seq: u64,
 }
-
-/// One verdict tagged with the delivery sequence number that produced
-/// it: `(delivery_seq, monitor_name, match)`.
-pub type TaggedVerdict = (u64, String, Match);
 
 impl MonitorSet {
     /// Creates an empty set for a computation with `n_traces` traces.
@@ -82,7 +72,6 @@ impl MonitorSet {
             pool: None,
             guard: None,
             admit_buf: Vec::new(),
-            delivery_seq: 0,
         }
     }
 
@@ -127,44 +116,46 @@ impl MonitorSet {
         pattern: Pattern,
         config: MonitorConfig,
     ) {
-        let mut monitor = Monitor::with_config(pattern, self.n_traces, config);
-        if let Some(pool) = &self.pool {
-            monitor.set_pool(Arc::clone(pool));
-        }
-        self.entries.push((name.into(), monitor));
+        let monitor = Monitor::with_config(pattern, self.n_traces, config);
+        self.insert_monitor(name, monitor);
     }
 
     /// Observes one event on every registered monitor; returns the newly
     /// reported matches tagged with their pattern's name.
     pub fn observe(&mut self, event: &Event) -> Vec<(String, Match)> {
         let mut out = Vec::new();
-        self.observe_seq(event, &mut out);
-        out.into_iter().map(|(_, n, m)| (n, m)).collect()
+        self.observe_into(event, &mut out);
+        out
     }
 
-    /// One delivery: fans `event` out to every monitor, pushing each
-    /// reported match tagged with this delivery's sequence number.
-    fn observe_seq(&mut self, event: &Event, out: &mut Vec<TaggedVerdict>) {
-        let seq = self.delivery_seq;
-        self.delivery_seq += 1;
+    fn observe_into(&mut self, event: &Event, out: &mut Vec<(String, Match)>) {
         for (name, monitor) in &mut self.entries {
             for m in monitor.observe(event) {
-                out.push((seq, name.clone(), m));
+                out.push((name.clone(), m));
             }
         }
     }
 
-    /// Count of deliveries this set has performed (see the field docs on
-    /// the sequence alignment property).
-    #[must_use]
-    pub fn delivery_seq(&self) -> u64 {
-        self.delivery_seq
-    }
-
-    /// Overrides the delivery counter — used when a shard restored from
-    /// a checkpoint rejoins a group whose other members kept counting.
-    pub fn set_delivery_seq(&mut self, seq: u64) {
-        self.delivery_seq = seq;
+    /// Runs `admit` against the set-level guard and fans every event it
+    /// released out to the monitors. The guard is checked out and the
+    /// delivery buffer swapped once per call.
+    fn observe_admitted(
+        &mut self,
+        admit: impl FnOnce(&mut AdmissionGuard, &mut Vec<Event>),
+    ) -> Vec<(String, Match)> {
+        let mut out = Vec::new();
+        let Some(mut guard) = self.guard.take() else {
+            return out;
+        };
+        let mut deliverable = std::mem::take(&mut self.admit_buf);
+        admit(&mut guard, &mut deliverable);
+        self.guard = Some(guard);
+        for e in &deliverable {
+            self.observe_into(e, &mut out);
+        }
+        deliverable.clear();
+        self.admit_buf = deliverable;
+        out
     }
 
     /// Observes one **raw** arrival — the entry point for untrusted
@@ -175,31 +166,7 @@ impl MonitorSet {
     /// never a panic) or several (it unblocked buffered successors).
     /// Without a guard this is exactly [`MonitorSet::observe`].
     pub fn observe_raw(&mut self, event: &Event) -> Vec<(String, Match)> {
-        self.observe_raw_tagged(event)
-            .into_iter()
-            .map(|(_, n, m)| (n, m))
-            .collect()
-    }
-
-    /// [`MonitorSet::observe_raw`] with each verdict tagged by its
-    /// delivery sequence number — the form a sharded engine merges
-    /// across shards.
-    pub fn observe_raw_tagged(&mut self, event: &Event) -> Vec<TaggedVerdict> {
-        let mut out = Vec::new();
-        let Some(mut guard) = self.guard.take() else {
-            self.observe_seq(event, &mut out);
-            return out;
-        };
-        let mut deliverable = std::mem::take(&mut self.admit_buf);
-        deliverable.clear();
-        guard.admit(event, &mut deliverable);
-        for e in &deliverable {
-            self.observe_seq(e, &mut out);
-        }
-        self.guard = Some(guard);
-        deliverable.clear();
-        self.admit_buf = deliverable;
-        out
+        self.observe_raw_batch(std::slice::from_ref(event))
     }
 
     /// Observes a whole batch of **raw** arrivals — the per-frame entry
@@ -210,32 +177,14 @@ impl MonitorSet {
     /// once per batch instead of once per event, and the batch is
     /// admitted through [`AdmissionGuard::admit_batch`].
     pub fn observe_raw_batch(&mut self, events: &[Event]) -> Vec<(String, Match)> {
-        self.observe_raw_batch_tagged(events)
-            .into_iter()
-            .map(|(_, n, m)| (n, m))
-            .collect()
-    }
-
-    /// [`MonitorSet::observe_raw_batch`] with each verdict tagged by its
-    /// delivery sequence number.
-    pub fn observe_raw_batch_tagged(&mut self, events: &[Event]) -> Vec<TaggedVerdict> {
-        let mut out = Vec::new();
-        let Some(mut guard) = self.guard.take() else {
+        if self.guard.is_none() {
+            let mut out = Vec::new();
             for e in events {
-                self.observe_seq(e, &mut out);
+                self.observe_into(e, &mut out);
             }
             return out;
-        };
-        let mut deliverable = std::mem::take(&mut self.admit_buf);
-        deliverable.clear();
-        guard.admit_batch(events, &mut deliverable);
-        for e in &deliverable {
-            self.observe_seq(e, &mut out);
         }
-        self.guard = Some(guard);
-        deliverable.clear();
-        self.admit_buf = deliverable;
-        out
+        self.observe_admitted(|guard, out| guard.admit_batch(events, out))
     }
 
     /// Abandons causal order for events still waiting in the set-level
@@ -244,29 +193,7 @@ impl MonitorSet {
     /// stream (or before a checkpoint). A no-op without a set-level
     /// guard or with an empty buffer.
     pub fn flush_guard(&mut self) -> Vec<(String, Match)> {
-        self.flush_guard_tagged()
-            .into_iter()
-            .map(|(_, n, m)| (n, m))
-            .collect()
-    }
-
-    /// [`MonitorSet::flush_guard`] with each verdict tagged by its
-    /// delivery sequence number.
-    pub fn flush_guard_tagged(&mut self) -> Vec<TaggedVerdict> {
-        let mut out = Vec::new();
-        let Some(mut guard) = self.guard.take() else {
-            return out;
-        };
-        let mut deliverable = std::mem::take(&mut self.admit_buf);
-        deliverable.clear();
-        guard.flush(&mut deliverable);
-        for e in &deliverable {
-            self.observe_seq(e, &mut out);
-        }
-        self.guard = Some(guard);
-        deliverable.clear();
-        self.admit_buf = deliverable;
-        out
+        self.observe_admitted(AdmissionGuard::flush)
     }
 
     /// The set-level guard's ingestion counters (all zero when no guard
@@ -290,7 +217,7 @@ impl MonitorSet {
     /// and the durable log's watermark records. `None` without a guard.
     #[must_use]
     pub fn admitted_watermark(&self) -> Option<Vec<u32>> {
-        self.guard.as_ref().map(|g| g.admitted.clone())
+        self.guard.as_ref().map(|g| g.watermark().to_vec())
     }
 
     /// Runs bounded-memory history GC on every registered monitor
@@ -325,15 +252,6 @@ impl MonitorSet {
     #[must_use]
     pub fn n_traces(&self) -> usize {
         self.n_traces
-    }
-
-    /// Installs an already-built monitor under `name` — the restore path
-    /// used by [`crate::checkpoint::load_set`].
-    pub(crate) fn insert_restored(&mut self, name: String, mut monitor: Monitor) {
-        if let Some(pool) = &self.pool {
-            monitor.set_pool(Arc::clone(pool));
-        }
-        self.entries.push((name, monitor));
     }
 
     /// Installs an already-populated set-level guard — the restore path
@@ -394,7 +312,10 @@ impl MonitorSet {
     /// aggregate across monitors, not a per-pool reading.
     #[must_use]
     pub fn metrics(&self) -> crate::MetricsSnapshot {
-        let mut total = self.monitor_metrics();
+        let mut total = crate::MetricsSnapshot::default();
+        for (_, m) in &self.entries {
+            total.absorb(&m.metrics());
+        }
         // The set-level guard's counters merge into the same
         // `ocep_ingest_*` families the per-monitor guards use.
         if let Some(g) = &self.guard {
@@ -403,34 +324,23 @@ impl MonitorSet {
         total
     }
 
-    /// [`MonitorSet::metrics`] **without** the set-level guard's ingest
-    /// counters. A sharded engine replicates one guard per shard; when
-    /// it sums shard snapshots it takes the guard families from a single
-    /// shard and the monitor families from all of them, so the
-    /// `ocep_ingest_*` counters are not multiplied by the shard count.
+    /// Decomposes the set into `(n_traces, entries, guard)`, surrendering
+    /// the monitors in registration order and the set-level guard with
+    /// its state — how a sharded engine distributes an existing set
+    /// across partitions behind the one guard.
     #[must_use]
-    pub fn monitor_metrics(&self) -> crate::MetricsSnapshot {
-        let mut total = crate::MetricsSnapshot::default();
-        for (_, m) in &self.entries {
-            total.absorb(&m.metrics());
-        }
-        total
-    }
-
-    /// Decomposes the set into `(n_traces, entries, guard_config)`,
-    /// surrendering the monitors in registration order — the partition
-    /// path a sharded engine uses to distribute an existing set across
-    /// shards without rebuilding monitor state.
-    #[must_use]
-    pub fn into_parts(self) -> (usize, Vec<(String, Monitor)>, Option<GuardConfig>) {
-        let guard_config = self.guard.as_ref().map(|g| g.config);
-        (self.n_traces, self.entries, guard_config)
+    pub fn into_parts(self) -> (usize, Vec<(String, Monitor)>, Option<AdmissionGuard>) {
+        (self.n_traces, self.entries, self.guard)
     }
 
     /// Installs an already-built monitor under `name`, preserving its
-    /// accumulated state — the inverse of [`MonitorSet::into_parts`].
-    pub fn insert_monitor(&mut self, name: impl Into<String>, monitor: Monitor) {
-        self.insert_restored(name.into(), monitor);
+    /// accumulated state — the inverse of [`MonitorSet::into_parts`],
+    /// and the restore path of [`crate::checkpoint::load_set`].
+    pub fn insert_monitor(&mut self, name: impl Into<String>, mut monitor: Monitor) {
+        if let Some(pool) = &self.pool {
+            monitor.set_pool(Arc::clone(pool));
+        }
+        self.entries.push((name.into(), monitor));
     }
 }
 
@@ -632,54 +542,6 @@ mod tests {
             .map(|(n, _)| n)
             .collect();
         assert_eq!(names, vec!["a", "c"]);
-    }
-
-    /// Two sets holding disjoint halves of the monitors, fed the same
-    /// raw stream through identical guards, tag verdicts with the same
-    /// delivery sequence numbers as the combined set — so a stable
-    /// merge by `(seq, registration order)` reproduces the combined
-    /// set's verdict order exactly. This is the sharding invariant.
-    #[test]
-    fn delivery_seq_aligns_across_partitioned_sets() {
-        let hb = "A := [*, a, *]; B := [*, b, *]; pattern := A -> B;";
-        let conc = "X := [*, a, *]; Y := [*, c, *]; pattern := X || Y;";
-        let build = |names: &[(&str, &str)]| {
-            let mut set = MonitorSet::new(2);
-            for (name, src) in names {
-                set.add(*name, Pattern::parse(src).unwrap());
-            }
-            set.enable_guard(GuardConfig::default());
-            set
-        };
-        let mut combined = build(&[("hb", hb), ("conc", conc)]);
-        let mut left = build(&[("hb", hb)]);
-        let mut right = build(&[("conc", conc)]);
-
-        let mut poet = PoetServer::new(2);
-        let s = poet.record(t(0), EventKind::Send, "a", "");
-        poet.record_receive(t(1), s.id(), "b", "");
-        poet.record(t(1), EventKind::Unary, "c", "");
-        let events: Vec<Event> = poet.linearization().collect();
-        // Reordered + duplicated stream: the guards repair identically.
-        let stream = [&events[1], &events[0], &events[0], &events[2]];
-
-        let mut reference = Vec::new();
-        let mut merged: Vec<(u64, usize, String)> = Vec::new();
-        for e in stream {
-            reference.extend(combined.observe_raw(e).into_iter().map(|(n, _)| n));
-            for (seq, n, _) in left.observe_raw_tagged(e) {
-                merged.push((seq, 0, n));
-            }
-            for (seq, n, _) in right.observe_raw_tagged(e) {
-                merged.push((seq, 1, n));
-            }
-        }
-        merged.sort_by_key(|a| (a.0, a.1));
-        let merged_names: Vec<String> = merged.into_iter().map(|(_, _, n)| n).collect();
-        assert_eq!(merged_names, reference);
-        assert_eq!(left.delivery_seq(), combined.delivery_seq());
-        assert_eq!(right.delivery_seq(), combined.delivery_seq());
-        assert_eq!(left.ingest_stats(), combined.ingest_stats());
     }
 
     #[test]

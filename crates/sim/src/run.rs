@@ -19,8 +19,8 @@ use ocep_core::ingest::{GuardConfig, OverflowPolicy};
 use ocep_core::{load_set, save_set, Match, MonitorSet};
 use ocep_net::wire::encode_body;
 use ocep_net::{
-    Decoded, EngineCore, EngineOp, FaultCode, Frame, FrameDecoder, Mode, NetClock, OutQueue,
-    ServeConfig, StatsReport,
+    Decoded, EngineCore, EngineOp, FaultCode, FaultHooks, Frame, FrameDecoder, Mode, NetClock,
+    OutQueue, ServeConfig, StatsReport,
 };
 use ocep_pattern::Pattern;
 use ocep_poet::Event;
@@ -105,14 +105,14 @@ pub struct SimConfig {
     /// the oracle has — the comparison must flag it. Implies `wal` and
     /// at least one crash.
     pub wal_sabotage: bool,
-    /// Engine shard count (0 = the classic single-engine core). When
-    /// sharded, each `crashes` cycle kills **one shard** instead of the
-    /// whole daemon: the victim's live checkpoint blob is captured and
-    /// the shard is rebuilt from those bytes mid-stream, while the rest
-    /// of the group — and every connection — keeps running. The oracle
-    /// stays a single in-process set either way, so both the shard
-    /// fan-in order and the restore round-trip are held to the
-    /// single-engine verdict stream bit-for-bit.
+    /// Matcher partition count (0 = one, with whole-daemon crashes).
+    /// When set, each `crashes` cycle kills **one partition** instead of
+    /// the whole daemon: the victim's live checkpoint blob is captured
+    /// and the partition is rebuilt from those bytes mid-stream, while
+    /// the guard, the rest of the group — and every connection — keep
+    /// running. The oracle stays a single in-process set either way, so
+    /// both the fan-in order and the restore round-trip are held to the
+    /// single-set verdict stream bit-for-bit.
     pub shards: usize,
 }
 
@@ -684,8 +684,8 @@ impl World {
             // oracle carries straight through, so anything the blob
             // fails to capture diverges the final diff.
             let victim = (self.crashes_done - 1) % self.cfg.shards;
-            let blob = self.core.shard_checkpoint(victim);
-            if let Err(e) = self.core.restore_shard(victim, &blob) {
+            let blob = self.core.group().shard_checkpoint(victim);
+            if let Err(e) = self.core.group().restore_shard(victim, &blob) {
                 self.failure = Some(format!("shard {victim} failed to restore: {e}"));
                 return;
             }
@@ -715,6 +715,7 @@ impl World {
                 self.serve.clone(),
                 dynclock,
                 Arc::clone(&self.bytes_out),
+                FaultHooks::default(),
             );
             if let Err(e) = self.core.recover_wal() {
                 self.failure = Some(format!("restart failed to recover log: {e}"));
@@ -723,7 +724,7 @@ impl World {
             self.core.enable_journal();
             self.ops.push(SimOp::WalRestart);
         } else {
-            let bytes = self.core.checkpoint_set();
+            let bytes = self.core.group().checkpoint_set();
             self.disk = bytes.clone();
             self.ops.push(SimOp::Checkpoint(bytes));
             let (set, sources) = match load_set(&self.disk) {
@@ -736,7 +737,13 @@ impl World {
             let mut serve = self.serve.clone();
             serve.pattern_sources = sources.into_iter().collect();
             let dynclock: Arc<dyn NetClock> = Arc::clone(&self.clock) as Arc<dyn NetClock>;
-            let mut core = EngineCore::new(set, serve, dynclock, Arc::clone(&self.bytes_out));
+            let mut core = EngineCore::new(
+                set,
+                serve,
+                dynclock,
+                Arc::clone(&self.bytes_out),
+                FaultHooks::default(),
+            );
             core.enable_journal();
             self.core = core;
             self.ops.push(SimOp::Restore(self.disk.clone()));
@@ -983,14 +990,15 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
     let clock = Arc::new(VirtualClock::new());
     let bytes_out = Arc::new(AtomicU64::new(0));
     let dynclock: Arc<dyn NetClock> = Arc::clone(&clock) as Arc<dyn NetClock>;
-    let mut core = EngineCore::new(set, serve.clone(), dynclock, Arc::clone(&bytes_out));
+    let hooks = FaultHooks {
+        drop_next_append: cfg.wal_sabotage,
+        ..FaultHooks::default()
+    };
+    let mut core = EngineCore::new(set, serve.clone(), dynclock, Arc::clone(&bytes_out), hooks);
     let mut init_failure = None;
     if cfg.wal {
         if let Err(e) = core.recover_wal() {
             init_failure = Some(format!("initial log open failed: {e}"));
-        }
-        if cfg.wal_sabotage {
-            core.sabotage_drop_next_append();
         }
     }
     core.enable_journal();
@@ -1303,7 +1311,7 @@ mod tests {
     #[test]
     fn sharded_digest_equals_single_engine_digest() {
         // Shard transparency at the whole-system level: the same chaos
-        // workload served by a 4-shard group and by the classic core
+        // workload served by 4 partitions and by one
         // must produce the same digest — verdicts, subset, ingest
         // stats, stats broadcast, and fault counts all bit-identical.
         // (Crashes are off because crash semantics legitimately differ:

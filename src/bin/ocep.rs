@@ -160,11 +160,12 @@ through the same admission guard as live traffic. Offline, each
 (same resume, batch, and exit-code behaviour). A malformed recording
 is a line-diagnosed usage error (exit 3), never a panic.
 
-`serve --shards N` partitions the monitors across N engine shards
-(docs/SHARDING.md): each shard runs on its own thread with its own
-admission-guard replica, durable log (`wal-shard-{i}` under `--wal`),
-and checkpoints, and verdicts are re-merged into the single-engine
-order — every observable output is bit-identical to `--shards 0`.
+`serve --shards N` matches the monitors on N partition threads
+(docs/SHARDING.md) behind the one admission guard and the one durable
+log under `--wal`; verdicts are re-merged into the single-set order, so
+every observable output and every log byte is identical at any N, and
+N may change between restarts. `--shards 0` and `1` both run a single
+partition inline.
 `register` adds or removes (`--unregister`) patterns for a tenant on a
 live daemon; the server monitors each as `{tenant}/{name}`, and
 `tail --tenant T` scopes a subscription to that namespace.
@@ -1063,7 +1064,7 @@ fn info(path: &str) -> Result<(), String> {
 /// producer sends `Shutdown`, then reports with `check`-style exit
 /// codes.
 fn serve_cmd(args: &[String]) -> Result<i32, String> {
-    use ocep_repro::net::{ServeConfig, Server};
+    use ocep_repro::net::{FaultHooks, ServeConfig, Server};
     use ocep_repro::ocep::MonitorSet;
 
     let flag_val = |name: &str| {
@@ -1127,8 +1128,22 @@ fn serve_cmd(args: &[String]) -> Result<i32, String> {
     let addr = flag_val("--addr")
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:7070".into());
-    let server =
-        Server::bind(&addr, set, sconfig).map_err(|e| format!("cannot bind '{addr}': {e}"))?;
+    // Crash injection for the smoke tests (tests/cli.rs, CI
+    // `shard-smoke`): `OCEP_TEST_SHARD_RESTART="i@frames"` kills and
+    // rebuilds partition i once that many data frames are processed;
+    // `OCEP_TEST_PARTIAL_CHECKPOINT` dies mid-checkpoint-file.
+    let hooks = FaultHooks {
+        restart_shard: std::env::var("OCEP_TEST_SHARD_RESTART")
+            .ok()
+            .and_then(|spec| {
+                let (i, at) = spec.split_once('@')?;
+                Some((i.trim().parse().ok()?, at.trim().parse().ok()?))
+            }),
+        partial_checkpoint: std::env::var_os("OCEP_TEST_PARTIAL_CHECKPOINT").is_some(),
+        ..FaultHooks::default()
+    };
+    let server = Server::bind_with_faults(&addr, set, sconfig, hooks)
+        .map_err(|e| format!("cannot serve on '{addr}': {e}"))?;
     let actual = server.addr().to_string();
     eprintln!("serving '{name}' ({n_traces} traces) on {actual}");
     if let Some(port_file) = flag_val("--port-file") {
@@ -1536,7 +1551,7 @@ fn tail_cmd(args: &[String]) -> Result<i32, String> {
 /// (tolerating a torn tail, which is reported on stderr) and feeds
 /// every delivery through the same admission-guard path as `serve`.
 fn replay_cmd(args: &[String]) -> Result<i32, String> {
-    use ocep_repro::net::engine::{decode_deliver, decode_watermark};
+    use ocep_repro::net::shard::{decode_deliver, decode_watermark};
     use ocep_repro::ocep::MonitorSet;
     use ocep_repro::wal;
 

@@ -1,4 +1,6 @@
-//! Durable-log layout contract (tier-1).
+//! Durable-log layout contract (tier-1): one log directly under the
+//! WAL root, the same bytes at every shard count, readable at every
+//! other.
 //!
 //! `tests/corpus/wal/parent-shards0/` is a crash image of a log
 //! directory written by `ocep serve --shards 0 --wal` at commit
@@ -178,7 +180,7 @@ fn parent_written_log_recovers_unchanged() {
         expected.iter().any(|l| l.starts_with("tail match[")),
         "fixture pins no verdict backlog"
     );
-    for shards in [0] {
+    for shards in [0, 2, 4] {
         let image = scratch_dir("fixture");
         copy_dir(&fixture_dir(), &image);
         std::fs::remove_file(image.join("expected.txt")).unwrap();
@@ -186,4 +188,103 @@ fn parent_written_log_recovers_unchanged() {
         assert_eq!(lines, expected, "--shards {shards}");
         let _ = std::fs::remove_dir_all(&image);
     }
+}
+
+/// Sorted `(path relative to dir, bytes)` of every file under `dir`.
+type Files = Vec<(String, Vec<u8>)>;
+
+fn tree_files(dir: &Path) -> Files {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let entry = entry.unwrap();
+        let name = entry.file_name().to_string_lossy().into_owned();
+        if entry.file_type().unwrap().is_dir() {
+            let below = tree_files(&entry.path());
+            files.extend(below.into_iter().map(|(n, b)| (format!("{name}/{n}"), b)));
+        } else {
+            files.push((name, std::fs::read(entry.path()).unwrap()));
+        }
+    }
+    files.sort();
+    files
+}
+
+#[test]
+fn log_bytes_do_not_depend_on_the_shard_count() {
+    // The pinned session, served to a graceful shutdown at each count.
+    let written: Vec<(usize, PathBuf)> = [0, 1, 2, 4]
+        .into_iter()
+        .map(|shards| {
+            let wal = scratch_dir(&format!("n{shards}"));
+            let server = serve(&wal, shards, None);
+            drive(&server.addr().to_string()).shutdown().unwrap();
+            let _ = server.join();
+            (shards, wal)
+        })
+        .collect();
+    let reference = tree_files(&written[0].1);
+    let names: Vec<&String> = reference.iter().map(|(n, _)| n).collect();
+    assert!(
+        names
+            .iter()
+            .all(|n| n.starts_with("wal-0") && n.ends_with(".seg")),
+        "segments sit directly under the root: {names:?}"
+    );
+    for (shards, wal) in &written[1..] {
+        assert!(
+            tree_files(wal) == reference,
+            "--shards {shards} log differs"
+        );
+    }
+
+    // A log written at 2 shards recovers identically at 4 and at 0,
+    // per-monitor checkpoint files included.
+    let written_at_two = &written[2].1;
+    let recovered: Vec<(Vec<String>, Files)> = [2, 4, 0]
+        .into_iter()
+        .map(|shards| {
+            let image = scratch_dir("cross");
+            copy_dir(written_at_two, &image);
+            let ckpts = scratch_dir("cross-ckpt");
+            let lines = observe_recovery(&image, shards, Some(&ckpts));
+            let files = tree_files(&ckpts);
+            let _ = std::fs::remove_dir_all(&image);
+            let _ = std::fs::remove_dir_all(&ckpts);
+            (lines, files)
+        })
+        .collect();
+    assert!(recovered[0].0.iter().any(|l| l.starts_with("tail match[")));
+    let checkpointed: Vec<&str> = recovered[0].1.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(
+        checkpointed,
+        ["acme/conc.ockp", "acme/late.ockp", "pings.ockp"]
+    );
+    assert!(
+        recovered[1] == recovered[0],
+        "2-shard log differs at 4 shards"
+    );
+    assert!(
+        recovered[2] == recovered[0],
+        "2-shard log differs at 0 shards"
+    );
+    for (_, wal) in written {
+        let _ = std::fs::remove_dir_all(wal);
+    }
+}
+
+#[test]
+fn per_shard_log_directories_are_refused() {
+    let wal = scratch_dir("legacy");
+    std::fs::create_dir_all(wal.join("wal-shard-0")).unwrap();
+    let mut set = MonitorSet::new(N_TRACES);
+    set.add("pings", Pattern::parse(PINGS).unwrap());
+    let config = ServeConfig {
+        wal_dir: Some(wal.clone()),
+        shards: 2,
+        ..ServeConfig::default()
+    };
+    let err = Server::bind("127.0.0.1:0", set, config).expect_err("legacy layout accepted");
+    let msg = err.to_string();
+    assert!(msg.contains("wal-shard-0") && !msg.contains('\n'), "{msg}");
+    let _ = std::fs::remove_dir_all(&wal);
 }
