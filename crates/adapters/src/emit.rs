@@ -9,7 +9,11 @@
 //!   its partner by that position, so the partner is already emitted
 //!   and its clock is read in place.
 //! * **Strings interned by value.** Type and text travel as [`Sym`]s:
-//!   one `Arc<str>` per *distinct* string, not two per event.
+//!   one `Arc<str>` per *distinct* string, not two per event; a repeat
+//!   of the previous string is answered without hashing.
+//! * **Sized once.** The reader says how many events to expect
+//!   (`record_hint`, bounded by the input's bytes) before the first
+//!   one, so the output vector does not regrow record by record.
 
 use crate::error::limit;
 use crate::{AdapterError, AdapterOutput, AdapterStats, MAX_TRACES};
@@ -18,8 +22,9 @@ use ocep_vclock::{ClockAssigner, TraceId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// An interned string; equal text gives an equal `Sym`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// An interned string; equal text gives an equal `Sym`, and `Sym`s
+/// order by first appearance.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) struct Sym(u32);
 
 /// A string table: each distinct string gets the next [`Sym`], in
@@ -29,18 +34,41 @@ pub(crate) struct Sym(u32);
 pub(crate) struct Interner {
     ids: HashMap<Arc<str>, Sym>,
     strings: Vec<Arc<str>>,
+    /// The previous answer. Recordings repeat themselves — runs of one
+    /// tag, one operation, one service — and a repeat is recognised by
+    /// comparing the text, with no hash taken.
+    last: Sym,
 }
 
 impl Interner {
-    pub(crate) fn intern(&mut self, s: &str) -> Sym {
-        if let Some(&sym) = self.ids.get(s) {
-            return sym;
+    /// A table with room for `strings` distinct strings.
+    pub(crate) fn with_capacity(strings: usize) -> Self {
+        Interner {
+            ids: HashMap::with_capacity(strings),
+            strings: Vec::with_capacity(strings),
+            ..Interner::default()
         }
-        let sym = Sym(u32::try_from(self.strings.len()).expect("bounded by MAX_RECORDS"));
-        let shared: Arc<str> = Arc::from(s);
-        self.strings.push(Arc::clone(&shared));
-        self.ids.insert(shared, sym);
-        sym
+    }
+
+    pub(crate) fn intern(&mut self, s: &str) -> Sym {
+        if self
+            .strings
+            .get(self.last.0 as usize)
+            .is_some_and(|l| **l == *s)
+        {
+            return self.last;
+        }
+        self.last = match self.ids.get(s) {
+            Some(&sym) => sym,
+            None => {
+                let sym = Sym(u32::try_from(self.strings.len()).expect("bounded by MAX_RECORDS"));
+                let shared: Arc<str> = Arc::from(s);
+                self.strings.push(Arc::clone(&shared));
+                self.ids.insert(shared, sym);
+                sym
+            }
+        };
+        self.last
     }
 
     fn get(&self, sym: Sym) -> Arc<str> {
@@ -83,7 +111,7 @@ pub(crate) struct Emitter {
 }
 
 impl Emitter {
-    /// An emitter for the traces named `trace_names`, expecting about
+    /// An emitter for the traces named `trace_names`, with room for
     /// `capacity` events and resolving the `Sym`s made by `strings`.
     pub(crate) fn new(trace_names: Vec<String>, strings: Interner, capacity: usize) -> Self {
         Emitter {
@@ -130,5 +158,21 @@ impl Emitter {
             events: self.events,
             stats,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn repeats_and_alternations_intern_to_first_appearance_order() {
+        let mut table = Interner::default();
+        let seen: Vec<Sym> = ["w", "w", "", "w", "blk", "", "", "blk"]
+            .map(|s| table.intern(s))
+            .to_vec();
+        let [w, empty, blk] = [Sym(0), Sym(1), Sym(2)];
+        assert_eq!(seen, [w, w, empty, w, blk, empty, empty, blk]);
+        assert_eq!(table.into_names(), ["w", "", "blk"]);
     }
 }

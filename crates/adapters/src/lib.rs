@@ -141,6 +141,16 @@ fn record_lines<'a>(
     })
 }
 
+/// How many records `input` can hold at most, for sizing a reader's
+/// tables and output once, before the first record: one per line, and
+/// no more than fit at `min_record` bytes each (line break included) —
+/// so a file of blank lines reserves a fixed multiple of its own size,
+/// not a table slot per line.
+fn record_hint(input: &str, min_record: usize) -> usize {
+    let lines = input.bytes().filter(|&b| b == b'\n').count() + 1;
+    lines.min(input.len() / min_record + 1)
+}
+
 /// Looks an adapter up by format name (`"otlp"`, `"mpi"`,
 /// `"session"`). Returns `None` for unknown formats — the CLI turns
 /// that into a usage error listing [`FORMATS`].
@@ -168,5 +178,14 @@ mod tests {
             assert_eq!(a.format(), *f);
         }
         assert!(by_name("protobuf").is_none());
+    }
+
+    #[test]
+    fn record_hint_counts_lines_but_never_more_than_the_bytes_could_hold() {
+        assert_eq!(record_hint("", 9), 1);
+        assert_eq!(record_hint("mpi 2\n0 send 1 w\n1 recv 0 w\n", 9), 4);
+        // A last line without its break still counts.
+        assert_eq!(record_hint("mpi 1\n0 local x", 9), 2);
+        assert_eq!(record_hint(&"\n".repeat(9_000), 9), 1_001);
     }
 }

@@ -40,14 +40,109 @@
 
 use crate::emit::{Emitter, Interner, Sym};
 use crate::error::{limit, syn, too_many_records};
-use crate::{record_lines, Adapter, AdapterError, AdapterErrorKind, AdapterOutput, AdapterStats};
-use crate::{MAX_RECORDS, MAX_TRACES};
+use crate::{record_hint, MAX_RECORDS, MAX_TRACES};
+use crate::{Adapter, AdapterError, AdapterErrorKind, AdapterOutput, AdapterStats};
 use ocep_vclock::TraceId;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// The MPI trace adapter (format name `mpi`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MpiAdapter;
+
+/// The shortest record there is, line break included: `0 recv 0`.
+const MIN_RECORD_BYTES: usize = 9;
+
+/// What a byte is to the tokenizer: part of a token, a one-byte
+/// whitespace character, or the lead byte of a multi-byte character
+/// (whitespace or not — only those cost a decode).
+const TOKEN: u8 = 0;
+const SPACE: u8 = 1;
+const LEAD: u8 = 2;
+
+static CLASS: [u8; 256] = {
+    let mut class = [TOKEN; 256];
+    let mut b = 0;
+    while b < 256 {
+        if matches!(b as u8, b'\t'..=b'\r' | b' ') {
+            class[b] = SPACE;
+        } else if b >= 0xC2 {
+            class[b] = LEAD;
+        }
+        b += 1;
+    }
+    class
+};
+
+/// Byte length of the whitespace character at the lead byte `s[i]`, 0
+/// when that character is not whitespace.
+fn wide_space(s: &str, i: usize) -> usize {
+    let c = s[i..].chars().next();
+    c.filter(|c| c.is_whitespace()).map_or(0, char::len_utf8)
+}
+
+/// The tokens `str::split_whitespace` would yield, found byte by byte.
+struct Tokens<'a> {
+    rest: &'a str,
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let (s, bytes) = (self.rest, self.rest.as_bytes());
+        let class = |i: usize| bytes.get(i).map(|&b| CLASS[b as usize]);
+        let mut start = 0;
+        loop {
+            match class(start) {
+                Some(SPACE) => start += 1,
+                Some(LEAD) => match wide_space(s, start) {
+                    0 => break,
+                    n => start += n,
+                },
+                _ => break,
+            }
+        }
+        let mut end = start;
+        loop {
+            match class(end) {
+                Some(TOKEN) => end += 1,
+                Some(LEAD) if wide_space(s, end) == 0 => end += 1,
+                _ => break,
+            }
+        }
+        self.rest = &s[end..];
+        (start < end).then(|| &s[start..end])
+    }
+}
+
+/// The records of a recording: every line that holds a token and is not
+/// a `#` comment, as its 1-based line number, its first token and the
+/// tokens after it. `lines` counts every line passed over.
+struct Records<'a> {
+    input: &'a str,
+    at: usize,
+    lines: usize,
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = (usize, &'a str, Tokens<'a>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while self.at < self.input.len() {
+            let rest = &self.input[self.at..];
+            let end = rest.bytes().position(|b| b == b'\n').unwrap_or(rest.len());
+            self.at += end + 1;
+            self.lines += 1;
+            // A `\r` before the break is whitespace like any other.
+            let mut toks = Tokens { rest: &rest[..end] };
+            match toks.next() {
+                Some(first) if !first.starts_with('#') => return Some((self.lines, first, toks)),
+                _ => {}
+            }
+        }
+        None
+    }
+}
 
 fn parse_rank(tok: &str, n: usize, line: usize, what: &str) -> Result<u32, AdapterError> {
     let rank: u64 = tok
@@ -63,10 +158,10 @@ fn parse_rank(tok: &str, n: usize, line: usize, what: &str) -> Result<u32, Adapt
     }
 }
 
-/// The rank count claimed by the header record `text`.
-fn parse_header(text: &str, line: usize) -> Result<usize, AdapterError> {
-    let mut toks = text.split_whitespace();
-    if toks.next() != Some("mpi") {
+/// The rank count claimed by the header record: `first` and the
+/// tokens after it.
+fn parse_header(first: &str, mut toks: Tokens<'_>, line: usize) -> Result<usize, AdapterError> {
+    if first != "mpi" {
         return Err(syn(line, "first record must be the header `mpi <nranks>`"));
     }
     let (Some(count), None) = (toks.next(), toks.next()) else {
@@ -97,45 +192,53 @@ impl Adapter for MpiAdapter {
 
     fn parse_str(&self, input: &str) -> Result<AdapterOutput, AdapterError> {
         let mut stats = AdapterStats::default();
-        let mut records = record_lines(input, &mut stats.lines);
-        let Some((line, header)) = records.next() else {
+        let mut records = Records {
+            input,
+            at: 0,
+            lines: 0,
+        };
+        let Some((line, first, toks)) = records.next() else {
             return Err(syn(
-                input.lines().count().max(1),
+                records.lines.max(1),
                 "empty recording: missing `mpi <nranks>` header",
             ));
         };
-        let n = parse_header(header, line)?;
+        let n = parse_header(first, toks, line)?;
         stats.records += 1;
 
         let rank_names = (0..n).map(|r| format!("rank-{r}")).collect();
-        let mut em = Emitter::new(rank_names, Interner::default(), 0);
-        let [send_ty, block_send_ty, recv_ty] =
-            ["mpi_send", "mpi_block_send", "mpi_recv"].map(|ty| em.strings.intern(ty));
+        // Strings: a destination text per rank, four fixed ones, tags.
+        let strings = Interner::with_capacity(n + 8);
+        let mut em = Emitter::new(rank_names, strings, record_hint(input, MIN_RECORD_BYTES));
+        let [send_ty, block_send_ty, recv_ty, no_tag] =
+            ["mpi_send", "mpi_block_send", "mpi_recv", ""].map(|s| em.strings.intern(s));
         // A send's text names its destination trace: `"T{dst}"`.
         let dst_text: Vec<Sym> = (0..n as u32)
             .map(|dst| em.strings.intern(&TraceId::new(dst).to_string()))
             .collect();
-        // FIFO of unmatched sends (output positions) per
-        // `(src, dst, tag)` channel.
-        let mut channels: HashMap<(u32, u32, Sym), VecDeque<usize>> = HashMap::new();
+        // FIFO of unmatched sends (output positions) per `(src, dst,
+        // tag)` channel. All three are dense ids this reader assigned,
+        // so the key is ordered, not hashed: a lookup is logarithmic
+        // in the channels the recording opens, whatever tags it chose,
+        // and rank pairs that never talk cost nothing.
+        let mut channels: BTreeMap<(u32, u32, Sym), VecDeque<usize>> = BTreeMap::new();
 
-        for (line, text) in records {
-            let mut toks = text.split_whitespace();
-            let head = (toks.next(), toks.next(), toks.next());
-            if head.0 == Some("mpi") {
+        for (line, rank, mut toks) in records.by_ref() {
+            if rank == "mpi" {
                 return Err(syn(line, "duplicate `mpi` header"));
             }
             if stats.records as usize >= MAX_RECORDS {
                 return Err(too_many_records(line));
             }
-            let (Some(rank), Some(op), Some(arg)) = head else {
+            let (Some(op), Some(arg)) = (toks.next(), toks.next()) else {
                 return Err(syn(
                     line,
                     "record is `<rank> send|bsend|recv|local <arg> [tag|text]`",
                 ));
             };
             let rank = parse_rank(rank, n, line, "rank")?;
-            let tag = toks.next().unwrap_or("");
+            let tag = toks.next();
+            let tag_sym = tag.map_or(no_tag, |tag| em.strings.intern(tag));
             match op {
                 "send" | "bsend" => {
                     let dst = parse_rank(arg, n, line, "destination")?;
@@ -145,16 +248,14 @@ impl Adapter for MpiAdapter {
                         send_ty
                     };
                     let at = em.local(rank, true, ty, dst_text[dst as usize]);
-                    let tag = em.strings.intern(tag);
-                    channels.entry((rank, dst, tag)).or_default().push_back(at);
+                    let channel = channels.entry((rank, dst, tag_sym));
+                    channel.or_default().push_back(at);
                 }
                 "recv" => {
                     let src = parse_rank(arg, n, line, "source")?;
-                    let tag_sym = em.strings.intern(tag);
-                    let send = channels
-                        .get_mut(&(src, rank, tag_sym))
-                        .and_then(VecDeque::pop_front);
-                    let Some(send) = send else {
+                    let channel = channels.get_mut(&(src, rank, tag_sym));
+                    let Some(send) = channel.and_then(VecDeque::pop_front) else {
+                        let tag = tag.unwrap_or("");
                         return Err(AdapterError::new(
                             AdapterErrorKind::Unmatched,
                             line,
@@ -168,8 +269,8 @@ impl Adapter for MpiAdapter {
                     stats.edges += 1;
                 }
                 "local" => {
-                    let (ty, text) = (em.strings.intern(arg), em.strings.intern(tag));
-                    em.local(rank, false, ty, text);
+                    let ty = em.strings.intern(arg);
+                    em.local(rank, false, ty, tag_sym);
                 }
                 op => {
                     return Err(syn(
@@ -180,6 +281,7 @@ impl Adapter for MpiAdapter {
             }
             stats.records += 1;
         }
+        stats.lines = records.lines as u64;
 
         Ok(em.finish(stats))
     }
@@ -277,6 +379,54 @@ mod tests {
         let err = parse("mpi 4000000000\n").unwrap_err();
         assert_eq!(err.kind, AdapterErrorKind::Limit);
         assert!(err.to_string().contains("clock width"), "{err}");
+    }
+
+    /// An alphabet of everything the tokenizer classifies: token bytes,
+    /// every one-byte whitespace, control characters that are *not*
+    /// whitespace, line breaks, `#`, and multi-byte characters with and
+    /// without the whitespace property.
+    const ALPHABET: &[char] = &[
+        'a', '7', '#', ' ', '\t', '\n', '\r', '\u{b}', '\u{c}', '\u{1c}', '\u{1f}', '\u{85}',
+        '\u{a0}', '\u{1680}', '\u{2003}', '\u{2028}', '\u{3000}', 'é', '\u{200b}', '語', '🦀',
+    ];
+
+    fn scrambled(rng: &mut ocep_rng::Rng, len: usize) -> String {
+        let pick = |rng: &mut ocep_rng::Rng| *rng.choose(ALPHABET).expect("non-empty alphabet");
+        (0..len).map(|_| pick(rng)).collect()
+    }
+
+    #[test]
+    fn tokens_are_exactly_split_whitespace() {
+        let mut rng = ocep_rng::Rng::seed_from_u64(16);
+        for case in 0..2_000 {
+            let line = scrambled(&mut rng, case % 24);
+            let ours: Vec<&str> = Tokens { rest: &line }.collect();
+            let std: Vec<&str> = line.split_whitespace().collect();
+            assert_eq!(ours, std, "{line:?}");
+        }
+    }
+
+    #[test]
+    fn records_are_exactly_the_trimmed_uncommented_lines() {
+        let mut rng = ocep_rng::Rng::seed_from_u64(17);
+        for case in 0..2_000 {
+            let input = scrambled(&mut rng, case % 48);
+            let mut records = Records {
+                input: &input,
+                at: 0,
+                lines: 0,
+            };
+            let ours: Vec<(usize, Vec<&str>)> = records
+                .by_ref()
+                .map(|(line, first, rest)| (line, std::iter::once(first).chain(rest).collect()))
+                .collect();
+            let mut seen = 0;
+            let reference: Vec<(usize, Vec<&str>)> = crate::record_lines(&input, &mut seen)
+                .map(|(line, text)| (line, text.split_whitespace().collect()))
+                .collect();
+            assert_eq!(ours, reference, "{input:?}");
+            assert_eq!(records.lines as u64, seen, "{input:?}");
+        }
     }
 
     #[test]

@@ -55,7 +55,8 @@
 use crate::emit::{Emitter, Interner, Sym};
 use crate::error::{limit, syn, too_many_records};
 use crate::json::{self, Field, Value};
-use crate::{record_lines, Adapter, AdapterError, AdapterErrorKind, AdapterOutput, AdapterStats};
+use crate::{record_hint, record_lines};
+use crate::{Adapter, AdapterError, AdapterErrorKind, AdapterOutput, AdapterStats};
 use crate::{MAX_LINKS_PER_SPAN, MAX_RECORDS};
 use std::borrow::Cow;
 use std::cmp::Reverse;
@@ -68,6 +69,10 @@ pub const SPAN_LINK_TYPE: &str = "span_link";
 /// The OTLP-style span adapter (format name `otlp`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OtlpAdapter;
+
+/// No record is shorter than its required keys and a line break:
+/// `{"service":"","span":"","name":"","start":0}`.
+const MIN_RECORD_BYTES: usize = 45;
 
 /// The record fields the reader looks at, in [`json::scan`] order.
 const FIELDS: [&str; 7] = [
@@ -145,10 +150,11 @@ impl Adapter for OtlpAdapter {
 
     fn parse_str(&self, input: &str) -> Result<AdapterOutput, AdapterError> {
         let mut stats = AdapterStats::default();
-        let mut spans: Vec<Span> = Vec::new();
+        let hint = record_hint(input, MIN_RECORD_BYTES);
+        let mut spans: Vec<Span> = Vec::with_capacity(hint);
         let mut traces = Interner::default();
         let mut strings = Interner::default();
-        let mut span_ix: HashMap<Cow<str>, usize> = HashMap::new();
+        let mut span_ix: HashMap<Cow<str>, usize> = HashMap::with_capacity(hint);
 
         // ── Pass 1: parse records ───────────────────────────────────
         for (line, text) in record_lines(input, &mut stats.lines) {

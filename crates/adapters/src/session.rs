@@ -52,9 +52,8 @@
 use crate::emit::{Emitter, Interner, Sym};
 use crate::error::{syn, too_many_records};
 use crate::json::{self, Field, Value};
-use crate::{
-    record_lines, Adapter, AdapterError, AdapterErrorKind, AdapterOutput, AdapterStats, MAX_RECORDS,
-};
+use crate::{record_hint, record_lines, MAX_RECORDS};
+use crate::{Adapter, AdapterError, AdapterErrorKind, AdapterOutput, AdapterStats};
 use ocep_vclock::TraceId;
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -62,6 +61,10 @@ use std::collections::HashMap;
 /// The agent-session recording adapter (format name `session`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SessionAdapter;
+
+/// No record is shorter than its required keys and a line break:
+/// `{"session":"","kind":"message"}`.
+const MIN_RECORD_BYTES: usize = 32;
 
 /// The record fields the reader looks at, in [`json::scan`] order.
 const FIELDS: [&str; 7] = ["session", "kind", "op", "target", "attr", "id", "from"];
@@ -105,8 +108,9 @@ impl Adapter for SessionAdapter {
         let mut strings = Interner::default();
 
         // ── Pass 1: parse records, resolve ids and references ───────
-        let mut records: Vec<Record> = Vec::new();
-        let mut id_of: HashMap<Cow<str>, usize> = HashMap::new();
+        let hint = record_hint(input, MIN_RECORD_BYTES);
+        let mut records: Vec<Record> = Vec::with_capacity(hint);
+        let mut id_of: HashMap<Cow<str>, usize> = HashMap::with_capacity(hint);
         // The first reference that could not be resolved yet: (line,
         // id). Diagnosed in pass 2.
         let mut unresolved: Option<(usize, Cow<str>)> = None;

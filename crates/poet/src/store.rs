@@ -99,15 +99,19 @@ impl TraceStore {
 
     /// Iterates over every stored event in global arrival order (a valid
     /// linearization of the partial order).
-    pub fn iter_arrival(&self) -> impl Iterator<Item = &Event> + '_ {
+    pub fn iter_arrival(&self) -> impl ExactSizeIterator<Item = &Event> + '_ {
         self.iter_arrival_from(0)
     }
 
     /// Iterates in global arrival order from the `from`-th arrival on
-    /// (nothing when fewer events have arrived).
-    pub fn iter_arrival_from(&self, from: usize) -> impl Iterator<Item = &Event> + '_ {
+    /// (nothing when fewer events have arrived). The length is exact, so
+    /// collecting a linearization allocates once.
+    pub fn iter_arrival_from(&self, from: usize) -> impl ExactSizeIterator<Item = &Event> + '_ {
         let rest = self.arrival.get(from..).unwrap_or(&[]);
-        rest.iter().filter_map(move |id| self.get(*id))
+        rest.iter().map(move |id| {
+            self.get(*id)
+                .expect("`push` records an arrival id only with its event")
+        })
     }
 
     /// `GP(a, t)`: index of the most recent event on `t` happening before

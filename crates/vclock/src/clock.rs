@@ -20,8 +20,9 @@ use std::sync::Arc;
 /// copies the entries, so a stamped event's timestamp can be handed
 /// around the matcher's hot path for free regardless of the trace count.
 /// Mutation (`tick`/`join`) is copy-on-write — it copies the buffer only
-/// when it is actually shared, which is exactly once per stamped event
-/// (the same O(n) the eager copy used to pay at stamping time).
+/// when it is actually shared. Stamping does not go through it:
+/// [`crate::ClockAssigner`] steps rows of its own and copies each
+/// event's timestamp out once.
 ///
 /// # Example
 ///
@@ -51,6 +52,13 @@ impl VectorClock {
     /// Builds a clock from raw entries.
     #[must_use]
     pub fn from_entries(entries: Vec<u32>) -> Self {
+        VectorClock {
+            entries: entries.into(),
+        }
+    }
+
+    /// A clock holding a copy of `entries`: one allocation, one copy.
+    pub(crate) fn copy_of(entries: &[u32]) -> Self {
         VectorClock {
             entries: entries.into(),
         }

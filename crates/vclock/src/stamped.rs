@@ -150,22 +150,66 @@ impl std::fmt::Display for StampedEvent {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ClockAssigner {
-    clocks: Vec<VectorClock>,
+    n_traces: usize,
+    /// Where each trace's row starts in `rows`; [`UNSTAMPED`] until the
+    /// trace's first event.
+    starts: Vec<usize>,
+    /// The current clock of every trace stamped so far, as plain
+    /// entries, `n_traces` to a row, in order of first event. A row is
+    /// never shared with the events it stamped, so advancing it probes
+    /// no reference count: an event costs the in-place step and one
+    /// copy out. Traces that never record an event take no room.
+    rows: Vec<u32>,
 }
+
+/// The `starts` entry of a trace with no event yet (its clock is zero).
+const UNSTAMPED: usize = usize::MAX;
+
+/// The widest computation whose rows are all reserved up front (1 MiB).
+const MAX_RESERVED_TRACES: usize = 512;
 
 impl ClockAssigner {
     /// Creates an assigner for `n_traces` traces, all clocks zero.
     #[must_use]
     pub fn new(n_traces: usize) -> Self {
+        // Room for every row when that is small (reserved, not touched),
+        // so rows are added without moving the others; a wide
+        // computation pays only for the traces that record.
+        let reserve = if n_traces <= MAX_RESERVED_TRACES {
+            n_traces * n_traces
+        } else {
+            0
+        };
         ClockAssigner {
-            clocks: vec![VectorClock::new(n_traces); n_traces],
+            n_traces,
+            starts: vec![UNSTAMPED; n_traces],
+            rows: Vec::with_capacity(reserve),
         }
     }
 
     /// Number of traces managed.
     #[must_use]
     pub fn n_traces(&self) -> usize {
-        self.clocks.len()
+        self.n_traces
+    }
+
+    /// Trace `t`'s row, added (all zero) on first use.
+    fn row(&mut self, t: TraceId) -> &mut [u32] {
+        let start = &mut self.starts[t.as_usize()];
+        if *start == UNSTAMPED {
+            *start = self.rows.len();
+            self.rows.resize(*start + self.n_traces, 0);
+        }
+        &mut self.rows[*start..*start + self.n_traces]
+    }
+
+    /// Advances `row`'s own entry and stamps the event it now describes.
+    fn stamp(row: &mut [u32], t: TraceId) -> StampedEvent {
+        crate::ops::count_tick();
+        let own = &mut row[t.as_usize()];
+        *own += 1;
+        let id = EventId::new(t, EventIndex::new(*own));
+        StampedEvent::new(id, VectorClock::copy_of(row))
     }
 
     /// Stamps a purely local event (including a message send) on trace `t`.
@@ -174,9 +218,7 @@ impl ClockAssigner {
     ///
     /// Panics if `t` is out of range.
     pub fn local(&mut self, t: TraceId) -> StampedEvent {
-        let clock = &mut self.clocks[t.as_usize()];
-        let idx = clock.tick(t);
-        StampedEvent::new(EventId::new(t, idx), clock.clone())
+        Self::stamp(self.row(t), t)
     }
 
     /// Stamps a receive event on trace `t` for a message whose send was
@@ -186,10 +228,16 @@ impl ClockAssigner {
     ///
     /// Panics if `t` is out of range or the clock widths differ.
     pub fn receive(&mut self, t: TraceId, sender: &StampedEvent) -> StampedEvent {
-        let clock = &mut self.clocks[t.as_usize()];
-        clock.join(sender.clock());
-        let idx = clock.tick(t);
-        StampedEvent::new(EventId::new(t, idx), clock.clone())
+        let row = self.row(t);
+        let sent = sender.clock().entries();
+        assert_eq!(
+            row.len(),
+            sent.len(),
+            "cannot join clocks of different widths"
+        );
+        crate::ops::count_join();
+        crate::kernels::join_into(row, sent);
+        Self::stamp(row, t)
     }
 
     /// The current clock of trace `t` (timestamp of its latest event).
@@ -198,8 +246,11 @@ impl ClockAssigner {
     ///
     /// Panics if `t` is out of range.
     #[must_use]
-    pub fn current(&self, t: TraceId) -> &VectorClock {
-        &self.clocks[t.as_usize()]
+    pub fn current(&self, t: TraceId) -> VectorClock {
+        match self.starts[t.as_usize()] {
+            UNSTAMPED => VectorClock::new(self.n_traces),
+            start => VectorClock::copy_of(&self.rows[start..start + self.n_traces]),
+        }
     }
 }
 
@@ -252,6 +303,44 @@ mod tests {
         let r = asn.receive(t(1), &s);
         let after = asn.local(t(0));
         assert_eq!(after.causality(&r), Causality::Concurrent);
+    }
+
+    #[test]
+    fn stamps_equal_the_tick_and_join_definition() {
+        // The assigner steps private rows; the definition is
+        // `VectorClock::join` then `tick` on the trace's previous clock.
+        for n in [5, MAX_RESERVED_TRACES + 1] {
+            assigner_matches_definition(n);
+        }
+    }
+
+    fn assigner_matches_definition(n: usize) {
+        let mut rng = ocep_rng::Rng::seed_from_u64(16);
+        let mut asn = ClockAssigner::new(n);
+        let mut reference = vec![VectorClock::new(n); n];
+        let mut stamped: Vec<StampedEvent> = Vec::new();
+        for _ in 0..500 {
+            let tr = t(rng.gen_range(0..5));
+            // Trace 4 never records: its clock must stay readable as zero.
+            if tr == t(4) {
+                continue;
+            }
+            let sender = rng.choose(&stamped).filter(|_| rng.gen_bool(0.4)).cloned();
+            let clock = &mut reference[tr.as_usize()];
+            let event = match &sender {
+                Some(s) => {
+                    clock.join(s.clock());
+                    asn.receive(tr, s)
+                }
+                None => asn.local(tr),
+            };
+            let index = clock.tick(tr);
+            assert_eq!(event.id(), EventId::new(tr, index));
+            assert_eq!(event.clock(), &*clock);
+            assert_eq!(&asn.current(tr), &*clock);
+            stamped.push(event);
+        }
+        assert_eq!(asn.current(t(4)), VectorClock::new(n));
     }
 
     #[test]

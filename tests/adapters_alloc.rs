@@ -1,0 +1,202 @@
+//! Allocation budgets of the ingestion adapters, counted rather than
+//! timed: a reader that starts allocating per token, regrowing its
+//! output or keeping a table per rank pair fails here on a number that
+//! repeats exactly, not on a timing that depends on the host.
+//!
+//! The counters are per thread (the test harness runs tests in
+//! parallel), so each test sees only what its own `parse_str` asked for.
+
+use ocep_repro::adapters::testgen::{mpi_soak, session_ryw, zookeeper_otlp};
+use ocep_repro::adapters::{by_name, AdapterOutput};
+use ocep_repro::poet::Event;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// A reallocation of a block this large is the output vector regrowing
+/// (every table a reader keeps on these inputs is far smaller).
+const LARGE: usize = 256 * 1024;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+    static LARGE_REALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+    BYTES.with(|c| c.set(c.get() + bytes as u64));
+}
+
+/// `System` plus per-thread counts of allocations and bytes requested.
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the added work touches only
+// const-initialised thread-local cells, which neither allocate nor
+// register destructors.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` via the methods of this impl.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        if layout.size() >= LARGE {
+            LARGE_REALLOCS.with(|c| c.set(c.get() + 1));
+        }
+        // SAFETY: `ptr` came from `System` via the methods of this impl
+        // and the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// What one `parse_str` call asked of the allocator.
+struct Cost {
+    out: AdapterOutput,
+    allocs: u64,
+    bytes: u64,
+    large_reallocs: u64,
+}
+
+fn parse(format: &str, text: &str) -> Cost {
+    let adapter = by_name(format).expect("known format");
+    let before = (
+        ALLOCS.with(Cell::get),
+        BYTES.with(Cell::get),
+        LARGE_REALLOCS.with(Cell::get),
+    );
+    let out = adapter.parse_str(text).expect("recording parses");
+    Cost {
+        allocs: ALLOCS.with(Cell::get) - before.0,
+        bytes: BYTES.with(Cell::get) - before.1,
+        large_reallocs: LARGE_REALLOCS.with(Cell::get) - before.2,
+        out,
+    }
+}
+
+#[test]
+fn mpi_allocates_one_clock_per_event_and_sizes_its_output_once() {
+    let cost = parse("mpi", &mpi_soak(1, 8, 50_000).text);
+    let events = cost.out.events.len() as u64;
+    assert!(events >= 50_000);
+    assert!(
+        std::mem::size_of::<Event>() * cost.out.events.len() >= 4 * LARGE,
+        "the output vector must be large enough for a regrowth to count"
+    );
+    assert!(
+        cost.allocs <= events + 64,
+        "{} allocations for {events} events: more than one clock buffer each",
+        cost.allocs
+    );
+    assert_eq!(cost.large_reallocs, 0, "the output vector regrew");
+}
+
+#[test]
+fn otlp_and_session_stay_within_their_documented_allocations_per_event() {
+    // docs/ADAPTERS.md, "Cost", on its inputs: 1.29 (otlp) and 2.0
+    // (session) per event — a clock buffer each, plus an `Arc<str>`
+    // per distinct string. The session input is small enough for its
+    // tables, which grow by doubling, to show: 128 covers them.
+    let otlp = parse("otlp", &zookeeper_otlp(1, 20, 600, 0.05).text);
+    let events = otlp.out.events.len() as u64;
+    assert!(
+        otlp.allocs * 10 <= events * 13,
+        "otlp: {} allocations for {events} events",
+        otlp.allocs
+    );
+    let session = parse("session", &session_ryw(4, 500, 0.2).text);
+    let events = session.out.events.len() as u64;
+    assert!(
+        session.allocs <= events * 2 + 128,
+        "session: {} allocations for {events} events",
+        session.allocs
+    );
+}
+
+#[test]
+fn many_tags_on_one_rank_pair_cost_memory_linear_in_the_input() {
+    // 50k channels between one pair of ranks: every send opens one,
+    // every receive looks one up. The bytes per input byte must not
+    // grow with the number of channels.
+    let recording = |tags: usize| {
+        let mut text = String::from("mpi 2\n");
+        for t in 0..tags {
+            text.push_str(&format!("0 send 1 tag-{t}\n"));
+        }
+        for t in 0..tags {
+            text.push_str(&format!("1 recv 0 tag-{t}\n"));
+        }
+        text
+    };
+    let per_input_byte = |tags: usize| {
+        let text = recording(tags);
+        let cost = parse("mpi", &text);
+        assert_eq!(cost.out.events.len(), 2 * tags);
+        assert_eq!(cost.out.stats.edges, tags as u64);
+        cost.bytes as f64 / text.len() as f64
+    };
+    let (small, large) = (per_input_byte(5_000), per_input_byte(50_000));
+    assert!(large <= 32.0, "{large:.1} bytes allocated per input byte");
+    assert!(
+        large <= small * 1.25,
+        "bytes per input byte grew from {small:.1} at 5k tags to {large:.1} at 50k"
+    );
+}
+
+#[test]
+fn a_wide_header_allocates_per_rank_never_per_rank_pair() {
+    let mut text = String::from("mpi 4096\n");
+    for r in 0..5 {
+        text.push_str(&format!(
+            "{r} send {} edge\n{} recv {r} edge\n",
+            4095 - r,
+            4095 - r
+        ));
+    }
+    let cost = parse("mpi", &text);
+    assert_eq!(cost.out.n_traces, 4096);
+    assert_eq!(cost.out.events.len(), 10);
+    // Names, `T<rank>` texts and clock rows are per rank; ten events
+    // carry ten 16 KiB clocks. A table with a slot per `(src, dst)`
+    // pair would be 16 Mi slots.
+    assert!(
+        cost.bytes < 4096 * 512,
+        "{} bytes allocated for a 4096-rank header and ten records",
+        cost.bytes
+    );
+}
+
+#[test]
+fn blank_lines_reserve_a_bounded_multiple_of_their_own_size() {
+    let mut text = "\n".repeat(1 << 20);
+    text.push_str("mpi 1\n0 local only\n");
+    let cost = parse("mpi", &text);
+    assert_eq!(cost.out.events.len(), 1);
+    assert_eq!(cost.out.stats.lines, (1 << 20) + 2);
+    // An output slot per *line* would be a million events' worth; the
+    // size hint is capped by how many records the bytes could hold.
+    let slot_per_line = (text.len() * std::mem::size_of::<Event>()) as u64;
+    assert!(
+        cost.bytes * 4 < slot_per_line,
+        "{} bytes allocated for {} input bytes",
+        cost.bytes,
+        text.len()
+    );
+    assert!(cost.bytes <= 12 * text.len() as u64);
+}
