@@ -6,7 +6,7 @@
 //! to particular traces that are involved." This crate supplies that
 //! second step:
 //!
-//! * [`slice`] — project a recorded computation onto the traces a
+//! * [`slice()`] — project a recorded computation onto the traces a
 //!   reported match involves, producing a small self-contained dump an
 //!   offline tool (or a human) can study. Causality *within* the kept
 //!   traces is preserved exactly; messages to or from dropped traces

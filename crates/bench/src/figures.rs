@@ -630,41 +630,6 @@ pub fn ablation_dedup(opts: &RunOptions) -> (usize, usize, f64, f64) {
     )
 }
 
-/// Ablation: the §VI parallel trace traversal. Returns
-/// `(threads, median_us, total_ms, clones_avoided)` for the deadlock
-/// case (largest searches). `clones_avoided` is the zero-copy hot-path
-/// counter: Fig 4 restrictions that borrowed the assigned event instead
-/// of cloning its timestamp buffer.
-pub fn ablation_parallel(opts: &RunOptions) -> Vec<(usize, f64, f64, u64)> {
-    let g = random_walk::generate(&deadlock_params(20, opts.events.min(40_000), 8, 5));
-    crate::hprintln!("\n=== Ablation: SVI parallel trace traversal (deadlock, 20 traces) ===");
-    crate::hprintln!(
-        "{:>8} {:>14} {:>14} {:>16}",
-        "threads",
-        "median (us)",
-        "total (ms)",
-        "clones avoided"
-    );
-    let mut out = Vec::new();
-    for &threads in &[1usize, 2, 4, 8] {
-        let m = measure_monitor(
-            &g,
-            MonitorConfig {
-                parallelism: threads,
-                ..MonitorConfig::default()
-            },
-        );
-        let med = BoxPlot::from_samples(&m.per_search_event_us).median;
-        let total_ms = m.total.as_secs_f64() * 1e3;
-        crate::hprintln!(
-            "{threads:>8} {med:>14.1} {total_ms:>14.1} {:>16}",
-            m.stats.clones_avoided
-        );
-        out.push((threads, med, total_ms, m.stats.clones_avoided));
-    }
-    out
-}
-
 // ------------------------------------------------------------- summary
 
 /// Runs everything (the `all` subcommand).
@@ -680,5 +645,4 @@ pub fn run_all(opts: &RunOptions) {
     let _ = ablation_pattern_len(opts);
     let _ = ablation_pruning(opts);
     let _ = ablation_dedup(opts);
-    let _ = ablation_parallel(opts);
 }

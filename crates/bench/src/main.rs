@@ -26,7 +26,6 @@ EXPERIMENTS:
     ablation-pattern-len  runtime vs deadlock-cycle length
     ablation-pruning      causal pruning vs naive backtracking
     ablation-dedup        SVI history deduplication effect
-    ablation-parallel     SVI parallel trace traversal speedup
     net                   loopback OCWP serving throughput and accept->admit
                           latency vs in-process delivery (also: --net)
     clocks                vector-clock kernel microbenchmarks: chunked vs
@@ -136,7 +135,6 @@ fn main() {
                 "ablation-pattern-len",
                 "ablation-pruning",
                 "ablation-dedup",
-                "ablation-parallel",
             ]
             .into_iter()
             .map(|name| (name, run_one(name, &opts))),
@@ -311,16 +309,6 @@ fn run_one(name: &str, opts: &RunOptions) -> Json {
                 ("total_without_us", Json::from(without_us)),
             ])
         }
-        "ablation-parallel" => Json::arr(figures::ablation_parallel(opts).into_iter().map(
-            |(threads, median_us, total_ms, clones_avoided)| {
-                Json::obj([
-                    ("threads", Json::from(threads)),
-                    ("median_us", Json::from(median_us)),
-                    ("total_ms", Json::from(total_ms)),
-                    ("clones_avoided", Json::from(clones_avoided)),
-                ])
-            },
-        )),
         other => bail(&format!("unknown experiment '{other}'")),
     }
 }

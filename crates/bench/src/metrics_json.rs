@@ -1,5 +1,5 @@
 //! JSON rendering of an [`ocep_core::MetricsSnapshot`] through the
-//! std-only [`Json`](crate::json::Json) serializer — the second exporter
+//! std-only [`Json`] serializer — the second exporter
 //! next to the Prometheus text format
 //! ([`MetricsSnapshot::to_prometheus`]).
 

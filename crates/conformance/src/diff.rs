@@ -122,11 +122,6 @@ pub struct CheckConfig {
     pub dedup: bool,
     /// Tie-break seeds for the two extra linearizations of invariant 4.
     pub lin_seeds: [u64; 2],
-    /// Worker threads for the monitors' §VI parallel trace traversal
-    /// (`1` = the paper's sequential search). The invariants are
-    /// parallelism-independent, so raising this exercises the worker-pool
-    /// partitioning against the same oracle truth.
-    pub parallelism: usize,
     /// Observability level for the monitors under test. Must never change
     /// a verdict — the metrics-transparency suite pins this by running
     /// the same cases at [`ObsLevel::Off`] and [`ObsLevel::Full`].
@@ -138,7 +133,6 @@ impl Default for CheckConfig {
         CheckConfig {
             dedup: true,
             lin_seeds: [1, 2],
-            parallelism: 1,
             obs: ObsLevel::Off,
         }
     }
@@ -205,7 +199,6 @@ pub fn check_case_with_metrics(
         MonitorConfig {
             dedup: cfg.dedup,
             policy: SubsetPolicy::PerArrival,
-            parallelism: cfg.parallelism,
             obs: cfg.obs,
             ..MonitorConfig::default()
         },
@@ -261,7 +254,6 @@ pub fn check_case_with_metrics(
         MonitorConfig {
             dedup: cfg.dedup,
             policy: SubsetPolicy::Representative,
-            parallelism: cfg.parallelism,
             obs: cfg.obs,
             ..MonitorConfig::default()
         },
@@ -342,7 +334,6 @@ pub fn check_case_with_metrics(
             MonitorConfig {
                 dedup: cfg.dedup,
                 policy: SubsetPolicy::PerArrival,
-                parallelism: cfg.parallelism,
                 obs: cfg.obs,
                 ..MonitorConfig::default()
             },

@@ -303,7 +303,6 @@ fn monitor_for(
         MonitorConfig {
             dedup: cfg.dedup,
             policy: SubsetPolicy::Representative,
-            parallelism: cfg.parallelism,
             guard,
             ..MonitorConfig::default()
         },
@@ -654,15 +653,12 @@ pub struct FaultFuzzReport {
 }
 
 /// Generates the `i`-th fault case of a run: the same case and check
-/// config as [`nth_case`] (forced sequential) plus a derived plan.
+/// config as [`nth_case`] plus a derived plan.
 /// Every 4th case is degraded (non-zero drop probability) to exercise
 /// the overflow policies; the rest are repairable and checked strictly.
 #[must_use]
 pub fn nth_fault_case(master: u64, i: usize) -> (Case, CheckConfig, FaultPlan) {
-    let (case, mut cfg) = nth_case(master, i);
-    // The pool is exercised by the clean fuzzer; fault differentials
-    // compare exact report orders, so keep both sides sequential.
-    cfg.parallelism = 1;
+    let (case, cfg) = nth_case(master, i);
     let mut rng = Rng::seed_from_u64(case_seed(master, i) ^ FAULT_SALT);
     let degraded = i % 4 == 3;
     let plan = FaultPlan {

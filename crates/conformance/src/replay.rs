@@ -53,7 +53,6 @@ pub fn write_dump(
     text.push_str(&format!("dedup={}\n", cfg.dedup));
     text.push_str(&format!("lin_seed_0={}\n", cfg.lin_seeds[0]));
     text.push_str(&format!("lin_seed_1={}\n", cfg.lin_seeds[1]));
-    text.push_str(&format!("parallelism={}\n", cfg.parallelism));
     std::fs::write(dir.join("meta.txt"), text)?;
     Ok(dir.to_path_buf())
 }
@@ -82,10 +81,6 @@ pub fn load_dump(dir: &Path) -> io::Result<(Case, CheckConfig, Option<Invariant>
         if let Some(s) = meta.get(key).and_then(|v| v.parse().ok()) {
             cfg.lin_seeds[i] = s;
         }
-    }
-    // Absent in dumps written before the pool existed: default to 1.
-    if let Some(p) = meta.get("parallelism").and_then(|v| v.parse().ok()) {
-        cfg.parallelism = p;
     }
     let expected = meta.get("invariant").and_then(|s| Invariant::from_name(s));
     Ok((case, cfg, expected))
@@ -132,9 +127,8 @@ mod tests {
     use super::*;
     use crate::case::Action;
 
-    #[test]
-    fn dump_and_replay_round_trip() {
-        let case = Case {
+    fn send_then_receive() -> Case {
+        Case {
             pattern_src: "A := [*, 'a', *];\nB := [*, 'b', *];\npattern := A -> B;\n".into(),
             n_traces: 2,
             actions: vec![
@@ -150,11 +144,15 @@ mod tests {
                     text: "m".into(),
                 },
             ],
-        };
+        }
+    }
+
+    #[test]
+    fn dump_and_replay_round_trip() {
+        let case = send_then_receive();
         let cfg = CheckConfig {
             dedup: false,
             lin_seeds: [7, 8],
-            parallelism: 2,
             ..CheckConfig::default()
         };
         let mismatch = Mismatch {
@@ -171,7 +169,6 @@ mod tests {
         assert_eq!(loaded.n_traces, case.n_traces);
         assert!(!loaded_cfg.dedup);
         assert_eq!(loaded_cfg.lin_seeds, [7, 8]);
-        assert_eq!(loaded_cfg.parallelism, 2);
         assert_eq!(expected, Some(Invariant::OracleSoundness));
 
         // This case is healthy, so the replay must NOT reproduce the
@@ -179,6 +176,32 @@ mod tests {
         let outcome = replay_dump(&dir).unwrap();
         assert!(!outcome.reproduced());
         assert!(outcome.result.is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Dumps written while `CheckConfig` had a `parallelism` knob carry a
+    /// `parallelism=` line in `meta.txt`; it is an unknown key now and
+    /// must not stop the dump loading or replaying.
+    #[test]
+    fn dump_with_a_parallelism_line_still_loads_and_replays() {
+        let case = send_then_receive();
+        let mismatch = Mismatch {
+            invariant: Invariant::OracleSoundness,
+            detail: "synthetic".into(),
+        };
+        let dir = std::env::temp_dir().join("ocep-conformance-replay-legacy-meta-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        write_dump(&dir, &case, &CheckConfig::default(), &mismatch, &[]).unwrap();
+        let meta = dir.join("meta.txt");
+        let mut text = std::fs::read_to_string(&meta).unwrap();
+        text.push_str("parallelism=3\n");
+        std::fs::write(&meta, text).unwrap();
+
+        let (loaded, _, expected) = load_dump(&dir).unwrap();
+        assert_eq!(loaded.actions, case.actions);
+        assert_eq!(expected, Some(Invariant::OracleSoundness));
+        let outcome = replay_dump(&dir).unwrap();
+        assert!(outcome.result.is_ok(), "healthy case replays green");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -20,9 +20,10 @@
 //! magic        [u8;4] = b"OCKP", version u16 = 2
 //! pattern_src  str (u32 len + utf-8) — the monitored pattern's source
 //! n_traces     u32
-//! config       dedup u8, policy u8, node_limit u64, parallelism u64,
+//! config       dedup u8, policy u8, node_limit u64, reserved u64 = 1,
 //!              guard u8 [, capacity u64, overflow u8]
-//! stats        26 × u64 (MonitorStats incl. IngestStats, fixed order)
+//! stats        26 × u64 (MonitorStats incl. IngestStats, fixed order;
+//!              the fourteenth is reserved = 0)
 //! strings      u32 count, then u32-len-prefixed utf-8 entries
 //! events       u32 count; per event: trace u32, index u32, kind u8,
 //!              ty u32, text u32, partner u8 [trace u32, index u32],
@@ -52,6 +53,12 @@
 //! replays the log strictly after that LSN. Version 1/2 checkpoints load
 //! with `wal_lsn = 0`, and [`save`] (which has no log) writes 0.
 //!
+//! The two `reserved` slots held `MonitorConfig::parallelism` and
+//! `MonitorStats::degraded_arrivals` while the §VI worker pool existed.
+//! They are written as `1` and `0` — what every sequential monitor
+//! always wrote — and ignored on load, so the byte format and version
+//! are unchanged.
+//!
 //! The guard's capped fault *log* is deliberately not checkpointed (the
 //! counters are); a restored monitor starts with an empty log.
 
@@ -71,6 +78,10 @@ use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"OCKP";
 const VERSION: u16 = 3;
+/// Written into the config block's reserved `u64` (see the module docs).
+const RESERVED_CONFIG_SLOT: u64 = 1;
+/// Written into the stats block's reserved fourteenth `u64`.
+const RESERVED_STATS_SLOT: u64 = 0;
 
 /// Why a checkpoint failed to decode.
 #[derive(Debug)]
@@ -171,7 +182,7 @@ fn put_stats(buf: &mut Vec<u8>, s: &MonitorStats) {
         s.deferred_rejections,
         s.clones_avoided,
         s.clone_bytes_avoided,
-        s.degraded_arrivals,
+        RESERVED_STATS_SLOT,
     ] {
         put_u64(buf, v);
     }
@@ -213,10 +224,10 @@ fn read_stats(r: &mut Reader<'_>) -> Result<MonitorStats, PoetError> {
         &mut s.deferred_rejections,
         &mut s.clones_avoided,
         &mut s.clone_bytes_avoided,
-        &mut s.degraded_arrivals,
     ] {
         *field = r.u64("monitor stat")?;
     }
+    r.u64("reserved monitor stat")?;
     s.ingest = read_ingest_stats(r)?;
     Ok(s)
 }
@@ -408,7 +419,7 @@ pub fn save_at(monitor: &Monitor, pattern_src: &str, wal_lsn: u64) -> Vec<u8> {
         SubsetPolicy::PerArrival => 1,
     });
     put_u64(&mut buf, config.node_limit);
-    put_u64(&mut buf, config.parallelism as u64);
+    put_u64(&mut buf, RESERVED_CONFIG_SLOT);
     match config.guard {
         Some(g) => {
             buf.push(1);
@@ -554,7 +565,7 @@ pub fn load_at(data: &[u8]) -> Result<(Monitor, String, u64), CheckpointError> {
         }
     };
     let node_limit = r.u64("config.node_limit")?;
-    let parallelism = r.u64("config.parallelism")? as usize;
+    r.u64("config.reserved")?;
     let guard_cfg = if r.u8("config.guard flag")? != 0 {
         let capacity = r.u64("guard capacity")? as usize;
         let overflow = match r.u8("guard overflow policy")? {
@@ -575,12 +586,10 @@ pub fn load_at(data: &[u8]) -> Result<(Monitor, String, u64), CheckpointError> {
         dedup,
         policy,
         node_limit,
-        parallelism,
         guard: guard_cfg,
         // The obs level is stored inside the trailing obs section (when
         // present), not in the config block; restored below.
         obs: ObsLevel::Off,
-        inject_partition_panic: None,
     };
 
     let stats = read_stats(&mut r)?;
@@ -708,7 +717,7 @@ pub fn load_at(data: &[u8]) -> Result<(Monitor, String, u64), CheckpointError> {
     }
     history.stored = r.u64("stored counter")? as usize;
     history.suppressed = r.u64("suppressed counter")? as usize;
-    monitor.history = Arc::new(history);
+    monitor.history = history;
 
     let pattern_arc = Arc::clone(&monitor.pattern);
     for l in 0..n_leaves {

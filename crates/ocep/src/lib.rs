@@ -65,7 +65,6 @@ pub mod ingest;
 mod matching;
 mod monitor;
 mod multi;
-mod pool;
 mod search;
 mod stats;
 
@@ -89,5 +88,4 @@ pub use obs::{
     ArrivalRecord, Histogram, MetricFamily, MetricKind, MetricSample, MetricValue, Metrics,
     MetricsSnapshot, ObsLevel, SearchObs, Stage,
 };
-pub use pool::{PoolStats, WorkerPool};
 pub use stats::MonitorStats;

@@ -4,13 +4,12 @@ use crate::history::LeafHistory;
 use crate::ingest::{AdmissionGuard, GuardConfig, IngestFault};
 use crate::matching::Match;
 use crate::obs::{ArrivalRecord, Metrics, MetricsSnapshot, ObsLevel, Stage};
-use crate::pool::WorkerPool;
 use crate::search::{Search, SearchScratch, SearchStats};
 use crate::stats::MonitorStats;
 use ocep_pattern::Pattern;
 use ocep_poet::Event;
 use std::collections::HashSet;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Nanoseconds elapsed since `t0`, saturating.
@@ -59,27 +58,11 @@ pub struct MonitorConfig {
     /// nodes; `0` (default) means unlimited. A safety valve for
     /// adversarial patterns — none of the paper's case studies need it.
     pub node_limit: u64,
-    /// Worker threads for the §VI parallel trace traversal: the traces of
-    /// the first backtracking level are partitioned across this many
-    /// threads, each exploring its own subtrees. `1` (default) is the
-    /// paper's sequential algorithm. Parallel searches may report
-    /// slightly different (equally valid) representatives per cell.
-    ///
-    /// Threads come from a persistent [`WorkerPool`] — lazily created by
-    /// the monitor on first use, or shared across monitors via
-    /// [`Monitor::set_pool`] / [`crate::MonitorSet::ensure_pool`]. One of
-    /// the partitions always runs inline on the observing thread, so a
-    /// parallelism of `p` occupies `p - 1` pool workers.
-    pub parallelism: usize,
     /// When `Some`, a causal [`AdmissionGuard`](crate::ingest) with this
     /// configuration validates, deduplicates, and reorders raw arrivals
     /// in front of the matcher (default `None`: the caller promises a
     /// clean linearization, as the paper assumes).
     pub guard: Option<GuardConfig>,
-    /// Fault-injection hook for tests: the parallel partition with this
-    /// share index panics instead of searching, exercising the
-    /// worker-respawn and inline-fallback paths. `None` in production.
-    pub inject_partition_panic: Option<usize>,
     /// Observability level (default [`ObsLevel::Off`]). `Off` takes no
     /// timers and allocates nothing; see [`crate::obs`]. Observation
     /// never changes matching behaviour — the metrics-transparency suite
@@ -93,9 +76,7 @@ impl Default for MonitorConfig {
             dedup: true,
             policy: SubsetPolicy::default(),
             node_limit: 0,
-            parallelism: 1,
             guard: None,
-            inject_partition_panic: None,
             obs: ObsLevel::Off,
         }
     }
@@ -109,11 +90,7 @@ impl Default for MonitorConfig {
 #[derive(Debug)]
 pub struct Monitor {
     pub(crate) pattern: Arc<Pattern>,
-    /// Shared with in-flight parallel search jobs only; between searches
-    /// the monitor is the unique owner (jobs release their handles before
-    /// signalling completion), so `observe` mutates via [`Arc::get_mut`]
-    /// without ever deep-copying.
-    pub(crate) history: Arc<LeafHistory>,
+    pub(crate) history: LeafHistory,
     n_traces: usize,
     config: MonitorConfig,
     /// `subset[leaf][trace]` — the most recent reported-or-found match
@@ -121,12 +98,8 @@ pub struct Monitor {
     /// at most `k·n` entries).
     pub(crate) subset: Vec<Vec<Option<Match>>>,
     pub(crate) stats: MonitorStats,
-    /// Working buffers for the searches run on the observing thread,
-    /// reused across arrivals.
+    /// Working buffers for the searches, reused across arrivals.
     scratch: SearchScratch,
-    /// Threads for the parallel trace traversal; `None` until the first
-    /// parallel search (or a call to [`Monitor::set_pool`]).
-    pool: Option<Arc<WorkerPool>>,
     /// The causal admission guard, when [`MonitorConfig::guard`] is set.
     pub(crate) guard: Option<AdmissionGuard>,
     /// Reused output buffer for guard deliveries.
@@ -150,14 +123,13 @@ impl Monitor {
         let pattern = Arc::new(pattern);
         let k = pattern.n_leaves();
         Monitor {
-            history: Arc::new(LeafHistory::new_for(&pattern, n_traces, config.dedup)),
+            history: LeafHistory::new_for(&pattern, n_traces, config.dedup),
             subset: vec![vec![None; n_traces]; k],
             pattern,
             n_traces,
             config,
             stats: MonitorStats::default(),
             scratch: SearchScratch::default(),
-            pool: None,
             guard: config.guard.map(|g| AdmissionGuard::new(n_traces, g)),
             admit_buf: Vec::new(),
             obs: config
@@ -165,16 +137,6 @@ impl Monitor {
                 .enabled()
                 .then(|| Box::new(Metrics::new(config.obs))),
         }
-    }
-
-    /// Backs this monitor's parallel searches with an existing pool
-    /// (normally one shared across a [`crate::MonitorSet`]). Without
-    /// this, a monitor with `parallelism > 1` lazily creates a private
-    /// pool on its first parallel search. The effective parallelism is
-    /// capped at the pool size plus one (the observing thread runs one
-    /// partition inline).
-    pub fn set_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.pool = Some(pool);
     }
 
     /// Observes one raw arrival and returns the newly reported matches.
@@ -301,22 +263,11 @@ impl Monitor {
         reported
     }
 
-    /// Regains unique access to the shared history. Normally immediate;
-    /// after a worker panic the job's result channel can close a moment
-    /// before the unwinding thread drops its history handle, so spin
-    /// rather than assume.
-    fn history_mut(history: &mut Arc<LeafHistory>) -> &mut LeafHistory {
-        while Arc::get_mut(history).is_none() {
-            std::thread::yield_now();
-        }
-        Arc::get_mut(history).expect("no other history handle can appear between searches")
-    }
-
     /// Observes one *admitted* event: the matcher proper.
     fn observe_admitted(&mut self, event: &Event) -> Vec<Match> {
         let timing = self.stage_timing();
         let tr = timing.then(Instant::now);
-        let stored = Self::history_mut(&mut self.history).observe(&self.pattern, event);
+        let stored = self.history.observe(&self.pattern, event);
         if let (Some(tr), Some(m)) = (tr, self.obs.as_deref_mut()) {
             m.record_stage(Stage::RouteDedup, ns_since(tr));
         }
@@ -386,162 +337,31 @@ impl Monitor {
         reported
     }
 
-    /// Runs one seeded search, sequentially or with the §VI parallel
-    /// trace traversal.
+    /// Runs one seeded search (Algs 1–3).
     fn run_search(&mut self, tl: ocep_pattern::LeafId, event: &Event) -> (Vec<Match>, SearchStats) {
-        let obs_level = self.obs.as_ref().map_or(ObsLevel::Off, |m| m.level());
         // Search introspection (the width/backjump/conflict histograms)
         // is collected from a 1-in-N sample of searches, profiler-style:
-        // an instrumented search allocates a fresh `SearchObs` per
-        // partition plus its lazily-sized histogram buffers, and paying
-        // that on every search dominates the search itself under the
-        // worker pool. Counters (prunes, domains, nodes, `domain_ns`)
-        // ride plain `SearchStats` fields and stay exact for every
-        // search. Seeded from the exact `searches` counter, so sampling
-        // is deterministic and the first search is always covered.
-        let obs_level = if self.stats.searches % OBS_SEARCH_SAMPLE == 1 {
-            obs_level
-        } else {
-            ObsLevel::Off
+        // an instrumented search allocates a fresh boxed `SearchObs`
+        // plus its lazily-sized histogram buffers — heap traffic the
+        // plain microsecond-scale search does not have. Counters
+        // (prunes, domains, nodes, `domain_ns`) ride plain `SearchStats`
+        // fields and stay exact for every search. Seeded from the exact
+        // `searches` counter, so sampling is deterministic and the first
+        // search is always covered.
+        let obs_level = match &self.obs {
+            Some(m) if self.stats.searches % OBS_SEARCH_SAMPLE == 1 => m.level(),
+            _ => ObsLevel::Off,
         };
-        let workers = self.config.parallelism.max(1).min(self.n_traces.max(1));
-        let order = self.pattern.eval_order(tl);
-        // A partner-pinned first level has a unique candidate: splitting
-        // traces would make every worker but one idle and one duplicate.
-        let level1_partner_pinned = order.len() >= 2
-            && self.pattern.constraints().iter().any(|c| {
-                matches!(
-                    c,
-                    ocep_pattern::Constraint::Partner { send, recv }
-                        if (*send == order[0] && *recv == order[1])
-                            || (*send == order[1] && *recv == order[0])
-                )
-            });
-        if workers <= 1 || order.len() < 2 || level1_partner_pinned {
-            let search = Search::new(
-                &self.pattern,
-                &self.history,
-                self.n_traces,
-                tl,
-                self.config.node_limit,
-                &mut self.scratch,
-            )
-            .with_obs(obs_level);
-            return search.run(event);
-        }
-
-        // Partition the first level's traces across `workers` shares:
-        // share 0 runs inline on this thread, shares 1.. go to the pool.
-        let pool = match &self.pool {
-            Some(p) => Arc::clone(p),
-            None => {
-                let p = Arc::new(WorkerPool::new(workers - 1));
-                self.pool = Some(Arc::clone(&p));
-                p
-            }
-        };
-        let workers = workers.min(pool.size() + 1);
-        let n_traces = self.n_traces;
-        let node_limit = self.config.node_limit;
-        let inject_panic = self.config.inject_partition_panic;
-        let (tx, rx) = mpsc::channel();
-        for w in 1..workers {
-            let pattern = Arc::clone(&self.pattern);
-            let history = Arc::clone(&self.history);
-            let event = event.clone();
-            let tx = tx.clone();
-            pool.execute(
-                w - 1,
-                Box::new(move |scratch| {
-                    if inject_panic == Some(w) {
-                        panic!("injected partition fault (test hook)");
-                    }
-                    let allowed: Vec<bool> = (0..n_traces).map(|t| t % workers == w).collect();
-                    let out = Search::new(&pattern, &history, n_traces, tl, node_limit, scratch)
-                        .with_level1_traces(allowed)
-                        .with_obs(obs_level)
-                        .run(&event);
-                    // Release the shared handles BEFORE announcing the
-                    // result: once the dispatcher has drained the channel
-                    // it is again the history's unique owner and can
-                    // mutate it in place on the next arrival. If the
-                    // dispatcher already fell back and left (worker died
-                    // elsewhere), the send fails harmlessly.
-                    drop(history);
-                    drop(pattern);
-                    let _ = tx.send((w, out));
-                }),
-            );
-        }
-        drop(tx);
-
-        // This thread takes share 0 (with its own persistent scratch)
-        // while the pool works the others.
-        let allowed: Vec<bool> = (0..n_traces).map(|t| t % workers == 0).collect();
-        let mine = Search::new(
+        Search::new(
             &self.pattern,
             &self.history,
-            n_traces,
+            self.n_traces,
             tl,
-            node_limit,
+            self.config.node_limit,
             &mut self.scratch,
         )
-        .with_level1_traces(allowed)
         .with_obs(obs_level)
-        .run(event);
-
-        // Collect into worker-order slots so the merge is deterministic
-        // regardless of completion order.
-        let mut slots: Vec<Option<(Vec<Match>, SearchStats)>> =
-            (0..workers).map(|_| None).collect();
-        slots[0] = Some(mine);
-        for (w, out) in rx {
-            slots[w] = Some(out);
-        }
-
-        // Panic containment: a share whose worker died (or was never
-        // accepted) simply has no result. Re-run those partitions inline
-        // — same partition function, same scratch discipline — so the
-        // arrival's verdict is complete either way, and count the
-        // degradation instead of aborting.
-        let mut fell_back = false;
-        for (w, slot) in slots.iter_mut().enumerate().skip(1) {
-            if slot.is_some() {
-                continue;
-            }
-            fell_back = true;
-            let allowed: Vec<bool> = (0..n_traces).map(|t| t % workers == w).collect();
-            let out = Search::new(
-                &self.pattern,
-                &self.history,
-                n_traces,
-                tl,
-                node_limit,
-                &mut self.scratch,
-            )
-            .with_level1_traces(allowed)
-            .with_obs(obs_level)
-            .run(event);
-            *slot = Some(out);
-        }
-        if fell_back {
-            self.stats.degraded_arrivals += 1;
-        }
-
-        let mut matches = Vec::new();
-        let mut stats = SearchStats::default();
-        let mut seen: HashSet<Vec<ocep_vclock::EventId>> = HashSet::new();
-        for (ms, st) in slots.into_iter().flatten() {
-            stats.merge(&st);
-            for m in ms {
-                let mut ids: Vec<_> = m.events().iter().map(Event::id).collect();
-                ids.sort_unstable();
-                if seen.insert(ids) {
-                    matches.push(m);
-                }
-            }
-        }
-        (matches, stats)
+        .run(event)
     }
 
     /// The current representative subset: for each `(leaf, trace)` cell
@@ -602,8 +422,8 @@ impl Monitor {
     }
 
     /// An exportable snapshot of everything this monitor knows about its
-    /// own behaviour: the [`MonitorStats`] counters, history and pool
-    /// gauges, process-wide clock-op counters (when
+    /// own behaviour: the [`MonitorStats`] counters, history gauges,
+    /// process-wide clock-op counters (when
     /// [`ocep_vclock::ops::enable`]d), and — when [`MonitorConfig::obs`]
     /// is not `Off` — stage/arrival latency histograms, search
     /// introspection, and the recent-arrival ring.
@@ -678,11 +498,6 @@ impl Monitor {
             "Timestamp-buffer bytes those skipped clones would have copied.",
             st.clone_bytes_avoided,
         );
-        s.counter(
-            "ocep_degraded_arrivals_total",
-            "Arrivals that fell back to inline search after a worker panic.",
-            st.degraded_arrivals,
-        );
 
         s.record_ingest(&st.ingest);
 
@@ -701,48 +516,6 @@ impl Monitor {
             "Approximate history memory in bytes.",
             self.history_bytes() as u64,
         );
-
-        if let Some(pool) = &self.pool {
-            let ps = pool.stats();
-            s.gauge(
-                "ocep_pool_workers",
-                "Worker threads in the search pool.",
-                pool.size() as u64,
-            );
-            s.counter(
-                "ocep_pool_dispatched_total",
-                "Jobs handed to pool workers.",
-                ps.dispatched,
-            );
-            s.counter(
-                "ocep_pool_completed_total",
-                "Jobs that ran to completion.",
-                ps.completed,
-            );
-            s.gauge(
-                "ocep_pool_queue_depth",
-                "Jobs accepted but not yet finished at snapshot time.",
-                ps.queue_depth,
-            );
-            s.counter(
-                "ocep_pool_panics_total",
-                "Job panics caught and contained by workers.",
-                ps.caught_panics,
-            );
-            s.counter(
-                "ocep_pool_respawns_total",
-                "Workers respawned after a caught panic.",
-                ps.respawned,
-            );
-            for (w, jobs) in ps.jobs_per_worker.iter().enumerate() {
-                s.counter_with(
-                    "ocep_pool_jobs_total",
-                    "Jobs accepted per worker slot.",
-                    &[("worker", &w.to_string())],
-                    *jobs,
-                );
-            }
-        }
 
         if ocep_vclock::ops::enabled() {
             let ops = ocep_vclock::ops::snapshot();
@@ -851,7 +624,7 @@ impl Monitor {
                 cov[l * n_traces + t] = self.subset[l][t].is_some();
             }
         }
-        Self::history_mut(&mut self.history)
+        self.history
             .truncate_dominated(watermark, keep_recent, |l, t| cov[l * n_traces + t])
     }
 
@@ -868,10 +641,10 @@ impl Monitor {
         &self.config
     }
 
-    /// Mutable access to the configuration, for runtime toggles (node
-    /// limit, the `inject_partition_panic` test hook). Changing `dedup`
-    /// or `guard` after construction does *not* rebuild the history or
-    /// guard — set those via [`Monitor::with_config`].
+    /// Mutable access to the configuration, for runtime toggles (the node
+    /// limit). Changing `dedup` or `guard` after construction does *not*
+    /// rebuild the history or guard — set those via
+    /// [`Monitor::with_config`].
     pub fn config_mut(&mut self) -> &mut MonitorConfig {
         &mut self.config
     }

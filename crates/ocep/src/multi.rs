@@ -1,11 +1,9 @@
 //! Monitoring several patterns over one event stream.
 
 use crate::ingest::{AdmissionGuard, GuardConfig, IngestFault, IngestStats};
-use crate::pool::WorkerPool;
 use crate::{Match, Monitor, MonitorConfig, MonitorStats};
 use ocep_pattern::Pattern;
 use ocep_poet::Event;
-use std::sync::Arc;
 
 /// A set of independently configured monitors sharing one event stream —
 /// how a deployment watches for deadlocks, races, and ordering bugs
@@ -49,9 +47,6 @@ use std::sync::Arc;
 pub struct MonitorSet {
     n_traces: usize,
     entries: Vec<(String, Monitor)>,
-    /// One worker pool backing every parallel monitor in the set (see
-    /// [`MonitorSet::ensure_pool`]).
-    pool: Option<Arc<WorkerPool>>,
     /// One causal [`AdmissionGuard`] in front of the whole set (see
     /// [`MonitorSet::observe_raw`]). Per-monitor guards via
     /// [`MonitorConfig::guard`] still work; a set-level guard validates
@@ -69,7 +64,6 @@ impl MonitorSet {
         MonitorSet {
             n_traces,
             entries: Vec::new(),
-            pool: None,
             guard: None,
             admit_buf: Vec::new(),
         }
@@ -82,26 +76,6 @@ impl MonitorSet {
     /// set-level guard (counters reset).
     pub fn enable_guard(&mut self, config: GuardConfig) {
         self.guard = Some(AdmissionGuard::new(self.n_traces, config));
-    }
-
-    /// Makes sure the set owns a shared [`WorkerPool`] of at least
-    /// `threads` workers and injects it into every registered monitor
-    /// (and every monitor registered later). Monitors observe in turn, so
-    /// one pool safely serves them all; without this, each parallel
-    /// monitor lazily spawns its own private pool.
-    pub fn ensure_pool(&mut self, threads: usize) {
-        let need = threads.max(1);
-        let rebuild = match &self.pool {
-            Some(p) => p.size() < need,
-            None => true,
-        };
-        if rebuild {
-            self.pool = Some(Arc::new(WorkerPool::new(need)));
-        }
-        let pool = self.pool.as_ref().expect("pool just ensured");
-        for (_, m) in &mut self.entries {
-            m.set_pool(Arc::clone(pool));
-        }
     }
 
     /// Registers `pattern` under `name` with the default configuration.
@@ -307,9 +281,8 @@ impl MonitorSet {
     }
 
     /// Aggregates every monitor's [`Monitor::metrics`] snapshot into one
-    /// (counters sum, histograms merge; recent arrivals concatenate,
-    /// bounded). Shared-pool gauges appear once per monitor and sum — an
-    /// aggregate across monitors, not a per-pool reading.
+    /// (counters and gauges sum, histograms merge; recent arrivals
+    /// concatenate, bounded).
     #[must_use]
     pub fn metrics(&self) -> crate::MetricsSnapshot {
         let mut total = crate::MetricsSnapshot::default();
@@ -336,10 +309,7 @@ impl MonitorSet {
     /// Installs an already-built monitor under `name`, preserving its
     /// accumulated state — the inverse of [`MonitorSet::into_parts`],
     /// and the restore path of [`crate::checkpoint::load_set`].
-    pub fn insert_monitor(&mut self, name: impl Into<String>, mut monitor: Monitor) {
-        if let Some(pool) = &self.pool {
-            monitor.set_pool(Arc::clone(pool));
-        }
+    pub fn insert_monitor(&mut self, name: impl Into<String>, monitor: Monitor) {
         self.entries.push((name.into(), monitor));
     }
 }

@@ -14,7 +14,7 @@
 //!   zero-cost: every instrumentation site is a branch on an enum (or an
 //!   `Option` that is `None`), and no timer is ever taken.
 //! * [`Histogram`] is a fixed-bucket log2 latency histogram: lock-free to
-//!   record into (plain `u64`s, one owner), mergeable across workers, and
+//!   record into (plain `u64`s, one owner), mergeable across monitors, and
 //!   cheap to serialize.
 //! * [`Metrics`] is the live per-monitor registry: one histogram per
 //!   pipeline [`Stage`], an end-to-end arrival histogram, the accumulated
@@ -27,7 +27,7 @@
 //!
 //! Pipeline stage taxonomy (per arrival): guard admission → route/dedup →
 //! backtracking search (which internally times domain construction +
-//! Fig-4 restriction — the two are one fused loop in [`crate::search`]) →
+//! Fig-4 restriction — the two are one fused loop in `search.rs`) →
 //! subset merge. See `docs/OBSERVABILITY.md` for the full metric catalog.
 
 use std::fmt::Write as _;
@@ -192,7 +192,7 @@ impl Histogram {
     }
 
     /// Adds every sample of `other` into `self` (element-wise; the merge
-    /// is associative and commutative, so worker-local histograms can be
+    /// is associative and commutative, so per-monitor histograms can be
     /// folded in any order).
     pub fn merge(&mut self, other: &Histogram) {
         if other.counts.is_empty() {
@@ -346,8 +346,7 @@ impl Stage {
 /// deeper levels share the last slot (labelled `"15+"`).
 pub const MAX_TRACKED_LEVELS: usize = 16;
 
-/// Search introspection accumulated across searches (and merged across
-/// the worker pool's partition searches).
+/// Search introspection accumulated across a monitor's sampled searches.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SearchObs {
     /// Live (post-restriction, non-empty) domain widths per evaluation
@@ -445,8 +444,7 @@ impl RecentRing {
     /// the text is written into the evicted slot's string buffer, so a
     /// steady-state push allocates nothing. `rec.event` must arrive
     /// empty. This keeps the always-on (every arrival, any enabled
-    /// level) ring cost off the allocator, which the worker pool is
-    /// already contending for.
+    /// level) ring cost off the allocator.
     pub fn push_with(&mut self, mut rec: ArrivalRecord, event: std::fmt::Arguments<'_>) {
         use std::fmt::Write as _;
         debug_assert!(rec.event.is_empty());
@@ -504,8 +502,8 @@ impl Eq for RecentRing {}
 ///
 /// Owned by a [`crate::Monitor`] (boxed, only when
 /// [`crate::MonitorConfig::obs`] is not `Off`) and updated single-threaded
-/// from the arrival path; worker-side introspection travels back through
-/// the existing search-result channel and is merged here.
+/// from the arrival path; each sampled search's introspection is merged
+/// here when the search returns.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
     pub(crate) level: ObsLevel,
@@ -769,7 +767,7 @@ impl MetricsSnapshot {
     }
 
     /// Records the full admission-guard counter catalog (the
-    /// `ocep_ingest_*` families) from one [`IngestStats`]. Shared by
+    /// `ocep_ingest_*` families) from one [`crate::IngestStats`]. Shared by
     /// [`crate::Monitor::metrics`] (per-monitor guards) and
     /// [`crate::MonitorSet::metrics`] (the set-level guard in front of
     /// [`crate::MonitorSet::observe_raw`]), so both export identical
@@ -1246,9 +1244,9 @@ mod tests {
         let mut s = MetricsSnapshot::default();
         s.counter("ocep_events_total", "Events observed.", 42);
         s.gauge_with(
-            "ocep_pool_jobs_total",
-            "Jobs per worker.",
-            &[("worker", "0")],
+            "ocep_ring_depth",
+            "Jobs queued per shard ring.",
+            &[("shard", "0")],
             7,
         );
         s.histogram(
@@ -1291,7 +1289,7 @@ mod tests {
         }
         assert!(text.contains("# TYPE ocep_events_total counter"));
         assert!(text.contains("ocep_events_total 42"));
-        assert!(text.contains("ocep_pool_jobs_total{worker=\"0\"} 7"));
+        assert!(text.contains("ocep_ring_depth{shard=\"0\"} 7"));
         assert!(text.contains("le=\"+Inf\""));
         assert!(text.contains("ocep_arrival_ns_count 3"));
         assert!(text.contains("ocep_empty_ns_count 0"));

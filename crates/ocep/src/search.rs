@@ -32,8 +32,7 @@
 //! subtree's jump bound travels as a `Copy` `Option` rather than a `Vec`,
 //! and the per-level working buffers (`assignment`, `covered`,
 //! `my_bound`, variable bindings) live in a [`SearchScratch`] that the
-//! caller reuses across searches — the monitor keeps one, and each
-//! worker of the parallel pool owns one for its thread's lifetime.
+//! caller reuses across searches — the monitor keeps one.
 
 use crate::domain::{restrict, Domain};
 use crate::history::LeafHistory;
@@ -71,30 +70,8 @@ pub(crate) struct SearchStats {
     pub domain_ns: u64,
     /// Search introspection, collected only when the monitor's
     /// [`ObsLevel`] asks for it (`None` keeps the `Off` path
-    /// allocation-free). Boxed so the common case stays one word; rides
-    /// the existing worker result channel, so pool partitions merge it
-    /// like any other counter.
+    /// allocation-free). Boxed so the common case stays one word.
     pub obs: Option<Box<SearchObs>>,
-}
-
-impl SearchStats {
-    /// Accumulates a worker's counters into a merged total.
-    pub fn merge(&mut self, other: &SearchStats) {
-        self.nodes += other.nodes;
-        self.candidates += other.candidates;
-        self.domains += other.domains;
-        self.backjumps += other.backjumps;
-        self.jump_bounds_applied += other.jump_bounds_applied;
-        self.deferred_rejections += other.deferred_rejections;
-        self.clones_avoided += other.clones_avoided;
-        self.clone_bytes_avoided += other.clone_bytes_avoided;
-        self.prune_gp_ls += other.prune_gp_ls;
-        self.prune_intersect += other.prune_intersect;
-        self.domain_ns += other.domain_ns;
-        if let Some(o) = &other.obs {
-            self.obs.get_or_insert_with(Box::default).merge(o);
-        }
-    }
 }
 
 /// A Fig 5 jump bound: candidates for the level holding `target_leaf` on
@@ -125,10 +102,8 @@ enum Outcome {
 }
 
 /// Reusable per-search working memory (see the module docs on allocation
-/// discipline). One instance lives in the sequential [`crate::Monitor`];
-/// each thread of the parallel worker pool owns another. Buffers are
-/// resized on demand, so one scratch serves patterns and computations of
-/// any shape (the pool is shared across a [`crate::MonitorSet`]).
+/// discipline). One instance lives in each [`crate::Monitor`]. Buffers
+/// are resized on demand, so one scratch serves searches of any shape.
 #[derive(Debug, Default)]
 pub(crate) struct SearchScratch {
     /// Assignment indexed by *leaf id*.
@@ -170,10 +145,6 @@ pub(crate) struct Search<'a> {
     /// Safety valve for adversarial patterns: the search aborts after
     /// this many recursion nodes (0 = unlimited).
     node_limit: u64,
-    /// §VI parallel traversal: when set, the first backtracking level
-    /// only iterates the traces marked `true` (each worker thread owns a
-    /// disjoint slice of the level-1 subtrees).
-    level1_traces: Option<Vec<bool>>,
     /// [`ObsLevel::Full`] only: take wall-clock timers around the fused
     /// domain-construction + Fig-4 restriction loop. Sampled 1 in
     /// [`DOMAIN_TIME_SAMPLE`] computations and scaled, so the timer's
@@ -208,17 +179,8 @@ impl<'a> Search<'a> {
             matches: Vec::new(),
             stats: SearchStats::default(),
             node_limit,
-            level1_traces: None,
             time_domains: false,
         }
-    }
-
-    /// Restricts the first backtracking level to the traces marked
-    /// `true` (builder style). Used by the parallel monitor to partition
-    /// the level-1 subtrees across worker threads (§VI).
-    pub fn with_level1_traces(mut self, allowed: Vec<bool>) -> Self {
-        self.level1_traces = Some(allowed);
-        self
     }
 
     /// Enables search introspection at the given [`ObsLevel`] (builder
@@ -326,13 +288,6 @@ impl<'a> Search<'a> {
             }
             if self.covered(pos, t) {
                 continue;
-            }
-            if pos == 1 {
-                if let Some(allowed) = &self.level1_traces {
-                    if !allowed[t] {
-                        continue;
-                    }
-                }
             }
             let trace = TraceId::new(t as u32);
             let slice = self.history.on_trace(leaf, trace);

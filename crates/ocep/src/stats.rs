@@ -35,9 +35,6 @@ pub struct MonitorStats {
     /// Timestamp-buffer bytes those skipped clones would have copied
     /// before clocks became `Arc`-shared.
     pub clone_bytes_avoided: u64,
-    /// Arrivals whose parallel search lost a worker to a panic and fell
-    /// back to inline sequential search for the missing partitions.
-    pub degraded_arrivals: u64,
     /// Admission-guard counters (all zero when no guard is configured;
     /// see [`crate::ingest`]).
     pub ingest: IngestStats,
@@ -72,7 +69,6 @@ impl MonitorStats {
         self.deferred_rejections += other.deferred_rejections;
         self.clones_avoided += other.clones_avoided;
         self.clone_bytes_avoided += other.clone_bytes_avoided;
-        self.degraded_arrivals += other.degraded_arrivals;
         self.ingest.absorb(&other.ingest);
     }
 }
@@ -83,8 +79,7 @@ impl std::fmt::Display for MonitorStats {
             f,
             "events={} stored={} searches={} found={} reported={} nodes={} \
              candidates={} domains={} backjumps={} jump_bounds={} \
-             deferred_rejections={} clones_avoided={} clone_bytes_avoided={} \
-             degraded_arrivals={}",
+             deferred_rejections={} clones_avoided={} clone_bytes_avoided={}",
             self.events,
             self.stored,
             self.searches,
@@ -97,8 +92,7 @@ impl std::fmt::Display for MonitorStats {
             self.jump_bounds,
             self.deferred_rejections,
             self.clones_avoided,
-            self.clone_bytes_avoided,
-            self.degraded_arrivals
+            self.clone_bytes_avoided
         )?;
         if self.ingest != IngestStats::default() {
             let g = &self.ingest;

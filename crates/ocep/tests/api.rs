@@ -1,7 +1,7 @@
 //! API-surface tests for the monitor: configuration accessors, stats
 //! display, and subset accessors.
 
-use ocep_core::{Monitor, MonitorConfig, SubsetPolicy};
+use ocep_core::{GuardConfig, Monitor, MonitorConfig, SubsetPolicy};
 use ocep_pattern::Pattern;
 use ocep_poet::{EventKind, PoetServer};
 use ocep_vclock::TraceId;
@@ -23,20 +23,17 @@ fn config_is_exposed() {
             dedup: false,
             policy: SubsetPolicy::PerArrival,
             node_limit: 7,
-            parallelism: 2,
             ..MonitorConfig::default()
         },
     );
     assert!(!m.config().dedup);
     assert_eq!(m.config().policy, SubsetPolicy::PerArrival);
     assert_eq!(m.config().node_limit, 7);
-    assert_eq!(m.config().parallelism, 2);
     // Defaults.
     let d = Monitor::new(ab(), 2);
     assert!(d.config().dedup);
     assert_eq!(d.config().policy, SubsetPolicy::Representative);
     assert_eq!(d.config().node_limit, 0);
-    assert_eq!(d.config().parallelism, 1);
 }
 
 #[test]
@@ -125,34 +122,96 @@ fn covers_resolves_occurrence_and_class_names() {
     assert!(!m.covers("C", t(0)));
 }
 
+/// `crates/net` moves `MonitorSet` partitions onto shard threads; the
+/// bound used to follow from `Arc`-wrapped fields, so pin it.
 #[test]
-fn monitor_set_shares_one_worker_pool() {
-    use ocep_core::MonitorSet;
-    let parallel = MonitorConfig {
-        parallelism: 3,
-        ..MonitorConfig::default()
+fn monitor_and_monitor_set_are_send() {
+    fn assert_send<T: Send>() {}
+    assert_send::<Monitor>();
+    assert_send::<ocep_core::MonitorSet>();
+}
+
+/// Offset of the OCKP config block's reserved `u64` (once `parallelism`):
+/// it follows magic 4, version 2, the `u32`-prefixed pattern source,
+/// n_traces 4, dedup 1, policy 1 and node_limit 8.
+fn config_reserved_slot(src: &str) -> usize {
+    4 + 2 + 4 + src.len() + 4 + 1 + 1 + 8
+}
+
+/// Offset of the stats block's reserved fourteenth `u64` (once
+/// `degraded_arrivals`) in a guarded monitor's checkpoint: the config
+/// block continues with guard flag 1, capacity 8 and overflow 1.
+fn stats_reserved_slot(src: &str) -> usize {
+    config_reserved_slot(src) + 8 + 1 + 8 + 1 + 13 * 8
+}
+
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+#[test]
+fn checkpoint_written_by_a_pooled_degraded_monitor_still_loads() {
+    const SRC: &str = "A := [*, a, *]; B := [*, b, *]; pattern := A -> B;";
+    let mut poet = PoetServer::new(3);
+    for round in 0..8u32 {
+        let from = t(round % 3);
+        let s = poet.record(from, EventKind::Send, "a", "m");
+        poet.record_receive(t((round + 1) % 3), s.id(), "b", "m");
+        poet.record(from, EventKind::Unary, "b", "");
+    }
+    let events: Vec<_> = poet.linearization().collect();
+    let guarded = || {
+        Monitor::with_config(
+            Pattern::parse(SRC).unwrap(),
+            3,
+            MonitorConfig {
+                policy: SubsetPolicy::PerArrival,
+                guard: Some(GuardConfig::default()),
+                ..MonitorConfig::default()
+            },
+        )
     };
-    let mut set = MonitorSet::new(4);
-    set.add_with_config("ab", ab(), parallel);
-    set.ensure_pool(2);
-    // Monitors registered after the pool exists pick it up too.
-    set.add_with_config(
-        "conc",
-        Pattern::parse("X := [*, a, *]; Y := [*, a, *]; pattern := X || Y;").unwrap(),
-        parallel,
+    let verdicts =
+        |ms: Vec<ocep_core::Match>| ms.iter().map(ToString::to_string).collect::<Vec<_>>();
+    let subset = |m: &Monitor| {
+        m.subset()
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+    };
+
+    let cut = events.len() / 2;
+    let mut straight = guarded();
+    let mut first_half = guarded();
+    for e in &events[..cut] {
+        straight.observe(e);
+        first_half.observe(e);
+    }
+    let saved = first_half.checkpoint(SRC);
+    let (config_at, stats_at) = (config_reserved_slot(SRC), stats_reserved_slot(SRC));
+    assert_eq!(u64_at(&saved, config_at), 1);
+    assert_eq!(u64_at(&saved, stats_at), 0);
+
+    // What the parent wrote for `parallelism: 4` after seven degraded
+    // arrivals.
+    let mut pooled = saved.clone();
+    pooled[config_at..config_at + 8].copy_from_slice(&4u64.to_le_bytes());
+    pooled[stats_at..stats_at + 8].copy_from_slice(&7u64.to_le_bytes());
+
+    let (mut resumed, src) = Monitor::restore(&pooled).unwrap();
+    assert_eq!(src, SRC);
+    assert_eq!(
+        resumed.checkpoint(SRC),
+        saved,
+        "re-save differs from the patched bytes only in the two reserved slots"
     );
-    let mut poet = PoetServer::new(4);
-    // a -> b across a message (fires "ab"), plus a concurrent second
-    // "a" on another trace (fires "conc").
-    let s = poet.record(t(0), EventKind::Send, "a", "");
-    poet.record_receive(t(1), s.id(), "b", "");
-    poet.record(t(2), EventKind::Unary, "a", "");
-    let names: Vec<String> = poet
-        .linearization()
-        .flat_map(|e| set.observe(&e))
-        .map(|(name, _)| name)
-        .collect();
-    assert!(names.iter().any(|n| n == "ab"));
-    assert!(names.iter().any(|n| n == "conc"));
-    assert!(set.total_stats().searches > 0);
+    let mut found = 0;
+    for e in &events[cut..] {
+        let expected = verdicts(straight.observe(e));
+        found += expected.len();
+        assert_eq!(verdicts(resumed.observe(e)), expected);
+    }
+    assert!(found > 0, "the second half must report something");
+    assert_eq!(resumed.stats(), straight.stats());
+    assert_eq!(subset(&resumed), subset(&straight));
 }

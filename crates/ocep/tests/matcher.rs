@@ -261,7 +261,6 @@ fn lim_operator_requires_immediate_precedence() {
             dedup: false, // keep both a's so the lim check is observable
             policy: SubsetPolicy::PerArrival,
             node_limit: 0,
-            parallelism: 1,
             ..MonitorConfig::default()
         },
     );
@@ -619,60 +618,6 @@ fn entanglement_between_distinct_primitives_is_rejected() {
 }
 
 #[test]
-fn parallel_search_detects_the_same_violations() {
-    // §VI: "Each of these traces represents a subtree in the total search
-    // space. This parallelism can be exploited." Partitioning the level-1
-    // subtrees across threads must preserve detection and cell coverage.
-    let src = r#"
-        S1 := [$a, mpi_block_send, $b];
-        S2 := [$b, mpi_block_send, $c];
-        S3 := [$c, mpi_block_send, $a];
-        S1 $x; S2 $y; S3 $z;
-        pattern := $x || $y && $y || $z && $x || $z;
-    "#;
-    let n = 6;
-    let build = |parallelism: usize| {
-        let mut poet = PoetServer::new(n);
-        let mut monitor = Monitor::with_config(
-            Pattern::parse(src).unwrap(),
-            n,
-            MonitorConfig {
-                parallelism,
-                ..MonitorConfig::default()
-            },
-        );
-        // Two separate deadlock cycles: (0,1,2) and (3,4,5).
-        {
-            let mut mpi = MpiPlugin::new(&mut poet);
-            for round in 0..2u32 {
-                let base = round * 3;
-                for i in 0..3 {
-                    mpi.block_send(t(base + i), t(base + (i + 1) % 3));
-                }
-            }
-        }
-        for e in poet.linearization() {
-            let _ = monitor.observe(&e);
-        }
-        let cells: Vec<(String, u32)> = (0..3)
-            .flat_map(|leaf| (0..n as u32).map(move |tr| (format!("S{leaf}"), tr)))
-            .collect();
-        let covered: Vec<bool> = cells
-            .iter()
-            .map(|(name, tr)| monitor.covers(name, t(*tr)))
-            .collect();
-        (monitor.stats().matches_found > 0, covered)
-    };
-    let (seq_found, seq_cells) = build(1);
-    let (par_found, par_cells) = build(4);
-    assert!(seq_found && par_found);
-    assert_eq!(
-        seq_cells, par_cells,
-        "coverage must be thread-count independent"
-    );
-}
-
-#[test]
 fn regression_cbj_blames_domain_contributors() {
     // Minimal input shrunk by proptest for a former bug: when all
     // candidates in a non-empty domain fail, levels that *narrowed* the
@@ -811,46 +756,6 @@ fn text_index_resolves_bound_variables_without_scanning() {
     assert!(
         per_search < 4.0,
         "text-indexed lookup degraded to scanning: {per_search:.1} candidates/search"
-    );
-}
-
-#[test]
-fn regression_partner_pinned_first_level_is_worker_count_independent() {
-    // When the first two backtracking levels are a `<>` pair, the second
-    // level has a *unique* candidate (the partner index resolves it), so
-    // partitioning level-1 traces across workers must not lose or
-    // duplicate matches — the monitor falls back to one inline search.
-    let src = "S := [*, mpi_send, *]; R := [*, mpi_recv, *]; pattern := S <> R;";
-    let n = 4;
-    let run = |parallelism: usize| {
-        let mut poet = PoetServer::new(n);
-        // Four send/recv pairs, each crossing to a different trace.
-        for i in 0..n as u32 {
-            let s = poet.record(t(i), EventKind::Send, "mpi_send", "");
-            poet.record_receive(t((i + 1) % n as u32), s.id(), "mpi_recv", "");
-        }
-        let mut monitor = Monitor::with_config(
-            Pattern::parse(src).unwrap(),
-            n,
-            MonitorConfig {
-                policy: SubsetPolicy::PerArrival,
-                parallelism,
-                ..MonitorConfig::default()
-            },
-        );
-        let mut ids: Vec<Vec<ocep_vclock::EventId>> = drain(&mut poet, &mut monitor)
-            .iter()
-            .map(|m| m.events().iter().map(ocep_poet::Event::id).collect())
-            .collect();
-        ids.sort();
-        ids
-    };
-    let sequential = run(1);
-    let pooled = run(4);
-    assert_eq!(sequential.len(), n, "one match per send/recv pair");
-    assert_eq!(
-        sequential, pooled,
-        "partner-pinned searches must return identical matches at any worker count"
     );
 }
 

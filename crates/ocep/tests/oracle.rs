@@ -231,7 +231,6 @@ fn monitor_agrees_with_oracle() {
                 dedup,
                 policy: SubsetPolicy::PerArrival,
                 node_limit: 0,
-                parallelism: 1,
                 ..MonitorConfig::default()
             },
         );
@@ -318,7 +317,6 @@ fn every_completing_arrival_is_detected() {
                 dedup: false,
                 policy: SubsetPolicy::PerArrival,
                 node_limit: 0,
-                parallelism: 1,
                 ..MonitorConfig::default()
             },
         );

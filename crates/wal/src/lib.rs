@@ -525,7 +525,7 @@ impl Drop for GroupCommit {
 ///
 /// Appends are buffered in userspace and reach the kernel at group
 /// boundaries: an explicit [`Wal::flush_os`], a fsync point, segment
-/// rotation, [`FLUSH_BYTES`] of pending records, or drop. The serving
+/// rotation, `FLUSH_BYTES` of pending records, or drop. The serving
 /// layer flushes before any acknowledgement leaves the process, so an
 /// acked write is always kernel-visible (survives SIGKILL); fsync
 /// cadence on top of that is the [`Durability`] mode's business.

@@ -463,18 +463,16 @@ fn check(args: &[String]) -> Result<i32, String> {
     if let Some(path) = &metrics_path {
         write_metrics(path, &monitor.metrics())?;
     }
-    let degraded = monitor.ingest_degraded() || monitor.stats().degraded_arrivals > 0;
-    if degraded {
+    if monitor.ingest_degraded() {
         let ingest = monitor.stats().ingest;
         eprintln!(
             "warning: ingestion degraded ({} quarantined, {} overflow-rejected, \
-             {} overflow-dropped, {} degraded flushes, {} degraded arrivals) — \
+             {} overflow-dropped, {} degraded flushes) — \
              verdicts may be incomplete",
             ingest.quarantined(),
             ingest.overflow_rejected,
             ingest.overflow_dropped,
-            ingest.degraded_flushes,
-            monitor.stats().degraded_arrivals
+            ingest.degraded_flushes
         );
         for fault in monitor.take_ingest_faults() {
             eprintln!("  fault: {fault}");

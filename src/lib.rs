@@ -23,7 +23,7 @@
 //!   VOPR-style): drives the real serving engine over simulated
 //!   transports in virtual time under seeded faults and crash/restart,
 //!   with a journal-replay oracle demanding bit-identical conclusions.
-//! * [`bench`] — the evaluation harness (§V figures) and the std-only
+//! * [`mod@bench`] — the evaluation harness (§V figures) and the std-only
 //!   JSON serializer backing the metrics exporters.
 //!
 //! # Quickstart

@@ -27,7 +27,7 @@ struct RunResult {
     checkpoint: Vec<u8>,
 }
 
-fn run_case(case: &conf::Case, dedup: bool, parallelism: usize, obs: ObsLevel) -> RunResult {
+fn run_case(case: &conf::Case, dedup: bool, obs: ObsLevel) -> RunResult {
     let pattern = Pattern::parse(&case.pattern_src).expect("generated pattern parses");
     let poet = case.build();
     let mut monitor = Monitor::with_config(
@@ -36,7 +36,6 @@ fn run_case(case: &conf::Case, dedup: bool, parallelism: usize, obs: ObsLevel) -
         MonitorConfig {
             dedup,
             policy: SubsetPolicy::PerArrival,
-            parallelism,
             obs,
             ..MonitorConfig::default()
         },
@@ -72,8 +71,8 @@ fn full_observability_is_bit_transparent() {
     for master in MASTERS {
         for i in 0..CASES_PER_MASTER {
             let (case, cfg) = conf::nth_case(master, i);
-            let off = run_case(&case, cfg.dedup, 1, ObsLevel::Off);
-            let full = run_case(&case, cfg.dedup, 1, ObsLevel::Full);
+            let off = run_case(&case, cfg.dedup, ObsLevel::Off);
+            let full = run_case(&case, cfg.dedup, ObsLevel::Full);
             let ctx = format!("seed {master} case {i}");
             assert_eq!(off.matches, full.matches, "{ctx}: verdicts diverged");
             assert_eq!(off.subset, full.subset, "{ctx}: subsets diverged");
@@ -95,14 +94,14 @@ fn full_observability_is_bit_transparent() {
 }
 
 /// `Counters` must be transparent too (it skips the timers but still
-/// collects introspection through the search and the worker channel).
+/// collects introspection through the search).
 #[test]
-fn counters_observability_is_transparent_under_the_pool() {
+fn counters_observability_is_transparent() {
     for master in MASTERS {
         for i in (0..CASES_PER_MASTER).step_by(5) {
             let (case, cfg) = conf::nth_case(master, i);
-            let off = run_case(&case, cfg.dedup, 3, ObsLevel::Off);
-            let counters = run_case(&case, cfg.dedup, 3, ObsLevel::Counters);
+            let off = run_case(&case, cfg.dedup, ObsLevel::Off);
+            let counters = run_case(&case, cfg.dedup, ObsLevel::Counters);
             let ctx = format!("seed {master} case {i}");
             assert_eq!(off.matches, counters.matches, "{ctx}: verdicts diverged");
             assert_eq!(off.stats, counters.stats, "{ctx}: counters diverged");
@@ -112,13 +111,8 @@ fn counters_observability_is_transparent_under_the_pool() {
 
 /// Satellite 2 — exactness. The registry's exported counters must equal
 /// an independent recount of the run: every arrival, stored event,
-/// search, and reported match counted once, never lost or doubled —
-/// including under the worker pool. At parallelism 1 the counters must
-/// also equal a separate metrics-off oracle replay; under the pool the
-/// recount is taken from the same run's `observe` returns, because
-/// level-1 partitioning may legitimately surface different duplicates
-/// when dedup is on (the caller-side tally is still independent of the
-/// registry).
+/// search, and reported match counted once, never lost or doubled. The
+/// counters must also equal a separate metrics-off oracle replay.
 #[test]
 fn exported_counters_match_a_sequential_recount() {
     for master in MASTERS {
@@ -137,7 +131,6 @@ fn exported_counters_match_a_sequential_recount() {
                 MonitorConfig {
                     dedup: cfg.dedup,
                     policy: SubsetPolicy::PerArrival,
-                    parallelism: 1,
                     obs: ObsLevel::Off,
                     ..MonitorConfig::default()
                 },
@@ -147,92 +140,74 @@ fn exported_counters_match_a_sequential_recount() {
             }
             let oracle_stats = *oracle.stats();
 
-            for parallelism in [1usize, 3] {
-                let mut monitor = Monitor::with_config(
-                    parse(),
-                    case.n_traces,
-                    MonitorConfig {
-                        dedup: cfg.dedup,
-                        policy: SubsetPolicy::PerArrival,
-                        parallelism,
-                        obs: ObsLevel::Full,
-                        ..MonitorConfig::default()
-                    },
-                );
-                // Recount the timing sample alongside the run: arrival
-                // N (1-based) is timed iff N % OBS_TIMING_SAMPLE == 1,
-                // and a timed arrival contributes one search-stage
-                // sample per search it triggers.
-                let sample = ocep_repro::ocep::OBS_TIMING_SAMPLE;
-                let mut seen = 0u64;
-                let mut sampled_arrivals = 0u64;
-                let mut sampled_searches = 0u64;
-                for (idx, e) in events.iter().enumerate() {
-                    let before = monitor.stats().searches;
-                    seen += monitor.observe(e).len() as u64;
-                    if (idx as u64 + 1) % sample == 1 {
-                        sampled_arrivals += 1;
-                        sampled_searches += monitor.stats().searches - before;
-                    }
+            let mut monitor = Monitor::with_config(
+                parse(),
+                case.n_traces,
+                MonitorConfig {
+                    dedup: cfg.dedup,
+                    policy: SubsetPolicy::PerArrival,
+                    obs: ObsLevel::Full,
+                    ..MonitorConfig::default()
+                },
+            );
+            // Recount the timing sample alongside the run: arrival
+            // N (1-based) is timed iff N % OBS_TIMING_SAMPLE == 1,
+            // and a timed arrival contributes one search-stage
+            // sample per search it triggers.
+            let sample = ocep_repro::ocep::OBS_TIMING_SAMPLE;
+            let mut seen = 0u64;
+            let mut sampled_arrivals = 0u64;
+            let mut sampled_searches = 0u64;
+            for (idx, e) in events.iter().enumerate() {
+                let before = monitor.stats().searches;
+                seen += monitor.observe(e).len() as u64;
+                if (idx as u64 + 1) % sample == 1 {
+                    sampled_arrivals += 1;
+                    sampled_searches += monitor.stats().searches - before;
                 }
-                let own_stats = *monitor.stats();
-                let snap = monitor.metrics();
-                let ctx = format!("seed {master} case {i} parallelism {parallelism}");
-                let value = |name: &str| {
-                    snap.value(name)
-                        .unwrap_or_else(|| panic!("{ctx}: missing counter {name}"))
-                };
-                // Independent of the registry in every configuration: the
-                // caller counted arrivals and reported matches itself.
-                assert_eq!(value("ocep_events_total"), events.len() as u64, "{ctx}");
-                assert_eq!(value("ocep_matches_reported_total"), seen, "{ctx}");
-                if parallelism == 1 {
-                    // Sequential runs must agree with the metrics-off
-                    // oracle replay exactly — the registry may not drift
-                    // from what an unobserved monitor counts.
-                    assert_eq!(seen, recount_reported, "{ctx}: reported matches diverged");
-                    assert_eq!(value("ocep_stored_total"), oracle_stats.stored, "{ctx}");
-                    assert_eq!(value("ocep_searches_total"), oracle_stats.searches, "{ctx}");
-                    assert_eq!(
-                        value("ocep_matches_found_total"),
-                        oracle_stats.matches_found,
-                        "{ctx}"
-                    );
-                } else {
-                    // Under the pool the partitioning may surface
-                    // different duplicates, but the exported counters
-                    // must still equal this run's own totals — nothing
-                    // lost or doubled across worker threads.
-                    assert_eq!(value("ocep_stored_total"), own_stats.stored, "{ctx}");
-                    assert_eq!(value("ocep_searches_total"), own_stats.searches, "{ctx}");
-                    assert_eq!(
-                        value("ocep_matches_found_total"),
-                        own_stats.matches_found,
-                        "{ctx}"
-                    );
-                }
-                // The arrival ring records every arrival (bounded).
-                let m = monitor.obs_metrics().expect("Full keeps a registry");
-                assert_eq!(
-                    m.recent().len() as u64,
-                    (events.len() as u64).min(ocep_repro::ocep::obs::RECENT_CAP as u64),
-                    "{ctx}: ring length"
-                );
-                // Stage histograms are consistent with the declared
-                // 1-in-8 timing sample: one end-to-end sample per timed
-                // arrival, one search-stage sample per search a timed
-                // arrival triggered.
-                assert_eq!(
-                    m.arrival_hist().count(),
-                    sampled_arrivals,
-                    "{ctx}: arrival samples"
-                );
-                assert_eq!(
-                    m.stage_hist(ocep_repro::ocep::Stage::Search).count(),
-                    sampled_searches,
-                    "{ctx}: search stage samples"
-                );
             }
+            let snap = monitor.metrics();
+            let ctx = format!("seed {master} case {i}");
+            let value = |name: &str| {
+                snap.value(name)
+                    .unwrap_or_else(|| panic!("{ctx}: missing counter {name}"))
+            };
+            // Independent of the registry: the caller counted arrivals
+            // and reported matches itself.
+            assert_eq!(value("ocep_events_total"), events.len() as u64, "{ctx}");
+            assert_eq!(value("ocep_matches_reported_total"), seen, "{ctx}");
+            // The run must agree with the metrics-off oracle replay
+            // exactly — the registry may not drift from what an
+            // unobserved monitor counts.
+            assert_eq!(seen, recount_reported, "{ctx}: reported matches diverged");
+            assert_eq!(value("ocep_stored_total"), oracle_stats.stored, "{ctx}");
+            assert_eq!(value("ocep_searches_total"), oracle_stats.searches, "{ctx}");
+            assert_eq!(
+                value("ocep_matches_found_total"),
+                oracle_stats.matches_found,
+                "{ctx}"
+            );
+            // The arrival ring records every arrival (bounded).
+            let m = monitor.obs_metrics().expect("Full keeps a registry");
+            assert_eq!(
+                m.recent().len() as u64,
+                (events.len() as u64).min(ocep_repro::ocep::obs::RECENT_CAP as u64),
+                "{ctx}: ring length"
+            );
+            // Stage histograms are consistent with the declared
+            // timing sample: one end-to-end sample per timed
+            // arrival, one search-stage sample per search a timed
+            // arrival triggered.
+            assert_eq!(
+                m.arrival_hist().count(),
+                sampled_arrivals,
+                "{ctx}: arrival samples"
+            );
+            assert_eq!(
+                m.stage_hist(ocep_repro::ocep::Stage::Search).count(),
+                sampled_searches,
+                "{ctx}: search stage samples"
+            );
         }
     }
 }

@@ -141,7 +141,6 @@ fn per_arrival_policy_reports_every_completing_event() {
             policy: SubsetPolicy::PerArrival,
             dedup: false,
             node_limit: 0,
-            parallelism: 1,
             ..MonitorConfig::default()
         },
     );
@@ -164,7 +163,6 @@ fn per_arrival_policy_reports_every_completing_event() {
             policy: SubsetPolicy::Representative,
             dedup: false,
             node_limit: 0,
-            parallelism: 1,
             ..MonitorConfig::default()
         },
     );
@@ -219,7 +217,6 @@ fn node_limit_bounds_search_work() {
             node_limit: 50,
             dedup: false,
             policy: SubsetPolicy::Representative,
-            parallelism: 1,
             ..MonitorConfig::default()
         },
     );
