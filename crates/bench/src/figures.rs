@@ -629,20 +629,3 @@ pub fn ablation_dedup(opts: &RunOptions) -> (usize, usize, f64, f64) {
         without.total.as_secs_f64() * 1e6,
     )
 }
-
-// ------------------------------------------------------------- summary
-
-/// Runs everything (the `all` subcommand).
-pub fn run_all(opts: &RunOptions) {
-    let _ = fig3();
-    let _ = fig6(opts);
-    let _ = fig7(opts);
-    let _ = fig8(opts);
-    let _ = fig9(opts);
-    let _ = fig10(opts);
-    let _ = completeness(opts);
-    let _ = depgraph(opts);
-    let _ = ablation_pattern_len(opts);
-    let _ = ablation_pruning(opts);
-    let _ = ablation_dedup(opts);
-}

@@ -13,17 +13,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clockbench;
 pub mod figures;
 pub mod json;
 pub mod measure;
 pub mod metrics_json;
-pub mod netbench;
-pub mod shardbench;
-pub mod simbench;
-pub mod soakbench;
 pub mod stats;
-pub mod walbench;
 
 use ocep_core::ObsLevel;
 

@@ -26,23 +26,6 @@ EXPERIMENTS:
     ablation-pattern-len  runtime vs deadlock-cycle length
     ablation-pruning      causal pruning vs naive backtracking
     ablation-dedup        SVI history deduplication effect
-    net                   loopback OCWP serving throughput and accept->admit
-                          latency vs in-process delivery (also: --net)
-    clocks                vector-clock kernel microbenchmarks: chunked vs
-                          scalar dominance/join, interned vs fresh clocks
-    sim                   deterministic whole-system simulator turnover:
-                          simulated events/s and runs/s vs client count
-    wal                   durable-log microbenchmarks: append records/s per
-                          durability mode, recovery ms per 100k records, and
-                          batch-WAL vs no-WAL ingest medians
-    shards                N-shard engine scaling: ShardGroup ingest throughput
-                          at shards 1/2/4 (threaded above 1) over a
-                          multi-tenant pattern registry, ratio vs 1 shard
-    soak                  sustained-ingestion soak: an adapter-parsed MPI
-                          recording (>= 1M events; --events raises it)
-                          streamed through a live loopback server under
-                          credit backpressure, with adapter parse and
-                          served ingest rates per frame size
 
 OPTIONS:
     --events N   approximate events per workload (default 40000)
@@ -70,7 +53,6 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--full" => opts = RunOptions::paper_scale(),
-            "--net" => experiment = Some("net".to_owned()),
             "--guard" => opts.guard = true,
             "--json" => json_mode = true,
             "--obs" => {
@@ -87,14 +69,16 @@ fn main() {
                 opts.events = args
                     .get(i)
                     .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| bail("--events needs a number"));
+                    .filter(|&n| n > 0)
+                    .unwrap_or_else(|| bail("--events needs a positive number"));
             }
             "--reps" => {
                 i += 1;
                 opts.reps = args
                     .get(i)
                     .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| bail("--reps needs a number"));
+                    .filter(|&n| n > 0)
+                    .unwrap_or_else(|| bail("--reps needs a positive number"));
             }
             "--help" | "-h" => {
                 print!("{USAGE}");
@@ -197,97 +181,6 @@ fn run_one(name: &str, opts: &RunOptions) -> Json {
                 ])
             },
         )),
-        "net" => Json::arr([1usize, 64, 256, 1024].into_iter().map(|batch| {
-            let r = ocep_bench::netbench::net(opts, batch);
-            Json::obj([
-                ("batch", Json::from(r.batch)),
-                ("events", Json::from(r.events)),
-                ("inproc_events_per_sec", Json::from(r.inproc_events_per_sec)),
-                ("net_events_per_sec", Json::from(r.net_events_per_sec)),
-                ("ratio", Json::from(r.ratio)),
-                ("p50_accept_admit_ns_lo", Json::from(r.p50_ns.0)),
-                ("p50_accept_admit_ns_hi", Json::from(r.p50_ns.1)),
-                ("p99_accept_admit_ns_lo", Json::from(r.p99_ns.0)),
-                ("p99_accept_admit_ns_hi", Json::from(r.p99_ns.1)),
-                ("verdicts", Json::from(r.verdicts)),
-            ])
-        })),
-        "clocks" => Json::arr(ocep_bench::clockbench::clocks().into_iter().map(|r| {
-            Json::obj([
-                ("traces", Json::from(r.traces)),
-                ("le_ns", Json::from(r.le_ns)),
-                ("le_scalar_ns", Json::from(r.le_scalar_ns)),
-                ("join_ns", Json::from(r.join_ns)),
-                ("join_scalar_ns", Json::from(r.join_scalar_ns)),
-                ("intern_hit_ns", Json::from(r.intern_hit_ns)),
-                ("fresh_ns", Json::from(r.fresh_ns)),
-            ])
-        })),
-        "sim" => Json::arr([4usize, 32, 128].into_iter().map(|clients| {
-            let r = ocep_bench::simbench::sim(opts, clients);
-            Json::obj([
-                ("clients", Json::from(r.clients)),
-                ("events", Json::from(r.events)),
-                ("steps", Json::from(r.steps)),
-                ("verdicts", Json::from(r.verdicts)),
-                ("sim_events_per_sec", Json::from(r.events_per_sec)),
-                ("runs_per_sec", Json::from(r.runs_per_sec)),
-            ])
-        })),
-        "soak" => Json::arr([256usize, 1024].into_iter().map(|batch| {
-            let r = ocep_bench::soakbench::soak(opts, batch);
-            Json::obj([
-                ("batch", Json::from(r.batch)),
-                ("ranks", Json::from(r.ranks)),
-                ("records", Json::from(r.records)),
-                ("events", Json::from(r.events)),
-                ("truth_episodes", Json::from(r.truth)),
-                ("parse_events_per_sec", Json::from(r.parse_events_per_sec)),
-                ("serve_events_per_sec", Json::from(r.serve_events_per_sec)),
-                ("p50_accept_admit_ns_lo", Json::from(r.p50_ns.0)),
-                ("p50_accept_admit_ns_hi", Json::from(r.p50_ns.1)),
-                ("p99_accept_admit_ns_lo", Json::from(r.p99_ns.0)),
-                ("p99_accept_admit_ns_hi", Json::from(r.p99_ns.1)),
-                ("verdicts", Json::from(r.verdicts)),
-            ])
-        })),
-        "shards" => Json::arr(ocep_bench::shardbench::shards(opts).into_iter().map(|r| {
-            Json::obj([
-                ("shards", Json::from(r.shards)),
-                ("events", Json::from(r.events)),
-                ("patterns", Json::from(r.patterns)),
-                ("events_per_sec", Json::from(r.events_per_sec)),
-                ("verdicts", Json::from(r.verdicts)),
-                ("ratio_vs_single", Json::from(r.ratio_vs_single)),
-            ])
-        })),
-        "wal" => {
-            let b = ocep_bench::walbench::wal(opts);
-            Json::obj([
-                (
-                    "appends",
-                    Json::arr(b.appends.into_iter().map(|a| {
-                        Json::obj([
-                            ("durability", Json::from(a.durability)),
-                            ("records", Json::from(a.records)),
-                            ("payload_bytes", Json::from(a.payload_bytes)),
-                            ("records_per_sec", Json::from(a.records_per_sec)),
-                        ])
-                    })),
-                ),
-                ("recovery_records", Json::from(b.recovery_records)),
-                ("recovery_ms_per_100k", Json::from(b.recovery_ms_per_100k)),
-                (
-                    "ingest",
-                    Json::obj([
-                        ("events", Json::from(b.ingest.events)),
-                        ("off_median_us", Json::from(b.ingest.off_median_us)),
-                        ("wal_median_us", Json::from(b.ingest.wal_median_us)),
-                        ("ratio", Json::from(b.ingest.ratio)),
-                    ]),
-                ),
-            ])
-        }
         "ablation-pattern-len" => series_json("pattern_len", figures::ablation_pattern_len(opts)),
         "ablation-pruning" => Json::arr(figures::ablation_pruning(opts).into_iter().map(
             |(case, ocep_med, naive_med, ocep_cands, naive_cands)| {

@@ -1,0 +1,61 @@
+//! The `ocep-bench` binary's surface: the paper's eleven experiments
+//! and `all`, one JSON document under `--json`, usage errors as exit 2.
+
+use std::process::{Command, Output};
+
+const EXPERIMENTS: [&str; 11] = [
+    "fig3",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "completeness",
+    "depgraph",
+    "ablation-pattern-len",
+    "ablation-pruning",
+    "ablation-dedup",
+];
+
+fn bench(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_ocep-bench"))
+        .args(args)
+        .output()
+        .expect("binary runs")
+}
+
+#[test]
+fn all_json_is_one_line_with_each_paper_experiment_once() {
+    let out = bench(&["all", "--events", "2000", "--reps", "1", "--json"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8(out.stdout).expect("utf-8");
+    assert_eq!(stdout.lines().count(), 1, "{stdout}");
+    assert!(stdout.starts_with(r#"{"bench":"all""#), "{stdout}");
+    for key in EXPERIMENTS {
+        let n = stdout.matches(&format!(r#""{key}":"#)).count();
+        assert_eq!(n, 1, "key {key} appears {n} times");
+    }
+    for gone in ["net", "clocks", "sim", "wal", "shards", "soak"] {
+        assert!(!stdout.contains(&format!(r#""{gone}":"#)), "{gone} is back");
+    }
+}
+
+#[test]
+fn deleted_sub_benches_are_unknown_not_aliased() {
+    for args in [&["net"][..], &["soak"], &["--net"]] {
+        let out = bench(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn zero_reps_or_events_is_a_usage_error_not_a_panic() {
+    for flag in ["--reps", "--events"] {
+        let out = bench(&["fig6", flag, "0"]);
+        assert_eq!(out.status.code(), Some(2), "{flag} 0");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{flag} 0: {stderr}");
+    }
+}

@@ -104,22 +104,6 @@ pub fn for_each_changed(base: &[u32], new: &[u32], mut f: impl FnMut(usize, u32)
     }
 }
 
-/// Reference scalar `a <= b`, kept for differential tests and the
-/// `ocep-bench clocks` microbench. Never removed: the chunked and SIMD
-/// kernels must stay bit-identical to this definition.
-#[must_use]
-pub fn le_scalar(a: &[u32], b: &[u32]) -> bool {
-    a.iter().zip(b.iter()).all(|(x, y)| x <= y)
-}
-
-/// Reference scalar join, the differential baseline for
-/// [`join_into`].
-pub fn join_scalar(dst: &mut [u32], src: &[u32]) {
-    for (d, s) in dst.iter_mut().zip(src.iter()) {
-        *d = (*d).max(*s);
-    }
-}
-
 /// Chunked scalar `<=`: branch-free accumulator inside each chunk,
 /// early exit between chunks, scalar tail.
 #[must_use]
@@ -221,6 +205,20 @@ mod sse2 {
 mod tests {
     use super::*;
     use ocep_rng::Rng;
+
+    /// Reference scalar `a <= b`: the definition the chunked and SIMD
+    /// kernels must stay bit-identical to.
+    fn le_scalar(a: &[u32], b: &[u32]) -> bool {
+        a.iter().zip(b.iter()).all(|(x, y)| x <= y)
+    }
+
+    /// Reference scalar join, the differential baseline for
+    /// [`join_into`].
+    fn join_scalar(dst: &mut [u32], src: &[u32]) {
+        for (d, s) in dst.iter_mut().zip(src.iter()) {
+            *d = (*d).max(*s);
+        }
+    }
 
     /// Seeded clock-pair generator covering widths around the chunk
     /// boundary (0..=3·LANES) and values that collide often enough to
