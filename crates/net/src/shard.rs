@@ -1221,6 +1221,17 @@ mod tests {
         TraceId::new(i)
     }
 
+    /// The frozen benchmark's tenant names and `tests/wal_layout.rs`
+    /// rely on which partition a name lands on.
+    #[test]
+    fn routing_of_known_names_stays_put() {
+        assert_eq!(route_of("t0/deadlock", 2), 1);
+        assert_eq!(route_of("t7/deadlock", 2), 0);
+        assert_eq!(route_of("acme/late", 4), 0);
+        assert_eq!(route_of("pings", 8), 6);
+        assert_eq!(route_of("pings", 0), 0, "zero shards route like one");
+    }
+
     fn build_set(names: &[(&str, &str)]) -> (MonitorSet, HashMap<String, String>) {
         let mut set = MonitorSet::new(2);
         let mut sources = HashMap::new();

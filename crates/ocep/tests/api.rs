@@ -215,3 +215,36 @@ fn checkpoint_written_by_a_pooled_degraded_monitor_still_loads() {
     assert_eq!(resumed.stats(), straight.stats());
     assert_eq!(subset(&resumed), subset(&straight));
 }
+
+/// `tests/corpus/ockp/parent-guarded/`, written by commit 0c944c5 (see
+/// `tests/cli.rs::guarded_check_output_is_pinned_to_the_parent`).
+const PARENT_FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/corpus/ockp/parent-guarded"
+);
+
+/// The fixture's pattern source and the first `n` events of its dump.
+fn parent_fixture_prefix(n: usize) -> (String, Vec<ocep_poet::Event>) {
+    let src = std::fs::read_to_string(format!("{PARENT_FIXTURE}/pattern.ocep")).unwrap();
+    let poet = ocep_poet::dump::reload_from_file(format!("{PARENT_FIXTURE}/stream.poet")).unwrap();
+    let events = poet.store().iter_arrival().take(n).cloned().collect();
+    (src, events)
+}
+
+#[test]
+fn unguarded_checkpoint_bytes_equal_the_parents() {
+    let (src, prefix) = parent_fixture_prefix(12);
+    let mut m = Monitor::with_config(
+        Pattern::parse(&src).unwrap(),
+        4,
+        MonitorConfig {
+            policy: SubsetPolicy::PerArrival,
+            ..MonitorConfig::default()
+        },
+    );
+    for e in &prefix {
+        m.observe(e);
+    }
+    let parent = std::fs::read(format!("{PARENT_FIXTURE}/unguarded.ockp")).unwrap();
+    assert_eq!(m.checkpoint(&src), parent);
+}

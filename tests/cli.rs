@@ -218,6 +218,73 @@ fn checkpoint_then_resume_reaches_the_same_verdicts() {
     assert!(String::from_utf8_lossy(&bad.stderr).contains("cannot restore"));
 }
 
+/// `tests/corpus/ockp/parent-guarded/` was written by commit 0c944c5,
+/// the last one whose `Monitor` could own an admission guard
+/// (`generate.rs` beside it is the program that did): a 30-event dump,
+/// two guarded per-monitor OCKP checkpoints taken with events still in
+/// the reorder buffer (`guarded-ahead`: default guard; `guarded-gap`:
+/// one slot, drop-oldest, one eviction already counted) and an
+/// unguarded one. Each `expected/*.txt` is a command line with the exit
+/// code, stdout and stderr that commit's binary gave: resuming the
+/// three checkpoints, `check` under each guard flag, `ingest` of an
+/// `examples/fixtures` recording, and resuming a checkpoint the CLI
+/// itself took with `--guard`. Whatever admits events now must reprint
+/// every line: matches, degraded-flush matches, counters, fault log.
+#[test]
+fn guarded_check_output_is_pinned_to_the_parent() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let fixture = "tests/corpus/ockp/parent-guarded";
+    let cli_ckpt = tmp("pinned-cli.ckpt");
+    let cp = ocep()
+        .current_dir(root)
+        .args(["checkpoint", &format!("{fixture}/pattern.ocep")])
+        .args([&format!("{fixture}/stream.poet"), cli_ckpt.to_str().unwrap()])
+        .args(["--events", "12", "--guard", "--per-arrival"])
+        .output()
+        .unwrap();
+    assert_eq!(cp.status.code(), Some(0), "{cp:?}");
+    let cp_out = String::from_utf8_lossy(&cp.stdout);
+    assert!(
+        cp_out.starts_with("checkpointed after 12 of 30 events: 14 matches found, 12 history events,"),
+        "{cp_out}"
+    );
+
+    let mut cases: Vec<_> = std::fs::read_dir(root.join(fixture).join("expected"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    cases.sort();
+    assert_eq!(cases.len(), 10, "{cases:?}");
+    for case in cases {
+        let text = std::fs::read_to_string(&case).unwrap();
+        let (head, rest) = text.split_once("\n--- stdout\n").unwrap();
+        let (want_out, want_err) = rest.split_once("\n--- stderr\n").unwrap();
+        let (cmd, exit) = head.split_once("\nexit ").unwrap();
+        let args: Vec<String> = cmd
+            .strip_prefix("$ ocep ")
+            .unwrap()
+            .split(' ')
+            .map(|a| a.replace("cli.ckpt", cli_ckpt.to_str().unwrap()))
+            .collect();
+        let got = ocep().current_dir(root).args(&args).output().unwrap();
+        let text_of = |bytes: &[u8]| {
+            String::from_utf8_lossy(bytes).replace(cli_ckpt.to_str().unwrap(), "cli.ckpt")
+        };
+        let name = case.display();
+        assert_eq!(
+            text_of(&got.stdout).trim_end(),
+            want_out.trim_end(),
+            "{name}: stdout"
+        );
+        assert_eq!(
+            text_of(&got.stderr).trim_end(),
+            want_err.trim_end(),
+            "{name}: stderr"
+        );
+        assert_eq!(got.status.code(), exit.trim().parse().ok(), "{name}: exit");
+    }
+}
+
 #[test]
 fn fault_fuzz_smoke_is_clean() {
     let out = ocep()
