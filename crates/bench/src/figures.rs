@@ -6,7 +6,7 @@ use crate::measure::{measure_monitor, measure_naive};
 use crate::stats::BoxPlot;
 use crate::RunOptions;
 use ocep_baselines::{DepGraphDetector, SlidingWindowMatcher};
-use ocep_core::{GuardConfig, Monitor, MonitorConfig};
+use ocep_core::{Monitor, MonitorConfig};
 use ocep_pattern::{PairRel, Pattern};
 use ocep_poet::Event;
 use ocep_simulator::workloads::{
@@ -14,11 +14,10 @@ use ocep_simulator::workloads::{
 };
 use ocep_vclock::{Causality, TraceId};
 
-/// The monitor configuration every figure measures: the default engine,
-/// optionally behind the causal admission guard (`--guard`).
+/// The monitor configuration every figure measures: the default engine
+/// at the requested observability level.
 fn figure_config(opts: &RunOptions) -> MonitorConfig {
     MonitorConfig {
-        guard: opts.guard.then(GuardConfig::default),
         obs: opts.obs,
         ..MonitorConfig::default()
     }

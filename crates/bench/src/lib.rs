@@ -14,9 +14,7 @@
 #![warn(missing_docs)]
 
 pub mod figures;
-pub mod json;
 pub mod measure;
-pub mod metrics_json;
 pub mod stats;
 
 use ocep_core::ObsLevel;
@@ -58,10 +56,6 @@ pub struct RunOptions {
     pub events: usize,
     /// Repetitions per configuration (pooled samples, distinct seeds).
     pub reps: u64,
-    /// Run the monitors behind the causal admission guard (measures the
-    /// guard's in-order fast-path overhead; the streams are clean, so no
-    /// buffering or quarantine happens).
-    pub guard: bool,
     /// Observability level for the monitors under measurement (`--obs`;
     /// measures the instrumentation overhead — the CI perf gate bounds
     /// `Full` at 1.10× the uninstrumented baseline).
@@ -73,7 +67,6 @@ impl Default for RunOptions {
         RunOptions {
             events: 40_000,
             reps: 5,
-            guard: false,
             obs: ObsLevel::Off,
         }
     }

@@ -1,16 +1,16 @@
 //! The `ocep-bench` command-line harness: regenerates every figure and
 //! table of the paper's evaluation plus the DESIGN.md ablations.
 
-use ocep_bench::json::Json;
 use ocep_bench::stats::BoxPlot;
 use ocep_bench::{figures, output, RunOptions};
+use ocep_core::json::Json;
 use ocep_core::ObsLevel;
 
 const USAGE: &str = "\
 ocep-bench — regenerate the OCEP paper's evaluation
 
 USAGE:
-    ocep-bench <EXPERIMENT> [--events N] [--reps N] [--full] [--guard]
+    ocep-bench <EXPERIMENT> [--events N] [--reps N] [--full]
                [--obs [LEVEL]] [--json]
 
 EXPERIMENTS:
@@ -31,8 +31,6 @@ OPTIONS:
     --events N   approximate events per workload (default 40000)
     --reps N     repetitions per configuration (default 5)
     --full       paper scale: 1,000,000 events per test case
-    --guard      run the monitors behind the causal admission guard
-                 (measures the guard's in-order fast path overhead)
     --obs [LEVEL] collect observability metrics at LEVEL (off, counters,
                  full; bare --obs means full) — measures instrumentation
                  overhead against the uninstrumented baseline
@@ -53,7 +51,6 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--full" => opts = RunOptions::paper_scale(),
-            "--guard" => opts.guard = true,
             "--json" => json_mode = true,
             "--obs" => {
                 // The level is optional: a bare --obs means full.
@@ -133,7 +130,6 @@ fn main() {
                 Json::obj([
                     ("events", Json::from(opts.events)),
                     ("reps", Json::from(opts.reps)),
-                    ("guard", Json::from(opts.guard)),
                     ("obs", Json::from(opts.obs.name())),
                 ]),
             ),

@@ -4,8 +4,9 @@
 //! A [`FaultPlan`] perturbs the arrival stream the way a lossy transport
 //! would — duplicates, reorders, drops, and corrupt-clock garbage — all
 //! derived from one seed. The harness then runs the *same* case twice:
-//! once clean and unguarded, once faulted through a monitor fronted by
-//! an [`AdmissionGuard`](ocep_core::AdmissionGuard), and demands:
+//! once clean through a bare [`Monitor`], once faulted through a
+//! [`MonitorSet`] of that one pattern behind its
+//! [`AdmissionGuard`](ocep_core::AdmissionGuard), and demands:
 //!
 //! * **Guard transparency** — for repairable plans (duplicates plus
 //!   causal-safe reorders, no drops) the guarded run's reported matches,
@@ -25,18 +26,19 @@
 //!
 //! Checkpoint/restore rides the same differential style:
 //! [`check_checkpoint_restart`] cuts a run mid-stream, round-trips the
-//! monitor through [`Monitor::checkpoint`], and requires the resumed
-//! run to be indistinguishable — down to byte-identical final
+//! guarded set through [`MonitorSet::checkpoint_set`], and requires the
+//! resumed run to be indistinguishable — down to byte-identical final
 //! checkpoints — from the uninterrupted one.
 
 use crate::case::Case;
 use crate::diff::{CheckConfig, Invariant, Mismatch};
 use crate::fuzz::{case_seed, nth_case};
-use ocep_core::{GuardConfig, Monitor, MonitorConfig, OverflowPolicy, SubsetPolicy};
+use ocep_core::{GuardConfig, Monitor, MonitorConfig, MonitorSet, OverflowPolicy, SubsetPolicy};
 use ocep_pattern::Pattern;
 use ocep_poet::{Event, EventKind};
 use ocep_rng::Rng;
 use ocep_vclock::{EventId, EventIndex, StampedEvent, TraceId, VectorClock};
+use std::collections::HashMap;
 
 /// Salt mixed into [`case_seed`] so a fault plan's randomness is
 /// independent of the case generator's.
@@ -292,21 +294,37 @@ fn parse_pattern(case: &Case) -> Result<Pattern, Mismatch> {
     })
 }
 
-fn monitor_for(
+fn monitor_config(cfg: &CheckConfig) -> MonitorConfig {
+    MonitorConfig {
+        dedup: cfg.dedup,
+        policy: SubsetPolicy::Representative,
+        ..MonitorConfig::default()
+    }
+}
+
+/// The name the case's pattern is registered under in a guarded set.
+const CASE: &str = "case";
+
+/// A set of the case's one pattern behind an admission guard — where a
+/// raw stream enters.
+fn guarded_set_for(
     case: &Case,
     cfg: &CheckConfig,
-    guard: Option<GuardConfig>,
-) -> Result<Monitor, Mismatch> {
-    Ok(Monitor::with_config(
-        parse_pattern(case)?,
-        case.n_traces,
-        MonitorConfig {
-            dedup: cfg.dedup,
-            policy: SubsetPolicy::Representative,
-            guard,
-            ..MonitorConfig::default()
-        },
-    ))
+    guard: GuardConfig,
+) -> Result<MonitorSet, Mismatch> {
+    let mut set = MonitorSet::new(case.n_traces);
+    set.add_with_config(CASE, parse_pattern(case)?, monitor_config(cfg));
+    set.enable_guard(guard);
+    Ok(set)
+}
+
+fn only_monitor(set: &MonitorSet) -> &Monitor {
+    set.monitor(CASE)
+        .expect("the set was built with the case's pattern")
+}
+
+fn verdicts(reports: Vec<(String, ocep_core::Match)>) -> impl Iterator<Item = String> {
+    reports.into_iter().map(|(_, m)| m.to_string())
 }
 
 fn sorted_subset(m: &Monitor) -> Vec<String> {
@@ -344,7 +362,7 @@ pub fn check_fault_case(
     let (faulted, injected) = apply_faults(&events, case.n_traces, plan);
 
     // --- clean, unguarded reference ----------------------------------
-    let mut clean = monitor_for(case, cfg, None)?;
+    let mut clean = Monitor::with_config(parse_pattern(case)?, case.n_traces, monitor_config(cfg));
     let mut clean_verdicts: Vec<String> = Vec::new();
     for e in &events {
         for m in clean.observe(e) {
@@ -359,17 +377,15 @@ pub fn check_fault_case(
         capacity: (2 * plan.reorder_window + 16).max(32),
         overflow: degraded_policy(plan),
     };
-    let mut guarded = monitor_for(case, cfg, Some(guard_cfg))?;
+    let mut guarded_set = guarded_set_for(case, cfg, guard_cfg)?;
     let mut guarded_verdicts: Vec<String> = Vec::new();
     for e in &faulted {
-        for m in guarded.observe(e) {
-            guarded_verdicts.push(m.to_string());
-        }
+        guarded_verdicts.extend(verdicts(guarded_set.observe_raw(e)));
     }
-    for m in guarded.flush_guard() {
-        guarded_verdicts.push(m.to_string());
-    }
-    let ingest = guarded.stats().ingest;
+    guarded_verdicts.extend(verdicts(guarded_set.flush_guard()));
+    let ingest = guarded_set.ingest_stats();
+    let leftover = guarded_set.guard().map_or(0, |g| g.buffered());
+    let guarded = only_monitor(&guarded_set);
 
     // --- quarantine accounting (all plans) ---------------------------
     if ingest.quarantined() != injected.corrupt {
@@ -398,7 +414,7 @@ pub fn check_fault_case(
             + ingest.duplicates_dropped
             + ingest.overflow_rejected
             + ingest.overflow_dropped
-            + guarded.guard().map_or(0, |g| g.buffered() as u64);
+            + leftover as u64;
         if accounted != sent {
             return Err(Mismatch {
                 invariant: Invariant::QuarantineAccounting,
@@ -417,7 +433,7 @@ pub fn check_fault_case(
             clean_reported: clean_verdicts.len(),
             detected: !clean_verdicts.is_empty(),
             quarantined: ingest.quarantined(),
-            degraded: guarded.ingest_degraded(),
+            degraded: ingest.is_degraded(),
         });
     }
 
@@ -441,7 +457,6 @@ pub fn check_fault_case(
             ),
         });
     }
-    let leftover = guarded.guard().map_or(0, |g| g.buffered());
     if leftover != 0 {
         return Err(Mismatch {
             invariant: Invariant::GuardTransparency,
@@ -463,13 +478,13 @@ pub fn check_fault_case(
                     ),
                 });
             }
-            if sorted_subset(&clean) != sorted_subset(&guarded) {
+            if sorted_subset(&clean) != sorted_subset(guarded) {
                 return Err(Mismatch {
                     invariant: Invariant::GuardTransparency,
                     detail: "representative subsets diverged".to_string(),
                 });
             }
-            if coverage_cells(&clean, case.n_traces) != coverage_cells(&guarded, case.n_traces) {
+            if coverage_cells(&clean, case.n_traces) != coverage_cells(guarded, case.n_traces) {
                 return Err(Mismatch {
                     invariant: Invariant::GuardTransparency,
                     detail: "coverage cells diverged".to_string(),
@@ -508,7 +523,7 @@ pub fn check_fault_case(
         clean_reported: clean_verdicts.len(),
         detected: !clean_verdicts.is_empty(),
         quarantined: ingest.quarantined(),
-        degraded: guarded.ingest_degraded(),
+        degraded: ingest.is_degraded(),
     })
 }
 
@@ -525,9 +540,10 @@ fn degraded_policy(plan: &FaultPlan) -> OverflowPolicy {
     }
 }
 
-/// Cuts a run at `cut`, round-trips the monitor through a checkpoint,
-/// resumes, and compares against the uninterrupted run — per-arrival
-/// verdicts, final subset, and byte-identical final checkpoints.
+/// Cuts a run at `cut`, round-trips the guarded set through a
+/// checkpoint, resumes, and compares against the uninterrupted run —
+/// per-arrival verdicts, final subset, and byte-identical final
+/// checkpoints.
 ///
 /// # Errors
 ///
@@ -542,23 +558,23 @@ pub fn check_checkpoint_restart(
     let events: Vec<Event> = poet.store().iter_arrival().cloned().collect();
     let cut = cut.min(events.len());
 
-    let guard = Some(GuardConfig::default());
-    let mut straight = monitor_for(case, cfg, guard)?;
-    let mut resumed = monitor_for(case, cfg, guard)?;
+    let mut straight = guarded_set_for(case, cfg, GuardConfig::default())?;
+    let mut resumed = guarded_set_for(case, cfg, GuardConfig::default())?;
+    let sources = HashMap::from([(CASE.to_string(), case.pattern_src.clone())]);
 
     let mut straight_verdicts: Vec<String> = Vec::new();
     let mut resumed_verdicts: Vec<String> = Vec::new();
     for e in &events[..cut] {
-        straight_verdicts.extend(straight.observe(e).iter().map(ToString::to_string));
-        resumed_verdicts.extend(resumed.observe(e).iter().map(ToString::to_string));
+        straight_verdicts.extend(verdicts(straight.observe_raw(e)));
+        resumed_verdicts.extend(verdicts(resumed.observe_raw(e)));
     }
 
-    let bytes = resumed.checkpoint(&case.pattern_src);
-    let (mut resumed, src) = Monitor::restore(&bytes).map_err(|e| Mismatch {
+    let bytes = resumed.checkpoint_set(&sources);
+    let (mut resumed, embedded) = MonitorSet::restore_set(&bytes).map_err(|e| Mismatch {
         invariant: Invariant::CheckpointRestore,
         detail: format!("checkpoint failed to restore: {e}"),
     })?;
-    if src != case.pattern_src {
+    if embedded != [(CASE.to_string(), case.pattern_src.clone())] {
         return Err(Mismatch {
             invariant: Invariant::CheckpointRestore,
             detail: "embedded pattern source changed across the round trip".to_string(),
@@ -566,8 +582,8 @@ pub fn check_checkpoint_restart(
     }
 
     for e in &events[cut..] {
-        straight_verdicts.extend(straight.observe(e).iter().map(ToString::to_string));
-        resumed_verdicts.extend(resumed.observe(e).iter().map(ToString::to_string));
+        straight_verdicts.extend(verdicts(straight.observe_raw(e)));
+        resumed_verdicts.extend(verdicts(resumed.observe_raw(e)));
     }
 
     if straight_verdicts != resumed_verdicts {
@@ -579,14 +595,14 @@ pub fn check_checkpoint_restart(
             ),
         });
     }
-    if sorted_subset(&straight) != sorted_subset(&resumed) {
+    if sorted_subset(only_monitor(&straight)) != sorted_subset(only_monitor(&resumed)) {
         return Err(Mismatch {
             invariant: Invariant::CheckpointRestore,
             detail: format!("final subsets diverged after restart at event {cut}"),
         });
     }
-    let a = straight.checkpoint(&case.pattern_src);
-    let b = resumed.checkpoint(&case.pattern_src);
+    let a = straight.checkpoint_set(&sources);
+    let b = resumed.checkpoint_set(&sources);
     if a != b {
         return Err(Mismatch {
             invariant: Invariant::CheckpointRestore,

@@ -47,18 +47,11 @@ use std::thread::JoinHandle;
 /// Capacity of each per-partition job/reply ring.
 const RING_CAPACITY: usize = 1024;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// The routing rule: `fnv1a64(name) % n_shards`. It only decides which
 /// thread matches which pattern; nothing on disk depends on it.
 #[must_use]
 pub fn route_of(name: &str, n_shards: usize) -> usize {
-    let mut h = FNV_OFFSET;
-    for &b in name.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
+    let h = ocep_wal::fnv1a64(ocep_wal::FNV_OFFSET, name.as_bytes());
     (h % n_shards.max(1) as u64) as usize
 }
 

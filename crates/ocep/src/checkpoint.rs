@@ -2,13 +2,14 @@
 //!
 //! A checkpoint captures everything the matcher's *future* behavior
 //! depends on — the leaf histories (with their dedup bookkeeping), the
-//! §IV-B representative subset, the cumulative [`MonitorStats`], the
-//! configuration, and the admission guard's reorder state — so a monitor
-//! restored from a checkpoint and fed the remainder of the stream
-//! produces bit-identical verdicts to one that never stopped. The stream
-//! position is implied by `stats.events` (raw arrivals consumed): a
-//! resuming driver replays the recorded stream and skips that many
-//! arrivals.
+//! §IV-B representative subset, the cumulative [`MonitorStats`] and the
+//! configuration — so a monitor restored from a checkpoint and fed the
+//! remainder of the stream produces bit-identical verdicts to one that
+//! never stopped. The stream position is implied by `stats.events`
+//! (events observed): a resuming driver replays the recorded stream and
+//! skips that many. The admission guard's reorder state belongs to the
+//! set in front of the monitors and travels in the set checkpoint
+//! ([`save_set`]).
 //!
 //! The byte format follows the conventions of the POET dump
 //! (`ocep_poet::dump`): little-endian, magic-and-version header, an
@@ -21,9 +22,9 @@
 //! pattern_src  str (u32 len + utf-8) — the monitored pattern's source
 //! n_traces     u32
 //! config       dedup u8, policy u8, node_limit u64, reserved u64 = 1,
-//!              guard u8 [, capacity u64, overflow u8]
-//! stats        26 × u64 (MonitorStats incl. IngestStats, fixed order;
-//!              the fourteenth is reserved = 0)
+//!              guard u8 = 0 (older files: 1, capacity u64, overflow u8)
+//! stats        26 × u64 (MonitorStats, fixed order; the fourteenth
+//!              and the last twelve are reserved = 0)
 //! strings      u32 count, then u32-len-prefixed utf-8 entries
 //! events       u32 count; per event: trace u32, index u32, kind u8,
 //!              ty u32, text u32, partner u8 [trace u32, index u32],
@@ -32,7 +33,7 @@
 //!              per leaf×trace: u32 count + event refs; stored u64,
 //!              suppressed u64
 //! subset       per leaf×trace: u8 flag [, n_leaves event refs]
-//! guard        (iff config.guard) admitted u32×n;
+//! guard        (older files, iff config.guard) admitted u32×n;
 //!              u32 buffered + event refs; 12 × u64 guard stats
 //! obs          marker u8; iff 1: level u8, 5 stage histograms,
 //!              arrival histogram, search obs (u32 level count +
@@ -53,17 +54,24 @@
 //! replays the log strictly after that LSN. Version 1/2 checkpoints load
 //! with `wal_lsn = 0`, and [`save`] (which has no log) writes 0.
 //!
-//! The two `reserved` slots held `MonitorConfig::parallelism` and
+//! The two single `reserved` slots held `MonitorConfig::parallelism` and
 //! `MonitorStats::degraded_arrivals` while the §VI worker pool existed.
 //! They are written as `1` and `0` — what every sequential monitor
 //! always wrote — and ignored on load, so the byte format and version
 //! are unchanged.
 //!
-//! The guard's capped fault *log* is deliberately not checkpointed (the
-//! counters are); a restored monitor starts with an empty log.
+//! The guard flag, the last twelve stats slots and the `guard` section
+//! date from when a `Monitor` could own an admission guard. [`save`]
+//! writes what an unguarded monitor always wrote — flag `0`, twelve
+//! zeros, no section. A file written with the flag set still loads:
+//! [`load_at`] hands the guard back for the caller to put in front of a
+//! [`MonitorSet`] ([`MonitorSet::install_guard`]).
+//!
+//! A guard's capped fault *log* is deliberately not checkpointed (the
+//! counters are); a restored guard starts with an empty log.
 
 use crate::history::LeafHistory;
-use crate::ingest::{GuardConfig, IngestStats, OverflowPolicy};
+use crate::ingest::{AdmissionGuard, GuardConfig, IngestStats, OverflowPolicy};
 use crate::matching::Match;
 use crate::monitor::{Monitor, MonitorConfig, SubsetPolicy};
 use crate::multi::MonitorSet;
@@ -82,6 +90,8 @@ const VERSION: u16 = 3;
 const RESERVED_CONFIG_SLOT: u64 = 1;
 /// Written into the stats block's reserved fourteenth `u64`.
 const RESERVED_STATS_SLOT: u64 = 0;
+/// Trailing stats slots that held a per-monitor guard's `IngestStats`.
+const RESERVED_INGEST_SLOTS: usize = 12;
 
 /// Why a checkpoint failed to decode.
 #[derive(Debug)]
@@ -186,7 +196,9 @@ fn put_stats(buf: &mut Vec<u8>, s: &MonitorStats) {
     ] {
         put_u64(buf, v);
     }
-    put_ingest_stats(buf, &s.ingest);
+    for _ in 0..RESERVED_INGEST_SLOTS {
+        put_u64(buf, 0);
+    }
 }
 
 fn put_ingest_stats(buf: &mut Vec<u8>, g: &IngestStats) {
@@ -228,7 +240,9 @@ fn read_stats(r: &mut Reader<'_>) -> Result<MonitorStats, PoetError> {
         *field = r.u64("monitor stat")?;
     }
     r.u64("reserved monitor stat")?;
-    s.ingest = read_ingest_stats(r)?;
+    for _ in 0..RESERVED_INGEST_SLOTS {
+        r.u64("reserved ingest stat")?;
+    }
     Ok(s)
 }
 
@@ -367,6 +381,59 @@ fn read_ingest_stats(r: &mut Reader<'_>) -> Result<IngestStats, PoetError> {
     Ok(g)
 }
 
+/// Refuses a count that the bytes left cannot back (`bytes_each` or
+/// more per item are still to come) before anything is allocated for
+/// it: a flipped length is a diagnosis, not an allocation.
+fn check_fits(r: &Reader<'_>, n: usize, bytes_each: usize, what: &str) -> Result<(), PoetError> {
+    if n > r.remaining() / bytes_each {
+        return Err(PoetError::Corrupt(format!(
+            "{n} {what} before byte {} need more than the {} bytes that follow",
+            r.offset(),
+            r.remaining()
+        )));
+    }
+    Ok(())
+}
+
+fn read_guard_config(r: &mut Reader<'_>) -> Result<GuardConfig, CheckpointError> {
+    let capacity = r.u64("guard capacity")? as usize;
+    let overflow = match r.u8("guard overflow policy")? {
+        0 => OverflowPolicy::Reject,
+        1 => OverflowPolicy::DropOldest,
+        2 => OverflowPolicy::FlushDegraded,
+        k => {
+            return Err(CheckpointError::Invalid(format!(
+                "unknown overflow policy {k}"
+            )))
+        }
+    };
+    Ok(GuardConfig { capacity, overflow })
+}
+
+/// Reads a guard's reorder state — per-trace admitted counters, the
+/// buffered events (each decoded by `buffered_event`), the counters —
+/// into a fresh guard.
+fn read_guard(
+    r: &mut Reader<'_>,
+    n_traces: usize,
+    config: GuardConfig,
+    mut buffered_event: impl FnMut(&mut Reader<'_>) -> Result<Event, CheckpointError>,
+) -> Result<AdmissionGuard, CheckpointError> {
+    check_fits(r, n_traces, 4, "guard admitted counters")?;
+    let mut guard = AdmissionGuard::new(n_traces, config);
+    for t in 0..n_traces {
+        guard.admitted[t] = r.u32("guard admitted counter")?;
+    }
+    let buffered = r.u32("guard buffer length")? as usize;
+    for _ in 0..buffered {
+        let e = buffered_event(r)?;
+        guard.buffered_ids.insert(e.id());
+        guard.buffer.push(e);
+    }
+    guard.stats = read_ingest_stats(r)?;
+    Ok(guard)
+}
+
 /// Serializes `monitor` (monitoring the pattern whose source text is
 /// `pattern_src`) to the checkpoint format, anchored at `wal_lsn = 0`
 /// (for checkpoints taken outside a durable log).
@@ -384,7 +451,7 @@ pub fn save_at(monitor: &Monitor, pattern_src: &str, wal_lsn: u64) -> Vec<u8> {
     let n_leaves = monitor.pattern().n_leaves();
 
     // Intern everything reachable, deterministic order: histories first
-    // (leaf-major, trace-major, index order), then subset, then guard.
+    // (leaf-major, trace-major, index order), then subset.
     let mut table = EventTable::new();
     for leaf in &monitor.history.per_leaf {
         for trace in leaf {
@@ -398,11 +465,6 @@ pub fn save_at(monitor: &Monitor, pattern_src: &str, wal_lsn: u64) -> Vec<u8> {
             for e in m.events() {
                 table.intern(e);
             }
-        }
-    }
-    if let Some(g) = &monitor.guard {
-        for e in &g.buffer {
-            table.intern(e);
         }
     }
 
@@ -420,18 +482,7 @@ pub fn save_at(monitor: &Monitor, pattern_src: &str, wal_lsn: u64) -> Vec<u8> {
     });
     put_u64(&mut buf, config.node_limit);
     put_u64(&mut buf, RESERVED_CONFIG_SLOT);
-    match config.guard {
-        Some(g) => {
-            buf.push(1);
-            put_u64(&mut buf, g.capacity as u64);
-            buf.push(match g.overflow {
-                OverflowPolicy::Reject => 0,
-                OverflowPolicy::DropOldest => 1,
-                OverflowPolicy::FlushDegraded => 2,
-            });
-        }
-        None => buf.push(0),
-    }
+    buf.push(0); // guard flag
 
     put_stats(&mut buf, monitor.stats());
 
@@ -499,17 +550,6 @@ pub fn save_at(monitor: &Monitor, pattern_src: &str, wal_lsn: u64) -> Vec<u8> {
         }
     }
 
-    if let Some(g) = &monitor.guard {
-        for &v in &g.admitted {
-            put_u32(&mut buf, v);
-        }
-        put_u32(&mut buf, g.buffer.len() as u32);
-        for e in &g.buffer {
-            put_u32(&mut buf, table.ids[&e.id()]);
-        }
-        put_ingest_stats(&mut buf, g.stats());
-    }
-
     match &monitor.obs {
         Some(m) => {
             buf.push(1);
@@ -531,18 +571,52 @@ pub fn save_at(monitor: &Monitor, pattern_src: &str, wal_lsn: u64) -> Vec<u8> {
 ///
 /// [`CheckpointError::Format`] on malformed bytes (with a byte offset),
 /// [`CheckpointError::Invalid`] on well-formed bytes that describe an
-/// inconsistent monitor. Never panics.
+/// inconsistent monitor — or a monitor that owned an admission guard,
+/// whose reorder state only [`load_at`] can hand over. Never panics.
 pub fn load(data: &[u8]) -> Result<(Monitor, String), CheckpointError> {
-    load_at(data).map(|(m, src, _)| (m, src))
+    let loaded = load_unguarded(data)?;
+    Ok((loaded.monitor, loaded.pattern_src))
 }
 
-/// Like [`load`], but also returns the `wal_lsn` the checkpoint is
-/// anchored at (0 for pre-v3 checkpoints and log-less saves).
+/// [`load_at`] for callers with nowhere to put a guard.
+fn load_unguarded(data: &[u8]) -> Result<LoadedMonitor, CheckpointError> {
+    let loaded = load_at(data)?;
+    if loaded.guard.is_some() {
+        return Err(CheckpointError::Invalid(
+            "the monitor owned an admission guard; load it with `load_at` and \
+             install the guard on a `MonitorSet`"
+                .to_owned(),
+        ));
+    }
+    Ok(loaded)
+}
+
+/// What [`load_at`] decodes from one `OCKP` blob.
+#[derive(Debug)]
+pub struct LoadedMonitor {
+    /// The restored monitor.
+    pub monitor: Monitor,
+    /// The pattern source it was monitoring.
+    pub pattern_src: String,
+    /// The durable-log position the checkpoint is anchored at (0 for
+    /// pre-v3 checkpoints and log-less saves).
+    pub wal_lsn: u64,
+    /// The admission guard the monitor owned, reorder buffer and counters
+    /// included, when the file was written with one: put it in front of
+    /// the [`MonitorSet`] the monitor joins
+    /// ([`MonitorSet::install_guard`]). `monitor.stats().events` of such
+    /// a file counts raw arrivals, not admitted events. `None` for
+    /// everything [`save`] writes now.
+    pub guard: Option<AdmissionGuard>,
+}
+
+/// Like [`load`], but also returns the `wal_lsn` anchor and accepts a
+/// checkpoint whose monitor owned an admission guard.
 ///
 /// # Errors
 ///
 /// See [`load`].
-pub fn load_at(data: &[u8]) -> Result<(Monitor, String, u64), CheckpointError> {
+pub fn load_at(data: &[u8]) -> Result<LoadedMonitor, CheckpointError> {
     let mut r = Reader::new(data);
     r.magic(MAGIC)?;
     let version = r.u16("version")?;
@@ -553,6 +627,7 @@ pub fn load_at(data: &[u8]) -> Result<(Monitor, String, u64), CheckpointError> {
     }
     let pattern_src = r.str("pattern source")?.to_string();
     let n_traces = r.u32("n_traces")? as usize;
+    check_fits(&r, n_traces, 8, "traces")?;
 
     let dedup = r.u8("config.dedup")? != 0;
     let policy = match r.u8("config.policy")? {
@@ -567,18 +642,7 @@ pub fn load_at(data: &[u8]) -> Result<(Monitor, String, u64), CheckpointError> {
     let node_limit = r.u64("config.node_limit")?;
     r.u64("config.reserved")?;
     let guard_cfg = if r.u8("config.guard flag")? != 0 {
-        let capacity = r.u64("guard capacity")? as usize;
-        let overflow = match r.u8("guard overflow policy")? {
-            0 => OverflowPolicy::Reject,
-            1 => OverflowPolicy::DropOldest,
-            2 => OverflowPolicy::FlushDegraded,
-            k => {
-                return Err(CheckpointError::Invalid(format!(
-                    "unknown overflow policy {k}"
-                )))
-            }
-        };
-        Some(GuardConfig { capacity, overflow })
+        Some(read_guard_config(&mut r)?)
     } else {
         None
     };
@@ -586,7 +650,6 @@ pub fn load_at(data: &[u8]) -> Result<(Monitor, String, u64), CheckpointError> {
         dedup,
         policy,
         node_limit,
-        guard: guard_cfg,
         // The obs level is stored inside the trailing obs section (when
         // present), not in the config block; restored below.
         obs: ObsLevel::Off,
@@ -733,22 +796,12 @@ pub fn load_at(data: &[u8]) -> Result<(Monitor, String, u64), CheckpointError> {
         }
     }
 
-    if guard_cfg.is_some() {
-        let guard = monitor
-            .guard
-            .as_mut()
-            .expect("with_config built a guard for a guarded config");
-        for t in 0..n_traces {
-            guard.admitted[t] = r.u32("guard admitted counter")?;
-        }
-        let buffered = r.u32("guard buffer length")? as usize;
-        for _ in 0..buffered {
-            let e = lookup_event(r.u32("guard buffer event ref")?)?;
-            guard.buffered_ids.insert(e.id());
-            guard.buffer.push(e);
-        }
-        guard.stats = read_ingest_stats(&mut r)?;
-    }
+    let guard = match guard_cfg {
+        Some(cfg) => Some(read_guard(&mut r, n_traces, cfg, |r| {
+            lookup_event(r.u32("guard buffer event ref")?)
+        })?),
+        None => None,
+    };
 
     if version >= 2 && r.u8("obs section marker")? != 0 {
         let metrics = read_metrics(&mut r)?;
@@ -759,7 +812,12 @@ pub fn load_at(data: &[u8]) -> Result<(Monitor, String, u64), CheckpointError> {
 
     monitor.stats = stats;
     r.finish()?;
-    Ok((monitor, pattern_src, wal_lsn))
+    Ok(LoadedMonitor {
+        monitor,
+        pattern_src,
+        wal_lsn,
+        guard,
+    })
 }
 
 /// Rewrites a checkpoint with its metrics section cleared (marker 0),
@@ -771,9 +829,13 @@ pub fn load_at(data: &[u8]) -> Result<(Monitor, String, u64), CheckpointError> {
 ///
 /// See [`load`]; stripping decodes the checkpoint first.
 pub fn strip_metrics(data: &[u8]) -> Result<Vec<u8>, CheckpointError> {
-    let (mut monitor, pattern_src, wal_lsn) = load_at(data)?;
-    monitor.set_obs_metrics(None);
-    Ok(save_at(&monitor, &pattern_src, wal_lsn))
+    let mut loaded = load_unguarded(data)?;
+    loaded.monitor.set_obs_metrics(None);
+    Ok(save_at(
+        &loaded.monitor,
+        &loaded.pattern_src,
+        loaded.wal_lsn,
+    ))
 }
 
 impl Monitor {
@@ -926,7 +988,7 @@ pub fn save_set_at(set: &MonitorSet, sources: &HashMap<String, String>, wal_lsn:
 pub fn save_parts_at(
     n_traces: usize,
     monitors: &[(&str, &Monitor, &str)],
-    guard: Option<&crate::ingest::AdmissionGuard>,
+    guard: Option<&AdmissionGuard>,
     wal_lsn: u64,
 ) -> Vec<u8> {
     let mut buf = Vec::new();
@@ -1026,29 +1088,8 @@ pub fn load_set_at(data: &[u8]) -> Result<LoadedSet, CheckpointError> {
     }
 
     if r.u8("set guard flag")? != 0 {
-        let capacity = r.u64("set guard capacity")? as usize;
-        let overflow = match r.u8("set guard overflow policy")? {
-            0 => OverflowPolicy::Reject,
-            1 => OverflowPolicy::DropOldest,
-            2 => OverflowPolicy::FlushDegraded,
-            k => {
-                return Err(CheckpointError::Invalid(format!(
-                    "unknown overflow policy {k}"
-                )))
-            }
-        };
-        let mut guard =
-            crate::ingest::AdmissionGuard::new(n_traces, GuardConfig { capacity, overflow });
-        for t in 0..n_traces {
-            guard.admitted[t] = r.u32("set guard admitted counter")?;
-        }
-        let buffered = r.u32("set guard buffer length")? as usize;
-        for _ in 0..buffered {
-            let e = read_event(&mut r, n_traces)?;
-            guard.buffered_ids.insert(e.id());
-            guard.buffer.push(e);
-        }
-        guard.stats = read_ingest_stats(&mut r)?;
+        let config = read_guard_config(&mut r)?;
+        let guard = read_guard(&mut r, n_traces, config, |r| read_event(r, n_traces))?;
         set.install_guard(guard);
     }
 
@@ -1152,33 +1193,50 @@ mod tests {
         assert_eq!(subset_ids(&straight), subset_ids(&resumed));
     }
 
+    /// `guarded-ahead.ockp` was written by the last commit whose
+    /// `Monitor` could own a guard (see `tests/cli.rs`), with two events
+    /// in its reorder buffer after twelve arrivals of `stream.poet`.
     #[test]
     fn round_trip_preserves_guard_buffer() {
-        let (_poet, events) = workload(20);
-        let pattern = Pattern::parse(PATTERN).unwrap();
-        let config = MonitorConfig {
-            guard: Some(GuardConfig::default()),
-            ..MonitorConfig::default()
-        };
-        let mut m = Monitor::with_config(pattern, 3, config);
-        // Deliver out of order so something stays buffered: skip the
-        // first event entirely.
-        for e in &events[1..] {
-            m.observe(e);
+        let dir = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/corpus/ockp/parent-guarded"
+        );
+        let bytes = std::fs::read(format!("{dir}/guarded-ahead.ockp")).unwrap();
+        let err = load(&bytes).unwrap_err();
+        assert!(
+            err.to_string().contains("owned an admission guard"),
+            "{err}"
+        );
+
+        let loaded = load_at(&bytes).unwrap();
+        assert_eq!(loaded.monitor.stats().events, 12, "raw arrivals");
+        let guard = loaded.guard.expect("the file carries a guard");
+        assert_eq!(guard.buffered(), 2);
+        assert_eq!(guard.stats().admitted, 10);
+        assert_eq!(guard.stats().buffered_peak, 2);
+
+        // In front of a set of one, the buffer survives the set's own
+        // checkpoint, and the rest of the stream ends where the parent's
+        // `check --resume` did (`expected/resume-guarded-ahead.txt`).
+        let mut set = MonitorSet::new(4);
+        set.insert_monitor("p", loaded.monitor);
+        set.install_guard(guard);
+        let sources = HashMap::from([("p".to_string(), loaded.pattern_src)]);
+        let (mut set, _) = MonitorSet::restore_set(&set.checkpoint_set(&sources)).unwrap();
+        assert_eq!(set.guard().unwrap().buffered(), 2);
+        let poet = ocep_poet::dump::reload_from_file(format!("{dir}/stream.poet")).unwrap();
+        let mut reported = 0;
+        for e in poet.store().iter_arrival().skip(12) {
+            reported += set.observe_raw(e).len();
         }
-        let buffered_before = m.guard().unwrap().buffered();
-        assert!(buffered_before > 0, "workload should leave a gap");
-        let bytes = m.checkpoint(PATTERN);
-        let (mut resumed, _) = Monitor::restore(&bytes).unwrap();
-        assert_eq!(resumed.guard().unwrap().buffered(), buffered_before);
-        assert_eq!(resumed.guard().unwrap().stats(), m.guard().unwrap().stats());
-        // The straggler gap-filler unblocks the buffer in both.
-        let a = m.observe(&events[0]).len();
-        let b = resumed.observe(&events[0]).len();
-        assert_eq!(a, b);
-        assert_eq!(m.guard().unwrap().buffered(), 0);
-        assert_eq!(resumed.guard().unwrap().buffered(), 0);
-        assert_eq!(m.stats(), resumed.stats());
+        assert_eq!(reported, 18);
+        assert_eq!(set.flush_guard().len(), 12);
+        let stats = set.ingest_stats();
+        assert_eq!(stats.admitted, 29);
+        assert_eq!(stats.duplicates_dropped, 1);
+        assert_eq!(stats.buffered, 4);
+        assert_eq!(stats.degraded_flushes, 1);
     }
 
     #[test]
@@ -1239,11 +1297,10 @@ mod tests {
             m.observe(e);
         }
         let bytes = save_at(&m, PATTERN, 0xdead_beef);
-        let (_, _, lsn) = load_at(&bytes).unwrap();
-        assert_eq!(lsn, 0xdead_beef);
+        assert_eq!(load_at(&bytes).unwrap().wal_lsn, 0xdead_beef);
         // Stripping metrics preserves the anchor.
-        let (_, _, lsn) = load_at(&strip_metrics(&bytes).unwrap()).unwrap();
-        assert_eq!(lsn, 0xdead_beef);
+        let stripped = strip_metrics(&bytes).unwrap();
+        assert_eq!(load_at(&stripped).unwrap().wal_lsn, 0xdead_beef);
 
         let mut set = guarded_set();
         for e in &events[1..] {

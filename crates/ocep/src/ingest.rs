@@ -1,5 +1,7 @@
 //! The causal admission guard: a validating reorder stage in front of
-//! [`Monitor::observe`](crate::Monitor::observe).
+//! a [`MonitorSet`](crate::MonitorSet)
+//! ([`enable_guard`](crate::MonitorSet::enable_guard)) — one guard per
+//! stream, however many monitors observe what it delivers.
 //!
 //! Every correctness argument of §IV assumes the monitor consumes a
 //! *clean linearization* of the causal order. A real transport delivers
@@ -138,8 +140,7 @@ impl std::fmt::Display for IngestFault {
     }
 }
 
-/// Per-category ingestion counters, surfaced through
-/// [`MonitorStats`](crate::MonitorStats).
+/// Per-category ingestion counters of one [`AdmissionGuard`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct IngestStats {
     /// Events admitted to the monitor (in causal order).
@@ -187,21 +188,25 @@ impl IngestStats {
             || self.overflow_dropped > 0
             || self.degraded_flushes > 0
     }
+}
 
-    /// Adds every counter of `other` into `self`.
-    pub fn absorb(&mut self, other: &IngestStats) {
-        self.admitted += other.admitted;
-        self.duplicates_dropped += other.duplicates_dropped;
-        self.buffered += other.buffered;
-        self.reordered_delivered += other.reordered_delivered;
-        self.quarantined_trace_range += other.quarantined_trace_range;
-        self.quarantined_clock_width += other.quarantined_clock_width;
-        self.quarantined_non_monotone += other.quarantined_non_monotone;
-        self.overflow_rejected += other.overflow_rejected;
-        self.overflow_dropped += other.overflow_dropped;
-        self.degraded_flushes += other.degraded_flushes;
-        self.degraded_delivered += other.degraded_delivered;
-        self.buffered_peak = self.buffered_peak.max(other.buffered_peak);
+/// The `ingest_*=N` counter list `ocep check --stats` appends to the
+/// monitor counters when a guard ran.
+impl std::fmt::Display for IngestStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "ingest_admitted={} ingest_duplicates={} ingest_buffered={} \
+             ingest_reordered={} ingest_quarantined={} ingest_overflow={} \
+             ingest_degraded_flushes={}",
+            self.admitted,
+            self.duplicates_dropped,
+            self.buffered,
+            self.reordered_delivered,
+            self.quarantined(),
+            self.overflow_rejected + self.overflow_dropped,
+            self.degraded_flushes
+        )
     }
 }
 

@@ -1,7 +1,10 @@
 //! A minimal JSON value and serializer (std-only; the workspace takes
-//! no external dependencies). Only what `ocep-bench --json` needs:
-//! objects, arrays, strings, numbers, and booleans, with proper string
-//! escaping and non-finite numbers mapped to `null`.
+//! no external dependencies). Only what [`MetricsSnapshot::to_json`]
+//! and `ocep-bench --json` need: objects, arrays, strings, numbers, and
+//! booleans, with proper string escaping and non-finite numbers mapped
+//! to `null`.
+//!
+//! [`MetricsSnapshot::to_json`]: crate::MetricsSnapshot::to_json
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -68,6 +68,7 @@ mod multi;
 mod search;
 mod stats;
 
+pub mod json;
 pub mod obs;
 /// Facade alias for the observability subsystem (metrics registry,
 /// histograms, exporters) — see [`obs`].
@@ -75,7 +76,7 @@ pub use self::obs as ocep_obs;
 
 pub use checkpoint::{
     load, load_at, load_set, load_set_at, save, save_at, save_parts_at, save_set, save_set_at,
-    strip_metrics, CheckpointError,
+    strip_metrics, CheckpointError, LoadedMonitor,
 };
 pub use history::LeafHistory;
 pub use ingest::{

@@ -1,7 +1,7 @@
 //! The public monitor facade.
 
 use crate::history::LeafHistory;
-use crate::ingest::{AdmissionGuard, GuardConfig, IngestFault};
+use crate::ingest::IngestStats;
 use crate::matching::Match;
 use crate::obs::{ArrivalRecord, Metrics, MetricsSnapshot, ObsLevel, Stage};
 use crate::search::{Search, SearchScratch, SearchStats};
@@ -58,11 +58,6 @@ pub struct MonitorConfig {
     /// nodes; `0` (default) means unlimited. A safety valve for
     /// adversarial patterns — none of the paper's case studies need it.
     pub node_limit: u64,
-    /// When `Some`, a causal [`AdmissionGuard`](crate::ingest) with this
-    /// configuration validates, deduplicates, and reorders raw arrivals
-    /// in front of the matcher (default `None`: the caller promises a
-    /// clean linearization, as the paper assumes).
-    pub guard: Option<GuardConfig>,
     /// Observability level (default [`ObsLevel::Off`]). `Off` takes no
     /// timers and allocates nothing; see [`crate::obs`]. Observation
     /// never changes matching behaviour — the metrics-transparency suite
@@ -76,7 +71,6 @@ impl Default for MonitorConfig {
             dedup: true,
             policy: SubsetPolicy::default(),
             node_limit: 0,
-            guard: None,
             obs: ObsLevel::Off,
         }
     }
@@ -85,6 +79,12 @@ impl Default for MonitorConfig {
 /// The OCEP online monitor: feed it a pattern and the event stream of a
 /// computation (in linearization order); it reports a representative
 /// subset of pattern matches as they complete (§IV).
+///
+/// The linearization is the caller's promise (§V-A). A stream that may
+/// arrive duplicated, reordered or damaged goes through a
+/// [`MonitorSet`](crate::MonitorSet) with
+/// [`enable_guard`](crate::MonitorSet::enable_guard) — of one pattern if
+/// need be — which admits each event once in front of every monitor.
 ///
 /// See the [crate documentation](crate) for the algorithm and an example.
 #[derive(Debug)]
@@ -100,10 +100,6 @@ pub struct Monitor {
     pub(crate) stats: MonitorStats,
     /// Working buffers for the searches, reused across arrivals.
     scratch: SearchScratch,
-    /// The causal admission guard, when [`MonitorConfig::guard`] is set.
-    pub(crate) guard: Option<AdmissionGuard>,
-    /// Reused output buffer for guard deliveries.
-    admit_buf: Vec<Event>,
     /// Live metrics registry; `None` when [`MonitorConfig::obs`] is
     /// `Off` so the disabled path costs one pointer-null check.
     pub(crate) obs: Option<Box<Metrics>>,
@@ -130,8 +126,6 @@ impl Monitor {
             config,
             stats: MonitorStats::default(),
             scratch: SearchScratch::default(),
-            guard: config.guard.map(|g| AdmissionGuard::new(n_traces, g)),
-            admit_buf: Vec::new(),
             obs: config
                 .obs
                 .enabled()
@@ -139,15 +133,8 @@ impl Monitor {
         }
     }
 
-    /// Observes one raw arrival and returns the newly reported matches.
-    ///
-    /// Without a configured guard, the event is assumed to be the next
-    /// element of a clean linearization (the paper's contract) and goes
-    /// straight to the matcher. With a guard
-    /// ([`MonitorConfig::guard`]), the arrival is first validated,
-    /// deduplicated, and causally ordered: one raw arrival may yield
-    /// zero deliveries (buffered, duplicate, or quarantined — never a
-    /// panic) or several (it unblocked buffered successors).
+    /// Observes the next event of the linearization and returns the
+    /// newly reported matches.
     ///
     /// Non-matching events cost one routing pass; events suppressed by
     /// the §VI dedup rule cost O(1); only terminating events (§V-B)
@@ -210,61 +197,9 @@ impl Monitor {
             && self.obs.as_ref().is_some_and(|m| m.level().timing())
     }
 
-    /// The arrival path shared by the instrumented and plain variants of
-    /// [`Monitor::observe`].
+    /// The matcher proper, shared by the instrumented and plain variants
+    /// of [`Monitor::observe`].
     fn observe_arrival(&mut self, event: &Event) -> Vec<Match> {
-        if self.guard.is_none() {
-            return self.observe_admitted(event);
-        }
-        let mut guard = self.guard.take().expect("guard presence checked above");
-        let mut deliverable = std::mem::take(&mut self.admit_buf);
-        deliverable.clear();
-        let tg = self.stage_timing().then(Instant::now);
-        guard.admit(event, &mut deliverable);
-        if let (Some(tg), Some(m)) = (tg, self.obs.as_deref_mut()) {
-            m.record_stage(Stage::GuardAdmit, ns_since(tg));
-        }
-        let mut reported = Vec::new();
-        for e in &deliverable {
-            reported.append(&mut self.observe_admitted(e));
-        }
-        self.stats.ingest = *guard.stats();
-        self.guard = Some(guard);
-        deliverable.clear();
-        self.admit_buf = deliverable;
-        reported
-    }
-
-    /// Abandons causal order for events still waiting in the guard's
-    /// reorder buffer: delivers them to the matcher sorted by
-    /// `(trace, index)` and marks the run degraded. Call at end of
-    /// stream (or before a checkpoint) so permanently gapped stragglers
-    /// still get matched best-effort. A no-op without a guard or with an
-    /// empty buffer.
-    pub fn flush_guard(&mut self) -> Vec<Match> {
-        let Some(mut guard) = self.guard.take() else {
-            return Vec::new();
-        };
-        let mut deliverable = std::mem::take(&mut self.admit_buf);
-        deliverable.clear();
-        let tg = self.stage_timing().then(Instant::now);
-        guard.flush(&mut deliverable);
-        if let (Some(tg), Some(m)) = (tg, self.obs.as_deref_mut()) {
-            m.record_stage(Stage::GuardAdmit, ns_since(tg));
-        }
-        let mut reported = Vec::new();
-        for e in &deliverable {
-            reported.append(&mut self.observe_admitted(e));
-        }
-        self.stats.ingest = *guard.stats();
-        self.guard = Some(guard);
-        deliverable.clear();
-        self.admit_buf = deliverable;
-        reported
-    }
-
-    /// Observes one *admitted* event: the matcher proper.
-    fn observe_admitted(&mut self, event: &Event) -> Vec<Match> {
         let timing = self.stage_timing();
         let tr = timing.then(Instant::now);
         let stored = self.history.observe(&self.pattern, event);
@@ -394,6 +329,12 @@ impl Monitor {
             .any(|l| self.subset[l.id().as_usize()][t.as_usize()].is_some())
     }
 
+    /// Number of traces in the monitored computation.
+    #[must_use]
+    pub fn n_traces(&self) -> usize {
+        self.n_traces
+    }
+
     /// The compiled pattern being monitored.
     #[must_use]
     pub fn pattern(&self) -> &Pattern {
@@ -499,7 +440,10 @@ impl Monitor {
             st.clone_bytes_avoided,
         );
 
-        s.record_ingest(&st.ingest);
+        // The `ocep_ingest_*` families keep their place in the catalog.
+        // Admission is the set's stage: `MonitorSet::metrics` adds its
+        // guard's counters to these zeros.
+        s.record_ingest(&IngestStats::default());
 
         s.gauge(
             "ocep_history_events",
@@ -642,33 +586,9 @@ impl Monitor {
     }
 
     /// Mutable access to the configuration, for runtime toggles (the node
-    /// limit). Changing `dedup` or `guard` after construction does *not*
-    /// rebuild the history or guard — set those via
-    /// [`Monitor::with_config`].
+    /// limit). Changing `dedup` after construction does *not* rebuild
+    /// the history — set it via [`Monitor::with_config`].
     pub fn config_mut(&mut self) -> &mut MonitorConfig {
         &mut self.config
-    }
-
-    /// The admission guard, when one is configured.
-    #[must_use]
-    pub fn guard(&self) -> Option<&AdmissionGuard> {
-        self.guard.as_ref()
-    }
-
-    /// Drains the guard's structured fault stream (empty without a
-    /// guard; see [`crate::ingest::AdmissionGuard::take_faults`]).
-    pub fn take_ingest_faults(&mut self) -> Vec<IngestFault> {
-        self.guard
-            .as_mut()
-            .map(AdmissionGuard::take_faults)
-            .unwrap_or_default()
-    }
-
-    /// True when ingestion lost or reordered information (quarantines,
-    /// overflow drops, or degraded flushes) — the condition behind the
-    /// CLI's "ingest-degraded" exit code.
-    #[must_use]
-    pub fn ingest_degraded(&self) -> bool {
-        self.stats.ingest.is_degraded()
     }
 }

@@ -47,11 +47,10 @@ use ocep_poet::Event;
 pub struct MonitorSet {
     n_traces: usize,
     entries: Vec<(String, Monitor)>,
-    /// One causal [`AdmissionGuard`] in front of the whole set (see
-    /// [`MonitorSet::observe_raw`]). Per-monitor guards via
-    /// [`MonitorConfig::guard`] still work; a set-level guard validates
-    /// and reorders each raw arrival once instead of once per pattern —
-    /// the configuration a networked deployment uses.
+    /// The causal [`AdmissionGuard`] in front of the whole set (see
+    /// [`MonitorSet::observe_raw`]): the one place a raw arrival is
+    /// validated, deduplicated and reordered, however many patterns
+    /// watch the stream.
     guard: Option<AdmissionGuard>,
     /// Reused output buffer for set-level guard deliveries.
     admit_buf: Vec<Event>,
@@ -170,9 +169,8 @@ impl MonitorSet {
         self.observe_admitted(AdmissionGuard::flush)
     }
 
-    /// The set-level guard's ingestion counters (all zero when no guard
-    /// is enabled). Per-monitor guards keep their own counters — see
-    /// [`MonitorSet::total_stats`].
+    /// The guard's ingestion counters (all zero when no guard is
+    /// enabled).
     #[must_use]
     pub fn ingest_stats(&self) -> IngestStats {
         self.guard.as_ref().map(|g| *g.stats()).unwrap_or_default()
@@ -228,9 +226,11 @@ impl MonitorSet {
         self.n_traces
     }
 
-    /// Installs an already-populated set-level guard — the restore path
-    /// used by [`crate::checkpoint::load_set`].
-    pub(crate) fn install_guard(&mut self, guard: AdmissionGuard) {
+    /// Installs an already-populated guard: the restore path of
+    /// [`crate::checkpoint::load_set`], and where a caller puts the
+    /// guard [`crate::checkpoint::load_at`] hands back from a checkpoint
+    /// written when a `Monitor` could own one.
+    pub fn install_guard(&mut self, guard: AdmissionGuard) {
         self.guard = Some(guard);
     }
 
@@ -289,8 +289,8 @@ impl MonitorSet {
         for (_, m) in &self.entries {
             total.absorb(&m.metrics());
         }
-        // The set-level guard's counters merge into the same
-        // `ocep_ingest_*` families the per-monitor guards use.
+        // The guard's counters land in the `ocep_ingest_*` families
+        // every monitor's snapshot reserves (as zeros).
         if let Some(g) = &self.guard {
             total.record_ingest(g.stats());
         }

@@ -22,14 +22,15 @@
 //!   [`ArrivalRecord`]s for post-mortem debugging.
 //! * [`MetricsSnapshot`] is the export model: a flat list of metric
 //!   families rendered to Prometheus text ([`MetricsSnapshot::to_prometheus`])
-//!   or to JSON by `ocep-bench`'s std-only serializer. Snapshots from
-//!   several monitors [`MetricsSnapshot::absorb`] into one aggregate.
+//!   or to JSON ([`MetricsSnapshot::to_json`]). Snapshots from several
+//!   monitors [`MetricsSnapshot::absorb`] into one aggregate.
 //!
-//! Pipeline stage taxonomy (per arrival): guard admission → route/dedup →
-//! backtracking search (which internally times domain construction +
+//! Pipeline stage taxonomy (per arrival): route/dedup → backtracking
+//! search (which internally times domain construction +
 //! Fig-4 restriction — the two are one fused loop in `search.rs`) →
 //! subset merge. See `docs/OBSERVABILITY.md` for the full metric catalog.
 
+use crate::json::Json;
 use std::fmt::Write as _;
 
 /// How much observability a monitor collects.
@@ -292,8 +293,10 @@ impl Histogram {
 /// the search stage (its histogram is not disjoint from `Search`'s).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Causal admission guard (`guard.admit` / flush) — §V-B category
-    /// checks, dedup against the admitted set, reorder buffering.
+    /// Causal admission guard. Reserved: admission runs once in front
+    /// of the monitors ([`crate::MonitorSet::observe_raw`]), outside any
+    /// one monitor's registry, so nothing records here; the slot keeps
+    /// the stage order and the checkpointed histogram count.
     GuardAdmit,
     /// Leaf-history routing and §VI O(1) dedup (`LeafHistory::observe`).
     RouteDedup,
@@ -767,11 +770,11 @@ impl MetricsSnapshot {
     }
 
     /// Records the full admission-guard counter catalog (the
-    /// `ocep_ingest_*` families) from one [`crate::IngestStats`]. Shared by
-    /// [`crate::Monitor::metrics`] (per-monitor guards) and
-    /// [`crate::MonitorSet::metrics`] (the set-level guard in front of
-    /// [`crate::MonitorSet::observe_raw`]), so both export identical
-    /// families and a scrape cannot tell where the guard sits.
+    /// `ocep_ingest_*` families) from one [`crate::IngestStats`]:
+    /// [`crate::Monitor::metrics`] files zeros to fix the families'
+    /// place in the catalog, [`crate::MonitorSet::metrics`] adds the
+    /// counters of the guard in front of
+    /// [`crate::MonitorSet::observe_raw`].
     pub fn record_ingest(&mut self, g: &crate::ingest::IngestStats) {
         let ing = "ocep_ingest_events_total";
         let ing_help = "Admission-guard event outcomes.";
@@ -920,6 +923,52 @@ impl MetricsSnapshot {
         out
     }
 
+    /// Renders the snapshot as a JSON document: a `families` array in
+    /// catalog order (each with `name`, `help`, `kind`, and per-label-set
+    /// `samples`) plus the `recent` arrival ring. Histogram buckets carry
+    /// per-bucket (non-cumulative) counts with their exclusive upper edge;
+    /// empty buckets are elided.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        let families = self.families.iter().map(|fam| {
+            let samples = fam.samples.iter().map(|sample| {
+                let labels = Json::obj(
+                    sample
+                        .labels
+                        .iter()
+                        .map(|(k, v)| (k.clone(), Json::from(v.clone()))),
+                );
+                let value = match &sample.value {
+                    MetricValue::Int(v) => Json::from(*v),
+                    MetricValue::Hist(h) => hist_json(h),
+                };
+                Json::obj([("labels", labels), ("value", value)])
+            });
+            Json::obj([
+                ("name", Json::from(fam.name.clone())),
+                ("help", Json::from(fam.help.clone())),
+                ("kind", Json::from(fam.kind.name())),
+                ("samples", Json::arr(samples)),
+            ])
+        });
+        let recent = self.recent.iter().map(|r| {
+            Json::obj([
+                ("seq", Json::from(r.seq)),
+                ("event", Json::from(r.event.clone())),
+                ("stored", Json::from(r.stored)),
+                ("searches", Json::from(r.searches)),
+                ("matches_found", Json::from(r.matches_found)),
+                ("matches_reported", Json::from(r.matches_reported)),
+                ("nodes", Json::from(r.nodes)),
+                ("total_ns", Json::from(r.total_ns)),
+            ])
+        });
+        Json::obj([
+            ("families", Json::arr(families)),
+            ("recent", Json::arr(recent)),
+        ])
+    }
+
     /// Renders a human-readable snapshot for `ocep stats`.
     #[must_use]
     pub fn render_text(&self) -> String {
@@ -995,6 +1044,28 @@ impl MetricsSnapshot {
         }
         Some(total)
     }
+}
+
+fn hist_json(h: &Histogram) -> Json {
+    let buckets = h
+        .bucket_counts()
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| **c != 0)
+        .map(|(i, c)| {
+            let le = if Histogram::upper_edge(i) == u64::MAX {
+                Json::from("+Inf")
+            } else {
+                Json::from(Histogram::upper_edge(i))
+            };
+            Json::obj([("le", le), ("count", Json::from(*c))])
+        });
+    Json::obj([
+        ("count", Json::from(h.count())),
+        ("sum", Json::from(h.sum())),
+        ("max", Json::from(h.max())),
+        ("buckets", Json::arr(buckets)),
+    ])
 }
 
 fn own_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
@@ -1306,5 +1377,29 @@ mod tests {
         assert!(!ObsLevel::Off.enabled());
         assert!(ObsLevel::Counters.enabled() && !ObsLevel::Counters.timing());
         assert!(ObsLevel::Full.timing());
+    }
+
+    #[test]
+    fn snapshot_renders_counters_and_histograms() {
+        let mut s = MetricsSnapshot::default();
+        s.counter("ocep_events_total", "Events observed.", 7);
+        let mut h = Histogram::new();
+        h.record(0);
+        h.record(3);
+        h.record(3);
+        s.histogram_with(
+            "ocep_stage_ns",
+            "Stage latency.",
+            &[("stage", "search")],
+            &h,
+        );
+        let doc = s.to_json().to_string();
+        assert!(doc.contains(r#""name":"ocep_events_total""#), "{doc}");
+        assert!(doc.contains(r#""value":7"#), "{doc}");
+        assert!(doc.contains(r#""stage":"search""#), "{doc}");
+        assert!(doc.contains(r#""count":3,"sum":6,"max":3"#), "{doc}");
+        // Bucket for value 3 is [2,4) → le 4, two samples; zeros bucket le 1.
+        assert!(doc.contains(r#"{"le":1,"count":1}"#), "{doc}");
+        assert!(doc.contains(r#"{"le":4,"count":2}"#), "{doc}");
     }
 }

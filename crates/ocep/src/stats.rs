@@ -1,6 +1,5 @@
 //! Monitor counters used by tests, benchmarks, and the ablation studies.
 
-use crate::ingest::IngestStats;
 use crate::search::SearchStats;
 
 /// Cumulative counters of a [`crate::Monitor`]'s work.
@@ -35,9 +34,6 @@ pub struct MonitorStats {
     /// Timestamp-buffer bytes those skipped clones would have copied
     /// before clocks became `Arc`-shared.
     pub clone_bytes_avoided: u64,
-    /// Admission-guard counters (all zero when no guard is configured;
-    /// see [`crate::ingest`]).
-    pub ingest: IngestStats,
 }
 
 impl MonitorStats {
@@ -69,7 +65,6 @@ impl MonitorStats {
         self.deferred_rejections += other.deferred_rejections;
         self.clones_avoided += other.clones_avoided;
         self.clone_bytes_avoided += other.clone_bytes_avoided;
-        self.ingest.absorb(&other.ingest);
     }
 }
 
@@ -93,23 +88,6 @@ impl std::fmt::Display for MonitorStats {
             self.deferred_rejections,
             self.clones_avoided,
             self.clone_bytes_avoided
-        )?;
-        if self.ingest != IngestStats::default() {
-            let g = &self.ingest;
-            write!(
-                f,
-                " ingest_admitted={} ingest_duplicates={} ingest_buffered={} \
-                 ingest_reordered={} ingest_quarantined={} ingest_overflow={} \
-                 ingest_degraded_flushes={}",
-                g.admitted,
-                g.duplicates_dropped,
-                g.buffered,
-                g.reordered_delivered,
-                g.quarantined(),
-                g.overflow_rejected + g.overflow_dropped,
-                g.degraded_flushes
-            )?;
-        }
-        Ok(())
+        )
     }
 }

@@ -1,7 +1,7 @@
 //! API-surface tests for the monitor: configuration accessors, stats
 //! display, and subset accessors.
 
-use ocep_core::{GuardConfig, Monitor, MonitorConfig, SubsetPolicy};
+use ocep_core::{Monitor, MonitorConfig, SubsetPolicy};
 use ocep_pattern::Pattern;
 use ocep_poet::{EventKind, PoetServer};
 use ocep_vclock::TraceId;
@@ -139,10 +139,9 @@ fn config_reserved_slot(src: &str) -> usize {
 }
 
 /// Offset of the stats block's reserved fourteenth `u64` (once
-/// `degraded_arrivals`) in a guarded monitor's checkpoint: the config
-/// block continues with guard flag 1, capacity 8 and overflow 1.
+/// `degraded_arrivals`): the config block ends with the guard flag byte.
 fn stats_reserved_slot(src: &str) -> usize {
-    config_reserved_slot(src) + 8 + 1 + 8 + 1 + 13 * 8
+    config_reserved_slot(src) + 8 + 1 + 13 * 8
 }
 
 fn u64_at(bytes: &[u8], at: usize) -> u64 {
@@ -160,13 +159,12 @@ fn checkpoint_written_by_a_pooled_degraded_monitor_still_loads() {
         poet.record(from, EventKind::Unary, "b", "");
     }
     let events: Vec<_> = poet.linearization().collect();
-    let guarded = || {
+    let monitor = || {
         Monitor::with_config(
             Pattern::parse(SRC).unwrap(),
             3,
             MonitorConfig {
                 policy: SubsetPolicy::PerArrival,
-                guard: Some(GuardConfig::default()),
                 ..MonitorConfig::default()
             },
         )
@@ -181,8 +179,8 @@ fn checkpoint_written_by_a_pooled_degraded_monitor_still_loads() {
     };
 
     let cut = events.len() / 2;
-    let mut straight = guarded();
-    let mut first_half = guarded();
+    let mut straight = monitor();
+    let mut first_half = monitor();
     for e in &events[..cut] {
         straight.observe(e);
         first_half.observe(e);

@@ -37,6 +37,11 @@ use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"POET";
 const VERSION: u16 = 1;
+/// Most traces a dump may name. Reloading allocates per-trace tables
+/// before the first event is read and a clock this wide for every
+/// event after it (256 KiB each at the limit), so a larger count is
+/// refused as damage rather than allocated for.
+pub const MAX_TRACES: usize = 1 << 16;
 
 /// An offset-tracking little-endian reader over a byte slice.
 ///
@@ -296,6 +301,12 @@ impl<'a> DumpStream<'a> {
             )));
         }
         let n_traces = r.u32("n_traces")? as usize;
+        if n_traces > MAX_TRACES {
+            return Err(PoetError::Corrupt(format!(
+                "n_traces {n_traces} before byte {} exceeds the {MAX_TRACES}-trace limit",
+                r.offset()
+            )));
+        }
         let n_strings = r.u32("n_strings")? as usize;
         let mut strings: Vec<std::sync::Arc<str>> = Vec::new();
         for i in 0..n_strings {

@@ -3,7 +3,42 @@
 use crate::client::Subscription;
 use crate::{Event, EventKind, TraceStore};
 use ocep_vclock::{ClockAssigner, EventId, TraceId};
-use std::sync::mpsc;
+use std::collections::HashSet;
+use std::sync::{mpsc, Arc};
+
+/// One field's string table (event types, or event texts): every
+/// recorded event shares one allocation per distinct string.
+#[derive(Debug)]
+struct Strings {
+    seen: HashSet<Arc<str>>,
+    /// The previous answer. A computation repeats itself — runs of one
+    /// event type, the empty text — and a repeat is recognised by
+    /// comparing the string, with no hash taken.
+    last: Arc<str>,
+}
+
+impl Strings {
+    fn new() -> Self {
+        Strings {
+            seen: HashSet::new(),
+            last: Arc::from(""),
+        }
+    }
+
+    fn intern(&mut self, s: &str) -> Arc<str> {
+        if *self.last != *s {
+            self.last = match self.seen.get(s) {
+                Some(shared) => Arc::clone(shared),
+                None => {
+                    let shared: Arc<str> = Arc::from(s);
+                    self.seen.insert(Arc::clone(&shared));
+                    shared
+                }
+            };
+        }
+        Arc::clone(&self.last)
+    }
+}
 
 /// The POET-style tracer server.
 ///
@@ -34,6 +69,8 @@ pub struct PoetServer {
     /// has already drained.
     drained: usize,
     subscribers: Vec<mpsc::Sender<Event>>,
+    types: Strings,
+    texts: Strings,
 }
 
 impl PoetServer {
@@ -45,6 +82,8 @@ impl PoetServer {
             store: TraceStore::new(n_traces),
             drained: 0,
             subscribers: Vec::new(),
+            types: Strings::new(),
+            texts: Strings::new(),
         }
     }
 
@@ -65,14 +104,16 @@ impl PoetServer {
         &mut self,
         t: TraceId,
         kind: EventKind,
-        ty: impl Into<std::sync::Arc<str>>,
-        text: impl Into<std::sync::Arc<str>>,
+        ty: impl AsRef<str>,
+        text: impl AsRef<str>,
     ) -> Event {
         assert!(
             kind != EventKind::Receive,
             "receive events must be recorded with record_receive"
         );
         let stamp = self.assigner.local(t);
+        let ty = self.types.intern(ty.as_ref());
+        let text = self.texts.intern(text.as_ref());
         let event = Event::new(stamp, kind, ty, text, None);
         self.commit(&event);
         event
@@ -87,16 +128,17 @@ impl PoetServer {
         &mut self,
         t: TraceId,
         sender: EventId,
-        ty: impl Into<std::sync::Arc<str>>,
-        text: impl Into<std::sync::Arc<str>>,
+        ty: impl AsRef<str>,
+        text: impl AsRef<str>,
     ) -> Event {
         let send_stamp = self
             .store
             .get(sender)
             .unwrap_or_else(|| panic!("unknown partner event {sender}"))
-            .stamp()
-            .clone();
-        let stamp = self.assigner.receive(t, &send_stamp);
+            .stamp();
+        let stamp = self.assigner.receive(t, send_stamp);
+        let ty = self.types.intern(ty.as_ref());
+        let text = self.texts.intern(text.as_ref());
         let event = Event::new(stamp, EventKind::Receive, ty, text, Some(sender));
         self.commit(&event);
         event

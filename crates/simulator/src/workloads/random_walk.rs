@@ -93,6 +93,7 @@ pub fn generate(params: &Params) -> Generated {
     let n = params.n_processes;
     let mut rng = Rng::seed_from_u64(params.seed);
     let mut poet = PoetServer::new(n);
+    let names: Vec<String> = (0..n as u32).map(|p| TraceId::new(p).to_string()).collect();
     let mut truth = Vec::new();
     // Blocked sends from the previous episode, delivered (timeout) a
     // round later so the computation proceeds and future episodes are
@@ -128,7 +129,7 @@ pub fn generate(params: &Params) -> Generated {
                     TraceId::new(p),
                     ocep_poet::EventKind::Send,
                     "mpi_block_send",
-                    TraceId::new(next).to_string(),
+                    &names[next as usize],
                 );
                 pending_timeouts.push((TraceId::new(next), send.id()));
             }
@@ -146,7 +147,7 @@ pub fn generate(params: &Params) -> Generated {
                 TraceId::new(p as u32),
                 ocep_poet::EventKind::Send,
                 "mpi_send",
-                to.to_string(),
+                &names[to.as_usize()],
             );
             sends.push((to, s.id()));
         }

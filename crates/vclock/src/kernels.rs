@@ -8,45 +8,53 @@
 //! auto-vectorizes), an early exit between chunks, and a scalar tail —
 //! following Vaidya/Kulkarni's observation that consecutive timestamps
 //! differ in very few entries, so most chunks resolve immediately.
-//!
-//! With the `simd` cargo feature on x86_64 the inner loops use explicit
-//! SSE2 intrinsics (`core::arch`) instead; SSE2 is part of the x86_64
-//! baseline, so no runtime detection is needed. Results are bit-identical
-//! to the scalar path — asserted by the seeded sweep in this module's
-//! tests and by debug assertions at the call sites.
+//! Results are bit-identical to the plain per-entry definitions —
+//! asserted by the seeded sweep in this module's tests.
 
-/// Chunk width of the scalar kernels. Eight u32 lanes is two SSE2
-/// registers' worth — wide enough to vectorize, narrow enough that the
-/// early exit between chunks still fires quickly on sparse inputs.
+/// Chunk width of the kernels. Eight u32 lanes is two SSE2 registers'
+/// worth — wide enough to vectorize, narrow enough that the early exit
+/// between chunks still fires quickly on sparse inputs.
 pub const LANES: usize = 8;
 
-/// Component-wise `a <= b` over equal-length entry slices.
+/// Component-wise `a <= b` over equal-length entry slices:
+/// branch-free accumulator inside each chunk, early exit between
+/// chunks, scalar tail.
 ///
 /// Callers are responsible for width agreement; mismatched widths
 /// compare only the common prefix (the public [`crate::VectorClock::le`]
 /// rejects mismatches before calling in).
 #[must_use]
 pub fn le(a: &[u32], b: &[u32]) -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        sse2::le(a, b)
+    let mut ac = a.chunks_exact(LANES);
+    let mut bc = b.chunks_exact(LANES);
+    for (ca, cb) in ac.by_ref().zip(bc.by_ref()) {
+        let mut bad = 0u32;
+        for i in 0..LANES {
+            bad |= u32::from(ca[i] > cb[i]);
+        }
+        if bad != 0 {
+            return false;
+        }
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        le_chunks(a, b)
-    }
+    ac.remainder()
+        .iter()
+        .zip(bc.remainder())
+        .all(|(x, y)| x <= y)
 }
 
 /// Component-wise maximum of `src` into `dst` (the message-receive
 /// join), over the common prefix of the two slices.
 pub fn join_into(dst: &mut [u32], src: &[u32]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        sse2::join_into(dst, src);
+    let n = dst.len().min(src.len());
+    let mut i = 0;
+    while i + LANES <= n {
+        for k in i..i + LANES {
+            dst[k] = dst[k].max(src[k]);
+        }
+        i += LANES;
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        join_chunks(dst, src);
+    for k in i..n {
+        dst[k] = dst[k].max(src[k]);
     }
 }
 
@@ -104,110 +112,13 @@ pub fn for_each_changed(base: &[u32], new: &[u32], mut f: impl FnMut(usize, u32)
     }
 }
 
-/// Chunked scalar `<=`: branch-free accumulator inside each chunk,
-/// early exit between chunks, scalar tail.
-#[must_use]
-#[cfg_attr(all(feature = "simd", target_arch = "x86_64"), allow(dead_code))]
-fn le_chunks(a: &[u32], b: &[u32]) -> bool {
-    let mut ac = a.chunks_exact(LANES);
-    let mut bc = b.chunks_exact(LANES);
-    for (ca, cb) in ac.by_ref().zip(bc.by_ref()) {
-        let mut bad = 0u32;
-        for i in 0..LANES {
-            bad |= u32::from(ca[i] > cb[i]);
-        }
-        if bad != 0 {
-            return false;
-        }
-    }
-    ac.remainder()
-        .iter()
-        .zip(bc.remainder())
-        .all(|(x, y)| x <= y)
-}
-
-/// Chunked scalar join.
-#[cfg_attr(all(feature = "simd", target_arch = "x86_64"), allow(dead_code))]
-fn join_chunks(dst: &mut [u32], src: &[u32]) {
-    let n = dst.len().min(src.len());
-    let mut i = 0;
-    while i + LANES <= n {
-        for k in i..i + LANES {
-            dst[k] = dst[k].max(src[k]);
-        }
-        i += LANES;
-    }
-    for k in i..n {
-        dst[k] = dst[k].max(src[k]);
-    }
-}
-
-/// Explicit SSE2 lanes for the x86_64 `simd` build. Unsigned u32
-/// comparison is synthesized from the signed `cmpgt` by flipping the
-/// sign bit of both operands (`x ^ 0x8000_0000` is an order-preserving
-/// map from u32 to i32).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod sse2 {
-    #![allow(unsafe_code)]
-    use core::arch::x86_64::{
-        __m128i, _mm_and_si128, _mm_andnot_si128, _mm_cmpgt_epi32, _mm_loadu_si128,
-        _mm_movemask_epi8, _mm_or_si128, _mm_set1_epi32, _mm_storeu_si128, _mm_xor_si128,
-    };
-
-    #[inline]
-    #[allow(clippy::cast_ptr_alignment)] // loadu/storeu are unaligned ops
-    pub(super) fn le(a: &[u32], b: &[u32]) -> bool {
-        let n = a.len().min(b.len());
-        let mut i = 0;
-        // SAFETY: every load reads 16 bytes at offset i with i+4 <= n,
-        // inside the slices; loadu has no alignment requirement.
-        unsafe {
-            let bias = _mm_set1_epi32(i32::MIN);
-            while i + 4 <= n {
-                let va = _mm_xor_si128(_mm_loadu_si128(a.as_ptr().add(i).cast::<__m128i>()), bias);
-                let vb = _mm_xor_si128(_mm_loadu_si128(b.as_ptr().add(i).cast::<__m128i>()), bias);
-                if _mm_movemask_epi8(_mm_cmpgt_epi32(va, vb)) != 0 {
-                    return false;
-                }
-                i += 4;
-            }
-        }
-        a[i..n].iter().zip(&b[i..n]).all(|(x, y)| x <= y)
-    }
-
-    #[inline]
-    #[allow(clippy::cast_ptr_alignment)]
-    pub(super) fn join_into(dst: &mut [u32], src: &[u32]) {
-        let n = dst.len().min(src.len());
-        let mut i = 0;
-        // SAFETY: as in `le`; the store writes back into `dst` within
-        // the same bounds it was read from.
-        unsafe {
-            let bias = _mm_set1_epi32(i32::MIN);
-            while i + 4 <= n {
-                let d = _mm_loadu_si128(dst.as_ptr().add(i).cast::<__m128i>());
-                let s = _mm_loadu_si128(src.as_ptr().add(i).cast::<__m128i>());
-                let gt = _mm_cmpgt_epi32(_mm_xor_si128(s, bias), _mm_xor_si128(d, bias));
-                // Select src where src > dst, else keep dst (SSE2 has no
-                // unsigned u32 max, so blend through the mask).
-                let max = _mm_or_si128(_mm_and_si128(gt, s), _mm_andnot_si128(gt, d));
-                _mm_storeu_si128(dst.as_mut_ptr().add(i).cast::<__m128i>(), max);
-                i += 4;
-            }
-        }
-        for k in i..n {
-            dst[k] = dst[k].max(src[k]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ocep_rng::Rng;
 
-    /// Reference scalar `a <= b`: the definition the chunked and SIMD
-    /// kernels must stay bit-identical to.
+    /// Reference scalar `a <= b`: the definition the chunked kernels
+    /// must stay bit-identical to.
     fn le_scalar(a: &[u32], b: &[u32]) -> bool {
         a.iter().zip(b.iter()).all(|(x, y)| x <= y)
     }

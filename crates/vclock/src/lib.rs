@@ -34,11 +34,7 @@
 //! assert_eq!(other.causality(&recv), Causality::Concurrent);
 //! ```
 
-// The `simd` feature's SSE2 kernels are the single sanctioned use of
-// `unsafe` in this crate (scoped allow in `kernels::sse2`); every other
-// build forbids it outright.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod clock;

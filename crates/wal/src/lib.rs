@@ -68,10 +68,14 @@ pub const REC_REGISTER: u8 = 5;
 /// Record type: a dynamic pattern removal (payload: monitor name).
 pub const REC_UNREGISTER: u8 = 6;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a 64-bit offset basis: the state [`fnv1a64`] starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
+/// Folds `bytes` into the FNV-1a 64-bit state `h` (start from
+/// [`FNV_OFFSET`]; feed the result back in to hash a sequence of parts).
+#[must_use]
+pub fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);

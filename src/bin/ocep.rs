@@ -20,7 +20,7 @@
 //! ```
 
 use ocep_repro::ocep::{
-    GuardConfig, MetricsSnapshot, Monitor, MonitorConfig, ObsLevel, OverflowPolicy, SubsetPolicy,
+    GuardConfig, MetricsSnapshot, MonitorConfig, MonitorSet, ObsLevel, OverflowPolicy, SubsetPolicy,
 };
 use ocep_repro::pattern::{Constraint, Pattern};
 use ocep_repro::poet::dump;
@@ -69,12 +69,12 @@ USAGE:
 EXIT CODES:
     0  success; `check` found no pattern match
     1  a pattern match (violation) was found, or fuzzing found failures
-    2  ingestion degraded: the admission guard quarantined or lost events,
-       or a search partition fell back after a worker panic
+    2  ingestion degraded: the admission guard quarantined or lost events
     3  usage or runtime error (bad flags, unreadable files, corrupt input)
 
-`check --guard` puts the causal admission guard in front of the monitor:
-duplicated and reordered events are repaired via their vector timestamps,
+`check --guard` runs the pattern as a set of one behind the causal
+admission guard (`serve`, `ingest` and `replay` always do): duplicated
+and reordered events are repaired via their vector timestamps,
 malformed events are quarantined into a structured fault stream, and the
 reorder buffer is bounded by --guard-capacity with an --overflow policy.
 
@@ -300,10 +300,7 @@ fn obs_flags(args: &[String]) -> Result<(ObsLevel, Option<String>), String> {
 /// the path ends in `.json`, the Prometheus text format otherwise.
 fn write_metrics(path: &str, snapshot: &MetricsSnapshot) -> Result<(), String> {
     let body = if path.ends_with(".json") {
-        format!(
-            "{}\n",
-            ocep_repro::bench::metrics_json::snapshot_to_json(snapshot)
-        )
+        format!("{}\n", snapshot.to_json())
     } else {
         snapshot.to_prometheus()
     };
@@ -313,9 +310,10 @@ fn write_metrics(path: &str, snapshot: &MetricsSnapshot) -> Result<(), String> {
 }
 
 /// Parses the shared monitor flags (`--per-arrival`, `--no-dedup`,
-/// `--guard`, `--guard-capacity`, `--overflow`, `--obs`, `--metrics`)
-/// into a [`MonitorConfig`].
-fn monitor_config(args: &[String]) -> Result<MonitorConfig, String> {
+/// `--obs`, `--metrics`) into a [`MonitorConfig`], and the admission
+/// guard's configuration when `--guard`, `--guard-capacity` or
+/// `--overflow` asks for one.
+fn monitor_config(args: &[String]) -> Result<(MonitorConfig, Option<GuardConfig>), String> {
     let flag_val = |name: &str| {
         args.iter()
             .position(|a| a == name)
@@ -336,17 +334,75 @@ fn monitor_config(args: &[String]) -> Result<MonitorConfig, String> {
         })?;
         want_guard = true;
     }
-    Ok(MonitorConfig {
+    let config = MonitorConfig {
         dedup: !args.iter().any(|a| a == "--no-dedup"),
         policy: if args.iter().any(|a| a == "--per-arrival") {
             SubsetPolicy::PerArrival
         } else {
             SubsetPolicy::Representative
         },
-        guard: want_guard.then_some(guard_cfg),
         obs,
         ..MonitorConfig::default()
-    })
+    };
+    Ok((config, want_guard.then_some(guard_cfg)))
+}
+
+/// The name of the one pattern in the set `check`, `stats` and
+/// `checkpoint` run.
+const PATTERN: &str = "pattern";
+
+/// A set of one pattern, behind an admission guard when a guard flag
+/// asked for one.
+fn single_set(
+    pattern: Pattern,
+    n_traces: usize,
+    (config, guard): (MonitorConfig, Option<GuardConfig>),
+) -> MonitorSet {
+    let mut set = MonitorSet::new(n_traces);
+    set.add_with_config(PATTERN, pattern, config);
+    if let Some(guard) = guard {
+        set.enable_guard(guard);
+    }
+    set
+}
+
+/// Restores a checkpoint file as a set, with the number of dump events
+/// it had consumed. A set checkpoint (`checkpoint` under a guard flag)
+/// is anchored at that position; a monitor checkpoint counted it itself
+/// — and one written when a monitor could own a guard brings the guard
+/// along, which goes in front of the set.
+fn restore_set(path: &str) -> Result<(MonitorSet, usize), String> {
+    use ocep_repro::ocep::checkpoint;
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read checkpoint '{path}': {e}"))?;
+    let err = |e| format!("cannot restore checkpoint '{path}': {e}");
+    if bytes.starts_with(b"OCKS") {
+        let (set, _sources, position) = checkpoint::load_set_at(&bytes).map_err(err)?;
+        return Ok((set, position as usize));
+    }
+    let loaded = checkpoint::load_at(&bytes).map_err(err)?;
+    let position = loaded.monitor.stats().events as usize;
+    let mut set = MonitorSet::new(loaded.monitor.n_traces());
+    set.insert_monitor(PATTERN, loaded.monitor);
+    if let Some(guard) = loaded.guard {
+        set.install_guard(guard);
+    }
+    Ok((set, position))
+}
+
+/// The warning behind exit code 2: the guard lost or reordered events.
+fn warn_degraded(ingest: &ocep_repro::ocep::IngestStats) {
+    eprintln!(
+        "warning: ingestion degraded ({} quarantined, {} overflow-rejected, \
+         {} overflow-dropped, {} degraded flushes) — verdicts may be incomplete",
+        ingest.quarantined(),
+        ingest.overflow_rejected,
+        ingest.overflow_dropped,
+        ingest.degraded_flushes
+    );
+}
+
+fn load_dump(path: &str) -> Result<ocep_repro::poet::PoetServer, String> {
+    dump::reload_from_file(path).map_err(|e| format!("cannot reload '{path}': {e}"))
 }
 
 /// Positional (non-flag) arguments; flags that take a value are skipped
@@ -409,81 +465,71 @@ fn check(args: &[String]) -> Result<i32, String> {
         .and_then(|i| args.get(i + 1));
     let pos = positionals(args);
 
-    let (mut monitor, dump_path, skip) = if let Some(ckpt_path) = resume {
+    let (mut set, server, skip) = if let Some(ckpt_path) = resume {
         let dump_path = *pos.first().ok_or("missing dump file")?;
-        let bytes = std::fs::read(ckpt_path)
-            .map_err(|e| format!("cannot read checkpoint '{ckpt_path}': {e}"))?;
-        let (monitor, _src) = Monitor::restore(&bytes)
-            .map_err(|e| format!("cannot restore checkpoint '{ckpt_path}': {e}"))?;
-        let skip = monitor.stats().events as usize;
+        let (set, skip) = restore_set(ckpt_path)?;
         println!(
             "resumed from {ckpt_path}: {} events already observed, {} matches found",
             skip,
-            monitor.stats().matches_found
+            set.total_stats().matches_found
         );
-        (monitor, dump_path, skip)
+        (set, load_dump(dump_path)?, skip)
     } else {
         let pattern_path = *pos.first().ok_or("missing pattern file")?;
         let dump_path = *pos.get(1).ok_or("missing dump file")?;
         let pattern = load_pattern(pattern_path)?;
         let config = monitor_config(args)?;
-        let server = dump::reload_from_file(dump_path)
-            .map_err(|e| format!("cannot reload '{dump_path}': {e}"))?;
-        let monitor = Monitor::with_config(pattern, server.n_traces(), config);
-        (monitor, dump_path, 0)
+        let server = load_dump(dump_path)?;
+        (single_set(pattern, server.n_traces(), config), server, 0)
     };
 
-    let server = dump::reload_from_file(dump_path)
-        .map_err(|e| format!("cannot reload '{dump_path}': {e}"))?;
+    let mut arrivals = skip;
     let mut reported = 0usize;
     for e in server.store().iter_arrival().skip(skip) {
-        for m in monitor.observe(e) {
+        arrivals += 1;
+        for (_, m) in set.observe_raw(e) {
             reported += 1;
             println!("match: {m}");
         }
     }
-    for m in monitor.flush_guard() {
+    for (_, m) in set.flush_guard() {
         reported += 1;
         println!("match (degraded flush): {m}");
     }
+    // `events` is what `check` took from the dump; the monitor counts
+    // what the guard delivered to it.
+    let stats = ocep_repro::ocep::MonitorStats {
+        events: arrivals as u64,
+        ..set.total_stats()
+    };
+    let ingest = set.ingest_stats();
     println!(
         "\n{} events, {} matches found, {} reported",
-        monitor.stats().events,
-        monitor.stats().matches_found,
-        reported
+        stats.events, stats.matches_found, reported
     );
     if show_stats {
-        println!("stats: {}", monitor.stats());
+        if ingest == ocep_repro::ocep::IngestStats::default() {
+            println!("stats: {stats}");
+        } else {
+            println!("stats: {stats} {ingest}");
+        }
         println!(
             "history: {} events stored, {} suppressed by dedup",
-            monitor.history_size(),
-            monitor.suppressed()
+            set.iter().map(|(_, m)| m.history_size()).sum::<usize>(),
+            set.iter().map(|(_, m)| m.suppressed()).sum::<usize>()
         );
     }
     if let Some(path) = &metrics_path {
-        write_metrics(path, &monitor.metrics())?;
+        write_metrics(path, &set.metrics())?;
     }
-    if monitor.ingest_degraded() {
-        let ingest = monitor.stats().ingest;
-        eprintln!(
-            "warning: ingestion degraded ({} quarantined, {} overflow-rejected, \
-             {} overflow-dropped, {} degraded flushes) — \
-             verdicts may be incomplete",
-            ingest.quarantined(),
-            ingest.overflow_rejected,
-            ingest.overflow_dropped,
-            ingest.degraded_flushes
-        );
-        for fault in monitor.take_ingest_faults() {
+    if ingest.is_degraded() {
+        warn_degraded(&ingest);
+        for fault in set.take_ingest_faults() {
             eprintln!("  fault: {fault}");
         }
         return Ok(2);
     }
-    Ok(if monitor.stats().matches_found > 0 {
-        1
-    } else {
-        0
-    })
+    Ok(if stats.matches_found > 0 { 1 } else { 0 })
 }
 
 /// `ocep stats` — observability front door. With a pattern and a dump,
@@ -511,20 +557,16 @@ fn stats_cmd(args: &[String]) -> Result<(), String> {
     }
     let pos = positionals(args);
     if pos.len() == 1 {
-        let path = pos[0];
-        let bytes =
-            std::fs::read(path).map_err(|e| format!("cannot read checkpoint '{path}': {e}"))?;
-        let (monitor, _src) = Monitor::restore(&bytes)
-            .map_err(|e| format!("cannot restore checkpoint '{path}': {e}"))?;
-        match monitor.obs_metrics() {
+        let (set, _) = restore_set(pos[0])?;
+        match set.iter().find_map(|(_, m)| m.obs_metrics()) {
             Some(m) => println!(
                 "checkpoint metrics (collected at obs level {}):\n\n{}",
                 m.level(),
-                monitor.metrics().render_text()
+                set.metrics().render_text()
             ),
             None => {
                 println!("checkpoint holds no metrics (collected at obs level off);");
-                println!("counters only:\n\n{}", monitor.metrics().render_text());
+                println!("counters only:\n\n{}", set.metrics().render_text());
             }
         }
         return Ok(());
@@ -534,18 +576,17 @@ fn stats_cmd(args: &[String]) -> Result<(), String> {
     let dump_path = *pos.get(1).ok_or("missing dump file")?;
     let pattern = load_pattern(pattern_path)?;
     let mut config = monitor_config(args)?;
-    if !config.obs.enabled() {
-        config.obs = ObsLevel::Full;
+    if !config.0.obs.enabled() {
+        config.0.obs = ObsLevel::Full;
         ocep_repro::vclock::ops::enable(true);
     }
-    let server = dump::reload_from_file(dump_path)
-        .map_err(|e| format!("cannot reload '{dump_path}': {e}"))?;
-    let mut monitor = Monitor::with_config(pattern, server.n_traces(), config);
+    let server = load_dump(dump_path)?;
+    let mut set = single_set(pattern, server.n_traces(), config);
     for e in server.store().iter_arrival() {
-        let _ = monitor.observe(e);
+        let _ = set.observe_raw(e);
     }
-    let _ = monitor.flush_guard();
-    let snapshot = monitor.metrics();
+    let _ = set.flush_guard();
+    let snapshot = set.metrics();
     print!("{}", snapshot.render_text());
     if let (_, Some(path)) = obs_flags(args)? {
         write_metrics(&path, &snapshot)?;
@@ -571,18 +612,25 @@ fn checkpoint_cmd(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("cannot read pattern file '{pattern_path}': {e}"))?;
     let pattern = Pattern::parse(&src).map_err(|e| e.to_string())?;
     let config = monitor_config(args)?;
-    let server = dump::reload_from_file(dump_path)
-        .map_err(|e| format!("cannot reload '{dump_path}': {e}"))?;
-    let mut monitor = Monitor::with_config(pattern, server.n_traces(), config);
+    let server = load_dump(dump_path)?;
+    let mut set = single_set(pattern, server.n_traces(), config);
     let mut observed = 0usize;
     for e in server.store().iter_arrival() {
         if events_limit.is_some_and(|n| observed >= n) {
             break;
         }
-        let _ = monitor.observe(e);
+        let _ = set.observe_raw(e);
         observed += 1;
     }
-    let bytes = monitor.checkpoint(&src);
+    let monitor = set.monitor(PATTERN).expect("single_set registered it");
+    // The guard's reorder state lives in the set's checkpoint, anchored
+    // at the dump position; without a guard the monitor's own is whole.
+    let bytes = if set.guard().is_some() {
+        let sources = std::collections::HashMap::from([(PATTERN.to_owned(), src)]);
+        ocep_repro::ocep::checkpoint::save_set_at(&set, &sources, observed as u64)
+    } else {
+        monitor.checkpoint(&src)
+    };
     std::fs::write(out_path, &bytes).map_err(|e| format!("cannot write '{out_path}': {e}"))?;
     println!(
         "checkpointed after {observed} of {} events: {} matches found, {} history \
@@ -1063,7 +1111,6 @@ fn info(path: &str) -> Result<(), String> {
 /// codes.
 fn serve_cmd(args: &[String]) -> Result<i32, String> {
     use ocep_repro::net::{FaultHooks, ServeConfig, Server};
-    use ocep_repro::ocep::MonitorSet;
 
     let flag_val = |name: &str| {
         args.iter()
@@ -1085,13 +1132,10 @@ fn serve_cmd(args: &[String]) -> Result<i32, String> {
         .unwrap_or("pattern")
         .to_owned();
 
-    let mut mconfig = monitor_config(args)?;
-    // Admission runs once at the set level in front of every monitor;
-    // the per-monitor guard slot stays empty.
-    let guard = mconfig.guard.take().unwrap_or_default();
+    let (mconfig, guard) = monitor_config(args)?;
     let mut set = MonitorSet::new(n_traces);
     set.add_with_config(&name, pattern, mconfig);
-    set.enable_guard(guard);
+    set.enable_guard(guard.unwrap_or_default());
 
     let mut sconfig = ServeConfig::default();
     if let Some(w) = flag_val("--window") {
@@ -1173,14 +1217,7 @@ fn serve_cmd(args: &[String]) -> Result<i32, String> {
         write_metrics(&path, &report.metrics)?;
     }
     if report.ingest.is_degraded() {
-        eprintln!(
-            "warning: ingestion degraded ({} quarantined, {} overflow-rejected, \
-             {} overflow-dropped, {} degraded flushes) — verdicts may be incomplete",
-            report.ingest.quarantined(),
-            report.ingest.overflow_rejected,
-            report.ingest.overflow_dropped,
-            report.ingest.degraded_flushes,
-        );
+        warn_degraded(&report.ingest);
         return Ok(2);
     }
     Ok(if report.verdicts.is_empty() { 0 } else { 1 })
@@ -1326,7 +1363,6 @@ fn send_cmd(args: &[String]) -> Result<i32, String> {
 /// it to a running daemon with `--addr`, mirroring `send`.
 fn ingest_cmd(args: &[String]) -> Result<i32, String> {
     use ocep_repro::adapters;
-    use ocep_repro::ocep::MonitorSet;
 
     let flag_val = |name: &str| {
         args.iter()
@@ -1418,8 +1454,7 @@ fn ingest_cmd(args: &[String]) -> Result<i32, String> {
         .filter(|(_, val)| *val == "--pattern")
         .filter_map(|(i, _)| args.get(i + 1))
         .collect();
-    let mut mconfig = monitor_config(args)?;
-    let guard = mconfig.guard.take().unwrap_or_default();
+    let (mconfig, guard) = monitor_config(args)?;
     let mut set = MonitorSet::new(out.n_traces);
     for p in &patterns {
         let pattern = load_pattern(p)?;
@@ -1430,7 +1465,7 @@ fn ingest_cmd(args: &[String]) -> Result<i32, String> {
             .to_owned();
         set.add_with_config(&name, pattern, mconfig);
     }
-    set.enable_guard(guard);
+    set.enable_guard(guard.unwrap_or_default());
 
     let mut reported = 0usize;
     for chunk in out.events.chunks(batch.max(1)) {
@@ -1450,14 +1485,7 @@ fn ingest_cmd(args: &[String]) -> Result<i32, String> {
         patterns.len(),
     );
     if istats.is_degraded() {
-        eprintln!(
-            "warning: ingestion degraded ({} quarantined, {} overflow-rejected, \
-             {} overflow-dropped, {} degraded flushes) — verdicts may be incomplete",
-            istats.quarantined(),
-            istats.overflow_rejected,
-            istats.overflow_dropped,
-            istats.degraded_flushes,
-        );
+        warn_degraded(&istats);
         return Ok(2);
     }
     Ok(if reported > 0 { 1 } else { 0 })
@@ -1550,7 +1578,6 @@ fn tail_cmd(args: &[String]) -> Result<i32, String> {
 /// every delivery through the same admission-guard path as `serve`.
 fn replay_cmd(args: &[String]) -> Result<i32, String> {
     use ocep_repro::net::shard::{decode_deliver, decode_watermark};
-    use ocep_repro::ocep::MonitorSet;
     use ocep_repro::wal;
 
     let flag_val = |name: &str| {
@@ -1592,11 +1619,10 @@ fn replay_cmd(args: &[String]) -> Result<i32, String> {
     }
     let n_traces = n_traces.ok_or("log holds no deliveries; pass --traces N")?;
 
-    let mut mconfig = monitor_config(args)?;
-    let guard = mconfig.guard.take().unwrap_or_default();
+    let (mconfig, guard) = monitor_config(args)?;
     let mut set = MonitorSet::new(n_traces);
     set.add_with_config(&name, pattern, mconfig);
-    set.enable_guard(guard);
+    set.enable_guard(guard.unwrap_or_default());
 
     let mut reported = 0usize;
     let mut delivered = 0u64;

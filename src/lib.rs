@@ -23,8 +23,6 @@
 //!   VOPR-style): drives the real serving engine over simulated
 //!   transports in virtual time under seeded faults and crash/restart,
 //!   with a journal-replay oracle demanding bit-identical conclusions.
-//! * [`mod@bench`] — the evaluation harness (§V figures) and the std-only
-//!   JSON serializer backing the metrics exporters.
 //!
 //! # Quickstart
 //!
@@ -66,7 +64,6 @@
 pub use ocep_adapters as adapters;
 pub use ocep_analysis as analysis;
 pub use ocep_baselines as baselines;
-pub use ocep_bench as bench;
 pub use ocep_conformance as conformance;
 pub use ocep_core as ocep;
 pub use ocep_net as net;

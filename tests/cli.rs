@@ -238,15 +238,38 @@ fn guarded_check_output_is_pinned_to_the_parent() {
     let cp = ocep()
         .current_dir(root)
         .args(["checkpoint", &format!("{fixture}/pattern.ocep")])
-        .args([&format!("{fixture}/stream.poet"), cli_ckpt.to_str().unwrap()])
+        .args([
+            &format!("{fixture}/stream.poet"),
+            cli_ckpt.to_str().unwrap(),
+        ])
         .args(["--events", "12", "--guard", "--per-arrival"])
         .output()
         .unwrap();
     assert_eq!(cp.status.code(), Some(0), "{cp:?}");
     let cp_out = String::from_utf8_lossy(&cp.stdout);
     assert!(
-        cp_out.starts_with("checkpointed after 12 of 30 events: 14 matches found, 12 history events,"),
+        cp_out.starts_with(
+            "checkpointed after 12 of 30 events: 14 matches found, 12 history events,"
+        ),
         "{cp_out}"
+    );
+    // Without a guard flag the file is the monitor's own checkpoint,
+    // byte for byte what the parent wrote.
+    let plain_ckpt = tmp("pinned-cli-plain.ckpt");
+    let cp = ocep()
+        .current_dir(root)
+        .args(["checkpoint", &format!("{fixture}/pattern.ocep")])
+        .args([
+            &format!("{fixture}/stream.poet"),
+            plain_ckpt.to_str().unwrap(),
+        ])
+        .args(["--events", "12", "--per-arrival"])
+        .output()
+        .unwrap();
+    assert_eq!(cp.status.code(), Some(0), "{cp:?}");
+    assert_eq!(
+        std::fs::read(&plain_ckpt).unwrap(),
+        std::fs::read(root.join(fixture).join("unguarded.ockp")).unwrap()
     );
 
     let mut cases: Vec<_> = std::fs::read_dir(root.join(fixture).join("expected"))

@@ -1,7 +1,34 @@
 //! Helpers shared by the integration-test binaries.
 #![allow(dead_code)] // each test binary uses a subset of these helpers
 
+use ocep_rng::Rng;
 use std::time::{Duration, Instant};
+
+/// One seeded byte-level mutation of `base` (which must not be empty):
+/// one to three bytes overwritten, a truncation, or one to fifteen
+/// random bytes spliced on. The decoder-robustness suites feed every
+/// decoder thousands of these; each must answer `Ok` or `Err`, never
+/// panic or hang.
+pub fn mutate(rng: &mut Rng, base: &[u8]) -> Vec<u8> {
+    let mut bytes = base.to_vec();
+    match rng.gen_range(0u32..3) {
+        0 => {
+            let n = rng.gen_range(1usize..4);
+            for _ in 0..n {
+                let at = rng.gen_range(0usize..bytes.len());
+                bytes[at] = rng.next_u32() as u8;
+            }
+        }
+        1 => bytes.truncate(rng.gen_range(0usize..bytes.len())),
+        _ => {
+            let extra = rng.gen_range(1usize..16);
+            for _ in 0..extra {
+                bytes.push(rng.next_u32() as u8);
+            }
+        }
+    }
+    bytes
+}
 
 /// Polls `f` every `poll` until it yields `Ok`, for at most `deadline`
 /// wall-clock time — the bounded replacement for bare `sleep` in tests

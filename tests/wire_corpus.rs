@@ -24,6 +24,8 @@ use ocep_rng::Rng;
 use std::io::{Read, Write};
 use std::path::PathBuf;
 
+mod common;
+
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus/wire")
 }
@@ -382,24 +384,7 @@ fn seeded_mutations_never_panic_the_decoder() {
         }),
     ];
     for round in 0..2_000 {
-        let base = &seeds[round % seeds.len()];
-        let mut body = base.clone();
-        match rng.gen_range(0u32..3) {
-            0 => {
-                let n = rng.gen_range(1usize..4);
-                for _ in 0..n {
-                    let at = rng.gen_range(0usize..body.len());
-                    body[at] = rng.next_u32() as u8;
-                }
-            }
-            1 => body.truncate(rng.gen_range(0usize..body.len())),
-            _ => {
-                let extra = rng.gen_range(1usize..16);
-                for _ in 0..extra {
-                    body.push(rng.next_u32() as u8);
-                }
-            }
-        }
+        let body = common::mutate(&mut rng, &seeds[round % seeds.len()]);
         let _ = wire::decode_body(&body);
     }
 }
