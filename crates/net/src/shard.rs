@@ -27,14 +27,15 @@
 //! observationally identical. The deterministic simulator never starts
 //! the threads.
 
-use crate::wire::{decode_body, encode_body, put_event_body, put_str, Frame};
+use crate::wire::{decode_body, encode_body, put_event_body, Frame};
 use ocep_core::ingest::{AdmissionGuard, IngestFault, IngestStats};
 use ocep_core::{
     load_set, load_set_at, save_at, save_parts_at, Match, MetricsSnapshot, Monitor, MonitorConfig,
     MonitorSet,
 };
 use ocep_pattern::Pattern;
-use ocep_poet::Event;
+use ocep_poet::codec::{nth, put_str, put_u32, put_u32s, put_u64, Reader};
+use ocep_poet::{Event, PoetError};
 use ocep_wal::{
     Durability, Record, Wal, WalOptions, REC_CHECKPOINT, REC_DELIVER, REC_FLUSH, REC_REGISTER,
     REC_UNREGISTER, REC_WATERMARK,
@@ -738,11 +739,9 @@ impl ShardGroup {
         let released = self.gc_at(&watermark, keep);
         if self.wal.is_some() {
             let mut payload = Vec::with_capacity(8 + 4 * watermark.len());
-            payload.extend_from_slice(&(keep as u32).to_le_bytes());
-            payload.extend_from_slice(&(watermark.len() as u32).to_le_bytes());
-            for v in &watermark {
-                payload.extend_from_slice(&v.to_le_bytes());
-            }
+            put_u32(&mut payload, keep as u32);
+            put_u32(&mut payload, watermark.len() as u32);
+            put_u32s(&mut payload, &watermark);
             self.append(REC_WATERMARK, &payload);
         }
         released
@@ -870,14 +869,14 @@ impl ShardGroup {
             self.last_lsn,
         );
         let mut payload = Vec::new();
-        payload.extend_from_slice(&(ocks.len() as u32).to_le_bytes());
+        put_u32(&mut payload, ocks.len() as u32);
         payload.extend_from_slice(&ocks);
-        payload.extend_from_slice(&(self.history.len() as u32).to_le_bytes());
+        put_u32(&mut payload, self.history.len() as u32);
         for (lsn, name, m) in &self.history {
-            payload.extend_from_slice(&lsn.to_le_bytes());
+            put_u64(&mut payload, *lsn);
             put_str(&mut payload, name);
             let body = encode_body(&Frame::EventBatch(m.events().to_vec()));
-            payload.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            put_u32(&mut payload, body.len() as u32);
             payload.extend_from_slice(&body);
         }
         payload
@@ -929,27 +928,23 @@ impl ShardGroup {
     /// Restores guard, registry, partitions and verdict history from a
     /// `REC_CHECKPOINT` payload.
     fn load_checkpoint(&mut self, payload: &[u8]) -> Result<(), String> {
-        let mut r = ocep_poet::dump::Reader::new(payload);
-        let ocks_len = r.u32("ocks length").map_err(|e| e.to_string())? as usize;
-        let ocks = r.bytes(ocks_len, "ocks blob").map_err(|e| e.to_string())?;
-        let (set, sources, _lsn) = load_set_at(ocks).map_err(|e| e.to_string())?;
+        let mut r = Reader::new(payload);
+        let ocks_len = r.u32("ocks length").map_err(text)? as usize;
+        let ocks = r.bytes(ocks_len, "ocks blob").map_err(text)?;
+        let (set, sources, _lsn) = load_set_at(ocks).map_err(text)?;
         let sources: HashMap<String, String> = sources.into_iter().collect();
         self.adopt(set, |name| sources.get(name).cloned());
         self.history.clear();
-        let n = r.u32("verdict count").map_err(|e| e.to_string())? as usize;
-        for i in 0..n {
-            let lsn = r.u64("verdict lsn").map_err(|e| e.to_string())?;
-            let name = r
-                .str(&format!("verdict {i} monitor"))
-                .map_err(|e| e.to_string())?
-                .to_owned();
-            let body_len = r
-                .u32(&format!("verdict {i} body length"))
-                .map_err(|e| e.to_string())? as usize;
-            let body = r
-                .bytes(body_len, "verdict events")
-                .map_err(|e| e.to_string())?;
-            let Frame::EventBatch(events) = decode_body(body).map_err(|e| e.to_string())? else {
+        // An lsn, a name, a body length and a one-byte body at the least.
+        for i in 0..r.count("verdicts", 17).map_err(text)? {
+            let mut entry = || {
+                let lsn = r.u64("lsn")?;
+                let name = r.str("monitor")?.to_owned();
+                let body_len = r.u32("body length")? as usize;
+                Ok((lsn, name, r.bytes(body_len, "events")?))
+            };
+            let (lsn, name, body) = entry().map_err(nth("verdict", i)).map_err(text)?;
+            let Frame::EventBatch(events) = decode_body(body).map_err(text)? else {
                 return Err(format!("verdict {i} payload is not an event batch"));
             };
             // A verdict can outlive its monitor (unregistered after it
@@ -963,7 +958,7 @@ impl ShardGroup {
             let m = Match::from_bound_events(pattern, events)?;
             self.history.push((lsn, name, m));
         }
-        r.finish().map_err(|e| e.to_string())
+        r.finish().map_err(text)
     }
 
     // ---- recovery -----------------------------------------------------
@@ -1126,22 +1121,32 @@ impl ShardGroup {
     }
 }
 
+/// A decode error as the diagnostic line recovery prints.
+fn text(e: impl std::fmt::Display) -> String {
+    e.to_string()
+}
+
+/// Decodes a whole record payload with `f`; bytes left over are an error.
+fn decode_payload<'a, T>(
+    payload: &'a [u8],
+    f: impl FnOnce(&mut Reader<'a>) -> Result<T, PoetError>,
+) -> Result<T, String> {
+    let mut r = Reader::new(payload);
+    let out = f(&mut r).and_then(|out| r.finish().map(|()| out));
+    out.map_err(text)
+}
+
 /// Decodes a `REC_DELIVER` payload: `[session:str][Event frame body]`.
 ///
 /// # Errors
 ///
 /// A structural diagnostic with a byte offset; never panics.
 pub fn decode_deliver(payload: &[u8]) -> Result<(String, Event), String> {
-    let mut r = ocep_poet::dump::Reader::new(payload);
-    let session = r
-        .str("deliver session")
-        .map_err(|e| e.to_string())?
-        .to_owned();
-    let n = r.remaining();
-    let body = r
-        .bytes(n, "deliver event frame")
-        .map_err(|e| e.to_string())?;
-    match decode_body(body).map_err(|e| e.to_string())? {
+    let (session, body) = decode_payload(payload, |r| {
+        let session = r.str("deliver session")?.to_owned();
+        Ok((session, r.bytes(r.remaining(), "deliver event frame")?))
+    })?;
+    match decode_body(body).map_err(text)? {
         Frame::Event(e) => Ok((session, *e)),
         other => Err(format!(
             "deliver payload carries a {} frame, expected event",
@@ -1156,46 +1161,22 @@ pub fn decode_deliver(payload: &[u8]) -> Result<(String, Event), String> {
 ///
 /// A structural diagnostic with a byte offset; never panics.
 pub fn decode_watermark(payload: &[u8]) -> Result<(usize, Vec<u32>), String> {
-    let mut r = ocep_poet::dump::Reader::new(payload);
-    let keep = r.u32("watermark keep").map_err(|e| e.to_string())? as usize;
-    let n_at = r.offset();
-    let n = r.u32("watermark width").map_err(|e| e.to_string())? as usize;
-    if n > r.remaining() / 4 + 1 {
-        return Err(format!(
-            "watermark claims width {n} at byte {n_at}, only {} byte(s) left",
-            r.remaining()
-        ));
-    }
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push(r.u32("watermark entry").map_err(|e| e.to_string())?);
-    }
-    r.finish().map_err(|e| e.to_string())?;
-    Ok((keep, entries))
+    decode_payload(payload, |r| {
+        let keep = r.u32("watermark keep")? as usize;
+        let n = r.count("watermark width", 4)?;
+        Ok((keep, r.u32s(n, "watermark entries")?))
+    })
 }
 
 fn decode_register(payload: &[u8]) -> Result<(String, String), String> {
-    let mut r = ocep_poet::dump::Reader::new(payload);
-    let name = r
-        .str("register name")
-        .map_err(|e| e.to_string())?
-        .to_owned();
-    let source = r
-        .str("register source")
-        .map_err(|e| e.to_string())?
-        .to_owned();
-    r.finish().map_err(|e| e.to_string())?;
-    Ok((name, source))
+    decode_payload(payload, |r| {
+        let name = r.str("register name")?.to_owned();
+        Ok((name, r.str("register source")?.to_owned()))
+    })
 }
 
 fn decode_unregister(payload: &[u8]) -> Result<String, String> {
-    let mut r = ocep_poet::dump::Reader::new(payload);
-    let name = r
-        .str("unregister name")
-        .map_err(|e| e.to_string())?
-        .to_owned();
-    r.finish().map_err(|e| e.to_string())?;
-    Ok(name)
+    decode_payload(payload, |r| Ok(r.str("unregister name")?.to_owned()))
 }
 
 #[cfg(test)]

@@ -2,11 +2,10 @@
 //!
 //! OCWP (*Online Causal Wire Protocol*) carries traced events from
 //! producers to an `ocep serve` daemon and verdicts/statistics back.
-//! It follows the same encoding discipline as the POET dump and OCKP
-//! checkpoint formats: little-endian, magic + version in the handshake,
-//! per-frame interned string tables, and decoding through the
-//! offset-tracking [`Reader`] so a truncated or corrupt frame yields a
-//! diagnostic with a byte offset — never a panic.
+//! It shares its encoding with the POET dump and OCKP checkpoint formats
+//! — the scalars, string table, event record and offset-tracking
+//! [`Reader`] of `ocep_poet::codec` — so a truncated or corrupt frame
+//! yields a diagnostic with a byte offset, never a panic.
 //!
 //! # Frame grammar
 //!
@@ -19,14 +18,11 @@
 //! Hello       := magic[4]="OCWP" version:u16 mode:u8 n_traces:u32 name:str
 //! Event       := events                      (exactly one record)
 //! EventBatch  := events
-//! EventBatchD := n_strings:u32 (str)* count:u32 drecord*
-//! events      := n_strings:u32 (str)* count:u32 record*
-//! record      := trace:u32 index:u32 kind:u8 ty:u32 text:u32
-//!                pflag:u8 [ptrace:u32 pindex:u32] clock_n:u32 (u32)*
-//! drecord     := trace:u32 index:u32 kind:u8 ty:u32 text:u32
-//!                pflag:u8 [ptrace:u32 pindex:u32] cflag:u8 clock
-//! clock       := cflag=0: clock_n:u32 (u32)*
-//!              | cflag=1: n_changed:u32 (col:u32 val:u32)*
+//! EventBatchD := strtab count:u32 drecord*
+//! events      := strtab count:u32 record*
+//! strtab, record (full clock), drecord (delta clock): the shared
+//!                record grammar of `ocep_poet::codec` — see
+//!                `docs/WIRE.md`, "Record grammar"
 //! Flush       := ε
 //! CheckpointReq := ε
 //! Stats       := flag:u8 [report]            (0 = request, 1 = report)
@@ -39,8 +35,8 @@
 //! Resume      := durable:u64
 //! TailFrom    := from:u64
 //! VerdictAt   := lsn:u64 monitor:str n:u32 (trace:u32 index:u32)*
-//! Register    := tenant:str n_strings:u32 (str)* count:u32 (name:u32 src:u32)*
-//! Unregister  := tenant:str n_strings:u32 (str)* count:u32 (name:u32)*
+//! Register    := tenant:str strtab count:u32 (name:u32 src:u32)*
+//! Unregister  := tenant:str strtab count:u32 (name:u32)*
 //! TailTenant  := tenant:str
 //! Registered  := tenant:str patterns:u32
 //! str         := len:u32 utf8[len]
@@ -98,10 +94,11 @@
 //!
 //! [`AdmissionGuard`]: ocep_core::ingest::AdmissionGuard
 
-use ocep_poet::dump::Reader;
-use ocep_poet::{Event, EventKind, PoetError};
-use ocep_vclock::{EventId, EventIndex, StampedEvent, TraceId, VectorClock};
-use std::collections::HashMap;
+use ocep_poet::codec::{
+    get_event_record, nth, put_event_record, put_str, put_u16, put_u32, put_u64, u32_le, ClockForm,
+    DeltaDecoder, DeltaEncoder, Reader, StrForm, StrTable,
+};
+use ocep_poet::{Event, PoetError};
 use std::io::{Read as IoRead, Write as IoWrite};
 use std::sync::Arc;
 
@@ -466,101 +463,19 @@ pub fn validate_tenant(s: &str) -> Result<(), String> {
     Ok(())
 }
 
-pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_events(buf: &mut Vec<u8>, events: &[Event]) {
-    put_events_impl(buf, events, false);
-}
-
-fn put_events_delta(buf: &mut Vec<u8>, events: &[Event]) {
-    put_events_impl(buf, events, true);
-}
-
-fn put_events_impl(buf: &mut Vec<u8>, events: &[Event], delta: bool) {
-    let mut strings: Vec<&str> = Vec::new();
-    let mut ids: HashMap<&str, u32> = HashMap::new();
-    for e in events {
-        for s in [e.ty(), e.text()] {
-            if !ids.contains_key(s) {
-                ids.insert(s, strings.len() as u32);
-                strings.push(s);
-            }
-        }
-    }
-    buf.extend_from_slice(&(strings.len() as u32).to_le_bytes());
-    for s in &strings {
-        put_str(buf, s);
-    }
-    buf.extend_from_slice(&(events.len() as u32).to_le_bytes());
+/// `strtab count:u32 record*`, clocks in the given form.
+fn put_events<'e>(buf: &mut Vec<u8>, events: &'e [Event], mut clock: ClockForm<DeltaEncoder<'e>>) {
+    let table = StrTable::of_events(events);
+    table.put(buf);
+    put_u32(buf, events.len() as u32);
     // Reserve for the common shape (fixed fields + clock) up front so
     // batch encoding doesn't grow the buffer record by record. Delta
     // records are never larger than full ones, so this reserve also
     // covers the delta form.
     let per_record = 23 + 4 * events.first().map_or(0, |e| e.clock().entries().len());
     buf.reserve(events.len() * per_record);
-    // Delta base: the clock of the previous event on each trace within
-    // this frame (what the decoder will have reconstructed).
-    let mut last: HashMap<TraceId, &VectorClock> = HashMap::new();
-    let mut changed: Vec<(u32, u32)> = Vec::new();
     for e in events {
-        buf.extend_from_slice(&e.trace().as_u32().to_le_bytes());
-        buf.extend_from_slice(&e.index().get().to_le_bytes());
-        buf.push(match e.kind() {
-            EventKind::Send => 0,
-            EventKind::Receive => 1,
-            EventKind::Unary => 2,
-        });
-        buf.extend_from_slice(&ids[e.ty()].to_le_bytes());
-        buf.extend_from_slice(&ids[e.text()].to_le_bytes());
-        match e.partner() {
-            Some(p) => {
-                buf.push(1);
-                buf.extend_from_slice(&p.trace().as_u32().to_le_bytes());
-                buf.extend_from_slice(&p.index().get().to_le_bytes());
-            }
-            None => buf.push(0),
-        }
-        let entries = e.clock().entries();
-        if delta {
-            // Delta against the previous clock on this trace when it
-            // exists, matches in width, and the diff is actually
-            // smaller (8 bytes per changed entry vs 4 per full entry);
-            // full clock otherwise — including always for the first
-            // record per trace.
-            changed.clear();
-            let use_delta = match last.get(&e.trace()) {
-                Some(base) if base.len() == entries.len() => {
-                    ocep_vclock::kernels::for_each_changed(base.entries(), entries, |i, v| {
-                        changed.push((i as u32, v));
-                    });
-                    8 * changed.len() < 4 * entries.len()
-                }
-                _ => false,
-            };
-            if use_delta {
-                buf.push(1);
-                buf.extend_from_slice(&(changed.len() as u32).to_le_bytes());
-                for (col, val) in &changed {
-                    buf.extend_from_slice(&col.to_le_bytes());
-                    buf.extend_from_slice(&val.to_le_bytes());
-                }
-            } else {
-                buf.push(0);
-                buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-                for v in entries {
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            last.insert(e.trace(), e.clock());
-        } else {
-            buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-            for v in entries {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-        }
+        put_event_record(buf, e, table.ids_of(e), &mut clock);
     }
 }
 
@@ -571,40 +486,17 @@ fn put_events_impl(buf: &mut Vec<u8>, events: &[Event], delta: bool) {
 /// event through this.
 pub fn put_event_body(buf: &mut Vec<u8>, e: &Event) {
     buf.push(T_EVENT);
-    // Inlined single-event form of `put_events`: the two-entry string
-    // table is written directly (ty first, then text unless equal),
-    // skipping the interning map a general batch needs.
+    // The two-entry string table is written directly (ty first, then
+    // text unless equal), skipping the interning map a batch needs.
     let same = e.ty() == e.text();
-    let n_strings: u32 = if same { 1 } else { 2 };
-    buf.extend_from_slice(&n_strings.to_le_bytes());
+    put_u32(buf, if same { 1 } else { 2 });
     put_str(buf, e.ty());
     if !same {
         put_str(buf, e.text());
     }
-    buf.extend_from_slice(&1u32.to_le_bytes());
-    buf.extend_from_slice(&e.trace().as_u32().to_le_bytes());
-    buf.extend_from_slice(&e.index().get().to_le_bytes());
-    buf.push(match e.kind() {
-        EventKind::Send => 0,
-        EventKind::Receive => 1,
-        EventKind::Unary => 2,
-    });
-    buf.extend_from_slice(&0u32.to_le_bytes());
-    let text_id: u32 = u32::from(!same);
-    buf.extend_from_slice(&text_id.to_le_bytes());
-    match e.partner() {
-        Some(p) => {
-            buf.push(1);
-            buf.extend_from_slice(&p.trace().as_u32().to_le_bytes());
-            buf.extend_from_slice(&p.index().get().to_le_bytes());
-        }
-        None => buf.push(0),
-    }
-    let entries = e.clock().entries();
-    buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for v in entries {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
+    put_u32(buf, 1);
+    let ids = StrForm::Table((0, u32::from(!same)));
+    put_event_record(buf, e, ids, &mut ClockForm::Full);
 }
 
 /// Serializes a frame body (without the length prefix).
@@ -619,18 +511,18 @@ pub fn encode_body(frame: &Frame) -> Vec<u8> {
         } => {
             buf.push(T_HELLO);
             buf.extend_from_slice(MAGIC);
-            buf.extend_from_slice(&VERSION.to_le_bytes());
+            put_u16(&mut buf, VERSION);
             buf.push(mode.to_u8());
-            buf.extend_from_slice(&n_traces.to_le_bytes());
+            put_u32(&mut buf, *n_traces);
             put_str(&mut buf, name);
         }
         Frame::Event(e) => {
             buf.push(T_EVENT);
-            put_events(&mut buf, std::slice::from_ref(e));
+            put_events(&mut buf, std::slice::from_ref(e), ClockForm::Full);
         }
         Frame::EventBatch(events) => {
             buf.push(T_EVENT_BATCH);
-            put_events(&mut buf, events);
+            put_events(&mut buf, events, ClockForm::Full);
         }
         Frame::Flush => buf.push(T_FLUSH),
         Frame::CheckpointReq => buf.push(T_CHECKPOINT),
@@ -641,18 +533,18 @@ pub fn encode_body(frame: &Frame) -> Vec<u8> {
         Frame::StatsReport(r) => {
             buf.push(T_STATS);
             buf.push(1);
-            buf.extend_from_slice(&r.admitted.to_le_bytes());
-            buf.extend_from_slice(&r.quarantined.to_le_bytes());
-            buf.extend_from_slice(&r.duplicates.to_le_bytes());
+            put_u64(&mut buf, r.admitted);
+            put_u64(&mut buf, r.quarantined);
+            put_u64(&mut buf, r.duplicates);
             buf.push(u8::from(r.degraded));
-            buf.extend_from_slice(&r.matches.to_le_bytes());
-            buf.extend_from_slice(&r.connections.to_le_bytes());
-            buf.extend_from_slice(&r.frames.to_le_bytes());
+            put_u64(&mut buf, r.matches);
+            put_u32(&mut buf, r.connections);
+            put_u64(&mut buf, r.frames);
         }
         Frame::Shutdown => buf.push(T_SHUTDOWN),
         Frame::Ack { credits } => {
             buf.push(T_ACK);
-            buf.extend_from_slice(&credits.to_le_bytes());
+            put_u32(&mut buf, *credits);
         }
         Frame::Fault { code, detail } => {
             buf.push(T_FAULT);
@@ -665,39 +557,43 @@ pub fn encode_body(frame: &Frame) -> Vec<u8> {
         }
         Frame::Resume { durable } => {
             buf.push(T_RESUME);
-            buf.extend_from_slice(&durable.to_le_bytes());
+            put_u64(&mut buf, *durable);
         }
         Frame::TailFrom { from } => {
             buf.push(T_TAIL_FROM);
-            buf.extend_from_slice(&from.to_le_bytes());
+            put_u64(&mut buf, *from);
         }
         Frame::VerdictAt { lsn, verdict } => {
             buf.push(T_VERDICT_AT);
-            buf.extend_from_slice(&lsn.to_le_bytes());
+            put_u64(&mut buf, *lsn);
             put_verdict(&mut buf, verdict);
         }
         Frame::Register { tenant, patterns } => {
             buf.push(T_REGISTER);
             put_str(&mut buf, tenant);
-            let ids = put_strtab(
-                &mut buf,
-                patterns
-                    .iter()
-                    .flat_map(|(name, src)| [name.as_str(), src.as_str()]),
-            );
-            buf.extend_from_slice(&(patterns.len() as u32).to_le_bytes());
+            let mut table = StrTable::default();
             for (name, src) in patterns {
-                buf.extend_from_slice(&ids[name.as_str()].to_le_bytes());
-                buf.extend_from_slice(&ids[src.as_str()].to_le_bytes());
+                table.intern(name);
+                table.intern(src);
+            }
+            table.put(&mut buf);
+            put_u32(&mut buf, patterns.len() as u32);
+            for (name, src) in patterns {
+                put_u32(&mut buf, table.id(name));
+                put_u32(&mut buf, table.id(src));
             }
         }
         Frame::Unregister { tenant, patterns } => {
             buf.push(T_UNREGISTER);
             put_str(&mut buf, tenant);
-            let ids = put_strtab(&mut buf, patterns.iter().map(String::as_str));
-            buf.extend_from_slice(&(patterns.len() as u32).to_le_bytes());
+            let mut table = StrTable::default();
             for name in patterns {
-                buf.extend_from_slice(&ids[name.as_str()].to_le_bytes());
+                table.intern(name);
+            }
+            table.put(&mut buf);
+            put_u32(&mut buf, patterns.len() as u32);
+            for name in patterns {
+                put_u32(&mut buf, table.id(name));
             }
         }
         Frame::TailTenant { tenant } => {
@@ -707,39 +603,18 @@ pub fn encode_body(frame: &Frame) -> Vec<u8> {
         Frame::Registered { tenant, patterns } => {
             buf.push(T_REGISTERED);
             put_str(&mut buf, tenant);
-            buf.extend_from_slice(&patterns.to_le_bytes());
+            put_u32(&mut buf, *patterns);
         }
     }
     buf
 }
 
-/// Writes an interned string table (`n_strings:u32 (str)*`) built from
-/// `items` in first-appearance order; returns the interning map.
-fn put_strtab<'a>(
-    buf: &mut Vec<u8>,
-    items: impl Iterator<Item = &'a str>,
-) -> HashMap<&'a str, u32> {
-    let mut strings: Vec<&str> = Vec::new();
-    let mut ids: HashMap<&str, u32> = HashMap::new();
-    for s in items {
-        if !ids.contains_key(s) {
-            ids.insert(s, strings.len() as u32);
-            strings.push(s);
-        }
-    }
-    buf.extend_from_slice(&(strings.len() as u32).to_le_bytes());
-    for s in &strings {
-        put_str(buf, s);
-    }
-    ids
-}
-
 fn put_verdict(buf: &mut Vec<u8>, v: &VerdictFrame) {
     put_str(buf, &v.monitor);
-    buf.extend_from_slice(&(v.bindings.len() as u32).to_le_bytes());
-    for (t, i) in &v.bindings {
-        buf.extend_from_slice(&t.to_le_bytes());
-        buf.extend_from_slice(&i.to_le_bytes());
+    put_u32(buf, v.bindings.len() as u32);
+    for &(t, i) in &v.bindings {
+        put_u32(buf, t);
+        put_u32(buf, i);
     }
 }
 
@@ -755,161 +630,29 @@ pub fn encode_body_delta(frame: &Frame) -> Vec<u8> {
         Frame::EventBatch(events) => {
             let mut buf = Vec::new();
             buf.push(T_EVENT_BATCH_D);
-            put_events_delta(&mut buf, events);
+            put_events(&mut buf, events, ClockForm::Delta(DeltaEncoder::default()));
             buf
         }
         other => encode_body(other),
     }
 }
 
-fn get_events(r: &mut Reader<'_>) -> Result<Vec<Event>, WireError> {
-    get_events_impl(r, false)
+fn corrupt(msg: String) -> WireError {
+    WireError::Format(PoetError::Corrupt(msg))
 }
 
-fn get_events_delta(r: &mut Reader<'_>) -> Result<Vec<Event>, WireError> {
-    get_events_impl(r, true)
-}
-
-/// Decodes the full clock tail of a record: `clock_n:u32 (u32)*`.
-fn get_full_clock(r: &mut Reader<'_>, i: usize) -> Result<VectorClock, WireError> {
-    let clock_n_at = r.offset();
-    let clock_n = r.u32("clock width")? as usize;
-    // A record's clock can never legitimately exceed the remaining
-    // frame bytes; bound it so a corrupt width cannot over-allocate.
-    if clock_n > r.remaining() / 4 + 1 {
-        return Err(WireError::Format(PoetError::Corrupt(format!(
-            "record {i} claims clock width {clock_n} at byte {clock_n_at}, only {} byte(s) left",
-            r.remaining()
-        ))));
-    }
-    // One bounds-checked read for the whole clock, not one per
-    // entry — this loop dominates decode time at high event rates.
-    let raw = r.bytes(clock_n * 4, "clock entries")?;
-    let entries: Vec<u32> = raw
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("chunks_exact(4)")))
-        .collect();
-    Ok(VectorClock::from_entries(entries))
-}
-
-/// Decodes the delta clock tail of a `drecord`: reconstructs the full
-/// clock by applying `(col, val)` changes to `base` (the previous
-/// reconstructed clock on the same trace within this frame).
-fn get_delta_clock(
+/// `strtab count:u32 record*`, clocks in the given form.
+fn get_events(
     r: &mut Reader<'_>,
-    i: usize,
-    trace: TraceId,
-    base: Option<&VectorClock>,
-) -> Result<VectorClock, WireError> {
-    let n_at = r.offset();
-    let n_changed = r.u32("delta count")? as usize;
-    if n_changed > r.remaining() / 8 + 1 {
-        return Err(WireError::Format(PoetError::Corrupt(format!(
-            "record {i} claims {n_changed} delta entries at byte {n_at}, only {} byte(s) left",
-            r.remaining()
-        ))));
-    }
-    let Some(base) = base else {
-        return Err(WireError::Format(PoetError::Corrupt(format!(
-            "record {i} is a clock delta with no base for trace {} at byte {n_at}",
-            trace.as_u32()
-        ))));
-    };
-    let mut entries = base.entries().to_vec();
-    let mut prev_col: Option<u32> = None;
-    for k in 0..n_changed {
-        let col_at = r.offset();
-        let col = r.u32("delta column")?;
-        let val = r.u32("delta value")?;
-        if prev_col.is_some_and(|p| col <= p) {
-            return Err(WireError::Format(PoetError::Corrupt(format!(
-                "record {i} delta entry {k} column {col} not ascending at byte {col_at}"
-            ))));
-        }
-        prev_col = Some(col);
-        let Some(slot) = entries.get_mut(col as usize) else {
-            return Err(WireError::Format(PoetError::Corrupt(format!(
-                "record {i} delta column {col} exceeds clock width {} at byte {col_at}",
-                entries.len()
-            ))));
-        };
-        *slot = val;
-    }
-    Ok(VectorClock::from_entries(entries))
-}
-
-fn get_events_impl(r: &mut Reader<'_>, delta: bool) -> Result<Vec<Event>, WireError> {
-    let n_strings = r.u32("n_strings")? as usize;
-    let mut strings: Vec<Arc<str>> = Vec::new();
-    for i in 0..n_strings {
-        let s = r.str(&format!("string {i}"))?;
-        strings.push(Arc::from(s));
-    }
-    let count = r.u32("event count")? as usize;
-    let lookup = |strings: &[Arc<str>], id: u32, i: usize, at: usize| {
-        strings.get(id as usize).cloned().ok_or_else(|| {
-            WireError::Format(PoetError::Corrupt(format!(
-                "record {i} names unknown string {id} at byte {at}"
-            )))
-        })
-    };
-    // Capacity hint bounded by the bytes actually present (a record is
-    // at least 18 bytes), so a hostile count cannot over-allocate.
-    let mut events = Vec::with_capacity(count.min(r.remaining() / 18 + 1));
-    // Delta frames: last reconstructed clock per trace, the base the
-    // next delta on that trace applies to. A HashMap (not a dense
-    // table) because record trace ids are untrusted u32s.
-    let mut bases: HashMap<TraceId, VectorClock> = HashMap::new();
+    mut clock: ClockForm<DeltaDecoder>,
+) -> Result<Vec<Event>, WireError> {
+    let strings = StrTable::get(r)?;
+    let count = r.count("records", clock.min_record_bytes())?;
+    let mut events = Vec::with_capacity(count);
     for i in 0..count {
-        let trace = TraceId::new(r.u32("record trace")?);
-        let index = EventIndex::new(r.u32("record index")?);
-        let kind_at = r.offset();
-        let kind = match r.u8("record kind")? {
-            0 => EventKind::Send,
-            1 => EventKind::Receive,
-            2 => EventKind::Unary,
-            k => {
-                return Err(WireError::Format(PoetError::Corrupt(format!(
-                    "record {i} has bad kind {k} at byte {kind_at}"
-                ))));
-            }
-        };
-        let ty_at = r.offset();
-        let ty = lookup(&strings, r.u32("type id")?, i, ty_at)?;
-        let text_at = r.offset();
-        let text = lookup(&strings, r.u32("text id")?, i, text_at)?;
-        let pflag_at = r.offset();
-        let partner = match r.u8("partner flag")? {
-            0 => None,
-            1 => {
-                let pt = TraceId::new(r.u32("partner trace")?);
-                let pi = EventIndex::new(r.u32("partner index")?);
-                Some(EventId::new(pt, pi))
-            }
-            b => {
-                return Err(WireError::Format(PoetError::Corrupt(format!(
-                    "record {i} has bad partner flag {b} at byte {pflag_at}"
-                ))));
-            }
-        };
-        let clock = if delta {
-            let cflag_at = r.offset();
-            let clock = match r.u8("clock flag")? {
-                0 => get_full_clock(r, i)?,
-                1 => get_delta_clock(r, i, trace, bases.get(&trace))?,
-                b => {
-                    return Err(WireError::Format(PoetError::Corrupt(format!(
-                        "record {i} has bad clock flag {b} at byte {cflag_at}"
-                    ))));
-                }
-            };
-            bases.insert(trace, clock.clone());
-            clock
-        } else {
-            get_full_clock(r, i)?
-        };
-        let stamp = StampedEvent::new_unchecked(EventId::new(trace, index), clock);
-        events.push(Event::new(stamp, kind, ty, text, partner));
+        let rec =
+            get_event_record(r, StrForm::Table(&strings), &mut clock).map_err(nth("record", i))?;
+        events.push(rec.into_event());
     }
     Ok(events)
 }
@@ -920,49 +663,35 @@ fn get_tenant(r: &mut Reader<'_>) -> Result<String, WireError> {
     let tenant = r.str("tenant id")?;
     match validate_tenant(tenant) {
         Ok(()) => Ok(tenant.to_owned()),
-        Err(why) => Err(WireError::Format(PoetError::Corrupt(format!(
-            "bad tenant id at byte {at}: {why}"
-        )))),
+        Err(why) => Err(corrupt(format!("bad tenant id at byte {at}: {why}"))),
     }
 }
 
-/// Decodes an interned string table (`n_strings:u32 (str)*`).
-fn get_strtab(r: &mut Reader<'_>) -> Result<Vec<String>, WireError> {
-    let n_at = r.offset();
-    let n_strings = r.u32("n_strings")? as usize;
-    // Each table entry costs at least its 4-byte length prefix; bound
-    // the capacity hint so a hostile count cannot over-allocate.
-    if n_strings > r.remaining() / 4 + 1 {
-        return Err(WireError::Format(PoetError::Corrupt(format!(
-            "table claims {n_strings} strings at byte {n_at}, only {} byte(s) left",
-            r.remaining()
-        ))));
-    }
-    let mut strings = Vec::with_capacity(n_strings);
-    for i in 0..n_strings {
-        strings.push(r.str(&format!("string {i}"))?.to_owned());
-    }
-    Ok(strings)
-}
-
-/// Resolves a pattern name/source reference into `strings`, with the
-/// "unknown pattern ref" diagnostic shared by `Register`/`Unregister`.
-fn lookup_pattern_ref(
-    strings: &[String],
-    id: u32,
+/// Reads entry `i`'s `u32` reference into a `Register`/`Unregister`
+/// string table.
+fn get_pattern_ref(
+    r: &mut Reader<'_>,
+    strings: &[Arc<str>],
     i: usize,
-    at: usize,
 ) -> Result<String, WireError> {
-    strings.get(id as usize).cloned().ok_or_else(|| {
-        WireError::Format(PoetError::Corrupt(format!(
+    let at = r.offset();
+    let id = r.u32("pattern ref")?;
+    (strings.get(id as usize).map(|s| s.to_string())).ok_or_else(|| {
+        corrupt(format!(
             "entry {i} names unknown pattern ref {id} at byte {at}"
-        )))
+        ))
     })
 }
 
-/// Shape-checks a registered pattern name: non-empty, bounded, and free
-/// of `/` (the tenant/name separator in monitor names).
-fn check_pattern_name(name: &str, i: usize, at: usize) -> Result<(), WireError> {
+/// [`get_pattern_ref`] for a pattern name, shape-checked: non-empty,
+/// bounded, and free of `/` (the tenant/name separator in monitor names).
+fn get_pattern_name(
+    r: &mut Reader<'_>,
+    strings: &[Arc<str>],
+    i: usize,
+) -> Result<String, WireError> {
+    let at = r.offset();
+    let name = get_pattern_ref(r, strings, i)?;
     let why = if name.is_empty() {
         "is empty".to_owned()
     } else if name.len() > MAX_PATTERN_NAME {
@@ -970,23 +699,16 @@ fn check_pattern_name(name: &str, i: usize, at: usize) -> Result<(), WireError> 
     } else if name.contains('/') {
         "contains '/'".to_owned()
     } else {
-        return Ok(());
+        return Ok(name);
     };
-    Err(WireError::Format(PoetError::Corrupt(format!(
+    Err(corrupt(format!(
         "entry {i} pattern name {why} at byte {at}"
-    ))))
+    )))
 }
 
 fn get_verdict(r: &mut Reader<'_>) -> Result<VerdictFrame, WireError> {
     let monitor = r.str("verdict monitor")?.to_owned();
-    let n_at = r.offset();
-    let n = r.u32("verdict binding count")? as usize;
-    if n > r.remaining() / 8 + 1 {
-        return Err(WireError::Format(PoetError::Corrupt(format!(
-            "verdict claims {n} bindings at byte {n_at}, only {} byte(s) left",
-            r.remaining()
-        ))));
-    }
+    let n = r.count("verdict bindings", 8)?;
     let mut bindings = Vec::with_capacity(n);
     for _ in 0..n {
         let t = r.u32("binding trace")?;
@@ -1016,11 +738,8 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
             }
             let mode_at = r.offset();
             let mode_b = r.u8("hello mode")?;
-            let mode = Mode::from_u8(mode_b).ok_or_else(|| {
-                WireError::Format(PoetError::Corrupt(format!(
-                    "bad hello mode {mode_b} at byte {mode_at}"
-                )))
-            })?;
+            let mode = Mode::from_u8(mode_b)
+                .ok_or_else(|| corrupt(format!("bad hello mode {mode_b} at byte {mode_at}")))?;
             let n_traces = r.u32("hello n_traces")?;
             let name = r.str("hello name")?.to_owned();
             Frame::Hello {
@@ -1030,17 +749,19 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
             }
         }
         T_EVENT => {
-            let mut events = get_events(&mut r)?;
+            let mut events = get_events(&mut r, ClockForm::Full)?;
             if events.len() != 1 {
-                return Err(WireError::Format(PoetError::Corrupt(format!(
+                return Err(corrupt(format!(
                     "event frame carries {} records, expected exactly 1",
                     events.len()
-                ))));
+                )));
             }
             Frame::Event(Box::new(events.pop().expect("length checked")))
         }
-        T_EVENT_BATCH => Frame::EventBatch(get_events(&mut r)?),
-        T_EVENT_BATCH_D => Frame::EventBatch(get_events_delta(&mut r)?),
+        T_EVENT_BATCH => Frame::EventBatch(get_events(&mut r, ClockForm::Full)?),
+        T_EVENT_BATCH_D => {
+            Frame::EventBatch(get_events(&mut r, ClockForm::Delta(DeltaDecoder::new()))?)
+        }
         T_FLUSH => Frame::Flush,
         T_CHECKPOINT => Frame::CheckpointReq,
         T_STATS => {
@@ -1056,11 +777,7 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
                     connections: r.u32("stats connections")?,
                     frames: r.u64("stats frames")?,
                 }),
-                b => {
-                    return Err(WireError::Format(PoetError::Corrupt(format!(
-                        "bad stats flag {b} at byte {flag_at}"
-                    ))));
-                }
+                b => return Err(corrupt(format!("bad stats flag {b} at byte {flag_at}"))),
             }
         }
         T_SHUTDOWN => Frame::Shutdown,
@@ -1070,11 +787,8 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
         T_FAULT => {
             let code_at = r.offset();
             let code_b = r.u8("fault code")?;
-            let code = FaultCode::from_u8(code_b).ok_or_else(|| {
-                WireError::Format(PoetError::Corrupt(format!(
-                    "bad fault code {code_b} at byte {code_at}"
-                )))
-            })?;
+            let code = FaultCode::from_u8(code_b)
+                .ok_or_else(|| corrupt(format!("bad fault code {code_b} at byte {code_at}")))?;
             let detail = r.str("fault detail")?.to_owned();
             Frame::Fault { code, detail }
         }
@@ -1091,43 +805,22 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
         },
         T_REGISTER => {
             let tenant = get_tenant(&mut r)?;
-            let strings = get_strtab(&mut r)?;
-            let n_at = r.offset();
-            let count = r.u32("pattern count")? as usize;
-            if count > r.remaining() / 8 + 1 {
-                return Err(WireError::Format(PoetError::Corrupt(format!(
-                    "register claims {count} patterns at byte {n_at}, only {} byte(s) left",
-                    r.remaining()
-                ))));
-            }
+            let strings = StrTable::get(&mut r)?;
+            let count = r.count("patterns", 8)?;
             let mut patterns = Vec::with_capacity(count);
             for i in 0..count {
-                let name_at = r.offset();
-                let name = lookup_pattern_ref(&strings, r.u32("pattern name id")?, i, name_at)?;
-                check_pattern_name(&name, i, name_at)?;
-                let src_at = r.offset();
-                let src = lookup_pattern_ref(&strings, r.u32("pattern source id")?, i, src_at)?;
-                patterns.push((name, src));
+                let name = get_pattern_name(&mut r, &strings, i)?;
+                patterns.push((name, get_pattern_ref(&mut r, &strings, i)?));
             }
             Frame::Register { tenant, patterns }
         }
         T_UNREGISTER => {
             let tenant = get_tenant(&mut r)?;
-            let strings = get_strtab(&mut r)?;
-            let n_at = r.offset();
-            let count = r.u32("pattern count")? as usize;
-            if count > r.remaining() / 4 + 1 {
-                return Err(WireError::Format(PoetError::Corrupt(format!(
-                    "unregister claims {count} patterns at byte {n_at}, only {} byte(s) left",
-                    r.remaining()
-                ))));
-            }
+            let strings = StrTable::get(&mut r)?;
+            let count = r.count("patterns", 4)?;
             let mut patterns = Vec::with_capacity(count);
             for i in 0..count {
-                let name_at = r.offset();
-                let name = lookup_pattern_ref(&strings, r.u32("pattern name id")?, i, name_at)?;
-                check_pattern_name(&name, i, name_at)?;
-                patterns.push(name);
+                patterns.push(get_pattern_name(&mut r, &strings, i)?);
             }
             Frame::Unregister { tenant, patterns }
         }
@@ -1138,11 +831,7 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
             tenant: get_tenant(&mut r)?,
             patterns: r.u32("registered pattern count")?,
         },
-        b => {
-            return Err(WireError::Format(PoetError::Corrupt(format!(
-                "unknown frame type {b} at byte {ty_at}"
-            ))));
-        }
+        b => return Err(corrupt(format!("unknown frame type {b} at byte {ty_at}"))),
     };
     r.finish()?;
     Ok(frame)
@@ -1171,7 +860,7 @@ pub fn write_frame_delta(w: &mut impl IoWrite, frame: &Frame) -> Result<usize, W
 
 fn write_body(w: &mut impl IoWrite, body: Vec<u8>) -> Result<usize, WireError> {
     debug_assert!(body.len() <= MAX_FRAME, "encoder produced oversize frame");
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
+    w.write_all(&u32_le(body.len() as u32))?;
     w.write_all(&body)?;
     Ok(4 + body.len())
 }
@@ -1203,11 +892,9 @@ pub fn read_frame_body(r: &mut impl IoRead) -> Result<Vec<u8>, WireError> {
             Err(e) => return Err(WireError::Io(e)),
         }
     }
-    let len = u32::from_le_bytes(len_bytes);
+    let len = Reader::new(&len_bytes).u32("length prefix")?;
     if len == 0 {
-        return Err(WireError::Format(PoetError::Corrupt(
-            "zero-length frame".into(),
-        )));
+        return Err(corrupt("zero-length frame".into()));
     }
     if len as usize > MAX_FRAME {
         return Err(WireError::Oversize(len));
@@ -1316,7 +1003,7 @@ impl FrameDecoder {
         if self.poisoned || self.pending().len() < 4 {
             return None;
         }
-        let len = u32::from_le_bytes(self.pending()[..4].try_into().expect("4 bytes checked"));
+        let len = (Reader::new(self.pending()).u32("length prefix")).expect("4 bytes checked");
         if len == 0 {
             self.pos += 4;
             return Some(Decoded::Quarantined {
@@ -1368,7 +1055,8 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ocep_poet::PoetServer;
+    use ocep_poet::{EventKind, PoetServer};
+    use ocep_vclock::TraceId;
 
     fn t(i: u32) -> TraceId {
         TraceId::new(i)

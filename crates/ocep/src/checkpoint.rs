@@ -11,11 +11,12 @@
 //! set in front of the monitors and travels in the set checkpoint
 //! ([`save_set`]).
 //!
-//! The byte format follows the conventions of the POET dump
-//! (`ocep_poet::dump`): little-endian, magic-and-version header, an
-//! interned string table, and decoding through the offset-tracking
-//! [`Reader`] so a truncated or corrupt checkpoint yields a diagnostic
-//! with a byte offset, never a panic.
+//! The byte format is built on the shared codec of the POET dump and
+//! the OCWP wire (`ocep_poet::codec`; `docs/WIRE.md`, "Record grammar"):
+//! little-endian, magic-and-version header, its string table and event
+//! record, and decoding through the offset-tracking [`Reader`] so a
+//! truncated or corrupt checkpoint yields a diagnostic with a byte
+//! offset, never a panic.
 //!
 //! ```text
 //! magic        [u8;4] = b"OCKP", version u16 = 2
@@ -25,10 +26,9 @@
 //!              guard u8 = 0 (older files: 1, capacity u64, overflow u8)
 //! stats        26 × u64 (MonitorStats, fixed order; the fourteenth
 //!              and the last twelve are reserved = 0)
-//! strings      u32 count, then u32-len-prefixed utf-8 entries
-//! events       u32 count; per event: trace u32, index u32, kind u8,
-//!              ty u32, text u32, partner u8 [trace u32, index u32],
-//!              clock_len u32, entries u32×len
+//! strings      string table
+//! events       u32 count; per event one record: table-id strings,
+//!              full clock
 //! history      relevant u64×n; per leaf: last_relevant u64×n;
 //!              per leaf×trace: u32 count + event refs; stored u64,
 //!              suppressed u64
@@ -78,9 +78,12 @@ use crate::multi::MonitorSet;
 use crate::obs::{ArrivalRecord, Histogram, Metrics, ObsLevel, HIST_BUCKETS, RECENT_CAP};
 use crate::stats::MonitorStats;
 use ocep_pattern::Pattern;
-use ocep_poet::dump::Reader;
-use ocep_poet::{Event, EventKind, PoetError};
-use ocep_vclock::{EventId, EventIndex, StampedEvent, TraceId, VectorClock};
+use ocep_poet::codec::{
+    get_event_record, nth, put_event_record, put_str, put_u16, put_u32, put_u32s, put_u64,
+    ClockForm, EventRecord, Reader, StrForm, StrTable,
+};
+use ocep_poet::{Event, PoetError};
+use ocep_vclock::{EventId, EventIndex};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -122,58 +125,24 @@ impl From<PoetError> for CheckpointError {
     }
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
 /// Interns every distinct event (by id) and string reachable from the
 /// monitor, so shared events serialize once.
+#[derive(Default)]
 struct EventTable<'m> {
     events: Vec<&'m Event>,
     ids: HashMap<EventId, u32>,
-    strings: Vec<&'m str>,
-    string_ids: HashMap<&'m str, u32>,
+    strings: StrTable<'m>,
 }
 
 impl<'m> EventTable<'m> {
-    fn new() -> Self {
-        EventTable {
-            events: Vec::new(),
-            ids: HashMap::new(),
-            strings: Vec::new(),
-            string_ids: HashMap::new(),
+    fn intern(&mut self, e: &'m Event) {
+        if self.ids.contains_key(&e.id()) {
+            return;
         }
-    }
-
-    fn intern_str(&mut self, s: &'m str) -> u32 {
-        if let Some(&id) = self.string_ids.get(s) {
-            return id;
-        }
-        let id = self.strings.len() as u32;
-        self.string_ids.insert(s, id);
-        self.strings.push(s);
-        id
-    }
-
-    fn intern(&mut self, e: &'m Event) -> u32 {
-        if let Some(&id) = self.ids.get(&e.id()) {
-            return id;
-        }
-        let id = self.events.len() as u32;
-        self.ids.insert(e.id(), id);
+        self.ids.insert(e.id(), self.events.len() as u32);
         self.events.push(e);
-        self.intern_str(e.ty());
-        self.intern_str(e.text());
-        id
+        self.strings.intern(e.ty());
+        self.strings.intern(e.text());
     }
 }
 
@@ -381,20 +350,6 @@ fn read_ingest_stats(r: &mut Reader<'_>) -> Result<IngestStats, PoetError> {
     Ok(g)
 }
 
-/// Refuses a count that the bytes left cannot back (`bytes_each` or
-/// more per item are still to come) before anything is allocated for
-/// it: a flipped length is a diagnosis, not an allocation.
-fn check_fits(r: &Reader<'_>, n: usize, bytes_each: usize, what: &str) -> Result<(), PoetError> {
-    if n > r.remaining() / bytes_each {
-        return Err(PoetError::Corrupt(format!(
-            "{n} {what} before byte {} need more than the {} bytes that follow",
-            r.offset(),
-            r.remaining()
-        )));
-    }
-    Ok(())
-}
-
 fn read_guard_config(r: &mut Reader<'_>) -> Result<GuardConfig, CheckpointError> {
     let capacity = r.u64("guard capacity")? as usize;
     let overflow = match r.u8("guard overflow policy")? {
@@ -411,27 +366,59 @@ fn read_guard_config(r: &mut Reader<'_>) -> Result<GuardConfig, CheckpointError>
 }
 
 /// Reads a guard's reorder state — per-trace admitted counters, the
-/// buffered events (each decoded by `buffered_event`), the counters —
-/// into a fresh guard.
+/// buffered events (each at least `min_event_bytes`, decoded by
+/// `buffered_event`), the counters — into a fresh guard.
 fn read_guard(
     r: &mut Reader<'_>,
     n_traces: usize,
     config: GuardConfig,
+    min_event_bytes: usize,
     mut buffered_event: impl FnMut(&mut Reader<'_>) -> Result<Event, CheckpointError>,
 ) -> Result<AdmissionGuard, CheckpointError> {
-    check_fits(r, n_traces, 4, "guard admitted counters")?;
+    // Read before the guard is built: a trace count the file cannot back
+    // is a truncation here, not per-trace tables.
+    let admitted = r.u32s(n_traces, "guard admitted counters")?;
     let mut guard = AdmissionGuard::new(n_traces, config);
-    for t in 0..n_traces {
-        guard.admitted[t] = r.u32("guard admitted counter")?;
-    }
-    let buffered = r.u32("guard buffer length")? as usize;
-    for _ in 0..buffered {
+    guard.admitted = admitted;
+    for _ in 0..r.count("buffered events", min_event_bytes)? {
         let e = buffered_event(r)?;
         guard.buffered_ids.insert(e.id());
         guard.buffer.push(e);
     }
     guard.stats = read_ingest_stats(r)?;
     Ok(guard)
+}
+
+/// The record's event, once it passes what a checkpoint requires of it:
+/// partner in range, a clock entry per trace, the Fidge convention.
+fn checked_event(
+    rec: EventRecord,
+    n_traces: usize,
+    what: std::fmt::Arguments<'_>,
+) -> Result<Event, CheckpointError> {
+    if let Some(p) = rec.partner {
+        if p.trace().as_usize() >= n_traces || p.index() == EventIndex::ZERO {
+            return Err(CheckpointError::Invalid(format!(
+                "{what} partner {p} out of range"
+            )));
+        }
+    }
+    if rec.clock.len() != n_traces {
+        return Err(CheckpointError::Invalid(format!(
+            "{what} clock has {} entries over {n_traces} traces",
+            rec.clock.len()
+        )));
+    }
+    if rec.trace.as_usize() >= n_traces
+        || rec.index == EventIndex::ZERO
+        || rec.clock.entry(rec.trace) != rec.index
+    {
+        return Err(CheckpointError::Invalid(format!(
+            "{what} ({}) violates the Fidge convention",
+            EventId::new(rec.trace, rec.index)
+        )));
+    }
+    Ok(rec.into_event())
 }
 
 /// Serializes `monitor` (monitoring the pattern whose source text is
@@ -452,7 +439,7 @@ pub fn save_at(monitor: &Monitor, pattern_src: &str, wal_lsn: u64) -> Vec<u8> {
 
     // Intern everything reachable, deterministic order: histories first
     // (leaf-major, trace-major, index order), then subset.
-    let mut table = EventTable::new();
+    let mut table = EventTable::default();
     for leaf in &monitor.history.per_leaf {
         for trace in leaf {
             for e in trace {
@@ -470,7 +457,7 @@ pub fn save_at(monitor: &Monitor, pattern_src: &str, wal_lsn: u64) -> Vec<u8> {
 
     let mut buf = Vec::new();
     buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
+    put_u16(&mut buf, VERSION);
     put_str(&mut buf, pattern_src);
     put_u32(&mut buf, n_traces as u32);
 
@@ -486,35 +473,11 @@ pub fn save_at(monitor: &Monitor, pattern_src: &str, wal_lsn: u64) -> Vec<u8> {
 
     put_stats(&mut buf, monitor.stats());
 
-    put_u32(&mut buf, table.strings.len() as u32);
-    for s in &table.strings {
-        put_str(&mut buf, s);
-    }
+    table.strings.put(&mut buf);
 
     put_u32(&mut buf, table.events.len() as u32);
     for e in &table.events {
-        put_u32(&mut buf, e.trace().as_u32());
-        put_u32(&mut buf, e.index().get());
-        buf.push(match e.kind() {
-            EventKind::Send => 0,
-            EventKind::Receive => 1,
-            EventKind::Unary => 2,
-        });
-        put_u32(&mut buf, table.string_ids[e.ty()]);
-        put_u32(&mut buf, table.string_ids[e.text()]);
-        match e.partner() {
-            Some(p) => {
-                buf.push(1);
-                put_u32(&mut buf, p.trace().as_u32());
-                put_u32(&mut buf, p.index().get());
-            }
-            None => buf.push(0),
-        }
-        let entries = e.clock().entries();
-        put_u32(&mut buf, entries.len() as u32);
-        for &v in entries {
-            put_u32(&mut buf, v);
-        }
+        put_event_record(&mut buf, e, table.strings.ids_of(e), &mut ClockForm::Full);
     }
 
     for &v in &monitor.history.relevant {
@@ -626,8 +589,8 @@ pub fn load_at(data: &[u8]) -> Result<LoadedMonitor, CheckpointError> {
         ))));
     }
     let pattern_src = r.str("pattern source")?.to_string();
-    let n_traces = r.u32("n_traces")? as usize;
-    check_fits(&r, n_traces, 8, "traces")?;
+    // The history section alone holds a `u64` per trace.
+    let n_traces = r.count("traces", 8)?;
 
     let dedup = r.u8("config.dedup")? != 0;
     let policy = match r.u8("config.policy")? {
@@ -657,67 +620,14 @@ pub fn load_at(data: &[u8]) -> Result<LoadedMonitor, CheckpointError> {
 
     let stats = read_stats(&mut r)?;
 
-    let n_strings = r.u32("string count")? as usize;
-    let mut strings: Vec<Arc<str>> = Vec::with_capacity(n_strings.min(4096));
-    for _ in 0..n_strings {
-        strings.push(Arc::from(r.str("string table entry")?));
-    }
-
-    let n_events = r.u32("event count")? as usize;
-    let mut events: Vec<Event> = Vec::with_capacity(n_events.min(65536));
+    let strings = StrTable::get(&mut r)?;
+    let mut clock = ClockForm::Full;
+    let n_events = r.count("events", clock.min_record_bytes())?;
+    let mut events: Vec<Event> = Vec::with_capacity(n_events);
     for i in 0..n_events {
-        let at = r.offset();
-        let trace = r.u32("event trace")?;
-        let index = r.u32("event index")?;
-        let kind = match r.u8("event kind")? {
-            0 => EventKind::Send,
-            1 => EventKind::Receive,
-            2 => EventKind::Unary,
-            k => {
-                return Err(CheckpointError::Format(PoetError::Corrupt(format!(
-                    "bad kind {k} for event {i} at byte {at}"
-                ))))
-            }
-        };
-        let lookup = |id: u32, what: &str| -> Result<Arc<str>, CheckpointError> {
-            strings.get(id as usize).cloned().ok_or_else(|| {
-                CheckpointError::Format(PoetError::Corrupt(format!(
-                    "unknown string {id} for event {what} at byte {at}"
-                )))
-            })
-        };
-        let ty = lookup(r.u32("event ty")?, "ty")?;
-        let text = lookup(r.u32("event text")?, "text")?;
-        let partner = if r.u8("partner flag")? != 0 {
-            let pt = r.u32("partner trace")?;
-            let pi = r.u32("partner index")?;
-            if pt as usize >= n_traces || pi == 0 {
-                return Err(CheckpointError::Invalid(format!(
-                    "event {i} partner T{pt}:{pi} out of range"
-                )));
-            }
-            Some(EventId::new(TraceId::new(pt), EventIndex::new(pi)))
-        } else {
-            None
-        };
-        let clock_len = r.u32("clock length")? as usize;
-        if clock_len != n_traces {
-            return Err(CheckpointError::Invalid(format!(
-                "event {i} clock has {clock_len} entries over {n_traces} traces"
-            )));
-        }
-        let mut entries = Vec::with_capacity(clock_len);
-        for _ in 0..clock_len {
-            entries.push(r.u32("clock entry")?);
-        }
-        if (trace as usize) >= n_traces || index == 0 || entries[trace as usize] != index {
-            return Err(CheckpointError::Invalid(format!(
-                "event {i} (T{trace}:{index}) violates the Fidge convention"
-            )));
-        }
-        let id = EventId::new(TraceId::new(trace), EventIndex::new(index));
-        let stamp = StampedEvent::new(id, VectorClock::from_entries(entries));
-        events.push(Event::new(stamp, kind, ty, text, partner));
+        let rec = get_event_record(&mut r, StrForm::Table(&strings), &mut clock)
+            .map_err(nth("event", i))?;
+        events.push(checked_event(rec, n_traces, format_args!("event {i}"))?);
     }
 
     let pattern = Pattern::parse(&pattern_src)
@@ -797,7 +707,7 @@ pub fn load_at(data: &[u8]) -> Result<LoadedMonitor, CheckpointError> {
     }
 
     let guard = match guard_cfg {
-        Some(cfg) => Some(read_guard(&mut r, n_traces, cfg, |r| {
+        Some(cfg) => Some(read_guard(&mut r, n_traces, cfg, 4, |r| {
             lookup_event(r.u32("guard buffer event ref")?)
         })?),
         None => None,
@@ -866,79 +776,6 @@ impl Monitor {
 const SET_MAGIC: &[u8; 4] = b"OCKS";
 const SET_VERSION: u16 = 2;
 
-fn put_event(buf: &mut Vec<u8>, e: &Event) {
-    put_u32(buf, e.trace().as_u32());
-    put_u32(buf, e.index().get());
-    buf.push(match e.kind() {
-        EventKind::Send => 0,
-        EventKind::Receive => 1,
-        EventKind::Unary => 2,
-    });
-    put_str(buf, e.ty());
-    put_str(buf, e.text());
-    match e.partner() {
-        Some(p) => {
-            buf.push(1);
-            put_u32(buf, p.trace().as_u32());
-            put_u32(buf, p.index().get());
-        }
-        None => buf.push(0),
-    }
-    let entries = e.clock().entries();
-    put_u32(buf, entries.len() as u32);
-    for &v in entries {
-        put_u32(buf, v);
-    }
-}
-
-fn read_event(r: &mut Reader<'_>, n_traces: usize) -> Result<Event, CheckpointError> {
-    let at = r.offset();
-    let trace = r.u32("event trace")?;
-    let index = r.u32("event index")?;
-    let kind = match r.u8("event kind")? {
-        0 => EventKind::Send,
-        1 => EventKind::Receive,
-        2 => EventKind::Unary,
-        k => {
-            return Err(CheckpointError::Format(PoetError::Corrupt(format!(
-                "bad kind {k} for buffered event at byte {at}"
-            ))))
-        }
-    };
-    let ty: Arc<str> = Arc::from(r.str("event ty")?);
-    let text: Arc<str> = Arc::from(r.str("event text")?);
-    let partner = if r.u8("partner flag")? != 0 {
-        let pt = r.u32("partner trace")?;
-        let pi = r.u32("partner index")?;
-        if pt as usize >= n_traces || pi == 0 {
-            return Err(CheckpointError::Invalid(format!(
-                "buffered event partner T{pt}:{pi} out of range"
-            )));
-        }
-        Some(EventId::new(TraceId::new(pt), EventIndex::new(pi)))
-    } else {
-        None
-    };
-    let clock_len = r.u32("clock length")? as usize;
-    if clock_len != n_traces {
-        return Err(CheckpointError::Invalid(format!(
-            "buffered event clock has {clock_len} entries over {n_traces} traces"
-        )));
-    }
-    let mut entries = Vec::with_capacity(clock_len);
-    for _ in 0..clock_len {
-        entries.push(r.u32("clock entry")?);
-    }
-    if (trace as usize) >= n_traces || index == 0 || entries[trace as usize] != index {
-        return Err(CheckpointError::Invalid(format!(
-            "buffered event (T{trace}:{index}) violates the Fidge convention"
-        )));
-    }
-    let id = EventId::new(TraceId::new(trace), EventIndex::new(index));
-    let stamp = StampedEvent::new(id, VectorClock::from_entries(entries));
-    Ok(Event::new(stamp, kind, ty, text, partner))
-}
-
 /// Serializes a whole [`MonitorSet`] — every registered monitor plus the
 /// set-level admission guard's reorder state and counters — to one
 /// `OCKS` blob. This is the serve daemon's unit of crash recovery: a set
@@ -957,10 +794,8 @@ fn read_event(r: &mut Reader<'_>, n_traces: usize) -> Result<Event, CheckpointEr
 /// monitors  u32 count; per monitor: name str, u32-len-prefixed
 ///           OCKP blob (see [`save`])
 /// guard     u8 flag; iff 1: capacity u64, overflow u8,
-///           admitted u32×n_traces, u32 buffered + inline events
-///           (trace u32, index u32, kind u8, ty str, text str,
-///           partner u8 [trace u32, index u32], clock u32 len +
-///           u32×len), 12 × u64 ingest stats
+///           admitted u32×n_traces, u32 buffered + one record each
+///           (inline strings, full clock), 12 × u64 ingest stats
 /// wal_lsn   u64 (version ≥ 2) — durable-log anchor; 0 when log-less
 /// ```
 #[must_use]
@@ -993,7 +828,7 @@ pub fn save_parts_at(
 ) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.extend_from_slice(SET_MAGIC);
-    buf.extend_from_slice(&SET_VERSION.to_le_bytes());
+    put_u16(&mut buf, SET_VERSION);
     put_u32(&mut buf, n_traces as u32);
 
     put_u32(&mut buf, monitors.len() as u32);
@@ -1013,12 +848,10 @@ pub fn save_parts_at(
                 OverflowPolicy::DropOldest => 1,
                 OverflowPolicy::FlushDegraded => 2,
             });
-            for &v in &g.admitted {
-                put_u32(&mut buf, v);
-            }
+            put_u32s(&mut buf, &g.admitted);
             put_u32(&mut buf, g.buffer.len() as u32);
             for e in &g.buffer {
-                put_event(&mut buf, e);
+                put_event_record(&mut buf, e, StrForm::Inline, &mut ClockForm::Full);
             }
             put_ingest_stats(&mut buf, g.stats());
         }
@@ -1063,10 +896,11 @@ pub fn load_set_at(data: &[u8]) -> Result<LoadedSet, CheckpointError> {
         ))));
     }
     let n_traces = r.u32("set n_traces")? as usize;
-    let n_monitors = r.u32("monitor count")? as usize;
+    // A name and a blob length prefix, at the least.
+    let n_monitors = r.count("monitors", 8)?;
 
     let mut set = MonitorSet::new(n_traces);
-    let mut sources = Vec::with_capacity(n_monitors.min(256));
+    let mut sources = Vec::with_capacity(n_monitors);
     for i in 0..n_monitors {
         let name = r.str("monitor name")?.to_string();
         let blob_len = r.u32("monitor blob length")? as usize;
@@ -1089,7 +923,11 @@ pub fn load_set_at(data: &[u8]) -> Result<LoadedSet, CheckpointError> {
 
     if r.u8("set guard flag")? != 0 {
         let config = read_guard_config(&mut r)?;
-        let guard = read_guard(&mut r, n_traces, config, |r| read_event(r, n_traces))?;
+        let mut clock = ClockForm::Full;
+        let guard = read_guard(&mut r, n_traces, config, clock.min_record_bytes(), |r| {
+            let rec = get_event_record(r, StrForm::Inline, &mut clock)?;
+            checked_event(rec, n_traces, format_args!("buffered event"))
+        })?;
         set.install_guard(guard);
     }
 
@@ -1128,7 +966,8 @@ impl MonitorSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ocep_poet::PoetServer;
+    use ocep_poet::{EventKind, PoetServer};
+    use ocep_vclock::TraceId;
 
     const PATTERN: &str = "A := [*, a, *]; B := [s, b, *]; C := [r, b, *]; \
                            pattern := (A -> B) && (B <> C);";

@@ -11,29 +11,30 @@
 //!
 //! Decoding is hardened: a truncated, garbage, or version-mismatched file
 //! always returns an [`Err`] carrying the byte offset where decoding
-//! stopped — never a panic. The offset-tracking [`Reader`] is public so
-//! other std-only binary formats in the workspace (the OCEP checkpoint
-//! format in `ocep_core`) decode with the same diagnostics.
+//! stopped — never a panic.
 //!
 //! # Format
 //!
-//! Little-endian, preceded by the magic `POET` and a `u16` version:
+//! Little-endian, preceded by the magic `POET` and a `u16` version. The
+//! string table and the record are the shared ones of [`crate::codec`]
+//! (`docs/WIRE.md`, "Record grammar"): table-id strings, no stamp.
 //!
 //! ```text
 //! magic      [u8;4] = b"POET"
 //! version    u16    = 1
 //! n_traces   u32
-//! n_strings  u32    (string table: type & text attributes, deduplicated)
-//!   len u32, bytes [u8;len]          — per string
+//! strings    string table (type & text attributes, deduplicated)
 //! n_events   u64
-//!   trace u32, kind u8, ty u32, text u32, has_partner u8,
-//!   [partner_trace u32, partner_index u32]   — per event, arrival order
+//! records    one per event, arrival order: ClockForm::None
 //! ```
 
-use crate::{Event, PoetError, PoetServer, TraceStore};
-use ocep_vclock::{EventId, EventIndex, TraceId};
-use std::collections::HashMap;
+use crate::codec::{
+    get_event_record, nth, put_event_record, put_u16, put_u32, put_u64, ClockForm, Reader, StrForm,
+    StrTable,
+};
+use crate::{Event, EventKind, PoetError, PoetServer, TraceStore};
 use std::path::Path;
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"POET";
 const VERSION: u16 = 1;
@@ -42,144 +43,6 @@ const VERSION: u16 = 1;
 /// event after it (256 KiB each at the limit), so a larger count is
 /// refused as damage rather than allocated for.
 pub const MAX_TRACES: usize = 1 << 16;
-
-/// An offset-tracking little-endian reader over a byte slice.
-///
-/// Every decoding failure reports the byte offset at which the stream
-/// ended or went bad, so a corrupt file yields an actionable diagnostic
-/// (`truncated: need 4 byte(s) for n_traces at byte 6`) instead of a
-/// panic or a context-free error.
-#[derive(Debug)]
-pub struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// Starts reading `data` from offset 0.
-    #[must_use]
-    pub fn new(data: &'a [u8]) -> Self {
-        Reader { data, pos: 0 }
-    }
-
-    /// The current byte offset (how much has been consumed).
-    #[must_use]
-    pub fn offset(&self) -> usize {
-        self.pos
-    }
-
-    /// Bytes not yet consumed.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    /// Consumes `n` raw bytes for field `what`.
-    ///
-    /// # Errors
-    ///
-    /// [`PoetError::Corrupt`] with the offset when fewer than `n` bytes
-    /// remain.
-    pub fn bytes(&mut self, n: usize, what: &str) -> Result<&'a [u8], PoetError> {
-        if self.remaining() < n {
-            return Err(PoetError::Corrupt(format!(
-                "truncated: need {n} byte(s) for {what} at byte {}, {} left",
-                self.pos,
-                self.remaining()
-            )));
-        }
-        let out = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    /// Consumes one byte.
-    ///
-    /// # Errors
-    ///
-    /// [`PoetError::Corrupt`] with the offset on truncation.
-    pub fn u8(&mut self, what: &str) -> Result<u8, PoetError> {
-        Ok(self.bytes(1, what)?[0])
-    }
-
-    /// Consumes a little-endian `u16`.
-    ///
-    /// # Errors
-    ///
-    /// [`PoetError::Corrupt`] with the offset on truncation.
-    pub fn u16(&mut self, what: &str) -> Result<u16, PoetError> {
-        let b = self.bytes(2, what)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    /// Consumes a little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// [`PoetError::Corrupt`] with the offset on truncation.
-    pub fn u32(&mut self, what: &str) -> Result<u32, PoetError> {
-        let b = self.bytes(4, what)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("length checked")))
-    }
-
-    /// Consumes a little-endian `u64`.
-    ///
-    /// # Errors
-    ///
-    /// [`PoetError::Corrupt`] with the offset on truncation.
-    pub fn u64(&mut self, what: &str) -> Result<u64, PoetError> {
-        let b = self.bytes(8, what)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("length checked")))
-    }
-
-    /// Consumes a `u32`-length-prefixed UTF-8 string.
-    ///
-    /// # Errors
-    ///
-    /// [`PoetError::Corrupt`] with the offset on truncation or invalid
-    /// UTF-8.
-    pub fn str(&mut self, what: &str) -> Result<&'a str, PoetError> {
-        let len = self.u32(what)? as usize;
-        let at = self.pos;
-        let raw = self.bytes(len, what)?;
-        std::str::from_utf8(raw)
-            .map_err(|e| PoetError::Corrupt(format!("{what} at byte {at} is not utf-8: {e}")))
-    }
-
-    /// Consumes and checks a 4-byte magic number.
-    ///
-    /// # Errors
-    ///
-    /// [`PoetError::BadHeader`] when the magic is absent or different.
-    pub fn magic(&mut self, expected: &[u8; 4]) -> Result<(), PoetError> {
-        let got = self
-            .bytes(4, "magic")
-            .map_err(|_| PoetError::BadHeader("file shorter than header".into()))?;
-        if got != expected {
-            return Err(PoetError::BadHeader(format!(
-                "magic {got:?} is not {expected:?}"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Asserts the stream was fully consumed.
-    ///
-    /// # Errors
-    ///
-    /// [`PoetError::Corrupt`] naming the offset where trailing garbage
-    /// starts.
-    pub fn finish(&self) -> Result<(), PoetError> {
-        if self.remaining() != 0 {
-            return Err(PoetError::Corrupt(format!(
-                "{} byte(s) of trailing garbage at byte {}",
-                self.remaining(),
-                self.pos
-            )));
-        }
-        Ok(())
-    }
-}
 
 /// Serializes a store's recorded actions to the dump format.
 ///
@@ -199,45 +62,15 @@ impl<'a> Reader<'a> {
 /// ```
 #[must_use]
 pub fn dump(store: &TraceStore) -> Vec<u8> {
-    let mut strings: Vec<&str> = Vec::new();
-    let mut string_ids: HashMap<&str, u32> = HashMap::new();
-    let events: Vec<&Event> = store.iter_arrival().collect();
-    for e in &events {
-        for s in [e.ty(), e.text()] {
-            if !string_ids.contains_key(s) {
-                string_ids.insert(s, strings.len() as u32);
-                strings.push(s);
-            }
-        }
-    }
-
+    let table = StrTable::of_events(store.iter_arrival());
     let mut buf: Vec<u8> = Vec::new();
     buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.extend_from_slice(&(store.n_traces() as u32).to_le_bytes());
-    buf.extend_from_slice(&(strings.len() as u32).to_le_bytes());
-    for s in &strings {
-        buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-        buf.extend_from_slice(s.as_bytes());
-    }
-    buf.extend_from_slice(&(events.len() as u64).to_le_bytes());
-    for e in events {
-        buf.extend_from_slice(&e.trace().as_u32().to_le_bytes());
-        buf.push(match e.kind() {
-            crate::EventKind::Send => 0,
-            crate::EventKind::Receive => 1,
-            crate::EventKind::Unary => 2,
-        });
-        buf.extend_from_slice(&string_ids[e.ty()].to_le_bytes());
-        buf.extend_from_slice(&string_ids[e.text()].to_le_bytes());
-        match e.partner() {
-            Some(p) => {
-                buf.push(1);
-                buf.extend_from_slice(&p.trace().as_u32().to_le_bytes());
-                buf.extend_from_slice(&p.index().get().to_le_bytes());
-            }
-            None => buf.push(0),
-        }
+    put_u16(&mut buf, VERSION);
+    put_u32(&mut buf, store.n_traces() as u32);
+    table.put(&mut buf);
+    put_u64(&mut buf, store.len() as u64);
+    for e in store.iter_arrival() {
+        put_event_record(&mut buf, e, table.ids_of(e), &mut ClockForm::None);
     }
     buf
 }
@@ -272,7 +105,7 @@ pub fn dump(store: &TraceStore) -> Vec<u8> {
 pub struct DumpStream<'a> {
     r: Reader<'a>,
     server: PoetServer,
-    strings: Vec<std::sync::Arc<str>>,
+    strings: Vec<Arc<str>>,
     /// Events not yet decoded.
     remaining: u64,
     /// Events decoded so far (for diagnostics).
@@ -307,12 +140,7 @@ impl<'a> DumpStream<'a> {
                 r.offset()
             )));
         }
-        let n_strings = r.u32("n_strings")? as usize;
-        let mut strings: Vec<std::sync::Arc<str>> = Vec::new();
-        for i in 0..n_strings {
-            let s = r.str(&format!("string {i}"))?;
-            strings.push(std::sync::Arc::from(s));
-        }
+        let strings = StrTable::get(&mut r)?;
         let total = r.u64("event count")?;
         Ok(DumpStream {
             r,
@@ -368,58 +196,33 @@ impl<'a> DumpStream<'a> {
             return Ok(None);
         }
         let i = self.decoded;
-        let r = &mut self.r;
-        let trace = TraceId::new(r.u32("event trace")?);
-        if trace.as_usize() >= self.server.n_traces() {
+        let strings = StrForm::Table(self.strings.as_slice());
+        let at = self.r.offset();
+        let rec = get_event_record(&mut self.r, strings, &mut ClockForm::None)
+            .map_err(nth("event", i as usize))?;
+        if rec.trace.as_usize() >= self.server.n_traces() {
             return Err(PoetError::Inconsistent(format!(
-                "event {i} names out-of-range trace {trace} (byte {})",
-                r.offset()
+                "event {i} names out-of-range trace {} (byte {at})",
+                rec.trace
             )));
         }
-        let kind_at = r.offset();
-        let kind = r.u8("event kind")?;
-        let lookup = |strings: &[std::sync::Arc<str>], id: u32, at: usize| {
-            strings.get(id as usize).cloned().ok_or_else(|| {
-                PoetError::Corrupt(format!("event {i} names unknown string {id} at byte {at}"))
-            })
-        };
-        let ty_at = r.offset();
-        let ty = lookup(&self.strings, r.u32("type id")?, ty_at)?;
-        let text_at = r.offset();
-        let text = lookup(&self.strings, r.u32("text id")?, text_at)?;
-        let has_partner = r.u8("partner flag")? == 1;
-        let event = match kind {
-            0 => self.server.record(trace, crate::EventKind::Send, ty, text),
-            1 => {
-                if !has_partner {
-                    return Err(PoetError::Inconsistent(format!(
-                        "receive event {i} has no partner (byte {})",
-                        r.offset()
-                    )));
-                }
-                let pt = TraceId::new(r.u32("partner trace")?);
-                let pi = EventIndex::new(r.u32("partner index")?);
-                let pid = EventId::new(pt, pi);
-                if self.server.store().get(pid).is_none() {
-                    return Err(PoetError::Inconsistent(format!(
-                        "receive event {i} names unknown partner {pid} (byte {})",
-                        r.offset()
-                    )));
-                }
-                self.server.record_receive(trace, pid, ty, text)
-            }
-            2 => self.server.record(trace, crate::EventKind::Unary, ty, text),
-            k => {
-                return Err(PoetError::Corrupt(format!(
-                    "event {i} has bad kind {k} at byte {kind_at}"
+        // A partner on anything but a receive is read and ignored.
+        let event = match (rec.kind, rec.partner) {
+            (EventKind::Receive, None) => {
+                return Err(PoetError::Inconsistent(format!(
+                    "receive event {i} has no partner (byte {at})"
                 )));
             }
+            (EventKind::Receive, Some(pid)) => {
+                if self.server.store().get(pid).is_none() {
+                    return Err(PoetError::Inconsistent(format!(
+                        "receive event {i} names unknown partner {pid} (byte {at})"
+                    )));
+                }
+                self.server.record_receive(rec.trace, pid, rec.ty, rec.text)
+            }
+            (kind, _) => self.server.record(rec.trace, kind, rec.ty, rec.text),
         };
-        if kind != 1 && has_partner {
-            // Skip the stray partner field so the stream stays aligned.
-            r.u32("partner trace")?;
-            r.u32("partner index")?;
-        }
         self.remaining -= 1;
         self.decoded += 1;
         Ok(Some(event))
@@ -462,7 +265,7 @@ pub fn reload_from_file(path: impl AsRef<Path>) -> Result<PoetServer, PoetError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EventKind;
+    use ocep_vclock::{EventId, EventIndex, TraceId};
 
     fn t(i: u32) -> TraceId {
         TraceId::new(i)
@@ -645,18 +448,6 @@ mod tests {
         // A huge bogus string count must fail on truncation, not OOM or
         // panic.
         assert!(reload(&bytes).is_err());
-    }
-
-    #[test]
-    fn reader_reports_offsets() {
-        let mut r = Reader::new(&[1, 2, 3]);
-        assert_eq!(r.u8("first").unwrap(), 1);
-        assert_eq!(r.offset(), 1);
-        let err = r.u32("wide field").unwrap_err().to_string();
-        assert!(
-            err.contains("wide field") && err.contains("byte 1"),
-            "{err}"
-        );
     }
 
     #[test]

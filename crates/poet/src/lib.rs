@@ -22,6 +22,8 @@
 //!   linearization, used to show monitor results are delivery-order
 //!   independent.
 //! * [`dump`] — the dump/reload file format (§V-B).
+//! * [`codec`] — the one binary encoding of an [`Event`] record that the
+//!   dump, the OCWP wire, the checkpoints and the durable log all share.
 //! * [`client`] — a channel-based subscription client, mirroring how the
 //!   OCEP monitor "connects to POET as a client".
 //! * [`plugin`] — the event vocabularies of the paper's two target
@@ -44,6 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod codec;
 pub mod dump;
 mod event;
 mod linearizer;

@@ -9,62 +9,10 @@
 use ocep_repro::adapters::testgen::{mpi_soak, session_ryw, zookeeper_otlp};
 use ocep_repro::adapters::{by_name, AdapterOutput};
 use ocep_repro::poet::Event;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-/// A reallocation of a block this large is the output vector regrowing
-/// (every table a reader keeps on these inputs is far smaller).
-const LARGE: usize = 256 * 1024;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static BYTES: Cell<u64> = const { Cell::new(0) };
-    static LARGE_REALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count(bytes: usize) {
-    ALLOCS.with(|c| c.set(c.get() + 1));
-    BYTES.with(|c| c.set(c.get() + bytes as u64));
-}
-
-/// `System` plus per-thread counts of allocations and bytes requested.
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the added work touches only
-// const-initialised thread-local cells, which neither allocate nor
-// register destructors.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` via the methods of this impl.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        if layout.size() >= LARGE {
-            LARGE_REALLOCS.with(|c| c.set(c.get() + 1));
-        }
-        // SAFETY: `ptr` came from `System` via the methods of this impl
-        // and the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static COUNTING: Counting = Counting;
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::LARGE;
 
 /// What one `parse_str` call asked of the allocator.
 struct Cost {
@@ -76,16 +24,12 @@ struct Cost {
 
 fn parse(format: &str, text: &str) -> Cost {
     let adapter = by_name(format).expect("known format");
-    let before = (
-        ALLOCS.with(Cell::get),
-        BYTES.with(Cell::get),
-        LARGE_REALLOCS.with(Cell::get),
-    );
-    let out = adapter.parse_str(text).expect("recording parses");
+    let (out, cost) =
+        counting_alloc::counted(|| adapter.parse_str(text).expect("recording parses"));
     Cost {
-        allocs: ALLOCS.with(Cell::get) - before.0,
-        bytes: BYTES.with(Cell::get) - before.1,
-        large_reallocs: LARGE_REALLOCS.with(Cell::get) - before.2,
+        allocs: cost.allocs,
+        bytes: cost.bytes,
+        large_reallocs: cost.large_reallocs,
         out,
     }
 }

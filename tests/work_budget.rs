@@ -1,0 +1,666 @@
+//! Work budgets of the serving pipeline, counted rather than timed
+//! (tier-1; the in-tree twin of `benchmark/`'s ledger, ROADMAP item 1).
+//!
+//! Miniature versions of the five `BENCHMARK.json` workloads are built
+//! from the in-tree generators and run through the layers one call at a
+//! time on this thread — encode, decode, admit + match, log, checkpoint
+//! — with the per-thread counting allocator around each call. What is
+//! pinned repeats exactly under a seed: bytes on the wire (full and
+//! delta clocks) and in the log, checkpoint size, allocations per
+//! encoded frame, per decoded event and per observed event, search
+//! nodes and candidates, history events and bytes. A change that moves
+//! one of these on purpose edits `BUDGETS` and says why; one that moves
+//! it by accident fails here on a number, not on a timing.
+//!
+//! The figures were first taken at commit 81ea5c6, one PR before the
+//! record codec moved into `ocep_poet::codec`, and every one of them is
+//! still what it was there but two: decoding no longer `format!`s a
+//! label per string-table entry and sizes the table from its checked
+//! count, so at that commit `decode_allocs` read `table_strings +
+//! table_regrowths` higher and `log_decode_allocs` read
+//! `log_table_strings` higher (8,638 / 10,123 / 6,393 and 24,640).
+
+use ocep_repro::adapters::testgen;
+use ocep_repro::conformance::{apply_faults, FaultPlan, ReorderMode};
+use ocep_repro::net::shard::decode_deliver;
+use ocep_repro::net::wire::{decode_body, encode_body, encode_body_delta, Frame};
+use ocep_repro::net::ShardGroup;
+use ocep_repro::ocep::{save_set, GuardConfig, MonitorConfig, MonitorSet};
+use ocep_repro::pattern::Pattern;
+use ocep_repro::poet::Event;
+use ocep_repro::simulator::workloads::{random_walk, replicated_service};
+use ocep_repro::wal::{self, Durability, REC_DELIVER};
+use std::collections::{HashMap, HashSet};
+use std::path::{Path, PathBuf};
+
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::counted;
+
+/// Everything counted on one miniature workload. A layer the workload
+/// does not cross reads 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Budget {
+    /// Events offered (duplicates included).
+    events: u64,
+    /// Frames they travel in.
+    frames: u64,
+    /// OCWP bytes, length prefixes included, with full clocks.
+    wire_full_bytes: u64,
+    /// The same frames as `EventBatchD`.
+    wire_delta_bytes: u64,
+    /// String-table entries over all frames.
+    table_strings: u64,
+    /// Reallocations a table vector grown from empty (capacity 4, 8,
+    /// 16, ..) would have made, over all frames.
+    table_regrowths: u64,
+    /// Allocations of `encode_body_delta`, all frames.
+    encode_allocs: u64,
+    /// Allocations of `decode_body`, all frames.
+    decode_allocs: u64,
+    /// Allocations of admission + matching, all events.
+    observe_allocs: u64,
+    searches: u64,
+    nodes: u64,
+    candidates: u64,
+    history_events: u64,
+    history_bytes: u64,
+    /// `save_set` of the final state.
+    checkpoint_bytes: u64,
+    /// Segment bytes of the durable log.
+    log_bytes: u64,
+    /// String-table entries over all deliver records of the log.
+    log_table_strings: u64,
+    /// Allocations of `decode_deliver`, all deliver records.
+    log_decode_allocs: u64,
+}
+
+const BUDGETS: &[(&str, Budget)] = &[
+    (
+        "inproc-deadlock-50",
+        Budget {
+            events: 8096,
+            frames: 0,
+            wire_full_bytes: 0,
+            wire_delta_bytes: 0,
+            table_strings: 0,
+            table_regrowths: 0,
+            encode_allocs: 0,
+            decode_allocs: 0,
+            observe_allocs: 68867,
+            searches: 384,
+            nodes: 1245,
+            candidates: 861,
+            history_events: 384,
+            history_bytes: 104448,
+            checkpoint_bytes: 20559,
+            log_bytes: 0,
+            log_table_strings: 0,
+            log_decode_allocs: 0,
+        },
+    ),
+    (
+        "served-clean-8",
+        Budget {
+            events: 4042,
+            frames: 16,
+            wire_full_bytes: 228305,
+            wire_delta_bytes: 162115,
+            table_strings: 221,
+            table_regrowths: 32,
+            encode_allocs: 278,
+            decode_allocs: 8385,
+            observe_allocs: 12689,
+            searches: 63,
+            nodes: 112,
+            candidates: 49,
+            history_events: 63,
+            history_bytes: 6552,
+            checkpoint_bytes: 2635,
+            log_bytes: 0,
+            log_table_strings: 0,
+            log_decode_allocs: 0,
+        },
+    ),
+    (
+        "served-resend-8",
+        Budget {
+            events: 4732,
+            frames: 19,
+            wire_full_bytes: 267297,
+            wire_delta_bytes: 186941,
+            table_strings: 263,
+            table_regrowths: 38,
+            encode_allocs: 331,
+            decode_allocs: 9822,
+            observe_allocs: 12692,
+            searches: 63,
+            nodes: 112,
+            candidates: 49,
+            history_events: 63,
+            history_bytes: 6552,
+            checkpoint_bytes: 2635,
+            log_bytes: 0,
+            log_table_strings: 0,
+            log_decode_allocs: 0,
+        },
+    ),
+    (
+        "served-tenants-16",
+        Budget {
+            events: 2464,
+            frames: 39,
+            wire_full_bytes: 162851,
+            wire_delta_bytes: 115587,
+            table_strings: 595,
+            table_regrowths: 80,
+            encode_allocs: 741,
+            decode_allocs: 5718,
+            observe_allocs: 357949,
+            searches: 4096,
+            nodes: 10912,
+            candidates: 6816,
+            history_events: 4096,
+            history_bytes: 458752,
+            checkpoint_bytes: 98274,
+            log_bytes: 312878,
+            log_table_strings: 4928,
+            log_decode_allocs: 19712,
+        },
+    ),
+    (
+        "ingest-otlp-offline",
+        Budget {
+            events: 4229,
+            frames: 0,
+            wire_full_bytes: 0,
+            wire_delta_bytes: 0,
+            table_strings: 0,
+            table_regrowths: 0,
+            encode_allocs: 0,
+            decode_allocs: 0,
+            observe_allocs: 25275,
+            searches: 600,
+            nodes: 1829,
+            candidates: 1229,
+            history_events: 2429,
+            history_bytes: 378924,
+            checkpoint_bytes: 296739,
+            log_bytes: 0,
+            log_table_strings: 0,
+            log_decode_allocs: 0,
+        },
+    ),
+];
+
+fn chunked(events: &[Event], n: usize) -> Vec<Vec<Event>> {
+    events.chunks(n).map(<[Event]>::to_vec).collect()
+}
+
+fn deadlock_walk(seed: u64, n: usize, rounds: usize, prob: f64) -> (Vec<Event>, String) {
+    let g = random_walk::generate(&random_walk::Params {
+        n_processes: n,
+        rounds,
+        walk_steps: 2,
+        cycle_len: 8,
+        deadlock_prob: prob,
+        seed,
+    });
+    assert!(!g.truth.is_empty(), "the matcher would be idle");
+    (
+        g.poet.store().iter_arrival().cloned().collect(),
+        g.pattern_src,
+    )
+}
+
+fn mpi_stream(seed: u64) -> Vec<Event> {
+    // `mpi_soak`'s traffic at a size where its 0.002 episodes per round
+    // would leave the matcher idle: 125 rounds, one episode in twenty.
+    let rec = testgen::mpi_deadlock(seed, 8, 125, 3, 0.05, 2);
+    assert!(rec.truth > 0);
+    rec.parse("mpi").events
+}
+
+/// `served-resend-8` in miniature: seeded duplicates and causal-safe
+/// reorders, then every eighth frame sent twice.
+fn resend_frames(clean: &[Event]) -> Vec<Vec<Event>> {
+    let mut faulty = Vec::new();
+    for (i, segment) in clean.chunks(1024).enumerate() {
+        let plan = FaultPlan {
+            seed: 0x5eed + i as u64,
+            duplicate_p: 0.05,
+            reorder_window: 3,
+            reorder: ReorderMode::CausalSafe,
+            drop_p: 0.0,
+            corrupt_clock_p: 0.0,
+        };
+        faulty.extend(apply_faults(segment, 8, &plan).0);
+    }
+    let mut frames = Vec::new();
+    for (i, chunk) in faulty.chunks(256).enumerate() {
+        frames.push(chunk.to_vec());
+        if i % 8 == 7 {
+            frames.push(chunk.to_vec());
+        }
+    }
+    frames
+}
+
+fn guarded_set(n_traces: usize, names: &[String], src: &str) -> MonitorSet {
+    let mut set = MonitorSet::new(n_traces);
+    for name in names {
+        set.add(name.clone(), Pattern::parse(src).unwrap());
+    }
+    set.enable_guard(GuardConfig::default());
+    set
+}
+
+fn distinct_strings(events: &[Event]) -> u64 {
+    let mut seen = HashSet::new();
+    for e in events {
+        seen.insert(e.ty());
+        seen.insert(e.text());
+    }
+    seen.len() as u64
+}
+
+/// Encodes and decodes every frame, filling the wire counters; returns
+/// the decoded frames (what the engine would be handed).
+fn cross_the_wire(frames: &[Vec<Event>], b: &mut Budget) -> Vec<Vec<Event>> {
+    let mut decoded = Vec::with_capacity(frames.len());
+    for events in frames {
+        b.events += events.len() as u64;
+        b.frames += 1;
+        let strings = distinct_strings(events);
+        b.table_strings += strings;
+        b.table_regrowths += (2..)
+            .map(|k| 1u64 << k)
+            .take_while(|&cap| cap < strings)
+            .count() as u64;
+        let frame = Frame::EventBatch(events.clone());
+        b.wire_full_bytes += 4 + encode_body(&frame).len() as u64;
+        let (body, cost) = counted(|| encode_body_delta(&frame));
+        b.encode_allocs += cost.allocs;
+        b.wire_delta_bytes += 4 + body.len() as u64;
+        let (back, cost) = counted(|| decode_body(&body).expect("own encoding decodes"));
+        b.decode_allocs += cost.allocs;
+        let Frame::EventBatch(back) = back else {
+            panic!("an event batch decodes to an event batch");
+        };
+        assert_eq!(&back, events);
+        decoded.push(back);
+    }
+    decoded
+}
+
+fn matcher_counters<'a>(
+    monitors: impl Iterator<Item = &'a ocep_repro::ocep::Monitor>,
+    b: &mut Budget,
+) {
+    for m in monitors {
+        let s = m.stats();
+        b.searches += s.searches;
+        b.nodes += s.nodes;
+        b.candidates += s.candidates;
+        b.history_events += m.history_size() as u64;
+        b.history_bytes += m.history_bytes() as u64;
+    }
+}
+
+/// One `MonitorSet` in process, a frame per call: the served
+/// single-pattern workloads after the wire (behind the guard), and the
+/// two in-process ones (without).
+fn observe_all(mut set: MonitorSet, src: &str, frames: &[Vec<Event>], b: &mut Budget) {
+    let mut verdicts = 0usize;
+    for events in frames {
+        let (out, cost) = counted(|| set.observe_raw_batch(events));
+        b.observe_allocs += cost.allocs;
+        verdicts += out.len();
+    }
+    assert!(verdicts > 0, "the matcher was idle");
+    matcher_counters(set.iter().map(|(_, m)| m), b);
+    let sources: HashMap<String, String> = set
+        .iter()
+        .map(|(name, _)| (name.to_owned(), src.to_owned()))
+        .collect();
+    b.checkpoint_bytes = save_set(&set, &sources).len() as u64;
+}
+
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("work-budget-{tag}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn inproc_deadlock_50() -> Budget {
+    let (events, src) = deadlock_walk(11, 50, 40, 0.3);
+    let mut b = Budget {
+        events: events.len() as u64,
+        ..Budget::default()
+    };
+    // No guard, one arrival per call: `Monitor::observe` and nothing else.
+    let mut set = MonitorSet::new(50);
+    set.add("deadlock", Pattern::parse(&src).unwrap());
+    observe_all(set, &src, &chunked(&events, 1), &mut b);
+    b
+}
+
+fn served_8(frames: &[Vec<Event>]) -> Budget {
+    let mut b = Budget::default();
+    let decoded = cross_the_wire(frames, &mut b);
+    let src = random_walk::cycle_pattern(3);
+    let set = guarded_set(8, &["cycle".to_owned()], &src);
+    observe_all(set, &src, &decoded, &mut b);
+    b
+}
+
+fn served_tenants_16() -> Budget {
+    let (events, src) = deadlock_walk(14, 10, 60, 0.03);
+    let mut b = Budget::default();
+    let decoded = cross_the_wire(&chunked(&events, 64), &mut b);
+
+    let dir = scratch_dir("tenants");
+    let set = guarded_set(10, &[], &src);
+    let mut group = ShardGroup::new(set, 2, &HashMap::new());
+    group.recover(&dir, Durability::Batch).unwrap();
+    for j in 0..16 {
+        group
+            .register(&format!("t{j}/deadlock"), &src, MonitorConfig::default())
+            .unwrap();
+    }
+    let mut verdicts = 0usize;
+    for events in decoded {
+        let (out, cost) = counted(|| group.deliver_batch("bench", events));
+        b.observe_allocs += cost.allocs;
+        verdicts += out.verdicts.len();
+    }
+    assert!(verdicts > 0, "the matcher was idle");
+    group.flush_os();
+    assert_eq!(group.wal_append_errors(), 0);
+    matcher_counters(group.live_monitors().map(|(_, m)| m), &mut b);
+    b.checkpoint_bytes = group.checkpoint_set().len() as u64;
+    drop(group);
+
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        b.log_bytes += entry.unwrap().metadata().unwrap().len();
+    }
+    for rec in wal::scan(&dir).unwrap().records {
+        if rec.rtype != REC_DELIVER {
+            continue;
+        }
+        let ((_, e), cost) = counted(|| decode_deliver(&rec.payload).expect("own record"));
+        b.log_decode_allocs += cost.allocs;
+        b.log_table_strings += distinct_strings(std::slice::from_ref(&e));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    b
+}
+
+fn ingest_otlp_offline() -> Budget {
+    let rec = testgen::zookeeper_otlp(15, 20, 30, 0.05);
+    assert!(rec.truth > 0);
+    let out = rec.parse("otlp");
+    let mut b = Budget {
+        events: out.events.len() as u64,
+        ..Budget::default()
+    };
+    let src = replicated_service::ordering_pattern();
+    let mut set = MonitorSet::new(out.n_traces);
+    set.add("ordering", Pattern::parse(&src).unwrap());
+    observe_all(set, &src, &chunked(&out.events, 1), &mut b);
+    b
+}
+
+fn actual_budgets() -> Vec<(&'static str, Budget)> {
+    let mpi = mpi_stream(12);
+    vec![
+        ("inproc-deadlock-50", inproc_deadlock_50()),
+        ("served-clean-8", served_8(&chunked(&mpi, 256))),
+        ("served-resend-8", served_8(&resend_frames(&mpi))),
+        ("served-tenants-16", served_tenants_16()),
+        ("ingest-otlp-offline", ingest_otlp_offline()),
+    ]
+}
+
+#[test]
+fn every_counter_on_every_miniature_workload_is_at_its_budget() {
+    let actual = actual_budgets();
+    let table: String = actual
+        .iter()
+        .map(|(name, b)| format!("    ({name:?}, {b:#?}),\n"))
+        .collect();
+    assert_eq!(actual.len(), BUDGETS.len(), "actual:\n{table}");
+    for ((name, b), (want_name, want)) in actual.iter().zip(BUDGETS) {
+        assert_eq!(name, want_name);
+        assert_eq!(b, want, "{name} left its budget; actual:\n{table}");
+        let e = b.events.max(1) as f64;
+        eprintln!(
+            "{name}: {:.1} / {:.1} wire B/event (full / delta), {:.1} log B/event, \
+             checkpoint {} B, {:.2} encode allocs/frame, {:.3} decode allocs/event, \
+             {:.2} observe allocs/event, {:.3} nodes/event, {:.3} candidates/event, \
+             history {} events / {} B",
+            b.wire_full_bytes as f64 / e,
+            b.wire_delta_bytes as f64 / e,
+            b.log_bytes as f64 / e,
+            b.checkpoint_bytes,
+            b.encode_allocs as f64 / b.frames.max(1) as f64,
+            b.decode_allocs as f64 / e,
+            b.observe_allocs as f64 / e,
+            b.nodes as f64 / e,
+            b.candidates as f64 / e,
+            b.history_events,
+            b.history_bytes,
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Hostile counts: one table over every count field the codec guards.
+// ---------------------------------------------------------------------
+
+fn u32_at(bytes: &mut [u8], at: usize, v: u32) {
+    bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+}
+
+/// Offset just past a string table starting at `at`.
+fn skip_table(bytes: &[u8], mut at: usize) -> usize {
+    let n = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    at += 4;
+    for _ in 0..n {
+        at += 4 + u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    }
+    at
+}
+
+/// `(format and field, input, offset of the count, decoder)`: each input
+/// is a valid encoding with one count overwritten by `u32::MAX`.
+#[allow(clippy::type_complexity)]
+fn hostile_inputs() -> Vec<(
+    &'static str,
+    Vec<u8>,
+    usize,
+    fn(&[u8]) -> Result<(), String>,
+)> {
+    use ocep_repro::net::shard::decode_watermark;
+    use ocep_repro::net::VerdictFrame;
+    use ocep_repro::ocep::checkpoint::{load_at, load_set_at, save_set_at};
+    use ocep_repro::poet::dump;
+
+    fn wire(body: &[u8]) -> Result<(), String> {
+        decode_body(body).map(drop).map_err(|e| e.to_string())
+    }
+    fn ockp(bytes: &[u8]) -> Result<(), String> {
+        load_at(bytes).map(drop).map_err(|e| e.to_string())
+    }
+    fn ocks(bytes: &[u8]) -> Result<(), String> {
+        load_set_at(bytes).map(drop).map_err(|e| e.to_string())
+    }
+    fn poet(bytes: &[u8]) -> Result<(), String> {
+        dump::reload(bytes).map(drop).map_err(|e| e.to_string())
+    }
+    fn watermark(bytes: &[u8]) -> Result<(), String> {
+        decode_watermark(bytes).map(drop)
+    }
+    fn checkpoint_record(payload: &[u8]) -> Result<(), String> {
+        // The payload's decoder is recovery: log it, then recover.
+        let dir = scratch_dir("hostile-checkpoint");
+        let (mut log, _) = wal::Wal::open(&dir, wal::WalOptions::default()).unwrap();
+        log.append(wal::REC_CHECKPOINT, payload).unwrap();
+        log.sync().unwrap();
+        drop(log);
+        let mut group = ShardGroup::new(guarded_set(3, &[], ""), 0, &HashMap::new());
+        let out = group.recover(&dir, Durability::Batch);
+        let _ = std::fs::remove_dir_all(&dir);
+        out
+    }
+
+    let events: Vec<Event> = mpi_stream(12).into_iter().take(24).collect();
+    let mut rows: Vec<(
+        &'static str,
+        Vec<u8>,
+        usize,
+        fn(&[u8]) -> Result<(), String>,
+    )> = Vec::new();
+    let mut row = |what, mut bytes: Vec<u8>, at: usize, decode| {
+        u32_at(&mut bytes, at, u32::MAX);
+        rows.push((what, bytes, at, decode));
+    };
+
+    // OCWP: string table, record, clock width, delta, binding and
+    // pattern counts.
+    let batch = encode_body(&Frame::EventBatch(events.clone()));
+    let records_at = skip_table(&batch, 1);
+    row("OCWP string count", batch.clone(), 1, wire);
+    row("OCWP record count", batch.clone(), records_at, wire);
+    let width_at = batch.len() - 4 - 4 * 8;
+    row("OCWP clock width", batch, width_at, wire);
+    let delta = encode_body_delta(&Frame::EventBatch(events.clone()));
+    row("OCWP delta record count", delta.clone(), records_at, wire);
+    // The last record of an in-order batch is a delta: flag 1, count.
+    let last = events.last().unwrap();
+    let changed = events[..events.len() - 1]
+        .iter()
+        .rev()
+        .find(|e| e.trace() == last.trace())
+        .map(|base| {
+            let (a, b) = (base.clock().entries(), last.clock().entries());
+            a.iter().zip(b).filter(|(x, y)| x != y).count()
+        })
+        .expect("the last event's trace appears earlier in the frame");
+    let delta_at = delta.len() - 8 * changed - 4;
+    assert_eq!(delta[delta_at - 1], 1, "the last record travels as a delta");
+    row("OCWP delta entry count", delta, delta_at, wire);
+    let verdict = encode_body(&Frame::Verdict(VerdictFrame {
+        monitor: "m".into(),
+        bindings: vec![(0, 1)],
+    }));
+    row("OCWP binding count", verdict, 1 + 4 + 1, wire);
+    let register = encode_body(&Frame::Register {
+        tenant: "acme".into(),
+        patterns: vec![("p".into(), "A := [*, a, *]; pattern := A;".into())],
+    });
+    let reg_table_at = 1 + 4 + 4;
+    row(
+        "OCWP register string count",
+        register.clone(),
+        reg_table_at,
+        wire,
+    );
+    let reg_count_at = register.len() - 12;
+    row("OCWP register pattern count", register, reg_count_at, wire);
+    let unregister = encode_body(&Frame::Unregister {
+        tenant: "acme".into(),
+        patterns: vec!["p".into()],
+    });
+    let unreg_count_at = unregister.len() - 8;
+    row(
+        "OCWP unregister pattern count",
+        unregister,
+        unreg_count_at,
+        wire,
+    );
+
+    // OCKP: trace count, string table, event table.
+    let src = random_walk::cycle_pattern(3);
+    let mut set = guarded_set(8, &["cycle".to_owned()], &src);
+    set.observe_raw_batch(&events[1..]);
+    assert!(
+        set.guard().unwrap().buffered() > 0,
+        "a reorder buffer to write"
+    );
+    let blob = set.monitor("cycle").unwrap().checkpoint(&src);
+    let n_traces_at = 4 + 2 + 4 + src.len();
+    let strings_at = n_traces_at + 4 + 19 + 26 * 8;
+    let events_at = skip_table(&blob, strings_at);
+    row("OCKP trace count", blob.clone(), n_traces_at, ockp);
+    row("OCKP string count", blob.clone(), strings_at, ockp);
+    row("OCKP event count", blob, events_at, ockp);
+
+    // OCKS: monitor count, buffered-event count (after the monitors, the
+    // guard flag, its config and a counter per trace).
+    let sources = HashMap::from([("cycle".to_owned(), src.clone())]);
+    let set_blob = save_set_at(&set, &sources, 0);
+    row("OCKS monitor count", set_blob, 4 + 2 + 4, ocks);
+    let guard_only = save_set_at(&set, &HashMap::new(), 0);
+    row(
+        "OCKS buffered-event count",
+        guard_only,
+        14 + 1 + 9 + 4 * 8,
+        ocks,
+    );
+
+    // POET dump, watermark record, checkpoint record.
+    let mut tracer = ocep_repro::poet::PoetServer::new(2);
+    tracer.record(
+        ocep_repro::vclock::TraceId::new(0),
+        ocep_repro::poet::EventKind::Unary,
+        "a",
+        "",
+    );
+    row(
+        "POET string count",
+        dump::dump(tracer.store()),
+        4 + 2 + 4,
+        poet,
+    );
+    let mut mark = Vec::new();
+    for v in [4u32, 3, 7, 7, 7] {
+        mark.extend_from_slice(&v.to_le_bytes());
+    }
+    row("OWAL watermark width", mark, 4, watermark);
+    let empty = save_set_at(&guarded_set(3, &[], ""), &HashMap::new(), 0);
+    let mut payload = (empty.len() as u32).to_le_bytes().to_vec();
+    payload.extend_from_slice(&empty);
+    payload.extend_from_slice(&0u32.to_le_bytes());
+    let verdicts_at = payload.len() - 4;
+    row(
+        "OWAL checkpoint verdict count",
+        payload,
+        verdicts_at,
+        checkpoint_record,
+    );
+    rows
+}
+
+#[test]
+fn hostile_counts_are_refused_at_the_count_before_anything_is_allocated_for_them() {
+    for (what, bytes, at, decode) in hostile_inputs() {
+        let (out, cost) = counted(|| decode(&bytes));
+        let msg = out.expect_err(what);
+        assert!(
+            msg.contains(&format!("claimed at byte {at},")),
+            "{what}: not refused at its count (byte {at}): {msg}"
+        );
+        // Covers the diagnosis and what precedes the count (for the
+        // checkpoint record, opening the log). The smallest allocation a
+        // trusted count used to buy — 4,096 table slots — is 64 KiB.
+        let allowance = 8 * 1024 + 2 * bytes.len() as u64;
+        assert!(
+            cost.bytes <= allowance,
+            "{what}: {} bytes allocated on the way to refusing {} input bytes",
+            cost.bytes,
+            bytes.len()
+        );
+    }
+}
