@@ -19,6 +19,11 @@
 //! count, so at that commit `decode_allocs` read `table_strings +
 //! table_regrowths` higher and `log_decode_allocs` read
 //! `log_table_strings` higher (8,638 / 10,123 / 6,393 and 24,640).
+//!
+//! Set-up has a budget too: `setup_allocs`, `setup_bytes` and
+//! `setup_large_reallocs` count what generating each workload's input
+//! asks of the allocator — the bulk of what the benchmark's one gated
+//! metric, `setup_s`, times. They were first taken at commit 3173f91.
 
 use ocep_repro::adapters::testgen;
 use ocep_repro::conformance::{apply_faults, FaultPlan, ReorderMode};
@@ -73,6 +78,13 @@ struct Budget {
     log_table_strings: u64,
     /// Allocations of `decode_deliver`, all deliver records.
     log_decode_allocs: u64,
+    /// Allocations of generating the workload's input, which is what the
+    /// benchmark's `set_up` (and so `setup_s`) mostly is.
+    setup_allocs: u64,
+    /// Bytes those allocations requested.
+    setup_bytes: u64,
+    /// Reallocations of a block of 256 KiB or more among them.
+    setup_large_reallocs: u64,
 }
 
 const BUDGETS: &[(&str, Budget)] = &[
@@ -97,6 +109,9 @@ const BUDGETS: &[(&str, Budget)] = &[
             log_bytes: 0,
             log_table_strings: 0,
             log_decode_allocs: 0,
+            setup_allocs: 8643,
+            setup_bytes: 4336576,
+            setup_large_reallocs: 0,
         },
     ),
     (
@@ -120,6 +135,9 @@ const BUDGETS: &[(&str, Budget)] = &[
             log_bytes: 0,
             log_table_strings: 0,
             log_decode_allocs: 0,
+            setup_allocs: 4145,
+            setup_bytes: 947942,
+            setup_large_reallocs: 0,
         },
     ),
     (
@@ -143,6 +161,9 @@ const BUDGETS: &[(&str, Budget)] = &[
             log_bytes: 0,
             log_table_strings: 0,
             log_decode_allocs: 0,
+            setup_allocs: 4182,
+            setup_bytes: 2450710,
+            setup_large_reallocs: 0,
         },
     ),
     (
@@ -166,6 +187,9 @@ const BUDGETS: &[(&str, Budget)] = &[
             log_bytes: 312878,
             log_table_strings: 4928,
             log_decode_allocs: 19712,
+            setup_allocs: 2703,
+            setup_bytes: 937080,
+            setup_large_reallocs: 0,
         },
     ),
     (
@@ -189,6 +213,9 @@ const BUDGETS: &[(&str, Budget)] = &[
             log_bytes: 0,
             log_table_strings: 0,
             log_decode_allocs: 0,
+            setup_allocs: 1754,
+            setup_bytes: 1204056,
+            setup_large_reallocs: 1,
         },
     ),
 ];
@@ -333,12 +360,20 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Runs `generate` — a workload's input generation — and files what it
+/// asked of the allocator under the set-up counters.
+fn set_up<T>(b: &mut Budget, generate: impl FnOnce() -> T) -> T {
+    let (input, cost) = counted(generate);
+    b.setup_allocs = cost.allocs;
+    b.setup_bytes = cost.bytes;
+    b.setup_large_reallocs = cost.large_reallocs;
+    input
+}
+
 fn inproc_deadlock_50() -> Budget {
-    let (events, src) = deadlock_walk(11, 50, 40, 0.3);
-    let mut b = Budget {
-        events: events.len() as u64,
-        ..Budget::default()
-    };
+    let mut b = Budget::default();
+    let (events, src) = set_up(&mut b, || deadlock_walk(11, 50, 40, 0.3));
+    b.events = events.len() as u64;
     // No guard, one arrival per call: `Monitor::observe` and nothing else.
     let mut set = MonitorSet::new(50);
     set.add("deadlock", Pattern::parse(&src).unwrap());
@@ -346,9 +381,10 @@ fn inproc_deadlock_50() -> Budget {
     b
 }
 
-fn served_8(frames: &[Vec<Event>]) -> Budget {
+fn served_8(frames: impl FnOnce(&[Event]) -> Vec<Vec<Event>>) -> Budget {
     let mut b = Budget::default();
-    let decoded = cross_the_wire(frames, &mut b);
+    let frames = set_up(&mut b, || frames(&mpi_stream(12)));
+    let decoded = cross_the_wire(&frames, &mut b);
     let src = random_walk::cycle_pattern(3);
     let set = guarded_set(8, &["cycle".to_owned()], &src);
     observe_all(set, &src, &decoded, &mut b);
@@ -356,9 +392,12 @@ fn served_8(frames: &[Vec<Event>]) -> Budget {
 }
 
 fn served_tenants_16() -> Budget {
-    let (events, src) = deadlock_walk(14, 10, 60, 0.03);
     let mut b = Budget::default();
-    let decoded = cross_the_wire(&chunked(&events, 64), &mut b);
+    let (frames, src) = set_up(&mut b, || {
+        let (events, src) = deadlock_walk(14, 10, 60, 0.03);
+        (chunked(&events, 64), src)
+    });
+    let decoded = cross_the_wire(&frames, &mut b);
 
     let dir = scratch_dir("tenants");
     let set = guarded_set(10, &[], &src);
@@ -398,13 +437,13 @@ fn served_tenants_16() -> Budget {
 }
 
 fn ingest_otlp_offline() -> Budget {
-    let rec = testgen::zookeeper_otlp(15, 20, 30, 0.05);
+    let mut b = Budget::default();
+    // The input is the recording's text: parsing it is this workload's
+    // timed work, not set-up.
+    let rec = set_up(&mut b, || testgen::zookeeper_otlp(15, 20, 30, 0.05));
     assert!(rec.truth > 0);
     let out = rec.parse("otlp");
-    let mut b = Budget {
-        events: out.events.len() as u64,
-        ..Budget::default()
-    };
+    b.events = out.events.len() as u64;
     let src = replicated_service::ordering_pattern();
     let mut set = MonitorSet::new(out.n_traces);
     set.add("ordering", Pattern::parse(&src).unwrap());
@@ -413,11 +452,10 @@ fn ingest_otlp_offline() -> Budget {
 }
 
 fn actual_budgets() -> Vec<(&'static str, Budget)> {
-    let mpi = mpi_stream(12);
     vec![
         ("inproc-deadlock-50", inproc_deadlock_50()),
-        ("served-clean-8", served_8(&chunked(&mpi, 256))),
-        ("served-resend-8", served_8(&resend_frames(&mpi))),
+        ("served-clean-8", served_8(|mpi| chunked(mpi, 256))),
+        ("served-resend-8", served_8(resend_frames)),
         ("served-tenants-16", served_tenants_16()),
         ("ingest-otlp-offline", ingest_otlp_offline()),
     ]
@@ -439,7 +477,7 @@ fn every_counter_on_every_miniature_workload_is_at_its_budget() {
             "{name}: {:.1} / {:.1} wire B/event (full / delta), {:.1} log B/event, \
              checkpoint {} B, {:.2} encode allocs/frame, {:.3} decode allocs/event, \
              {:.2} observe allocs/event, {:.3} nodes/event, {:.3} candidates/event, \
-             history {} events / {} B",
+             history {} events / {} B, set-up {} allocs / {} B / {} large reallocs",
             b.wire_full_bytes as f64 / e,
             b.wire_delta_bytes as f64 / e,
             b.log_bytes as f64 / e,
@@ -451,6 +489,9 @@ fn every_counter_on_every_miniature_workload_is_at_its_budget() {
             b.candidates as f64 / e,
             b.history_events,
             b.history_bytes,
+            b.setup_allocs,
+            b.setup_bytes,
+            b.setup_large_reallocs,
         );
     }
 }
@@ -663,4 +704,41 @@ fn hostile_counts_are_refused_at_the_count_before_anything_is_allocated_for_them
             bytes.len()
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// The tracer's store.
+// ---------------------------------------------------------------------
+
+/// Bytes a 30-event, 4-trace tracer requested at commit 3173f91, where
+/// the store was a `Vec<Event>` per trace plus a vector of arrival ids.
+const PARENT_SMALL_STORE_BYTES: u64 = 5376;
+
+/// Thirty events over four traces — a conformance case's size: every
+/// third a send, received next on the neighbouring trace.
+fn small_server() -> ocep_repro::poet::PoetServer {
+    use ocep_repro::poet::{EventKind, PoetServer};
+    use ocep_repro::vclock::TraceId;
+    let mut poet = PoetServer::new(4);
+    let mut in_flight = None;
+    for i in 0..30u32 {
+        let t = TraceId::new(i % 4);
+        match (i % 3, in_flight.take()) {
+            (0, _) => in_flight = Some(poet.record(t, EventKind::Send, "req", "").id()),
+            (_, Some(send)) => drop(poet.record_receive(t, send, "req", "")),
+            _ => drop(poet.record(t, EventKind::Unary, "work", "step")),
+        }
+    }
+    poet
+}
+
+#[test]
+fn a_small_store_requests_no_more_than_the_parent() {
+    let (poet, cost) = counted(small_server);
+    assert_eq!(poet.store().len(), 30);
+    assert!(
+        cost.bytes <= PARENT_SMALL_STORE_BYTES,
+        "a 30-event tracer requested {} bytes, {PARENT_SMALL_STORE_BYTES} at the parent",
+        cost.bytes
+    );
 }
