@@ -48,19 +48,19 @@ pub fn slice(store: &TraceStore, keep: &[TraceId]) -> PoetServer {
         let Some(&new_trace) = renumber.get(&event.trace()) else {
             continue;
         };
-        let new_event = match (event.kind(), event.partner()) {
+        let new_id = match (event.kind(), event.partner()) {
             (EventKind::Receive, Some(partner)) => {
                 match new_ids.get(&partner) {
                     Some(&new_partner) => {
-                        out.record_receive(new_trace, new_partner, event.ty(), event.text())
+                        out.record_receive_id(new_trace, new_partner, event.ty(), event.text())
                     }
                     // The send was on a dropped trace: degrade to unary.
-                    None => out.record(new_trace, EventKind::Unary, event.ty(), event.text()),
+                    None => out.record_id(new_trace, EventKind::Unary, event.ty(), event.text()),
                 }
             }
-            (kind, _) => out.record(new_trace, kind, event.ty(), event.text()),
+            (kind, _) => out.record_id(new_trace, kind, event.ty(), event.text()),
         };
-        new_ids.insert(event.id(), new_event.id());
+        new_ids.insert(event.id(), new_id);
     }
     out
 }

@@ -123,7 +123,7 @@ fn slice_never_invents_causality() {
             let new_events = sliced.store().trace_events(TraceId::new(new_t as u32));
             let old_events = poet.store().trace_events(old_t);
             assert_eq!(new_events.len(), old_events.len(), "case {case}");
-            for (ne, oe) in new_events.iter().zip(old_events) {
+            for (ne, oe) in new_events.iter().zip(old_events.iter()) {
                 assert_eq!(ne.ty(), oe.ty(), "case {case}");
                 assert_eq!(ne.text(), oe.text(), "case {case}");
             }

@@ -41,18 +41,17 @@ fn t(i: u32) -> TraceId {
 /// cross-linked so clocks are non-trivial.
 fn build_store(n: usize, len: usize) -> PoetServer {
     let mut poet = PoetServer::new(n);
-    let mut last_send: Option<Event> = None;
+    let mut last_send = None;
     for round in 0..len {
         for p in 0..n {
             let tr = t(p as u32);
             if round % 3 == 0 {
-                let s = poet.record(tr, EventKind::Send, "a", "");
-                if let Some(prev) = last_send.take() {
-                    poet.record_receive(tr, prev.id(), "r", "");
+                let s = poet.record_id(tr, EventKind::Send, "a", "");
+                if let Some(prev) = last_send.replace(s) {
+                    poet.record_receive_id(tr, prev, "r", "");
                 }
-                last_send = Some(s);
             } else {
-                poet.record(tr, EventKind::Unary, "a", "");
+                poet.record_id(tr, EventKind::Unary, "a", "");
             }
         }
     }

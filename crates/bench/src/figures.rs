@@ -245,18 +245,18 @@ pub fn fig3() -> (bool, bool) {
     let mut poet = ocep_poet::PoetServer::new(n);
     let t = TraceId::new;
     // a21-style: an old 'a' on T1 whose match will outlive the window.
-    poet.record(t(1), ocep_poet::EventKind::Unary, "a", "");
-    let s = poet.record(t(1), ocep_poet::EventKind::Send, "m", "");
-    poet.record_receive(t(2), s.id(), "m", "");
+    poet.record_id(t(1), ocep_poet::EventKind::Unary, "a", "");
+    let s = poet.record_id(t(1), ocep_poet::EventKind::Send, "m", "");
+    poet.record_receive_id(t(2), s, "m", "");
     // A stream of fresher a's on T0 (communication between them keeps
     // each one distinct), enough to overflow the n² window.
     for _ in 0..2 * n * n {
-        poet.record(t(0), ocep_poet::EventKind::Unary, "a", "");
-        let s0 = poet.record(t(0), ocep_poet::EventKind::Send, "m", "");
-        poet.record_receive(t(2), s0.id(), "m", "");
+        poet.record_id(t(0), ocep_poet::EventKind::Unary, "a", "");
+        let s0 = poet.record_id(t(0), ocep_poet::EventKind::Send, "m", "");
+        poet.record_receive_id(t(2), s0, "m", "");
     }
     // The terminating b on T2.
-    poet.record(t(2), ocep_poet::EventKind::Unary, "b", "");
+    poet.record_id(t(2), ocep_poet::EventKind::Unary, "b", "");
 
     let mut monitor = Monitor::new(Pattern::parse(src).unwrap(), n);
     let mut window = SlidingWindowMatcher::paper_sized(Pattern::parse(src).unwrap(), n);

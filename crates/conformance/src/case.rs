@@ -81,14 +81,14 @@ impl Case {
         let mut poet = PoetServer::new(self.n_traces);
         let mut ids = Vec::with_capacity(self.actions.len());
         for (i, a) in self.actions.iter().enumerate() {
-            let ev = match a {
-                Action::Local { trace, ty, text } => poet.record(
+            let id = match a {
+                Action::Local { trace, ty, text } => poet.record_id(
                     TraceId::new(*trace),
                     EventKind::Unary,
                     ty.as_str(),
                     text.as_str(),
                 ),
-                Action::Send { trace, ty, text } => poet.record(
+                Action::Send { trace, ty, text } => poet.record_id(
                     TraceId::new(*trace),
                     EventKind::Send,
                     ty.as_str(),
@@ -101,7 +101,7 @@ impl Case {
                     text,
                 } => {
                     assert!(*sender < i, "receive references a later action");
-                    poet.record_receive(
+                    poet.record_receive_id(
                         TraceId::new(*trace),
                         ids[*sender],
                         ty.as_str(),
@@ -109,7 +109,7 @@ impl Case {
                     )
                 }
             };
-            ids.push(ev.id());
+            ids.push(id);
         }
         poet
     }

@@ -207,11 +207,11 @@ fn direct_execution(rng: &mut Rng, pattern: &Pattern) -> PoetServer {
         };
         match rng.gen_range(0..3u32) {
             0 => {
-                poet.record(TraceId::new(t), EventKind::Unary, ty, text);
+                poet.record_id(TraceId::new(t), EventKind::Unary, ty, text);
             }
             1 => {
-                let e = poet.record(TraceId::new(t), EventKind::Send, ty, text);
-                pending.push((e.id(), t));
+                let send = poet.record_id(TraceId::new(t), EventKind::Send, ty, text);
+                pending.push((send, t));
             }
             _ => {
                 // Receive a pending send on some *other* trace, if any;
@@ -220,9 +220,9 @@ fn direct_execution(rng: &mut Rng, pattern: &Pattern) -> PoetServer {
                     (0..pending.len()).filter(|&i| pending[i].1 != t).collect();
                 if let Some(&i) = rng.choose(&candidates) {
                     let (send, _) = pending.swap_remove(i);
-                    poet.record_receive(TraceId::new(t), send, ty, text);
+                    poet.record_receive_id(TraceId::new(t), send, ty, text);
                 } else {
-                    poet.record(TraceId::new(t), EventKind::Unary, ty, text);
+                    poet.record_id(TraceId::new(t), EventKind::Unary, ty, text);
                 }
             }
         }
@@ -494,26 +494,26 @@ fn inject_match(rng: &mut Rng, poet: &mut PoetServer, pattern: &Pattern) {
                 // send by program order; receiving the sync on trace i
                 // orders it before everything later there, leaf i
                 // included.
-                let sync = poet.record(
+                let sync = poet.record_id(
                     TraceId::new(trace_of[j] as u32),
                     EventKind::Send,
                     SYNC_TY,
                     "",
                 );
-                poet.record_receive(t, sync.id(), SYNC_TY, "");
+                poet.record_receive_id(t, sync, SYNC_TY, "");
             }
         }
         let ev = if let Some(send_leaf) = partner_send_of[i] {
             let Some(send) = emitted[send_leaf] else {
                 return;
             };
-            poet.record_receive(t, send, ty.as_str(), text.as_str())
+            poet.record_receive_id(t, send, ty.as_str(), text.as_str())
         } else if is_partner_send[i] {
-            poet.record(t, EventKind::Send, ty.as_str(), text.as_str())
+            poet.record_id(t, EventKind::Send, ty.as_str(), text.as_str())
         } else {
-            poet.record(t, EventKind::Unary, ty.as_str(), text.as_str())
+            poet.record_id(t, EventKind::Unary, ty.as_str(), text.as_str())
         };
-        emitted[i] = Some(ev.id());
+        emitted[i] = Some(ev);
     }
 }
 

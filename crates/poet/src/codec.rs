@@ -546,6 +546,92 @@ fn get_delta_clock(
     Ok(VectorClock::from_entries(entries))
 }
 
+/// A record up to its clock. `S` is how its strings are handed out: a
+/// shared `Arc<str>` for a record that becomes an [`Event`], a `&str`
+/// into the table for a recorded action the tracer interns itself.
+#[derive(Debug)]
+pub struct RecordHead<S> {
+    /// Trace id as written.
+    pub trace: TraceId,
+    /// Index as written ([`EventIndex::ZERO`] under [`ClockForm::None`]).
+    pub index: EventIndex,
+    /// Communication role.
+    pub kind: EventKind,
+    /// Type attribute.
+    pub ty: S,
+    /// Text attribute.
+    pub text: S,
+    /// Partner id as written, whatever the kind.
+    pub partner: Option<EventId>,
+}
+
+/// Reads a record up to its clock; `string` reads one of its two strings.
+fn get_record_head<'r, S>(
+    r: &mut Reader<'r>,
+    indexed: bool,
+    mut string: impl FnMut(&mut Reader<'r>, &'static str) -> Result<S, PoetError>,
+) -> Result<RecordHead<S>, PoetError> {
+    let trace = TraceId::new(r.u32("record trace")?);
+    let index = if indexed {
+        EventIndex::new(r.u32("record index")?)
+    } else {
+        EventIndex::ZERO
+    };
+    let kind_at = r.offset();
+    let code = r.u8("record kind")?;
+    let kind = EventKind::from_code(code)
+        .ok_or_else(|| corrupt(format!("bad kind {code} at byte {kind_at}")))?;
+    let ty = string(r, "record type")?;
+    let text = string(r, "record text")?;
+    let pflag_at = r.offset();
+    let partner = match r.u8("partner flag")? {
+        0 => None,
+        1 => {
+            let pt = TraceId::new(r.u32("partner trace")?);
+            let pi = EventIndex::new(r.u32("partner index")?);
+            Some(EventId::new(pt, pi))
+        }
+        b => return Err(corrupt(format!("bad partner flag {b} at byte {pflag_at}"))),
+    };
+    Ok(RecordHead {
+        trace,
+        index,
+        kind,
+        ty,
+        text,
+        partner,
+    })
+}
+
+/// Reads a string id and looks it up in `table`.
+fn table_string<'t>(
+    r: &mut Reader<'_>,
+    table: &'t [Arc<str>],
+    what: &str,
+) -> Result<&'t Arc<str>, PoetError> {
+    let at = r.offset();
+    let id = r.u32(what)?;
+    (table.get(id as usize))
+        .ok_or_else(|| corrupt(format!("unknown string {id} for {what} at byte {at}")))
+}
+
+/// Reads one [`ClockForm::None`] record with table-id strings — the
+/// recorded action of a POET dump: what a tracer is told, before it
+/// derives index and clock. The strings stay borrowed from the table,
+/// so nothing is allocated.
+///
+/// # Errors
+///
+/// As [`get_event_record`], less everything about clocks.
+pub fn get_action_record<'t>(
+    r: &mut Reader<'_>,
+    table: &'t [Arc<str>],
+) -> Result<RecordHead<&'t str>, PoetError> {
+    get_record_head(r, false, |r, what| {
+        table_string(r, table, what).map(|s| &**s)
+    })
+}
+
 /// Reads one event record in the given string and clock form.
 ///
 /// # Errors
@@ -559,38 +645,12 @@ pub fn get_event_record(
     strs: StrForm<&[Arc<str>]>,
     clock: &mut ClockForm<DeltaDecoder>,
 ) -> Result<EventRecord, PoetError> {
-    let trace = TraceId::new(r.u32("record trace")?);
-    let index = match clock {
-        ClockForm::None => EventIndex::ZERO,
-        _ => EventIndex::new(r.u32("record index")?),
-    };
-    let kind_at = r.offset();
-    let code = r.u8("record kind")?;
-    let kind = EventKind::from_code(code)
-        .ok_or_else(|| corrupt(format!("bad kind {code} at byte {kind_at}")))?;
-    let mut string = |what: &str| -> Result<Arc<str>, PoetError> {
-        match strs {
-            StrForm::Inline => Ok(Arc::from(r.str(what)?)),
-            StrForm::Table(table) => {
-                let at = r.offset();
-                let id = r.u32(what)?;
-                (table.get(id as usize).cloned())
-                    .ok_or_else(|| corrupt(format!("unknown string {id} for {what} at byte {at}")))
-            }
-        }
-    };
-    let ty = string("record type")?;
-    let text = string("record text")?;
-    let pflag_at = r.offset();
-    let partner = match r.u8("partner flag")? {
-        0 => None,
-        1 => {
-            let pt = TraceId::new(r.u32("partner trace")?);
-            let pi = EventIndex::new(r.u32("partner index")?);
-            Some(EventId::new(pt, pi))
-        }
-        b => return Err(corrupt(format!("bad partner flag {b} at byte {pflag_at}"))),
-    };
+    let indexed = !matches!(clock, ClockForm::None);
+    let head = get_record_head(r, indexed, |r, what| match strs {
+        StrForm::Inline => Ok(Arc::from(r.str(what)?)),
+        StrForm::Table(table) => table_string(r, table, what).cloned(),
+    })?;
+    let trace = head.trace;
     let clock = match clock {
         ClockForm::None => VectorClock::new(0),
         ClockForm::Full => get_full_clock(r)?,
@@ -607,11 +667,11 @@ pub fn get_event_record(
     };
     Ok(EventRecord {
         trace,
-        index,
-        kind,
-        ty,
-        text,
-        partner,
+        index: head.index,
+        kind: head.kind,
+        ty: head.ty,
+        text: head.text,
+        partner: head.partner,
         clock,
     })
 }

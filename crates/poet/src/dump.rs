@@ -29,10 +29,11 @@
 //! ```
 
 use crate::codec::{
-    get_event_record, nth, put_event_record, put_u16, put_u32, put_u64, ClockForm, Reader, StrForm,
+    get_action_record, nth, put_event_record, put_u16, put_u32, put_u64, ClockForm, Reader,
     StrTable,
 };
-use crate::{Event, EventKind, PoetError, PoetServer, TraceStore};
+use crate::{EventKind, PoetError, PoetServer, TraceStore};
+use ocep_vclock::EventId;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -75,15 +76,16 @@ pub fn dump(store: &TraceStore) -> Vec<u8> {
     buf
 }
 
-/// An incremental dump decoder: yields the replayed [`Event`]s one at a
+/// An incremental dump decoder: replays the recorded events one at a
 /// time instead of materializing the whole server before the first event
 /// is available.
 ///
 /// This is the streaming interface a transport uses to put a recorded
 /// dump *on the wire*: each decoded record is immediately replayed
 /// through the internal [`PoetServer`] (re-deriving its vector
-/// timestamp, exactly like [`reload`]) and handed back, so frames can go
-/// out while the rest of the file is still unread. [`reload`] is now a
+/// timestamp, exactly like [`reload`]) and its identifier handed back —
+/// the event is in [`DumpStream::server`]'s store — so frames can go
+/// out while the rest of the file is still unread. [`reload`] is a
 /// thin drain of this type, so the two paths cannot diverge.
 ///
 /// # Example
@@ -98,7 +100,7 @@ pub fn dump(store: &TraceStore) -> Vec<u8> {
 ///
 /// let mut stream = dump::DumpStream::open(&bytes).unwrap();
 /// let first = stream.next_event().unwrap().unwrap();
-/// assert_eq!(first.ty(), "tick");
+/// assert_eq!(stream.server().store().get(first).unwrap().ty(), "tick");
 /// assert!(stream.next_event().unwrap().is_none());
 /// ```
 #[derive(Debug)]
@@ -182,24 +184,25 @@ impl<'a> DumpStream<'a> {
         self.server
     }
 
-    /// Decodes, replays, and returns the next event; `Ok(None)` after
-    /// the last one (at which point trailing garbage is rejected).
+    /// Decodes and replays the next event and returns its identifier;
+    /// `Ok(None)` after the last one (at which point trailing garbage is
+    /// rejected). A replayed record costs what recording it live costs —
+    /// the stamp — and nothing else.
     ///
     /// # Errors
     ///
     /// Returns [`PoetError`] on malformed records, unknown string or
     /// partner references, or trailing garbage — always with the byte
     /// offset, never a panic.
-    pub fn next_event(&mut self) -> Result<Option<Event>, PoetError> {
+    pub fn next_event(&mut self) -> Result<Option<EventId>, PoetError> {
         if self.remaining == 0 {
             self.r.finish()?;
             return Ok(None);
         }
         let i = self.decoded;
-        let strings = StrForm::Table(self.strings.as_slice());
         let at = self.r.offset();
-        let rec = get_event_record(&mut self.r, strings, &mut ClockForm::None)
-            .map_err(nth("event", i as usize))?;
+        let rec =
+            get_action_record(&mut self.r, &self.strings).map_err(nth("event", i as usize))?;
         if rec.trace.as_usize() >= self.server.n_traces() {
             return Err(PoetError::Inconsistent(format!(
                 "event {i} names out-of-range trace {} (byte {at})",
@@ -207,7 +210,7 @@ impl<'a> DumpStream<'a> {
             )));
         }
         // A partner on anything but a receive is read and ignored.
-        let event = match (rec.kind, rec.partner) {
+        let id = match (rec.kind, rec.partner) {
             (EventKind::Receive, None) => {
                 return Err(PoetError::Inconsistent(format!(
                     "receive event {i} has no partner (byte {at})"
@@ -219,13 +222,14 @@ impl<'a> DumpStream<'a> {
                         "receive event {i} names unknown partner {pid} (byte {at})"
                     )));
                 }
-                self.server.record_receive(rec.trace, pid, rec.ty, rec.text)
+                self.server
+                    .record_receive_id(rec.trace, pid, rec.ty, rec.text)
             }
-            (kind, _) => self.server.record(rec.trace, kind, rec.ty, rec.text),
+            (kind, _) => self.server.record_id(rec.trace, kind, rec.ty, rec.text),
         };
         self.remaining -= 1;
         self.decoded += 1;
-        Ok(Some(event))
+        Ok(Some(id))
     }
 }
 
@@ -318,19 +322,18 @@ mod tests {
         let mut stream = DumpStream::open(&bytes).unwrap();
         assert_eq!(stream.n_traces(), 3);
         assert_eq!(stream.len(), 6);
-        let mut streamed = Vec::new();
-        while let Some(e) = stream.next_event().unwrap() {
-            streamed.push(e);
-        }
-        assert_eq!(streamed.len(), 6);
         // The streamed events carry re-derived clocks identical to a
         // full reload's.
         let reloaded = reload(&bytes).unwrap();
-        for e in &streamed {
-            let r = reloaded.store().get(e.id()).unwrap();
+        let mut streamed = 0;
+        while let Some(id) = stream.next_event().unwrap() {
+            let e = stream.server().store().get(id).unwrap();
+            let r = reloaded.store().get(id).unwrap();
             assert_eq!(e.clock(), r.clock());
             assert_eq!(e.ty(), r.ty());
+            streamed += 1;
         }
+        assert_eq!(streamed, 6);
         assert!(stream.into_server().store().content_eq(original.store()));
     }
 

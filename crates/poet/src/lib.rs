@@ -14,10 +14,12 @@
 //! POET itself is a University-of-Waterloo internal tool; this crate
 //! implements the same contract from scratch:
 //!
-//! * [`PoetServer`] — event ingest, timestamping, per-trace storage.
+//! * [`PoetServer`] — event ingest, timestamping, storage.
 //! * [`Event`] / [`EventKind`] — the traced event model.
-//! * [`TraceStore`] — ordered per-trace storage with the `GP`/`LS`
-//!   (greatest-predecessor / least-successor) queries of §IV-C.
+//! * [`TraceStore`] — the arrival log (every event once, in the order
+//!   the tracer saw it, never moved) plus a per-trace index into it,
+//!   with the `GP`/`LS` (greatest-predecessor / least-successor) queries
+//!   of §IV-C.
 //! * [`Linearizer`] — replays a stored computation in any (seeded) valid
 //!   linearization, used to show monitor results are delivery-order
 //!   independent.
@@ -58,7 +60,7 @@ pub use client::{Subscription, TryRecv};
 pub use event::{Event, EventKind};
 pub use linearizer::Linearizer;
 pub use server::PoetServer;
-pub use store::TraceStore;
+pub use store::{TraceEvents, TraceStore};
 
 /// Errors produced by the tracer, chiefly by [`dump`] parsing.
 #[derive(Debug)]

@@ -88,7 +88,12 @@ impl<'a> Linearizer<'a> {
             );
             let pick = ready[(rng.next() % ready.len() as u64) as usize];
             let t = ocep_vclock::TraceId::new(pick as u32);
-            let ev = self.store.trace_events(t)[cursor[pick]].clone();
+            let ev = self
+                .store
+                .trace_events(t)
+                .get(cursor[pick])
+                .expect("a ready trace has an unemitted head")
+                .clone();
             emitted.insert(ev.id());
             cursor[pick] += 1;
             emitted_count += 1;

@@ -93,13 +93,57 @@ impl PoetServer {
         self.store.n_traces()
     }
 
-    /// Records a local or send event on trace `t`.
+    /// Records a local or send event on trace `t` and returns its
+    /// identifier. The event itself is written once, into the store
+    /// ([`TraceStore::get`] reads it back): this is the call for a loop
+    /// that records many events and keeps none of them.
     ///
     /// # Panics
     ///
     /// Panics if `t` is out of range, or if `kind` is
     /// [`EventKind::Receive`] (receives need a partner — use
-    /// [`PoetServer::record_receive`]).
+    /// [`PoetServer::record_receive_id`]).
+    pub fn record_id(
+        &mut self,
+        t: TraceId,
+        kind: EventKind,
+        ty: impl AsRef<str>,
+        text: impl AsRef<str>,
+    ) -> EventId {
+        assert!(
+            kind != EventKind::Receive,
+            "receive events must be recorded with record_receive"
+        );
+        self.stamp_intern_store(t, kind, None, ty.as_ref(), text.as_ref())
+    }
+
+    /// Records the receive endpoint of the message whose send was
+    /// `sender` and returns its identifier (see [`PoetServer::record_id`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is out of range or `sender` is not a stored event.
+    pub fn record_receive_id(
+        &mut self,
+        t: TraceId,
+        sender: EventId,
+        ty: impl AsRef<str>,
+        text: impl AsRef<str>,
+    ) -> EventId {
+        self.stamp_intern_store(
+            t,
+            EventKind::Receive,
+            Some(sender),
+            ty.as_ref(),
+            text.as_ref(),
+        )
+    }
+
+    /// [`PoetServer::record_id`], handing back a copy of the stored event.
+    ///
+    /// # Panics
+    ///
+    /// As [`PoetServer::record_id`].
     pub fn record(
         &mut self,
         t: TraceId,
@@ -107,23 +151,16 @@ impl PoetServer {
         ty: impl AsRef<str>,
         text: impl AsRef<str>,
     ) -> Event {
-        assert!(
-            kind != EventKind::Receive,
-            "receive events must be recorded with record_receive"
-        );
-        let stamp = self.assigner.local(t);
-        let ty = self.types.intern(ty.as_ref());
-        let text = self.texts.intern(text.as_ref());
-        let event = Event::new(stamp, kind, ty, text, None);
-        self.commit(&event);
-        event
+        let id = self.record_id(t, kind, ty, text);
+        self.stored(id)
     }
 
-    /// Records the receive endpoint of the message whose send was `sender`.
+    /// [`PoetServer::record_receive_id`], handing back a copy of the
+    /// stored event.
     ///
     /// # Panics
     ///
-    /// Panics if `t` is out of range or `sender` is not a stored event.
+    /// As [`PoetServer::record_receive_id`].
     pub fn record_receive(
         &mut self,
         t: TraceId,
@@ -131,25 +168,48 @@ impl PoetServer {
         ty: impl AsRef<str>,
         text: impl AsRef<str>,
     ) -> Event {
-        let send_stamp = self
-            .store
-            .get(sender)
-            .unwrap_or_else(|| panic!("unknown partner event {sender}"))
-            .stamp();
-        let stamp = self.assigner.receive(t, send_stamp);
-        let ty = self.types.intern(ty.as_ref());
-        let text = self.texts.intern(text.as_ref());
-        let event = Event::new(stamp, EventKind::Receive, ty, text, Some(sender));
-        self.commit(&event);
-        event
+        let id = self.record_receive_id(t, sender, ty, text);
+        self.stored(id)
     }
 
-    /// Stores the one copy the server keeps, and one per subscriber.
-    fn commit(&mut self, event: &Event) {
+    fn stored(&self, id: EventId) -> Event {
         self.store
-            .push(event.clone())
-            .expect("server-assigned events are always consistent");
+            .get(id)
+            .expect("the identifier of an event just stored")
+            .clone()
+    }
+
+    /// The one recording step: stamps the event (joining `partner`'s
+    /// clock for a receive), shares its strings, and moves it into the
+    /// store — the only copy the server keeps — after one copy per
+    /// subscriber.
+    fn stamp_intern_store(
+        &mut self,
+        t: TraceId,
+        kind: EventKind,
+        partner: Option<EventId>,
+        ty: &str,
+        text: &str,
+    ) -> EventId {
+        let stamp = match partner {
+            Some(sender) => {
+                let send = self
+                    .store
+                    .get(sender)
+                    .unwrap_or_else(|| panic!("unknown partner event {sender}"));
+                self.assigner.receive(t, send.stamp())
+            }
+            None => self.assigner.local(t),
+        };
+        let ty = self.types.intern(ty);
+        let text = self.texts.intern(text);
+        let event = Event::new(stamp, kind, ty, text, partner);
+        let id = event.id();
         self.subscribers.retain(|tx| tx.send(event.clone()).is_ok());
+        self.store
+            .push(event)
+            .expect("server-assigned events are always consistent");
+        id
     }
 
     /// Drains the events recorded since the previous call, in arrival

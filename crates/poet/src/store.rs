@@ -1,10 +1,55 @@
-//! Ordered per-trace event storage with causality queries.
+//! The tracer's store: one arrival log plus a per-trace index into it.
+//!
+//! An observed computation *is* one sequence — the order the tracer saw
+//! its events in — and each trace's history is a subsequence of it. The
+//! store keeps exactly that: every event once, in arrival order, in
+//! chunks that are filled once and never reallocated, and for each trace
+//! the arrival positions of its events. Recording an event writes it into
+//! its final slot and appends one `u32`; nothing already recorded is ever
+//! copied, however long the run.
 
 use crate::{Event, PoetError};
 use ocep_vclock::{EventId, EventIndex, StampedEvent, TraceId};
 
-/// The tracer's core store: events grouped by trace, totally ordered on
-/// each trace, plus the global arrival order.
+/// Events in the log's first chunk (and its second: each later chunk
+/// doubles what the log holds, as a growing vector would, but without
+/// moving what it already holds).
+const FIRST_CHUNK: usize = 4;
+/// Most events in one chunk. Doubling stops here, so a long run asks the
+/// allocator for blocks of one moderate size instead of ever larger ones.
+const CHUNK_CAP: usize = 4096;
+const FIRST_SHIFT: u32 = FIRST_CHUNK.trailing_zeros();
+const CAP_SHIFT: u32 = CHUNK_CAP.trailing_zeros();
+
+/// Where arrival position `pos` lives: `(chunk, slot)`.
+///
+/// Chunk 0 holds positions `0..FIRST_CHUNK`; chunk `k >= 1` holds
+/// `FIRST_CHUNK << (k - 1) ..  FIRST_CHUNK << k` — the positions with the
+/// same highest set bit — until a chunk holds `CHUNK_CAP` events, after
+/// which every chunk does.
+fn locate(pos: usize) -> (usize, usize) {
+    if pos < FIRST_CHUNK {
+        (0, pos)
+    } else if pos < 2 * CHUNK_CAP {
+        let high = pos.ilog2();
+        ((high - FIRST_SHIFT + 1) as usize, pos - (1 << high))
+    } else {
+        (
+            (CAP_SHIFT - FIRST_SHIFT) as usize + (pos >> CAP_SHIFT),
+            pos & (CHUNK_CAP - 1),
+        )
+    }
+}
+
+/// How many events the next chunk of a log holding `held` is allocated
+/// for: as many as the log holds, within the two bounds.
+fn next_chunk_capacity(held: usize) -> usize {
+    held.clamp(FIRST_CHUNK, CHUNK_CAP)
+}
+
+/// The tracer's core store: every event once, in global arrival order,
+/// plus for each trace the arrival positions of its events in index
+/// order.
 ///
 /// Supports the two §IV-C causality queries the matcher and baselines rely
 /// on:
@@ -15,10 +60,35 @@ use ocep_vclock::{EventId, EventIndex, StampedEvent, TraceId};
 ///   that happens after `a` (O(log n) by binary search over the monotone
 ///   clock column, the "constant-time timestamp retrieval plugin" the
 ///   paper's future-work section asks of POET).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct TraceStore {
-    traces: Vec<Vec<Event>>,
-    arrival: Vec<EventId>,
+    /// The arrival log. A chunk is allocated once, with
+    /// `next_chunk_capacity` slots, and only ever pushed to within them,
+    /// so a stored event never moves.
+    chunks: Vec<Vec<Event>>,
+    /// Events in the log.
+    len: usize,
+    /// `index[t][i - 1]` is the arrival position of event `i` of trace `t`.
+    index: Vec<Vec<u32>>,
+}
+
+impl Clone for TraceStore {
+    /// Copies the log chunk for chunk at full capacity, so events pushed
+    /// to the copy do not move the ones it already holds either.
+    fn clone(&self) -> Self {
+        let mut held = 0;
+        let chunks = self.chunks.iter().map(|chunk| {
+            let mut copy = Vec::with_capacity(next_chunk_capacity(held));
+            copy.extend_from_slice(chunk);
+            held += chunk.len();
+            copy
+        });
+        TraceStore {
+            chunks: chunks.collect(),
+            len: self.len,
+            index: self.index.clone(),
+        }
+    }
 }
 
 impl TraceStore {
@@ -26,27 +96,28 @@ impl TraceStore {
     #[must_use]
     pub fn new(n_traces: usize) -> Self {
         TraceStore {
-            traces: vec![Vec::new(); n_traces],
-            arrival: Vec::new(),
+            chunks: Vec::new(),
+            len: 0,
+            index: vec![Vec::new(); n_traces],
         }
     }
 
     /// Number of traces.
     #[must_use]
     pub fn n_traces(&self) -> usize {
-        self.traces.len()
+        self.index.len()
     }
 
     /// Total number of stored events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.arrival.len()
+        self.len
     }
 
     /// True if no events are stored.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.arrival.is_empty()
+        self.len == 0
     }
 
     /// Appends an event. Events on one trace must arrive in index order.
@@ -56,45 +127,56 @@ impl TraceStore {
     /// Returns [`PoetError::Inconsistent`] if the event's trace is out of
     /// range or its index is not the next index on that trace.
     pub fn push(&mut self, event: Event) -> Result<(), PoetError> {
-        let t = event.trace().as_usize();
-        let Some(trace) = self.traces.get_mut(t) else {
+        let n_traces = self.index.len();
+        let Some(positions) = self.index.get_mut(event.trace().as_usize()) else {
             return Err(PoetError::Inconsistent(format!(
-                "event {} names trace {} but the store has {} traces",
+                "event {} names trace {} but the store has {n_traces} traces",
                 event.id(),
                 event.trace(),
-                self.traces.len()
             )));
         };
-        let expected = trace.len() as u32 + 1;
+        let expected = positions.len() as u32 + 1;
         if event.index().get() != expected {
             return Err(PoetError::Inconsistent(format!(
                 "event {} arrived out of order (expected index {expected})",
                 event.id()
             )));
         }
-        self.arrival.push(event.id());
-        trace.push(event);
+        let pos = u32::try_from(self.len).map_err(|_| {
+            PoetError::Inconsistent(format!("the store is full at {} events", self.len))
+        })?;
+        let (chunk, slot) = locate(self.len);
+        if slot == 0 {
+            self.chunks
+                .push(Vec::with_capacity(next_chunk_capacity(self.len)));
+        }
+        positions.push(pos);
+        self.chunks[chunk].push(event);
+        self.len += 1;
         Ok(())
+    }
+
+    /// The event at arrival position `pos < self.len()`.
+    fn at(&self, pos: usize) -> &Event {
+        let (chunk, slot) = locate(pos);
+        &self.chunks[chunk][slot]
     }
 
     /// Looks up an event by identifier.
     #[must_use]
     pub fn get(&self, id: EventId) -> Option<&Event> {
-        let trace = self.traces.get(id.trace().as_usize())?;
-        let idx = id.index().get();
-        if idx == 0 {
-            return None;
-        }
-        trace.get(idx as usize - 1)
+        let nth = (id.index().get() as usize).checked_sub(1)?;
+        self.trace_events(id.trace()).get(nth)
     }
 
-    /// All events of trace `t` in index order.
+    /// All events of trace `t` in index order (none for a trace the store
+    /// does not have).
     #[must_use]
-    pub fn trace_events(&self, t: TraceId) -> &[Event] {
-        self.traces
-            .get(t.as_usize())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    pub fn trace_events(&self, t: TraceId) -> TraceEvents<'_> {
+        TraceEvents {
+            store: self,
+            positions: self.index.get(t.as_usize()).map_or(&[], Vec::as_slice),
+        }
     }
 
     /// Iterates over every stored event in global arrival order (a valid
@@ -107,11 +189,7 @@ impl TraceStore {
     /// (nothing when fewer events have arrived). The length is exact, so
     /// collecting a linearization allocates once.
     pub fn iter_arrival_from(&self, from: usize) -> impl ExactSizeIterator<Item = &Event> + '_ {
-        let rest = self.arrival.get(from..).unwrap_or(&[]);
-        rest.iter().map(move |id| {
-            self.get(*id)
-                .expect("`push` records an arrival id only with its event")
-        })
+        (from.min(self.len)..self.len).map(move |pos| self.at(pos))
     }
 
     /// `GP(a, t)`: index of the most recent event on `t` happening before
@@ -150,7 +228,54 @@ impl TraceStore {
     /// dump/reload round-trip checks.
     #[must_use]
     pub fn content_eq(&self, other: &TraceStore) -> bool {
-        self.traces == other.traces && self.arrival == other.arrival
+        // The per-trace index is a function of the arrival order.
+        self.n_traces() == other.n_traces() && self.iter_arrival().eq(other.iter_arrival())
+    }
+}
+
+/// One trace's events in index order: a view through the trace's
+/// positions into the arrival log, indexable like the slice it stands for.
+#[derive(Debug, Clone, Copy)]
+pub struct TraceEvents<'a> {
+    store: &'a TraceStore,
+    positions: &'a [u32],
+}
+
+impl<'a> TraceEvents<'a> {
+    /// Number of events on the trace.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.positions.len()
+    }
+
+    /// True if the trace has no events.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.positions.is_empty()
+    }
+
+    /// The trace's `nth` event, counting from 0 (its index is `nth + 1`).
+    #[must_use]
+    pub fn get(&self, nth: usize) -> Option<&'a Event> {
+        self.positions
+            .get(nth)
+            .map(|&pos| self.store.at(pos as usize))
+    }
+
+    /// The trace's events in index order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a Event> + 'a {
+        let store = self.store;
+        self.positions
+            .iter()
+            .map(move |&pos| store.at(pos as usize))
+    }
+
+    /// How many leading events satisfy `pred`, which must hold for a
+    /// prefix of the trace and for nothing after it (as
+    /// [`slice::partition_point`]).
+    pub fn partition_point(&self, mut pred: impl FnMut(&'a Event) -> bool) -> usize {
+        self.positions
+            .partition_point(|&pos| pred(self.store.at(pos as usize)))
     }
 }
 
@@ -226,11 +351,60 @@ mod tests {
         let (poet, _) = sample();
         let mut store = TraceStore::new(1);
         // An event for trace 1 cannot go into a 1-trace store.
-        let foreign = poet.store().trace_events(t(1))[0].clone();
-        assert!(store.push(foreign).is_err());
+        let foreign = poet.store().trace_events(t(1)).get(0).unwrap().clone();
+        let msg = store.push(foreign).unwrap_err().to_string();
+        assert!(
+            msg.contains("names trace T1 but the store has 1 traces"),
+            "{msg}"
+        );
         // Skipping index 1 on trace 0 is rejected.
-        let second = poet.store().trace_events(t(0))[1].clone();
-        assert!(store.push(second).is_err());
+        let second = poet.store().trace_events(t(0)).get(1).unwrap().clone();
+        let msg = store.push(second).unwrap_err().to_string();
+        assert!(
+            msg.contains("arrived out of order (expected index 1)"),
+            "{msg}"
+        );
+        assert!(store.is_empty());
+    }
+
+    #[test]
+    fn positions_fill_chunk_after_chunk_without_gaps() {
+        // Walk far enough to cross from doubling chunks into capped ones.
+        let (mut chunk, mut slot, mut capacity) = (0, 0, next_chunk_capacity(0));
+        for pos in 0..4 * CHUNK_CAP {
+            assert_eq!(locate(pos), (chunk, slot), "position {pos}");
+            slot += 1;
+            if slot == capacity {
+                (chunk, slot, capacity) = (chunk + 1, 0, next_chunk_capacity(pos + 1));
+            }
+        }
+        assert_eq!(capacity, CHUNK_CAP);
+    }
+
+    #[test]
+    fn a_long_trace_is_read_back_across_chunks() {
+        let mut poet = PoetServer::new(2);
+        let n = 2 * CHUNK_CAP + 37;
+        for i in 0..n {
+            poet.record_id(t((i % 2) as u32), EventKind::Unary, "x", "");
+        }
+        let store = poet.store();
+        assert_eq!(store.iter_arrival().len(), n);
+        for (pos, e) in store.iter_arrival().enumerate() {
+            assert_eq!(e.trace(), t((pos % 2) as u32));
+            assert_eq!(e.index().get() as usize, pos / 2 + 1);
+        }
+        for from in [FIRST_CHUNK, CHUNK_CAP - 1, 2 * CHUNK_CAP, n - 1, n] {
+            let tail = store.iter_arrival_from(from);
+            assert_eq!(tail.len(), n - from);
+            assert_eq!(tail.count(), n - from);
+        }
+        let evens = store.trace_events(t(0));
+        assert_eq!(evens.len(), n.div_ceil(2));
+        assert_eq!(evens.iter().len(), evens.len());
+        assert!(evens.iter().all(|e| e.trace() == t(0)));
+        assert_eq!(evens.partition_point(|e| e.index().get() <= 10), 10);
+        assert!(store.clone().content_eq(store));
     }
 
     #[test]

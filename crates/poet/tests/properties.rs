@@ -126,7 +126,7 @@ fn gp_ls_window_is_exactly_the_concurrent_region() {
                 let t = TraceId::new(t);
                 let gp = store.greatest_predecessor(a.stamp(), t);
                 let ls = store.least_successor(a.stamp(), t);
-                for x in store.trace_events(t) {
+                for x in store.trace_events(t).iter() {
                     let before = x.stamp().happens_before(a.stamp());
                     let after = a.stamp().happens_before(x.stamp());
                     if x.id() == a.id() {

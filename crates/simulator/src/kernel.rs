@@ -10,6 +10,8 @@
 use ocep_poet::{Event, EventKind, PoetServer};
 use ocep_rng::Rng;
 use ocep_vclock::{EventId, TraceId};
+use std::collections::HashSet;
+use std::rc::Rc;
 
 /// A message in flight between two actors.
 #[derive(Debug, Clone)]
@@ -19,24 +21,49 @@ pub struct Message {
     /// Destination trace.
     pub to: TraceId,
     /// Application-level message type (also the receive event's type).
-    pub ty: String,
+    /// Shared: a run has a handful of message types, not one per message.
+    pub ty: Rc<str>,
     /// Application payload (also the receive event's text, if non-empty).
-    pub payload: String,
+    pub payload: Rc<str>,
     /// The POET event recorded for the send.
     pub send_event: EventId,
 }
 
+/// What a kernel hands every [`Ctx`] besides the actor's own trace.
+#[derive(Debug)]
+struct World {
+    poet: PoetServer,
+    /// Messages sent by the callback in progress.
+    outbox: Vec<Message>,
+    rng: Rng,
+    /// Every trace's name, built once: the text of a send to it.
+    names: Vec<String>,
+    /// One allocation per distinct message type or payload of the run.
+    strings: HashSet<Rc<str>>,
+}
+
+impl World {
+    fn shared(&mut self, s: &str) -> Rc<str> {
+        match self.strings.get(s) {
+            Some(shared) => Rc::clone(shared),
+            None => {
+                let shared: Rc<str> = Rc::from(s);
+                self.strings.insert(Rc::clone(&shared));
+                shared
+            }
+        }
+    }
+}
+
 /// The API an actor uses to act on the world. Every operation records the
-/// corresponding POET event(s).
+/// corresponding POET event and returns its identifier.
 #[derive(Debug)]
 pub struct Ctx<'a> {
-    poet: &'a mut PoetServer,
-    outbox: &'a mut Vec<Message>,
-    rng: &'a mut Rng,
+    world: &'a mut World,
     me: TraceId,
 }
 
-impl<'a> Ctx<'a> {
+impl Ctx<'_> {
     /// The trace this actor runs on.
     #[must_use]
     pub fn me(&self) -> TraceId {
@@ -44,15 +71,17 @@ impl<'a> Ctx<'a> {
     }
 
     /// Records a purely local event.
-    pub fn local(&mut self, ty: &str, text: &str) -> Event {
-        self.poet.record(self.me, EventKind::Unary, ty, text)
+    pub fn local(&mut self, ty: &str, text: &str) -> EventId {
+        self.world
+            .poet
+            .record_id(self.me, EventKind::Unary, ty, text)
     }
 
     /// Sends a message: records the send event and enqueues delivery.
     /// The send event's text is the destination trace name, so cycle
     /// patterns can chain destinations with attribute variables. The
     /// receive event will use the same type.
-    pub fn send(&mut self, to: TraceId, ty: &str, payload: &str) -> Event {
+    pub fn send(&mut self, to: TraceId, ty: &str, payload: &str) -> EventId {
         self.send_typed(to, ty, ty, payload)
     }
 
@@ -65,9 +94,10 @@ impl<'a> Ctx<'a> {
         send_ty: &str,
         recv_ty: &str,
         payload: &str,
-    ) -> Event {
-        let text = to.to_string();
-        self.send_with_text(to, send_ty, recv_ty, payload, &text)
+    ) -> EventId {
+        // The send is the one `blocked_send` records; this one is delivered.
+        let send_event = self.blocked_send(to, send_ty);
+        self.enqueue(to, recv_ty, payload, send_event)
     }
 
     /// Like [`Ctx::send_typed`] but with an explicit text attribute for
@@ -80,31 +110,47 @@ impl<'a> Ctx<'a> {
         recv_ty: &str,
         payload: &str,
         send_text: &str,
-    ) -> Event {
-        let ev = self
+    ) -> EventId {
+        let send_event = self
+            .world
             .poet
-            .record(self.me, EventKind::Send, send_ty, send_text);
-        self.outbox.push(Message {
+            .record_id(self.me, EventKind::Send, send_ty, send_text);
+        self.enqueue(to, recv_ty, payload, send_event)
+    }
+
+    fn enqueue(
+        &mut self,
+        to: TraceId,
+        recv_ty: &str,
+        payload: &str,
+        send_event: EventId,
+    ) -> EventId {
+        let message = Message {
             from: self.me,
             to,
-            ty: recv_ty.to_owned(),
-            payload: payload.to_owned(),
-            send_event: ev.id(),
-        });
-        ev
+            ty: self.world.shared(recv_ty),
+            payload: self.world.shared(payload),
+            send_event,
+        };
+        self.world.outbox.push(message);
+        send_event
     }
 
     /// Records a blocking send that never completes (the §V-C1 deadlock
     /// ingredient): the send event exists, but no receive ever joins it,
     /// so blocked sends on different traces stay concurrent.
-    pub fn blocked_send(&mut self, to: TraceId, ty: &str) -> Event {
-        self.poet
-            .record(self.me, EventKind::Send, ty, to.to_string())
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` is not one of the kernel's traces.
+    pub fn blocked_send(&mut self, to: TraceId, ty: &str) -> EventId {
+        let World { poet, names, .. } = &mut *self.world;
+        poet.record_id(self.me, EventKind::Send, ty, &names[to.as_usize()])
     }
 
     /// A seeded random draw in `[0, 1)`, for probability-injected bugs.
     pub fn chance(&mut self, p: f64) -> bool {
-        self.rng.gen_bool(p.clamp(0.0, 1.0))
+        self.world.rng.gen_bool(p.clamp(0.0, 1.0))
     }
 
     /// A seeded random integer in `[0, n)`.
@@ -114,7 +160,7 @@ impl<'a> Ctx<'a> {
     /// Panics if `n` is zero.
     pub fn pick(&mut self, n: usize) -> usize {
         assert!(n > 0, "pick from an empty range");
-        self.rng.gen_range(0..n)
+        self.world.rng.gen_range(0..n)
     }
 }
 
@@ -144,7 +190,7 @@ pub trait Actor {
 ///         }
 ///     }
 ///     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: &Message, _recv: &Event) {
-///         if msg.ty == "ping" {
+///         if &*msg.ty == "ping" {
 ///             ctx.send(msg.from, "pong", "");
 ///         }
 ///     }
@@ -157,16 +203,15 @@ pub trait Actor {
 /// assert_eq!(poet.store().len(), 4); // ping send+recv, pong send+recv
 /// ```
 pub struct SimKernel {
-    poet: PoetServer,
+    world: World,
     actors: Vec<Box<dyn Actor>>,
     in_flight: Vec<Message>,
-    rng: Rng,
 }
 
 impl std::fmt::Debug for SimKernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimKernel")
-            .field("n_traces", &self.poet.n_traces())
+            .field("n_traces", &self.world.poet.n_traces())
             .field("actors", &self.actors.len())
             .field("in_flight", &self.in_flight.len())
             .finish()
@@ -178,17 +223,24 @@ impl SimKernel {
     #[must_use]
     pub fn new(n_traces: usize, seed: u64) -> Self {
         SimKernel {
-            poet: PoetServer::new(n_traces),
+            world: World {
+                poet: PoetServer::new(n_traces),
+                outbox: Vec::new(),
+                rng: Rng::seed_from_u64(seed),
+                names: (0..n_traces as u32)
+                    .map(|t| TraceId::new(t).to_string())
+                    .collect(),
+                strings: HashSet::new(),
+            },
             actors: Vec::new(),
             in_flight: Vec::new(),
-            rng: Rng::seed_from_u64(seed),
         }
     }
 
     /// Registers the next actor; actor `i` runs on trace `i`.
     pub fn add_actor(&mut self, actor: impl Actor + 'static) {
         assert!(
-            self.actors.len() < self.poet.n_traces(),
+            self.actors.len() < self.world.poet.n_traces(),
             "more actors than traces"
         );
         self.actors.push(Box::new(actor));
@@ -206,42 +258,34 @@ impl SimKernel {
     pub fn run(mut self, max_events: usize) -> PoetServer {
         assert_eq!(
             self.actors.len(),
-            self.poet.n_traces(),
+            self.world.poet.n_traces(),
             "every trace needs an actor"
         );
-        let mut outbox = Vec::new();
         for (i, actor) in self.actors.iter_mut().enumerate() {
-            let mut ctx = Ctx {
-                poet: &mut self.poet,
-                outbox: &mut outbox,
-                rng: &mut self.rng,
+            actor.on_start(&mut Ctx {
+                world: &mut self.world,
                 me: TraceId::new(i as u32),
-            };
-            actor.on_start(&mut ctx);
+            });
         }
-        self.in_flight.append(&mut outbox);
+        self.in_flight.append(&mut self.world.outbox);
 
-        while !self.in_flight.is_empty() && self.poet.store().len() < max_events {
-            let pick = self.rng.gen_range(0..self.in_flight.len());
+        while !self.in_flight.is_empty() && self.world.poet.store().len() < max_events {
+            let pick = self.world.rng.gen_range(0..self.in_flight.len());
             let msg = self.in_flight.swap_remove(pick);
-            let recv = self.poet.record_receive(
-                msg.to,
-                msg.send_event,
-                msg.ty.as_str(),
-                msg.payload.clone(),
-            );
-            let mut outbox = Vec::new();
-            let actor = &mut self.actors[msg.to.as_usize()];
+            // The actor is handed its own copy of the receive: it may
+            // record more events while it still holds this one.
+            let recv =
+                self.world
+                    .poet
+                    .record_receive(msg.to, msg.send_event, &*msg.ty, &*msg.payload);
             let mut ctx = Ctx {
-                poet: &mut self.poet,
-                outbox: &mut outbox,
-                rng: &mut self.rng,
+                world: &mut self.world,
                 me: msg.to,
             };
-            actor.on_message(&mut ctx, &msg, &recv);
-            self.in_flight.append(&mut outbox);
+            self.actors[msg.to.as_usize()].on_message(&mut ctx, &msg, &recv);
+            self.in_flight.append(&mut self.world.outbox);
         }
-        self.poet
+        self.world.poet
     }
 }
 

@@ -57,7 +57,7 @@ struct Semaphore {
 impl Actor for Semaphore {
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: &Message, _recv: &Event) {
-        match msg.ty.as_str() {
+        match &*msg.ty {
             "sem_p" => {
                 if self.holder.is_none() {
                     self.holder = Some(msg.from);
@@ -114,7 +114,7 @@ impl Actor for Thread {
         self.begin_round(ctx);
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: &Message, _recv: &Event) {
-        match msg.ty.as_str() {
+        match &*msg.ty {
             "sem_grant" => {
                 ctx.local("enter_method", "protected");
                 ctx.local("update_state", "");

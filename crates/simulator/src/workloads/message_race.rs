@@ -55,7 +55,7 @@ struct Receiver;
 impl Actor for Receiver {
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: &Message, _recv: &Event) {
-        if msg.ty == "mpi_recv" {
+        if &*msg.ty == "mpi_recv" {
             // Accept (wildcard receive) and ack so the sender may proceed.
             ctx.send_typed(msg.from, "ack", "ack", "");
         }
@@ -82,7 +82,7 @@ impl Actor for Sender {
         self.transmit(ctx);
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: &Message, _recv: &Event) {
-        if msg.ty == "ack" {
+        if &*msg.ty == "ack" {
             self.transmit(ctx);
         }
     }

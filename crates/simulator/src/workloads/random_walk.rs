@@ -103,13 +103,13 @@ pub fn generate(params: &Params) -> Generated {
     for _round in 0..params.rounds {
         // Resolve the previous episode's blocked messages first.
         for (to, send) in pending_timeouts.drain(..) {
-            poet.record_receive(to, send, "mpi_recv", "timeout");
+            poet.record_receive_id(to, send, "mpi_recv", "timeout");
         }
 
         // Local walker movement.
         for p in 0..n {
             for _ in 0..params.walk_steps {
-                poet.record(
+                poet.record_id(
                     TraceId::new(p as u32),
                     ocep_poet::EventKind::Unary,
                     "walk_step",
@@ -125,13 +125,13 @@ pub fn generate(params: &Params) -> Generated {
             procs.truncate(params.cycle_len);
             for (i, &p) in procs.iter().enumerate() {
                 let next = procs[(i + 1) % procs.len()];
-                let send = poet.record(
+                let send = poet.record_id(
                     TraceId::new(p),
                     ocep_poet::EventKind::Send,
                     "mpi_block_send",
                     &names[next as usize],
                 );
-                pending_timeouts.push((TraceId::new(next), send.id()));
+                pending_timeouts.push((TraceId::new(next), send));
             }
             truth.push(Violation {
                 kind: "deadlock",
@@ -143,16 +143,16 @@ pub fn generate(params: &Params) -> Generated {
         let mut sends = Vec::with_capacity(n);
         for p in 0..n {
             let to = TraceId::new(((p + 1) % n) as u32);
-            let s = poet.record(
+            let s = poet.record_id(
                 TraceId::new(p as u32),
                 ocep_poet::EventKind::Send,
                 "mpi_send",
                 &names[to.as_usize()],
             );
-            sends.push((to, s.id()));
+            sends.push((to, s));
         }
         for (to, s) in sends {
-            poet.record_receive(to, s, "mpi_recv", "walkers");
+            poet.record_receive_id(to, s, "mpi_recv", "walkers");
         }
     }
 

@@ -70,7 +70,7 @@ impl Actor for Leader {
         ctx.local("leader_boot", "");
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: &Message, _recv: &Event) {
-        if msg.ty != "synch_leader" {
+        if &*msg.ty != "synch_leader" {
             return;
         }
         let follower = msg.from;
@@ -126,7 +126,7 @@ impl Actor for Follower {
         self.resync(ctx);
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: &Message, _recv: &Event) {
-        if msg.ty == "recv_snapshot" {
+        if &*msg.ty == "recv_snapshot" {
             ctx.local("apply_snapshot", "");
             self.resync(ctx);
         }
@@ -194,7 +194,7 @@ mod tests {
         // the next forward of that snapshot.
         let leader_events = g.poet.store().trace_events(TraceId::new(0));
         let mut in_round = false;
-        for e in leader_events {
+        for e in leader_events.iter() {
             match e.ty() {
                 "take_snapshot" => in_round = true,
                 "forward_snapshot" => in_round = false,

@@ -23,7 +23,13 @@
 //! Set-up has a budget too: `setup_allocs`, `setup_bytes` and
 //! `setup_large_reallocs` count what generating each workload's input
 //! asks of the allocator — the bulk of what the benchmark's one gated
-//! metric, `setup_s`, times. They were first taken at commit 3173f91.
+//! metric, `setup_s`, times. They were first taken at commit 3173f91,
+//! where the tracer kept a `Vec<Event>` per trace and a vector of
+//! arrival ids; since its store became one arrival log with a per-trace
+//! index the two workloads generated through it ask for less
+//! (`inproc-deadlock-50` 8,643 allocations / 4,336,576 bytes there,
+//! `served-tenants-16` 2,703 / 937,080) and the other three, which never
+//! build a tracer, for exactly what they did.
 
 use ocep_repro::adapters::testgen;
 use ocep_repro::conformance::{apply_faults, FaultPlan, ReorderMode};
@@ -109,8 +115,8 @@ const BUDGETS: &[(&str, Budget)] = &[
             log_bytes: 0,
             log_table_strings: 0,
             log_decode_allocs: 0,
-            setup_allocs: 8643,
-            setup_bytes: 4336576,
+            setup_allocs: 8646,
+            setup_bytes: 3068832,
             setup_large_reallocs: 0,
         },
     ),
@@ -187,8 +193,8 @@ const BUDGETS: &[(&str, Budget)] = &[
             log_bytes: 312878,
             log_table_strings: 4928,
             log_decode_allocs: 19712,
-            setup_allocs: 2703,
-            setup_bytes: 937080,
+            setup_allocs: 2706,
+            setup_bytes: 821720,
             setup_large_reallocs: 0,
         },
     ),
@@ -736,9 +742,113 @@ fn small_server() -> ocep_repro::poet::PoetServer {
 fn a_small_store_requests_no_more_than_the_parent() {
     let (poet, cost) = counted(small_server);
     assert_eq!(poet.store().len(), 30);
+    eprintln!("a 30-event tracer requests {} bytes", cost.bytes);
     assert!(
         cost.bytes <= PARENT_SMALL_STORE_BYTES,
         "a 30-event tracer requested {} bytes, {PARENT_SMALL_STORE_BYTES} at the parent",
         cost.bytes
+    );
+}
+
+#[test]
+fn recorded_events_never_move() {
+    use ocep_repro::poet::{EventKind, PoetServer};
+    use ocep_repro::vclock::TraceId;
+    let mut poet = PoetServer::new(3);
+    let first = poet.record_id(TraceId::new(0), EventKind::Unary, "first", "");
+    let address = |poet: &PoetServer, id| std::ptr::from_ref(poet.store().get(id).unwrap());
+    let first_at = address(&poet, first);
+    let mut last = first;
+    for i in 0..50_000u32 {
+        last = poet.record_id(TraceId::new(i % 3), EventKind::Unary, "later", "");
+    }
+    assert_eq!(address(&poet, first), first_at, "50,000 pushes moved it");
+
+    // Nor does a copy of the store move what it holds when it grows.
+    let mut copy = poet.store().clone();
+    assert_eq!(address(&poet, first), first_at, "cloning moved it");
+    let last_in_copy = std::ptr::from_ref(copy.get(last).unwrap());
+    let from = copy.len();
+    for _ in 0..5_000 {
+        poet.record_id(TraceId::new(1), EventKind::Unary, "later", "");
+    }
+    for e in poet.store().iter_arrival_from(from) {
+        copy.push(e.clone()).unwrap();
+    }
+    assert!(copy.content_eq(poet.store()));
+    assert_eq!(std::ptr::from_ref(copy.get(last).unwrap()), last_in_copy);
+}
+
+/// The walk workloads at the benchmark's full size: a generated event
+/// asks for its clock, its slot in the log and its `u32` in the index,
+/// and no block of 256 KiB or more is ever regrown (at commit 3173f91:
+/// 438.7 and 335.2 bytes per event, 54 and 22 such regrowths).
+#[test]
+fn a_full_size_walk_never_regrows_a_large_block() {
+    for (n, rounds, prob, bytes_per_event) in [(50, 1500, 0.3, 305), (10, 2300, 0.03, 150)] {
+        let params = random_walk::Params {
+            n_processes: n,
+            rounds,
+            walk_steps: 2,
+            cycle_len: 8,
+            deadlock_prob: prob,
+            seed: 1,
+        };
+        let (g, cost) = counted(|| random_walk::generate(&params));
+        let events = g.poet.store().len() as u64;
+        assert_eq!(cost.large_reallocs, 0, "width {n}");
+        assert!(
+            cost.bytes <= bytes_per_event * events,
+            "width {n}: {} bytes for {events} events, {:.1} each",
+            cost.bytes,
+            cost.bytes as f64 / events as f64
+        );
+    }
+}
+
+/// Reloading a dump costs what recording it live cost — one clock per
+/// record — and nothing on top: no stand-in clock, no copies of the
+/// table's strings, no second copy of the event.
+#[test]
+fn a_reloaded_record_costs_its_stamp_and_nothing_else() {
+    use ocep_repro::poet::{dump, EventKind, PoetServer};
+    let g = random_walk::generate(&random_walk::Params {
+        rounds: 50,
+        ..random_walk::Params::default()
+    });
+    let recorded = g.poet.store();
+    assert!(recorded.len() >= 2000);
+    let bytes = dump::dump(recorded);
+
+    // The same actions recorded live: the stamps, plus the store's
+    // chunks and index growing and each string's first sight.
+    let mut live = PoetServer::new(recorded.n_traces());
+    let (_, live_cost) = counted(|| {
+        for e in recorded.iter_arrival() {
+            match e.partner() {
+                Some(send) if e.kind() == EventKind::Receive => {
+                    live.record_receive_id(e.trace(), send, e.ty(), e.text())
+                }
+                _ => live.record_id(e.trace(), e.kind(), e.ty(), e.text()),
+            };
+        }
+    });
+
+    let mut stream = dump::DumpStream::open(&bytes).unwrap();
+    let mut per_record = Vec::with_capacity(recorded.len());
+    loop {
+        let (id, cost) = counted(|| stream.next_event().unwrap());
+        if id.is_none() {
+            break;
+        }
+        per_record.push(cost.allocs);
+    }
+    assert!(stream.server().store().content_eq(recorded));
+    assert_eq!(per_record.iter().sum::<u64>(), live_cost.allocs);
+    per_record.sort_unstable();
+    assert_eq!(
+        (per_record[0], per_record[per_record.len() / 2]),
+        (1, 1),
+        "allocations per reloaded record (least, median)"
     );
 }
