@@ -21,7 +21,7 @@
 //! ground truth a replay harness feeds to an in-process reference
 //! `MonitorSet` to demand bit-identical verdicts.
 
-use crate::shard::{FaultHooks, ShardGroup};
+use crate::shard::ShardGroup;
 use crate::wire::{FaultCode, Frame, Mode, StatsReport, VerdictFrame};
 use ocep_core::ingest::{IngestFault, OverflowPolicy};
 use ocep_core::{Histogram, Match, MetricsSnapshot, MonitorConfig, MonitorSet};
@@ -375,8 +375,6 @@ pub struct EngineCore {
     journal: Option<Vec<EngineOp>>,
     events_since_checkpoint: u64,
     events_since_gc: u64,
-    /// [`FaultHooks::restart_shard`], until it fires.
-    restart_hook: Option<(usize, u64)>,
 }
 
 /// True when `monitor` is in `filter`'s tenant scope (no filter admits
@@ -409,19 +407,16 @@ impl std::fmt::Debug for EngineCore {
 impl EngineCore {
     /// An engine over `set`, reading time from `clock` and accounting
     /// outbound bytes into `bytes_out` (shared with whatever performs
-    /// the actual writes). `hooks` is fault injection for tests and the
-    /// simulator; a daemon passes the default.
+    /// the actual writes).
     #[must_use]
     pub fn new(
         set: MonitorSet,
         config: ServeConfig,
         clock: Arc<dyn NetClock>,
         bytes_out: Arc<AtomicU64>,
-        hooks: FaultHooks,
     ) -> EngineCore {
         let pool = ocep_vclock::ClockPool::new(set.n_traces());
-        let mut group = ShardGroup::new(set, config.shards, &config.pattern_sources);
-        group.set_fault_hooks(hooks);
+        let group = ShardGroup::new(set, config.shards, &config.pattern_sources);
         EngineCore {
             group,
             config,
@@ -442,13 +437,12 @@ impl EngineCore {
             journal: None,
             events_since_checkpoint: 0,
             events_since_gc: 0,
-            restart_hook: hooks.restart_shard,
         }
     }
 
     /// The data plane: guard, log, registry and matcher partitions. The
-    /// simulator reaches through it to checkpoint the set and to crash
-    /// and restore single partitions.
+    /// simulator reaches through it to checkpoint the set and to arm
+    /// its log sabotage.
     pub fn group(&mut self) -> &mut ShardGroup {
         &mut self.group
     }
@@ -587,13 +581,7 @@ impl EngineCore {
         if let Some(c) = self.conns.get_mut(&conn) {
             c.frames_in += 1;
         }
-        let shutdown = self.handle_frame(conn, frame, received_ns);
-        if let Some((shard, _)) = self.restart_hook.take_if(|(_, at)| self.data_frames >= *at) {
-            if let Err(e) = self.group.restart_shard(shard) {
-                self.fault(conn, FaultCode::Protocol, format!("shard restart: {e}"));
-            }
-        }
-        shutdown
+        self.handle_frame(conn, frame, received_ns)
     }
 
     fn send_control(&mut self, conn: u64, frame: Frame) {
@@ -984,11 +972,6 @@ impl EngineCore {
             "ocep_net_shards",
             "Matcher partitions serving this monitor set.",
             self.group.n_shards() as u64,
-        );
-        s.counter(
-            "ocep_net_shard_restarts_total",
-            "Partitions killed and rebuilt over the server lifetime.",
-            self.group.restarts(),
         );
         s.counter(
             "ocep_net_connections_total",

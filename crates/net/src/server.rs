@@ -22,7 +22,6 @@
 //! from a virtual-time scheduler instead.
 
 use crate::engine::{EngineCore, NetClock, OutQueue, SystemClock};
-use crate::shard::FaultHooks;
 use crate::wire::{decode_body, read_frame_body, write_frame, FaultCode, Frame, WireError};
 use ocep_core::MonitorSet;
 use std::io::{BufReader, BufWriter, Write as IoWrite};
@@ -124,21 +123,6 @@ impl Server {
     /// and a corrupt log surfaces as `InvalidData` with the segment and
     /// byte offset of the first bad record.
     pub fn bind(addr: &str, set: MonitorSet, config: ServeConfig) -> std::io::Result<Server> {
-        Server::bind_with_faults(addr, set, config, FaultHooks::default())
-    }
-
-    /// [`Server::bind`] with fault injection armed — for smoke tests
-    /// that crash a real daemon at a chosen point.
-    ///
-    /// # Errors
-    ///
-    /// See [`Server::bind`].
-    pub fn bind_with_faults(
-        addr: &str,
-        set: MonitorSet,
-        config: ServeConfig,
-        hooks: FaultHooks,
-    ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let (tx, rx) = mpsc::sync_channel::<EngineMsg>(ENGINE_QUEUE);
@@ -151,12 +135,11 @@ impl Server {
             config.clone(),
             Arc::clone(&clock),
             Arc::clone(&bytes_out),
-            hooks,
         );
         core.recover_wal()
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         // Recovery ran inline (above); from here each matcher partition
-        // of several runs on its own thread fed over an SPSC ring.
+        // of several runs on its own thread fed over a bounded channel.
         core.start_shard_threads();
 
         let acceptor = {

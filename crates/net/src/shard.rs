@@ -21,7 +21,7 @@
 //!
 //! With one partition everything runs inline on the caller's thread.
 //! With more, [`ShardGroup::start_threads`] moves each partition onto
-//! its own thread behind a bounded SPSC ring; every operation is
+//! its own thread behind a bounded channel; every operation is
 //! lockstep (a job is pushed to each partition, then one reply is
 //! collected from each), so threaded and inline runs are
 //! observationally identical. The deterministic simulator never starts
@@ -30,8 +30,7 @@
 use crate::wire::{decode_body, encode_body, put_event_body, Frame};
 use ocep_core::ingest::{AdmissionGuard, IngestFault, IngestStats};
 use ocep_core::{
-    load_set, load_set_at, save_at, save_parts_at, Match, MetricsSnapshot, Monitor, MonitorConfig,
-    MonitorSet,
+    load_set_at, save_at, save_parts_at, Match, MetricsSnapshot, Monitor, MonitorConfig, MonitorSet,
 };
 use ocep_pattern::Pattern;
 use ocep_poet::codec::{nth, put_str, put_u32, put_u32s, put_u64, Reader};
@@ -40,12 +39,14 @@ use ocep_wal::{
     Durability, Record, Wal, WalOptions, REC_CHECKPOINT, REC_DELIVER, REC_FLUSH, REC_REGISTER,
     REC_UNREGISTER, REC_WATERMARK,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Capacity of each per-partition job/reply ring.
+/// Capacity of each per-partition job/reply channel.
 const RING_CAPACITY: usize = 1024;
 
 /// The routing rule: `fnv1a64(name) % n_shards`. It only decides which
@@ -56,8 +57,9 @@ pub fn route_of(name: &str, n_shards: usize) -> usize {
     (h % n_shards.max(1) as u64) as usize
 }
 
-/// Fault injection for tests, the simulator and CI smoke jobs. The
-/// default injects nothing; a production daemon never sets a field.
+/// Oracle-sharpness switches for the shard-transparency suite and the
+/// simulator: each sabotages one step so the harness can prove it would
+/// notice. The default injects nothing; no daemon sets a field.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultHooks {
     /// The next data frame is not delivered to the partition owning the
@@ -68,100 +70,6 @@ pub struct FaultHooks {
     /// live engine still observes the event, so a later crash recovery
     /// diverges from the oracle — which must flag it.
     pub drop_next_append: bool,
-    /// `(i, frames)`: kill and rebuild partition `i` once `frames` data
-    /// frames have been processed.
-    pub restart_shard: Option<(usize, u64)>,
-    /// Die (exit code 121) between the header and the body of the first
-    /// `.ockp` file written, leaving the torn file a power cut would.
-    pub partial_checkpoint: bool,
-}
-
-struct RingState<T> {
-    queue: VecDeque<T>,
-    closed: bool,
-}
-
-/// A bounded blocking SPSC ring (mutex + condvar — this crate forbids
-/// unsafe code) connecting the engine thread to one partition thread.
-struct SpscRing<T> {
-    inner: Arc<(Mutex<RingState<T>>, Condvar, Condvar)>,
-    cap: usize,
-}
-
-impl<T> Clone for SpscRing<T> {
-    fn clone(&self) -> Self {
-        SpscRing {
-            inner: Arc::clone(&self.inner),
-            cap: self.cap,
-        }
-    }
-}
-
-impl<T> SpscRing<T> {
-    fn new(cap: usize) -> Self {
-        SpscRing {
-            inner: Arc::new((
-                Mutex::new(RingState {
-                    queue: VecDeque::new(),
-                    closed: false,
-                }),
-                Condvar::new(), // not_empty
-                Condvar::new(), // not_full
-            )),
-            cap: cap.max(1),
-        }
-    }
-
-    /// Blocks until there is room, then enqueues `item`. Returns false
-    /// (dropping the item) once the ring is closed.
-    fn push(&self, item: T) -> bool {
-        let (lock, not_empty, not_full) = &*self.inner;
-        let mut st = lock.lock().unwrap();
-        while st.queue.len() >= self.cap && !st.closed {
-            st = not_full.wait(st).unwrap();
-        }
-        if st.closed {
-            return false;
-        }
-        st.queue.push_back(item);
-        not_empty.notify_one();
-        true
-    }
-
-    /// Blocks for the next item; `None` once closed and drained.
-    fn pop(&self) -> Option<T> {
-        let (lock, not_empty, not_full) = &*self.inner;
-        let mut st = lock.lock().unwrap();
-        loop {
-            if let Some(item) = st.queue.pop_front() {
-                not_full.notify_one();
-                return Some(item);
-            }
-            if st.closed {
-                return None;
-            }
-            st = not_empty.wait(st).unwrap();
-        }
-    }
-
-    /// Closes the ring, waking both ends.
-    fn close(&self) {
-        let (lock, not_empty, not_full) = &*self.inner;
-        lock.lock().unwrap().closed = true;
-        not_empty.notify_all();
-        not_full.notify_all();
-    }
-}
-
-/// Closes a reply ring when its partition thread unwinds, so the engine
-/// sees a closed ring (and panics with a diagnosis) instead of blocking
-/// forever on a reply that will never come.
-struct CloseOnDrop<T>(SpscRing<T>);
-
-impl<T> Drop for CloseOnDrop<T> {
-    fn drop(&mut self) {
-        self.0.close();
-    }
 }
 
 /// One job for a partition; each produces exactly one [`Reply`].
@@ -219,14 +127,17 @@ fn exec(set: &mut MonitorSet, job: Job) -> Reply {
     }
 }
 
+/// A partition thread's body. Dropping the job sender is the close; a
+/// thread that unwinds drops its reply sender, so the engine's `recv`
+/// fails (and panics with a diagnosis) instead of blocking forever on a
+/// reply that will never come.
 fn partition_loop(
     mut set: Box<MonitorSet>,
-    jobs: &SpscRing<Job>,
-    replies: &SpscRing<Reply>,
+    jobs: &Receiver<Job>,
+    replies: &SyncSender<Reply>,
 ) -> Box<MonitorSet> {
-    let _close = CloseOnDrop(replies.clone());
-    while let Some(job) = jobs.pop() {
-        if !replies.push(exec(&mut set, job)) {
+    while let Ok(job) = jobs.recv() {
+        if replies.send(exec(&mut set, job)).is_err() {
             break;
         }
     }
@@ -236,8 +147,8 @@ fn partition_loop(
 enum Slot {
     Inline(Box<MonitorSet>),
     Thread {
-        jobs: SpscRing<Job>,
-        replies: SpscRing<Reply>,
+        jobs: SyncSender<Job>,
+        replies: Receiver<Reply>,
         handle: JoinHandle<Box<MonitorSet>>,
     },
 }
@@ -255,17 +166,12 @@ pub struct DeliverOut {
 }
 
 /// One registry row: a live monitor, where it routes, and what is
-/// needed to checkpoint it and to rebuild its partition.
+/// needed to checkpoint it.
 struct RegEntry {
     name: String,
     /// Pattern source, when known.
     source: Option<String>,
-    config: MonitorConfig,
     part: usize,
-    /// Registered mid-stream (over the wire or by a replayed
-    /// `REC_REGISTER`) rather than configured at startup: a partition
-    /// rebuild lets the log re-register it at its stream position.
-    dynamic: bool,
 }
 
 /// The engine's data plane (see the [module docs](self)).
@@ -285,17 +191,12 @@ pub struct ShardGroup {
     /// reprint its history and serve `tail --from`.
     history: Vec<(u64, String, Match)>,
     wal: Option<Wal>,
-    wal_dir: Option<PathBuf>,
     last_lsn: u64,
     wal_append_errors: u64,
     /// Durable deliver count per producer session.
     durable: HashMap<String, u64>,
     recovered_events: u64,
     gc_released: u64,
-    restarts: u64,
-    /// A partition rebuild's scratch group installs monitors on this
-    /// partition only.
-    only: Option<usize>,
     hooks: FaultHooks,
 }
 
@@ -309,23 +210,19 @@ impl std::fmt::Debug for ShardGroup {
 }
 
 impl ShardGroup {
-    fn blank(n_traces: usize, n_shards: usize) -> ShardGroup {
-        ShardGroup {
+    /// Distributes `set` across `n_shards` partitions (`0` means one) by
+    /// [`route_of`], behind the set's own guard. `sources` supplies
+    /// pattern text per monitor name (needed to checkpoint a monitor).
+    #[must_use]
+    pub fn new(set: MonitorSet, n_shards: usize, sources: &HashMap<String, String>) -> ShardGroup {
+        let n_traces = set.n_traces();
+        let mut group = ShardGroup {
             slots: (0..n_shards.max(1))
                 .map(|_| Slot::Inline(Box::new(MonitorSet::new(n_traces))))
                 .collect(),
             n_traces,
             ..ShardGroup::default()
-        }
-    }
-
-    /// Distributes `set` across `n_shards` partitions (`0` means one) by
-    /// [`route_of`], behind the set's own guard. `sources` supplies
-    /// pattern text per monitor name (needed to checkpoint a monitor and
-    /// to rebuild its partition).
-    #[must_use]
-    pub fn new(set: MonitorSet, n_shards: usize, sources: &HashMap<String, String>) -> ShardGroup {
-        let mut group = ShardGroup::blank(set.n_traces(), n_shards);
+        };
         group.adopt(set, |name| sources.get(name).cloned());
         group
     }
@@ -341,7 +238,7 @@ impl ShardGroup {
         }
         for (name, monitor) in entries {
             let source = source_of(&name);
-            self.install(name, source, monitor, false);
+            self.install(name, source, monitor);
         }
     }
 
@@ -411,12 +308,6 @@ impl ShardGroup {
         self.gc_released
     }
 
-    /// Partitions killed and rebuilt by [`ShardGroup::restart_shard`].
-    #[must_use]
-    pub fn restarts(&self) -> u64 {
-        self.restarts
-    }
-
     /// Every verdict reported so far as `(firing LSN, monitor, match)`,
     /// recovered history included.
     #[must_use]
@@ -434,7 +325,7 @@ impl ShardGroup {
                 (None, _) => None,
                 (Some(job), Slot::Inline(set)) => Some(exec(set, job)),
                 (Some(job), Slot::Thread { jobs, .. }) => {
-                    assert!(jobs.push(job), "partition {i} thread is gone");
+                    assert!(jobs.send(job).is_ok(), "partition {i} thread is gone");
                     waiting.push(i);
                     None
                 }
@@ -442,17 +333,17 @@ impl ShardGroup {
             replies.push(reply);
         }
         for i in waiting {
-            let Slot::Thread { replies: ring, .. } = &self.slots[i] else {
+            let Slot::Thread { replies: rx, .. } = &self.slots[i] else {
                 unreachable!("only threaded partitions are waited on");
             };
-            let reply = ring.pop();
+            let reply = rx.recv().ok();
             assert!(reply.is_some(), "partition {i} thread died before replying");
             replies[i] = reply;
         }
         replies.into_iter().flatten().collect()
     }
 
-    /// Spawns one thread per partition, fed through SPSC rings. The
+    /// Spawns one thread per partition, fed through bounded channels. The
     /// group stays observationally identical to inline mode. A single
     /// partition stays inline: there is nothing to run beside it.
     /// Idempotent.
@@ -466,9 +357,8 @@ impl ShardGroup {
             .enumerate()
             .map(|(i, slot)| match slot {
                 Slot::Inline(set) => {
-                    let jobs: SpscRing<Job> = SpscRing::new(RING_CAPACITY);
-                    let replies: SpscRing<Reply> = SpscRing::new(RING_CAPACITY);
-                    let (thread_jobs, thread_replies) = (jobs.clone(), replies.clone());
+                    let (jobs, thread_jobs) = sync_channel::<Job>(RING_CAPACITY);
+                    let (thread_replies, replies) = sync_channel::<Reply>(RING_CAPACITY);
                     let handle = std::thread::Builder::new()
                         .name(format!("ocep-shard-{i}"))
                         .spawn(move || partition_loop(set, &thread_jobs, &thread_replies))
@@ -497,7 +387,7 @@ impl ShardGroup {
             .enumerate()
             .map(|(i, slot)| match slot {
                 Slot::Thread { jobs, handle, .. } => {
-                    jobs.close();
+                    drop(jobs);
                     match handle.join() {
                         Ok(set) => Slot::Inline(set),
                         Err(_) => panic!("partition {i} thread panicked"),
@@ -545,12 +435,11 @@ impl ShardGroup {
     }
 
     /// `(name, monitor, pattern source)` for every live monitor with a
-    /// known source — on partition `part` only when given — in
-    /// registration order: the monitors a checkpoint can carry.
-    fn saved(&self, part: Option<usize>) -> Vec<(&str, &Monitor, &str)> {
+    /// known source, in registration order: the monitors a checkpoint
+    /// can carry.
+    fn saved(&self) -> Vec<(&str, &Monitor, &str)> {
         self.registry
             .iter()
-            .filter(|e| part.is_none_or(|p| p == e.part))
             .filter_map(|e| {
                 let m = self.part(e.part).monitor(&e.name)?;
                 Some((e.name.as_str(), m, e.source.as_deref()?))
@@ -712,9 +601,12 @@ impl ShardGroup {
             match slot {
                 Slot::Inline(set) => total.absorb(&set.metrics()),
                 Slot::Thread { jobs, replies, .. } => {
-                    assert!(jobs.push(Job::Metrics), "partition {i} thread is gone");
-                    match replies.pop() {
-                        Some(Reply::Metrics(m)) => total.absorb(&m),
+                    assert!(
+                        jobs.send(Job::Metrics).is_ok(),
+                        "partition {i} thread is gone"
+                    );
+                    match replies.recv() {
+                        Ok(Reply::Metrics(m)) => total.absorb(&m),
                         _ => panic!("partition {i} replied out of protocol"),
                     }
                 }
@@ -769,20 +661,16 @@ impl ShardGroup {
     // ---- the registry -------------------------------------------------
 
     /// Appends `monitor` to the registry and hands it to its partition.
-    fn install(&mut self, name: String, source: Option<String>, monitor: Monitor, dynamic: bool) {
+    fn install(&mut self, name: String, source: Option<String>, monitor: Monitor) {
         let part = route_of(&name, self.slots.len());
         self.index_of.insert(name.clone(), self.registry.len());
         self.registry.push(RegEntry {
             name: name.clone(),
             source,
-            config: *monitor.config(),
             part,
-            dynamic,
         });
-        if self.only.is_none_or(|only| only == part) {
-            let monitor = Box::new(monitor);
-            self.send_to(part, Job::Add { name, monitor });
-        }
+        let monitor = Box::new(monitor);
+        self.send_to(part, Job::Add { name, monitor });
     }
 
     /// Runs `job` on partition `part` alone.
@@ -796,11 +684,10 @@ impl ShardGroup {
         name: &str,
         source: &str,
         config: MonitorConfig,
-        dynamic: bool,
     ) -> Result<(), String> {
         let pattern = Pattern::parse(source).map_err(|e| e.to_string())?;
         let monitor = Monitor::with_config(pattern, self.n_traces, config);
-        self.install(name.to_owned(), Some(source.to_owned()), monitor, dynamic);
+        self.install(name.to_owned(), Some(source.to_owned()), monitor);
         Ok(())
     }
 
@@ -829,7 +716,7 @@ impl ShardGroup {
         source: &str,
         config: MonitorConfig,
     ) -> Result<(), String> {
-        self.add_monitor(name, source, config, true)?;
+        self.add_monitor(name, source, config)?;
         let mut payload = Vec::new();
         put_str(&mut payload, name);
         put_str(&mut payload, source);
@@ -856,7 +743,7 @@ impl ShardGroup {
     /// monitor. Inline mode only.
     #[must_use]
     pub fn checkpoint_set(&self) -> Vec<u8> {
-        save_parts_at(self.n_traces, &self.saved(None), self.guard.as_ref(), 0)
+        save_parts_at(self.n_traces, &self.saved(), self.guard.as_ref(), 0)
     }
 
     /// A `REC_CHECKPOINT` payload: the set-level `OCKS` blob anchored at
@@ -864,7 +751,7 @@ impl ShardGroup {
     fn checkpoint_payload(&self) -> Vec<u8> {
         let ocks = save_parts_at(
             self.n_traces,
-            &self.saved(None),
+            &self.saved(),
             self.guard.as_ref(),
             self.last_lsn,
         );
@@ -908,18 +795,14 @@ impl ShardGroup {
             return Ok(Vec::new());
         };
         let mut written = Vec::new();
-        for (name, m, src) in self.saved(None) {
+        for (name, m, src) in self.saved() {
             // Tenant monitors are named `{tenant}/{pattern}`, so a file
             // can live one directory down.
             let path = dir.join(format!("{name}.ockp"));
             let parent = path.parent().unwrap_or(dir);
             std::fs::create_dir_all(parent).map_err(|e| format!("{}: {e}", parent.display()))?;
-            let bytes = save_at(m, src, self.last_lsn);
-            if self.hooks.partial_checkpoint {
-                let _ = std::fs::write(&path, &bytes[..6]);
-                std::process::exit(121);
-            }
-            std::fs::write(&path, bytes).map_err(|e| format!("{}: {e}", path.display()))?;
+            replace_file(&path, &save_at(m, src, self.last_lsn))
+                .map_err(|e| format!("{}: {e}", path.display()))?;
             written.push(path);
         }
         Ok(written)
@@ -949,9 +832,7 @@ impl ShardGroup {
             };
             // A verdict can outlive its monitor (unregistered after it
             // fired); without the pattern its bindings cannot be
-            // rebuilt, so the historic entry is dropped. A partition
-            // rebuild holds one partition's monitors and discards the
-            // history anyway.
+            // rebuilt, so the historic entry is dropped.
             let Some(pattern) = self.monitor(&name).map(Monitor::pattern_arc) else {
                 continue;
             };
@@ -997,7 +878,6 @@ impl ShardGroup {
         self.replay(&recovery.records)?;
         self.last_lsn = recovery.records.last().map_or(0, |r| r.lsn);
         self.wal = Some(wal);
-        self.wal_dir = Some(dir.to_path_buf());
         Ok(())
     }
 
@@ -1038,7 +918,7 @@ impl ShardGroup {
                     self.last_lsn = rec.lsn;
                     let (name, source) = decode_register(&rec.payload).map_err(at)?;
                     if !self.is_live(&name) {
-                        self.add_monitor(&name, &source, MonitorConfig::default(), true)
+                        self.add_monitor(&name, &source, MonitorConfig::default())
                             .map_err(at)?;
                     }
                 }
@@ -1052,73 +932,18 @@ impl ShardGroup {
         }
         Ok(())
     }
+}
 
-    /// Kills partition `i` (its in-memory state is discarded, as a crash
-    /// would) and rebuilds it. With a log: the startup monitors routed
-    /// to `i` are built fresh, then the one log is scanned and run
-    /// through a scratch guard — restored, with the partition's
-    /// monitors, from the newest checkpoint — delivering to partition
-    /// `i` only, which also re-applies mid-stream registrations at their
-    /// stream positions. Without a log the partition's live monitors
-    /// restart empty: history before the restart is lost.
-    ///
-    /// # Errors
-    ///
-    /// No partition `i`, a monitor without a recorded pattern source,
-    /// or an unreadable log.
-    pub fn restart_shard(&mut self, i: usize) -> Result<(), String> {
-        if i >= self.slots.len() {
-            return Err(format!("no partition {i} among {}", self.slots.len()));
-        }
-        self.flush_os();
-        self.sealed(|group| {
-            let mut scratch = ShardGroup::blank(group.n_traces, group.slots.len());
-            scratch.only = Some(i);
-            scratch.guard = group
-                .guard
-                .as_ref()
-                .map(|g| AdmissionGuard::new(group.n_traces, *g.config()));
-            // The log re-registers mid-stream monitors itself.
-            let log_dir = group.wal.as_ref().and(group.wal_dir.clone());
-            let logged = log_dir.is_some();
-            for e in group.registry.iter().filter(|e| !(logged && e.dynamic)) {
-                let source = e.source.as_deref().ok_or_else(|| {
-                    format!(
-                        "cannot rebuild monitor {}: no pattern source recorded",
-                        e.name
-                    )
-                })?;
-                scratch.add_monitor(&e.name, source, e.config, e.dynamic)?;
-            }
-            if let Some(dir) = log_dir {
-                let scanned = ocep_wal::scan(&dir).map_err(|e| e.to_string())?;
-                scratch.replay(&scanned.records)?;
-            }
-            group.slots[i] = scratch.slots.swap_remove(i);
-            group.restarts += 1;
-            Ok(())
-        })
-    }
-
-    /// Serializes partition `i`'s monitors to an `OCKS` blob — the
-    /// simulator's virtual-disk path for a partition crash. Inline mode
-    /// only.
-    #[must_use]
-    pub fn shard_checkpoint(&self, i: usize) -> Vec<u8> {
-        save_parts_at(self.n_traces, &self.saved(Some(i)), None, 0)
-    }
-
-    /// Replaces partition `i` with the monitors of a
-    /// [`ShardGroup::shard_checkpoint`] blob. Inline mode only.
-    ///
-    /// # Errors
-    ///
-    /// A structurally invalid blob, diagnosed without panicking.
-    pub fn restore_shard(&mut self, i: usize, blob: &[u8]) -> Result<(), String> {
-        let (set, _sources) = load_set(blob).map_err(|e| e.to_string())?;
-        self.slots[i] = Slot::Inline(Box::new(set));
-        Ok(())
-    }
+/// Writes `bytes` to a sibling temporary, makes them durable, and
+/// renames it over `path`: dying at any point leaves either the previous
+/// file or the new one whole, never a torn one.
+fn replace_file(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    std::fs::rename(&tmp, path)
 }
 
 /// A decode error as the diagnostic line recovery prints.
@@ -1382,43 +1207,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&tmp);
     }
 
-    #[test]
-    fn partition_restart_replays_the_one_log() {
-        for threaded in [false, true] {
-            let tmp = scratch_dir(if threaded { "restart-t" } else { "restart" });
-            let stream = scrambled_stream();
-            let (reference, _) = single_reference(&stream);
-
-            // `lone` is registered mid-stream, before the event it
-            // matches: the rebuild must re-register it from the log.
-            let mut group = build_group(&[("hb", HB), ("conc", CONC)], 2);
-            group.recover(&tmp, Durability::Strict).unwrap();
-            if threaded {
-                group.start_threads();
-            }
-            let mut names = Vec::new();
-            for (i, e) in stream.iter().enumerate() {
-                if i == 1 {
-                    group
-                        .register("lone", LONE, MonitorConfig::default())
-                        .unwrap();
-                }
-                if i == 2 {
-                    // Crash and rebuild every partition mid-stream: the
-                    // log restores each to its exact pre-crash state.
-                    group.restart_shard(0).unwrap();
-                    group.restart_shard(1).unwrap();
-                }
-                names.extend(group.deliver("s", e).verdicts.into_iter().map(|(n, _)| n));
-            }
-            names.extend(group.flush().verdicts.into_iter().map(|(n, _)| n));
-            assert_eq!(names, reference, "threaded={threaded}");
-            assert_eq!(group.restarts(), 2);
-            group.seal();
-            let _ = std::fs::remove_dir_all(&tmp);
-        }
-    }
-
     /// A failed append closes the one log for every partition at once:
     /// the error is counted, session offsets stop advancing, and ingest
     /// carries on non-durably.
@@ -1455,23 +1243,5 @@ mod tests {
         assert_eq!(names, reference, "ingest continues");
         assert_eq!(group.durable("s"), 2, "durable offset stops advancing");
         assert_eq!(group.wal_append_errors(), 1);
-    }
-
-    #[test]
-    fn blob_checkpoint_round_trips_a_partition() {
-        let stream = scrambled_stream();
-        let (reference, _) = single_reference(&stream);
-        let mut group = build_group(&ALL, 2);
-        let mut names = Vec::new();
-        for (i, e) in stream.iter().enumerate() {
-            if i == 2 {
-                let blob = group.shard_checkpoint(0);
-                group.restore_shard(0, &blob).unwrap();
-            }
-            names.extend(group.deliver("s", e).verdicts.into_iter().map(|(n, _)| n));
-        }
-        names.extend(group.flush().verdicts.into_iter().map(|(n, _)| n));
-        assert_eq!(names, reference);
-        assert!(group.restore_shard(0, &[1, 2, 3]).is_err());
     }
 }

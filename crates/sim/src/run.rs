@@ -105,14 +105,12 @@ pub struct SimConfig {
     /// the oracle has — the comparison must flag it. Implies `wal` and
     /// at least one crash.
     pub wal_sabotage: bool,
-    /// Matcher partition count (0 = one, with whole-daemon crashes).
-    /// When set, each `crashes` cycle kills **one partition** instead of
-    /// the whole daemon: the victim's live checkpoint blob is captured
-    /// and the partition is rebuilt from those bytes mid-stream, while
-    /// the guard, the rest of the group — and every connection — keep
-    /// running. The oracle stays a single in-process set either way, so
-    /// both the fan-in order and the restore round-trip are held to the
-    /// single-set verdict stream bit-for-bit.
+    /// Matcher partition count (0 and 1 both mean one). Unobservable:
+    /// a crash kills the whole daemon at every count and recovers the
+    /// way `wal` says, and the oracle stays a single in-process set, so
+    /// the fan-in order and recovery at N partitions are held to the
+    /// single-set verdict stream — and to the one-partition run's
+    /// digest — bit-for-bit.
     pub shards: usize,
 }
 
@@ -187,10 +185,6 @@ enum SimOp {
     /// the cumulative journal implies, so its verdicts and guard state
     /// carry straight through — any loss shows up in the final diff.
     WalRestart,
-    /// One shard was killed and rebuilt from its own checkpoint blob.
-    /// The oracle does nothing: the restore must reproduce the victim's
-    /// live state exactly, so any loss surfaces in the final diff.
-    ShardRestart,
 }
 
 impl From<EngineOp> for SimOp {
@@ -677,21 +671,6 @@ impl World {
         for op in self.core.take_journal() {
             self.ops.push(op.into());
         }
-        if self.cfg.shards > 0 {
-            // A shard dies, not the daemon: capture the victim's live
-            // checkpoint blob and rebuild the shard from those bytes.
-            // Connections and the rest of the group keep running; the
-            // oracle carries straight through, so anything the blob
-            // fails to capture diverges the final diff.
-            let victim = (self.crashes_done - 1) % self.cfg.shards;
-            let blob = self.core.group().shard_checkpoint(victim);
-            if let Err(e) = self.core.group().restore_shard(victim, &blob) {
-                self.failure = Some(format!("shard {victim} failed to restore: {e}"));
-                return;
-            }
-            self.ops.push(SimOp::ShardRestart);
-            return;
-        }
         // The daemon dies: every connection queue closes with it.
         for p in &self.producers {
             p.out.close();
@@ -715,7 +694,6 @@ impl World {
                 self.serve.clone(),
                 dynclock,
                 Arc::clone(&self.bytes_out),
-                FaultHooks::default(),
             );
             if let Err(e) = self.core.recover_wal() {
                 self.failure = Some(format!("restart failed to recover log: {e}"));
@@ -737,13 +715,7 @@ impl World {
             let mut serve = self.serve.clone();
             serve.pattern_sources = sources.into_iter().collect();
             let dynclock: Arc<dyn NetClock> = Arc::clone(&self.clock) as Arc<dyn NetClock>;
-            let mut core = EngineCore::new(
-                set,
-                serve,
-                dynclock,
-                Arc::clone(&self.bytes_out),
-                FaultHooks::default(),
-            );
+            let mut core = EngineCore::new(set, serve, dynclock, Arc::clone(&self.bytes_out));
             core.enable_journal();
             self.core = core;
             self.ops.push(SimOp::Restore(self.disk.clone()));
@@ -829,11 +801,10 @@ fn replay_oracle(
                 set = s;
                 verdicts.clear();
             }
-            // Log recovery (and a shard's checkpoint-blob restore)
-            // reconstructs the pre-crash state exactly, verdict history
-            // included, so the oracle's cumulative state already *is*
-            // the recovered engine's state.
-            SimOp::WalRestart | SimOp::ShardRestart => {}
+            // Log recovery reconstructs the pre-crash state exactly,
+            // verdict history included, so the oracle's cumulative
+            // state already *is* the recovered engine's state.
+            SimOp::WalRestart => {}
         }
     }
     Ok((set, verdicts))
@@ -990,11 +961,11 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
     let clock = Arc::new(VirtualClock::new());
     let bytes_out = Arc::new(AtomicU64::new(0));
     let dynclock: Arc<dyn NetClock> = Arc::clone(&clock) as Arc<dyn NetClock>;
-    let hooks = FaultHooks {
+    let mut core = EngineCore::new(set, serve.clone(), dynclock, Arc::clone(&bytes_out));
+    core.group().set_fault_hooks(FaultHooks {
         drop_next_append: cfg.wal_sabotage,
         ..FaultHooks::default()
-    };
-    let mut core = EngineCore::new(set, serve.clone(), dynclock, Arc::clone(&bytes_out), hooks);
+    });
     let mut init_failure = None;
     if cfg.wal {
         if let Err(e) = core.recover_wal() {
@@ -1289,12 +1260,15 @@ mod tests {
 
     #[test]
     fn sharded_chaos_run_agrees_with_oracle() {
-        let mut cfg = chaos(23);
-        cfg.shards = 4;
-        cfg.crashes = 2;
-        let out = run_sim(&cfg);
-        assert_eq!(out.mismatch, None, "{:?}", out.mismatch);
-        assert!(out.crashes >= 1, "no shard crash threshold fired");
+        for wal in [false, true] {
+            let mut cfg = chaos(23);
+            cfg.shards = 4;
+            cfg.crashes = 2;
+            cfg.wal = wal;
+            let out = run_sim(&cfg);
+            assert_eq!(out.mismatch, None, "wal={wal}: {:?}", out.mismatch);
+            assert!(out.crashes >= 1, "wal={wal}: no crash threshold fired");
+        }
     }
 
     #[test]
@@ -1310,22 +1284,28 @@ mod tests {
 
     #[test]
     fn sharded_digest_equals_single_engine_digest() {
-        // Shard transparency at the whole-system level: the same chaos
-        // workload served by 4 partitions and by one
-        // must produce the same digest — verdicts, subset, ingest
-        // stats, stats broadcast, and fault counts all bit-identical.
-        // (Crashes are off because crash semantics legitimately differ:
-        // whole-daemon checkpoint restore vs one-shard restore.)
-        let mut single = chaos(31);
-        single.crashes = 0;
-        let mut sharded = single.clone();
-        sharded.shards = 4;
-        let a = run_sim(&single);
-        let b = run_sim(&sharded);
-        assert_eq!(a.mismatch, None, "{:?}", a.mismatch);
-        assert_eq!(b.mismatch, None, "{:?}", b.mismatch);
-        assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(a.digest, b.digest);
+        // Shard transparency at the whole-system level, daemon crashes
+        // and both recovery paths included: the same chaos workload
+        // served by 2/4/8 partitions and by one must produce the same
+        // digest — verdicts, subset, ingest stats, stats broadcast,
+        // fault counts and checkpoint size all bit-identical.
+        for seed in 0..40 {
+            for wal in [false, true] {
+                let mut single = chaos(seed);
+                single.crashes = 2;
+                single.wal = wal;
+                let mut sharded = single.clone();
+                sharded.shards = 2 << (seed % 3);
+                let a = run_sim(&single);
+                let b = run_sim(&sharded);
+                let at = format!("seed={seed} wal={wal} shards={}", sharded.shards);
+                assert_eq!(a.mismatch, None, "{at}: {:?}", a.mismatch);
+                assert_eq!(b.mismatch, None, "{at}: {:?}", b.mismatch);
+                assert!(b.crashes >= 1, "{at}: no crash threshold fired");
+                assert_eq!(a.fingerprint, b.fingerprint, "{at}");
+                assert_eq!(a.digest, b.digest, "{at}");
+            }
+        }
     }
 
     #[test]

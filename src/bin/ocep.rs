@@ -115,7 +115,9 @@ journaled delivery to prove the oracle catches divergence. `--wal`
 serves through an on-disk durable log: crashes become SIGKILL-like (no
 checkpoint, no drain) and each restart recovers by replaying the log;
 `--wal-sabotage` silently drops one log append to prove the oracle
-catches a recovery that lost an event.
+catches a recovery that lost an event. `--shards N` serves the run on
+N matcher partitions; crashes still kill the whole daemon and recover
+the same two ways, and the digest must equal the one-partition run's.
 
 A pattern file holds a pattern program, e.g.:
 
@@ -166,6 +168,9 @@ log under `--wal`; verdicts are re-merged into the single-set order, so
 every observable output and every log byte is identical at any N, and
 N may change between restarts. `--shards 0` and `1` both run a single
 partition inline.
+
+A flag the subcommand does not take, or one missing its value, is a
+usage error (exit 3) naming the flag.
 `register` adds or removes (`--unregister`) patterns for a tenant on a
 live daemon; the server monitors each as `{tenant}/{name}`, and
 `tail --tenant T` scopes a subscription to that namespace.
@@ -181,32 +186,192 @@ fn main() {
     }
 }
 
-fn run() -> Result<i32, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("validate") => validate(args.get(1).ok_or("missing pattern file")?).map(|()| 0),
-        Some("check") => check(&args[1..]),
-        Some("stats") => stats_cmd(&args[1..]).map(|()| 0),
-        Some("checkpoint") => checkpoint_cmd(&args[1..]).map(|()| 0),
-        Some("record-demo") => record_demo(&args[1..]).map(|()| 0),
-        Some("info") => info(args.get(1).ok_or("missing dump file")?).map(|()| 0),
-        Some("show") => show(&args[1..]).map(|()| 0),
-        Some("analyze") => analyze_cmd(&args[1..]).map(|()| 0),
-        Some("slice") => slice_cmd(&args[1..]).map(|()| 0),
-        Some("fuzz") => fuzz_cmd(&args[1..]),
-        Some("sim") => sim_cmd(&args[1..]),
-        Some("serve") => serve_cmd(&args[1..]),
-        Some("register") => register_cmd(&args[1..]),
-        Some("send") => send_cmd(&args[1..]),
-        Some("ingest") => ingest_cmd(&args[1..]),
-        Some("tail") => tail_cmd(&args[1..]),
-        Some("replay") => replay_cmd(&args[1..]),
-        Some("--help" | "-h") => {
-            print!("{USAGE}");
-            Ok(0)
+/// One subcommand and the flags it understands, as space-separated
+/// lists; `monitor` adds the shared [`MONITOR_VALUED`] and
+/// [`MONITOR_SWITCHES`].
+struct Sub {
+    name: &'static str,
+    monitor: bool,
+    valued: &'static str,
+    switches: &'static str,
+}
+
+impl Sub {
+    fn takes_value(&self, flag: &str) -> bool {
+        listed(self.valued, flag) || (self.monitor && listed(MONITOR_VALUED, flag))
+    }
+
+    fn is_switch(&self, flag: &str) -> bool {
+        listed(self.switches, flag) || (self.monitor && listed(MONITOR_SWITCHES, flag))
+    }
+}
+
+fn listed(flags: &str, flag: &str) -> bool {
+    flags.split(' ').any(|f| f == flag)
+}
+
+const fn sub(
+    name: &'static str,
+    monitor: bool,
+    valued: &'static str,
+    switches: &'static str,
+) -> Sub {
+    Sub {
+        name,
+        monitor,
+        valued,
+        switches,
+    }
+}
+
+/// The monitor and guard flags (`[monitor flags]` in [`USAGE`]).
+const MONITOR_VALUED: &str = "--guard-capacity --overflow --obs --metrics";
+const MONITOR_SWITCHES: &str = "--per-arrival --no-dedup --guard";
+
+/// Every subcommand with the flags that take a value and its bare
+/// switches — the one place a flag is declared.
+const SUBCOMMANDS: &[Sub] = &[
+    sub("validate", false, "", ""),
+    sub("check", true, "--resume", "--stats"),
+    sub("stats", true, "--addr", ""),
+    sub("checkpoint", true, "--events", ""),
+    sub("record-demo", false, "--seed", ""),
+    sub("info", false, "", ""),
+    sub("show", false, "--limit", ""),
+    sub("analyze", false, "", ""),
+    sub("slice", false, "", ""),
+    sub(
+        "fuzz",
+        false,
+        "--seed --cases --dump-dir --replay --obs --metrics",
+        "--smoke --faults",
+    ),
+    sub(
+        "sim",
+        false,
+        "--seed --seeds --clients --tails --events --crashes --shards --dump-dir --replay",
+        "--faults --sabotage --wal --wal-sabotage",
+    ),
+    sub(
+        "serve",
+        true,
+        "--traces --addr --port-file --window --slow-policy --checkpoint --checkpoint-every \
+         --wal --durability --shards",
+        "--history-gc",
+    ),
+    sub("register", false, "--traces", "--unregister"),
+    sub("send", false, "--batch --name", "--shutdown"),
+    sub(
+        "ingest",
+        true,
+        "--pattern --batch --addr --name",
+        "--shutdown",
+    ),
+    sub("tail", false, "--name --from --tenant", "--once"),
+    sub("replay", true, "--traces", ""),
+];
+
+/// A subcommand's command line, parsed once against its [`Sub`].
+struct Args<'a> {
+    pos: Vec<&'a str>,
+    values: Vec<(&'a str, &'a str)>,
+    switches: Vec<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    /// Splits `args` into positionals, valued flags and switches.
+    ///
+    /// # Errors
+    ///
+    /// A flag `sub` does not declare, or a valued one without a value.
+    fn parse(sub: &Sub, args: &'a [String]) -> Result<Args<'a>, String> {
+        let mut out = Args {
+            pos: Vec::new(),
+            values: Vec::new(),
+            switches: Vec::new(),
+        };
+        let mut rest = args.iter().map(String::as_str);
+        while let Some(a) = rest.next() {
+            if !a.starts_with("--") {
+                out.pos.push(a);
+            } else if sub.is_switch(a) {
+                out.switches.push(a);
+            } else if sub.takes_value(a) {
+                let value = rest
+                    .next()
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("flag '{a}' of 'ocep {}' needs a value", sub.name))?;
+                out.values.push((a, value));
+            } else {
+                return Err(format!("unknown flag '{a}' for 'ocep {}'", sub.name));
+            }
         }
-        Some(other) => Err(format!("unknown command '{other}'")),
-        None => Err("missing command".into()),
+        Ok(out)
+    }
+
+    /// The `i`-th positional argument, or "missing {what}".
+    fn arg(&self, i: usize, what: &str) -> Result<&'a str, String> {
+        self.pos
+            .get(i)
+            .copied()
+            .ok_or_else(|| format!("missing {what}"))
+    }
+
+    /// Every value given for `flag`, in order.
+    fn vals<'s>(&'s self, flag: &'s str) -> impl Iterator<Item = &'a str> + 's {
+        self.values
+            .iter()
+            .filter(move |(f, _)| *f == flag)
+            .map(|(_, v)| *v)
+    }
+
+    fn val(&self, flag: &str) -> Option<&'a str> {
+        self.vals(flag).next()
+    }
+
+    fn has(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
+    }
+
+    /// `flag`'s value parsed, or "bad {flag} '{value}'".
+    fn num<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.val(flag)
+            .map(|s| s.parse().map_err(|_| format!("bad {flag} '{s}'")))
+            .transpose()
+    }
+}
+
+fn run() -> Result<i32, String> {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (cmd, rest) = argv.split_first().ok_or("missing command")?;
+    if matches!(cmd.as_str(), "--help" | "-h") {
+        print!("{USAGE}");
+        return Ok(0);
+    }
+    let sub = SUBCOMMANDS
+        .iter()
+        .find(|s| s.name == cmd)
+        .ok_or_else(|| format!("unknown command '{cmd}'"))?;
+    let args = &Args::parse(sub, rest)?;
+    match sub.name {
+        "validate" => validate(args.arg(0, "pattern file")?).map(|()| 0),
+        "check" => check(args),
+        "stats" => stats_cmd(args).map(|()| 0),
+        "checkpoint" => checkpoint_cmd(args).map(|()| 0),
+        "record-demo" => record_demo(args).map(|()| 0),
+        "info" => info(args.arg(0, "dump file")?).map(|()| 0),
+        "show" => show(args).map(|()| 0),
+        "analyze" => analyze_cmd(args).map(|()| 0),
+        "slice" => slice_cmd(args).map(|()| 0),
+        "fuzz" => fuzz_cmd(args),
+        "sim" => sim_cmd(args),
+        "serve" => serve_cmd(args),
+        "register" => register_cmd(args),
+        "send" => send_cmd(args),
+        "ingest" => ingest_cmd(args),
+        "tail" => tail_cmd(args),
+        "replay" => replay_cmd(args),
+        other => unreachable!("subcommand '{other}' is declared but not dispatched"),
     }
 }
 
@@ -214,6 +379,15 @@ fn load_pattern(path: &str) -> Result<Pattern, String> {
     let src = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read pattern file '{path}': {e}"))?;
     Pattern::parse(&src).map_err(|e| e.to_string())
+}
+
+/// The name a pattern file's monitor goes by: the file's stem.
+fn file_stem(path: &str) -> String {
+    std::path::Path::new(path)
+        .file_stem()
+        .and_then(|s| s.to_str())
+        .unwrap_or("pattern")
+        .to_owned()
 }
 
 fn validate(path: &str) -> Result<(), String> {
@@ -272,18 +446,13 @@ fn validate(path: &str) -> Result<(), String> {
 /// The observability level requested by `--obs` / `--metrics`
 /// (`--metrics` implies full collection when no level was named), and
 /// the export path, if any.
-fn obs_flags(args: &[String]) -> Result<(ObsLevel, Option<String>), String> {
-    let flag_val = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let mut obs = match flag_val("--obs") {
+fn obs_flags(args: &Args) -> Result<(ObsLevel, Option<String>), String> {
+    let mut obs = match args.val("--obs") {
         Some(s) => ObsLevel::from_name(s)
             .ok_or_else(|| format!("bad --obs '{s}' (expected off|counters|full)"))?,
         None => ObsLevel::Off,
     };
-    let metrics_path = flag_val("--metrics").cloned();
+    let metrics_path = args.val("--metrics").map(str::to_owned);
     if metrics_path.is_some() && !obs.enabled() {
         obs = ObsLevel::Full;
     }
@@ -313,30 +482,23 @@ fn write_metrics(path: &str, snapshot: &MetricsSnapshot) -> Result<(), String> {
 /// `--obs`, `--metrics`) into a [`MonitorConfig`], and the admission
 /// guard's configuration when `--guard`, `--guard-capacity` or
 /// `--overflow` asks for one.
-fn monitor_config(args: &[String]) -> Result<(MonitorConfig, Option<GuardConfig>), String> {
-    let flag_val = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
+fn monitor_config(args: &Args) -> Result<(MonitorConfig, Option<GuardConfig>), String> {
     let (obs, _) = obs_flags(args)?;
     let mut guard_cfg = GuardConfig::default();
-    let mut want_guard = args.iter().any(|a| a == "--guard");
-    if let Some(cap) = flag_val("--guard-capacity") {
-        guard_cfg.capacity = cap
-            .parse()
-            .map_err(|_| format!("bad --guard-capacity '{cap}'"))?;
+    let mut want_guard = args.has("--guard");
+    if let Some(capacity) = args.num("--guard-capacity")? {
+        guard_cfg.capacity = capacity;
         want_guard = true;
     }
-    if let Some(policy) = flag_val("--overflow") {
+    if let Some(policy) = args.val("--overflow") {
         guard_cfg.overflow = OverflowPolicy::from_name(policy).ok_or_else(|| {
             format!("bad --overflow '{policy}' (expected reject|drop-oldest|flush-degraded)")
         })?;
         want_guard = true;
     }
     let config = MonitorConfig {
-        dedup: !args.iter().any(|a| a == "--no-dedup"),
-        policy: if args.iter().any(|a| a == "--per-arrival") {
+        dedup: !args.has("--no-dedup"),
+        policy: if args.has("--per-arrival") {
             SubsetPolicy::PerArrival
         } else {
             SubsetPolicy::Representative
@@ -405,68 +567,12 @@ fn load_dump(path: &str) -> Result<ocep_repro::poet::PoetServer, String> {
     dump::reload_from_file(path).map_err(|e| format!("cannot reload '{path}': {e}"))
 }
 
-/// Positional (non-flag) arguments; flags that take a value are skipped
-/// together with it.
-fn positionals(args: &[String]) -> Vec<&String> {
-    const VALUED: &[&str] = &[
-        "--guard-capacity",
-        "--overflow",
-        "--resume",
-        "--events",
-        "--seed",
-        "--seeds",
-        "--cases",
-        "--clients",
-        "--tails",
-        "--crashes",
-        "--limit",
-        "--dump-dir",
-        "--replay",
-        "--obs",
-        "--metrics",
-        "--addr",
-        "--traces",
-        "--port-file",
-        "--window",
-        "--slow-policy",
-        "--checkpoint",
-        "--checkpoint-every",
-        "--batch",
-        "--name",
-        "--wal",
-        "--durability",
-        "--from",
-        "--shards",
-        "--tenant",
-        "--pattern",
-    ];
-    let mut out = Vec::new();
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if VALUED.contains(&a.as_str()) {
-            skip = true;
-        } else if !a.starts_with("--") {
-            out.push(a);
-        }
-    }
-    out
-}
-
-fn check(args: &[String]) -> Result<i32, String> {
-    let show_stats = args.iter().any(|a| a == "--stats");
+fn check(args: &Args) -> Result<i32, String> {
+    let show_stats = args.has("--stats");
     let (_, metrics_path) = obs_flags(args)?;
-    let resume = args
-        .iter()
-        .position(|a| a == "--resume")
-        .and_then(|i| args.get(i + 1));
-    let pos = positionals(args);
 
-    let (mut set, server, skip) = if let Some(ckpt_path) = resume {
-        let dump_path = *pos.first().ok_or("missing dump file")?;
+    let (mut set, server, skip) = if let Some(ckpt_path) = args.val("--resume") {
+        let dump_path = args.arg(0, "dump file")?;
         let (set, skip) = restore_set(ckpt_path)?;
         println!(
             "resumed from {ckpt_path}: {} events already observed, {} matches found",
@@ -475,11 +581,9 @@ fn check(args: &[String]) -> Result<i32, String> {
         );
         (set, load_dump(dump_path)?, skip)
     } else {
-        let pattern_path = *pos.first().ok_or("missing pattern file")?;
-        let dump_path = *pos.get(1).ok_or("missing dump file")?;
-        let pattern = load_pattern(pattern_path)?;
+        let pattern = load_pattern(args.arg(0, "pattern file")?)?;
         let config = monitor_config(args)?;
-        let server = load_dump(dump_path)?;
+        let server = load_dump(args.arg(1, "dump file")?)?;
         (single_set(pattern, server.n_traces(), config), server, 0)
     };
 
@@ -536,13 +640,9 @@ fn check(args: &[String]) -> Result<i32, String> {
 /// runs the monitor at full (or `--obs`-selected) collection and
 /// pretty-prints the metrics snapshot; with a single checkpoint file,
 /// prints the metrics embedded in it.
-fn stats_cmd(args: &[String]) -> Result<(), String> {
+fn stats_cmd(args: &Args) -> Result<(), String> {
     // `stats --addr HOST:PORT` queries a live `ocep serve` daemon.
-    let addr_flag = args
-        .iter()
-        .position(|a| a == "--addr")
-        .and_then(|i| args.get(i + 1));
-    if let Some(addr) = addr_flag {
+    if let Some(addr) = args.val("--addr") {
         let mut tail = ocep_repro::net::Tail::connect(addr, "ocep-stats")
             .map_err(|e| format!("cannot connect to '{addr}': {e}"))?;
         let (s, _) = tail
@@ -555,9 +655,8 @@ fn stats_cmd(args: &[String]) -> Result<(), String> {
         );
         return Ok(());
     }
-    let pos = positionals(args);
-    if pos.len() == 1 {
-        let (set, _) = restore_set(pos[0])?;
+    if let [ckpt_path] = args.pos[..] {
+        let (set, _) = restore_set(ckpt_path)?;
         match set.iter().find_map(|(_, m)| m.obs_metrics()) {
             Some(m) => println!(
                 "checkpoint metrics (collected at obs level {}):\n\n{}",
@@ -572,15 +671,13 @@ fn stats_cmd(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
-    let pattern_path = *pos.first().ok_or("missing pattern file (or checkpoint)")?;
-    let dump_path = *pos.get(1).ok_or("missing dump file")?;
-    let pattern = load_pattern(pattern_path)?;
+    let pattern = load_pattern(args.arg(0, "pattern file (or checkpoint)")?)?;
     let mut config = monitor_config(args)?;
     if !config.0.obs.enabled() {
         config.0.obs = ObsLevel::Full;
         ocep_repro::vclock::ops::enable(true);
     }
-    let server = load_dump(dump_path)?;
+    let server = load_dump(args.arg(1, "dump file")?)?;
     let mut set = single_set(pattern, server.n_traces(), config);
     for e in server.store().iter_arrival() {
         let _ = set.observe_raw(e);
@@ -596,17 +693,11 @@ fn stats_cmd(args: &[String]) -> Result<(), String> {
 
 /// `ocep checkpoint` — run a monitor over (a prefix of) a dump and
 /// serialize its full matching state for `check --resume`.
-fn checkpoint_cmd(args: &[String]) -> Result<(), String> {
-    let pos = positionals(args);
-    let pattern_path = *pos.first().ok_or("missing pattern file")?;
-    let dump_path = *pos.get(1).ok_or("missing dump file")?;
-    let out_path = *pos.get(2).ok_or("missing output checkpoint file")?;
-    let events_limit: Option<usize> = args
-        .iter()
-        .position(|a| a == "--events")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.parse().map_err(|_| format!("bad --events '{s}'")))
-        .transpose()?;
+fn checkpoint_cmd(args: &Args) -> Result<(), String> {
+    let pattern_path = args.arg(0, "pattern file")?;
+    let dump_path = args.arg(1, "dump file")?;
+    let out_path = args.arg(2, "output checkpoint file")?;
+    let events_limit: Option<usize> = args.num("--events")?;
 
     let src = std::fs::read_to_string(pattern_path)
         .map_err(|e| format!("cannot read pattern file '{pattern_path}': {e}"))?;
@@ -644,17 +735,12 @@ fn checkpoint_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn record_demo(args: &[String]) -> Result<(), String> {
-    let which = args.first().ok_or("missing workload name")?;
-    let out = args.get(1).ok_or("missing output file")?;
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42u64);
+fn record_demo(args: &Args) -> Result<(), String> {
+    let which = args.arg(0, "workload name")?;
+    let out = args.arg(1, "output file")?;
+    let seed: u64 = args.num("--seed")?.unwrap_or(42);
 
-    let generated = match which.as_str() {
+    let generated = match which {
         "deadlock" => random_walk::generate(&random_walk::Params {
             seed,
             deadlock_prob: 0.05,
@@ -695,14 +781,9 @@ fn record_demo(args: &[String]) -> Result<(), String> {
 /// Renders a Fig 3-style process-time diagram: one column per trace,
 /// one row per event in linearization order, with `o--->` send markers
 /// and `>` receive markers labelled by type.
-fn show(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("missing dump file")?;
-    let limit: usize = args
-        .iter()
-        .position(|a| a == "--limit")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(60);
+fn show(args: &Args) -> Result<(), String> {
+    let path = args.arg(0, "dump file")?;
+    let limit: usize = args.num("--limit")?.unwrap_or(60);
     let server =
         dump::reload_from_file(path).map_err(|e| format!("cannot reload '{path}': {e}"))?;
     let store = server.store();
@@ -748,9 +829,9 @@ fn show(args: &[String]) -> Result<(), String> {
 }
 
 /// Offline exhaustive statistics (the post-mortem companion of §II).
-fn analyze_cmd(args: &[String]) -> Result<(), String> {
-    let pattern = load_pattern(args.first().ok_or("missing pattern file")?)?;
-    let dump_path = args.get(1).ok_or("missing dump file")?;
+fn analyze_cmd(args: &Args) -> Result<(), String> {
+    let pattern = load_pattern(args.arg(0, "pattern file")?)?;
+    let dump_path = args.arg(1, "dump file")?;
     let server = dump::reload_from_file(dump_path)
         .map_err(|e| format!("cannot reload '{dump_path}': {e}"))?;
     let report = ocep_repro::analysis::analyze(&pattern, server.store());
@@ -765,10 +846,10 @@ fn analyze_cmd(args: &[String]) -> Result<(), String> {
 }
 
 /// Projects a dump onto selected traces (post-mortem §II workflow).
-fn slice_cmd(args: &[String]) -> Result<(), String> {
-    let dump_path = args.first().ok_or("missing dump file")?;
-    let out_path = args.get(1).ok_or("missing output file")?;
-    let spec = args.get(2).ok_or("missing trace list (e.g. T0,T3)")?;
+fn slice_cmd(args: &Args) -> Result<(), String> {
+    let dump_path = args.arg(0, "dump file")?;
+    let out_path = args.arg(1, "output file")?;
+    let spec = args.arg(2, "trace list (e.g. T0,T3)")?;
     let keep: Vec<ocep_repro::vclock::TraceId> = spec
         .split(',')
         .map(|s| {
@@ -799,16 +880,10 @@ fn slice_cmd(args: &[String]) -> Result<(), String> {
 }
 
 /// Differential conformance fuzzing (`ocep fuzz`).
-fn fuzz_cmd(args: &[String]) -> Result<i32, String> {
+fn fuzz_cmd(args: &Args) -> Result<i32, String> {
     use ocep_repro::conformance as conf;
 
-    let flag_val = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-
-    if let Some(dir) = flag_val("--replay") {
+    if let Some(dir) = args.val("--replay") {
         let outcome = conf::replay_dump(std::path::Path::new(dir))
             .map_err(|e| format!("cannot replay '{dir}': {e}"))?;
         match &outcome.result {
@@ -829,20 +904,14 @@ fn fuzz_cmd(args: &[String]) -> Result<i32, String> {
         return Ok(1);
     }
 
-    let seed: u64 = flag_val("--seed")
-        .map(|s| s.parse().map_err(|_| format!("bad --seed '{s}'")))
-        .transpose()?
-        .unwrap_or(0);
-    let smoke = args.iter().any(|a| a == "--smoke");
+    let seed: u64 = args.num("--seed")?.unwrap_or(0);
+    let smoke = args.has("--smoke");
 
-    if args.iter().any(|a| a == "--faults") {
+    if args.has("--faults") {
         let cases: usize = if smoke {
             400
         } else {
-            flag_val("--cases")
-                .map(|s| s.parse().map_err(|_| format!("bad --cases '{s}'")))
-                .transpose()?
-                .unwrap_or(200)
+            args.num("--cases")?.unwrap_or(200)
         };
         let cfg = conf::FaultFuzzConfig {
             seed,
@@ -885,12 +954,10 @@ fn fuzz_cmd(args: &[String]) -> Result<i32, String> {
     let cases: usize = if smoke {
         2000
     } else {
-        flag_val("--cases")
-            .map(|s| s.parse().map_err(|_| format!("bad --cases '{s}'")))
-            .transpose()?
-            .unwrap_or(500)
+        args.num("--cases")?.unwrap_or(500)
     };
-    let dump_dir = flag_val("--dump-dir")
+    let dump_dir = args
+        .val("--dump-dir")
         .map(std::path::PathBuf::from)
         .or_else(|| Some(std::path::PathBuf::from("fuzz-failures")));
     let (obs, metrics_path) = obs_flags(args)?;
@@ -950,22 +1017,10 @@ fn fuzz_cmd(args: &[String]) -> Result<i32, String> {
     }
 }
 
-fn sim_cmd(args: &[String]) -> Result<i32, String> {
+fn sim_cmd(args: &Args) -> Result<i32, String> {
     use ocep_repro::sim;
 
-    let flag_val = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let parse = |name: &str, default: usize| -> Result<usize, String> {
-        flag_val(name)
-            .map(|s| s.parse().map_err(|_| format!("bad {name} '{s}'")))
-            .transpose()
-            .map(|v| v.unwrap_or(default))
-    };
-
-    if let Some(dir) = flag_val("--replay") {
+    if let Some(dir) = args.val("--replay") {
         let replay = sim::replay_dump(std::path::Path::new(dir))
             .map_err(|e| format!("cannot replay '{dir}': {e}"))?;
         println!(
@@ -989,29 +1044,26 @@ fn sim_cmd(args: &[String]) -> Result<i32, String> {
         return Ok(1);
     }
 
-    let base_seed: u64 = flag_val("--seed")
-        .map(|s| s.parse().map_err(|_| format!("bad --seed '{s}'")))
-        .transpose()?
-        .unwrap_or(0);
-    let seeds = parse("--seeds", 1)?.max(1);
-    let faults = if args.iter().any(|a| a == "--faults") {
+    let base_seed: u64 = args.num("--seed")?.unwrap_or(0);
+    let seeds: usize = args.num("--seeds")?.unwrap_or(1).max(1);
+    let faults = if args.has("--faults") {
         sim::FaultToggles::all()
     } else {
         sim::FaultToggles::default()
     };
     let template = sim::SimConfig {
         seed: base_seed,
-        clients: parse("--clients", 4)?,
-        tails: parse("--tails", 2)?,
-        events: parse("--events", 96)?,
+        clients: args.num("--clients")?.unwrap_or(4),
+        tails: args.num("--tails")?.unwrap_or(2),
+        events: args.num("--events")?.unwrap_or(96),
         faults,
-        crashes: parse("--crashes", 0)?,
-        sabotage: args.iter().any(|a| a == "--sabotage"),
-        wal: args.iter().any(|a| a == "--wal"),
-        wal_sabotage: args.iter().any(|a| a == "--wal-sabotage"),
-        shards: parse("--shards", 0)?,
+        crashes: args.num("--crashes")?.unwrap_or(0),
+        sabotage: args.has("--sabotage"),
+        wal: args.has("--wal"),
+        wal_sabotage: args.has("--wal-sabotage"),
+        shards: args.num("--shards")?.unwrap_or(0),
     };
-    let dump_dir = flag_val("--dump-dir").map(std::path::PathBuf::from);
+    let dump_dir = args.val("--dump-dir").map(std::path::PathBuf::from);
 
     println!(
         "simulating: seeds {base_seed}..{} clients={} tails={} events={} crashes={} faults={}",
@@ -1109,28 +1161,17 @@ fn info(path: &str) -> Result<(), String> {
 /// `ocep serve` — run the monitor set as an OCWP daemon. Blocks until a
 /// producer sends `Shutdown`, then reports with `check`-style exit
 /// codes.
-fn serve_cmd(args: &[String]) -> Result<i32, String> {
-    use ocep_repro::net::{FaultHooks, ServeConfig, Server};
+fn serve_cmd(args: &Args) -> Result<i32, String> {
+    use ocep_repro::net::{ServeConfig, Server};
 
-    let flag_val = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let pos = positionals(args);
-    let pattern_path = *pos.first().ok_or("missing pattern file")?;
+    let pattern_path = args.arg(0, "pattern file")?;
     let src = std::fs::read_to_string(pattern_path)
         .map_err(|e| format!("cannot read pattern file '{pattern_path}': {e}"))?;
     let pattern = Pattern::parse(&src).map_err(|e| e.to_string())?;
-    let n_traces: usize = flag_val("--traces")
-        .ok_or("serve needs --traces N (the trace count producers must announce)")?
-        .parse()
-        .map_err(|_| "bad --traces value".to_owned())?;
-    let name = std::path::Path::new(pattern_path)
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("pattern")
-        .to_owned();
+    let n_traces: usize = args
+        .num("--traces")?
+        .ok_or("serve needs --traces N (the trace count producers must announce)")?;
+    let name = file_stem(pattern_path);
 
     let (mconfig, guard) = monitor_config(args)?;
     let mut set = MonitorSet::new(n_traces);
@@ -1138,57 +1179,31 @@ fn serve_cmd(args: &[String]) -> Result<i32, String> {
     set.enable_guard(guard.unwrap_or_default());
 
     let mut sconfig = ServeConfig::default();
-    if let Some(w) = flag_val("--window") {
-        sconfig.window = w.parse().map_err(|_| format!("bad --window '{w}'"))?;
+    if let Some(window) = args.num("--window")? {
+        sconfig.window = window;
     }
-    if let Some(policy) = flag_val("--slow-policy") {
+    if let Some(policy) = args.val("--slow-policy") {
         sconfig.slow_policy = OverflowPolicy::from_name(policy).ok_or_else(|| {
             format!("bad --slow-policy '{policy}' (expected reject|drop-oldest|flush-degraded)")
         })?;
     }
     sconfig.pattern_sources.insert(name.clone(), src);
-    if let Some(dir) = flag_val("--checkpoint") {
-        sconfig.checkpoint_dir = Some(dir.into());
-    }
-    if let Some(dir) = flag_val("--wal") {
-        sconfig.wal_dir = Some(dir.into());
-    }
-    if let Some(mode) = flag_val("--durability") {
+    sconfig.checkpoint_dir = args.val("--checkpoint").map(Into::into);
+    sconfig.wal_dir = args.val("--wal").map(Into::into);
+    if let Some(mode) = args.val("--durability") {
         sconfig.durability = ocep_repro::wal::Durability::from_name(mode)
             .ok_or_else(|| format!("bad --durability '{mode}' (expected none|batch|strict)"))?;
     }
-    if let Some(every) = flag_val("--checkpoint-every") {
-        sconfig.checkpoint_every = every
-            .parse()
-            .map_err(|_| format!("bad --checkpoint-every '{every}'"))?;
-    }
-    sconfig.history_gc = args.iter().any(|a| a == "--history-gc");
-    if let Some(n) = flag_val("--shards") {
-        sconfig.shards = n.parse().map_err(|_| format!("bad --shards '{n}'"))?;
-    }
+    sconfig.checkpoint_every = args.num("--checkpoint-every")?.unwrap_or(0);
+    sconfig.history_gc = args.has("--history-gc");
+    sconfig.shards = args.num("--shards")?.unwrap_or(0);
 
-    let addr = flag_val("--addr")
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1:7070".into());
-    // Crash injection for the smoke tests (tests/cli.rs, CI
-    // `shard-smoke`): `OCEP_TEST_SHARD_RESTART="i@frames"` kills and
-    // rebuilds partition i once that many data frames are processed;
-    // `OCEP_TEST_PARTIAL_CHECKPOINT` dies mid-checkpoint-file.
-    let hooks = FaultHooks {
-        restart_shard: std::env::var("OCEP_TEST_SHARD_RESTART")
-            .ok()
-            .and_then(|spec| {
-                let (i, at) = spec.split_once('@')?;
-                Some((i.trim().parse().ok()?, at.trim().parse().ok()?))
-            }),
-        partial_checkpoint: std::env::var_os("OCEP_TEST_PARTIAL_CHECKPOINT").is_some(),
-        ..FaultHooks::default()
-    };
-    let server = Server::bind_with_faults(&addr, set, sconfig, hooks)
-        .map_err(|e| format!("cannot serve on '{addr}': {e}"))?;
+    let addr = args.val("--addr").unwrap_or("127.0.0.1:7070");
+    let server =
+        Server::bind(addr, set, sconfig).map_err(|e| format!("cannot serve on '{addr}': {e}"))?;
     let actual = server.addr().to_string();
     eprintln!("serving '{name}' ({n_traces} traces) on {actual}");
-    if let Some(port_file) = flag_val("--port-file") {
+    if let Some(port_file) = args.val("--port-file") {
         std::fs::write(port_file, format!("{actual}\n"))
             .map_err(|e| format!("cannot write port file '{port_file}': {e}"))?;
     }
@@ -1226,36 +1241,20 @@ fn serve_cmd(args: &[String]) -> Result<i32, String> {
 /// `ocep register` — add or remove (`--unregister`) tenant patterns on
 /// a running daemon. Pattern names are the files' stems; the server
 /// monitors each as `{tenant}/{name}`.
-fn register_cmd(args: &[String]) -> Result<i32, String> {
+fn register_cmd(args: &Args) -> Result<i32, String> {
     use ocep_repro::net::Client;
 
-    let flag_val = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let pos = positionals(args);
-    let addr = *pos.first().ok_or("missing server address")?;
-    let tenant = *pos.get(1).ok_or("missing tenant")?;
-    let files = &pos[2..];
-    if files.is_empty() {
-        return Err("missing pattern file(s)".into());
-    }
-    let n_traces: usize = flag_val("--traces")
-        .ok_or("register needs --traces N (the trace count the server monitors)")?
-        .parse()
-        .map_err(|_| "bad --traces value".to_owned())?;
-    let stem = |f: &str| -> String {
-        std::path::Path::new(f)
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or(f)
-            .to_owned()
-    };
+    let addr = args.arg(0, "server address")?;
+    let tenant = args.arg(1, "tenant")?;
+    args.arg(2, "pattern file(s)")?;
+    let files = &args.pos[2..];
+    let n_traces: usize = args
+        .num("--traces")?
+        .ok_or("register needs --traces N (the trace count the server monitors)")?;
     let mut client = Client::connect(addr, n_traces, &format!("{tenant}-register"))
         .map_err(|e| format!("cannot connect to '{addr}': {e}"))?;
-    let live = if args.iter().any(|a| a == "--unregister") {
-        let names: Vec<String> = files.iter().map(|f| stem(f)).collect();
+    let live = if args.has("--unregister") {
+        let names: Vec<String> = files.iter().map(|f| file_stem(f)).collect();
         client
             .unregister(tenant, &names)
             .map_err(|e| format!("unregister failed: {e}"))?
@@ -1264,7 +1263,7 @@ fn register_cmd(args: &[String]) -> Result<i32, String> {
         for f in files {
             let src = std::fs::read_to_string(f)
                 .map_err(|e| format!("cannot read pattern file '{f}': {e}"))?;
-            patterns.push((stem(f), src));
+            patterns.push((file_stem(f), src));
         }
         client
             .register(tenant, &patterns)
@@ -1278,29 +1277,22 @@ fn register_cmd(args: &[String]) -> Result<i32, String> {
     Ok(if faults.is_empty() { 0 } else { 3 })
 }
 
-/// `ocep send` — stream a recorded dump to a running daemon as an OCWP
-/// producer. Mirrors `check` exit codes using the server's report.
-fn send_cmd(args: &[String]) -> Result<i32, String> {
+/// Streams `all_events` to the daemon at `addr` as producer session
+/// `name` — what `send` and `ingest --addr` do once they hold events —
+/// and mirrors `check` exit codes using the server's report.
+fn stream_to_daemon(
+    args: &Args,
+    addr: &str,
+    n_traces: usize,
+    all_events: &[ocep_repro::poet::Event],
+    default_name: &str,
+    default_batch: usize,
+) -> Result<i32, String> {
     use ocep_repro::net::Client;
 
-    let flag_val = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let pos = positionals(args);
-    let addr = *pos.first().ok_or("missing server address")?;
-    let dump_path = *pos.get(1).ok_or("missing dump file")?;
-    let batch: usize = match flag_val("--batch") {
-        Some(b) => b.parse().map_err(|_| format!("bad --batch '{b}'"))?,
-        None => 64,
-    };
-    let name = flag_val("--name").map_or("ocep-send", String::as_str);
-
-    let server = dump::reload_from_file(dump_path)
-        .map_err(|e| format!("cannot reload '{dump_path}': {e}"))?;
-    let all_events: Vec<_> = server.store().iter_arrival().cloned().collect();
-    let mut client = Client::connect(addr, server.n_traces(), name)
+    let batch: usize = args.num("--batch")?.unwrap_or(default_batch);
+    let name = args.val("--name").unwrap_or(default_name);
+    let mut client = Client::connect(addr, n_traces, name)
         .map_err(|e| format!("cannot connect to '{addr}': {e}"))?;
     // A durable-log server tells a named session how much of its stream
     // already survived a crash; re-sending that prefix would be wasted
@@ -1326,7 +1318,7 @@ fn send_cmd(args: &[String]) -> Result<i32, String> {
     };
     stream(&mut client).map_err(|e| format!("stream to '{addr}' failed: {e}"))?;
 
-    let shutdown = args.iter().any(|a| a == "--shutdown");
+    let shutdown = args.has("--shutdown");
     let stats = if shutdown {
         client
             .shutdown()
@@ -1357,21 +1349,24 @@ fn send_cmd(args: &[String]) -> Result<i32, String> {
     Ok(if stats.matches > 0 { 1 } else { 0 })
 }
 
+/// `ocep send` — stream a recorded dump to a running daemon as an OCWP
+/// producer.
+fn send_cmd(args: &Args) -> Result<i32, String> {
+    let addr = args.arg(0, "server address")?;
+    let server = load_dump(args.arg(1, "dump file")?)?;
+    let events: Vec<_> = server.store().iter_arrival().cloned().collect();
+    stream_to_daemon(args, addr, server.n_traces(), &events, "ocep-send", 64)
+}
+
 /// `ocep ingest` — turn an external recording into an admissible event
 /// stream via `crates/adapters`, then either match `--pattern` files
 /// over it offline (one monitor per file, named by its stem) or stream
-/// it to a running daemon with `--addr`, mirroring `send`.
-fn ingest_cmd(args: &[String]) -> Result<i32, String> {
+/// it to a running daemon with `--addr`, exactly like `send`.
+fn ingest_cmd(args: &Args) -> Result<i32, String> {
     use ocep_repro::adapters;
 
-    let flag_val = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let pos = positionals(args);
-    let format = *pos.first().ok_or("missing recording format")?;
-    let file = *pos.get(1).ok_or("missing recording file")?;
+    let format = args.arg(0, "recording format")?;
+    let file = args.arg(1, "recording file")?;
     let adapter = adapters::by_name(format).ok_or_else(|| {
         format!(
             "unknown recording format '{format}' (expected {})",
@@ -1389,81 +1384,18 @@ fn ingest_cmd(args: &[String]) -> Result<i32, String> {
          ({} message edges, {} synthesized)",
         a.records, a.events, out.n_traces, a.edges, a.synthesized,
     );
-    let batch: usize = match flag_val("--batch") {
-        Some(b) => b.parse().map_err(|_| format!("bad --batch '{b}'"))?,
-        None => 256,
-    };
-
-    if let Some(addr) = flag_val("--addr") {
-        use ocep_repro::net::Client;
-        let name = flag_val("--name").map_or("ocep-ingest", String::as_str);
-        let mut client = Client::connect(addr, out.n_traces, name)
-            .map_err(|e| format!("cannot connect to '{addr}': {e}"))?;
-        let skip = usize::try_from(client.resume_from())
-            .unwrap_or(usize::MAX)
-            .min(out.events.len());
-        if skip > 0 {
-            eprintln!(
-                "session '{name}' resumed: {skip} events already durable at {addr}, skipping"
-            );
-        }
-        let events = &out.events[skip..];
-        let stream = |client: &mut Client| -> Result<(), ocep_repro::net::WireError> {
-            for chunk in events.chunks(batch.max(1)) {
-                client.send_batch(chunk)?;
-            }
-            client.flush()
-        };
-        stream(&mut client).map_err(|e| format!("stream to '{addr}' failed: {e}"))?;
-        let shutdown = args.iter().any(|a| a == "--shutdown");
-        let stats = if shutdown {
-            client
-                .shutdown()
-                .map_err(|e| format!("shutdown handshake failed: {e}"))?
-        } else {
-            let s = client
-                .stats()
-                .map_err(|e| format!("stats request failed: {e}"))?;
-            for (code, detail) in client.take_faults() {
-                eprintln!("fault[{code}]: {detail}");
-            }
-            s
-        };
-        println!(
-            "sent {} events to {addr}; server: {} admitted, {} quarantined, {} duplicates, \
-             {} matches{}",
-            events.len(),
-            stats.admitted,
-            stats.quarantined,
-            stats.duplicates,
-            stats.matches,
-            if shutdown { " (server shut down)" } else { "" },
-        );
-        if stats.degraded {
-            eprintln!("warning: server ingestion degraded — verdicts may be incomplete");
-            return Ok(2);
-        }
-        return Ok(if stats.matches > 0 { 1 } else { 0 });
+    if let Some(addr) = args.val("--addr") {
+        return stream_to_daemon(args, addr, out.n_traces, &out.events, "ocep-ingest", 256);
     }
+    let batch: usize = args.num("--batch")?.unwrap_or(256);
 
     // Offline: one monitor per --pattern file. With none, `ingest` is a
     // pure validation pass — parse, synthesize clocks, admit, report.
-    let patterns: Vec<&String> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, val)| *val == "--pattern")
-        .filter_map(|(i, _)| args.get(i + 1))
-        .collect();
+    let patterns: Vec<&str> = args.vals("--pattern").collect();
     let (mconfig, guard) = monitor_config(args)?;
     let mut set = MonitorSet::new(out.n_traces);
     for p in &patterns {
-        let pattern = load_pattern(p)?;
-        let name = std::path::Path::new(p.as_str())
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("pattern")
-            .to_owned();
-        set.add_with_config(&name, pattern, mconfig);
+        set.add_with_config(file_stem(p), load_pattern(p)?, mconfig);
     }
     set.enable_guard(guard.unwrap_or_default());
 
@@ -1493,24 +1425,15 @@ fn ingest_cmd(args: &[String]) -> Result<i32, String> {
 
 /// `ocep tail` — subscribe to a daemon's verdict stream. `--once` exits
 /// after the first match; otherwise runs until the server shuts down.
-fn tail_cmd(args: &[String]) -> Result<i32, String> {
+fn tail_cmd(args: &Args) -> Result<i32, String> {
     use ocep_repro::net::{Frame, Tail, WireError};
 
-    let flag_val = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let pos = positionals(args);
-    let addr = *pos.first().ok_or("missing server address")?;
-    let once = args.iter().any(|a| a == "--once");
-    let name = flag_val("--name").map_or("ocep-tail", String::as_str);
-    let from: Option<u64> = match flag_val("--from") {
-        Some(f) => Some(f.parse().map_err(|_| format!("bad --from '{f}'"))?),
-        None => None,
-    };
+    let addr = args.arg(0, "server address")?;
+    let once = args.has("--once");
+    let name = args.val("--name").unwrap_or("ocep-tail");
+    let from: Option<u64> = args.num("--from")?;
 
-    let mut tail = match flag_val("--tenant") {
+    let mut tail = match args.val("--tenant") {
         Some(tenant) => Tail::connect_tenant(addr, name, tenant, from),
         None => Tail::connect_from(addr, name, from),
     }
@@ -1576,24 +1499,14 @@ fn tail_cmd(args: &[String]) -> Result<i32, String> {
 /// pattern can be compiled against history. Reads the log read-only
 /// (tolerating a torn tail, which is reported on stderr) and feeds
 /// every delivery through the same admission-guard path as `serve`.
-fn replay_cmd(args: &[String]) -> Result<i32, String> {
+fn replay_cmd(args: &Args) -> Result<i32, String> {
     use ocep_repro::net::shard::{decode_deliver, decode_watermark};
     use ocep_repro::wal;
 
-    let flag_val = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let pos = positionals(args);
-    let pattern_path = *pos.first().ok_or("missing pattern file")?;
-    let dir = *pos.get(1).ok_or("missing log directory")?;
+    let pattern_path = args.arg(0, "pattern file")?;
+    let dir = args.arg(1, "log directory")?;
     let pattern = load_pattern(pattern_path)?;
-    let name = std::path::Path::new(pattern_path)
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("pattern")
-        .to_owned();
+    let name = file_stem(pattern_path);
 
     let recovery = wal::scan(std::path::Path::new(dir))
         .map_err(|e| format!("cannot read log '{dir}': {e}"))?;
@@ -1603,10 +1516,7 @@ fn replay_cmd(args: &[String]) -> Result<i32, String> {
 
     // The log stores raw events, so the trace count can be read off the
     // first delivery's clock; `--traces` overrides (e.g. for an empty log).
-    let mut n_traces: Option<usize> = match flag_val("--traces") {
-        Some(t) => Some(t.parse().map_err(|_| format!("bad --traces '{t}'"))?),
-        None => None,
-    };
+    let mut n_traces: Option<usize> = args.num("--traces")?;
     if n_traces.is_none() {
         for rec in &recovery.records {
             if rec.rtype == wal::REC_DELIVER {

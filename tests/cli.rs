@@ -380,6 +380,54 @@ fn helpful_errors_for_bad_input() {
     assert!(!out.status.success());
 }
 
+/// A flag the subcommand does not declare, or a valued flag with no
+/// value, is a usage error naming the flag and the subcommand — not a
+/// run that silently ignores what was asked.
+#[test]
+fn unknown_and_valueless_flags_are_usage_errors() {
+    for (args, flag) in [
+        (
+            &["check", "P", "D", "--stat"][..],
+            "unknown flag '--stat' for 'ocep check'",
+        ),
+        (
+            &["check", "P", "D", "--overflw", "drop-oldest"],
+            "unknown flag '--overflw' for 'ocep check'",
+        ),
+        (
+            &["check", "P", "D", "--overflow"],
+            "flag '--overflow' of 'ocep check' needs a value",
+        ),
+        (
+            &["check", "P", "D", "--overflow", "--stats"],
+            "flag '--overflow' of 'ocep check' needs a value",
+        ),
+        (
+            &["serve", "P", "--traces", "10", "--wal-dir", "DIR"],
+            "unknown flag '--wal-dir' for 'ocep serve'",
+        ),
+        (
+            &["sim", "--shard", "4"],
+            "unknown flag '--shard' for 'ocep sim'",
+        ),
+        // `--wal` takes a directory for `serve` and nothing for `sim`.
+        (
+            &["serve", "P", "--traces", "10", "--wal"],
+            "flag '--wal' of 'ocep serve' needs a value",
+        ),
+        (
+            &["validate", "P", "--guard"],
+            "unknown flag '--guard' for 'ocep validate'",
+        ),
+    ] {
+        let out = ocep().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(3), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let first = stderr.lines().next().unwrap_or_default();
+        assert_eq!(first, format!("error: {flag}"), "{args:?}");
+    }
+}
+
 #[test]
 fn custom_pattern_over_demo_dump() {
     // A user-authored pattern (not the bundled one) over a demo dump:
@@ -974,6 +1022,10 @@ fn shutdown_handshake_survives_the_server_exiting() {
     });
 }
 
+/// A `.ockp` file is written to a sibling temporary and renamed over,
+/// so a daemon that dies mid-checkpoint leaves the previous file whole
+/// and at worst a stale temporary, which the next checkpoint replaces.
+/// A torn `.ockp` from any other cause is still refused, never resumed.
 #[test]
 fn crash_during_checkpoint_leaves_a_rejected_torn_file() {
     let (dump, pattern) = demo_dump("net-torn");
@@ -981,60 +1033,52 @@ fn crash_during_checkpoint_leaves_a_rejected_torn_file() {
     let ckpt_dir = tmp("net-torn-ckpts");
     let _ = std::fs::remove_file(&port_file);
     let _ = std::fs::remove_dir_all(&ckpt_dir);
+    // What an earlier daemon killed mid-write left behind.
+    std::fs::create_dir_all(&ckpt_dir).unwrap();
+    std::fs::write(ckpt_dir.join("net-torn.poet.ockp.tmp"), b"OCKP\x01\x00").unwrap();
     let serve = ocep()
-        .args([
-            "serve",
-            &pattern,
-            "--traces",
-            "10",
-            "--addr",
-            "127.0.0.1:0",
-            "--port-file",
-            port_file.to_str().unwrap(),
-            "--checkpoint",
-            ckpt_dir.to_str().unwrap(),
-        ])
-        // Crash-injection hook: the daemon dies between the OCKP header
-        // and the body, exactly as a power cut mid-write would.
-        .env("OCEP_TEST_PARTIAL_CHECKPOINT", "1")
+        .args(["serve", &pattern, "--traces", "10"])
+        .args(["--addr", "127.0.0.1:0", "--port-file"])
+        .arg(&port_file)
+        .arg("--checkpoint")
+        .arg(&ckpt_dir)
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
         .spawn()
         .unwrap();
     let addr = wait_port(&port_file);
-
     let send = ocep()
         .args(["send", &addr, dump.to_str().unwrap(), "--shutdown"])
         .output()
         .unwrap();
-    // The daemon dies before acknowledging the shutdown, so the
-    // producer sees a transport error, not a clean stats report.
-    assert_eq!(send.status.code(), Some(3), "{send:?}");
+    assert_eq!(send.status.code(), Some(1), "{send:?}");
+    assert_eq!(serve.wait_with_output().unwrap().status.code(), Some(1));
 
-    let out = serve.wait_with_output().unwrap();
-    assert_eq!(out.status.code(), Some(121), "hook exit code");
-
-    // The torn file exists (header only) and restore must reject it
-    // with a clean error — never a panic, never silent acceptance.
-    let torn = ckpt_dir
+    // Exactly the checkpoint files remain, and each resumes.
+    let files: Vec<_> = ckpt_dir
         .read_dir()
         .unwrap()
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .find(|p| p.extension().is_some_and(|x| x == "ockp"))
-        .expect("the crash left a checkpoint file behind");
-    assert_eq!(std::fs::metadata(&torn).unwrap().len(), 6, "torn prefix");
-    let resume = ocep()
-        .args([
-            "check",
-            "--resume",
-            torn.to_str().unwrap(),
-            dump.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(resume.status.code(), Some(3), "{resume:?}");
-    let stderr = String::from_utf8_lossy(&resume.stderr);
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(files, [ckpt_dir.join("net-torn.poet.ockp")], "{files:?}");
+    let resume = |ckpt: &std::path::Path| {
+        ocep()
+            .args(["check", "--resume"])
+            .arg(ckpt)
+            .arg(&dump)
+            .output()
+            .unwrap()
+    };
+    let whole = resume(&files[0]);
+    assert_eq!(whole.status.code(), Some(1), "{whole:?}");
+
+    // The same file cut to its 6-byte header must be rejected with a
+    // clean error — never a panic, never silent acceptance.
+    let torn = tmp("net-torn-header.ockp");
+    std::fs::write(&torn, &std::fs::read(&files[0]).unwrap()[..6]).unwrap();
+    let refused = resume(&torn);
+    assert_eq!(refused.status.code(), Some(3), "{refused:?}");
+    let stderr = String::from_utf8_lossy(&refused.stderr);
     assert!(stderr.contains("cannot restore checkpoint"), "{stderr}");
 }
 

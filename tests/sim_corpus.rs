@@ -40,15 +40,16 @@ fn wal_corpus_config(seed: u64) -> SimConfig {
     }
 }
 
-/// A `shard <seed>` corpus line: the same chaos run on a sharded
-/// engine core (2/4/8 shards, derived from the seed), with each crash
-/// cycle killing one shard and rebuilding it from its checkpoint blob
-/// mid-stream. The oracle stays the single in-process set, so the
-/// fan-in merge order and the restore round-trip are pinned
+/// A `shard <seed>` corpus line: the same chaos run on 2/4/8 matcher
+/// partitions (derived from the seed) with 2 daemon crashes, recovered
+/// by log replay on odd seeds and by checkpoint restore on even ones.
+/// The oracle stays the single in-process set, so the fan-in merge
+/// order and both recovery paths at N partitions are pinned
 /// bit-for-bit.
 fn shard_corpus_config(seed: u64) -> SimConfig {
     SimConfig {
         crashes: 2,
+        wal: seed % 2 == 1,
         shards: 2 << (seed % 3),
         ..corpus_config(seed)
     }
