@@ -61,10 +61,6 @@ pub struct ServeConfig {
     /// Write a checkpoint every this many ingested events (0 disables
     /// the periodic trigger; graceful drain always checkpoints).
     pub checkpoint_every: u64,
-    /// Bounded-memory history GC: periodically truncate leaf-history
-    /// prefixes dominated by the guard's low-watermark clock, recording
-    /// the watermark in the log so replay re-applies it.
-    pub history_gc: bool,
     /// Number of matcher partitions the monitors are spread over by
     /// `fnv1a64(name) % N`, each on its own thread behind the one
     /// admission guard and the one log; `0` and `1` both mean a single
@@ -84,19 +80,10 @@ impl Default for ServeConfig {
             wal_dir: None,
             durability: Durability::Batch,
             checkpoint_every: 0,
-            history_gc: false,
             shards: 0,
         }
     }
 }
-
-/// Matches GC'd history is cut back to per (leaf, trace) cell: a small
-/// hysteresis so truncation never races the search frontier.
-const GC_KEEP_RECENT: usize = 64;
-
-/// History-GC cadence (events) when `history_gc` is on but no periodic
-/// checkpoint interval is configured.
-const GC_DEFAULT_EVERY: u64 = 4096;
 
 /// One monitor's retained matches as leaf-wise `(trace, index)`
 /// coordinates: outer `Vec` per match, inner per leaf.
@@ -374,7 +361,6 @@ pub struct EngineCore {
     finished_conns: Vec<(String, u64)>,
     journal: Option<Vec<EngineOp>>,
     events_since_checkpoint: u64,
-    events_since_gc: u64,
 }
 
 /// True when `monitor` is in `filter`'s tenant scope (no filter admits
@@ -436,7 +422,6 @@ impl EngineCore {
             finished_conns: Vec::new(),
             journal: None,
             events_since_checkpoint: 0,
-            events_since_gc: 0,
         }
     }
 
@@ -485,41 +470,15 @@ impl EngineCore {
         }
     }
 
-    /// Post-ingest housekeeping: the periodic checkpoint trigger and
-    /// the history-GC cadence.
+    /// Post-ingest housekeeping: the periodic checkpoint trigger.
     fn after_ingest(&mut self, n: u64) {
         if self.config.checkpoint_every > 0 {
             self.events_since_checkpoint += n;
             if self.events_since_checkpoint >= self.config.checkpoint_every {
                 self.events_since_checkpoint = 0;
-                let _ = self.checkpoint_now();
-                return; // checkpoint_now already ran GC if enabled
+                let _ = self.group.checkpoint(self.config.checkpoint_dir.as_deref());
             }
         }
-        if self.config.history_gc {
-            self.events_since_gc += n;
-            let every = if self.config.checkpoint_every > 0 {
-                self.config.checkpoint_every
-            } else {
-                GC_DEFAULT_EVERY
-            };
-            if self.events_since_gc >= every {
-                self.events_since_gc = 0;
-                self.group.gc(GC_KEEP_RECENT);
-            }
-        }
-    }
-
-    /// Writes a full checkpoint: the history-GC pass first (smaller
-    /// state), then a log-anchored checkpoint record, then the
-    /// per-monitor `.ockp` files when a checkpoint directory is
-    /// configured.
-    fn checkpoint_now(&mut self) -> Result<Vec<PathBuf>, String> {
-        if self.config.history_gc {
-            self.events_since_gc = 0;
-            self.group.gc(GC_KEEP_RECENT);
-        }
-        self.group.checkpoint(self.config.checkpoint_dir.as_deref())
     }
 
     /// Opens the configured durable log and rebuilds serving state from
@@ -681,7 +640,7 @@ impl EngineCore {
                 self.ack_data(conn);
             }
             Frame::CheckpointReq => {
-                if let Err(e) = self.checkpoint_now() {
+                if let Err(e) = self.group.checkpoint(self.config.checkpoint_dir.as_deref()) {
                     self.fault(conn, FaultCode::Protocol, format!("checkpoint failed: {e}"));
                 } else {
                     let report = self.stats_report();
@@ -1045,13 +1004,6 @@ impl EngineCore {
                 "ocep_wal_append_errors_total",
                 "Durable-log append failures (the log degrades to off).",
                 self.group.wal_append_errors(),
-            );
-        }
-        if self.config.history_gc {
-            s.counter(
-                "ocep_history_gc_released_total",
-                "History events released by the watermark truncation rule.",
-                self.group.gc_released(),
             );
         }
         let mut slow: Vec<_> = self.slow_actions.iter().collect();

@@ -33,11 +33,11 @@ use ocep_core::{
     load_set_at, save_at, save_parts_at, Match, MetricsSnapshot, Monitor, MonitorConfig, MonitorSet,
 };
 use ocep_pattern::Pattern;
-use ocep_poet::codec::{nth, put_str, put_u32, put_u32s, put_u64, Reader};
+use ocep_poet::codec::{nth, put_str, put_u32, put_u64, Reader};
 use ocep_poet::{Event, PoetError};
 use ocep_wal::{
     Durability, Record, Wal, WalOptions, REC_CHECKPOINT, REC_DELIVER, REC_FLUSH, REC_REGISTER,
-    REC_UNREGISTER, REC_WATERMARK,
+    REC_UNREGISTER,
 };
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -80,10 +80,6 @@ enum Job {
         first_seq: u64,
         events: Arc<Vec<Event>>,
     },
-    Gc {
-        watermark: Arc<Vec<u32>>,
-        keep: usize,
-    },
     Add {
         name: String,
         monitor: Box<Monitor>,
@@ -97,7 +93,6 @@ enum Job {
 enum Reply {
     /// `(delivery_seq, monitor, match)` in partition-local order.
     Verdicts(Vec<(u64, String, Match)>),
-    Released(usize),
     Done,
     Metrics(Box<MetricsSnapshot>),
 }
@@ -114,7 +109,6 @@ fn exec(set: &mut MonitorSet, job: Job) -> Reply {
             }
             Reply::Verdicts(tagged)
         }
-        Job::Gc { watermark, keep } => Reply::Released(set.gc_histories(&watermark, keep)),
         Job::Add { name, monitor } => {
             set.insert_monitor(name, *monitor);
             Reply::Done
@@ -196,7 +190,6 @@ pub struct ShardGroup {
     /// Durable deliver count per producer session.
     durable: HashMap<String, u64>,
     recovered_events: u64,
-    gc_released: u64,
     hooks: FaultHooks,
 }
 
@@ -299,13 +292,6 @@ impl ShardGroup {
     #[must_use]
     pub fn recovered_events(&self) -> u64 {
         self.recovered_events
-    }
-
-    /// History events released by [`ShardGroup::gc`], replayed
-    /// watermarks included.
-    #[must_use]
-    pub fn gc_released(&self) -> u64 {
-        self.gc_released
     }
 
     /// Every verdict reported so far as `(firing LSN, monitor, match)`,
@@ -618,46 +604,6 @@ impl ShardGroup {
         total
     }
 
-    // ---- history GC ---------------------------------------------------
-
-    /// Truncates leaf-history prefixes dominated by the guard's
-    /// low-watermark clock on every partition, and records the watermark
-    /// in the log so replay re-applies it at the same stream position.
-    /// Returns the events released (0 without a guard).
-    pub fn gc(&mut self, keep: usize) -> usize {
-        let Some(watermark) = self.guard.as_ref().map(|g| g.watermark().to_vec()) else {
-            return 0;
-        };
-        let released = self.gc_at(&watermark, keep);
-        if self.wal.is_some() {
-            let mut payload = Vec::with_capacity(8 + 4 * watermark.len());
-            put_u32(&mut payload, keep as u32);
-            put_u32(&mut payload, watermark.len() as u32);
-            put_u32s(&mut payload, &watermark);
-            self.append(REC_WATERMARK, &payload);
-        }
-        released
-    }
-
-    fn gc_at(&mut self, watermark: &[u32], keep: usize) -> usize {
-        let watermark = Arc::new(watermark.to_vec());
-        let released = self
-            .fan_out(|_| {
-                Some(Job::Gc {
-                    watermark: Arc::clone(&watermark),
-                    keep,
-                })
-            })
-            .into_iter()
-            .map(|r| match r {
-                Reply::Released(n) => n,
-                _ => unreachable!("gc jobs reply with a count"),
-            })
-            .sum();
-        self.gc_released += released as u64;
-        released
-    }
-
     // ---- the registry -------------------------------------------------
 
     /// Appends `monitor` to the registry and hands it to its partition.
@@ -910,10 +856,6 @@ impl ShardGroup {
                     let admitted = self.admit_flush();
                     self.dispatch(admitted);
                 }
-                REC_WATERMARK => {
-                    let (keep, watermark) = decode_watermark(&rec.payload).map_err(at)?;
-                    self.gc_at(&watermark, keep);
-                }
                 REC_REGISTER => {
                     self.last_lsn = rec.lsn;
                     let (name, source) = decode_register(&rec.payload).map_err(at)?;
@@ -927,6 +869,8 @@ impl ShardGroup {
                     let name = decode_unregister(&rec.payload).map_err(at)?;
                     self.remove_monitor(&name);
                 }
+                // Includes the watermark records older versions wrote:
+                // nothing in them changes what the partitions match.
                 _ => {}
             }
         }
@@ -978,19 +922,6 @@ pub fn decode_deliver(payload: &[u8]) -> Result<(String, Event), String> {
             other.type_name()
         )),
     }
-}
-
-/// Decodes a `REC_WATERMARK` payload: `keep:u32 n:u32 (u32)*`.
-///
-/// # Errors
-///
-/// A structural diagnostic with a byte offset; never panics.
-pub fn decode_watermark(payload: &[u8]) -> Result<(usize, Vec<u32>), String> {
-    decode_payload(payload, |r| {
-        let keep = r.u32("watermark keep")? as usize;
-        let n = r.count("watermark width", 4)?;
-        Ok((keep, r.u32s(n, "watermark entries")?))
-    })
 }
 
 fn decode_register(payload: &[u8]) -> Result<(String, String), String> {

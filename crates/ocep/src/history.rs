@@ -16,6 +16,10 @@ use std::collections::HashMap;
 /// event is *causally relevant* here if it is a message endpoint or was
 /// itself appended to any leaf history (the latter protects same-trace
 /// pattern constraints, which compare event indices).
+///
+/// Histories are append-only: nothing removes a stored event, so it
+/// keeps its slice position for good, and `by_text`'s positions and
+/// `by_partner`'s entries never go stale.
 #[derive(Debug)]
 pub struct LeafHistory {
     /// `per_leaf[leaf][trace]` — events ascending by index.
@@ -246,70 +250,6 @@ impl LeafHistory {
         let slice = self.on_trace(leaf, id.trace());
         let pos = slice.partition_point(|x| x.index() < id.index());
         slice.get(pos).filter(|x| x.id() == id)
-    }
-
-    /// Bounded-memory GC: truncates, per `(leaf, trace)` cell, the
-    /// longest prefix of events whose clocks are dominated by the
-    /// admission guard's low-watermark `watermark` — keeping at least
-    /// `keep_recent` newest events per cell as hysteresis — and rebases
-    /// the derived indexes. Returns the number of events removed.
-    ///
-    /// `covered(leaf, trace)` gates the cell: the caller only allows
-    /// cells whose representative-subset entry is already populated, so a
-    /// removed candidate could at most have re-covered an already-covered
-    /// cell. Leaves in `dedup_exempt` are never truncated: the `from`
-    /// side of a `~>` constraint uses its *full* history as the
-    /// "no occurrence causally between" witness set, so removing entries
-    /// there could turn a non-match into a reported match.
-    pub fn truncate_dominated<F>(
-        &mut self,
-        watermark: &[u32],
-        keep_recent: usize,
-        covered: F,
-    ) -> usize
-    where
-        F: Fn(usize, usize) -> bool,
-    {
-        let mut removed_total = 0;
-        for l in 0..self.per_leaf.len() {
-            if self.dedup_exempt[l] {
-                continue;
-            }
-            for t in 0..self.per_leaf[l].len() {
-                if !covered(l, t) {
-                    continue;
-                }
-                let hist = &mut self.per_leaf[l][t];
-                let ceiling = hist.len().saturating_sub(keep_recent);
-                let cut = hist[..ceiling].partition_point(|e| {
-                    e.clock()
-                        .entries()
-                        .iter()
-                        .zip(watermark)
-                        .all(|(&c, &w)| c <= w)
-                });
-                if cut == 0 {
-                    continue;
-                }
-                for e in &hist[..cut] {
-                    if let Some(p) = e.partner() {
-                        self.by_partner[l].remove(&p);
-                    }
-                }
-                hist.drain(..cut);
-                if self.text_indexed[l] {
-                    // Positions are slice offsets; rebuild them shifted.
-                    let map = &mut self.by_text[l][t];
-                    map.clear();
-                    for (pos, e) in self.per_leaf[l][t].iter().enumerate() {
-                        map.entry(e.text_arc()).or_default().push(pos as u32);
-                    }
-                }
-                self.stored -= cut;
-                removed_total += cut;
-            }
-        }
-        removed_total
     }
 }
 

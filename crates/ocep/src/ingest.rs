@@ -264,16 +264,6 @@ impl AdmissionGuard {
         &self.config
     }
 
-    /// The low-watermark clock: per trace, how many events have been
-    /// contiguously admitted. Every event whose clock is component-wise
-    /// ≤ this vector has been delivered along with all its causal
-    /// predecessors — the safety line behind history GC and the durable
-    /// log's watermark records.
-    #[must_use]
-    pub fn watermark(&self) -> &[u32] {
-        &self.admitted
-    }
-
     /// Number of events currently buffered awaiting predecessors.
     #[must_use]
     pub fn buffered(&self) -> usize {

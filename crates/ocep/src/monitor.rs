@@ -547,31 +547,6 @@ impl Monitor {
         self.history.approx_bytes()
     }
 
-    /// Bounded-memory history GC (see
-    /// [`LeafHistory::truncate_dominated`]): truncates, in every
-    /// `(leaf, trace)` cell whose representative-subset entry is already
-    /// populated, the history prefix dominated by the admission guard's
-    /// low-watermark clock `watermark`, keeping the newest `keep_recent`
-    /// events per cell. Returns the number of events released.
-    ///
-    /// Safe only under [`SubsetPolicy::Representative`]: a released
-    /// candidate could at most have re-covered an already-covered cell,
-    /// so reported verdicts on covered workloads are unchanged (the
-    /// GC-transparency suite pins bit-identity on the pinned streams).
-    /// `~>`-witness leaves are never truncated.
-    pub fn gc_history(&mut self, watermark: &[u32], keep_recent: usize) -> usize {
-        let n_traces = self.history.n_traces();
-        let n_leaves = self.pattern.n_leaves();
-        let mut cov = vec![false; n_leaves * n_traces];
-        for l in 0..n_leaves {
-            for t in 0..n_traces {
-                cov[l * n_traces + t] = self.subset[l][t].is_some();
-            }
-        }
-        self.history
-            .truncate_dominated(watermark, keep_recent, |l, t| cov[l * n_traces + t])
-    }
-
     /// A shared handle to the compiled pattern — used by the serving
     /// layer's recovery path to rebuild [`Match`]es from logged bytes.
     #[must_use]

@@ -182,28 +182,6 @@ impl MonitorSet {
         self.guard.as_ref()
     }
 
-    /// The set-level guard's low-watermark clock: per trace, how many
-    /// events have been contiguously admitted. Every event whose clock is
-    /// component-wise ≤ this vector has been fully delivered (along with
-    /// all its causal predecessors) — the safety line behind history GC
-    /// and the durable log's watermark records. `None` without a guard.
-    #[must_use]
-    pub fn admitted_watermark(&self) -> Option<Vec<u32>> {
-        self.guard.as_ref().map(|g| g.watermark().to_vec())
-    }
-
-    /// Runs bounded-memory history GC on every registered monitor
-    /// against watermark clock `watermark` (see
-    /// [`Monitor::gc_history`]); returns the total number of events
-    /// released across the set.
-    pub fn gc_histories(&mut self, watermark: &[u32], keep_recent: usize) -> usize {
-        let mut removed = 0;
-        for (_, m) in &mut self.entries {
-            removed += m.gc_history(watermark, keep_recent);
-        }
-        removed
-    }
-
     /// Drains the set-level guard's structured fault stream (empty
     /// without a guard).
     pub fn take_ingest_faults(&mut self) -> Vec<IngestFault> {

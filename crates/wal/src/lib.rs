@@ -1,7 +1,7 @@
 //! Append-only segmented write-ahead log for the OCEP serving stack.
 //!
 //! The log sits *behind* the `AdmissionGuard`: every delivery handed to the
-//! monitor set (and every Flush/Checkpoint/Watermark marker) is appended as a
+//! monitor set (and every Flush/Checkpoint marker) is appended as a
 //! hash-chained record before it mutates in-memory state, so a crashed
 //! `ocep serve` can rebuild bit-identical matcher state by replaying the log
 //! from the last log-anchored checkpoint.
@@ -61,6 +61,7 @@ pub const REC_FLUSH: u8 = 2;
 /// Record type: a log-anchored checkpoint (payload: OCKS bytes + verdicts).
 pub const REC_CHECKPOINT: u8 = 3;
 /// Record type: a history-GC watermark (payload: admitted clock snapshot).
+/// Only older versions write it; recovery and `ocep replay` skip it.
 pub const REC_WATERMARK: u8 = 4;
 /// Record type: a dynamic pattern registration (payload: monitor name +
 /// pattern source, each length-prefixed).

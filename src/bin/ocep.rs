@@ -55,8 +55,8 @@ USAGE:
     ocep serve <pattern-file> --traces N [--addr HOST:PORT] [--port-file FILE]
                [--window N] [--slow-policy reject|drop-oldest|flush-degraded]
                [--checkpoint DIR] [--checkpoint-every N] [--metrics FILE]
-               [--wal DIR] [--durability none|batch|strict] [--history-gc]
-               [--shards N] [monitor flags]
+               [--wal DIR] [--durability none|batch|strict] [--shards N]
+               [monitor flags]
     ocep send <addr> <dump-file> [--batch N] [--name S] [--shutdown]
     ocep ingest <format> <recording> [--pattern FILE]... [--batch N] [monitor flags]
     ocep ingest <format> <recording> --addr HOST:PORT [--batch N] [--name S]
@@ -144,9 +144,7 @@ reaches the monitors, fsynced per `--durability` (none|batch|strict;
 default batch = group commit). On restart the daemon verifies the log,
 truncates a torn tail at the first bad record, replays from the newest
 log-anchored checkpoint, and resumes named `send` sessions at their
-durable offset so clients never re-send. `--history-gc` bounds resident
-leaf-history memory by truncating watermark-dominated prefixes,
-recording each watermark in the log. `tail --from LSN` replays the
+durable offset so clients never re-send. `tail --from LSN` replays the
 retained verdict backlog from a log offset; `replay` matches a pattern
 file — even one the server never ran — over a log after the fact.
 
@@ -257,7 +255,7 @@ const SUBCOMMANDS: &[Sub] = &[
         true,
         "--traces --addr --port-file --window --slow-policy --checkpoint --checkpoint-every \
          --wal --durability --shards",
-        "--history-gc",
+        "",
     ),
     sub("register", false, "--traces", "--unregister"),
     sub("send", false, "--batch --name", "--shutdown"),
@@ -1195,7 +1193,6 @@ fn serve_cmd(args: &Args) -> Result<i32, String> {
             .ok_or_else(|| format!("bad --durability '{mode}' (expected none|batch|strict)"))?;
     }
     sconfig.checkpoint_every = args.num("--checkpoint-every")?.unwrap_or(0);
-    sconfig.history_gc = args.has("--history-gc");
     sconfig.shards = args.num("--shards")?.unwrap_or(0);
 
     let addr = args.val("--addr").unwrap_or("127.0.0.1:7070");
@@ -1500,7 +1497,7 @@ fn tail_cmd(args: &Args) -> Result<i32, String> {
 /// (tolerating a torn tail, which is reported on stderr) and feeds
 /// every delivery through the same admission-guard path as `serve`.
 fn replay_cmd(args: &Args) -> Result<i32, String> {
-    use ocep_repro::net::shard::{decode_deliver, decode_watermark};
+    use ocep_repro::net::shard::decode_deliver;
     use ocep_repro::wal;
 
     let pattern_path = args.arg(0, "pattern file")?;
@@ -1545,17 +1542,9 @@ fn replay_cmd(args: &Args) -> Result<i32, String> {
                 set.observe_raw(&e)
             }
             wal::REC_FLUSH => set.flush_guard(),
-            wal::REC_WATERMARK => {
-                // Replaying the server's GC decisions keeps replay memory
-                // bounded by the same watermark rule; verdicts are
-                // unaffected (the guard admits in the same order).
-                let (keep, watermark) = decode_watermark(&rec.payload)
-                    .map_err(|e| format!("log record {} undecodable: {e}", rec.lsn))?;
-                set.gc_histories(&watermark, keep);
-                Vec::new()
-            }
             // Checkpoints anchor *serve* restarts; a from-scratch replay
             // recomputes everything, so they carry no new information.
+            // Nor do the watermark records older versions wrote.
             _ => Vec::new(),
         };
         for (monitor, m) in verdicts {

@@ -407,6 +407,10 @@ fn unknown_and_valueless_flags_are_usage_errors() {
             "unknown flag '--wal-dir' for 'ocep serve'",
         ),
         (
+            &["serve", "P", "--traces", "10", "--history-gc"],
+            "unknown flag '--history-gc' for 'ocep serve'",
+        ),
+        (
             &["sim", "--shard", "4"],
             "unknown flag '--shard' for 'ocep sim'",
         ),

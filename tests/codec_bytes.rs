@@ -8,14 +8,19 @@
 //! distinct type/text strings) it records the length and FNV-1a 64 of
 //! every `Frame` variant through `encode_body` and `encode_body_delta`,
 //! of `put_event_body`, of OCKP and OCKS checkpoints, of a POET dump and
-//! of the five record payloads a WAL-backed `ShardGroup` logs — and
+//! of the four record payloads a WAL-backed `ShardGroup` logs — and
 //! checks decode → re-encode identity for each.
 //!
 //! `PINS` was computed at commit 81ea5c6, before the record codec moved
 //! into `ocep_poet::codec`, and is not to be edited: a refactor of the
-//! writers passes here with every byte unchanged or not at all.
+//! writers passes here with every byte unchanged or not at all. The one
+//! exception is the input, not a writer: the run used to log a history-GC
+//! watermark before its checkpoint. That GC released nothing, but its
+//! record took an LSN, and both checkpoint payloads carry LSNs. The two
+//! `owal/checkpoint` rows are therefore what commit 3d08249 writes with
+//! only that GC call removed.
 
-use ocep_repro::net::shard::{decode_deliver, decode_watermark};
+use ocep_repro::net::shard::decode_deliver;
 use ocep_repro::net::wire::{self, FaultCode, Frame, Mode, StatsReport, VerdictFrame};
 use ocep_repro::net::ShardGroup;
 use ocep_repro::ocep::checkpoint::{load_at, load_set_at, save_at, save_set_at, strip_metrics};
@@ -24,7 +29,7 @@ use ocep_repro::pattern::Pattern;
 use ocep_repro::poet::{dump, Event, EventKind, PoetServer};
 use ocep_repro::vclock::TraceId;
 use ocep_repro::wal::{
-    self, Durability, REC_CHECKPOINT, REC_DELIVER, REC_REGISTER, REC_UNREGISTER, REC_WATERMARK,
+    self, Durability, REC_CHECKPOINT, REC_DELIVER, REC_REGISTER, REC_UNREGISTER,
 };
 use ocep_rng::Rng;
 use std::collections::HashMap;
@@ -93,11 +98,10 @@ const PINS: &[(&str, usize, u64)] = &[
     ("poet/8", 1622, 0x093e391aa302b6d3),
     ("poet/50", 1582, 0xa4d758fc5e30fdf0),
     ("owal/deliver×65", 5819, 0x9d591d41916664bb),
-    ("owal/watermark×1", 44, 0x4935d26c72429949),
     ("owal/register×1", 53, 0xcfe4a32da21a143a),
     ("owal/unregister×1", 17, 0x84a40230cd46ef24),
-    ("owal/checkpoint×1", 6318, 0x4c7c45473894638f),
-    ("owal/checkpoint-after-recovery", 6714, 0xf3c1c5063f6a947e),
+    ("owal/checkpoint×1", 6318, 0x0a326352f38e44e4),
+    ("owal/checkpoint-after-recovery", 6714, 0xd52c2f585ec54c17),
 ];
 
 const SRC: &str = "A := [*, msg, *]; B := [*, ack, *]; pattern := A -> B;";
@@ -303,8 +307,8 @@ fn busy_set(obs: ObsLevel) -> (MonitorSet, HashMap<String, String>) {
 }
 
 /// One miniature WAL-backed run: a static monitor, a mid-stream
-/// registration, two batches with a history-GC watermark and a
-/// log-anchored checkpoint between them, an unregistration and a flush.
+/// registration, two batches with a log-anchored checkpoint between
+/// them, an unregistration and a flush.
 /// Returns the log directory.
 fn shard_group_run(tag: &str) -> PathBuf {
     let dir = scratch_dir(tag);
@@ -319,7 +323,6 @@ fn shard_group_run(tag: &str) -> PathBuf {
         .register("acme/lone", LONE, MonitorConfig::default())
         .unwrap();
     group.deliver_batch("sess", events[..40].to_vec());
-    group.gc(4);
     group.checkpoint(None).unwrap();
     assert!(group.unregister("acme/lone"));
     // A swap and a duplicate: the replayed suffix crosses the guard's
@@ -442,7 +445,6 @@ fn actual_pins() -> Vec<(String, usize, u64)> {
     let records = wal::scan(&dir).unwrap().records;
     for (rtype, label, at_least) in [
         (REC_DELIVER, "deliver", 60),
-        (REC_WATERMARK, "watermark", 1),
         (REC_REGISTER, "register", 1),
         (REC_UNREGISTER, "unregister", 1),
         (REC_CHECKPOINT, "checkpoint", 1),
@@ -463,15 +465,6 @@ fn actual_pins() -> Vec<(String, usize, u64)> {
                     let mut out = Vec::new();
                     pstr(&mut out, &session);
                     wire::put_event_body(&mut out, &e);
-                    out
-                }
-                REC_WATERMARK => {
-                    let (keep, entries) = decode_watermark(p).unwrap();
-                    let mut out = (keep as u32).to_le_bytes().to_vec();
-                    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-                    for v in entries {
-                        out.extend_from_slice(&v.to_le_bytes());
-                    }
                     out
                 }
                 REC_REGISTER => {

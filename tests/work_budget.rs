@@ -529,7 +529,6 @@ fn hostile_inputs() -> Vec<(
     usize,
     fn(&[u8]) -> Result<(), String>,
 )> {
-    use ocep_repro::net::shard::decode_watermark;
     use ocep_repro::net::VerdictFrame;
     use ocep_repro::ocep::checkpoint::{load_at, load_set_at, save_set_at};
     use ocep_repro::poet::dump;
@@ -545,9 +544,6 @@ fn hostile_inputs() -> Vec<(
     }
     fn poet(bytes: &[u8]) -> Result<(), String> {
         dump::reload(bytes).map(drop).map_err(|e| e.to_string())
-    }
-    fn watermark(bytes: &[u8]) -> Result<(), String> {
-        decode_watermark(bytes).map(drop)
     }
     fn checkpoint_record(payload: &[u8]) -> Result<(), String> {
         // The payload's decoder is recovery: log it, then recover.
@@ -657,7 +653,7 @@ fn hostile_inputs() -> Vec<(
         ocks,
     );
 
-    // POET dump, watermark record, checkpoint record.
+    // POET dump, checkpoint record.
     let mut tracer = ocep_repro::poet::PoetServer::new(2);
     tracer.record(
         ocep_repro::vclock::TraceId::new(0),
@@ -671,11 +667,6 @@ fn hostile_inputs() -> Vec<(
         4 + 2 + 4,
         poet,
     );
-    let mut mark = Vec::new();
-    for v in [4u32, 3, 7, 7, 7] {
-        mark.extend_from_slice(&v.to_le_bytes());
-    }
-    row("OWAL watermark width", mark, 4, watermark);
     let empty = save_set_at(&guarded_set(3, &[], ""), &HashMap::new(), 0);
     let mut payload = (empty.len() as u32).to_le_bytes().to_vec();
     payload.extend_from_slice(&empty);
