@@ -51,10 +51,10 @@ fn oracle(case: &Case, events: &[Event]) -> Result<(Fingerprint, Vec<u8>), Misma
     Ok((fp, checkpoint))
 }
 
-/// The sharded run: the same arrival stream through an N-shard group
-/// (inline slots — thread parity is pinned by `ocep-net`'s own suite),
-/// returning the merged fingerprint and the monitor's checkpoint-file
-/// bytes as written by [`ShardGroup::checkpoint`].
+/// The sharded run: the same arrival stream through an N-shard group —
+/// the one inline mode the daemon also runs — returning the merged
+/// fingerprint and the monitor's checkpoint-file bytes as written by
+/// [`ShardGroup::checkpoint`].
 fn sharded(
     case: &Case,
     events: &[Event],

@@ -62,10 +62,10 @@ pub struct ServeConfig {
     /// the periodic trigger; graceful drain always checkpoints).
     pub checkpoint_every: u64,
     /// Number of matcher partitions the monitors are spread over by
-    /// `fnv1a64(name) % N`, each on its own thread behind the one
-    /// admission guard and the one log; `0` and `1` both mean a single
-    /// partition run inline on the engine thread. Unobservable in every
-    /// output and on disk (see `docs/SHARDING.md`).
+    /// `fnv1a64(name) % N`, behind the one admission guard and the one
+    /// log, all run inline on the engine thread; `0` and `1` both mean a
+    /// single partition. Unobservable in every output and on disk (see
+    /// `docs/SHARDING.md`).
     pub shards: usize,
 }
 
@@ -437,14 +437,6 @@ impl EngineCore {
             .get(&conn)
             .map(|c| c.name.clone())
             .unwrap_or_default()
-    }
-
-    /// Moves the matcher partitions onto their own threads (a no-op for
-    /// a single partition). The TCP server calls this after recovery;
-    /// the simulator never does — it drives the partitions inline for
-    /// determinism.
-    pub fn start_shard_threads(&mut self) {
-        self.group.start_threads();
     }
 
     /// Starts recording every ingested event and guard flush as
@@ -884,9 +876,6 @@ impl EngineCore {
         self.journal_op(EngineOp::Flush);
         let out = self.group.flush();
         self.publish(&out.verdicts);
-        // Take the partitions back inline so the report can borrow
-        // their monitors.
-        self.group.seal();
         let checkpoints = self
             .group
             .checkpoint(self.config.checkpoint_dir.as_deref())

@@ -23,9 +23,8 @@
 //!   quarantined by exactly the same machinery.
 //! * [`shard`] — the data plane under the engine: one admission guard
 //!   and one durable log in front of N matcher partitions
-//!   (`fnv1a64(name) % N`, each on its own thread fed over a bounded
-//!   channel when N > 1), with verdicts re-merged into the single-set order
-//!   (`docs/SHARDING.md`).
+//!   (`fnv1a64(name) % N`, all run inline on the engine thread), with
+//!   verdicts re-merged into the single-set order (`docs/SHARDING.md`).
 //! * [`client`] — producer and tail handles used by the `ocep serve`,
 //!   `ocep send`, and `ocep tail` subcommands.
 //!

@@ -138,9 +138,6 @@ impl Server {
         );
         core.recover_wal()
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        // Recovery ran inline (above); from here each matcher partition
-        // of several runs on its own thread fed over a bounded channel.
-        core.start_shard_threads();
 
         let acceptor = {
             let tx = tx.clone();

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! raw arrival → log append → AdmissionGuard → delivery sequence stamp
-//!             → fan out to N partitions → merge by (seq, registration)
+//!             → each of N partitions observes it → merge by (seq, registration)
 //! ```
 //!
 //! The causal linearization is a property of the stream, so it is
@@ -19,13 +19,11 @@
 //! holding every monitor would have reported them in — so the partition
 //! count is unobservable, in the verdict stream and on disk.
 //!
-//! With one partition everything runs inline on the caller's thread.
-//! With more, [`ShardGroup::start_threads`] moves each partition onto
-//! its own thread behind a bounded channel; every operation is
-//! lockstep (a job is pushed to each partition, then one reply is
-//! collected from each), so threaded and inline runs are
-//! observationally identical. The deterministic simulator never starts
-//! the threads.
+//! Every partition runs inline on the caller's thread, one after the
+//! other. A partition is a logical unit — routing, one set, a share of
+//! the merge — not a concurrency one: on two hardware threads, partition
+//! threads in lockstep measured slower than the same code inline
+//! (EXPERIMENTS.md, "Partition threads").
 
 use crate::wire::{decode_body, encode_body, put_event_body, Frame};
 use ocep_core::ingest::{AdmissionGuard, IngestFault, IngestStats};
@@ -42,15 +40,9 @@ use ocep_wal::{
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-/// Capacity of each per-partition job/reply channel.
-const RING_CAPACITY: usize = 1024;
 
 /// The routing rule: `fnv1a64(name) % n_shards`. It only decides which
-/// thread matches which pattern; nothing on disk depends on it.
+/// partition matches which pattern; nothing on disk depends on it.
 #[must_use]
 pub fn route_of(name: &str, n_shards: usize) -> usize {
     let h = ocep_wal::fnv1a64(ocep_wal::FNV_OFFSET, name.as_bytes());
@@ -70,81 +62,6 @@ pub struct FaultHooks {
     /// live engine still observes the event, so a later crash recovery
     /// diverges from the oracle — which must flag it.
     pub drop_next_append: bool,
-}
-
-/// One job for a partition; each produces exactly one [`Reply`].
-enum Job {
-    /// Admitted events, in delivery order; the first is delivery number
-    /// `first_seq`.
-    Observe {
-        first_seq: u64,
-        events: Arc<Vec<Event>>,
-    },
-    Add {
-        name: String,
-        monitor: Box<Monitor>,
-    },
-    Remove {
-        name: String,
-    },
-    Metrics,
-}
-
-enum Reply {
-    /// `(delivery_seq, monitor, match)` in partition-local order.
-    Verdicts(Vec<(u64, String, Match)>),
-    Done,
-    Metrics(Box<MetricsSnapshot>),
-}
-
-/// Executes one job against a partition — shared verbatim by the inline
-/// path and the partition-thread loop, which is what keeps the two
-/// modes observationally identical.
-fn exec(set: &mut MonitorSet, job: Job) -> Reply {
-    match job {
-        Job::Observe { first_seq, events } => {
-            let mut tagged = Vec::new();
-            for (seq, e) in (first_seq..).zip(events.iter()) {
-                tagged.extend(set.observe(e).into_iter().map(|(n, m)| (seq, n, m)));
-            }
-            Reply::Verdicts(tagged)
-        }
-        Job::Add { name, monitor } => {
-            set.insert_monitor(name, *monitor);
-            Reply::Done
-        }
-        Job::Remove { name } => {
-            set.remove(&name);
-            Reply::Done
-        }
-        Job::Metrics => Reply::Metrics(Box::new(set.metrics())),
-    }
-}
-
-/// A partition thread's body. Dropping the job sender is the close; a
-/// thread that unwinds drops its reply sender, so the engine's `recv`
-/// fails (and panics with a diagnosis) instead of blocking forever on a
-/// reply that will never come.
-fn partition_loop(
-    mut set: Box<MonitorSet>,
-    jobs: &Receiver<Job>,
-    replies: &SyncSender<Reply>,
-) -> Box<MonitorSet> {
-    while let Ok(job) = jobs.recv() {
-        if replies.send(exec(&mut set, job)).is_err() {
-            break;
-        }
-    }
-    set
-}
-
-enum Slot {
-    Inline(Box<MonitorSet>),
-    Thread {
-        jobs: SyncSender<Job>,
-        replies: Receiver<Reply>,
-        handle: JoinHandle<Box<MonitorSet>>,
-    },
 }
 
 /// What [`ShardGroup::deliver`] (and batch/flush) hands back to the
@@ -171,7 +88,9 @@ struct RegEntry {
 /// The engine's data plane (see the [module docs](self)).
 #[derive(Default)]
 pub struct ShardGroup {
-    slots: Vec<Slot>,
+    /// One set per partition, holding the monitors [`route_of`] assigns
+    /// to it.
+    parts: Vec<MonitorSet>,
     n_traces: usize,
     guard: Option<AdmissionGuard>,
     /// Sequence number of the next delivery.
@@ -196,7 +115,7 @@ pub struct ShardGroup {
 impl std::fmt::Debug for ShardGroup {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardGroup")
-            .field("shards", &self.slots.len())
+            .field("shards", &self.parts.len())
             .field("registry", &self.registry.len())
             .finish_non_exhaustive()
     }
@@ -210,8 +129,8 @@ impl ShardGroup {
     pub fn new(set: MonitorSet, n_shards: usize, sources: &HashMap<String, String>) -> ShardGroup {
         let n_traces = set.n_traces();
         let mut group = ShardGroup {
-            slots: (0..n_shards.max(1))
-                .map(|_| Slot::Inline(Box::new(MonitorSet::new(n_traces))))
+            parts: (0..n_shards.max(1))
+                .map(|_| MonitorSet::new(n_traces))
                 .collect(),
             n_traces,
             ..ShardGroup::default()
@@ -226,8 +145,8 @@ impl ShardGroup {
         self.guard = guard;
         self.registry.clear();
         self.index_of.clear();
-        for slot in &mut self.slots {
-            *slot = Slot::Inline(Box::new(MonitorSet::new(n_traces)));
+        for part in &mut self.parts {
+            *part = MonitorSet::new(n_traces);
         }
         for (name, monitor) in entries {
             let source = source_of(&name);
@@ -243,7 +162,7 @@ impl ShardGroup {
     /// Number of partitions.
     #[must_use]
     pub fn n_shards(&self) -> usize {
-        self.slots.len()
+        self.parts.len()
     }
 
     /// Number of traces in the monitored computation.
@@ -301,120 +220,26 @@ impl ShardGroup {
         &self.history
     }
 
-    /// Pushes one job to every partition `job_for` names, then collects
-    /// one reply from each, in partition order.
-    fn fan_out(&mut self, mut job_for: impl FnMut(usize) -> Option<Job>) -> Vec<Reply> {
-        let mut replies: Vec<Option<Reply>> = Vec::with_capacity(self.slots.len());
-        let mut waiting = Vec::new();
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            let reply = match (job_for(i), slot) {
-                (None, _) => None,
-                (Some(job), Slot::Inline(set)) => Some(exec(set, job)),
-                (Some(job), Slot::Thread { jobs, .. }) => {
-                    assert!(jobs.send(job).is_ok(), "partition {i} thread is gone");
-                    waiting.push(i);
-                    None
-                }
-            };
-            replies.push(reply);
-        }
-        for i in waiting {
-            let Slot::Thread { replies: rx, .. } = &self.slots[i] else {
-                unreachable!("only threaded partitions are waited on");
-            };
-            let reply = rx.recv().ok();
-            assert!(reply.is_some(), "partition {i} thread died before replying");
-            replies[i] = reply;
-        }
-        replies.into_iter().flatten().collect()
-    }
+    /// Does nothing: every partition runs inline. Kept, with its
+    /// signature, for callers written when partitions could run on
+    /// threads of their own.
+    pub fn start_threads(&mut self) {}
 
-    /// Spawns one thread per partition, fed through bounded channels. The
-    /// group stays observationally identical to inline mode. A single
-    /// partition stays inline: there is nothing to run beside it.
-    /// Idempotent.
-    pub fn start_threads(&mut self) {
-        if self.slots.len() < 2 {
-            return;
-        }
-        let slots = std::mem::take(&mut self.slots);
-        self.slots = slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| match slot {
-                Slot::Inline(set) => {
-                    let (jobs, thread_jobs) = sync_channel::<Job>(RING_CAPACITY);
-                    let (thread_replies, replies) = sync_channel::<Reply>(RING_CAPACITY);
-                    let handle = std::thread::Builder::new()
-                        .name(format!("ocep-shard-{i}"))
-                        .spawn(move || partition_loop(set, &thread_jobs, &thread_replies))
-                        .expect("spawn partition thread");
-                    Slot::Thread {
-                        jobs,
-                        replies,
-                        handle,
-                    }
-                }
-                threaded => threaded,
-            })
-            .collect();
-    }
+    /// Does nothing: there are no partition threads to stop. Kept, with
+    /// its signature, beside [`ShardGroup::start_threads`].
+    pub fn seal(&mut self) {}
 
-    /// Stops every partition thread and takes the partitions back
-    /// inline, so the caller can borrow monitors directly. Idempotent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a partition thread panicked.
-    pub fn seal(&mut self) {
-        let slots = std::mem::take(&mut self.slots);
-        self.slots = slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| match slot {
-                Slot::Thread { jobs, handle, .. } => {
-                    drop(jobs);
-                    match handle.join() {
-                        Ok(set) => Slot::Inline(set),
-                        Err(_) => panic!("partition {i} thread panicked"),
-                    }
-                }
-                inline => inline,
-            })
-            .collect();
-    }
-
-    /// Runs `f` with every partition inline, restarting the threads
-    /// afterwards if they were running.
-    fn sealed<R>(&mut self, f: impl FnOnce(&mut ShardGroup) -> R) -> R {
-        let threaded = matches!(self.slots.first(), Some(Slot::Thread { .. }));
-        self.seal();
-        let out = f(self);
-        if threaded {
-            self.start_threads();
-        }
-        out
-    }
-
-    fn part(&self, i: usize) -> &MonitorSet {
-        match &self.slots[i] {
-            Slot::Inline(set) => set,
-            Slot::Thread { .. } => panic!("partition {i} is threaded; seal() first"),
-        }
-    }
-
-    /// The monitor registered under `name`. Inline mode only.
+    /// The monitor registered under `name`.
     #[must_use]
     pub fn monitor(&self, name: &str) -> Option<&Monitor> {
         let &i = self.index_of.get(name)?;
-        self.part(self.registry[i].part).monitor(name)
+        self.parts[self.registry[i].part].monitor(name)
     }
 
-    /// Live `(name, monitor)` pairs in registration order. Inline mode
-    /// only (call [`ShardGroup::seal`] first when threaded).
+    /// Live `(name, monitor)` pairs in registration order.
     pub fn live_monitors(&self) -> impl Iterator<Item = (&str, &Monitor)> {
         self.registry.iter().filter_map(|e| {
-            self.part(e.part)
+            self.parts[e.part]
                 .monitor(&e.name)
                 .map(|m| (e.name.as_str(), m))
         })
@@ -427,7 +252,7 @@ impl ShardGroup {
         self.registry
             .iter()
             .filter_map(|e| {
-                let m = self.part(e.part).monitor(&e.name)?;
+                let m = self.parts[e.part].monitor(&e.name)?;
                 Some((e.name.as_str(), m, e.source.as_deref()?))
             })
             .collect()
@@ -486,7 +311,8 @@ impl ShardGroup {
     }
 
     /// [`ShardGroup::deliver`] for a whole frame: bit-identical to
-    /// delivering its events one by one, with one fan-out.
+    /// delivering its events one by one, with one pass over the
+    /// partitions.
     pub fn deliver_batch(&mut self, session: &str, events: Vec<Event>) -> DeliverOut {
         self.deliver_raw(session, &events)
     }
@@ -500,7 +326,7 @@ impl ShardGroup {
             *self.durable.entry(session.to_owned()).or_insert(0) += logged as u64;
         }
         let admitted = self.admit(events);
-        self.dispatch(admitted)
+        self.dispatch(&admitted)
     }
 
     /// Logs and performs a guard flush (end of stream or a `Flush`
@@ -508,7 +334,7 @@ impl ShardGroup {
     pub fn flush(&mut self) -> DeliverOut {
         self.append(REC_FLUSH, &[]);
         let admitted = self.admit_flush();
-        self.dispatch(admitted)
+        self.dispatch(&admitted)
     }
 
     fn admit(&mut self, raw: &[Event]) -> Vec<Event> {
@@ -528,10 +354,10 @@ impl ShardGroup {
         admitted
     }
 
-    /// Stamps `admitted` with delivery sequence numbers, fans it out,
-    /// merges the verdicts into single-set order and retains them at the
-    /// current LSN.
-    fn dispatch(&mut self, admitted: Vec<Event>) -> DeliverOut {
+    /// Stamps `admitted` with delivery sequence numbers, has every
+    /// partition observe it, merges the verdicts into single-set order
+    /// and retains them at the current LSN.
+    fn dispatch(&mut self, admitted: &[Event]) -> DeliverOut {
         let skip = if std::mem::take(&mut self.hooks.misroute_next) {
             self.registry.first().map(|e| e.part)
         } else {
@@ -540,21 +366,15 @@ impl ShardGroup {
         let first_seq = self.next_seq;
         self.next_seq += admitted.len() as u64;
         let mut tagged = Vec::new();
-        if !admitted.is_empty() {
-            let events = Arc::new(admitted);
-            for reply in self.fan_out(|i| {
-                (Some(i) != skip).then(|| Job::Observe {
-                    first_seq,
-                    events: Arc::clone(&events),
-                })
-            }) {
-                let Reply::Verdicts(v) = reply else {
-                    unreachable!("observe jobs reply with verdicts");
-                };
-                tagged.extend(v);
+        for (i, part) in self.parts.iter_mut().enumerate() {
+            if Some(i) == skip {
+                continue;
+            }
+            for (seq, e) in (first_seq..).zip(admitted) {
+                tagged.extend(part.observe(e).into_iter().map(|(n, m)| (seq, n, m)));
             }
         }
-        if self.slots.len() > 1 {
+        if self.parts.len() > 1 {
             tagged.sort_by_cached_key(|(seq, name, _)| (*seq, self.index_of.get(name).copied()));
         }
         let verdicts: Vec<(String, Match)> = tagged.into_iter().map(|(_, n, m)| (n, m)).collect();
@@ -583,20 +403,8 @@ impl ShardGroup {
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut total = MetricsSnapshot::default();
-        for (i, slot) in self.slots.iter().enumerate() {
-            match slot {
-                Slot::Inline(set) => total.absorb(&set.metrics()),
-                Slot::Thread { jobs, replies, .. } => {
-                    assert!(
-                        jobs.send(Job::Metrics).is_ok(),
-                        "partition {i} thread is gone"
-                    );
-                    match replies.recv() {
-                        Ok(Reply::Metrics(m)) => total.absorb(&m),
-                        _ => panic!("partition {i} replied out of protocol"),
-                    }
-                }
-            }
+        for part in &self.parts {
+            total.absorb(&part.metrics());
         }
         if let Some(guard) = &self.guard {
             total.record_ingest(guard.stats());
@@ -608,21 +416,14 @@ impl ShardGroup {
 
     /// Appends `monitor` to the registry and hands it to its partition.
     fn install(&mut self, name: String, source: Option<String>, monitor: Monitor) {
-        let part = route_of(&name, self.slots.len());
+        let part = route_of(&name, self.parts.len());
         self.index_of.insert(name.clone(), self.registry.len());
         self.registry.push(RegEntry {
             name: name.clone(),
             source,
             part,
         });
-        let monitor = Box::new(monitor);
-        self.send_to(part, Job::Add { name, monitor });
-    }
-
-    /// Runs `job` on partition `part` alone.
-    fn send_to(&mut self, part: usize, job: Job) {
-        let mut job = Some(job);
-        self.fan_out(|i| job.take_if(|_| i == part));
+        self.parts[part].insert_monitor(name, monitor);
     }
 
     fn add_monitor(
@@ -645,8 +446,7 @@ impl ShardGroup {
         for (i, e) in self.registry.iter().enumerate().skip(idx) {
             self.index_of.insert(e.name.clone(), i);
         }
-        let name = name.to_owned();
-        self.send_to(part, Job::Remove { name });
+        self.parts[part].remove(name);
         true
     }
 
@@ -686,7 +486,7 @@ impl ShardGroup {
     /// The whole set — every monitor with a known source plus the
     /// guard's reorder state — as one `OCKS` blob, byte-identical to
     /// what [`ocep_core::save_set`] writes for one set holding every
-    /// monitor. Inline mode only.
+    /// monitor.
     #[must_use]
     pub fn checkpoint_set(&self) -> Vec<u8> {
         save_parts_at(self.n_traces, &self.saved(), self.guard.as_ref(), 0)
@@ -725,10 +525,6 @@ impl ShardGroup {
     ///
     /// A checkpoint file or directory that could not be written.
     pub fn checkpoint(&mut self, dir: Option<&Path>) -> Result<Vec<PathBuf>, String> {
-        self.sealed(|group| group.checkpoint_inline(dir))
-    }
-
-    fn checkpoint_inline(&mut self, dir: Option<&Path>) -> Result<Vec<PathBuf>, String> {
         if self.wal.is_some() {
             let payload = self.checkpoint_payload();
             self.append(REC_CHECKPOINT, &payload);
@@ -794,7 +590,7 @@ impl ShardGroup {
     /// session offsets from every deliver record, state and verdict
     /// history from the newest checkpoint, then everything after it
     /// replayed through the guard and the partitions. Must run before
-    /// [`ShardGroup::start_threads`] and before any frame.
+    /// any frame.
     ///
     /// # Errors
     ///
@@ -844,7 +640,7 @@ impl ShardGroup {
                         self.last_lsn = rec.lsn;
                         self.recovered_events += 1;
                         let admitted = self.admit(std::slice::from_ref(&e));
-                        self.dispatch(admitted);
+                        self.dispatch(&admitted);
                     }
                 }
                 REC_CHECKPOINT if checkpoint == Some(i) => {
@@ -854,7 +650,7 @@ impl ShardGroup {
                 REC_FLUSH => {
                     self.last_lsn = rec.lsn;
                     let admitted = self.admit_flush();
-                    self.dispatch(admitted);
+                    self.dispatch(&admitted);
                 }
                 REC_REGISTER => {
                     self.last_lsn = rec.lsn;
@@ -1026,21 +822,15 @@ mod tests {
     }
 
     #[test]
-    fn sharded_group_matches_single_set_inline_and_threaded() {
+    fn sharded_group_matches_single_set() {
         let stream = scrambled_stream();
         let (reference, ref_stats) = single_reference(&stream);
         assert!(!reference.is_empty());
         for shards in [0, 1, 2, 4, 8] {
-            for threaded in [false, true] {
-                let mut group = build_group(&ALL, shards);
-                if threaded {
-                    group.start_threads();
-                }
-                let names = group_names(&mut group, &stream);
-                group.seal();
-                assert_eq!(names, reference, "shards={shards} threaded={threaded}");
-                assert_eq!(group.ingest_stats(), ref_stats, "shards={shards}");
-            }
+            let mut group = build_group(&ALL, shards);
+            let names = group_names(&mut group, &stream);
+            assert_eq!(names, reference, "shards={shards}");
+            assert_eq!(group.ingest_stats(), ref_stats, "shards={shards}");
         }
     }
 
@@ -1082,26 +872,20 @@ mod tests {
 
     #[test]
     fn registration_and_removal_route_to_owning_partitions() {
-        for threaded in [false, true] {
-            let mut group = build_group(&[("hb", HB)], 4);
-            if threaded {
-                group.start_threads();
-            }
-            group
-                .register("t0/lone", LONE, MonitorConfig::default())
-                .unwrap();
-            assert!(group.is_live("t0/lone"));
-            assert!(group
-                .register("t0/bad", "pattern :=", MonitorConfig::default())
-                .is_err());
-            assert!(!group.is_live("t0/bad"));
-            let names = group_names(&mut group, &scrambled_stream());
-            assert!(names.iter().any(|n| n == "t0/lone"), "{names:?}");
-            assert!(group.unregister("t0/lone"));
-            assert!(!group.unregister("t0/lone"));
-            assert_eq!(group.names().collect::<Vec<_>>(), ["hb"]);
-            group.seal();
-        }
+        let mut group = build_group(&[("hb", HB)], 4);
+        group
+            .register("t0/lone", LONE, MonitorConfig::default())
+            .unwrap();
+        assert!(group.is_live("t0/lone"));
+        assert!(group
+            .register("t0/bad", "pattern :=", MonitorConfig::default())
+            .is_err());
+        assert!(!group.is_live("t0/bad"));
+        let names = group_names(&mut group, &scrambled_stream());
+        assert!(names.iter().any(|n| n == "t0/lone"), "{names:?}");
+        assert!(group.unregister("t0/lone"));
+        assert!(!group.unregister("t0/lone"));
+        assert_eq!(group.names().collect::<Vec<_>>(), ["hb"]);
     }
 
     #[test]

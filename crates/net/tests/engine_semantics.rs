@@ -301,20 +301,3 @@ fn client_shutdown_after_server_exit_is_closed_not_io() {
         Err(other) => panic!("double shutdown leaked a raw error: {other}"),
     }
 }
-
-/// A partition thread is not a failure domain of its own: when one
-/// panics (here on an event no guard vetted, from a trace the monitors
-/// were not built for), the delivery that was waiting on it fails the
-/// engine thread instead of blocking forever on a reply.
-#[test]
-#[should_panic(expected = "thread died before replying")]
-fn a_partition_thread_that_panics_takes_the_engine_down() {
-    let mut set = MonitorSet::new(1);
-    set.add("a", Pattern::parse(PATTERN).unwrap());
-    set.add("b", Pattern::parse(PATTERN).unwrap());
-    let mut group = ocep_net::ShardGroup::new(set, 2, &HashMap::new());
-    group.start_threads();
-    let mut poet = PoetServer::new(4);
-    let stray = poet.record(TraceId::new(3), EventKind::Unary, "a", "");
-    group.deliver("s", &stray);
-}

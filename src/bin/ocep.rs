@@ -160,12 +160,12 @@ through the same admission guard as live traffic. Offline, each
 (same resume, batch, and exit-code behaviour). A malformed recording
 is a line-diagnosed usage error (exit 3), never a panic.
 
-`serve --shards N` matches the monitors on N partition threads
-(docs/SHARDING.md) behind the one admission guard and the one durable
-log under `--wal`; verdicts are re-merged into the single-set order, so
-every observable output and every log byte is identical at any N, and
-N may change between restarts. `--shards 0` and `1` both run a single
-partition inline.
+`serve --shards N` splits the monitors over N partitions
+(docs/SHARDING.md), matched in turn on the engine thread, behind the one
+admission guard and the one durable log under `--wal`; verdicts are
+re-merged into the single-set order, so every observable output and
+every log byte is identical at any N, and N may change between
+restarts. `--shards 0` and `1` both run a single partition.
 
 A flag the subcommand does not take, or one missing its value, is a
 usage error (exit 3) naming the flag.
