@@ -225,15 +225,11 @@ pub fn apply_faults(
 
     // --- drops -------------------------------------------------------
     if plan.drop_p > 0.0 {
-        let mut i = 0;
-        while i < out.len() {
-            if rng.gen_bool(plan.drop_p) {
-                out.remove(i);
-                injected.drops += 1;
-            } else {
-                i += 1;
-            }
-        }
+        out.retain(|_| {
+            let dropped = rng.gen_bool(plan.drop_p);
+            injected.drops += u64::from(dropped);
+            !dropped
+        });
     }
 
     // --- duplicates (strictly after their originals) -----------------
@@ -245,12 +241,10 @@ pub fn apply_faults(
                 inserts.push(((i + offset).min(out.len()), e.clone()));
             }
         }
-        // Insert back-to-front so earlier positions stay valid; every
-        // copy lands at an index strictly greater than its original's.
-        for (p, e) in inserts.into_iter().rev() {
-            out.insert(p, e);
-            injected.duplicates += 1;
-        }
+        // Every copy lands at an index strictly greater than its
+        // original's.
+        injected.duplicates += inserts.len() as u64;
+        out = insert_back_to_front(out, inserts);
     }
 
     // --- corrupt-clock events (additive, never replacing) ------------
@@ -262,13 +256,34 @@ pub fn apply_faults(
                 inserts.push((i, ev));
             }
         }
-        for (p, e) in inserts.into_iter().rev() {
-            out.insert(p, e);
-            injected.corrupt += 1;
-        }
+        injected.corrupt += inserts.len() as u64;
+        out = insert_back_to_front(out, inserts);
     }
 
     (out, injected)
+}
+
+/// `out.insert(p, e)` for each of `inserts` from last to first — so each
+/// position refers to the sequence before any insert — on a gap buffer:
+/// `front` is the sequence up to the gap, `back` the rest reversed, and
+/// moving the gap costs the distance moved. Duplicate positions are not
+/// monotone (an offset of up to `window + 3` follows each original), so
+/// this replays the inserts rather than merging by original index; the
+/// gap still moves a bounded distance per insert, which keeps the whole
+/// replay linear.
+fn insert_back_to_front(mut front: Vec<Event>, inserts: Vec<(usize, Event)>) -> Vec<Event> {
+    let mut back: Vec<Event> = Vec::new();
+    for (p, e) in inserts.into_iter().rev() {
+        while front.len() > p {
+            back.extend(front.pop());
+        }
+        while front.len() < p {
+            front.extend(back.pop());
+        }
+        back.push(e);
+    }
+    front.extend(back.into_iter().rev());
+    front
 }
 
 /// Statistics from a passing fault check.
