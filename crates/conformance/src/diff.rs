@@ -52,10 +52,6 @@ pub enum Invariant {
     /// in-process `observe_raw` delivery (verdicts, subsets, or ingest
     /// statistics).
     NetTransparency,
-    /// Delivery through the N-shard engine core diverged from
-    /// in-process `observe_raw` delivery (merged verdict order,
-    /// subsets, ingest statistics, or checkpoint bytes).
-    ShardTransparency,
 }
 
 impl fmt::Display for Invariant {
@@ -72,7 +68,6 @@ impl fmt::Display for Invariant {
             Invariant::QuarantineAccounting => "quarantine-accounting",
             Invariant::CheckpointRestore => "checkpoint-restore",
             Invariant::NetTransparency => "net-transparency",
-            Invariant::ShardTransparency => "shard-transparency",
         })
     }
 }
@@ -94,7 +89,6 @@ impl Invariant {
             "quarantine-accounting" => Invariant::QuarantineAccounting,
             "checkpoint-restore" => Invariant::CheckpointRestore,
             "net-transparency" => Invariant::NetTransparency,
-            "shard-transparency" => Invariant::ShardTransparency,
             _ => return None,
         })
     }
@@ -442,7 +436,6 @@ mod tests {
             Invariant::QuarantineAccounting,
             Invariant::CheckpointRestore,
             Invariant::NetTransparency,
-            Invariant::ShardTransparency,
         ] {
             assert_eq!(Invariant::from_name(&inv.to_string()), Some(inv));
         }

@@ -272,7 +272,11 @@ pub fn apply_faults(
 /// gap still moves a bounded distance per insert, which keeps the whole
 /// replay linear.
 fn insert_back_to_front(mut front: Vec<Event>, inserts: Vec<(usize, Event)>) -> Vec<Event> {
-    let mut back: Vec<Event> = Vec::new();
+    if inserts.is_empty() {
+        return front;
+    }
+    // Sized once for the result, which it becomes: the sequence reversed.
+    let mut back: Vec<Event> = Vec::with_capacity(front.len() + inserts.len());
     for (p, e) in inserts.into_iter().rev() {
         while front.len() > p {
             back.extend(front.pop());
@@ -282,8 +286,9 @@ fn insert_back_to_front(mut front: Vec<Event>, inserts: Vec<(usize, Event)>) -> 
         }
         back.push(e);
     }
-    front.extend(back.into_iter().rev());
-    front
+    back.extend(front.drain(..).rev());
+    back.reverse();
+    back
 }
 
 /// Statistics from a passing fault check.

@@ -37,7 +37,6 @@ mod fuzz;
 mod generate;
 mod netdiff;
 mod replay;
-mod sharddiff;
 mod shrink;
 
 pub use case::{Action, Case};
@@ -55,5 +54,4 @@ pub use netdiff::{
     check_net_transparency, in_process_fingerprint, loopback_fingerprint, Fingerprint,
 };
 pub use replay::{load_dump, replay_dump, write_dump, ReplayOutcome};
-pub use sharddiff::{check_shard_transparency, check_shard_transparency_sabotaged};
 pub use shrink::shrink_case;

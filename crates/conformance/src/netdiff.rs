@@ -16,9 +16,8 @@ use ocep_net::{Client, ServeConfig, Server};
 use ocep_pattern::Pattern;
 use ocep_poet::Event;
 
-/// Single monitor name used by both deliveries (shared with the
-/// sharded differential in [`crate::sharddiff`]).
-pub(crate) const MONITOR: &str = "pattern";
+/// Single monitor name used by both deliveries.
+const MONITOR: &str = "pattern";
 
 fn err(detail: String) -> Mismatch {
     Mismatch {
@@ -27,7 +26,7 @@ fn err(detail: String) -> Mismatch {
     }
 }
 
-pub(crate) fn match_ids(m: &Match) -> Vec<(u32, u32)> {
+fn match_ids(m: &Match) -> Vec<(u32, u32)> {
     m.events()
         .iter()
         .map(|e| (e.trace().as_u32(), e.index().get()))
@@ -106,10 +105,6 @@ fn build_set_src(pattern_src: &str, n_traces: usize) -> Result<MonitorSet, Misma
     set.add(MONITOR, pattern);
     set.enable_guard(GuardConfig::default());
     Ok(set)
-}
-
-pub(crate) fn build_set(case: &Case) -> Result<MonitorSet, Mismatch> {
-    build_set_src(&case.pattern_src, case.n_traces)
 }
 
 /// Fingerprints in-process delivery: `events` fed one by one through

@@ -4,8 +4,8 @@
 //! it speaks OCWP at the frame level, grants Ack credits, applies the
 //! slow-client policy per subscriber, journals what it ingests, and
 //! assembles the final [`ServeReport`] — all over exactly one
-//! [`ShardGroup`], the data plane that owns the admission guard, the
-//! durable log and the matcher partitions. It performs **no network I/O
+//! [`ShardGroup`], the data plane that owns the durable log and the one
+//! matcher set with its admission guard. It performs **no network I/O
 //! and reads no real clock** — connections hand it decoded [`Frame`]s tagged with
 //! a connection id and a receipt timestamp from a [`NetClock`], and
 //! outbound frames leave through per-connection [`OutQueue`]s. The TCP
@@ -61,11 +61,8 @@ pub struct ServeConfig {
     /// Write a checkpoint every this many ingested events (0 disables
     /// the periodic trigger; graceful drain always checkpoints).
     pub checkpoint_every: u64,
-    /// Number of matcher partitions the monitors are spread over by
-    /// `fnv1a64(name) % N`, behind the one admission guard and the one
-    /// log, all run inline on the engine thread; `0` and `1` both mean a
-    /// single partition. Unobservable in every output and on disk (see
-    /// `docs/SHARDING.md`).
+    /// Ignored: the engine runs one matcher set. Kept because the
+    /// repository benchmark still sets it.
     pub shards: usize,
 }
 
@@ -402,7 +399,7 @@ impl EngineCore {
         bytes_out: Arc<AtomicU64>,
     ) -> EngineCore {
         let pool = ocep_vclock::ClockPool::new(set.n_traces());
-        let group = ShardGroup::new(set, config.shards, &config.pattern_sources);
+        let group = ShardGroup::new(set, 0, &config.pattern_sources);
         EngineCore {
             group,
             config,
@@ -425,7 +422,7 @@ impl EngineCore {
         }
     }
 
-    /// The data plane: guard, log, registry and matcher partitions. The
+    /// The data plane: log, matcher set and verdict history. The
     /// simulator reaches through it to checkpoint the set and to arm
     /// its log sabotage.
     pub fn group(&mut self) -> &mut ShardGroup {
@@ -916,11 +913,6 @@ impl EngineCore {
 
     fn metrics(&self) -> MetricsSnapshot {
         let mut s = self.group.metrics();
-        s.gauge(
-            "ocep_net_shards",
-            "Matcher partitions serving this monitor set.",
-            self.group.n_shards() as u64,
-        );
         s.counter(
             "ocep_net_connections_total",
             "Connections accepted over the server lifetime.",

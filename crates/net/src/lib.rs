@@ -21,10 +21,9 @@
 //!   producer gets byte-identical verdicts to in-process
 //!   [`MonitorSet::observe_raw`] delivery, and a hostile one is
 //!   quarantined by exactly the same machinery.
-//! * [`shard`] — the data plane under the engine: one admission guard
-//!   and one durable log in front of N matcher partitions
-//!   (`fnv1a64(name) % N`, all run inline on the engine thread), with
-//!   verdicts re-merged into the single-set order (`docs/SHARDING.md`).
+//! * [`shard`] — the data plane under the engine: one durable log in
+//!   front of one [`MonitorSet`] and its admission guard, plus the
+//!   verdict history a recovered server reprints.
 //! * [`client`] — producer and tail handles used by the `ocep serve`,
 //!   `ocep send`, and `ocep tail` subcommands.
 //!
@@ -36,6 +35,7 @@
 //! semantics.
 //!
 //! [`MonitorSet::observe_raw`]: ocep_core::MonitorSet::observe_raw
+//! [`MonitorSet`]: ocep_core::MonitorSet
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -112,9 +112,8 @@ pub struct Server {
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts
     /// serving `set`. The set should already have its admission guard
-    /// enabled via [`MonitorSet::enable_guard`]: the engine takes it
-    /// over and runs every decoded event through it once, in front of
-    /// the matcher partitions.
+    /// enabled via [`MonitorSet::enable_guard`]: the engine runs every
+    /// decoded event through it once, in front of the monitors.
     ///
     /// # Errors
     ///

@@ -1,34 +1,28 @@
-//! The engine's data plane: one admission stage, one log, N matcher
-//! partitions.
+//! The engine's data plane: one log in front of one matcher set.
 //!
-//! A [`ShardGroup`] runs the same pipeline at every partition count:
+//! A [`ShardGroup`] runs one pipeline:
 //!
 //! ```text
-//! raw arrival → log append → AdmissionGuard → delivery sequence stamp
-//!             → each of N partitions observes it → merge by (seq, registration)
+//! raw arrival → log append → MonitorSet (its AdmissionGuard, then every monitor)
 //! ```
 //!
 //! The causal linearization is a property of the stream, so it is
-//! derived once: the group owns the one [`AdmissionGuard`] and the one
-//! durable [`Wal`], and only *admitted* events — already validated,
-//! deduplicated, ordered and numbered — reach the partitions. A
-//! partition is a guard-less [`MonitorSet`] holding the monitors that
-//! [`route_of`] assigns to it. Verdicts come back tagged with their
-//! delivery sequence number and are merged by a stable sort on
-//! `(delivery_seq, registration index)`, which is the order one set
-//! holding every monitor would have reported them in — so the partition
-//! count is unobservable, in the verdict stream and on disk.
+//! derived once, by the guard the [`MonitorSet`] keeps in front of its
+//! monitors; the group adds the one durable [`Wal`], the pattern source
+//! of every monitor (what a checkpoint needs) and the verdict history a
+//! recovered server reprints. Verdicts come out in the set's own order —
+//! by arrival, then by registration — which is the paper's one sequential
+//! monitor fed one linearization (§V-A).
 //!
-//! Every partition runs inline on the caller's thread, one after the
-//! other. A partition is a logical unit — routing, one set, a share of
-//! the merge — not a concurrency one: on two hardware threads, partition
-//! threads in lockstep measured slower than the same code inline
-//! (EXPERIMENTS.md, "Partition threads").
+//! The engine never uses [`route_of`], the `n_shards` argument of
+//! [`ShardGroup::new`], [`ShardGroup::start_threads`] or
+//! [`ShardGroup::seal`]; they stay because the repository benchmark,
+//! which ordinary changes may not edit, still links them.
 
 use crate::wire::{decode_body, encode_body, put_event_body, Frame};
-use ocep_core::ingest::{AdmissionGuard, IngestFault, IngestStats};
+use ocep_core::ingest::{IngestFault, IngestStats};
 use ocep_core::{
-    load_set_at, save_at, save_parts_at, Match, MetricsSnapshot, Monitor, MonitorConfig, MonitorSet,
+    load_set_at, save_at, save_set_at, Match, MetricsSnapshot, Monitor, MonitorConfig, MonitorSet,
 };
 use ocep_pattern::Pattern;
 use ocep_poet::codec::{nth, put_str, put_u32, put_u64, Reader};
@@ -41,23 +35,20 @@ use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// The routing rule: `fnv1a64(name) % n_shards`. It only decides which
-/// partition matches which pattern; nothing on disk depends on it.
+/// `fnv1a64(name) % n_shards`: the partition a monitor named `name`
+/// would land on among `n_shards`. Nothing in the engine calls it; the
+/// repository benchmark still reports its `shard.skew` figure from it.
 #[must_use]
 pub fn route_of(name: &str, n_shards: usize) -> usize {
     let h = ocep_wal::fnv1a64(ocep_wal::FNV_OFFSET, name.as_bytes());
     (h % n_shards.max(1) as u64) as usize
 }
 
-/// Oracle-sharpness switches for the shard-transparency suite and the
-/// simulator: each sabotages one step so the harness can prove it would
-/// notice. The default injects nothing; no daemon sets a field.
+/// Oracle-sharpness switch for the simulator: sabotages one step so the
+/// harness can prove it would notice. The default injects nothing; no
+/// daemon sets it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultHooks {
-    /// The next data frame is not delivered to the partition owning the
-    /// first registered monitor — the routing bug the shard-transparency
-    /// suite must catch.
-    pub misroute_next: bool,
     /// The next deliver record is silently left out of the log. The
     /// live engine still observes the event, so a later crash recovery
     /// diverges from the oracle — which must flag it.
@@ -67,8 +58,7 @@ pub struct FaultHooks {
 /// What [`ShardGroup::deliver`] (and batch/flush) hands back to the
 /// engine.
 pub struct DeliverOut {
-    /// Verdicts merged across partitions by
-    /// `(delivery_seq, registration index)` — the single-set order.
+    /// Verdicts in report order: by arrival, then by registration.
     pub verdicts: Vec<(String, Match)>,
     /// Guard faults raised by this operation.
     pub faults: Vec<IngestFault>,
@@ -76,29 +66,15 @@ pub struct DeliverOut {
     pub last_lsn: u64,
 }
 
-/// One registry row: a live monitor, where it routes, and what is
-/// needed to checkpoint it.
-struct RegEntry {
-    name: String,
-    /// Pattern source, when known.
-    source: Option<String>,
-    part: usize,
-}
-
 /// The engine's data plane (see the [module docs](self)).
 #[derive(Default)]
 pub struct ShardGroup {
-    /// One set per partition, holding the monitors [`route_of`] assigns
-    /// to it.
-    parts: Vec<MonitorSet>,
-    n_traces: usize,
-    guard: Option<AdmissionGuard>,
-    /// Sequence number of the next delivery.
-    next_seq: u64,
-    /// Live monitors in registration order.
-    registry: Vec<RegEntry>,
-    /// Monitor name → its `registry` index (the merge key).
-    index_of: HashMap<String, usize>,
+    /// Every live monitor, in registration order, behind the set's own
+    /// admission guard.
+    set: MonitorSet,
+    /// Pattern source per monitor name: the monitors a checkpoint can
+    /// carry are the live ones with an entry here.
+    sources: HashMap<String, String>,
     /// Every verdict reported so far as `(firing LSN, monitor, match)` —
     /// what a checkpoint record carries so a recovered server can
     /// reprint its history and serve `tail --from`.
@@ -115,42 +91,23 @@ pub struct ShardGroup {
 impl std::fmt::Debug for ShardGroup {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardGroup")
-            .field("shards", &self.parts.len())
-            .field("registry", &self.registry.len())
+            .field("monitors", &self.set.len())
+            .field("verdicts", &self.history.len())
             .finish_non_exhaustive()
     }
 }
 
 impl ShardGroup {
-    /// Distributes `set` across `n_shards` partitions (`0` means one) by
-    /// [`route_of`], behind the set's own guard. `sources` supplies
-    /// pattern text per monitor name (needed to checkpoint a monitor).
+    /// The data plane over `set`, behind the set's own guard. `sources`
+    /// supplies pattern text per monitor name (needed to checkpoint a
+    /// monitor). `_n_shards` is ignored: the repository benchmark still
+    /// passes a partition count.
     #[must_use]
-    pub fn new(set: MonitorSet, n_shards: usize, sources: &HashMap<String, String>) -> ShardGroup {
-        let n_traces = set.n_traces();
-        let mut group = ShardGroup {
-            parts: (0..n_shards.max(1))
-                .map(|_| MonitorSet::new(n_traces))
-                .collect(),
-            n_traces,
+    pub fn new(set: MonitorSet, _n_shards: usize, sources: &HashMap<String, String>) -> ShardGroup {
+        ShardGroup {
+            set,
+            sources: sources.clone(),
             ..ShardGroup::default()
-        };
-        group.adopt(set, |name| sources.get(name).cloned());
-        group
-    }
-
-    /// Replaces guard, registry and partition contents with `set`'s.
-    fn adopt(&mut self, set: MonitorSet, source_of: impl Fn(&str) -> Option<String>) {
-        let (n_traces, entries, guard) = set.into_parts();
-        self.guard = guard;
-        self.registry.clear();
-        self.index_of.clear();
-        for part in &mut self.parts {
-            *part = MonitorSet::new(n_traces);
-        }
-        for (name, monitor) in entries {
-            let source = source_of(&name);
-            self.install(name, source, monitor);
         }
     }
 
@@ -159,27 +116,21 @@ impl ShardGroup {
         self.hooks = hooks;
     }
 
-    /// Number of partitions.
-    #[must_use]
-    pub fn n_shards(&self) -> usize {
-        self.parts.len()
-    }
-
     /// Number of traces in the monitored computation.
     #[must_use]
     pub fn n_traces(&self) -> usize {
-        self.n_traces
+        self.set.n_traces()
     }
 
     /// True when `name` is currently registered.
     #[must_use]
     pub fn is_live(&self, name: &str) -> bool {
-        self.index_of.contains_key(name)
+        self.set.monitor(name).is_some()
     }
 
     /// Live monitor names, in registration order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.registry.iter().map(|e| e.name.as_str())
+        self.set.iter().map(|(name, _)| name)
     }
 
     /// Durable deliver count for `session` (what `Resume` reports).
@@ -220,42 +171,23 @@ impl ShardGroup {
         &self.history
     }
 
-    /// Does nothing: every partition runs inline. Kept, with its
-    /// signature, for callers written when partitions could run on
-    /// threads of their own.
+    /// Does nothing: there are no partitions to start. Kept, with its
+    /// signature, because the repository benchmark calls it.
     pub fn start_threads(&mut self) {}
 
-    /// Does nothing: there are no partition threads to stop. Kept, with
-    /// its signature, beside [`ShardGroup::start_threads`].
+    /// Does nothing: there are no partitions to stop. Kept, with its
+    /// signature, beside [`ShardGroup::start_threads`].
     pub fn seal(&mut self) {}
 
     /// The monitor registered under `name`.
     #[must_use]
     pub fn monitor(&self, name: &str) -> Option<&Monitor> {
-        let &i = self.index_of.get(name)?;
-        self.parts[self.registry[i].part].monitor(name)
+        self.set.monitor(name)
     }
 
     /// Live `(name, monitor)` pairs in registration order.
     pub fn live_monitors(&self) -> impl Iterator<Item = (&str, &Monitor)> {
-        self.registry.iter().filter_map(|e| {
-            self.parts[e.part]
-                .monitor(&e.name)
-                .map(|m| (e.name.as_str(), m))
-        })
-    }
-
-    /// `(name, monitor, pattern source)` for every live monitor with a
-    /// known source, in registration order: the monitors a checkpoint
-    /// can carry.
-    fn saved(&self) -> Vec<(&str, &Monitor, &str)> {
-        self.registry
-            .iter()
-            .filter_map(|e| {
-                let m = self.parts[e.part].monitor(&e.name)?;
-                Some((e.name.as_str(), m, e.source.as_deref()?))
-            })
-            .collect()
+        self.set.iter()
     }
 
     // ---- the log ------------------------------------------------------
@@ -311,8 +243,7 @@ impl ShardGroup {
     }
 
     /// [`ShardGroup::deliver`] for a whole frame: bit-identical to
-    /// delivering its events one by one, with one pass over the
-    /// partitions.
+    /// delivering its events one by one, with one guard pass.
     pub fn deliver_batch(&mut self, session: &str, events: Vec<Event>) -> DeliverOut {
         self.deliver_raw(session, &events)
     }
@@ -325,69 +256,27 @@ impl ShardGroup {
         if logged > 0 {
             *self.durable.entry(session.to_owned()).or_insert(0) += logged as u64;
         }
-        let admitted = self.admit(events);
-        self.dispatch(&admitted)
+        let verdicts = self.set.observe_raw_batch(events);
+        self.retain(verdicts)
     }
 
     /// Logs and performs a guard flush (end of stream or a `Flush`
     /// frame): whatever the reorder buffer still holds is delivered.
     pub fn flush(&mut self) -> DeliverOut {
         self.append(REC_FLUSH, &[]);
-        let admitted = self.admit_flush();
-        self.dispatch(&admitted)
+        let verdicts = self.set.flush_guard();
+        self.retain(verdicts)
     }
 
-    fn admit(&mut self, raw: &[Event]) -> Vec<Event> {
-        let mut admitted = Vec::new();
-        match &mut self.guard {
-            Some(guard) => guard.admit_batch(raw, &mut admitted),
-            None => admitted.extend_from_slice(raw),
-        }
-        admitted
-    }
-
-    fn admit_flush(&mut self) -> Vec<Event> {
-        let mut admitted = Vec::new();
-        if let Some(guard) = &mut self.guard {
-            guard.flush(&mut admitted);
-        }
-        admitted
-    }
-
-    /// Stamps `admitted` with delivery sequence numbers, has every
-    /// partition observe it, merges the verdicts into single-set order
-    /// and retains them at the current LSN.
-    fn dispatch(&mut self, admitted: &[Event]) -> DeliverOut {
-        let skip = if std::mem::take(&mut self.hooks.misroute_next) {
-            self.registry.first().map(|e| e.part)
-        } else {
-            None
-        };
-        let first_seq = self.next_seq;
-        self.next_seq += admitted.len() as u64;
-        let mut tagged = Vec::new();
-        for (i, part) in self.parts.iter_mut().enumerate() {
-            if Some(i) == skip {
-                continue;
-            }
-            for (seq, e) in (first_seq..).zip(admitted) {
-                tagged.extend(part.observe(e).into_iter().map(|(n, m)| (seq, n, m)));
-            }
-        }
-        if self.parts.len() > 1 {
-            tagged.sort_by_cached_key(|(seq, name, _)| (*seq, self.index_of.get(name).copied()));
-        }
-        let verdicts: Vec<(String, Match)> = tagged.into_iter().map(|(_, n, m)| (n, m)).collect();
+    /// Retains fresh verdicts at the current LSN and drains the guard's
+    /// faults.
+    fn retain(&mut self, verdicts: Vec<(String, Match)>) -> DeliverOut {
         for (name, m) in &verdicts {
             self.history.push((self.last_lsn, name.clone(), m.clone()));
         }
         DeliverOut {
             verdicts,
-            faults: self
-                .guard
-                .as_mut()
-                .map(AdmissionGuard::take_faults)
-                .unwrap_or_default(),
+            faults: self.set.take_ingest_faults(),
             last_lsn: self.last_lsn,
         }
     }
@@ -395,36 +284,17 @@ impl ShardGroup {
     /// The guard's ingestion counters (all zero without a guard).
     #[must_use]
     pub fn ingest_stats(&self) -> IngestStats {
-        self.guard.as_ref().map(|g| *g.stats()).unwrap_or_default()
+        self.set.ingest_stats()
     }
 
-    /// Merged metrics: monitor families from every partition, guard
-    /// (`ocep_ingest_*`) families from the one guard.
+    /// The set's metrics: every monitor's families plus the guard's
+    /// `ocep_ingest_*` ones.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut total = MetricsSnapshot::default();
-        for part in &self.parts {
-            total.absorb(&part.metrics());
-        }
-        if let Some(guard) = &self.guard {
-            total.record_ingest(guard.stats());
-        }
-        total
+        self.set.metrics()
     }
 
     // ---- the registry -------------------------------------------------
-
-    /// Appends `monitor` to the registry and hands it to its partition.
-    fn install(&mut self, name: String, source: Option<String>, monitor: Monitor) {
-        let part = route_of(&name, self.parts.len());
-        self.index_of.insert(name.clone(), self.registry.len());
-        self.registry.push(RegEntry {
-            name: name.clone(),
-            source,
-            part,
-        });
-        self.parts[part].insert_monitor(name, monitor);
-    }
 
     fn add_monitor(
         &mut self,
@@ -433,25 +303,20 @@ impl ShardGroup {
         config: MonitorConfig,
     ) -> Result<(), String> {
         let pattern = Pattern::parse(source).map_err(|e| e.to_string())?;
-        let monitor = Monitor::with_config(pattern, self.n_traces, config);
-        self.install(name.to_owned(), Some(source.to_owned()), monitor);
+        self.set.add_with_config(name, pattern, config);
+        self.sources.insert(name.to_owned(), source.to_owned());
         Ok(())
     }
 
     fn remove_monitor(&mut self, name: &str) -> bool {
-        let Some(idx) = self.index_of.remove(name) else {
+        if !self.set.remove(name) {
             return false;
-        };
-        let part = self.registry.remove(idx).part;
-        for (i, e) in self.registry.iter().enumerate().skip(idx) {
-            self.index_of.insert(e.name.clone(), i);
         }
-        self.parts[part].remove(name);
+        self.sources.remove(name);
         true
     }
 
-    /// Registers `name` mid-stream: logged, appended to the registry,
-    /// and installed on its partition.
+    /// Registers `name` mid-stream: logged and appended to the set.
     ///
     /// # Errors
     ///
@@ -484,23 +349,17 @@ impl ShardGroup {
     // ---- checkpoints --------------------------------------------------
 
     /// The whole set — every monitor with a known source plus the
-    /// guard's reorder state — as one `OCKS` blob, byte-identical to
-    /// what [`ocep_core::save_set`] writes for one set holding every
-    /// monitor.
+    /// guard's reorder state — as one `OCKS` blob, what
+    /// [`ocep_core::save_set`] writes.
     #[must_use]
     pub fn checkpoint_set(&self) -> Vec<u8> {
-        save_parts_at(self.n_traces, &self.saved(), self.guard.as_ref(), 0)
+        save_set_at(&self.set, &self.sources, 0)
     }
 
     /// A `REC_CHECKPOINT` payload: the set-level `OCKS` blob anchored at
     /// the current LSN, then the verdict history.
     fn checkpoint_payload(&self) -> Vec<u8> {
-        let ocks = save_parts_at(
-            self.n_traces,
-            &self.saved(),
-            self.guard.as_ref(),
-            self.last_lsn,
-        );
+        let ocks = save_set_at(&self.set, &self.sources, self.last_lsn);
         let mut payload = Vec::new();
         put_u32(&mut payload, ocks.len() as u32);
         payload.extend_from_slice(&ocks);
@@ -537,7 +396,10 @@ impl ShardGroup {
             return Ok(Vec::new());
         };
         let mut written = Vec::new();
-        for (name, m, src) in self.saved() {
+        for (name, m) in self.set.iter() {
+            let Some(src) = self.sources.get(name) else {
+                continue;
+            };
             // Tenant monitors are named `{tenant}/{pattern}`, so a file
             // can live one directory down.
             let path = dir.join(format!("{name}.ockp"));
@@ -550,15 +412,15 @@ impl ShardGroup {
         Ok(written)
     }
 
-    /// Restores guard, registry, partitions and verdict history from a
+    /// Restores the set, its sources and the verdict history from a
     /// `REC_CHECKPOINT` payload.
     fn load_checkpoint(&mut self, payload: &[u8]) -> Result<(), String> {
         let mut r = Reader::new(payload);
         let ocks_len = r.u32("ocks length").map_err(text)? as usize;
         let ocks = r.bytes(ocks_len, "ocks blob").map_err(text)?;
         let (set, sources, _lsn) = load_set_at(ocks).map_err(text)?;
-        let sources: HashMap<String, String> = sources.into_iter().collect();
-        self.adopt(set, |name| sources.get(name).cloned());
+        self.set = set;
+        self.sources = sources.into_iter().collect();
         self.history.clear();
         // An lsn, a name, a body length and a one-byte body at the least.
         for i in 0..r.count("verdicts", 17).map_err(text)? {
@@ -589,8 +451,7 @@ impl ShardGroup {
     /// Opens the log under `dir` and rebuilds the group from it: durable
     /// session offsets from every deliver record, state and verdict
     /// history from the newest checkpoint, then everything after it
-    /// replayed through the guard and the partitions. Must run before
-    /// any frame.
+    /// replayed through the set. Must run before any frame.
     ///
     /// # Errors
     ///
@@ -639,8 +500,8 @@ impl ShardGroup {
                     if live {
                         self.last_lsn = rec.lsn;
                         self.recovered_events += 1;
-                        let admitted = self.admit(std::slice::from_ref(&e));
-                        self.dispatch(&admitted);
+                        let verdicts = self.set.observe_raw(&e);
+                        self.retain(verdicts);
                     }
                 }
                 REC_CHECKPOINT if checkpoint == Some(i) => {
@@ -649,8 +510,8 @@ impl ShardGroup {
                 _ if !live => {}
                 REC_FLUSH => {
                     self.last_lsn = rec.lsn;
-                    let admitted = self.admit_flush();
-                    self.dispatch(&admitted);
+                    let verdicts = self.set.flush_guard();
+                    self.retain(verdicts);
                 }
                 REC_REGISTER => {
                     self.last_lsn = rec.lsn;
@@ -666,7 +527,7 @@ impl ShardGroup {
                     self.remove_monitor(&name);
                 }
                 // Includes the watermark records older versions wrote:
-                // nothing in them changes what the partitions match.
+                // nothing in them changes what the set matches.
                 _ => {}
             }
         }
@@ -747,8 +608,7 @@ mod tests {
         TraceId::new(i)
     }
 
-    /// The frozen benchmark's tenant names and `tests/wal_layout.rs`
-    /// rely on which partition a name lands on.
+    /// The repository benchmark's `shard.skew` figure reads these.
     #[test]
     fn routing_of_known_names_stays_put() {
         assert_eq!(route_of("t0/deadlock", 2), 1);
@@ -769,9 +629,9 @@ mod tests {
         (set, sources)
     }
 
-    fn build_group(names: &[(&str, &str)], shards: usize) -> ShardGroup {
+    fn build_group(names: &[(&str, &str)]) -> ShardGroup {
         let (set, sources) = build_set(names);
-        ShardGroup::new(set, shards, &sources)
+        ShardGroup::new(set, 0, &sources)
     }
 
     /// Under the workspace's ignored `target/`: this crate reads no
@@ -826,19 +686,16 @@ mod tests {
         let stream = scrambled_stream();
         let (reference, ref_stats) = single_reference(&stream);
         assert!(!reference.is_empty());
-        for shards in [0, 1, 2, 4, 8] {
-            let mut group = build_group(&ALL, shards);
-            let names = group_names(&mut group, &stream);
-            assert_eq!(names, reference, "shards={shards}");
-            assert_eq!(group.ingest_stats(), ref_stats, "shards={shards}");
-        }
+        let mut group = build_group(&ALL);
+        assert_eq!(group_names(&mut group, &stream), reference);
+        assert_eq!(group.ingest_stats(), ref_stats);
     }
 
     #[test]
     fn batch_delivery_matches_per_event() {
         let stream = scrambled_stream();
         let (reference, _) = single_reference(&stream);
-        let mut group = build_group(&ALL, 3);
+        let mut group = build_group(&ALL);
         let mut names: Vec<String> = group
             .deliver_batch("s", stream.clone())
             .verdicts
@@ -850,29 +707,8 @@ mod tests {
     }
 
     #[test]
-    fn misroute_sabotage_is_observable() {
-        let stream = scrambled_stream();
-        let (reference, _) = single_reference(&stream);
-        let mut group = build_group(&ALL, 2);
-        group.set_fault_hooks(FaultHooks {
-            misroute_next: true,
-            ..FaultHooks::default()
-        });
-        let names: Vec<String> = group
-            .deliver_batch("s", stream)
-            .verdicts
-            .into_iter()
-            .map(|(n, _)| n)
-            .collect();
-        assert_ne!(
-            names, reference,
-            "a mis-routed frame must change the merged verdict stream"
-        );
-    }
-
-    #[test]
-    fn registration_and_removal_route_to_owning_partitions() {
-        let mut group = build_group(&[("hb", HB)], 4);
+    fn registration_and_removal_change_the_live_set() {
+        let mut group = build_group(&[("hb", HB)]);
         group
             .register("t0/lone", LONE, MonitorConfig::default())
             .unwrap();
@@ -889,48 +725,38 @@ mod tests {
     }
 
     #[test]
-    fn one_log_recovers_the_group_at_any_partition_count() {
+    fn one_log_recovers_the_group() {
         let tmp = scratch_dir("rec");
         let stream = scrambled_stream();
         let (reference, ref_stats) = single_reference(&stream);
 
-        let mut group = build_group(&ALL, 2);
+        let mut group = build_group(&ALL);
         group.recover(&tmp, Durability::Strict).unwrap();
         assert!(group.history().is_empty());
         assert_eq!(group_names(&mut group, &stream), reference);
         assert_eq!(group.durable("s"), 4);
         drop(group);
 
-        // A fresh group (simulated process restart) replays the one log
-        // — whatever its partition count — and reprints the same merged
-        // verdict history.
-        for shards in [0, 2, 4] {
-            let image = scratch_dir("rec-image");
-            std::fs::create_dir_all(&image).unwrap();
-            for entry in std::fs::read_dir(&tmp).unwrap() {
-                let entry = entry.unwrap();
-                std::fs::copy(entry.path(), image.join(entry.file_name())).unwrap();
-            }
-            let mut again = build_group(&ALL, shards);
-            again.recover(&image, Durability::Strict).unwrap();
-            assert_eq!(history_names(&again), reference, "shards={shards}");
-            assert_eq!(again.durable("s"), 4);
-            assert_eq!(again.recovered_events(), 4);
-            assert_eq!(again.ingest_stats(), ref_stats);
-            let _ = std::fs::remove_dir_all(&image);
-        }
+        // A fresh group (simulated process restart) replays the log and
+        // reprints the same verdict history.
+        let mut again = build_group(&ALL);
+        again.recover(&tmp, Durability::Strict).unwrap();
+        assert_eq!(history_names(&again), reference);
+        assert_eq!(again.durable("s"), 4);
+        assert_eq!(again.recovered_events(), 4);
+        assert_eq!(again.ingest_stats(), ref_stats);
+        drop(again);
         let _ = std::fs::remove_dir_all(&tmp);
     }
 
-    /// A failed append closes the one log for every partition at once:
-    /// the error is counted, session offsets stop advancing, and ingest
-    /// carries on non-durably.
+    /// A failed append closes the log: the error is counted, session
+    /// offsets stop advancing, and ingest carries on non-durably.
     #[test]
-    fn append_failure_degrades_to_non_durable_at_two_shards() {
+    fn append_failure_degrades_to_non_durable() {
         let tmp = scratch_dir("degrade");
         let stream = scrambled_stream();
         let (reference, _) = single_reference(&stream);
-        let mut group = build_group(&ALL, 2);
+        let mut group = build_group(&ALL);
         group.recover(&tmp, Durability::None).unwrap();
         let mut names: Vec<String> = Vec::new();
         for e in &stream[..2] {

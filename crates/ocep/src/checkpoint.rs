@@ -812,24 +812,10 @@ pub fn save_set_at(set: &MonitorSet, sources: &HashMap<String, String>, wal_lsn:
         .iter()
         .filter_map(|(name, m)| sources.get(name).map(|src| (name, m, src.as_str())))
         .collect();
-    save_parts_at(set.n_traces(), &monitors, set.guard(), wal_lsn)
-}
-
-/// [`save_set_at`] over a set held in pieces: `(name, monitor, pattern
-/// source)` triples in registration order plus the set-level guard. A
-/// sharded engine keeps its monitors in several partitions behind one
-/// guard and still writes the bytes the whole set would.
-#[must_use]
-pub fn save_parts_at(
-    n_traces: usize,
-    monitors: &[(&str, &Monitor, &str)],
-    guard: Option<&AdmissionGuard>,
-    wal_lsn: u64,
-) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.extend_from_slice(SET_MAGIC);
     put_u16(&mut buf, SET_VERSION);
-    put_u32(&mut buf, n_traces as u32);
+    put_u32(&mut buf, set.n_traces() as u32);
 
     put_u32(&mut buf, monitors.len() as u32);
     for (name, m, src) in monitors {
@@ -839,7 +825,7 @@ pub fn save_parts_at(
         buf.extend_from_slice(&blob);
     }
 
-    match guard {
+    match set.guard() {
         Some(g) => {
             buf.push(1);
             put_u64(&mut buf, g.config.capacity as u64);

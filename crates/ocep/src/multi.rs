@@ -275,18 +275,9 @@ impl MonitorSet {
         total
     }
 
-    /// Decomposes the set into `(n_traces, entries, guard)`, surrendering
-    /// the monitors in registration order and the set-level guard with
-    /// its state — how a sharded engine distributes an existing set
-    /// across partitions behind the one guard.
-    #[must_use]
-    pub fn into_parts(self) -> (usize, Vec<(String, Monitor)>, Option<AdmissionGuard>) {
-        (self.n_traces, self.entries, self.guard)
-    }
-
     /// Installs an already-built monitor under `name`, preserving its
-    /// accumulated state — the inverse of [`MonitorSet::into_parts`],
-    /// and the restore path of [`crate::checkpoint::load_set`].
+    /// accumulated state — the restore path of
+    /// [`crate::checkpoint::load_set`].
     pub fn insert_monitor(&mut self, name: impl Into<String>, monitor: Monitor) {
         self.entries.push((name.into(), monitor));
     }

@@ -109,7 +109,6 @@ fn meta_lines(failure: &SimFailure) -> String {
         ("reorder", c.faults.reorder.to_string()),
         ("sabotage", c.sabotage.to_string()),
         ("seed", c.seed.to_string()),
-        ("shards", c.shards.to_string()),
         ("stall", c.faults.stall.to_string()),
         ("tails", c.tails.to_string()),
         ("wal", c.wal.to_string()),
@@ -168,7 +167,6 @@ pub fn load_dump(dir: &Path) -> Result<SimFailure, String> {
             "tails" => config.tails = parse_usize(v)?,
             "events" => config.events = parse_usize(v)?,
             "crashes" => config.crashes = parse_usize(v)?,
-            "shards" => config.shards = parse_usize(v)?,
             "corrupt" => config.faults.corrupt = parse_bool(v)?,
             "duplicate" => config.faults.duplicate = parse_bool(v)?,
             "reorder" => config.faults.reorder = parse_bool(v)?,
@@ -231,7 +229,6 @@ mod tests {
                 sabotage: false,
                 wal: true,
                 wal_sabotage: false,
-                shards: 2,
             },
             mismatch: "engine vs oracle: verdicts diverged\nat 3".into(),
         };
@@ -259,7 +256,6 @@ mod tests {
             sabotage: true,
             wal: false,
             wal_sabotage: false,
-            shards: 0,
         };
         let out = run_sim(&config);
         let mismatch = out.mismatch.expect("sabotage must mismatch");

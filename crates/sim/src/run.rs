@@ -105,13 +105,6 @@ pub struct SimConfig {
     /// the oracle has — the comparison must flag it. Implies `wal` and
     /// at least one crash.
     pub wal_sabotage: bool,
-    /// Matcher partition count (0 and 1 both mean one). Unobservable:
-    /// a crash kills the whole daemon at every count and recovers the
-    /// way `wal` says, and the oracle stays a single in-process set, so
-    /// the fan-in order and recovery at N partitions are held to the
-    /// single-set verdict stream — and to the one-partition run's
-    /// digest — bit-for-bit.
-    pub shards: usize,
 }
 
 impl Default for SimConfig {
@@ -126,7 +119,6 @@ impl Default for SimConfig {
             sabotage: false,
             wal: false,
             wal_sabotage: false,
-            shards: 0,
         }
     }
 }
@@ -955,7 +947,6 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
         checkpoint_dir: None,
         pattern_sources: sources.clone(),
         wal_dir: wal_dir.clone(),
-        shards: cfg.shards,
         ..ServeConfig::default()
     };
     let clock = Arc::new(VirtualClock::new());
@@ -964,7 +955,6 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
     let mut core = EngineCore::new(set, serve.clone(), dynclock, Arc::clone(&bytes_out));
     core.group().set_fault_hooks(FaultHooks {
         drop_next_append: cfg.wal_sabotage,
-        ..FaultHooks::default()
     });
     let mut init_failure = None;
     if cfg.wal {
@@ -1172,7 +1162,6 @@ mod tests {
             sabotage: false,
             wal: false,
             wal_sabotage: false,
-            shards: 0,
         }
     }
 
@@ -1256,56 +1245,6 @@ mod tests {
             out.mismatch.is_some(),
             "a dropped log record went unnoticed through crash recovery"
         );
-    }
-
-    #[test]
-    fn sharded_chaos_run_agrees_with_oracle() {
-        for wal in [false, true] {
-            let mut cfg = chaos(23);
-            cfg.shards = 4;
-            cfg.crashes = 2;
-            cfg.wal = wal;
-            let out = run_sim(&cfg);
-            assert_eq!(out.mismatch, None, "wal={wal}: {:?}", out.mismatch);
-            assert!(out.crashes >= 1, "wal={wal}: no crash threshold fired");
-        }
-    }
-
-    #[test]
-    fn sharded_run_is_bit_reproducible() {
-        let mut cfg = chaos(29);
-        cfg.shards = 2;
-        let a = run_sim(&cfg);
-        let b = run_sim(&cfg);
-        assert_eq!(a.mismatch, None, "{:?}", a.mismatch);
-        assert_eq!(a.digest, b.digest);
-        assert_eq!(a.fingerprint, b.fingerprint);
-    }
-
-    #[test]
-    fn sharded_digest_equals_single_engine_digest() {
-        // Shard transparency at the whole-system level, daemon crashes
-        // and both recovery paths included: the same chaos workload
-        // served by 2/4/8 partitions and by one must produce the same
-        // digest — verdicts, subset, ingest stats, stats broadcast,
-        // fault counts and checkpoint size all bit-identical.
-        for seed in 0..40 {
-            for wal in [false, true] {
-                let mut single = chaos(seed);
-                single.crashes = 2;
-                single.wal = wal;
-                let mut sharded = single.clone();
-                sharded.shards = 2 << (seed % 3);
-                let a = run_sim(&single);
-                let b = run_sim(&sharded);
-                let at = format!("seed={seed} wal={wal} shards={}", sharded.shards);
-                assert_eq!(a.mismatch, None, "{at}: {:?}", a.mismatch);
-                assert_eq!(b.mismatch, None, "{at}: {:?}", b.mismatch);
-                assert!(b.crashes >= 1, "{at}: no crash threshold fired");
-                assert_eq!(a.fingerprint, b.fingerprint, "{at}");
-                assert_eq!(a.digest, b.digest, "{at}");
-            }
-        }
     }
 
     #[test]

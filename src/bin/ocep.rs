@@ -50,12 +50,12 @@ USAGE:
     ocep fuzz --replay <dir>
     ocep sim [--seed N] [--seeds N] [--clients N] [--tails N] [--events N]
              [--faults] [--crashes N] [--sabotage] [--dump-dir DIR]
-             [--wal] [--wal-sabotage] [--shards N]
+             [--wal] [--wal-sabotage]
     ocep sim --replay <dir>
     ocep serve <pattern-file> --traces N [--addr HOST:PORT] [--port-file FILE]
                [--window N] [--slow-policy reject|drop-oldest|flush-degraded]
                [--checkpoint DIR] [--checkpoint-every N] [--metrics FILE]
-               [--wal DIR] [--durability none|batch|strict] [--shards N]
+               [--wal DIR] [--durability none|batch|strict]
                [monitor flags]
     ocep send <addr> <dump-file> [--batch N] [--name S] [--shutdown]
     ocep ingest <format> <recording> [--pattern FILE]... [--batch N] [monitor flags]
@@ -115,9 +115,7 @@ journaled delivery to prove the oracle catches divergence. `--wal`
 serves through an on-disk durable log: crashes become SIGKILL-like (no
 checkpoint, no drain) and each restart recovers by replaying the log;
 `--wal-sabotage` silently drops one log append to prove the oracle
-catches a recovery that lost an event. `--shards N` serves the run on
-N matcher partitions; crashes still kill the whole daemon and recover
-the same two ways, and the digest must equal the one-partition run's.
+catches a recovery that lost an event.
 
 A pattern file holds a pattern program, e.g.:
 
@@ -160,18 +158,13 @@ through the same admission guard as live traffic. Offline, each
 (same resume, batch, and exit-code behaviour). A malformed recording
 is a line-diagnosed usage error (exit 3), never a panic.
 
-`serve --shards N` splits the monitors over N partitions
-(docs/SHARDING.md), matched in turn on the engine thread, behind the one
-admission guard and the one durable log under `--wal`; verdicts are
-re-merged into the single-set order, so every observable output and
-every log byte is identical at any N, and N may change between
-restarts. `--shards 0` and `1` both run a single partition.
+`register` adds or removes (`--unregister`) patterns for a tenant on a
+live daemon; the server monitors each as `{tenant}/{name}` beside its
+own pattern, logs the change under `--wal` so a restart restores it,
+and `tail --tenant T` scopes a subscription to that namespace.
 
 A flag the subcommand does not take, or one missing its value, is a
 usage error (exit 3) naming the flag.
-`register` adds or removes (`--unregister`) patterns for a tenant on a
-live daemon; the server monitors each as `{tenant}/{name}`, and
-`tail --tenant T` scopes a subscription to that namespace.
 ";
 
 fn main() {
@@ -247,14 +240,14 @@ const SUBCOMMANDS: &[Sub] = &[
     sub(
         "sim",
         false,
-        "--seed --seeds --clients --tails --events --crashes --shards --dump-dir --replay",
+        "--seed --seeds --clients --tails --events --crashes --dump-dir --replay",
         "--faults --sabotage --wal --wal-sabotage",
     ),
     sub(
         "serve",
         true,
         "--traces --addr --port-file --window --slow-policy --checkpoint --checkpoint-every \
-         --wal --durability --shards",
+         --wal --durability",
         "",
     ),
     sub("register", false, "--traces", "--unregister"),
@@ -1059,7 +1052,6 @@ fn sim_cmd(args: &Args) -> Result<i32, String> {
         sabotage: args.has("--sabotage"),
         wal: args.has("--wal"),
         wal_sabotage: args.has("--wal-sabotage"),
-        shards: args.num("--shards")?.unwrap_or(0),
     };
     let dump_dir = args.val("--dump-dir").map(std::path::PathBuf::from);
 
@@ -1193,7 +1185,6 @@ fn serve_cmd(args: &Args) -> Result<i32, String> {
             .ok_or_else(|| format!("bad --durability '{mode}' (expected none|batch|strict)"))?;
     }
     sconfig.checkpoint_every = args.num("--checkpoint-every")?.unwrap_or(0);
-    sconfig.shards = args.num("--shards")?.unwrap_or(0);
 
     let addr = args.val("--addr").unwrap_or("127.0.0.1:7070");
     let server =

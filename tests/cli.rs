@@ -414,6 +414,14 @@ fn unknown_and_valueless_flags_are_usage_errors() {
             &["sim", "--shard", "4"],
             "unknown flag '--shard' for 'ocep sim'",
         ),
+        (
+            &["sim", "--shards", "4"],
+            "unknown flag '--shards' for 'ocep sim'",
+        ),
+        (
+            &["serve", "P", "--traces", "10", "--shards", "2"],
+            "unknown flag '--shards' for 'ocep serve'",
+        ),
         // `--wal` takes a directory for `serve` and nothing for `sim`.
         (
             &["serve", "P", "--traces", "10", "--wal"],

@@ -317,7 +317,7 @@ fn shard_group_run(tag: &str) -> PathBuf {
     set.add("static", Pattern::parse(SRC).unwrap());
     set.enable_guard(GuardConfig::default());
     let sources = HashMap::from([("static".to_owned(), SRC.to_owned())]);
-    let mut group = ShardGroup::new(set, 2, &sources);
+    let mut group = ShardGroup::new(set, 0, &sources);
     group.recover(&dir, Durability::Batch).unwrap();
     group
         .register("acme/lone", LONE, MonitorConfig::default())

@@ -25,7 +25,6 @@ fn corpus_config(seed: u64) -> SimConfig {
         sabotage: false,
         wal: false,
         wal_sabotage: false,
-        shards: 0,
     }
 }
 
@@ -40,17 +39,14 @@ fn wal_corpus_config(seed: u64) -> SimConfig {
     }
 }
 
-/// A `shard <seed>` corpus line: the same chaos run on 2/4/8 matcher
-/// partitions (derived from the seed) with 2 daemon crashes, recovered
-/// by log replay on odd seeds and by checkpoint restore on even ones.
-/// The oracle stays the single in-process set, so the fan-in merge
-/// order and both recovery paths at N partitions are pinned
-/// bit-for-bit.
-fn shard_corpus_config(seed: u64) -> SimConfig {
+/// A `crash2 <seed>` corpus line: the same chaos run with 2 daemon
+/// crashes, recovered by log replay on odd seeds and by checkpoint
+/// restore on even ones — so both recovery paths run twice in one
+/// incarnation chain.
+fn crash2_corpus_config(seed: u64) -> SimConfig {
     SimConfig {
         crashes: 2,
         wal: seed % 2 == 1,
-        shards: 2 << (seed % 3),
         ..corpus_config(seed)
     }
 }
@@ -85,8 +81,8 @@ fn pinned_sim_seeds_stay_oracle_exact() {
         }
         let config = if let Some(rest) = line.strip_prefix("wal ") {
             wal_corpus_config(rest.trim().parse().expect("numeric wal seed"))
-        } else if let Some(rest) = line.strip_prefix("shard ") {
-            shard_corpus_config(rest.trim().parse().expect("numeric shard seed"))
+        } else if let Some(rest) = line.strip_prefix("crash2 ") {
+            crash2_corpus_config(rest.trim().parse().expect("numeric crash2 seed"))
         } else {
             corpus_config(line.parse().expect("numeric seed per line"))
         };

@@ -1,6 +1,5 @@
 //! Durable-log layout contract (tier-1): one log directly under the
-//! WAL root, the same bytes at every shard count, readable at every
-//! other.
+//! WAL root, and a log an older version wrote still recovers unchanged.
 //!
 //! `tests/corpus/wal/parent-shards0/` is a crash image of a log
 //! directory written by `ocep serve --shards 0 --wal` at commit
@@ -72,7 +71,7 @@ fn copy_dir(from: &Path, to: &Path) {
 }
 
 /// A server with the one static monitor `pings`, logging under `wal`.
-fn serve(wal: &Path, shards: usize, checkpoint_dir: Option<&Path>) -> Server {
+fn serve(wal: &Path, checkpoint_dir: Option<&Path>) -> Server {
     let mut set = MonitorSet::new(N_TRACES);
     set.add("pings", Pattern::parse(PINGS).unwrap());
     set.enable_guard(GuardConfig::default());
@@ -81,7 +80,6 @@ fn serve(wal: &Path, shards: usize, checkpoint_dir: Option<&Path>) -> Server {
         durability: Durability::None,
         checkpoint_every: 32,
         checkpoint_dir: checkpoint_dir.map(Path::to_path_buf),
-        shards,
         ..ServeConfig::default()
     };
     config
@@ -118,8 +116,8 @@ fn drive(addr: &str) -> Client {
 }
 
 /// Everything a restarted server says about the log under `wal`.
-fn observe_recovery(wal: &Path, shards: usize, checkpoint_dir: Option<&Path>) -> Vec<String> {
-    let server = serve(wal, shards, checkpoint_dir);
+fn observe_recovery(wal: &Path, checkpoint_dir: Option<&Path>) -> Vec<String> {
+    let server = serve(wal, checkpoint_dir);
     let addr = server.addr().to_string();
     let client = Client::connect(&addr, N_TRACES, SESSION).unwrap();
     let mut lines = vec![format!("resume {SESSION} {}", client.resume_from())];
@@ -156,7 +154,7 @@ fn fixture_dir() -> PathBuf {
 #[ignore = "rewrites tests/corpus/wal/parent-shards0/; run explicitly"]
 fn regenerate_parent_fixture() {
     let wal = scratch_dir("gen");
-    let server = serve(&wal, 0, None);
+    let server = serve(&wal, None);
     let client = drive(&server.addr().to_string());
     // Acked and in the kernel, no final checkpoint: what SIGKILL leaves.
     let fixture = fixture_dir();
@@ -168,7 +166,7 @@ fn regenerate_parent_fixture() {
 
     let image = scratch_dir("gen-recover");
     copy_dir(&fixture, &image);
-    let lines = observe_recovery(&image, 0, None);
+    let lines = observe_recovery(&image, None);
     std::fs::write(fixture.join("expected.txt"), lines.join("\n") + "\n").unwrap();
     let _ = std::fs::remove_dir_all(&image);
 }
@@ -181,14 +179,12 @@ fn parent_written_log_recovers_unchanged() {
         expected.iter().any(|l| l.starts_with("tail match[")),
         "fixture pins no verdict backlog"
     );
-    for shards in [0, 2, 4] {
-        let image = scratch_dir("fixture");
-        copy_dir(&fixture_dir(), &image);
-        std::fs::remove_file(image.join("expected.txt")).unwrap();
-        let lines = observe_recovery(&image, shards, None);
-        assert_eq!(lines, expected, "--shards {shards}");
-        let _ = std::fs::remove_dir_all(&image);
-    }
+    let image = scratch_dir("fixture");
+    copy_dir(&fixture_dir(), &image);
+    std::fs::remove_file(image.join("expected.txt")).unwrap();
+    let lines = observe_recovery(&image, None);
+    assert_eq!(lines, expected);
+    let _ = std::fs::remove_dir_all(&image);
 }
 
 /// Sorted `(path relative to dir, bytes)` of every file under `dir`.
@@ -211,43 +207,28 @@ fn tree_files(dir: &Path) -> Files {
 }
 
 #[test]
-fn log_bytes_do_not_depend_on_the_shard_count() {
-    // The pinned session, served to a graceful shutdown at each count.
-    let written: Vec<(usize, PathBuf)> = [0, 1, 2, 4]
-        .into_iter()
-        .map(|shards| {
-            let wal = scratch_dir(&format!("n{shards}"));
-            let server = serve(&wal, shards, None);
-            drive(&server.addr().to_string()).shutdown().unwrap();
-            let _ = server.join();
-            (shards, wal)
-        })
-        .collect();
-    let reference = tree_files(&written[0].1);
-    let names: Vec<&String> = reference.iter().map(|(n, _)| n).collect();
+fn one_log_under_the_root_recovers_with_its_checkpoints() {
+    // The pinned session, served to a graceful shutdown.
+    let wal = scratch_dir("root");
+    let server = serve(&wal, None);
+    drive(&server.addr().to_string()).shutdown().unwrap();
+    let _ = server.join();
+    let names: Vec<String> = tree_files(&wal).into_iter().map(|(n, _)| n).collect();
     assert!(
         names
             .iter()
             .all(|n| n.starts_with("wal-0") && n.ends_with(".seg")),
         "segments sit directly under the root: {names:?}"
     );
-    for (shards, wal) in &written[1..] {
-        assert!(
-            tree_files(wal) == reference,
-            "--shards {shards} log differs"
-        );
-    }
 
-    // A log written at 2 shards recovers identically at 4 and at 0,
-    // per-monitor checkpoint files included.
-    let written_at_two = &written[2].1;
-    let recovered: Vec<(Vec<String>, Files)> = [2, 4, 0]
-        .into_iter()
-        .map(|shards| {
-            let image = scratch_dir("cross");
-            copy_dir(written_at_two, &image);
-            let ckpts = scratch_dir("cross-ckpt");
-            let lines = observe_recovery(&image, shards, Some(&ckpts));
+    // Two restarts on copies of that log say the same thing and write
+    // the same per-monitor checkpoint files.
+    let recovered: Vec<(Vec<String>, Files)> = (0..2)
+        .map(|_| {
+            let image = scratch_dir("again");
+            copy_dir(&wal, &image);
+            let ckpts = scratch_dir("again-ckpt");
+            let lines = observe_recovery(&image, Some(&ckpts));
             let files = tree_files(&ckpts);
             let _ = std::fs::remove_dir_all(&image);
             let _ = std::fs::remove_dir_all(&ckpts);
@@ -260,17 +241,8 @@ fn log_bytes_do_not_depend_on_the_shard_count() {
         checkpointed,
         ["acme/conc.ockp", "acme/late.ockp", "pings.ockp"]
     );
-    assert!(
-        recovered[1] == recovered[0],
-        "2-shard log differs at 4 shards"
-    );
-    assert!(
-        recovered[2] == recovered[0],
-        "2-shard log differs at 0 shards"
-    );
-    for (_, wal) in written {
-        let _ = std::fs::remove_dir_all(wal);
-    }
+    assert!(recovered[1] == recovered[0], "recovery is not repeatable");
+    let _ = std::fs::remove_dir_all(&wal);
 }
 
 #[test]
@@ -281,7 +253,6 @@ fn per_shard_log_directories_are_refused() {
     set.add("pings", Pattern::parse(PINGS).unwrap());
     let config = ServeConfig {
         wal_dir: Some(wal.clone()),
-        shards: 2,
         ..ServeConfig::default()
     };
     let err = Server::bind("127.0.0.1:0", set, config).expect_err("legacy layout accepted");

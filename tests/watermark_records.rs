@@ -12,7 +12,7 @@
 //! wrote it: deliveries as `[session:str][Event frame body]`, and one
 //! watermark (`keep:u32 n:u32 (u32)*`, keep 64 and the full admitted
 //! clock) just before `T2`'s `b`. Recovery and `ocep replay` must skip
-//! the watermark and report both verdicts, at any shard count.
+//! the watermark and report both verdicts.
 
 use ocep_repro::net::wire::put_event_body;
 use ocep_repro::net::{Client, ServeConfig, Server};
@@ -127,28 +127,21 @@ fn the_stream_is_the_counterexample() {
 
 #[test]
 fn recovery_skips_the_watermark_and_reports_every_verdict() {
-    for shards in [0, 2] {
-        let dir = write_log(&format!("serve-{shards}"));
-        let set = guarded_set();
-        let config = ServeConfig {
-            wal_dir: Some(dir.clone()),
-            durability: Durability::None,
-            shards,
-            ..ServeConfig::default()
-        };
-        let server = Server::bind("127.0.0.1:0", set, config).expect("bind loopback server");
-        let client = Client::connect(&server.addr().to_string(), N_TRACES, SESSION).unwrap();
-        assert_eq!(
-            client.resume_from(),
-            stream().len() as u64,
-            "--shards {shards}"
-        );
-        client.shutdown().unwrap();
-        let report = server.join();
-        let reported: Vec<String> = report.verdicts.iter().map(|(_, m)| m.to_string()).collect();
-        assert_eq!(reported, EXPECTED, "--shards {shards}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let dir = write_log("serve");
+    let set = guarded_set();
+    let config = ServeConfig {
+        wal_dir: Some(dir.clone()),
+        durability: Durability::None,
+        ..ServeConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", set, config).expect("bind loopback server");
+    let client = Client::connect(&server.addr().to_string(), N_TRACES, SESSION).unwrap();
+    assert_eq!(client.resume_from(), stream().len() as u64);
+    client.shutdown().unwrap();
+    let report = server.join();
+    let reported: Vec<String> = report.verdicts.iter().map(|(_, m)| m.to_string()).collect();
+    assert_eq!(reported, EXPECTED);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
