@@ -210,19 +210,19 @@ impl Client {
         self.round_trip(&Frame::StatsReq)
     }
 
-    /// Asks the server to checkpoint all monitors now; returns the
-    /// statistics at checkpoint time.
+    /// Asks the server to anchor a checkpoint in its durable log now
+    /// (a no-op without one); returns the statistics at checkpoint time.
     ///
     /// # Errors
     ///
-    /// Transport failures, or a `Fault` if the server has no checkpoint
-    /// directory configured or the write failed.
+    /// Transport or protocol failures.
     pub fn checkpoint(&mut self) -> Result<StatsReport, WireError> {
         self.round_trip(&Frame::CheckpointReq)
     }
 
     /// Requests a graceful shutdown: the server drains its guard,
-    /// checkpoints, replies with a final report, and closes.
+    /// anchors a log checkpoint, replies with a final report, and
+    /// closes.
     ///
     /// # Errors
     ///

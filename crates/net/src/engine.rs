@@ -1,8 +1,8 @@
 //! The transport-free serving engine.
 //!
 //! [`EngineCore`] is the single-owner state machine behind `ocep serve`:
-//! it speaks OCWP at the frame level, grants Ack credits, applies the
-//! slow-client policy per subscriber, journals what it ingests, and
+//! it speaks OCWP at the frame level, grants Ack credits, bounds every
+//! subscriber's verdict queue, journals what it ingests, and
 //! assembles the final [`ServeReport`] — all over exactly one
 //! [`ShardGroup`], the data plane that owns the durable log and the one
 //! matcher set with its admission guard. It performs **no network I/O
@@ -23,7 +23,7 @@
 
 use crate::shard::ShardGroup;
 use crate::wire::{FaultCode, Frame, Mode, StatsReport, VerdictFrame};
-use ocep_core::ingest::{IngestFault, OverflowPolicy};
+use ocep_core::ingest::IngestFault;
 use ocep_core::{Histogram, Match, MetricsSnapshot, MonitorConfig, MonitorSet};
 use ocep_wal::Durability;
 use std::collections::{HashMap, VecDeque};
@@ -38,28 +38,25 @@ pub struct ServeConfig {
     /// Ack-credit window granted to each producer: the number of data
     /// frames it may have in flight before waiting for an Ack.
     pub window: u32,
-    /// What to do when a tail subscriber cannot keep up with the
-    /// verdict stream. Mirrors the guard's overflow policies:
-    /// `Reject` drops the newest verdict, `DropOldest` evicts the
-    /// oldest queued one, `FlushDegraded` clears the queue and marks
-    /// the stream degraded with a `Fault` frame.
-    pub slow_policy: OverflowPolicy,
-    /// Bounded per-subscriber outbound queue length.
+    /// Bounded per-subscriber outbound queue length. A verdict that
+    /// finds its tail's queue full is dropped (the newest one loses)
+    /// and counted; the tail can re-read it with `tail --from`.
     pub subscriber_queue: usize,
-    /// Directory for checkpoint-on-shutdown; `None` disables it.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Pattern source per monitor name, required to write checkpoints.
+    /// Pattern source per monitor name, required to checkpoint a
+    /// monitor into the log.
     pub pattern_sources: HashMap<String, String>,
     /// Directory for the durable event log; `None` serves non-durably.
     /// When set, every admitted delivery is appended (hash-chained)
     /// before it reaches the set, recovery replays the log on startup,
     /// and producers with named sessions resume at their acknowledged
-    /// log offset instead of re-sending.
+    /// log offset instead of re-sending. The log is the only state a
+    /// restarted daemon reads.
     pub wal_dir: Option<PathBuf>,
     /// Group-commit fsync policy for the event log.
     pub durability: Durability,
-    /// Write a checkpoint every this many ingested events (0 disables
-    /// the periodic trigger; graceful drain always checkpoints).
+    /// Anchor a log checkpoint every this many ingested events (0
+    /// disables the periodic trigger; graceful drain always anchors
+    /// one). Without `wal_dir` there is no log to anchor in.
     pub checkpoint_every: u64,
     /// Ignored: the engine runs one matcher set. Kept because the
     /// repository benchmark still sets it.
@@ -70,9 +67,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             window: 64,
-            slow_policy: OverflowPolicy::Reject,
             subscriber_queue: 1024,
-            checkpoint_dir: None,
             pattern_sources: HashMap::new(),
             wal_dir: None,
             durability: Durability::Batch,
@@ -97,8 +92,6 @@ pub struct ServeReport {
     pub ingest: ocep_core::IngestStats,
     /// Combined monitor + network metrics snapshot.
     pub metrics: MetricsSnapshot,
-    /// Checkpoint files written during shutdown.
-    pub checkpoints: Vec<PathBuf>,
     /// Log sequence number of the last durable-log record (0 when the
     /// server ran without a WAL).
     pub wal_last_lsn: u64,
@@ -153,19 +146,13 @@ impl NetClock for SystemClock {
     }
 }
 
-/// What a slow-client policy did with one verdict.
+/// What a subscriber's queue did with one verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlowAction {
     /// The verdict was queued for delivery.
     Delivered,
-    /// The queue was full under `Reject`: this verdict was discarded.
+    /// The queue was full (or closed): this verdict was discarded.
     DroppedNewest,
-    /// The queue was full under `DropOldest`: the oldest queued verdict
-    /// was evicted to make room.
-    DroppedOldest,
-    /// The queue was full under `FlushDegraded`: the whole queue was
-    /// discarded, replaced by a `SlowClient` fault plus this verdict.
-    FlushedDegraded,
 }
 
 #[derive(Debug)]
@@ -178,20 +165,18 @@ struct OutState {
 /// and one consumer — a TCP writer thread, or the simulator draining it
 /// in virtual time.
 ///
-/// Control frames (acks, faults, stats) are never dropped; only
-/// verdicts are subject to the slow-client policy.
+/// Control frames (acks, faults, stats) are never dropped; a verdict
+/// that finds the queue full is.
 #[derive(Debug, Clone)]
 pub struct OutQueue {
     inner: Arc<(Mutex<OutState>, Condvar)>,
     cap: usize,
-    policy: OverflowPolicy,
 }
 
 impl OutQueue {
-    /// A queue holding at most `cap` frames, applying `policy` to
-    /// verdicts that would overflow it.
+    /// A queue holding at most `cap` frames.
     #[must_use]
-    pub fn new(cap: usize, policy: OverflowPolicy) -> Self {
+    pub fn new(cap: usize) -> Self {
         OutQueue {
             inner: Arc::new((
                 Mutex::new(OutState {
@@ -201,7 +186,6 @@ impl OutQueue {
                 Condvar::new(),
             )),
             cap: cap.max(1),
-            policy,
         }
     }
 
@@ -215,41 +199,17 @@ impl OutQueue {
         }
     }
 
-    /// Enqueues a verdict frame, applying the slow-client policy when
-    /// the queue is full; returns what happened.
+    /// Enqueues a verdict frame unless the queue is full or closed, in
+    /// which case the verdict (the newest one) is dropped; returns which.
     pub fn push_verdict(&self, frame: Frame) -> SlowAction {
         let (lock, cv) = &*self.inner;
         let mut st = lock.lock().unwrap();
-        if st.closed {
+        if st.closed || st.queue.len() >= self.cap {
             return SlowAction::DroppedNewest;
         }
-        let action = if st.queue.len() < self.cap {
-            st.queue.push_back(frame);
-            SlowAction::Delivered
-        } else {
-            match self.policy {
-                OverflowPolicy::Reject => SlowAction::DroppedNewest,
-                OverflowPolicy::DropOldest => {
-                    st.queue.pop_front();
-                    st.queue.push_back(frame);
-                    SlowAction::DroppedOldest
-                }
-                OverflowPolicy::FlushDegraded => {
-                    let lost = st.queue.len();
-                    st.queue.clear();
-                    st.queue.push_back(Frame::Fault {
-                        code: FaultCode::SlowClient,
-                        detail: format!(
-                            "subscriber fell behind: {lost} queued verdict(s) discarded"
-                        ),
-                    });
-                    st.queue.push_back(frame);
-                    SlowAction::FlushedDegraded
-                }
-            }
-        };
+        st.queue.push_back(frame);
         cv.notify_one();
-        action
+        SlowAction::Delivered
     }
 
     /// Marks the queue closed and wakes any blocked consumer.
@@ -330,7 +290,7 @@ struct Conn {
 }
 
 /// The transport-free serving engine: OCWP frame semantics, credit
-/// windows, slow-client policies, tails and report assembly over one
+/// windows, bounded tail queues and report assembly over one
 /// [`ShardGroup`] — with time injected through a [`NetClock`] and all
 /// I/O delegated to the caller. See the [module docs](self).
 pub struct EngineCore {
@@ -348,11 +308,6 @@ pub struct EngineCore {
     slow_actions: HashMap<&'static str, u64>,
     ingest_fault_frames: u64,
     latency: Histogram,
-    /// Per-trace interned-clock pool: decoded events whose clocks equal
-    /// the last clock seen on their trace (duplicate deliveries,
-    /// resends after a reconnect) adopt the cached pointer-equal buffer
-    /// instead of keeping their own allocation. Value-wise a no-op.
-    pool: ocep_vclock::ClockPool,
     /// Frame counts of connections that already closed, keyed by the
     /// connection's self-reported name.
     finished_conns: Vec<(String, u64)>,
@@ -398,7 +353,6 @@ impl EngineCore {
         clock: Arc<dyn NetClock>,
         bytes_out: Arc<AtomicU64>,
     ) -> EngineCore {
-        let pool = ocep_vclock::ClockPool::new(set.n_traces());
         let group = ShardGroup::new(set, 0, &config.pattern_sources);
         EngineCore {
             group,
@@ -415,7 +369,6 @@ impl EngineCore {
             slow_actions: HashMap::new(),
             ingest_fault_frames: 0,
             latency: Histogram::default(),
-            pool,
             finished_conns: Vec::new(),
             journal: None,
             events_since_checkpoint: 0,
@@ -465,7 +418,7 @@ impl EngineCore {
             self.events_since_checkpoint += n;
             if self.events_since_checkpoint >= self.config.checkpoint_every {
                 self.events_since_checkpoint = 0;
-                let _ = self.group.checkpoint(self.config.checkpoint_dir.as_deref());
+                self.group.checkpoint();
             }
         }
     }
@@ -629,12 +582,9 @@ impl EngineCore {
                 self.ack_data(conn);
             }
             Frame::CheckpointReq => {
-                if let Err(e) = self.group.checkpoint(self.config.checkpoint_dir.as_deref()) {
-                    self.fault(conn, FaultCode::Protocol, format!("checkpoint failed: {e}"));
-                } else {
-                    let report = self.stats_report();
-                    self.send_control(conn, Frame::StatsReport(report));
-                }
+                self.group.checkpoint();
+                let report = self.stats_report();
+                self.send_control(conn, Frame::StatsReport(report));
             }
             Frame::TailFrom { from } => {
                 if mode != Some(Mode::Tail) {
@@ -779,16 +729,12 @@ impl EngineCore {
         self.send_control(conn, Frame::Ack { credits: 1 });
     }
 
-    /// Ingests one data frame's events. Each clock is interned through
-    /// the per-trace pool first (a value-wise no-op that collapses
-    /// duplicate deliveries to pointer-equal buffers), one
-    /// [`EngineOp::Deliver`] is journaled per raw event, and the whole
-    /// frame goes through [`ShardGroup::deliver_batch`] — bit-identical
-    /// to delivering it event by event, with one latency sample per
-    /// event either way.
-    fn ingest(&mut self, mut events: Vec<ocep_poet::Event>, conn: u64, received_ns: u64) {
-        for e in &mut events {
-            e.intern_clock(&mut self.pool);
+    /// Ingests one data frame's events: one [`EngineOp::Deliver`] is
+    /// journaled per raw event, and the whole frame goes through
+    /// [`ShardGroup::deliver_batch`] — bit-identical to delivering it
+    /// event by event, with one latency sample per event either way.
+    fn ingest(&mut self, events: Vec<ocep_poet::Event>, conn: u64, received_ns: u64) {
+        for e in &events {
             self.journal_op(EngineOp::Deliver(Box::new(e.clone())));
         }
         let n = events.len() as u64;
@@ -834,16 +780,11 @@ impl EngineCore {
                 if c.mode != Some(Mode::Tail) || !tenant_matches(c.tenant_filter.as_deref(), name) {
                     continue;
                 }
-                let label = match c.out.push_verdict(frame.clone()) {
-                    SlowAction::Delivered => {
-                        *self.frames_out.entry("verdict").or_insert(0) += 1;
-                        continue;
-                    }
-                    SlowAction::DroppedNewest => "dropped_newest",
-                    SlowAction::DroppedOldest => "dropped_oldest",
-                    SlowAction::FlushedDegraded => "flushed_degraded",
+                let counter = match c.out.push_verdict(frame.clone()) {
+                    SlowAction::Delivered => self.frames_out.entry("verdict"),
+                    SlowAction::DroppedNewest => self.slow_actions.entry("dropped_newest"),
                 };
-                *self.slow_actions.entry(label).or_insert(0) += 1;
+                *counter.or_insert(0) += 1;
             }
         }
     }
@@ -864,19 +805,16 @@ impl EngineCore {
         }
     }
 
-    /// Drains the guard, writes checkpoints, broadcasts final stats to
-    /// every open connection, closes their queues, and assembles the
-    /// final report. The caller owns transport teardown (stopping
+    /// Drains the guard, anchors a log checkpoint, broadcasts final
+    /// stats to every open connection, closes their queues, and
+    /// assembles the final report. The caller owns transport teardown (stopping
     /// acceptors, unblocking sockets).
     pub fn finish(&mut self) -> ServeReport {
         // Graceful drain: deliver everything the guard still buffers.
         self.journal_op(EngineOp::Flush);
         let out = self.group.flush();
         self.publish(&out.verdicts);
-        let checkpoints = self
-            .group
-            .checkpoint(self.config.checkpoint_dir.as_deref())
-            .unwrap_or_default();
+        self.group.checkpoint();
         let stats = self.stats_report();
         for (_, c) in self.conns.drain() {
             *self.frames_out.entry("stats_report").or_insert(0) += 1;
@@ -894,7 +832,6 @@ impl EngineCore {
             stats,
             ingest: self.group.ingest_stats(),
             metrics: self.metrics(),
-            checkpoints,
             wal_last_lsn: self.group.last_lsn(),
             recovered_events: self.group.recovered_events(),
             subsets: self
@@ -992,7 +929,7 @@ impl EngineCore {
         for (action, n) in slow {
             s.counter_with(
                 "ocep_net_slow_client_total",
-                "Verdicts affected by the slow-client policy, by action.",
+                "Verdicts a full tail queue dropped, by action.",
                 &[("action", action)],
                 *n,
             );

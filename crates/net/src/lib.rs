@@ -11,7 +11,7 @@
 //!   magic + version, per-frame interned string tables, and decode
 //!   errors that carry byte offsets instead of panicking.
 //! * [`engine`] — the transport-free serving engine: OCWP frame
-//!   semantics, credit windows, slow-client policies, and report
+//!   semantics, credit windows, bounded tail queues, and report
 //!   assembly behind a clock/connection abstraction, so the same state
 //!   machine runs over real sockets and over the deterministic
 //!   simulator's virtual time.
@@ -29,10 +29,10 @@
 //!
 //! Backpressure: producers operate under an Ack-credit window (the
 //! server grants `window` credits at handshake and one back per
-//! processed data frame); slow verdict subscribers are governed by a
-//! bounded queue with policies mirroring the guard's three overflow
-//! policies. See `docs/WIRE.md` for the full grammar and failure
-//! semantics.
+//! processed data frame); each verdict subscriber has a bounded queue,
+//! and a verdict that finds it full is dropped and counted (the tail can
+//! re-read it with `tail --from`). See `docs/WIRE.md` for the full
+//! grammar and failure semantics.
 //!
 //! [`MonitorSet::observe_raw`]: ocep_core::MonitorSet::observe_raw
 //! [`MonitorSet`]: ocep_core::MonitorSet

@@ -12,9 +12,8 @@
 //! Backpressure is two-layered: inbound, the engine queue is bounded, so
 //! readers — and through TCP, producers — stall when the engine falls
 //! behind, while Ack credits give producers an explicit in-flight
-//! window; outbound, each subscriber has a bounded verdict queue
-//! governed by a slow-client policy mirroring the guard's three
-//! overflow policies.
+//! window; outbound, each subscriber has a bounded verdict queue that
+//! drops the newest verdict when full.
 //!
 //! All protocol semantics live in [`crate::engine`]; this module is
 //! only the TCP harness — sockets, threads, and the real clock. The
@@ -85,8 +84,8 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Asks the serving loop to drain, checkpoint, and stop. Idempotent;
-    /// returns false if the loop already exited.
+    /// Asks the serving loop to drain, anchor a log checkpoint, and
+    /// stop. Idempotent; returns false if the loop already exited.
     pub fn shutdown(&self) -> bool {
         self.tx.send(EngineMsg::Stop).is_ok()
     }
@@ -267,7 +266,7 @@ fn accept_loop(
             .map(|a| a.to_string())
             .unwrap_or_else(|_| "unknown".into());
         let _ = stream.set_nodelay(true);
-        let out = OutQueue::new(config.subscriber_queue, config.slow_policy);
+        let out = OutQueue::new(config.subscriber_queue);
         if tx
             .send(EngineMsg::Accepted {
                 conn,

@@ -22,7 +22,7 @@
 use crate::wire::{decode_body, encode_body, put_event_body, Frame};
 use ocep_core::ingest::{IngestFault, IngestStats};
 use ocep_core::{
-    load_set_at, save_at, save_set_at, Match, MetricsSnapshot, Monitor, MonitorConfig, MonitorSet,
+    load_set_at, save_set_at, Match, MetricsSnapshot, Monitor, MonitorConfig, MonitorSet,
 };
 use ocep_pattern::Pattern;
 use ocep_poet::codec::{nth, put_str, put_u32, put_u64, Reader};
@@ -32,8 +32,7 @@ use ocep_wal::{
     REC_UNREGISTER,
 };
 use std::collections::HashMap;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// `fnv1a64(name) % n_shards`: the partition a monitor named `name`
 /// would land on among `n_shards`. Nothing in the engine calls it; the
@@ -374,42 +373,20 @@ impl ShardGroup {
         payload
     }
 
-    /// Anchors a checkpoint record in the log — synced regardless of
+    /// Anchors a checkpoint record in the log, synced regardless of
     /// durability mode, since a checkpoint that may vanish anchors
-    /// nothing — then writes one `.ockp` file per monitor with a known
-    /// source into `dir`. Returns the files written, in registration
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// A checkpoint file or directory that could not be written.
-    pub fn checkpoint(&mut self, dir: Option<&Path>) -> Result<Vec<PathBuf>, String> {
-        if self.wal.is_some() {
-            let payload = self.checkpoint_payload();
-            self.append(REC_CHECKPOINT, &payload);
-            // A failed append closed the log; otherwise make it stick.
-            if let Some(wal) = &mut self.wal {
-                let _ = wal.sync();
-            }
+    /// nothing. Without a log there is nothing to anchor in, and this
+    /// does nothing.
+    pub fn checkpoint(&mut self) {
+        if self.wal.is_none() {
+            return;
         }
-        let Some(dir) = dir else {
-            return Ok(Vec::new());
-        };
-        let mut written = Vec::new();
-        for (name, m) in self.set.iter() {
-            let Some(src) = self.sources.get(name) else {
-                continue;
-            };
-            // Tenant monitors are named `{tenant}/{pattern}`, so a file
-            // can live one directory down.
-            let path = dir.join(format!("{name}.ockp"));
-            let parent = path.parent().unwrap_or(dir);
-            std::fs::create_dir_all(parent).map_err(|e| format!("{}: {e}", parent.display()))?;
-            replace_file(&path, &save_at(m, src, self.last_lsn))
-                .map_err(|e| format!("{}: {e}", path.display()))?;
-            written.push(path);
+        let payload = self.checkpoint_payload();
+        self.append(REC_CHECKPOINT, &payload);
+        // A failed append closed the log; otherwise make it stick.
+        if let Some(wal) = &mut self.wal {
+            let _ = wal.sync();
         }
-        Ok(written)
     }
 
     /// Restores the set, its sources and the verdict history from a
@@ -535,18 +512,6 @@ impl ShardGroup {
     }
 }
 
-/// Writes `bytes` to a sibling temporary, makes them durable, and
-/// renames it over `path`: dying at any point leaves either the previous
-/// file or the new one whole, never a torn one.
-fn replace_file(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let mut file = std::fs::File::create(&tmp)?;
-    file.write_all(bytes)?;
-    file.sync_all()?;
-    std::fs::rename(&tmp, path)
-}
-
 /// A decode error as the diagnostic line recovery prints.
 fn text(e: impl std::fmt::Display) -> String {
     e.to_string()
@@ -598,6 +563,7 @@ mod tests {
     use ocep_core::ingest::GuardConfig;
     use ocep_poet::{EventKind, PoetServer};
     use ocep_vclock::TraceId;
+    use std::path::PathBuf;
 
     const HB: &str = "A := [*, a, *]; B := [*, b, *]; pattern := A -> B;";
     const CONC: &str = "X := [*, a, *]; Y := [*, c, *]; pattern := X || Y;";

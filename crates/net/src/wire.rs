@@ -151,8 +151,9 @@ pub enum FaultCode {
     Protocol,
     /// The admission guard quarantined the event semantically.
     Ingest,
-    /// This subscriber fell behind and the slow-client policy discarded
-    /// queued verdicts.
+    /// This subscriber fell behind and queued verdicts were discarded.
+    /// No longer sent: a full tail queue drops the newest verdict and
+    /// counts it. Kept so the code stays reserved and decodable.
     SlowClient,
 }
 
@@ -245,13 +246,14 @@ pub enum Frame {
     EventBatch(Vec<Event>),
     /// Deliver everything the guard still buffers (degraded flush).
     Flush,
-    /// Checkpoint all monitors to the server's configured path now.
+    /// Anchor a checkpoint in the server's durable log now (a no-op
+    /// without one); answered with a [`StatsReport`].
     CheckpointReq,
     /// Request a [`StatsReport`].
     StatsReq,
     /// Statistics reply (also sent unsolicited on shutdown).
     StatsReport(StatsReport),
-    /// Drain, checkpoint, and stop serving.
+    /// Drain, anchor a log checkpoint, and stop serving.
     Shutdown,
     /// Flow-control grant: the peer may send `credits` more data frames.
     Ack {

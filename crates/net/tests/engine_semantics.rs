@@ -1,13 +1,12 @@
 //! Engine-level semantics pinned without sockets, plus client close
 //! idempotence over real ones.
 //!
-//! The slow-consumer tests drive [`EngineCore`] directly — the same
+//! The slow-consumer test drives [`EngineCore`] directly — the same
 //! state machine the TCP server and the deterministic simulator share —
-//! with a stalled tail subscriber behind a tiny queue, and pin the
-//! *exact* per-policy action counts, cross-checked against the
-//! `ocep_net_*` metrics snapshot and its text rendering.
+//! with a stalled tail subscriber behind a tiny queue, and pins the
+//! *exact* drop counts, cross-checked against the `ocep_net_*` metrics
+//! snapshot and its text rendering.
 
-use ocep_core::ingest::OverflowPolicy;
 use ocep_core::{
     GuardConfig, MetricValue, MetricsSnapshot, MonitorConfig, MonitorSet, SubsetPolicy,
 };
@@ -37,7 +36,7 @@ fn one_trace_events(n: usize) -> Vec<Event> {
 fn guarded_set() -> MonitorSet {
     let mut set = MonitorSet::new(1);
     // Per-arrival reporting so every event becomes a verdict — the
-    // workload the slow-consumer policies are exercised with.
+    // workload a full tail queue is exercised with.
     set.add_with_config(
         "pattern",
         Pattern::parse(PATTERN).unwrap(),
@@ -67,10 +66,9 @@ fn labeled(s: &MetricsSnapshot, family: &str, key: &str, val: &str) -> u64 {
 /// Runs 20 single-event data frames through an engine whose only tail
 /// never drains its 4-slot queue; returns the final report and the
 /// tail's queue for inspection.
-fn run_stalled_tail(policy: OverflowPolicy) -> (ocep_net::ServeReport, OutQueue) {
+fn run_stalled_tail() -> (ocep_net::ServeReport, OutQueue) {
     let config = ServeConfig {
         subscriber_queue: 4,
-        slow_policy: policy,
         ..ServeConfig::default()
     };
     let clock: Arc<dyn NetClock> = Arc::new(SystemClock::new());
@@ -82,7 +80,7 @@ fn run_stalled_tail(policy: OverflowPolicy) -> (ocep_net::ServeReport, OutQueue)
     );
 
     let frame_bytes = |f: &Frame| 4 + encode_body(f).len() as u64;
-    let tail_out = OutQueue::new(config.subscriber_queue, config.slow_policy);
+    let tail_out = OutQueue::new(config.subscriber_queue);
     core.on_accepted(0, "sim-tail".into(), tail_out.clone());
     let hello = Frame::Hello {
         mode: Mode::Tail,
@@ -95,7 +93,7 @@ fn run_stalled_tail(policy: OverflowPolicy) -> (ocep_net::ServeReport, OutQueue)
     let handshake = tail_out.drain();
     assert!(matches!(handshake.as_slice(), [Frame::Ack { .. }]));
 
-    let prod_out = OutQueue::new(config.subscriber_queue, config.slow_policy);
+    let prod_out = OutQueue::new(config.subscriber_queue);
     core.on_accepted(1, "sim-producer".into(), prod_out.clone());
     let hello = Frame::Hello {
         mode: Mode::Producer,
@@ -115,7 +113,7 @@ fn run_stalled_tail(policy: OverflowPolicy) -> (ocep_net::ServeReport, OutQueue)
 
 #[test]
 fn reject_policy_drops_newest_with_exact_counts() {
-    let (report, tail_out) = run_stalled_tail(OverflowPolicy::Reject);
+    let (report, tail_out) = run_stalled_tail();
     assert_eq!(report.verdicts.len(), 20, "every event is a verdict");
     let m = &report.metrics;
     assert_eq!(
@@ -153,95 +151,6 @@ fn reject_policy_drops_newest_with_exact_counts() {
     assert!(matches!(kept.last(), Some(Frame::StatsReport(_))));
     assert_eq!(binding(&kept[0]), vec![(0, 1)]);
     assert_eq!(binding(&kept[3]), vec![(0, 4)]);
-}
-
-#[test]
-fn drop_oldest_policy_keeps_newest_with_exact_counts() {
-    let (report, tail_out) = run_stalled_tail(OverflowPolicy::DropOldest);
-    assert_eq!(report.verdicts.len(), 20);
-    let m = &report.metrics;
-    assert_eq!(
-        labeled(m, "ocep_net_slow_client_total", "action", "dropped_oldest"),
-        16
-    );
-    assert_eq!(
-        labeled(m, "ocep_net_slow_client_total", "action", "dropped_newest"),
-        0
-    );
-    assert_eq!(labeled(m, "ocep_net_frames_total", "type", "verdict"), 4);
-    assert!(m.render_text().contains("{action=\"dropped_oldest\"} 16"));
-    // The stalled queue holds the *last* four verdicts, then the final
-    // stats report `finish` broadcasts to every open connection.
-    let kept = tail_out.drain();
-    let binding = |f: &Frame| match f {
-        Frame::Verdict(v) => v.bindings.clone(),
-        other => panic!("non-verdict {other:?} in tail queue"),
-    };
-    assert_eq!(kept.len(), 5);
-    assert!(matches!(kept.last(), Some(Frame::StatsReport(_))));
-    assert_eq!(binding(&kept[0]), vec![(0, 17)]);
-    assert_eq!(binding(&kept[3]), vec![(0, 20)]);
-}
-
-#[test]
-fn flush_degraded_policy_flushes_with_exact_counts() {
-    let (report, tail_out) = run_stalled_tail(OverflowPolicy::FlushDegraded);
-    assert_eq!(report.verdicts.len(), 20);
-    let m = &report.metrics;
-    // cap 4: verdicts 1-4 fill the queue; verdict 5 flushes (queue
-    // becomes [fault, v5]), 6 and 7 are delivered, 8 flushes again —
-    // a period-3 cycle flushing at 5, 8, 11, 14, 17, 20.
-    assert_eq!(
-        labeled(
-            m,
-            "ocep_net_slow_client_total",
-            "action",
-            "flushed_degraded"
-        ),
-        6
-    );
-    assert_eq!(
-        labeled(m, "ocep_net_slow_client_total", "action", "dropped_newest"),
-        0
-    );
-    assert_eq!(labeled(m, "ocep_net_frames_total", "type", "verdict"), 14);
-    assert!(m.render_text().contains("{action=\"flushed_degraded\"} 6"));
-    // The queue ends one flush cycle in: the slow-client fault, the
-    // final verdict, and the broadcast stats report from `finish`.
-    let kept = tail_out.drain();
-    assert_eq!(kept.len(), 3);
-    assert!(matches!(&kept[0], Frame::Fault { .. }));
-    assert!(matches!(&kept[1], Frame::Verdict(v) if v.bindings == vec![(0, 20)]));
-    assert!(matches!(&kept[2], Frame::StatsReport(_)));
-}
-
-#[test]
-fn policies_agree_on_verdict_stream_and_ingest() {
-    // The slow-client policy is outbound-only: whatever happens to the
-    // tail, the engine's own verdict record and ingest accounting are
-    // identical across policies.
-    let (a, _) = run_stalled_tail(OverflowPolicy::Reject);
-    let (b, _) = run_stalled_tail(OverflowPolicy::DropOldest);
-    let (c, _) = run_stalled_tail(OverflowPolicy::FlushDegraded);
-    let coords = |r: &ocep_net::ServeReport| {
-        r.verdicts
-            .iter()
-            .map(|(n, m)| {
-                (
-                    n.clone(),
-                    m.events()
-                        .iter()
-                        .map(|e| (e.trace().as_u32(), e.index().get()))
-                        .collect::<Vec<_>>(),
-                )
-            })
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(coords(&a), coords(&b));
-    assert_eq!(coords(&b), coords(&c));
-    assert_eq!(a.ingest, b.ingest);
-    assert_eq!(b.ingest, c.ingest);
-    assert_eq!(a.ingest.admitted, 20);
 }
 
 // ---------------------------------------------------------------------

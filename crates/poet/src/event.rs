@@ -139,6 +139,8 @@ impl Event {
     /// Interns this event's clock through `pool` (keyed by trace), so
     /// value-equal clocks — duplicate deliveries, resends after a
     /// reconnect — share one pointer-equal buffer. Value-wise a no-op.
+    /// Only the repository benchmark still calls this; the serving
+    /// engine does not intern (see [`ocep_vclock::ClockPool`]).
     pub fn intern_clock(&mut self, pool: &mut ocep_vclock::ClockPool) {
         self.stamp.intern_clock(pool);
     }

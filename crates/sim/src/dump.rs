@@ -111,7 +111,6 @@ fn meta_lines(failure: &SimFailure) -> String {
         ("seed", c.seed.to_string()),
         ("stall", c.faults.stall.to_string()),
         ("tails", c.tails.to_string()),
-        ("wal", c.wal.to_string()),
         ("wal_sabotage", c.wal_sabotage.to_string()),
     ];
     kv.sort();
@@ -173,9 +172,10 @@ pub fn load_dump(dir: &Path) -> Result<SimFailure, String> {
             "partition" => config.faults.partition = parse_bool(v)?,
             "stall" => config.faults.stall = parse_bool(v)?,
             "sabotage" => config.sabotage = parse_bool(v)?,
-            "wal" => config.wal = parse_bool(v)?,
             "wal_sabotage" => config.wal_sabotage = parse_bool(v)?,
             "mismatch" => mismatch = v.to_string(),
+            // Includes `shards=` and `wal=`, which older versions wrote:
+            // every crash now recovers through the one log.
             _ => {}
         }
     }
@@ -227,7 +227,6 @@ mod tests {
                 },
                 crashes: 2,
                 sabotage: false,
-                wal: true,
                 wal_sabotage: false,
             },
             mismatch: "engine vs oracle: verdicts diverged\nat 3".into(),
@@ -245,6 +244,24 @@ mod tests {
     }
 
     #[test]
+    fn keys_of_older_versions_are_ignored() {
+        let dir = temp_dir("legacy");
+        fs::write(
+            dir.join("meta.txt"),
+            "crashes=2\nseed=7\nshards=4\nwal=true\nwal_sabotage=false\n",
+        )
+        .unwrap();
+        let back = load_dump(&dir).unwrap();
+        let expected = SimConfig {
+            seed: 7,
+            crashes: 2,
+            ..SimConfig::default()
+        };
+        assert_eq!(back.config, expected);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn sabotaged_run_shrinks_dumps_and_replays() {
         let config = SimConfig {
             seed: 9,
@@ -254,7 +271,6 @@ mod tests {
             faults: FaultToggles::all(),
             crashes: 1,
             sabotage: true,
-            wal: false,
             wal_sabotage: false,
         };
         let out = run_sim(&config);

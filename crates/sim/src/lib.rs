@@ -12,13 +12,13 @@
 //! fault semantics exactly).
 //!
 //! A seeded fault plan injects wire corruption, frame duplication and
-//! reorder, partitions with reconnect-and-resend, slow tails driving
-//! every slow-client policy, and mid-stream daemon crashes recovered
-//! from the engine's own checkpoint bytes. After every run the engine's
+//! reorder, partitions with reconnect-and-resend, slow tails whose full
+//! queues drop verdicts, and mid-stream daemon kills recovered from the
+//! durable log, as production recovers. After every run the engine's
 //! ingestion journal is replayed through a fresh in-process
 //! `MonitorSet` — the oracle — and the run fails unless verdicts,
-//! representative subsets, ingest statistics, and checkpoint bytes are
-//! **bit-identical**. Every run is a pure function of its
+//! representative subsets, ingest statistics, and the checkpoint bytes
+//! of each dying engine are **bit-identical**. Every run is a pure function of its
 //! [`SimConfig`]; a mismatch shrinks to a minimal config and lands in a
 //! replayable dump (`ocep sim --replay`).
 //!

@@ -5,18 +5,19 @@
 //! tiled to the requested event count, partitioned round-robin over N
 //! producers), drives the **real** [`EngineCore`] through in-memory
 //! transports in virtual time, injects wire-level faults from the seed
-//! (corruption, duplication, reorder, partitions, slow tails), crashes
-//! and restarts the engine from its own checkpoint bytes mid-stream,
-//! and finally replays the engine's ingestion journal through a fresh
-//! in-process `MonitorSet` — demanding bit-identical verdicts, subsets,
-//! and ingest statistics. Everything is a pure function of
-//! [`SimConfig`]: same config, same [`SimOutcome::digest`].
+//! (corruption, duplication, reorder, partitions, slow tails), kills
+//! the engine mid-stream and recovers it from its durable log — the one
+//! way production survives a crash — and finally replays the engine's
+//! ingestion journal through a fresh in-process `MonitorSet`, demanding
+//! bit-identical verdicts, subsets, ingest statistics, and checkpoint
+//! bytes at every kill. Everything is a pure function of [`SimConfig`]:
+//! same config, same [`SimOutcome::digest`].
 
 use crate::clock::VirtualClock;
 use crate::sched::{Scheduler, Step};
 use ocep_conformance::{nth_case, Action, Case, Fingerprint};
-use ocep_core::ingest::{GuardConfig, OverflowPolicy};
-use ocep_core::{load_set, save_set, Match, MonitorSet};
+use ocep_core::ingest::GuardConfig;
+use ocep_core::{save_set, Match, MonitorSet};
 use ocep_net::wire::encode_body;
 use ocep_net::{
     Decoded, EngineCore, EngineOp, FaultCode, FaultHooks, Frame, FrameDecoder, Mode, NetClock,
@@ -53,7 +54,7 @@ pub struct FaultToggles {
     /// Producers go silent for windows, and rarely drop the connection
     /// and reconnect with a full resend.
     pub partition: bool,
-    /// Tails stall behind a tiny queue, driving the slow-client policy.
+    /// Tails stall behind a tiny queue, so verdicts are dropped.
     pub stall: bool,
 }
 
@@ -91,19 +92,18 @@ pub struct SimConfig {
     pub events: usize,
     /// Enabled fault classes.
     pub faults: FaultToggles,
-    /// Mid-stream daemon crash/restart cycles (checkpoint recovery).
+    /// Mid-stream daemon kills. A run with at least one serves through
+    /// an on-disk durable log in a private temp directory; each kill is
+    /// SIGKILL-like (no checkpoint, no drain) and the restart recovers by
+    /// replaying the log.
     pub crashes: usize,
     /// Test-only oracle sabotage: drop the last journaled delivery so
     /// the comparison must fail (exercises shrink/dump/replay).
     pub sabotage: bool,
-    /// Serve through an on-disk durable log: crashes become SIGKILL-like
-    /// (no checkpoint, no drain) and each restart recovers by replaying
-    /// the log from a seed-keyed temp directory.
-    pub wal: bool,
     /// Test-only log sabotage: silently drop one admitted delivery's log
     /// append, so after a crash the recovered engine is missing an event
-    /// the oracle has — the comparison must flag it. Implies `wal` and
-    /// at least one crash.
+    /// the oracle has — the comparison must flag it. Implies at least
+    /// one crash.
     pub wal_sabotage: bool,
 }
 
@@ -117,7 +117,6 @@ impl Default for SimConfig {
             faults: FaultToggles::default(),
             crashes: 0,
             sabotage: false,
-            wal: false,
             wal_sabotage: false,
         }
     }
@@ -153,30 +152,27 @@ pub struct SimOutcome {
     pub crashes: usize,
     /// Scheduler steps executed.
     pub steps: u64,
-    /// FNV-1a digest over the fingerprint, stats, fault counts, and
-    /// checkpoint size — byte-reproducibility is `digest == digest`.
+    /// FNV-1a digest over the fingerprint, stats and fault counts —
+    /// byte-reproducibility is `digest == digest`.
     pub digest: u64,
     /// `Some(description)` when the engine diverged from the oracle
-    /// (or the run livelocked / failed to restore); `None` on success.
+    /// (or the run livelocked / failed to recover); `None` on success.
     pub mismatch: Option<String>,
 }
 
 /// One logical event the oracle replays — the engine's journal plus the
-/// checkpoint/restore markers the crash protocol interleaves.
+/// checkpoint markers the crash protocol interleaves.
 enum SimOp {
     /// One event was fed to `observe_raw`.
     Deliver(Box<Event>),
     /// The guard was flushed.
     Flush,
-    /// The engine checkpointed; the oracle must produce these bytes.
+    /// The engine's set as it was killed; the oracle must hold exactly
+    /// these bytes at this point, and only compares. Log recovery must
+    /// rebuild the state the cumulative journal implies, verdict history
+    /// included, so the oracle carries straight on — any loss shows up
+    /// in the final diff.
     Checkpoint(Vec<u8>),
-    /// The engine restarted from these bytes; the oracle follows.
-    Restore(Vec<u8>),
-    /// The engine was killed and recovered from its on-disk log. The
-    /// oracle does nothing: recovery must reconstruct exactly the state
-    /// the cumulative journal implies, so its verdicts and guard state
-    /// carry straight through — any loss shows up in the final diff.
-    WalRestart,
 }
 
 impl From<EngineOp> for SimOp {
@@ -420,7 +416,6 @@ struct World {
     delivered_data: u64,
     crash_at: Vec<u64>,
     crashes_done: usize,
-    disk: Vec<u8>,
     counts: FaultCounts,
     failure: Option<String>,
     slices: Vec<Vec<Event>>,
@@ -458,7 +453,7 @@ impl World {
     fn reconnect_producer(&mut self, id: usize) {
         let conn = self.next_conn;
         self.next_conn += 1;
-        let out = OutQueue::new(self.serve.subscriber_queue, self.serve.slow_policy);
+        let out = OutQueue::new(self.serve.subscriber_queue);
         self.core
             .on_accepted(conn, format!("sim-producer-{id}"), out.clone());
         let p = &mut self.producers[id];
@@ -476,7 +471,7 @@ impl World {
     fn connect_tail(&mut self, id: usize) {
         let conn = self.next_conn;
         self.next_conn += 1;
-        let out = OutQueue::new(self.serve.subscriber_queue, self.serve.slow_policy);
+        let out = OutQueue::new(self.serve.subscriber_queue);
         self.core
             .on_accepted(conn, format!("sim-tail-{id}"), out.clone());
         {
@@ -648,11 +643,10 @@ impl World {
         }
     }
 
-    /// Crashes the daemon at the next armed threshold: journal drain,
-    /// in-memory checkpoint to the virtual disk (bit-equality is
-    /// asserted against the oracle during replay), engine teardown,
-    /// restore via `load_set`, and a full reconnect + resend from every
-    /// client.
+    /// Kills the daemon at the next armed threshold: journal drain, the
+    /// dying set's checkpoint bytes handed to the oracle to compare,
+    /// engine teardown with no drain, recovery from the log, and a full
+    /// reconnect + resend from every client.
     fn maybe_crash(&mut self) {
         if self.crashes_done >= self.crash_at.len()
             || self.delivered_data < self.crash_at[self.crashes_done]
@@ -663,6 +657,8 @@ impl World {
         for op in self.core.take_journal() {
             self.ops.push(op.into());
         }
+        self.ops
+            .push(SimOp::Checkpoint(self.core.group().checkpoint_set()));
         // The daemon dies: every connection queue closes with it.
         for p in &self.producers {
             p.out.close();
@@ -670,48 +666,27 @@ impl World {
         for t in &self.tails {
             t.out.close();
         }
-        if self.cfg.wal {
-            // SIGKILL semantics: no checkpoint, no graceful drain — the
-            // on-disk log is the only thing that survives. The new
-            // incarnation rebuilds everything by replaying it.
-            let Some(set) = build_set(&self.case) else {
-                self.failure = Some("restart: pattern failed to parse".into());
-                return;
-            };
-            let dynclock: Arc<dyn NetClock> = Arc::clone(&self.clock) as Arc<dyn NetClock>;
-            // Replace (and thereby drop) the dying incarnation before
-            // the replacement scans the log directory.
-            self.core = EngineCore::new(
-                set,
-                self.serve.clone(),
-                dynclock,
-                Arc::clone(&self.bytes_out),
-            );
-            if let Err(e) = self.core.recover_wal() {
-                self.failure = Some(format!("restart failed to recover log: {e}"));
-                return;
-            }
-            self.core.enable_journal();
-            self.ops.push(SimOp::WalRestart);
-        } else {
-            let bytes = self.core.group().checkpoint_set();
-            self.disk = bytes.clone();
-            self.ops.push(SimOp::Checkpoint(bytes));
-            let (set, sources) = match load_set(&self.disk) {
-                Ok(x) => x,
-                Err(e) => {
-                    self.failure = Some(format!("restart failed to restore checkpoint: {e:?}"));
-                    return;
-                }
-            };
-            let mut serve = self.serve.clone();
-            serve.pattern_sources = sources.into_iter().collect();
-            let dynclock: Arc<dyn NetClock> = Arc::clone(&self.clock) as Arc<dyn NetClock>;
-            let mut core = EngineCore::new(set, serve, dynclock, Arc::clone(&self.bytes_out));
-            core.enable_journal();
-            self.core = core;
-            self.ops.push(SimOp::Restore(self.disk.clone()));
+        // SIGKILL semantics: no checkpoint, no graceful drain — the
+        // on-disk log is the only thing that survives. The new
+        // incarnation rebuilds everything by replaying it.
+        let Some(set) = build_set(&self.case) else {
+            self.failure = Some("restart: pattern failed to parse".into());
+            return;
+        };
+        let dynclock: Arc<dyn NetClock> = Arc::clone(&self.clock) as Arc<dyn NetClock>;
+        // Replace (and thereby drop) the dying incarnation before the
+        // replacement scans the log directory.
+        self.core = EngineCore::new(
+            set,
+            self.serve.clone(),
+            dynclock,
+            Arc::clone(&self.bytes_out),
+        );
+        if let Err(e) = self.core.recover_wal() {
+            self.failure = Some(format!("restart failed to recover log: {e}"));
+            return;
         }
+        self.core.enable_journal();
         self.incarnation += 1;
         let now = self.clock.now_ns();
         for id in 0..self.producers.len() {
@@ -757,8 +732,7 @@ fn verdict_coords(verdicts: &[(String, Match)]) -> Vec<(String, Vec<(u32, u32)>)
 
 /// Replays the recorded op stream through a fresh in-process set: the
 /// oracle. Checkpoint ops assert bit-equality against the engine's
-/// bytes; restore ops reload the oracle from the same disk image and
-/// reset its verdict record (matching the fresh engine incarnation).
+/// bytes and change nothing.
 fn replay_oracle(
     case: &Case,
     sources: &HashMap<String, String>,
@@ -787,16 +761,6 @@ fn replay_oracle(
                     ));
                 }
             }
-            SimOp::Restore(bytes) => {
-                let (s, _) = load_set(bytes)
-                    .map_err(|e| format!("oracle restore at op {i} failed: {e:?}"))?;
-                set = s;
-                verdicts.clear();
-            }
-            // Log recovery reconstructs the pre-crash state exactly,
-            // verdict history included, so the oracle's cumulative
-            // state already *is* the recovered engine's state.
-            SimOp::WalRestart => {}
         }
     }
     Ok((set, verdicts))
@@ -818,13 +782,7 @@ impl Fnv {
     }
 }
 
-fn digest_of(
-    fp: &Fingerprint,
-    stats: &StatsReport,
-    crashes: usize,
-    counts: &FaultCounts,
-    disk_len: usize,
-) -> u64 {
+fn digest_of(fp: &Fingerprint, stats: &StatsReport, crashes: usize, counts: &FaultCounts) -> u64 {
     let mut h = Fnv::new();
     for (name, pairs) in &fp.verdicts {
         h.eat(name.as_bytes());
@@ -881,7 +839,6 @@ fn digest_of(
         counts.partitions,
         counts.reconnects,
         counts.stalls,
-        disk_len as u64,
     ] {
         h.u64(v);
     }
@@ -898,15 +855,14 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
     if cfg.wal_sabotage {
         // A dropped log record is only observable through a recovery
         // that misses it.
-        cfg.wal = true;
         cfg.crashes = cfg.crashes.max(1);
     }
 
-    // Each run gets a private on-disk log directory (the simulator is
-    // deterministic in virtual time, but the log must not be shared
-    // between concurrent runs of the same seed).
+    // A run that crashes serves through a private on-disk log directory
+    // (the simulator is deterministic in virtual time, but the log must
+    // not be shared between concurrent runs of the same seed).
     static WAL_RUN: AtomicU64 = AtomicU64::new(0);
-    let wal_dir = cfg.wal.then(|| {
+    let wal_dir = (cfg.crashes > 0).then(|| {
         let dir = std::env::temp_dir().join(format!(
             "ocep-sim-wal-{}-{:016x}-{}",
             std::process::id(),
@@ -938,13 +894,7 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
     sources.insert(MONITOR.to_string(), case.pattern_src.clone());
     let serve = ServeConfig {
         window: 4 + (cfg.seed % 13) as u32,
-        slow_policy: match cfg.seed % 3 {
-            0 => OverflowPolicy::Reject,
-            1 => OverflowPolicy::DropOldest,
-            _ => OverflowPolicy::FlushDegraded,
-        },
         subscriber_queue: if cfg.faults.stall { 4 } else { 1024 },
-        checkpoint_dir: None,
         pattern_sources: sources.clone(),
         wal_dir: wal_dir.clone(),
         ..ServeConfig::default()
@@ -956,12 +906,10 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
     core.group().set_fault_hooks(FaultHooks {
         drop_next_append: cfg.wal_sabotage,
     });
-    let mut init_failure = None;
-    if cfg.wal {
-        if let Err(e) = core.recover_wal() {
-            init_failure = Some(format!("initial log open failed: {e}"));
-        }
-    }
+    let init_failure = core
+        .recover_wal()
+        .err()
+        .map(|e| format!("initial log open failed: {e}"));
     core.enable_journal();
 
     let slices: Vec<Vec<Event>> = (0..cfg.clients)
@@ -994,7 +942,6 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
         delivered_data: 0,
         crash_at: Vec::new(),
         crashes_done: 0,
-        disk: Vec::new(),
         counts: FaultCounts::default(),
         failure: init_failure,
         slices,
@@ -1006,7 +953,7 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
         world.producers.push(Producer {
             gen: 0,
             conn: 0,
-            out: OutQueue::new(1, OverflowPolicy::Reject),
+            out: OutQueue::new(1),
             decoder: FrameDecoder::new(),
             plan: Vec::new(),
             pos: 0,
@@ -1028,7 +975,7 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
         world.tails.push(TailSub {
             gen: 0,
             conn: 0,
-            out: OutQueue::new(1, OverflowPolicy::Reject),
+            out: OutQueue::new(1),
             decoder: FrameDecoder::new(),
             stalled_until: 0,
             verdicts_seen: 0,
@@ -1126,13 +1073,7 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
             }
         }
     });
-    let digest = digest_of(
-        &engine_fp,
-        &report.stats,
-        world.crashes_done,
-        &world.counts,
-        world.disk.len(),
-    );
+    let digest = digest_of(&engine_fp, &report.stats, world.crashes_done, &world.counts);
     if let Some(dir) = &wal_dir {
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -1160,7 +1101,6 @@ mod tests {
             faults: FaultToggles::all(),
             crashes: 1,
             sabotage: false,
-            wal: false,
             wal_sabotage: false,
         }
     }
@@ -1214,26 +1154,29 @@ mod tests {
         );
     }
 
+    /// Three kills in one run: each recovery replays a log that already
+    /// holds the previous recoveries' resends.
     #[test]
     fn wal_crash_recovery_is_oracle_exact() {
         let mut cfg = chaos(13);
-        cfg.wal = true;
-        cfg.crashes = 2;
+        cfg.crashes = 3;
         let out = run_sim(&cfg);
         assert_eq!(out.mismatch, None, "{:?}", out.mismatch);
-        assert!(out.crashes >= 1, "no crash threshold fired");
+        assert_eq!(out.crashes, 3, "a crash threshold did not fire");
     }
 
+    /// Each run writes and recovers its own log directory, so a killed
+    /// run repeats bit for bit.
     #[test]
     fn wal_run_is_bit_reproducible() {
-        let mut cfg = chaos(17);
-        cfg.wal = true;
-        cfg.crashes = 1;
+        let cfg = chaos(17);
         let a = run_sim(&cfg);
         let b = run_sim(&cfg);
         assert_eq!(a.mismatch, None, "{:?}", a.mismatch);
+        assert_eq!(a.crashes, 1);
         assert_eq!(a.digest, b.digest);
         assert_eq!(a.fingerprint, b.fingerprint);
+        assert_eq!(a.steps, b.steps);
     }
 
     #[test]

@@ -1,13 +1,17 @@
 //! Interned clock pool keyed by trace.
 //!
-//! Consecutive events on one trace carry nearly identical — and under
-//! duplication/resend, *exactly* identical — vector clocks. The pool
-//! remembers the last clock seen per trace; interning a clock that
-//! equals the cached one returns a pointer-equal `Arc` clone instead of
-//! keeping a second buffer alive, extending the copy-on-write design of
-//! [`VectorClock`] across events that arrive as separate allocations
-//! (e.g. out of the wire decoder). The cached clock also serves as the
-//! *delta base* the OCWP codec diffs against.
+//! Under duplication/resend, consecutive events on one trace can carry
+//! *exactly* identical vector clocks. The pool remembers the last clock
+//! seen per trace; interning a clock that equals the cached one returns
+//! a pointer-equal `Arc` clone instead of keeping a second buffer alive.
+//!
+//! The serving engine no longer interns: a clock equal to the last one
+//! on its trace is a re-delivery, which the admission guard drops as a
+//! duplicate, so interning never saved a byte of history and cost an
+//! O(width) compare per event. The pool stays only because the
+//! repository benchmark (`benchmark/src/staged.rs`) still constructs
+//! one; it goes once the benchmark stops linking it. Neither the wire
+//! codec nor the record codec reads it.
 //!
 //! Hits and misses are counted process-wide in [`crate::ops`] (gated by
 //! the same enable flag as the tick/join/comparison counters) and
@@ -60,8 +64,7 @@ impl ClockPool {
         }
     }
 
-    /// The clock most recently interned for trace `t`, if any. This is
-    /// the base the wire codec diffs the next clock on `t` against.
+    /// The clock most recently interned for trace `t`, if any.
     ///
     /// # Panics
     ///

@@ -106,7 +106,8 @@ impl StampedEvent {
     /// trace): if an equal clock is cached there, the event adopts the
     /// cached, pointer-equal buffer. Value-wise a no-op; events whose
     /// trace is outside the pool's range are left untouched (range
-    /// enforcement belongs to the admission guard, not here).
+    /// enforcement belongs to the admission guard, not here). Only the
+    /// repository benchmark still calls this (see [`crate::ClockPool`]).
     pub fn intern_clock(&mut self, pool: &mut crate::ClockPool) {
         if self.trace().as_usize() < pool.n_traces() {
             let clock = std::mem::replace(&mut self.clock, VectorClock::new(0));

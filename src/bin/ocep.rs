@@ -50,12 +50,11 @@ USAGE:
     ocep fuzz --replay <dir>
     ocep sim [--seed N] [--seeds N] [--clients N] [--tails N] [--events N]
              [--faults] [--crashes N] [--sabotage] [--dump-dir DIR]
-             [--wal] [--wal-sabotage]
+             [--wal-sabotage]
     ocep sim --replay <dir>
     ocep serve <pattern-file> --traces N [--addr HOST:PORT] [--port-file FILE]
-               [--window N] [--slow-policy reject|drop-oldest|flush-degraded]
-               [--checkpoint DIR] [--checkpoint-every N] [--metrics FILE]
-               [--wal DIR] [--durability none|batch|strict]
+               [--window N] [--metrics FILE]
+               [--wal DIR] [--durability none|batch|strict] [--checkpoint-every N]
                [monitor flags]
     ocep send <addr> <dump-file> [--batch N] [--name S] [--shutdown]
     ocep ingest <format> <recording> [--pattern FILE]... [--batch N] [monitor flags]
@@ -103,19 +102,19 @@ run. `--smoke` is the fixed-size CI run.
 `ocep serve` — inside a seeded discrete-event simulator in virtual time
 (docs/SIMULATION.md): N scripted clients over simulated transports,
 optional wire faults (`--faults`: corruption, duplication, reorder,
-partitions, slow tails exercising every slow-client policy), and
-`--crashes N` mid-stream daemon crash/restart cycles recovered from the
-engine's own checkpoint bytes. Every run is executed twice and must be
-bit-reproducible, and its journal is replayed through an in-process
-oracle that must agree bit-for-bit on verdicts, subsets, ingest
-accounting, and checkpoint bytes. `--seeds N` sweeps N consecutive
-seeds from `--seed`; a failing seed is shrunk to a minimal config and
-dumped under `--dump-dir` for `sim --replay`. `--sabotage` drops one
-journaled delivery to prove the oracle catches divergence. `--wal`
-serves through an on-disk durable log: crashes become SIGKILL-like (no
-checkpoint, no drain) and each restart recovers by replaying the log;
-`--wal-sabotage` silently drops one log append to prove the oracle
-catches a recovery that lost an event.
+partitions, slow tails whose full queues drop verdicts), and
+`--crashes N` mid-stream daemon kills. A run with crashes serves through
+an on-disk durable log, and each kill is SIGKILL-like (no checkpoint, no
+drain): the restart recovers by replaying the log, as `serve --wal`
+does. Every run is executed twice and must be bit-reproducible, and its
+journal is replayed through an in-process oracle that must agree
+bit-for-bit on verdicts, subsets, ingest accounting, and the checkpoint
+bytes of each dying engine. `--seeds N` sweeps N consecutive seeds from
+`--seed`; a failing seed is shrunk to a minimal config and dumped under
+`--dump-dir` for `sim --replay`. `--sabotage` drops one journaled
+delivery to prove the oracle catches divergence; `--wal-sabotage`
+silently drops one log append to prove the oracle catches a recovery
+that lost an event.
 
 A pattern file holds a pattern program, e.g.:
 
@@ -129,18 +128,21 @@ A dump file is the POET trace format written by `record-demo` or by
 `serve` runs the monitor as a network daemon speaking the OCWP binary
 protocol (docs/WIRE.md): producers stream events with `send`, consumers
 follow verdicts with `tail`, and `stats --addr` queries a live server.
-The daemon exits on a client `--shutdown`, writing checkpoints to the
-`--checkpoint` directory and reporting with `check`-style exit codes
-(1 match, 2 degraded). `--port-file` records the bound address, which
-is how scripts discover an ephemeral `--addr 127.0.0.1:0` port.
-`--checkpoint-every N` additionally checkpoints every N ingested
-events, not only on graceful drain.
+The daemon exits on a client `--shutdown`, reporting with `check`-style
+exit codes (1 match, 2 degraded). `--port-file` records the bound
+address, which is how scripts discover an ephemeral
+`--addr 127.0.0.1:0` port. A tail that falls a full queue behind loses
+the newest verdicts (counted in the metrics); `tail --from LSN` re-reads
+them from a `--wal` daemon.
 
-`serve --wal DIR` makes serving crash-safe (docs/DURABILITY.md): every
-admitted delivery is appended to a hash-chained segmented log before it
-reaches the monitors, fsynced per `--durability` (none|batch|strict;
-default batch = group commit). On restart the daemon verifies the log,
-truncates a torn tail at the first bad record, replays from the newest
+`serve --wal DIR` makes serving crash-safe (docs/DURABILITY.md), and
+the log is the only state a restarted daemon reads: every admitted
+delivery is appended to a hash-chained segmented log before it reaches
+the monitors, fsynced per `--durability` (none|batch|strict; default
+batch = group commit). Graceful drain anchors a checkpoint in the log;
+`--checkpoint-every N` (which needs `--wal`) anchors one every N
+ingested events too. On restart the daemon verifies the log, truncates
+a torn tail at the first bad record, replays from the newest
 log-anchored checkpoint, and resumes named `send` sessions at their
 durable offset so clients never re-send. `tail --from LSN` replays the
 retained verdict backlog from a log offset; `replay` matches a pattern
@@ -241,13 +243,12 @@ const SUBCOMMANDS: &[Sub] = &[
         "sim",
         false,
         "--seed --seeds --clients --tails --events --crashes --dump-dir --replay",
-        "--faults --sabotage --wal --wal-sabotage",
+        "--faults --sabotage --wal-sabotage",
     ),
     sub(
         "serve",
         true,
-        "--traces --addr --port-file --window --slow-policy --checkpoint --checkpoint-every \
-         --wal --durability",
+        "--traces --addr --port-file --window --wal --durability --checkpoint-every",
         "",
     ),
     sub("register", false, "--traces", "--unregister"),
@@ -1050,7 +1051,6 @@ fn sim_cmd(args: &Args) -> Result<i32, String> {
         faults,
         crashes: args.num("--crashes")?.unwrap_or(0),
         sabotage: args.has("--sabotage"),
-        wal: args.has("--wal"),
         wal_sabotage: args.has("--wal-sabotage"),
     };
     let dump_dir = args.val("--dump-dir").map(std::path::PathBuf::from);
@@ -1154,6 +1154,9 @@ fn info(path: &str) -> Result<(), String> {
 fn serve_cmd(args: &Args) -> Result<i32, String> {
     use ocep_repro::net::{ServeConfig, Server};
 
+    if args.val("--checkpoint-every").is_some() && args.val("--wal").is_none() {
+        return Err("--checkpoint-every anchors checkpoints in the log and needs --wal DIR".into());
+    }
     let pattern_path = args.arg(0, "pattern file")?;
     let src = std::fs::read_to_string(pattern_path)
         .map_err(|e| format!("cannot read pattern file '{pattern_path}': {e}"))?;
@@ -1172,13 +1175,7 @@ fn serve_cmd(args: &Args) -> Result<i32, String> {
     if let Some(window) = args.num("--window")? {
         sconfig.window = window;
     }
-    if let Some(policy) = args.val("--slow-policy") {
-        sconfig.slow_policy = OverflowPolicy::from_name(policy).ok_or_else(|| {
-            format!("bad --slow-policy '{policy}' (expected reject|drop-oldest|flush-degraded)")
-        })?;
-    }
     sconfig.pattern_sources.insert(name.clone(), src);
-    sconfig.checkpoint_dir = args.val("--checkpoint").map(Into::into);
     sconfig.wal_dir = args.val("--wal").map(Into::into);
     if let Some(mode) = args.val("--durability") {
         sconfig.durability = ocep_repro::wal::Durability::from_name(mode)
@@ -1213,9 +1210,6 @@ fn serve_cmd(args: &Args) -> Result<i32, String> {
         report.stats.connections,
         report.stats.frames,
     );
-    for path in &report.checkpoints {
-        eprintln!("checkpoint written to {}", path.display());
-    }
     if let (_, Some(path)) = obs_flags(args)? {
         write_metrics(&path, &report.metrics)?;
     }

@@ -422,7 +422,26 @@ fn unknown_and_valueless_flags_are_usage_errors() {
             &["serve", "P", "--traces", "10", "--shards", "2"],
             "unknown flag '--shards' for 'ocep serve'",
         ),
-        // `--wal` takes a directory for `serve` and nothing for `sim`.
+        // The log is the one place a daemon keeps state: no checkpoint
+        // directory, one slow-consumer rule, and every simulated crash
+        // recovers through the log.
+        (
+            &["serve", "P", "--traces", "10", "--checkpoint", "DIR"],
+            "unknown flag '--checkpoint' for 'ocep serve'",
+        ),
+        (
+            &["serve", "P", "--traces", "10", "--slow-policy", "reject"],
+            "unknown flag '--slow-policy' for 'ocep serve'",
+        ),
+        (
+            &["sim", "--crashes", "2", "--wal"],
+            "unknown flag '--wal' for 'ocep sim'",
+        ),
+        (
+            &["serve", "P", "--traces", "10", "--checkpoint-every", "8"],
+            "--checkpoint-every anchors checkpoints in the log and needs --wal DIR",
+        ),
+        // `--wal` takes a directory.
         (
             &["serve", "P", "--traces", "10", "--wal"],
             "flag '--wal' of 'ocep serve' needs a value",
@@ -776,7 +795,6 @@ fn demo_dump(stem: &str) -> (std::path::PathBuf, String) {
 fn serve_send_shutdown_round_trip_reports_matches() {
     let (dump, pattern) = demo_dump("net-roundtrip");
     let port_file = tmp("net-roundtrip.port");
-    let ckpt_dir = tmp("net-roundtrip-ckpts");
     let metrics = tmp("net-roundtrip.prom");
     let _ = std::fs::remove_file(&port_file);
     let serve = ocep()
@@ -789,8 +807,6 @@ fn serve_send_shutdown_round_trip_reports_matches() {
             "127.0.0.1:0",
             "--port-file",
             port_file.to_str().unwrap(),
-            "--checkpoint",
-            ckpt_dir.to_str().unwrap(),
             "--metrics",
             metrics.to_str().unwrap(),
         ])
@@ -815,9 +831,6 @@ fn serve_send_shutdown_round_trip_reports_matches() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("match["), "{stdout}");
     assert!(stdout.contains("events admitted"), "{stdout}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("checkpoint written"), "{stderr}");
-    assert!(ckpt_dir.read_dir().unwrap().next().is_some());
     let prom = std::fs::read_to_string(&metrics).unwrap();
     assert!(prom.contains("ocep_net_connections_total"), "{prom}");
     assert!(prom.contains("ocep_net_frames_total"), "{prom}");
@@ -1034,66 +1047,6 @@ fn shutdown_handshake_survives_the_server_exiting() {
     });
 }
 
-/// A `.ockp` file is written to a sibling temporary and renamed over,
-/// so a daemon that dies mid-checkpoint leaves the previous file whole
-/// and at worst a stale temporary, which the next checkpoint replaces.
-/// A torn `.ockp` from any other cause is still refused, never resumed.
-#[test]
-fn crash_during_checkpoint_leaves_a_rejected_torn_file() {
-    let (dump, pattern) = demo_dump("net-torn");
-    let port_file = tmp("net-torn.port");
-    let ckpt_dir = tmp("net-torn-ckpts");
-    let _ = std::fs::remove_file(&port_file);
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
-    // What an earlier daemon killed mid-write left behind.
-    std::fs::create_dir_all(&ckpt_dir).unwrap();
-    std::fs::write(ckpt_dir.join("net-torn.poet.ockp.tmp"), b"OCKP\x01\x00").unwrap();
-    let serve = ocep()
-        .args(["serve", &pattern, "--traces", "10"])
-        .args(["--addr", "127.0.0.1:0", "--port-file"])
-        .arg(&port_file)
-        .arg("--checkpoint")
-        .arg(&ckpt_dir)
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .unwrap();
-    let addr = wait_port(&port_file);
-    let send = ocep()
-        .args(["send", &addr, dump.to_str().unwrap(), "--shutdown"])
-        .output()
-        .unwrap();
-    assert_eq!(send.status.code(), Some(1), "{send:?}");
-    assert_eq!(serve.wait_with_output().unwrap().status.code(), Some(1));
-
-    // Exactly the checkpoint files remain, and each resumes.
-    let files: Vec<_> = ckpt_dir
-        .read_dir()
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .collect();
-    assert_eq!(files, [ckpt_dir.join("net-torn.poet.ockp")], "{files:?}");
-    let resume = |ckpt: &std::path::Path| {
-        ocep()
-            .args(["check", "--resume"])
-            .arg(ckpt)
-            .arg(&dump)
-            .output()
-            .unwrap()
-    };
-    let whole = resume(&files[0]);
-    assert_eq!(whole.status.code(), Some(1), "{whole:?}");
-
-    // The same file cut to its 6-byte header must be rejected with a
-    // clean error — never a panic, never silent acceptance.
-    let torn = tmp("net-torn-header.ockp");
-    std::fs::write(&torn, &std::fs::read(&files[0]).unwrap()[..6]).unwrap();
-    let refused = resume(&torn);
-    assert_eq!(refused.status.code(), Some(3), "{refused:?}");
-    let stderr = String::from_utf8_lossy(&refused.stderr);
-    assert!(stderr.contains("cannot restore checkpoint"), "{stderr}");
-}
-
 // ------------------------------------------------------- durable log
 
 /// The `match[...]` lines of a serve/replay stdout, in order.
@@ -1252,52 +1205,79 @@ fn wal_serve_survives_sigkill_with_no_resends() {
     );
 }
 
+/// A copy of the log directory as `dir` holds it now: what a SIGKILL
+/// leaves once every record is in the kernel.
+fn copy_log(dir: &std::path::Path, to: &std::path::Path) {
+    let _ = std::fs::remove_dir_all(to);
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+    }
+}
+
+/// `--checkpoint-every` anchors checkpoints in the log while the daemon
+/// runs, so a daemon killed before any graceful drain restarts from the
+/// newest one and replays fewer events than were sent.
 #[test]
 fn checkpoint_every_writes_periodic_checkpoints() {
     let (dump, pattern) = demo_dump("net-ckpt-every");
-    let port_file = tmp("net-ckpt-every.port");
-    let ckpt_dir = tmp("net-ckpt-every-ckpts");
-    let _ = std::fs::remove_file(&port_file);
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
-    let mut serve = ocep()
-        .args([
-            "serve",
-            &pattern,
-            "--traces",
-            "10",
-            "--addr",
-            "127.0.0.1:0",
-            "--port-file",
-            port_file.to_str().unwrap(),
-            "--checkpoint",
-            ckpt_dir.to_str().unwrap(),
-            "--checkpoint-every",
-            "8",
-        ])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .unwrap();
-    let addr = wait_port(&port_file);
+    let wal_dir = tmp("net-ckpt-every-log");
+    let image = tmp("net-ckpt-every-image");
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    let serve_on = |dir: &std::path::Path, port_file: &std::path::Path| {
+        let _ = std::fs::remove_file(port_file);
+        ocep()
+            .args(["serve", &pattern, "--traces", "10"])
+            .args(["--addr", "127.0.0.1:0", "--port-file"])
+            .arg(port_file)
+            .arg("--wal")
+            .arg(dir)
+            .args(["--checkpoint-every", "8"])
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap()
+    };
+    let shutdown = |addr: &str| {
+        let client = ocep_repro::net::Client::connect(addr, 10, "cleanup").unwrap();
+        client.shutdown().unwrap();
+    };
 
-    // No shutdown: the checkpoint on disk after this send can only come
-    // from the periodic trigger, not the graceful drain.
+    let port_file = tmp("net-ckpt-every.port");
+    let serve = serve_on(&wal_dir, &port_file);
+    let addr = wait_port(&port_file);
+    // No shutdown: when `send` returns, its events are processed and in
+    // the kernel, and only the periodic trigger can have checkpointed.
     let send = ocep()
         .args(["send", &addr, dump.to_str().unwrap()])
         .output()
         .unwrap();
     assert_eq!(send.status.code(), Some(1), "{send:?}");
-    assert!(
-        ckpt_dir.read_dir().unwrap().next().is_some(),
-        "no periodic checkpoint was written"
-    );
+    let send_out = String::from_utf8_lossy(&send.stdout);
+    let sent: u64 = send_out
+        .strip_prefix("sent ")
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no event count in {send_out}"));
+    copy_log(&wal_dir, &image);
+    shutdown(&addr);
+    serve.wait_with_output().unwrap();
 
-    let send = ocep()
-        .args(["send", &addr, dump.to_str().unwrap(), "--shutdown"])
-        .output()
-        .unwrap();
-    assert_eq!(send.status.code(), Some(1), "{send:?}");
-    serve.wait().unwrap();
+    let port_file = tmp("net-ckpt-every-restart.port");
+    let restarted = serve_on(&image, &port_file);
+    shutdown(&wait_port(&port_file));
+    let out = restarted.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let recovered: u64 = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("recovered "))
+        .and_then(|rest| rest.split(' ').next())
+        .map_or(0, |n| n.parse().unwrap());
+    assert!(
+        recovered < sent,
+        "restart replayed {recovered} of {sent} events: no periodic checkpoint\n{stderr}"
+    );
 }
 
 #[test]

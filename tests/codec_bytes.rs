@@ -323,7 +323,7 @@ fn shard_group_run(tag: &str) -> PathBuf {
         .register("acme/lone", LONE, MonitorConfig::default())
         .unwrap();
     group.deliver_batch("sess", events[..40].to_vec());
-    group.checkpoint(None).unwrap();
+    group.checkpoint();
     assert!(group.unregister("acme/lone"));
     // A swap and a duplicate: the replayed suffix crosses the guard's
     // slow path.
@@ -501,7 +501,7 @@ fn actual_pins() -> Vec<(String, usize, u64)> {
         let sources = HashMap::from([("static".to_owned(), SRC.to_owned())]);
         let mut group = ShardGroup::new(set, 0, &sources);
         group.recover(&image, Durability::Batch).unwrap();
-        group.checkpoint(None).unwrap();
+        group.checkpoint();
         group.flush_os();
         let records = wal::scan(&image).unwrap().records;
         let last = records.last().unwrap();

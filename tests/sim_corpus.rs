@@ -2,9 +2,9 @@
 //!
 //! Replays every seed pinned in `tests/corpus/sim-seeds.txt` through
 //! the whole-system simulator — the real serving engine under scripted
-//! clients, all fault classes, and a mid-stream crash/restart — and
-//! demands that each run agrees bit-for-bit with its journal-replay
-//! oracle. A sample of seeds is run twice to pin bit-reproducibility
+//! clients, all fault classes, and mid-stream kills recovered from the
+//! durable log — and demands that each run agrees bit-for-bit with its
+//! journal-replay oracle. A sample of seeds is run twice to pin bit-reproducibility
 //! itself (same seed ⇒ identical digest).
 //!
 //! `OCEP_SIM_SEEDS=N` sweeps N additional unpinned seeds after the
@@ -23,30 +23,16 @@ fn corpus_config(seed: u64) -> SimConfig {
         faults: FaultToggles::all(),
         crashes: 1,
         sabotage: false,
-        wal: false,
         wal_sabotage: false,
     }
 }
 
-/// A `wal <seed>` corpus line: the same chaos run served through the
-/// on-disk durable log, with SIGKILL-style crashes recovered by log
-/// replay instead of checkpoint restore.
-fn wal_corpus_config(seed: u64) -> SimConfig {
-    SimConfig {
-        crashes: 2,
-        wal: true,
-        ..corpus_config(seed)
-    }
-}
-
 /// A `crash2 <seed>` corpus line: the same chaos run with 2 daemon
-/// crashes, recovered by log replay on odd seeds and by checkpoint
-/// restore on even ones — so both recovery paths run twice in one
-/// incarnation chain.
+/// kills, so the second recovery replays a log the first one already
+/// recovered and extended.
 fn crash2_corpus_config(seed: u64) -> SimConfig {
     SimConfig {
         crashes: 2,
-        wal: seed % 2 == 1,
         ..corpus_config(seed)
     }
 }
@@ -79,9 +65,7 @@ fn pinned_sim_seeds_stay_oracle_exact() {
         if line.is_empty() {
             continue;
         }
-        let config = if let Some(rest) = line.strip_prefix("wal ") {
-            wal_corpus_config(rest.trim().parse().expect("numeric wal seed"))
-        } else if let Some(rest) = line.strip_prefix("crash2 ") {
+        let config = if let Some(rest) = line.strip_prefix("crash2 ") {
             crash2_corpus_config(rest.trim().parse().expect("numeric crash2 seed"))
         } else {
             corpus_config(line.parse().expect("numeric seed per line"))
