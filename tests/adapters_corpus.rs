@@ -320,6 +320,178 @@ fn reader_output_digests_are_pinned() {
     }
 }
 
+/// Digest of a generated recording: its text, truth and trace count.
+fn recording_digest(rec: &Recording) -> u64 {
+    let mut h = Fnv::new();
+    h.text(&rec.text);
+    h.num(rec.truth as u64);
+    h.num(rec.n_traces as u64);
+    h.0
+}
+
+#[test]
+fn generator_text_digests_are_pinned() {
+    // What every generator writes, byte for byte, over a sweep that
+    // crosses each decimal width a record carries: follower, rank,
+    // order and task ids 9 → 10 → 11 and 99 → 100, round numbers past
+    // 10 and 100, OTLP start counters and update sequence numbers past
+    // 10^k, the `mpi 10` and `mpi 101` headers; plus degenerate inputs
+    // (no rounds, no walk steps, probabilities 0 and 1, a cycle through
+    // every rank) and the calls the benchmark makes at full size. Taken
+    // before the generators stopped going through `core::fmt`; a
+    // rewrite of a generator must reproduce every constant.
+    let sweep: Vec<(&str, Recording)> = vec![
+        ("zk(2013, 4, 12, 0.15)", fixtures::zookeeper()),
+        (
+            "zk(15, 20, 30, 0.05)",
+            testgen::zookeeper_otlp(15, 20, 30, 0.05),
+        ),
+        (
+            "zk(3, 11, 12, 0.3)",
+            testgen::zookeeper_otlp(3, 11, 12, 0.3),
+        ),
+        (
+            "zk(4, 100, 12, 0.5)",
+            testgen::zookeeper_otlp(4, 100, 12, 0.5),
+        ),
+        (
+            "zk(5, 2, 102, 0.0)",
+            testgen::zookeeper_otlp(5, 2, 102, 0.0),
+        ),
+        ("zk(6, 3, 40, 1.0)", testgen::zookeeper_otlp(6, 3, 40, 1.0)),
+        ("zk(7, 1, 0, 0.5)", testgen::zookeeper_otlp(7, 1, 0, 0.5)),
+        (
+            "zk(8, 50, 300, 0.2)",
+            testgen::zookeeper_otlp(8, 50, 300, 0.2),
+        ),
+        (
+            "zk(1, 20, 600, 0.05)",
+            testgen::zookeeper_otlp(1, 20, 600, 0.05),
+        ),
+        ("mpi(7, 8, 40, 3, 0.15, 2)", fixtures::mpi_deadlock()),
+        (
+            "mpi(11, 11, 30, 3, 0.3, 2)",
+            testgen::mpi_deadlock(11, 11, 30, 3, 0.3, 2),
+        ),
+        (
+            "mpi(12, 10, 20, 10, 0.5, 1)",
+            testgen::mpi_deadlock(12, 10, 20, 10, 0.5, 1),
+        ),
+        (
+            "mpi(13, 101, 5, 7, 0.5, 1)",
+            testgen::mpi_deadlock(13, 101, 5, 7, 0.5, 1),
+        ),
+        (
+            "mpi(14, 4, 10, 2, 1.0, 0)",
+            testgen::mpi_deadlock(14, 4, 10, 2, 1.0, 0),
+        ),
+        (
+            "mpi(15, 3, 10, 3, 0.0, 3)",
+            testgen::mpi_deadlock(15, 3, 10, 3, 0.0, 3),
+        ),
+        (
+            "mpi(16, 2, 0, 2, 0.5, 2)",
+            testgen::mpi_deadlock(16, 2, 0, 2, 0.5, 2),
+        ),
+        (
+            "mpi(12, 8, 125, 3, 0.05, 2)",
+            testgen::mpi_deadlock(12, 8, 125, 3, 0.05, 2),
+        ),
+        ("soak(2, 2, 0)", testgen::mpi_soak(2, 2, 0)),
+        ("soak(1, 8, 20000)", testgen::mpi_soak(1, 8, 20_000)),
+        ("soak(1, 8, 300000)", testgen::mpi_soak(1, 8, 300_000)),
+        ("saga(5, 40, 0.3, 0.5)", fixtures::saga()),
+        (
+            "saga(21, 101, 0.3, 0.5)",
+            testgen::saga_otlp(21, 101, 0.3, 0.5),
+        ),
+        (
+            "saga(22, 300, 1.0, 0.0)",
+            testgen::saga_otlp(22, 300, 1.0, 0.0),
+        ),
+        (
+            "saga(23, 300, 1.0, 1.0)",
+            testgen::saga_otlp(23, 300, 1.0, 1.0),
+        ),
+        (
+            "saga(24, 300, 0.0, 0.5)",
+            testgen::saga_otlp(24, 300, 0.0, 0.5),
+        ),
+        ("saga(25, 0, 0.5, 0.5)", testgen::saga_otlp(25, 0, 0.5, 0.5)),
+        (
+            "saga(26, 3000, 0.4, 0.5)",
+            testgen::saga_otlp(26, 3000, 0.4, 0.5),
+        ),
+        ("session(3, 10, 0.3)", fixtures::session_handoff()),
+        ("session(31, 101, 0.3)", testgen::session_ryw(31, 101, 0.3)),
+        ("session(32, 50, 0.0)", testgen::session_ryw(32, 50, 0.0)),
+        ("session(33, 50, 1.0)", testgen::session_ryw(33, 50, 1.0)),
+        ("session(34, 0, 0.5)", testgen::session_ryw(34, 0, 0.5)),
+        (
+            "session(35, 1001, 0.2)",
+            testgen::session_ryw(35, 1001, 0.2),
+        ),
+    ];
+    let got: Vec<(&str, u64)> = sweep
+        .iter()
+        .map(|(name, rec)| (*name, recording_digest(rec)))
+        .collect();
+    let want: [(&str, u64); 33] = [
+        ("zk(2013, 4, 12, 0.15)", 0x2874_85d3_f288_1f1f),
+        ("zk(15, 20, 30, 0.05)", 0x55e2_eae6_5dd3_bcd0),
+        ("zk(3, 11, 12, 0.3)", 0x6521_fa7f_d27c_cadf),
+        ("zk(4, 100, 12, 0.5)", 0xe15b_5652_55b9_2592),
+        ("zk(5, 2, 102, 0.0)", 0x771a_2d03_b96a_7cea),
+        ("zk(6, 3, 40, 1.0)", 0x59f5_ca5b_925a_c715),
+        ("zk(7, 1, 0, 0.5)", 0x4b3d_939e_08aa_9ffc),
+        ("zk(8, 50, 300, 0.2)", 0xfddc_28ab_2ab3_ea60),
+        ("zk(1, 20, 600, 0.05)", 0xfdce_0ebb_1d5a_f5b5),
+        ("mpi(7, 8, 40, 3, 0.15, 2)", 0xd655_8dd4_72b4_034f),
+        ("mpi(11, 11, 30, 3, 0.3, 2)", 0x8e19_9cb0_a63d_7eaf),
+        ("mpi(12, 10, 20, 10, 0.5, 1)", 0xabec_3427_96a2_bbf9),
+        ("mpi(13, 101, 5, 7, 0.5, 1)", 0x2a35_431a_8e3e_6e92),
+        ("mpi(14, 4, 10, 2, 1.0, 0)", 0xb292_175d_bd21_404b),
+        ("mpi(15, 3, 10, 3, 0.0, 3)", 0x00fc_8dc6_3ea5_dcb5),
+        ("mpi(16, 2, 0, 2, 0.5, 2)", 0x212a_aa3d_8ec7_db4a),
+        ("mpi(12, 8, 125, 3, 0.05, 2)", 0x3801_f24b_35f3_d631),
+        ("soak(2, 2, 0)", 0x8dd0_ed17_5894_78c6),
+        ("soak(1, 8, 20000)", 0x9c4b_4765_21c6_8a99),
+        ("soak(1, 8, 300000)", 0xf22f_7631_2c6a_fe19),
+        ("saga(5, 40, 0.3, 0.5)", 0x8d84_b33b_8712_910e),
+        ("saga(21, 101, 0.3, 0.5)", 0x5831_f283_0db9_fcb0),
+        ("saga(22, 300, 1.0, 0.0)", 0x694b_4281_fd2d_0b5b),
+        ("saga(23, 300, 1.0, 1.0)", 0xd019_4c16_0df7_ecc4),
+        ("saga(24, 300, 0.0, 0.5)", 0x36ba_2e58_6f68_39dc),
+        ("saga(25, 0, 0.5, 0.5)", 0x8ef3_7ef5_2666_dad6),
+        ("saga(26, 3000, 0.4, 0.5)", 0x6771_b3f3_8682_2375),
+        ("session(3, 10, 0.3)", 0x23d1_007f_e799_b286),
+        ("session(31, 101, 0.3)", 0x896e_50fd_19e8_fd2f),
+        ("session(32, 50, 0.0)", 0x7bdf_9dbf_4cbf_ed8c),
+        ("session(33, 50, 1.0)", 0xc466_b089_7bb2_0a6c),
+        ("session(34, 0, 0.5)", 0xe7d3_d999_2b7a_ba8c),
+        ("session(35, 1001, 0.2)", 0x3ffe_8c89_993b_0bcd),
+    ];
+    let shown: Vec<String> = got
+        .iter()
+        .map(|(name, d)| format!("(\"{name}\", {d:#018x}),"))
+        .collect();
+    assert_eq!(
+        got.len(),
+        want.len(),
+        "all digests now:\n{}",
+        shown.join("\n")
+    );
+    for ((name, d), (want_name, want_d)) in got.iter().zip(want) {
+        assert_eq!(*name, want_name);
+        assert_eq!(
+            *d,
+            want_d,
+            "{name}: generated recording changed; all digests now:\n{}",
+            shown.join("\n")
+        );
+    }
+}
+
 // ── Seeded mutation harness ─────────────────────────────────────────
 
 /// Checks that `out` is a valid linearization with Fidge clocks: per
