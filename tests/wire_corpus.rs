@@ -11,9 +11,11 @@
 //! A second layer drives the corpus at a **live** loopback server:
 //! every malformed frame must come back as a `Fault` reply while the
 //! connection stays usable — a valid event sent after the garbage must
-//! still be admitted and matched.
+//! still be admitted and matched. The same bytes, sent in one write
+//! and one byte per write, must draw exactly the `Fault` replies and
+//! fault counters that `FrameDecoder`'s outcomes for them name.
 
-use ocep_repro::net::wire::{self, Frame, Mode, MAX_FRAME};
+use ocep_repro::net::wire::{self, Decoded, FaultCode, Frame, FrameDecoder, Mode, MAX_FRAME};
 use ocep_repro::net::{Client, ServeConfig, Server, WireError};
 use ocep_repro::ocep::ingest::GuardConfig;
 use ocep_repro::ocep::MonitorSet;
@@ -494,4 +496,134 @@ fn oversize_prefix_hard_closes_but_other_clients_are_unaffected() {
 
     let report = server.join();
     assert_eq!(report.verdicts.len(), 1);
+}
+
+/// What [`wire::FrameDecoder`] decides about `stream`: the `(code,
+/// detail)` of every quarantined body and of the fatal prefix, if any.
+type Rejections = (Vec<(FaultCode, String)>, Vec<(FaultCode, String)>);
+
+fn decoder_rejections(stream: &[u8]) -> Rejections {
+    let mut dec = FrameDecoder::new();
+    dec.push(stream);
+    let (mut quarantined, mut fatal) = (Vec::new(), Vec::new());
+    while let Some(d) = dec.next() {
+        match d {
+            Decoded::Frame { .. } => {}
+            Decoded::Quarantined { code, detail } => quarantined.push((code, detail)),
+            Decoded::Fatal { code, detail } => fatal.push((code, detail)),
+        }
+    }
+    (quarantined, fatal)
+}
+
+/// Sends `stream` to a fresh loopback server over a raw socket — in
+/// one write, or one byte per write — and returns the `(code, detail)`
+/// of every `Fault` it answers with, in order, and its final metrics.
+fn tcp_reader_faults(stream: &[u8], one_byte_writes: bool) -> (Vec<(FaultCode, String)>, String) {
+    let pattern = Pattern::parse("A := [*, open, *]; pattern := A;").unwrap();
+    let mut set = MonitorSet::new(2);
+    set.add("pattern", pattern);
+    set.enable_guard(GuardConfig::default());
+    let server = Server::bind("127.0.0.1:0", set, ServeConfig::default()).unwrap();
+    let mut sock = std::net::TcpStream::connect(server.addr()).unwrap();
+    sock.set_nodelay(true).unwrap();
+    sock.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    if one_byte_writes {
+        for b in stream {
+            sock.write_all(std::slice::from_ref(b)).unwrap();
+        }
+    } else {
+        sock.write_all(stream).unwrap();
+    }
+    sock.flush().unwrap();
+    let mut faults = Vec::new();
+    loop {
+        match wire::read_frame(&mut sock) {
+            Ok(Frame::Fault { code, detail }) => faults.push((code, detail)),
+            Ok(Frame::StatsReport(_)) | Err(WireError::Closed) => break,
+            Ok(_) => {}
+            Err(e) => panic!("reply stream failed: {e}"),
+        }
+    }
+    // A stream without `Shutdown` ends with the server closing the
+    // connection; stop the server explicitly then.
+    server.handle().shutdown();
+    (faults, server.join().metrics.to_prometheus())
+}
+
+/// Fault frames the server sent, the series both pins read.
+const OUT_FAULTS: &str = "ocep_net_frames_total{dir=\"out\",type=\"fault\"}";
+
+/// The value of the sample `series` (name plus labels) in `text`.
+fn sample(text: &str, series: &str) -> Option<u64> {
+    text.lines()
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+}
+
+#[test]
+fn tcp_reader_faults_equal_frame_decoder_quarantines() {
+    let mut poet = PoetServer::new(2);
+    let event = poet.record(TraceId::new(0), EventKind::Unary, "open", "door");
+    let mut stream = Vec::new();
+    wire::write_frame(
+        &mut stream,
+        &Frame::Hello {
+            mode: Mode::Producer,
+            n_traces: 2,
+            name: "pin".into(),
+        },
+    )
+    .unwrap();
+    for (name, bytes) in read_corpus() {
+        if name != "oversize_length.bin" {
+            stream.extend_from_slice(&bytes);
+        }
+    }
+    wire::write_frame(&mut stream, &Frame::Event(Box::new(event))).unwrap();
+    wire::write_frame(&mut stream, &Frame::Shutdown).unwrap();
+
+    let (quarantined, fatal) = decoder_rejections(&stream);
+    assert!(fatal.is_empty(), "{fatal:?}");
+    assert!(!quarantined.is_empty());
+    let n = quarantined.len() as u64;
+    for one_byte_writes in [false, true] {
+        let (faults, metrics) = tcp_reader_faults(&stream, one_byte_writes);
+        assert_eq!(faults, quarantined, "one_byte_writes={one_byte_writes}");
+        assert_eq!(
+            sample(&metrics, "ocep_net_decode_faults_total{kind=\"decode\"}"),
+            Some(n),
+            "{metrics}"
+        );
+        assert_eq!(sample(&metrics, OUT_FAULTS), Some(n), "{metrics}");
+    }
+}
+
+#[test]
+fn tcp_reader_oversize_fault_equals_frame_decoder_fatal() {
+    let mut stream = Vec::new();
+    wire::write_frame(
+        &mut stream,
+        &Frame::Hello {
+            mode: Mode::Producer,
+            n_traces: 2,
+            name: "pin".into(),
+        },
+    )
+    .unwrap();
+    stream.extend_from_slice(&((MAX_FRAME as u32) + 1).to_le_bytes());
+
+    let (quarantined, fatal) = decoder_rejections(&stream);
+    assert!(quarantined.is_empty(), "{quarantined:?}");
+    assert_eq!(fatal.len(), 1);
+    for one_byte_writes in [false, true] {
+        let (faults, metrics) = tcp_reader_faults(&stream, one_byte_writes);
+        assert_eq!(faults, fatal, "one_byte_writes={one_byte_writes}");
+        assert_eq!(
+            sample(&metrics, "ocep_net_decode_faults_total{kind=\"oversize\"}"),
+            Some(1),
+            "{metrics}"
+        );
+        assert_eq!(sample(&metrics, OUT_FAULTS), Some(1), "{metrics}");
+    }
 }
