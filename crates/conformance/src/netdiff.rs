@@ -11,7 +11,7 @@
 
 use crate::{Case, Invariant, Mismatch};
 use ocep_core::ingest::GuardConfig;
-use ocep_core::{IngestStats, Match, MonitorSet};
+use ocep_core::{IngestStats, MonitorSet};
 use ocep_net::{Client, ServeConfig, Server};
 use ocep_pattern::Pattern;
 use ocep_poet::Event;
@@ -24,13 +24,6 @@ fn err(detail: String) -> Mismatch {
         invariant: Invariant::NetTransparency,
         detail,
     }
-}
-
-fn match_ids(m: &Match) -> Vec<(u32, u32)> {
-    m.events()
-        .iter()
-        .map(|e| (e.trace().as_u32(), e.index().get()))
-        .collect()
 }
 
 /// Everything a delivery run concludes, reduced to comparable form:
@@ -130,14 +123,14 @@ pub fn in_process_fingerprint(
     Ok(Fingerprint {
         verdicts: verdicts
             .iter()
-            .map(|(n, m)| (n.clone(), match_ids(m)))
+            .map(|(n, m)| (n.clone(), m.coords()))
             .collect(),
         subset: set
             .monitor(MONITOR)
             .expect("monitor registered")
             .subset()
             .iter()
-            .map(|m| match_ids(m))
+            .map(|m| m.coords())
             .collect(),
         ingest: set.ingest_stats(),
     })
@@ -196,7 +189,7 @@ pub fn loopback_fingerprint(
         verdicts: report
             .verdicts
             .iter()
-            .map(|(n, m)| (n.clone(), match_ids(m)))
+            .map(|(n, m)| (n.clone(), m.coords()))
             .collect(),
         subset,
         ingest: report.ingest,

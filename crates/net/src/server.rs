@@ -5,9 +5,10 @@
 //! monitors) and processes every decoded frame in arrival order, so
 //! a single producer connection sees exactly the verdicts of in-process
 //! delivery (the network-transparency property the conformance suite
-//! pins). Each accepted connection gets a **reader thread** (frame
-//! decode → engine queue) and a **writer thread** (outbound queue →
-//! socket); the engine never blocks on a slow peer.
+//! pins). Each accepted connection gets a **reader thread** (socket
+//! bytes → the connection's [`FrameDecoder`] → engine queue) and a
+//! **writer thread** (outbound queue → socket); the engine never blocks
+//! on a slow peer.
 //!
 //! Backpressure is two-layered: inbound, the engine queue is bounded, so
 //! readers — and through TCP, producers — stall when the engine falls
@@ -16,14 +17,17 @@
 //! drops the newest verdict when full.
 //!
 //! All protocol semantics live in [`crate::engine`]; this module is
-//! only the TCP harness — sockets, threads, and the real clock. The
-//! deterministic simulator (`ocep-sim`) drives the same [`EngineCore`]
-//! from a virtual-time scheduler instead.
+//! only the TCP harness — sockets, threads, and the real clock. What
+//! each inbound wire condition does is decided by
+//! [`EngineCore::on_decoded`] from the decoder's outcome, so the
+//! deterministic simulator (`ocep-sim`), which pushes its in-memory
+//! transports through the same decoder into the same entry point from a
+//! virtual-time scheduler, runs this server's inbound path.
 
 use crate::engine::{EngineCore, NetClock, OutQueue, SystemClock};
-use crate::wire::{decode_body, read_frame_body, write_frame, FaultCode, Frame, WireError};
+use crate::wire::{write_frame, Decoded, FrameDecoder};
 use ocep_core::MonitorSet;
-use std::io::{BufReader, BufWriter, Write as IoWrite};
+use std::io::{BufWriter, ErrorKind, Read as IoRead, Write as IoWrite};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -35,6 +39,9 @@ pub use crate::engine::{MatchCoords, ServeConfig, ServeReport};
 /// How many queued frames the engine accepts before inbound readers
 /// (and, through TCP, their producers) stall.
 const ENGINE_QUEUE: usize = 1024;
+
+/// Bytes a reader thread takes from its socket per read.
+const READ_CHUNK: usize = 64 << 10;
 
 /// How long [`Server::join`] waits for the connection writers to flush
 /// what the engine queued last (the final `StatsReport`). A writer only
@@ -51,16 +58,10 @@ enum EngineMsg {
         peer: String,
         out: OutQueue,
     },
-    Frame {
+    Decoded {
         conn: u64,
-        frame: Frame,
+        decoded: Decoded,
         received_ns: u64,
-        bytes: u64,
-    },
-    /// The reader already replied with a `Fault`; the engine only
-    /// accounts for it.
-    Malformed {
-        code: FaultCode,
     },
     Closed {
         conn: u64,
@@ -225,17 +226,15 @@ fn engine_loop(
     while let Ok(msg) = rx.recv() {
         match msg {
             EngineMsg::Accepted { conn, peer, out } => core.on_accepted(conn, peer, out),
-            EngineMsg::Frame {
+            EngineMsg::Decoded {
                 conn,
-                frame,
+                decoded,
                 received_ns,
-                bytes,
             } => {
-                if core.on_frame(conn, frame, received_ns, bytes) {
+                if core.on_decoded(conn, decoded, received_ns) {
                     return finish(&mut core);
                 }
             }
-            EngineMsg::Malformed { code } => core.on_malformed(code),
             EngineMsg::Closed { conn } => core.on_closed(conn),
             EngineMsg::Stop => return finish(&mut core),
         }
@@ -281,7 +280,7 @@ fn accept_loop(
         if let Some(writer) = spawn_writer(conn, &stream, &out, bytes_out) {
             writers.push((out.clone(), writer));
         }
-        spawn_reader(conn, stream, tx.clone(), out, Arc::clone(clock));
+        spawn_reader(conn, stream, tx.clone(), Arc::clone(clock));
     }
     writers
 }
@@ -324,75 +323,38 @@ fn spawn_writer(
     Some(writer)
 }
 
+/// Pumps the socket's bytes through the connection's [`FrameDecoder`]
+/// and hands every outcome to the engine, stamped with the time it is
+/// handed on. Stops at EOF, at an I/O error, or once the decoder is
+/// poisoned (the engine has then faulted and closed the connection).
 fn spawn_reader(
     conn: u64,
-    stream: TcpStream,
+    mut stream: TcpStream,
     tx: mpsc::SyncSender<EngineMsg>,
-    out: OutQueue,
     clock: Arc<dyn NetClock>,
 ) {
     std::thread::Builder::new()
         .name(format!("ocwp-reader-{conn}"))
         .spawn(move || {
-            let mut r = BufReader::new(stream);
-            loop {
-                let body = match read_frame_body(&mut r) {
-                    Ok(b) => b,
-                    Err(WireError::Oversize(n)) => {
-                        // Framing can no longer be trusted: fault & close.
-                        out.push_control(Frame::Fault {
-                            code: FaultCode::Oversize,
-                            detail: format!("frame length {n} exceeds maximum"),
-                        });
-                        let _ = tx.send(EngineMsg::Malformed {
-                            code: FaultCode::Oversize,
-                        });
-                        break;
-                    }
-                    Err(WireError::Format(e)) => {
-                        // Zero-length frame: quarantine, keep the stream.
-                        out.push_control(Frame::Fault {
-                            code: FaultCode::Decode,
-                            detail: e.to_string(),
-                        });
-                        let _ = tx.send(EngineMsg::Malformed {
-                            code: FaultCode::Decode,
-                        });
-                        continue;
-                    }
+            let mut decoder = FrameDecoder::new();
+            let mut chunk = vec![0u8; READ_CHUNK];
+            'read: while !decoder.is_poisoned() {
+                let n = match stream.read(&mut chunk) {
+                    Ok(0) => break,
+                    Ok(n) => n,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                     Err(_) => break,
                 };
-                let received_ns = clock.now_ns();
-                let bytes = 4 + body.len() as u64;
-                match decode_body(&body) {
-                    Ok(frame) => {
-                        if tx
-                            .send(EngineMsg::Frame {
-                                conn,
-                                frame,
-                                received_ns,
-                                bytes,
-                            })
-                            .is_err()
-                        {
-                            break;
-                        }
-                    }
-                    Err(e) => {
-                        // The length prefix was sound, so the stream
-                        // stays aligned: quarantine this body only.
-                        out.push_control(Frame::Fault {
-                            code: FaultCode::Decode,
-                            detail: e.to_string(),
-                        });
-                        if tx
-                            .send(EngineMsg::Malformed {
-                                code: FaultCode::Decode,
-                            })
-                            .is_err()
-                        {
-                            break;
-                        }
+                decoder.push(&chunk[..n]);
+                while let Some(decoded) = decoder.next() {
+                    let received_ns = clock.now_ns();
+                    let msg = EngineMsg::Decoded {
+                        conn,
+                        decoded,
+                        received_ns,
+                    };
+                    if tx.send(msg).is_err() {
+                        break 'read;
                     }
                 }
             }

@@ -12,7 +12,8 @@ use ocep_core::{
 };
 use ocep_net::wire::encode_body;
 use ocep_net::{
-    EngineCore, Frame, Mode, NetClock, OutQueue, ServeConfig, Server, SystemClock, Tail, WireError,
+    Decoded, EngineCore, Frame, Mode, NetClock, OutQueue, ServeConfig, Server, SystemClock, Tail,
+    WireError,
 };
 use ocep_pattern::Pattern;
 use ocep_poet::{Event, EventKind, PoetServer};
@@ -79,7 +80,10 @@ fn run_stalled_tail() -> (ocep_net::ServeReport, OutQueue) {
         Arc::new(AtomicU64::new(0)),
     );
 
-    let frame_bytes = |f: &Frame| 4 + encode_body(f).len() as u64;
+    let decoded = |frame: Frame| Decoded::Frame {
+        bytes: 4 + encode_body(&frame).len() as u64,
+        frame,
+    };
     let tail_out = OutQueue::new(config.subscriber_queue);
     core.on_accepted(0, "sim-tail".into(), tail_out.clone());
     let hello = Frame::Hello {
@@ -87,8 +91,7 @@ fn run_stalled_tail() -> (ocep_net::ServeReport, OutQueue) {
         n_traces: 0,
         name: "stalled".into(),
     };
-    let b = frame_bytes(&hello);
-    assert!(!core.on_frame(0, hello, clock.now_ns(), b));
+    assert!(!core.on_decoded(0, decoded(hello), clock.now_ns()));
     // The tail reads its handshake ack, then stalls forever.
     let handshake = tail_out.drain();
     assert!(matches!(handshake.as_slice(), [Frame::Ack { .. }]));
@@ -100,13 +103,11 @@ fn run_stalled_tail() -> (ocep_net::ServeReport, OutQueue) {
         n_traces: 1,
         name: "producer".into(),
     };
-    let b = frame_bytes(&hello);
-    assert!(!core.on_frame(1, hello, clock.now_ns(), b));
+    assert!(!core.on_decoded(1, decoded(hello), clock.now_ns()));
 
     for e in one_trace_events(20) {
         let frame = Frame::Event(Box::new(e));
-        let b = frame_bytes(&frame);
-        assert!(!core.on_frame(1, frame, clock.now_ns(), b));
+        assert!(!core.on_decoded(1, decoded(frame), clock.now_ns()));
     }
     (core.finish(), tail_out)
 }

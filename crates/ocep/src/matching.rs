@@ -72,6 +72,16 @@ impl Match {
         &self.events
     }
 
+    /// The match as leaf-wise `(trace, index)` coordinates, the form
+    /// verdicts take on the wire and in every transparency comparison.
+    #[must_use]
+    pub fn coords(&self) -> Vec<(u32, u32)> {
+        self.events
+            .iter()
+            .map(|e| (e.trace().as_u32(), e.index().get()))
+            .collect()
+    }
+
     /// Looks up the event bound to the occurrence named `name`: an exact
     /// occurrence name (`B#2`, `$diff`) or a class name (resolving to its
     /// first occurrence).

@@ -7,9 +7,10 @@
 //! discrete-event [`Scheduler`] owns a single event queue, a
 //! [`VirtualClock`] stands in for the wall clock, and N scripted
 //! producer clients plus verdict tails exchange real OCWP wire bytes
-//! through in-memory queues and the push-based
-//! [`ocep_net::FrameDecoder`] (which mirrors the TCP reader thread's
-//! fault semantics exactly).
+//! through in-memory queues. Inbound bytes take the server's own path:
+//! a push-based [`ocep_net::FrameDecoder`] per connection, whose every
+//! outcome goes to [`ocep_net::EngineCore::on_decoded`], as on a TCP
+//! reader thread.
 //!
 //! A seeded fault plan injects wire corruption, frame duplication and
 //! reorder, partitions with reconnect-and-resend, slow tails whose full

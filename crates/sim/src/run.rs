@@ -18,7 +18,7 @@ use crate::sched::{Scheduler, Step};
 use ocep_conformance::{nth_case, Action, Case, Fingerprint};
 use ocep_core::ingest::GuardConfig;
 use ocep_core::{save_set, Match, MonitorSet};
-use ocep_net::wire::encode_body;
+use ocep_net::wire::write_frame;
 use ocep_net::{
     Decoded, EngineCore, EngineOp, FaultCode, FaultHooks, Frame, FrameDecoder, Mode, NetClock,
     OutQueue, ServeConfig, StatsReport,
@@ -261,8 +261,11 @@ fn build_set(case: &Case) -> Option<MonitorSet> {
     Some(set)
 }
 
-fn wire_len(f: &Frame) -> u64 {
-    encode_body(f).len() as u64 + 4
+/// `f` as it goes on the wire, length prefix included.
+fn framed(f: &Frame) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    write_frame(&mut bytes, f).expect("a Vec takes every write");
+    bytes
 }
 
 /// Builds one producer's scripted frame plan for one incarnation:
@@ -321,21 +324,17 @@ fn build_plan(
     }
     let mut plan = Vec::with_capacity(frames.len());
     for (frame, data) in frames {
-        let mut body = encode_body(&frame);
-        if data && faults.corrupt && body.len() > 1 && rng.gen_bool(0.05) {
+        let mut bytes = framed(&frame);
+        let body_len = bytes.len() - 4;
+        if data && faults.corrupt && body_len > 1 && rng.gen_bool(0.05) {
             // Flip one bit at body offset >= 1: the length prefix and
             // the frame tag stay intact, so the stream stays aligned
-            // and the outcome is quarantine-or-different-decode — the
-            // same surface the TCP reader handles.
-            let idx = rng.gen_range(1usize..body.len());
+            // and the outcome is quarantine-or-different-decode.
+            let idx = rng.gen_range(1usize..body_len);
             let bit = rng.gen_range(0u32..8);
-            body[idx] ^= 1u8 << bit;
+            bytes[4 + idx] ^= 1u8 << bit;
             counts.corrupted += 1;
         }
-        let mut bytes = Vec::with_capacity(4 + body.len());
-        bytes
-            .extend_from_slice(&(u32::try_from(body.len()).expect("frame fits u32")).to_le_bytes());
-        bytes.extend_from_slice(&body);
         let dup = data && faults.duplicate && rng.gen_bool(0.04);
         plan.push(PlanItem {
             bytes: bytes.clone(),
@@ -351,17 +350,13 @@ fn build_plan(
     plan
 }
 
-/// Feeds raw wire bytes into the server-side decoder for `conn`,
-/// mirroring the TCP reader thread's fault semantics exactly:
-/// quarantined bodies get a `Fault` push plus `on_malformed`, fatal
-/// framing closes the connection. Returns true when the connection
-/// fatally closed.
-#[allow(clippy::too_many_arguments)]
+/// Feeds raw wire bytes into the server-side decoder for `conn` and
+/// hands every outcome to the engine, as a TCP reader thread does.
+/// Returns true when the connection fatally closed.
 fn feed(
     core: &mut EngineCore,
     clock: &VirtualClock,
     conn: u64,
-    out: &OutQueue,
     decoder: &mut FrameDecoder,
     bytes: &[u8],
     delivered_data: &mut u64,
@@ -376,28 +371,14 @@ fn feed(
         decoder.push(bytes);
     }
     while let Some(d) = decoder.next() {
-        match d {
-            Decoded::Frame { frame, bytes } => {
-                if matches!(frame, Frame::Event(_) | Frame::EventBatch(_) | Frame::Flush) {
-                    *delivered_data += 1;
-                }
-                // Scripted plans never send Shutdown; the driver calls
-                // finish() at quiescence instead.
-                let _ = core.on_frame(conn, frame, clock.now_ns(), bytes);
-            }
-            Decoded::Quarantined { code, detail } => {
-                out.push_control(Frame::Fault { code, detail });
-                core.on_malformed(code);
-            }
-            Decoded::Fatal { code, detail } => {
-                out.push_control(Frame::Fault { code, detail });
-                core.on_malformed(code);
-                core.on_closed(conn);
-                return true;
-            }
+        if matches!(&d, Decoded::Frame { frame, .. } if frame.is_data()) {
+            *delivered_data += 1;
         }
+        // Scripted plans never send Shutdown; the driver calls finish()
+        // at quiescence instead.
+        let _ = core.on_decoded(conn, d, clock.now_ns());
     }
-    false
+    decoder.is_poisoned()
 }
 
 struct World {
@@ -486,7 +467,7 @@ impl World {
                 u64::from(self.incarnation),
             ));
         }
-        let hello = encode_frame(&Frame::Hello {
+        let hello = framed(&Frame::Hello {
             mode: Mode::Tail,
             n_traces: 0,
             name: format!("sim-tail-{id}"),
@@ -496,7 +477,6 @@ impl World {
             &mut self.core,
             &self.clock,
             conn,
-            &t.out,
             &mut t.decoder,
             &hello,
             &mut self.delivered_data,
@@ -515,7 +495,8 @@ impl World {
         // Drain inbound control traffic (acks, faults, stats).
         let drained = self.producers[id].out.drain();
         for f in &drained {
-            self.bytes_out.fetch_add(wire_len(f), Ordering::Relaxed);
+            self.bytes_out
+                .fetch_add(framed(f).len() as u64, Ordering::Relaxed);
         }
         {
             let p = &mut self.producers[id];
@@ -593,7 +574,6 @@ impl World {
             &mut self.core,
             &self.clock,
             p.conn,
-            &p.out,
             &mut p.decoder,
             &item_bytes,
             &mut self.delivered_data,
@@ -610,7 +590,8 @@ impl World {
     fn drain_tail(&mut self, id: usize) {
         let frames = self.tails[id].out.drain();
         for f in &frames {
-            self.bytes_out.fetch_add(wire_len(f), Ordering::Relaxed);
+            self.bytes_out
+                .fetch_add(framed(f).len() as u64, Ordering::Relaxed);
         }
         let t = &mut self.tails[id];
         for f in frames {
@@ -708,25 +689,10 @@ impl World {
     }
 }
 
-fn encode_frame(f: &Frame) -> Vec<u8> {
-    let body = encode_body(f);
-    let mut bytes = Vec::with_capacity(4 + body.len());
-    bytes.extend_from_slice(&(u32::try_from(body.len()).expect("frame fits u32")).to_le_bytes());
-    bytes.extend_from_slice(&body);
-    bytes
-}
-
-fn match_ids(m: &Match) -> Vec<(u32, u32)> {
-    m.events()
-        .iter()
-        .map(|e| (e.trace().as_u32(), e.index().get()))
-        .collect()
-}
-
 fn verdict_coords(verdicts: &[(String, Match)]) -> Vec<(String, Vec<(u32, u32)>)> {
     verdicts
         .iter()
-        .map(|(n, m)| (n.clone(), match_ids(m)))
+        .map(|(n, m)| (n.clone(), m.coords()))
         .collect()
 }
 
@@ -1029,7 +995,9 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
     }
     for p in &world.producers {
         for f in p.out.drain() {
-            world.bytes_out.fetch_add(wire_len(&f), Ordering::Relaxed);
+            world
+                .bytes_out
+                .fetch_add(framed(&f).len() as u64, Ordering::Relaxed);
         }
     }
 
@@ -1063,7 +1031,7 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
                     verdicts: verdict_coords(&overdicts),
                     subset: oset
                         .monitor(MONITOR)
-                        .map(|m| m.subset().iter().map(|m| match_ids(m)).collect())
+                        .map(|m| m.subset().iter().map(|m| m.coords()).collect())
                         .unwrap_or_default(),
                     ingest: oset.ingest_stats(),
                 };
