@@ -290,3 +290,23 @@ fn get_answers_none_outside_what_was_recorded() {
         assert_eq!(store.trace_events(unknown).len(), 0, "{name}");
     }
 }
+
+/// FNV-1a over the id order of `Linearizer::linearize` for seeds 0–63
+/// over [`seeded_server`], each seed's order preceded by the seed.
+/// Computed at commit c0e9392, where the linearizer kept a private
+/// SplitMix64, and never edited afterwards: whatever generator it
+/// draws from, every seed must shuffle the same way.
+const LINEARIZER_ORDER_PIN: u64 = 0x3719_1d21_836b_2185;
+
+#[test]
+fn linearizer_order_is_pinned_for_seeds_0_to_63() {
+    let poet = seeded_server();
+    let mut h = FNV_OFFSET;
+    for seed in 0..64u64 {
+        fnv1a(&mut h, &seed.to_le_bytes());
+        for e in Linearizer::new(poet.store()).with_seed(seed).linearize() {
+            fnv_id(&mut h, e.id());
+        }
+    }
+    assert_eq!(h, LINEARIZER_ORDER_PIN, "actual: {h:#018x}");
+}
