@@ -47,7 +47,7 @@ pub mod shard;
 pub mod wire;
 
 pub use client::{register_patterns, Client, Tail};
-pub use engine::{EngineCore, EngineOp, NetClock, OutQueue, SlowAction, SystemClock};
+pub use engine::{EngineCore, EngineOp, NetClock, OutQueue, SystemClock};
 pub use server::{ServeConfig, ServeReport, Server, ServerHandle};
 pub use shard::{route_of, DeliverOut, FaultHooks, ShardGroup};
 pub use wire::{

@@ -10,7 +10,7 @@
 use ocep_core::{
     GuardConfig, MetricValue, MetricsSnapshot, MonitorConfig, MonitorSet, SubsetPolicy,
 };
-use ocep_net::wire::encode_body;
+use ocep_net::wire::{encode_body, read_frame};
 use ocep_net::{
     Decoded, EngineCore, Frame, Mode, NetClock, OutQueue, ServeConfig, Server, SystemClock, Tail,
     WireError,
@@ -19,7 +19,6 @@ use ocep_pattern::Pattern;
 use ocep_poet::{Event, EventKind, PoetServer};
 use ocep_vclock::TraceId;
 use std::collections::HashMap;
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 const PATTERN: &str = "A := [*, a, *]; pattern := A;";
@@ -64,6 +63,17 @@ fn labeled(s: &MetricsSnapshot, family: &str, key: &str, val: &str) -> u64 {
         .sum()
 }
 
+/// Every frame queued on `out`, which is drained.
+fn frames(out: &OutQueue) -> Vec<Frame> {
+    let bytes = out.drain();
+    let mut rest = bytes.as_slice();
+    let mut frames = Vec::new();
+    while !rest.is_empty() {
+        frames.push(read_frame(&mut rest).expect("the engine queues whole frames"));
+    }
+    frames
+}
+
 /// Runs 20 single-event data frames through an engine whose only tail
 /// never drains its 4-slot queue; returns the final report and the
 /// tail's queue for inspection.
@@ -73,18 +83,13 @@ fn run_stalled_tail() -> (ocep_net::ServeReport, OutQueue) {
         ..ServeConfig::default()
     };
     let clock: Arc<dyn NetClock> = Arc::new(SystemClock::new());
-    let mut core = EngineCore::new(
-        guarded_set(),
-        config.clone(),
-        Arc::clone(&clock),
-        Arc::new(AtomicU64::new(0)),
-    );
+    let mut core = EngineCore::new(guarded_set(), config.clone(), Arc::clone(&clock));
 
     let decoded = |frame: Frame| Decoded::Frame {
         bytes: 4 + encode_body(&frame).len() as u64,
         frame,
     };
-    let tail_out = OutQueue::new(config.subscriber_queue);
+    let tail_out = OutQueue::new();
     core.on_accepted(0, "sim-tail".into(), tail_out.clone());
     let hello = Frame::Hello {
         mode: Mode::Tail,
@@ -93,10 +98,10 @@ fn run_stalled_tail() -> (ocep_net::ServeReport, OutQueue) {
     };
     assert!(!core.on_decoded(0, decoded(hello), clock.now_ns()));
     // The tail reads its handshake ack, then stalls forever.
-    let handshake = tail_out.drain();
+    let handshake = frames(&tail_out);
     assert!(matches!(handshake.as_slice(), [Frame::Ack { .. }]));
 
-    let prod_out = OutQueue::new(config.subscriber_queue);
+    let prod_out = OutQueue::new();
     core.on_accepted(1, "sim-producer".into(), prod_out.clone());
     let hello = Frame::Hello {
         mode: Mode::Producer,
@@ -143,7 +148,7 @@ fn reject_policy_drops_newest_with_exact_counts() {
     );
     // The stalled queue holds the *first* four verdicts, then the final
     // stats report `finish` broadcasts to every open connection.
-    let kept = tail_out.drain();
+    let kept = frames(&tail_out);
     let binding = |f: &Frame| match f {
         Frame::Verdict(v) => v.bindings.clone(),
         other => panic!("non-verdict {other:?} in tail queue"),
@@ -152,6 +157,39 @@ fn reject_policy_drops_newest_with_exact_counts() {
     assert!(matches!(kept.last(), Some(Frame::StatsReport(_))));
     assert_eq!(binding(&kept[0]), vec![(0, 1)]);
     assert_eq!(binding(&kept[3]), vec![(0, 4)]);
+}
+
+/// A connection whose queue closed before its hello (its writer died
+/// at once) is sent nothing, and nothing is counted as sent to it.
+#[test]
+fn a_closed_queue_is_sent_and_charged_nothing() {
+    let clock: Arc<dyn NetClock> = Arc::new(SystemClock::new());
+    let mut core = EngineCore::new(guarded_set(), ServeConfig::default(), Arc::clone(&clock));
+    let out = OutQueue::new();
+    out.close();
+    core.on_accepted(0, "gone".into(), out.clone());
+    for frame in [
+        Frame::Hello {
+            mode: Mode::Producer,
+            n_traces: 1,
+            name: "gone".into(),
+        },
+        Frame::StatsReq,
+        Frame::Ack { credits: 1 },
+    ] {
+        let decoded = Decoded::Frame {
+            bytes: 4 + encode_body(&frame).len() as u64,
+            frame,
+        };
+        assert!(!core.on_decoded(0, decoded, clock.now_ns()));
+    }
+    let report = core.finish();
+    assert_eq!(out.frames(), 0);
+    assert!(out.drain().is_empty());
+    let m = &report.metrics;
+    assert_eq!(labeled(m, "ocep_net_frames_total", "dir", "out"), 0);
+    assert_eq!(labeled(m, "ocep_net_bytes_total", "dir", "out"), 0);
+    assert_eq!(labeled(m, "ocep_net_frames_total", "dir", "in"), 3);
 }
 
 // ---------------------------------------------------------------------

@@ -9,6 +9,7 @@
 //! collection.
 
 use crate::{Event, TraceStore};
+use ocep_rng::Rng;
 use ocep_vclock::EventId;
 
 /// Produces seeded, uniformly shuffled valid linearizations of a
@@ -58,7 +59,10 @@ impl<'a> Linearizer<'a> {
     #[must_use]
     pub fn linearize(&self) -> Vec<Event> {
         let n = self.store.n_traces();
-        let mut rng = SplitMix64::new(self.seed);
+        // Offset by one golden-ratio step so every seed keeps the stream
+        // of the SplitMix64 this linearizer used before it shared the
+        // workspace generator.
+        let mut rng = Rng::seed_from_u64(self.seed.wrapping_add(0x9e37_79b9_7f4a_7c15));
         // Next unemitted index per trace (0-based into trace_events).
         let mut cursor = vec![0usize; n];
         let mut emitted_count = 0usize;
@@ -86,7 +90,7 @@ impl<'a> Linearizer<'a> {
                 !ready.is_empty(),
                 "partial order has a cycle or a dangling partner"
             );
-            let pick = ready[(rng.next() % ready.len() as u64) as usize];
+            let pick = ready[(rng.next_u64() % ready.len() as u64) as usize];
             let t = ocep_vclock::TraceId::new(pick as u32);
             let ev = self
                 .store
@@ -133,25 +137,6 @@ impl EmittedSet {
             .get(id.index().get() as usize - 1)
             .copied()
             .unwrap_or(false)
-    }
-}
-
-/// SplitMix64: tiny deterministic PRNG so the tracer crate does not need
-/// an external RNG dependency.
-#[derive(Debug)]
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        SplitMix64(seed.wrapping_add(0x9E37_79B9_7F4A_7C15))
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
     }
 }
 

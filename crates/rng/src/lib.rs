@@ -4,10 +4,9 @@
 //! simulator, the benchmark harness, and above all the conformance
 //! fuzzer — must be reproducible from a single `u64` seed with no
 //! wall-clock or OS entropy. This crate provides that: a SplitMix64
-//! generator (the same algorithm `poet::Linearizer` uses for
-//! tie-breaking) wrapped in the handful of sampling helpers the
-//! workspace needs (`gen_range`, `gen_bool`, `shuffle`, `choose`,
-//! stream forking).
+//! generator (the one `poet::Linearizer` draws its tie-breaks from)
+//! wrapped in the handful of sampling helpers the workspace needs
+//! (`gen_range`, `gen_bool`, `shuffle`, `choose`, stream forking).
 //!
 //! SplitMix64 passes BigCrush on its own and its 2^64 period is far
 //! beyond anything a fuzzing run can exhaust; for differential testing

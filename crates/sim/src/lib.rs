@@ -10,7 +10,10 @@
 //! through in-memory queues. Inbound bytes take the server's own path:
 //! a push-based [`ocep_net::FrameDecoder`] per connection, whose every
 //! outcome goes to [`ocep_net::EngineCore::on_decoded`], as on a TCP
-//! reader thread.
+//! reader thread. Outbound bytes are the engine's own: each client
+//! drains its connection's [`ocep_net::OutQueue`], as a TCP writer
+//! thread takes it, and producers read the frames back with
+//! `wire::read_frame`, as `Client` does.
 //!
 //! A seeded fault plan injects wire corruption, frame duplication and
 //! reorder, partitions with reconnect-and-resend, slow tails whose full

@@ -18,7 +18,7 @@ use crate::sched::{Scheduler, Step};
 use ocep_conformance::{nth_case, Action, Case, Fingerprint};
 use ocep_core::ingest::GuardConfig;
 use ocep_core::{save_set, Match, MonitorSet};
-use ocep_net::wire::write_frame;
+use ocep_net::wire::{read_frame, write_frame};
 use ocep_net::{
     Decoded, EngineCore, EngineOp, FaultCode, FaultHooks, Frame, FrameDecoder, Mode, NetClock,
     OutQueue, ServeConfig, StatsReport,
@@ -210,7 +210,6 @@ struct TailSub {
     out: OutQueue,
     decoder: FrameDecoder,
     stalled_until: u64,
-    verdicts_seen: u64,
     rng: Rng,
 }
 
@@ -388,7 +387,6 @@ struct World {
     sources: HashMap<String, String>,
     clock: Arc<VirtualClock>,
     core: EngineCore,
-    bytes_out: Arc<AtomicU64>,
     sched: Scheduler,
     producers: Vec<Producer>,
     tails: Vec<TailSub>,
@@ -434,7 +432,7 @@ impl World {
     fn reconnect_producer(&mut self, id: usize) {
         let conn = self.next_conn;
         self.next_conn += 1;
-        let out = OutQueue::new(self.serve.subscriber_queue);
+        let out = OutQueue::new();
         self.core
             .on_accepted(conn, format!("sim-producer-{id}"), out.clone());
         let p = &mut self.producers[id];
@@ -452,7 +450,7 @@ impl World {
     fn connect_tail(&mut self, id: usize) {
         let conn = self.next_conn;
         self.next_conn += 1;
-        let out = OutQueue::new(self.serve.subscriber_queue);
+        let out = OutQueue::new();
         self.core
             .on_accepted(conn, format!("sim-tail-{id}"), out.clone());
         {
@@ -492,16 +490,14 @@ impl World {
                 return;
             }
         }
-        // Drain inbound control traffic (acks, faults, stats).
-        let drained = self.producers[id].out.drain();
-        for f in &drained {
-            self.bytes_out
-                .fetch_add(framed(f).len() as u64, Ordering::Relaxed);
-        }
+        // Read inbound control traffic (acks, faults, stats) the way a
+        // client does: the engine only ever queues whole frames.
         {
             let p = &mut self.producers[id];
-            for f in drained {
-                match f {
+            let drained = p.out.drain();
+            let mut rest = drained.as_slice();
+            while !rest.is_empty() {
+                match read_frame(&mut rest).expect("the engine queues whole frames") {
                     Frame::Ack { credits } => p.credits += credits,
                     // A quarantined frame is never acked; the decode
                     // fault is the signal to return that credit.
@@ -587,20 +583,6 @@ impl World {
         self.sched.schedule(now + delay, Step::Producer { id, gen });
     }
 
-    fn drain_tail(&mut self, id: usize) {
-        let frames = self.tails[id].out.drain();
-        for f in &frames {
-            self.bytes_out
-                .fetch_add(framed(f).len() as u64, Ordering::Relaxed);
-        }
-        let t = &mut self.tails[id];
-        for f in frames {
-            if matches!(f, Frame::Verdict(_)) {
-                t.verdicts_seen += 1;
-            }
-        }
-    }
-
     fn step_tail(&mut self, id: usize, gen: u32) {
         let now = self.clock.now_ns();
         if self.tails[id].gen != gen {
@@ -617,7 +599,8 @@ impl World {
             self.sched.schedule(now + 10_000, Step::Tail { id, gen });
             return;
         }
-        self.drain_tail(id);
+        // The tail reads and discards whatever the engine queued.
+        let _ = self.tails[id].out.drain();
         if !self.all_producers_done() {
             let delay = 3_000 + self.tails[id].rng.gen_range(0u64..3_000);
             self.sched.schedule(now + delay, Step::Tail { id, gen });
@@ -657,12 +640,7 @@ impl World {
         let dynclock: Arc<dyn NetClock> = Arc::clone(&self.clock) as Arc<dyn NetClock>;
         // Replace (and thereby drop) the dying incarnation before the
         // replacement scans the log directory.
-        self.core = EngineCore::new(
-            set,
-            self.serve.clone(),
-            dynclock,
-            Arc::clone(&self.bytes_out),
-        );
+        self.core = EngineCore::new(set, self.serve.clone(), dynclock);
         if let Err(e) = self.core.recover_wal() {
             self.failure = Some(format!("restart failed to recover log: {e}"));
             return;
@@ -866,9 +844,8 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
         ..ServeConfig::default()
     };
     let clock = Arc::new(VirtualClock::new());
-    let bytes_out = Arc::new(AtomicU64::new(0));
     let dynclock: Arc<dyn NetClock> = Arc::clone(&clock) as Arc<dyn NetClock>;
-    let mut core = EngineCore::new(set, serve.clone(), dynclock, Arc::clone(&bytes_out));
+    let mut core = EngineCore::new(set, serve.clone(), dynclock);
     core.group().set_fault_hooks(FaultHooks {
         drop_next_append: cfg.wal_sabotage,
     });
@@ -899,7 +876,6 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
         sources,
         clock,
         core,
-        bytes_out,
         sched: Scheduler::new(),
         producers: Vec::new(),
         tails: Vec::new(),
@@ -919,7 +895,7 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
         world.producers.push(Producer {
             gen: 0,
             conn: 0,
-            out: OutQueue::new(1),
+            out: OutQueue::new(),
             decoder: FrameDecoder::new(),
             plan: Vec::new(),
             pos: 0,
@@ -941,10 +917,9 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
         world.tails.push(TailSub {
             gen: 0,
             conn: 0,
-            out: OutQueue::new(1),
+            out: OutQueue::new(),
             decoder: FrameDecoder::new(),
             stalled_until: 0,
-            verdicts_seen: 0,
             rng: Rng::seed_from_u64(0),
         });
         world.connect_tail(id);
@@ -985,20 +960,10 @@ pub fn run_sim(config: &SimConfig) -> SimOutcome {
         }
     }
 
-    // Quiescent: graceful shutdown, then the final queue drains.
+    // Quiescent: graceful shutdown.
     let report = world.core.finish();
     for op in world.core.take_journal() {
         world.ops.push(op.into());
-    }
-    for id in 0..world.tails.len() {
-        world.drain_tail(id);
-    }
-    for p in &world.producers {
-        for f in p.out.drain() {
-            world
-                .bytes_out
-                .fetch_add(framed(&f).len() as u64, Ordering::Relaxed);
-        }
     }
 
     if world.cfg.sabotage {
