@@ -308,6 +308,51 @@ fn guarded_check_output_is_pinned_to_the_parent() {
     }
 }
 
+/// `tests/corpus/cli/offline/expected/*.txt` were written by commit
+/// 7a7f463's binary, in the format of the parent-guarded transcripts:
+/// `replay` of a pattern over the committed `parent-shards0` log (read
+/// only), `ingest` of a recording into two monitors one event at a
+/// time, and `checkpoint` without a guard flag (the output file is
+/// `plain.ckpt`). Every offline subcommand must reprint them exactly.
+#[test]
+fn offline_runs_are_pinned_to_the_parent() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let out_ckpt = tmp("pinned-offline-plain.ckpt");
+    let out_ckpt = out_ckpt.to_str().unwrap();
+    let mut cases: Vec<_> = std::fs::read_dir(root.join("tests/corpus/cli/offline/expected"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    cases.sort();
+    assert_eq!(cases.len(), 3, "{cases:?}");
+    for case in cases {
+        let text = std::fs::read_to_string(&case).unwrap();
+        let (head, rest) = text.split_once("\n--- stdout\n").unwrap();
+        let (want_out, want_err) = rest.split_once("\n--- stderr\n").unwrap();
+        let (cmd, exit) = head.split_once("\nexit ").unwrap();
+        let args: Vec<String> = cmd
+            .strip_prefix("$ ocep ")
+            .unwrap()
+            .split(' ')
+            .map(|a| a.replace("plain.ckpt", out_ckpt))
+            .collect();
+        let got = ocep().current_dir(root).args(&args).output().unwrap();
+        let text_of = |bytes: &[u8]| String::from_utf8_lossy(bytes).replace(out_ckpt, "plain.ckpt");
+        let name = case.display();
+        assert_eq!(
+            text_of(&got.stdout).trim_end(),
+            want_out.trim_end(),
+            "{name}: stdout"
+        );
+        assert_eq!(
+            text_of(&got.stderr).trim_end(),
+            want_err.trim_end(),
+            "{name}: stderr"
+        );
+        assert_eq!(got.status.code(), exit.trim().parse().ok(), "{name}: exit");
+    }
+}
+
 #[test]
 fn fault_fuzz_smoke_is_clean() {
     let out = ocep()
