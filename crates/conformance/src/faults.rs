@@ -26,14 +26,17 @@
 //!
 //! Checkpoint/restore rides the same differential style:
 //! [`check_checkpoint_restart`] cuts a run mid-stream, round-trips the
-//! guarded set through [`MonitorSet::checkpoint_set`], and requires the
-//! resumed run to be indistinguishable — down to byte-identical final
-//! checkpoints — from the uninterrupted one.
+//! guarded set through [`save_set_at`] and [`load_set_at`], and requires
+//! the resumed run to be indistinguishable — down to byte-identical
+//! final checkpoints — from the uninterrupted one.
 
 use crate::case::Case;
 use crate::diff::{CheckConfig, Invariant, Mismatch};
 use crate::fuzz::{case_seed, nth_case};
-use ocep_core::{GuardConfig, Monitor, MonitorConfig, MonitorSet, OverflowPolicy, SubsetPolicy};
+use ocep_core::{
+    load_set_at, save_set_at, GuardConfig, Monitor, MonitorConfig, MonitorSet, OverflowPolicy,
+    SubsetPolicy,
+};
 use ocep_pattern::Pattern;
 use ocep_poet::{Event, EventKind};
 use ocep_rng::Rng;
@@ -589,8 +592,8 @@ pub fn check_checkpoint_restart(
         resumed_verdicts.extend(verdicts(resumed.observe_raw(e)));
     }
 
-    let bytes = resumed.checkpoint_set(&sources);
-    let (mut resumed, embedded) = MonitorSet::restore_set(&bytes).map_err(|e| Mismatch {
+    let bytes = save_set_at(&resumed, &sources, 0);
+    let (mut resumed, embedded, _) = load_set_at(&bytes).map_err(|e| Mismatch {
         invariant: Invariant::CheckpointRestore,
         detail: format!("checkpoint failed to restore: {e}"),
     })?;
@@ -621,8 +624,8 @@ pub fn check_checkpoint_restart(
             detail: format!("final subsets diverged after restart at event {cut}"),
         });
     }
-    let a = straight.checkpoint_set(&sources);
-    let b = resumed.checkpoint_set(&sources);
+    let a = save_set_at(&straight, &sources, 0);
+    let b = save_set_at(&resumed, &sources, 0);
     if a != b {
         return Err(Mismatch {
             invariant: Invariant::CheckpointRestore,

@@ -301,26 +301,6 @@ impl Client {
     }
 }
 
-/// One-shot helper: connects as producer session `{tenant}-register`,
-/// registers `patterns` for `tenant`, and returns the tenant's live
-/// pattern count plus any per-pattern rejection faults.
-///
-/// # Errors
-///
-/// Transport or protocol failures (individual pattern rejections are
-/// returned, not raised).
-pub fn register_patterns(
-    addr: &str,
-    n_traces: usize,
-    tenant: &str,
-    patterns: &[(String, String)],
-) -> Result<(u32, Vec<(FaultCode, String)>), WireError> {
-    let mut client = Client::connect(addr, n_traces, &format!("{tenant}-register"))?;
-    let live = client.register(tenant, patterns)?;
-    let faults = client.take_faults();
-    Ok((live, faults))
-}
-
 /// A verdict subscription: connects in tail mode and yields the frames
 /// the server streams (verdicts, faults, the final stats report).
 #[derive(Debug)]

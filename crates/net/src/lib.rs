@@ -46,7 +46,7 @@ pub mod server;
 pub mod shard;
 pub mod wire;
 
-pub use client::{register_patterns, Client, Tail};
+pub use client::{Client, Tail};
 pub use engine::{EngineCore, EngineOp, NetClock, OutQueue, SystemClock};
 pub use server::{ServeConfig, ServeReport, Server, ServerHandle};
 pub use shard::{route_of, DeliverOut, FaultHooks, ShardGroup};

@@ -54,7 +54,7 @@ pub struct FaultHooks {
     pub drop_next_append: bool,
 }
 
-/// What [`ShardGroup::deliver`] (and batch/flush) hands back to the
+/// What [`ShardGroup::deliver_batch`] (and flush) hands back to the
 /// engine.
 pub struct DeliverOut {
     /// Verdicts in report order: by arrival, then by registration.
@@ -235,19 +235,10 @@ impl ShardGroup {
 
     // ---- ingest -------------------------------------------------------
 
-    /// Logs one raw event, admits it, and matches whatever the guard
-    /// released.
-    pub fn deliver(&mut self, session: &str, event: &Event) -> DeliverOut {
-        self.deliver_raw(session, std::slice::from_ref(event))
-    }
-
-    /// [`ShardGroup::deliver`] for a whole frame: bit-identical to
-    /// delivering its events one by one, with one guard pass.
+    /// Logs a frame's raw events, admits them in one guard pass, and
+    /// matches whatever the guard released: bit-identical to delivering
+    /// the events one by one.
     pub fn deliver_batch(&mut self, session: &str, events: Vec<Event>) -> DeliverOut {
-        self.deliver_raw(session, &events)
-    }
-
-    fn deliver_raw(&mut self, session: &str, events: &[Event]) -> DeliverOut {
         let logged = events
             .iter()
             .filter(|e| self.append_deliver(session, e))
@@ -255,7 +246,7 @@ impl ShardGroup {
         if logged > 0 {
             *self.durable.entry(session.to_owned()).or_insert(0) += logged as u64;
         }
-        let verdicts = self.set.observe_raw_batch(events);
+        let verdicts = self.set.observe_raw_batch(&events);
         self.retain(verdicts)
     }
 
@@ -349,7 +340,7 @@ impl ShardGroup {
 
     /// The whole set — every monitor with a known source plus the
     /// guard's reorder state — as one `OCKS` blob, what
-    /// [`ocep_core::save_set`] writes.
+    /// [`ocep_core::save_set_at`] writes at anchor 0.
     #[must_use]
     pub fn checkpoint_set(&self) -> Vec<u8> {
         save_set_at(&self.set, &self.sources, 0)
@@ -636,7 +627,7 @@ mod tests {
     fn group_names(group: &mut ShardGroup, stream: &[Event]) -> Vec<String> {
         let mut names = Vec::new();
         for e in stream {
-            let out = group.deliver("s", e);
+            let out = group.deliver_batch("s", vec![e.clone()]);
             names.extend(out.verdicts.into_iter().map(|(n, _)| n));
         }
         names.extend(group.flush().verdicts.into_iter().map(|(n, _)| n));
@@ -726,7 +717,13 @@ mod tests {
         group.recover(&tmp, Durability::None).unwrap();
         let mut names: Vec<String> = Vec::new();
         for e in &stream[..2] {
-            names.extend(group.deliver("s", e).verdicts.into_iter().map(|(n, _)| n));
+            names.extend(
+                group
+                    .deliver_batch("s", vec![e.clone()])
+                    .verdicts
+                    .into_iter()
+                    .map(|(n, _)| n),
+            );
         }
         assert_eq!(group.durable("s"), 2);
         assert_eq!(group.wal_append_errors(), 0);
@@ -744,7 +741,13 @@ mod tests {
         assert!(group.unregister("t0/padded"));
 
         for e in &stream[2..] {
-            names.extend(group.deliver("s", e).verdicts.into_iter().map(|(n, _)| n));
+            names.extend(
+                group
+                    .deliver_batch("s", vec![e.clone()])
+                    .verdicts
+                    .into_iter()
+                    .map(|(n, _)| n),
+            );
         }
         names.extend(group.flush().verdicts.into_iter().map(|(n, _)| n));
         assert_eq!(names, reference, "ingest continues");

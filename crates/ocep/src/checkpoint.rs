@@ -9,7 +9,7 @@
 //! (events observed): a resuming driver replays the recorded stream and
 //! skips that many. The admission guard's reorder state belongs to the
 //! set in front of the monitors and travels in the set checkpoint
-//! ([`save_set`]).
+//! ([`save_set_at`]).
 //!
 //! The byte format is built on the shared codec of the POET dump and
 //! the OCWP wire (`ocep_poet::codec`; `docs/WIRE.md`, "Record grammar"):
@@ -52,7 +52,7 @@
 //! Version 3 appends a trailing `wal_lsn u64`: the durable-log position
 //! this checkpoint is anchored at (see `docs/DURABILITY.md`). A recovery
 //! replays the log strictly after that LSN. Version 1/2 checkpoints load
-//! with `wal_lsn = 0`, and [`save`] (which has no log) writes 0.
+//! with `wal_lsn = 0`, and a checkpoint taken outside a log is saved at 0.
 //!
 //! The two single `reserved` slots held `MonitorConfig::parallelism` and
 //! `MonitorStats::degraded_arrivals` while the §VI worker pool existed.
@@ -61,7 +61,7 @@
 //! are unchanged.
 //!
 //! The guard flag, the last twelve stats slots and the `guard` section
-//! date from when a `Monitor` could own an admission guard. [`save`]
+//! date from when a `Monitor` could own an admission guard. [`save_at`]
 //! writes what an unguarded monitor always wrote — flag `0`, twelve
 //! zeros, no section. A file written with the flag set still loads:
 //! [`load_at`] hands the guard back for the caller to put in front of a
@@ -422,16 +422,10 @@ fn checked_event(
 }
 
 /// Serializes `monitor` (monitoring the pattern whose source text is
-/// `pattern_src`) to the checkpoint format, anchored at `wal_lsn = 0`
-/// (for checkpoints taken outside a durable log).
-#[must_use]
-pub fn save(monitor: &Monitor, pattern_src: &str) -> Vec<u8> {
-    save_at(monitor, pattern_src, 0)
-}
-
-/// Serializes `monitor` anchored at log position `wal_lsn`: a recovery
+/// `pattern_src`; embedded so a load can rebuild the pattern) to the
+/// checkpoint format, anchored at log position `wal_lsn`: a recovery
 /// restores the checkpoint and replays the durable log strictly after
-/// that LSN.
+/// that LSN. A checkpoint taken outside a durable log is anchored at 0.
 #[must_use]
 pub fn save_at(monitor: &Monitor, pattern_src: &str, wal_lsn: u64) -> Vec<u8> {
     let n_traces = monitor.history.n_traces();
@@ -526,22 +520,9 @@ pub fn save_at(monitor: &Monitor, pattern_src: &str, wal_lsn: u64) -> Vec<u8> {
     buf
 }
 
-/// Decodes a checkpoint back into a live [`Monitor`], returning it with
-/// the pattern source it was monitoring (so a resuming driver can verify
-/// it matches the pattern file it was invoked with).
-///
-/// # Errors
-///
-/// [`CheckpointError::Format`] on malformed bytes (with a byte offset),
-/// [`CheckpointError::Invalid`] on well-formed bytes that describe an
-/// inconsistent monitor — or a monitor that owned an admission guard,
-/// whose reorder state only [`load_at`] can hand over. Never panics.
-pub fn load(data: &[u8]) -> Result<(Monitor, String), CheckpointError> {
-    let loaded = load_unguarded(data)?;
-    Ok((loaded.monitor, loaded.pattern_src))
-}
-
-/// [`load_at`] for callers with nowhere to put a guard.
+/// [`load_at`] for callers with nowhere to put a guard: a blob whose
+/// monitor owned one is [`CheckpointError::Invalid`], since only
+/// [`load_at`] can hand its reorder state over.
 fn load_unguarded(data: &[u8]) -> Result<LoadedMonitor, CheckpointError> {
     let loaded = load_at(data)?;
     if loaded.guard.is_some() {
@@ -569,16 +550,20 @@ pub struct LoadedMonitor {
     /// the [`MonitorSet`] the monitor joins
     /// ([`MonitorSet::install_guard`]). `monitor.stats().events` of such
     /// a file counts raw arrivals, not admitted events. `None` for
-    /// everything [`save`] writes now.
+    /// everything [`save_at`] writes now.
     pub guard: Option<AdmissionGuard>,
 }
 
-/// Like [`load`], but also returns the `wal_lsn` anchor and accepts a
-/// checkpoint whose monitor owned an admission guard.
+/// Decodes a checkpoint back into a live [`Monitor`], returning it with
+/// the pattern source it was monitoring (so a resuming driver can verify
+/// it matches the pattern file it was invoked with), its `wal_lsn`
+/// anchor and the admission guard it owned, if any.
 ///
 /// # Errors
 ///
-/// See [`load`].
+/// [`CheckpointError::Format`] on malformed bytes (with a byte offset),
+/// [`CheckpointError::Invalid`] on well-formed bytes that describe an
+/// inconsistent monitor. Never panics.
 pub fn load_at(data: &[u8]) -> Result<LoadedMonitor, CheckpointError> {
     let mut r = Reader::new(data);
     r.magic(MAGIC)?;
@@ -737,7 +722,8 @@ pub fn load_at(data: &[u8]) -> Result<LoadedMonitor, CheckpointError> {
 ///
 /// # Errors
 ///
-/// See [`load`]; stripping decodes the checkpoint first.
+/// See [`load_at`]; stripping decodes the checkpoint first, and refuses
+/// one whose monitor owned an admission guard.
 pub fn strip_metrics(data: &[u8]) -> Result<Vec<u8>, CheckpointError> {
     let mut loaded = load_unguarded(data)?;
     loaded.monitor.set_obs_metrics(None);
@@ -746,27 +732,6 @@ pub fn strip_metrics(data: &[u8]) -> Result<Vec<u8>, CheckpointError> {
         &loaded.pattern_src,
         loaded.wal_lsn,
     ))
-}
-
-impl Monitor {
-    /// Serializes this monitor's full matching state (see the
-    /// [module docs](crate::checkpoint)). `pattern_src` is the source
-    /// text of the pattern being monitored, embedded so restore can
-    /// rebuild and cross-check it.
-    #[must_use]
-    pub fn checkpoint(&self, pattern_src: &str) -> Vec<u8> {
-        save(self, pattern_src)
-    }
-
-    /// Restores a monitor from [`Monitor::checkpoint`] bytes; returns it
-    /// with the embedded pattern source.
-    ///
-    /// # Errors
-    ///
-    /// See [`load`].
-    pub fn restore(data: &[u8]) -> Result<(Monitor, String), CheckpointError> {
-        load(data)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -778,13 +743,15 @@ const SET_VERSION: u16 = 2;
 
 /// Serializes a whole [`MonitorSet`] — every registered monitor plus the
 /// set-level admission guard's reorder state and counters — to one
-/// `OCKS` blob. This is the serve daemon's unit of crash recovery: a set
-/// restored from it and fed the remainder of the stream produces
+/// `OCKS` blob anchored at durable-log position `wal_lsn` (0 when
+/// log-less): a recovery restores the set and replays the log strictly
+/// after that LSN. This is the serve daemon's unit of crash recovery: a
+/// set restored from it and fed the remainder of the stream produces
 /// bit-identical verdicts, subsets, and `IngestStats` to one that never
 /// stopped.
 ///
 /// `sources` maps monitor names to the pattern source each is
-/// monitoring (the per-monitor [`save`] format embeds the source so
+/// monitoring (the per-monitor [`save_at`] format embeds the source so
 /// restore can rebuild the pattern). Monitors without an entry are
 /// skipped, mirroring the serve daemon's per-file checkpoint policy.
 ///
@@ -792,20 +759,12 @@ const SET_VERSION: u16 = 2;
 /// magic     [u8;4] = b"OCKS", version u16 = 2
 /// n_traces  u32
 /// monitors  u32 count; per monitor: name str, u32-len-prefixed
-///           OCKP blob (see [`save`])
+///           OCKP blob (see [`save_at`])
 /// guard     u8 flag; iff 1: capacity u64, overflow u8,
 ///           admitted u32×n_traces, u32 buffered + one record each
 ///           (inline strings, full clock), 12 × u64 ingest stats
 /// wal_lsn   u64 (version ≥ 2) — durable-log anchor; 0 when log-less
 /// ```
-#[must_use]
-pub fn save_set(set: &MonitorSet, sources: &HashMap<String, String>) -> Vec<u8> {
-    save_set_at(set, sources, 0)
-}
-
-/// Like [`save_set`], anchored at durable-log position `wal_lsn`: a
-/// recovery restores the set and replays the log strictly after that
-/// LSN.
 #[must_use]
 pub fn save_set_at(set: &MonitorSet, sources: &HashMap<String, String>, wal_lsn: u64) -> Vec<u8> {
     let monitors: Vec<(&str, &Monitor, &str)> = set
@@ -819,7 +778,7 @@ pub fn save_set_at(set: &MonitorSet, sources: &HashMap<String, String>, wal_lsn:
 
     put_u32(&mut buf, monitors.len() as u32);
     for (name, m, src) in monitors {
-        let blob = save(m, src);
+        let blob = save_at(m, src, 0);
         put_str(&mut buf, name);
         put_u32(&mut buf, blob.len() as u32);
         buf.extend_from_slice(&blob);
@@ -849,15 +808,19 @@ pub fn save_set_at(set: &MonitorSet, sources: &HashMap<String, String>, wal_lsn:
     buf
 }
 
-/// Decodes [`save_set`] bytes back into a live [`MonitorSet`], returning
-/// it with the `(name, pattern_src)` pairs that were embedded (so a
-/// resuming daemon can cross-check them against its configuration).
+/// [`save_set_at`] at anchor 0; kept because the repository benchmark
+/// links it.
+#[must_use]
+pub fn save_set(set: &MonitorSet, sources: &HashMap<String, String>) -> Vec<u8> {
+    save_set_at(set, sources, 0)
+}
+
+/// [`load_set_at`] without the anchor; kept because the repository
+/// benchmark links it.
 ///
 /// # Errors
 ///
-/// [`CheckpointError::Format`] on malformed bytes (with a byte offset),
-/// [`CheckpointError::Invalid`] on well-formed bytes describing an
-/// inconsistent set. Never panics.
+/// See [`load_set_at`].
 pub fn load_set(data: &[u8]) -> Result<(MonitorSet, Vec<(String, String)>), CheckpointError> {
     load_set_at(data).map(|(set, sources, _)| (set, sources))
 }
@@ -866,12 +829,18 @@ pub fn load_set(data: &[u8]) -> Result<(MonitorSet, Vec<(String, String)>), Chec
 /// checkpoint's `wal_lsn` log anchor.
 pub type LoadedSet = (MonitorSet, Vec<(String, String)>, u64);
 
-/// Like [`load_set`], but also returns the `wal_lsn` anchor (0 for
-/// version-1 checkpoints and log-less saves).
+/// Decodes [`save_set_at`] bytes back into a live [`MonitorSet`],
+/// returning it with the `(name, pattern_src)` pairs that were embedded
+/// (so a resuming daemon can cross-check them against its
+/// configuration) and the `wal_lsn` anchor (0 for version-1 checkpoints
+/// and log-less saves).
 ///
 /// # Errors
 ///
-/// See [`load_set`].
+/// [`CheckpointError::Format`] on malformed bytes (with a byte offset),
+/// [`CheckpointError::Invalid`] on well-formed bytes describing an
+/// inconsistent set — or holding a monitor that owned an admission
+/// guard. Never panics.
 pub fn load_set_at(data: &[u8]) -> Result<LoadedSet, CheckpointError> {
     let mut r = Reader::new(data);
     r.magic(SET_MAGIC)?;
@@ -891,20 +860,20 @@ pub fn load_set_at(data: &[u8]) -> Result<LoadedSet, CheckpointError> {
         let name = r.str("monitor name")?.to_string();
         let blob_len = r.u32("monitor blob length")? as usize;
         let blob = r.bytes(blob_len, "monitor blob")?;
-        let (monitor, src) = load(blob).map_err(|e| match e {
+        let loaded = load_unguarded(blob).map_err(|e| match e {
             CheckpointError::Format(f) => {
                 CheckpointError::Invalid(format!("monitor {i} ({name}) blob is malformed: {f}"))
             }
             other => other,
         })?;
-        if monitor.history.n_traces() != n_traces {
+        if loaded.monitor.history.n_traces() != n_traces {
             return Err(CheckpointError::Invalid(format!(
                 "monitor {i} ({name}) spans {} traces in a {n_traces}-trace set",
-                monitor.history.n_traces()
+                loaded.monitor.history.n_traces()
             )));
         }
-        set.insert_monitor(name.clone(), monitor);
-        sources.push((name, src));
+        set.insert_monitor(name.clone(), loaded.monitor);
+        sources.push((name, loaded.pattern_src));
     }
 
     if r.u8("set guard flag")? != 0 {
@@ -925,28 +894,6 @@ pub fn load_set_at(data: &[u8]) -> Result<LoadedSet, CheckpointError> {
 
     r.finish()?;
     Ok((set, sources, wal_lsn))
-}
-
-impl MonitorSet {
-    /// Serializes this whole set (see [`save_set`]). `sources` maps
-    /// monitor names to the pattern source each is monitoring; monitors
-    /// without an entry are skipped.
-    #[must_use]
-    pub fn checkpoint_set(&self, sources: &HashMap<String, String>) -> Vec<u8> {
-        save_set(self, sources)
-    }
-
-    /// Restores a set from [`MonitorSet::checkpoint_set`] bytes; returns
-    /// it with the embedded `(name, pattern_src)` pairs.
-    ///
-    /// # Errors
-    ///
-    /// See [`load_set`].
-    pub fn restore_set(
-        data: &[u8],
-    ) -> Result<(MonitorSet, Vec<(String, String)>), CheckpointError> {
-        load_set(data)
-    }
 }
 
 #[cfg(test)]
@@ -999,8 +946,12 @@ mod tests {
             straight.observe(e);
             first_half.observe(e);
         }
-        let bytes = first_half.checkpoint(PATTERN);
-        let (mut resumed, src) = Monitor::restore(&bytes).unwrap();
+        let bytes = save_at(&first_half, PATTERN, 0);
+        let LoadedMonitor {
+            monitor: mut resumed,
+            pattern_src: src,
+            ..
+        } = load_at(&bytes).unwrap();
         assert_eq!(src, PATTERN);
         assert_eq!(resumed.stats(), first_half.stats());
         assert_eq!(resumed.history_size(), first_half.history_size());
@@ -1028,7 +979,7 @@ mod tests {
             "/../../tests/corpus/ockp/parent-guarded"
         );
         let bytes = std::fs::read(format!("{dir}/guarded-ahead.ockp")).unwrap();
-        let err = load(&bytes).unwrap_err();
+        let err = load_unguarded(&bytes).unwrap_err();
         assert!(
             err.to_string().contains("owned an admission guard"),
             "{err}"
@@ -1048,7 +999,7 @@ mod tests {
         set.insert_monitor("p", loaded.monitor);
         set.install_guard(guard);
         let sources = HashMap::from([("p".to_string(), loaded.pattern_src)]);
-        let (mut set, _) = MonitorSet::restore_set(&set.checkpoint_set(&sources)).unwrap();
+        let (mut set, _) = load_set(&save_set(&set, &sources)).unwrap();
         assert_eq!(set.guard().unwrap().buffered(), 2);
         let poet = ocep_poet::dump::reload_from_file(format!("{dir}/stream.poet")).unwrap();
         let mut reported = 0;
@@ -1078,8 +1029,10 @@ mod tests {
         let before = m.obs_metrics().expect("Full keeps a registry").clone();
         assert!(before.arrival_hist().count() > 0, "timers should have run");
         assert!(!before.recent().is_empty(), "ring should have records");
-        let bytes = m.checkpoint(PATTERN);
-        let (resumed, _) = Monitor::restore(&bytes).unwrap();
+        let bytes = save_at(&m, PATTERN, 0);
+        let LoadedMonitor {
+            monitor: resumed, ..
+        } = load_at(&bytes).unwrap();
         assert_eq!(resumed.config().obs, ObsLevel::Full);
         assert_eq!(resumed.obs_metrics(), Some(&before));
         assert_eq!(resumed.stats(), m.stats());
@@ -1092,7 +1045,7 @@ mod tests {
         for e in &events {
             m.observe(e);
         }
-        let v3 = m.checkpoint(PATTERN);
+        let v3 = save_at(&m, PATTERN, 0);
         assert_eq!(
             v3[v3.len() - 9..],
             [0u8; 9],
@@ -1102,13 +1055,21 @@ mod tests {
         // wal_lsn; a v1 file additionally drops the obs marker byte.
         let mut v2 = v3[..v3.len() - 8].to_vec();
         v2[4..6].copy_from_slice(&2u16.to_le_bytes());
-        let (resumed, src) = Monitor::restore(&v2).unwrap();
+        let LoadedMonitor {
+            monitor: resumed,
+            pattern_src: src,
+            ..
+        } = load_at(&v2).unwrap();
         assert_eq!(src, PATTERN);
         assert_eq!(resumed.stats(), m.stats());
         assert!(resumed.obs_metrics().is_none());
         let mut v1 = v3[..v3.len() - 9].to_vec();
         v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-        let (resumed, src) = Monitor::restore(&v1).unwrap();
+        let LoadedMonitor {
+            monitor: resumed,
+            pattern_src: src,
+            ..
+        } = load_at(&v1).unwrap();
         assert_eq!(src, PATTERN);
         assert_eq!(resumed.stats(), m.stats());
         assert!(resumed.obs_metrics().is_none());
@@ -1150,8 +1111,8 @@ mod tests {
             off.observe(e);
             full.observe(e);
         }
-        let off_bytes = off.checkpoint(PATTERN);
-        let full_bytes = full.checkpoint(PATTERN);
+        let off_bytes = save_at(&off, PATTERN, 0);
+        let full_bytes = save_at(&full, PATTERN, 0);
         assert_ne!(off_bytes, full_bytes, "Full embeds a metrics section");
         assert_eq!(strip_metrics(&full_bytes).unwrap(), off_bytes);
         // Stripping an already-off checkpoint is the identity.
@@ -1165,9 +1126,9 @@ mod tests {
         for e in &events {
             m.observe(e);
         }
-        let bytes = m.checkpoint(PATTERN);
+        let bytes = save_at(&m, PATTERN, 0);
         for cut in [0, 3, 7, bytes.len() / 2, bytes.len() - 1] {
-            let err = Monitor::restore(&bytes[..cut]).unwrap_err();
+            let err = load_at(&bytes[..cut]).unwrap_err();
             let msg = err.to_string();
             assert!(
                 msg.contains("byte") || msg.contains("header"),
@@ -1179,9 +1140,9 @@ mod tests {
     #[test]
     fn trailing_garbage_is_rejected() {
         let m = Monitor::new(Pattern::parse(PATTERN).unwrap(), 3);
-        let mut bytes = m.checkpoint(PATTERN);
+        let mut bytes = save_at(&m, PATTERN, 0);
         bytes.extend_from_slice(b"junk");
-        let err = Monitor::restore(&bytes).unwrap_err();
+        let err = load_at(&bytes).unwrap_err();
         assert!(err.to_string().contains("trailing"), "{err}");
     }
 
@@ -1192,30 +1153,30 @@ mod tests {
         for e in &events {
             m.observe(e);
         }
-        let bytes = m.checkpoint(PATTERN);
+        let bytes = save_at(&m, PATTERN, 0);
         // Flip bytes across the body; every outcome must be Ok or Err,
         // never a panic, and a changed byte in a structural field must
         // not be silently accepted as the original state.
         for pos in (8..bytes.len()).step_by(11) {
             let mut bad = bytes.clone();
             bad[pos] ^= 0xff;
-            let _ = Monitor::restore(&bad);
+            let _ = load_at(&bad);
         }
     }
 
     #[test]
     fn wrong_magic_and_version_are_bad_header() {
         let m = Monitor::new(Pattern::parse(PATTERN).unwrap(), 3);
-        let mut bytes = m.checkpoint(PATTERN);
+        let mut bytes = save_at(&m, PATTERN, 0);
         bytes[0] = b'X';
         assert!(matches!(
-            Monitor::restore(&bytes),
+            load_at(&bytes),
             Err(CheckpointError::Format(PoetError::BadHeader(_)))
         ));
-        let mut bytes2 = m.checkpoint(PATTERN);
+        let mut bytes2 = save_at(&m, PATTERN, 0);
         bytes2[4] = 99; // version
         assert!(matches!(
-            Monitor::restore(&bytes2),
+            load_at(&bytes2),
             Err(CheckpointError::Format(PoetError::BadHeader(_)))
         ));
     }
@@ -1263,8 +1224,8 @@ mod tests {
         );
 
         let sources = set_sources();
-        let bytes = first_half.checkpoint_set(&sources);
-        let (mut resumed, embedded) = MonitorSet::restore_set(&bytes).unwrap();
+        let bytes = save_set(&first_half, &sources);
+        let (mut resumed, embedded) = load_set(&bytes).unwrap();
         assert_eq!(
             embedded,
             vec![
@@ -1291,10 +1252,7 @@ mod tests {
         assert_eq!(straight.ingest_stats(), resumed.ingest_stats());
         assert_eq!(set_subsets(&straight), set_subsets(&resumed));
         // Checkpointing both ends of the run must agree byte-for-byte.
-        assert_eq!(
-            straight.checkpoint_set(&sources),
-            resumed.checkpoint_set(&sources)
-        );
+        assert_eq!(save_set(&straight, &sources), save_set(&resumed, &sources));
     }
 
     #[test]
@@ -1306,8 +1264,8 @@ mod tests {
         }
         let mut sources = set_sources();
         sources.remove("second");
-        let bytes = set.checkpoint_set(&sources);
-        let (resumed, embedded) = MonitorSet::restore_set(&bytes).unwrap();
+        let bytes = save_set(&set, &sources);
+        let (resumed, embedded) = load_set(&bytes).unwrap();
         assert_eq!(resumed.len(), 1);
         assert_eq!(embedded, vec![("first".to_string(), PATTERN.to_string())]);
     }
@@ -1319,22 +1277,22 @@ mod tests {
         for e in &events[1..] {
             set.observe_raw(e);
         }
-        let bytes = set.checkpoint_set(&set_sources());
+        let bytes = save_set(&set, &set_sources());
         for cut in [0, 3, 5, 9, bytes.len() / 2, bytes.len() - 1] {
-            assert!(MonitorSet::restore_set(&bytes[..cut]).is_err());
+            assert!(load_set(&bytes[..cut]).is_err());
         }
         for pos in (6..bytes.len()).step_by(7) {
             let mut bad = bytes.clone();
             bad[pos] ^= 0xff;
-            let _ = MonitorSet::restore_set(&bad);
+            let _ = load_set(&bad);
         }
         let mut junk = bytes.clone();
         junk.extend_from_slice(b"junk");
-        assert!(MonitorSet::restore_set(&junk).is_err());
+        assert!(load_set(&junk).is_err());
         let mut wrong_magic = bytes;
         wrong_magic[0] = b'X';
         assert!(matches!(
-            MonitorSet::restore_set(&wrong_magic),
+            load_set(&wrong_magic),
             Err(CheckpointError::Format(PoetError::BadHeader(_)))
         ));
     }

@@ -75,8 +75,8 @@ pub mod obs;
 pub use self::obs as ocep_obs;
 
 pub use checkpoint::{
-    load, load_at, load_set, load_set_at, save, save_at, save_set, save_set_at, strip_metrics,
-    CheckpointError, LoadedMonitor,
+    load_at, load_set, load_set_at, save_at, save_set, save_set_at, strip_metrics, CheckpointError,
+    LoadedMonitor,
 };
 pub use history::LeafHistory;
 pub use ingest::{

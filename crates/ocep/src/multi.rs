@@ -205,7 +205,7 @@ impl MonitorSet {
     }
 
     /// Installs an already-populated guard: the restore path of
-    /// [`crate::checkpoint::load_set`], and where a caller puts the
+    /// [`crate::checkpoint::load_set_at`], and where a caller puts the
     /// guard [`crate::checkpoint::load_at`] hands back from a checkpoint
     /// written when a `Monitor` could own one.
     pub fn install_guard(&mut self, guard: AdmissionGuard) {
@@ -277,7 +277,7 @@ impl MonitorSet {
 
     /// Installs an already-built monitor under `name`, preserving its
     /// accumulated state — the restore path of
-    /// [`crate::checkpoint::load_set`].
+    /// [`crate::checkpoint::load_set_at`].
     pub fn insert_monitor(&mut self, name: impl Into<String>, monitor: Monitor) {
         self.entries.push((name.into(), monitor));
     }

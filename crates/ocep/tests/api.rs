@@ -1,7 +1,7 @@
 //! API-surface tests for the monitor: configuration accessors, stats
 //! display, and subset accessors.
 
-use ocep_core::{Monitor, MonitorConfig, SubsetPolicy};
+use ocep_core::{load_at, save_at, LoadedMonitor, Monitor, MonitorConfig, SubsetPolicy};
 use ocep_pattern::Pattern;
 use ocep_poet::{EventKind, PoetServer};
 use ocep_vclock::TraceId;
@@ -185,7 +185,7 @@ fn checkpoint_written_by_a_pooled_degraded_monitor_still_loads() {
         straight.observe(e);
         first_half.observe(e);
     }
-    let saved = first_half.checkpoint(SRC);
+    let saved = save_at(&first_half, SRC, 0);
     let (config_at, stats_at) = (config_reserved_slot(SRC), stats_reserved_slot(SRC));
     assert_eq!(u64_at(&saved, config_at), 1);
     assert_eq!(u64_at(&saved, stats_at), 0);
@@ -196,10 +196,14 @@ fn checkpoint_written_by_a_pooled_degraded_monitor_still_loads() {
     pooled[config_at..config_at + 8].copy_from_slice(&4u64.to_le_bytes());
     pooled[stats_at..stats_at + 8].copy_from_slice(&7u64.to_le_bytes());
 
-    let (mut resumed, src) = Monitor::restore(&pooled).unwrap();
+    let LoadedMonitor {
+        monitor: mut resumed,
+        pattern_src: src,
+        ..
+    } = load_at(&pooled).unwrap();
     assert_eq!(src, SRC);
     assert_eq!(
-        resumed.checkpoint(SRC),
+        save_at(&resumed, SRC, 0),
         saved,
         "re-save differs from the patched bytes only in the two reserved slots"
     );
@@ -244,5 +248,5 @@ fn unguarded_checkpoint_bytes_equal_the_parents() {
         m.observe(e);
     }
     let parent = std::fs::read(format!("{PARENT_FIXTURE}/unguarded.ockp")).unwrap();
-    assert_eq!(m.checkpoint(&src), parent);
+    assert_eq!(save_at(&m, &src, 0), parent);
 }

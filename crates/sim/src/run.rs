@@ -17,7 +17,7 @@ use crate::clock::VirtualClock;
 use crate::sched::{Scheduler, Step};
 use ocep_conformance::{nth_case, Action, Case, Fingerprint};
 use ocep_core::ingest::GuardConfig;
-use ocep_core::{save_set, Match, MonitorSet};
+use ocep_core::{save_set_at, Match, MonitorSet};
 use ocep_net::wire::{read_frame, write_frame};
 use ocep_net::{
     Decoded, EngineCore, EngineOp, FaultCode, FaultHooks, Frame, FrameDecoder, Mode, NetClock,
@@ -695,7 +695,7 @@ fn replay_oracle(
                 let _ = set.take_ingest_faults();
             }
             SimOp::Checkpoint(engine_bytes) => {
-                let mine = save_set(&set, sources);
+                let mine = save_set_at(&set, sources, 0);
                 if &mine != engine_bytes {
                     return Err(format!(
                         "checkpoint bytes diverged at op {i}: engine wrote {} byte(s), \

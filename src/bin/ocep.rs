@@ -712,7 +712,7 @@ fn checkpoint_cmd(args: &Args) -> Result<(), String> {
         let sources = std::collections::HashMap::from([(PATTERN.to_owned(), src)]);
         ocep_repro::ocep::checkpoint::save_set_at(&set, &sources, observed as u64)
     } else {
-        monitor.checkpoint(&src)
+        ocep_repro::ocep::save_at(monitor, &src, 0)
     };
     std::fs::write(out_path, &bytes).map_err(|e| format!("cannot write '{out_path}': {e}"))?;
     println!(

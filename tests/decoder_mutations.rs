@@ -9,7 +9,9 @@
 //! a mutant or reject it; it may not panic or hang, and a rejection of
 //! malformed bytes names the byte offset where decoding stopped.
 
-use ocep_repro::ocep::checkpoint::{load_at, load_set_at, CheckpointError};
+use ocep_repro::ocep::checkpoint::{
+    load_at, load_set_at, save_at, save_set, strip_metrics, CheckpointError,
+};
 use ocep_repro::ocep::{GuardConfig, MonitorConfig, MonitorSet, ObsLevel};
 use ocep_repro::pattern::Pattern;
 use ocep_repro::poet::{dump, Event, EventKind, PoetError, PoetServer};
@@ -99,7 +101,7 @@ fn assert_checkpoint_outcome<T>(format: &str, round: usize, r: Result<T, Checkpo
 fn ockp_mutations_never_panic_and_errors_are_located() {
     let (set, _) = busy_set();
     let seeds = [
-        set.monitor("p").unwrap().checkpoint(SRC),
+        save_at(set.monitor("p").unwrap(), SRC, 0),
         corpus("ockp/parent-guarded/guarded-ahead.ockp"),
         corpus("ockp/parent-guarded/guarded-gap.ockp"),
         corpus("ockp/parent-guarded/unguarded.ockp"),
@@ -119,7 +121,7 @@ fn ocks_mutations_never_panic_and_errors_are_located() {
     let (set, sources) = busy_set();
     let guarded_blob = corpus("ockp/parent-guarded/guarded-ahead.ockp");
     let seeds = [
-        set.checkpoint_set(&sources),
+        save_set(&set, &sources),
         ocks_around(4, &corpus("ockp/parent-guarded/unguarded.ockp")),
         // A monitor that owned a guard has no place in a set: rejected
         // whole, and still never a panic under mutation.
@@ -137,6 +139,18 @@ fn ocks_mutations_never_panic_and_errors_are_located() {
         let bytes = common::mutate(&mut rng, &seeds[round % seeds.len()]);
         assert_checkpoint_outcome("OCKS", round, load_set_at(&bytes));
     }
+}
+
+/// Stripping metrics re-saves the monitor, which has no place for a
+/// guard: a blob whose monitor owned one is refused, not saved without
+/// its reorder buffer.
+#[test]
+fn strip_metrics_refuses_a_monitor_that_owned_a_guard() {
+    let err = strip_metrics(&corpus("ockp/parent-guarded/guarded-ahead.ockp")).unwrap_err();
+    assert!(
+        matches!(&err, CheckpointError::Invalid(m) if m.contains("owned an admission guard")),
+        "{err}"
+    );
 }
 
 #[test]

@@ -7,7 +7,9 @@
 //! cases so they run on plain `cargo test`.
 
 use ocep_repro::conformance as conf;
-use ocep_repro::ocep::{strip_metrics, Match, Monitor, MonitorConfig, ObsLevel, SubsetPolicy};
+use ocep_repro::ocep::{
+    save_at, strip_metrics, Match, Monitor, MonitorConfig, ObsLevel, SubsetPolicy,
+};
 use ocep_repro::pattern::Pattern;
 use ocep_repro::poet::Event;
 
@@ -52,7 +54,7 @@ fn run_case(case: &conf::Case, dedup: bool, obs: ObsLevel) -> RunResult {
         .map(|m: &&Match| m.to_string())
         .collect();
     let stats = *monitor.stats();
-    let checkpoint = monitor.checkpoint(&case.pattern_src);
+    let checkpoint = save_at(&monitor, &case.pattern_src, 0);
     RunResult {
         matches,
         subset,

@@ -543,7 +543,7 @@ fn hostile_inputs() -> Vec<(
     fn(&[u8]) -> Result<(), String>,
 )> {
     use ocep_repro::net::VerdictFrame;
-    use ocep_repro::ocep::checkpoint::{load_at, load_set_at, save_set_at};
+    use ocep_repro::ocep::checkpoint::{load_at, load_set_at, save_at, save_set_at};
     use ocep_repro::poet::dump;
 
     fn wire(body: &[u8]) -> Result<(), String> {
@@ -645,7 +645,7 @@ fn hostile_inputs() -> Vec<(
         set.guard().unwrap().buffered() > 0,
         "a reorder buffer to write"
     );
-    let blob = set.monitor("cycle").unwrap().checkpoint(&src);
+    let blob = save_at(set.monitor("cycle").unwrap(), &src, 0);
     let n_traces_at = 4 + 2 + 4 + src.len();
     let strings_at = n_traces_at + 4 + 19 + 26 * 8;
     let events_at = skip_table(&blob, strings_at);
