@@ -20,7 +20,8 @@
 //! ```
 
 use ocep_repro::ocep::{
-    GuardConfig, MetricsSnapshot, MonitorConfig, MonitorSet, ObsLevel, OverflowPolicy, SubsetPolicy,
+    GuardConfig, IngestStats, Match, MetricsSnapshot, MonitorConfig, MonitorSet, ObsLevel,
+    OverflowPolicy, SubsetPolicy,
 };
 use ocep_repro::pattern::{Constraint, Pattern};
 use ocep_repro::poet::dump;
@@ -367,10 +368,15 @@ fn run() -> Result<i32, String> {
     }
 }
 
-fn load_pattern(path: &str) -> Result<Pattern, String> {
-    let src = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read pattern file '{path}': {e}"))?;
-    Pattern::parse(&src).map_err(|e| e.to_string())
+fn read_source(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read pattern file '{path}': {e}"))
+}
+
+/// A pattern file's source and the pattern it parses to.
+fn read_pattern(path: &str) -> Result<(String, Pattern), String> {
+    let src = read_source(path)?;
+    let pattern = Pattern::parse(&src).map_err(|e| e.to_string())?;
+    Ok((src, pattern))
 }
 
 /// The name a pattern file's monitor goes by: the file's stem.
@@ -383,7 +389,7 @@ fn file_stem(path: &str) -> String {
 }
 
 fn validate(path: &str) -> Result<(), String> {
-    let p = load_pattern(path)?;
+    let (_, p) = read_pattern(path)?;
     println!("pattern: {}", p.program().pattern);
     println!("\nevents ({}):", p.n_leaves());
     for leaf in p.leaves() {
@@ -525,7 +531,7 @@ fn single_set(
 /// is anchored at that position; a monitor checkpoint counted it itself
 /// — and one written when a monitor could own a guard brings the guard
 /// along, which goes in front of the set.
-fn restore_set(path: &str) -> Result<(MonitorSet, usize), String> {
+fn load_checkpoint(path: &str) -> Result<(MonitorSet, usize), String> {
     use ocep_repro::ocep::checkpoint;
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read checkpoint '{path}': {e}"))?;
     let err = |e| format!("cannot restore checkpoint '{path}': {e}");
@@ -543,16 +549,33 @@ fn restore_set(path: &str) -> Result<(MonitorSet, usize), String> {
     Ok((set, position))
 }
 
-/// The warning behind exit code 2: the guard lost or reordered events.
-fn warn_degraded(ingest: &ocep_repro::ocep::IngestStats) {
-    eprintln!(
-        "warning: ingestion degraded ({} quarantined, {} overflow-rejected, \
-         {} overflow-dropped, {} degraded flushes) — verdicts may be incomplete",
-        ingest.quarantined(),
-        ingest.overflow_rejected,
-        ingest.overflow_dropped,
-        ingest.degraded_flushes
-    );
+/// The exit code of a run that fed a set through its admission guard
+/// (`check`, `ingest`, `replay`, `serve`): 2, with a warning, when the
+/// guard quarantined or lost events; else 1 when a pattern matched;
+/// else 0.
+fn exit_code(ingest: &IngestStats, matched: bool) -> i32 {
+    if ingest.is_degraded() {
+        eprintln!(
+            "warning: ingestion degraded ({} quarantined, {} overflow-rejected, \
+             {} overflow-dropped, {} degraded flushes) — verdicts may be incomplete",
+            ingest.quarantined(),
+            ingest.overflow_rejected,
+            ingest.overflow_dropped,
+            ingest.degraded_flushes
+        );
+        return 2;
+    }
+    i32::from(matched)
+}
+
+/// Prints `match[monitor]: …` for each verdict; returns how many.
+fn print_verdicts<'a>(verdicts: impl IntoIterator<Item = &'a (String, Match)>) -> usize {
+    let mut n = 0;
+    for (monitor, m) in verdicts {
+        println!("match[{monitor}]: {m}");
+        n += 1;
+    }
+    n
 }
 
 fn load_dump(path: &str) -> Result<ocep_repro::poet::PoetServer, String> {
@@ -565,7 +588,7 @@ fn check(args: &Args) -> Result<i32, String> {
 
     let (mut set, server, skip) = if let Some(ckpt_path) = args.val("--resume") {
         let dump_path = args.arg(0, "dump file")?;
-        let (set, skip) = restore_set(ckpt_path)?;
+        let (set, skip) = load_checkpoint(ckpt_path)?;
         println!(
             "resumed from {ckpt_path}: {} events already observed, {} matches found",
             skip,
@@ -573,7 +596,7 @@ fn check(args: &Args) -> Result<i32, String> {
         );
         (set, load_dump(dump_path)?, skip)
     } else {
-        let pattern = load_pattern(args.arg(0, "pattern file")?)?;
+        let (_, pattern) = read_pattern(args.arg(0, "pattern file")?)?;
         let config = monitor_config(args)?;
         let server = load_dump(args.arg(1, "dump file")?)?;
         (single_set(pattern, server.n_traces(), config), server, 0)
@@ -604,7 +627,7 @@ fn check(args: &Args) -> Result<i32, String> {
         stats.events, stats.matches_found, reported
     );
     if show_stats {
-        if ingest == ocep_repro::ocep::IngestStats::default() {
+        if ingest == IngestStats::default() {
             println!("stats: {stats}");
         } else {
             println!("stats: {stats} {ingest}");
@@ -618,14 +641,13 @@ fn check(args: &Args) -> Result<i32, String> {
     if let Some(path) = &metrics_path {
         write_metrics(path, &set.metrics())?;
     }
-    if ingest.is_degraded() {
-        warn_degraded(&ingest);
+    let code = exit_code(&ingest, stats.matches_found > 0);
+    if code == 2 {
         for fault in set.take_ingest_faults() {
             eprintln!("  fault: {fault}");
         }
-        return Ok(2);
     }
-    Ok(if stats.matches_found > 0 { 1 } else { 0 })
+    Ok(code)
 }
 
 /// `ocep stats` — observability front door. With a pattern and a dump,
@@ -648,7 +670,7 @@ fn stats_cmd(args: &Args) -> Result<(), String> {
         return Ok(());
     }
     if let [ckpt_path] = args.pos[..] {
-        let (set, _) = restore_set(ckpt_path)?;
+        let (set, _) = load_checkpoint(ckpt_path)?;
         match set.iter().find_map(|(_, m)| m.obs_metrics()) {
             Some(m) => println!(
                 "checkpoint metrics (collected at obs level {}):\n\n{}",
@@ -663,7 +685,7 @@ fn stats_cmd(args: &Args) -> Result<(), String> {
         return Ok(());
     }
 
-    let pattern = load_pattern(args.arg(0, "pattern file (or checkpoint)")?)?;
+    let (_, pattern) = read_pattern(args.arg(0, "pattern file (or checkpoint)")?)?;
     let mut config = monitor_config(args)?;
     if !config.0.obs.enabled() {
         config.0.obs = ObsLevel::Full;
@@ -691,9 +713,7 @@ fn checkpoint_cmd(args: &Args) -> Result<(), String> {
     let out_path = args.arg(2, "output checkpoint file")?;
     let events_limit: Option<usize> = args.num("--events")?;
 
-    let src = std::fs::read_to_string(pattern_path)
-        .map_err(|e| format!("cannot read pattern file '{pattern_path}': {e}"))?;
-    let pattern = Pattern::parse(&src).map_err(|e| e.to_string())?;
+    let (src, pattern) = read_pattern(pattern_path)?;
     let config = monitor_config(args)?;
     let server = load_dump(dump_path)?;
     let mut set = single_set(pattern, server.n_traces(), config);
@@ -710,7 +730,7 @@ fn checkpoint_cmd(args: &Args) -> Result<(), String> {
     // at the dump position; without a guard the monitor's own is whole.
     let bytes = if set.guard().is_some() {
         let sources = std::collections::HashMap::from([(PATTERN.to_owned(), src)]);
-        ocep_repro::ocep::checkpoint::save_set_at(&set, &sources, observed as u64)
+        ocep_repro::ocep::save_set_at(&set, &sources, observed as u64)
     } else {
         ocep_repro::ocep::save_at(monitor, &src, 0)
     };
@@ -776,8 +796,7 @@ fn record_demo(args: &Args) -> Result<(), String> {
 fn show(args: &Args) -> Result<(), String> {
     let path = args.arg(0, "dump file")?;
     let limit: usize = args.num("--limit")?.unwrap_or(60);
-    let server =
-        dump::reload_from_file(path).map_err(|e| format!("cannot reload '{path}': {e}"))?;
+    let server = load_dump(path)?;
     let store = server.store();
     let n = store.n_traces();
     let col = 14usize;
@@ -822,10 +841,9 @@ fn show(args: &Args) -> Result<(), String> {
 
 /// Offline exhaustive statistics (the post-mortem companion of §II).
 fn analyze_cmd(args: &Args) -> Result<(), String> {
-    let pattern = load_pattern(args.arg(0, "pattern file")?)?;
+    let (_, pattern) = read_pattern(args.arg(0, "pattern file")?)?;
     let dump_path = args.arg(1, "dump file")?;
-    let server = dump::reload_from_file(dump_path)
-        .map_err(|e| format!("cannot reload '{dump_path}': {e}"))?;
+    let server = load_dump(dump_path)?;
     let report = ocep_repro::analysis::analyze(&pattern, server.store());
     print!("{report}");
     let involved = report.involved_traces();
@@ -852,8 +870,7 @@ fn slice_cmd(args: &Args) -> Result<(), String> {
                 .ok_or_else(|| format!("bad trace name '{s}' (expected T<n>)"))
         })
         .collect::<Result<_, _>>()?;
-    let server = dump::reload_from_file(dump_path)
-        .map_err(|e| format!("cannot reload '{dump_path}': {e}"))?;
+    let server = load_dump(dump_path)?;
     for &t in &keep {
         if t.as_usize() >= server.n_traces() {
             return Err(format!("trace {t} is outside the dump"));
@@ -1129,8 +1146,7 @@ fn sim_cmd(args: &Args) -> Result<i32, String> {
 }
 
 fn info(path: &str) -> Result<(), String> {
-    let server =
-        dump::reload_from_file(path).map_err(|e| format!("cannot reload '{path}': {e}"))?;
+    let server = load_dump(path)?;
     let store = server.store();
     println!("dump: {path}");
     println!("traces: {}", store.n_traces());
@@ -1158,9 +1174,7 @@ fn serve_cmd(args: &Args) -> Result<i32, String> {
         return Err("--checkpoint-every anchors checkpoints in the log and needs --wal DIR".into());
     }
     let pattern_path = args.arg(0, "pattern file")?;
-    let src = std::fs::read_to_string(pattern_path)
-        .map_err(|e| format!("cannot read pattern file '{pattern_path}': {e}"))?;
-    let pattern = Pattern::parse(&src).map_err(|e| e.to_string())?;
+    let (src, pattern) = read_pattern(pattern_path)?;
     let n_traces: usize = args
         .num("--traces")?
         .ok_or("serve needs --traces N (the trace count producers must announce)")?;
@@ -1200,9 +1214,7 @@ fn serve_cmd(args: &Args) -> Result<i32, String> {
             report.recovered_events, report.wal_last_lsn
         );
     }
-    for (monitor, m) in &report.verdicts {
-        println!("match[{monitor}]: {m}");
-    }
+    print_verdicts(&report.verdicts);
     println!(
         "\n{} events admitted, {} matches reported, {} connections, {} frames",
         report.ingest.admitted,
@@ -1213,11 +1225,7 @@ fn serve_cmd(args: &Args) -> Result<i32, String> {
     if let (_, Some(path)) = obs_flags(args)? {
         write_metrics(&path, &report.metrics)?;
     }
-    if report.ingest.is_degraded() {
-        warn_degraded(&report.ingest);
-        return Ok(2);
-    }
-    Ok(if report.verdicts.is_empty() { 0 } else { 1 })
+    Ok(exit_code(&report.ingest, !report.verdicts.is_empty()))
 }
 
 /// `ocep register` — add or remove (`--unregister`) tenant patterns on
@@ -1243,9 +1251,7 @@ fn register_cmd(args: &Args) -> Result<i32, String> {
     } else {
         let mut patterns = Vec::new();
         for f in files {
-            let src = std::fs::read_to_string(f)
-                .map_err(|e| format!("cannot read pattern file '{f}': {e}"))?;
-            patterns.push((file_stem(f), src));
+            patterns.push((file_stem(f), read_source(f)?));
         }
         client
             .register(tenant, &patterns)
@@ -1377,32 +1383,22 @@ fn ingest_cmd(args: &Args) -> Result<i32, String> {
     let (mconfig, guard) = monitor_config(args)?;
     let mut set = MonitorSet::new(out.n_traces);
     for p in &patterns {
-        set.add_with_config(file_stem(p), load_pattern(p)?, mconfig);
+        set.add_with_config(file_stem(p), read_pattern(p)?.1, mconfig);
     }
     set.enable_guard(guard.unwrap_or_default());
 
     let mut reported = 0usize;
     for chunk in out.events.chunks(batch.max(1)) {
-        for (monitor, m) in set.observe_raw_batch(chunk) {
-            println!("match[{monitor}]: {m}");
-            reported += 1;
-        }
+        reported += print_verdicts(&set.observe_raw_batch(chunk));
     }
-    for (monitor, m) in set.flush_guard() {
-        println!("match[{monitor}]: {m}");
-        reported += 1;
-    }
+    reported += print_verdicts(&set.flush_guard());
     let istats = set.ingest_stats();
     println!(
         "\n{} events admitted, {reported} matches, {} monitor(s)",
         istats.admitted,
         patterns.len(),
     );
-    if istats.is_degraded() {
-        warn_degraded(&istats);
-        return Ok(2);
-    }
-    Ok(if reported > 0 { 1 } else { 0 })
+    Ok(exit_code(&istats, reported > 0))
 }
 
 /// `ocep tail` — subscribe to a daemon's verdict stream. `--once` exits
@@ -1425,34 +1421,15 @@ fn tail_cmd(args: &Args) -> Result<i32, String> {
     eprintln!("subscribed to {addr}");
     let mut seen = 0usize;
     loop {
-        match tail.next() {
-            Ok(Frame::Verdict(v)) => {
-                let cells: Vec<String> = v
-                    .bindings
-                    .iter()
-                    .map(|(t, i)| format!("T{t}@{i}"))
-                    .collect();
-                println!("match[{}]: {}", v.monitor, cells.join(" "));
-                seen += 1;
-                if once {
-                    break;
-                }
+        let (v, at) = match tail.next() {
+            Ok(Frame::Verdict(v)) => (v, String::new()),
+            // Backlog replayed from the durable log: same line shape as a
+            // live verdict, annotated with its log position.
+            Ok(Frame::VerdictAt { lsn, verdict }) => (verdict, format!("@{lsn}")),
+            Ok(Frame::Fault { code, detail }) => {
+                eprintln!("fault[{code}]: {detail}");
+                continue;
             }
-            Ok(Frame::VerdictAt { lsn, verdict: v }) => {
-                // Backlog replayed from the durable log: same line shape
-                // as a live verdict, annotated with its log position.
-                let cells: Vec<String> = v
-                    .bindings
-                    .iter()
-                    .map(|(t, i)| format!("T{t}@{i}"))
-                    .collect();
-                println!("match[{}]@{}: {}", v.monitor, lsn, cells.join(" "));
-                seen += 1;
-                if once {
-                    break;
-                }
-            }
-            Ok(Frame::Fault { code, detail }) => eprintln!("fault[{code}]: {detail}"),
             Ok(Frame::StatsReport(s)) => {
                 eprintln!(
                     "server shut down: {} admitted, {} matches",
@@ -1460,7 +1437,7 @@ fn tail_cmd(args: &Args) -> Result<i32, String> {
                 );
                 break;
             }
-            Ok(_) => {}
+            Ok(_) => continue,
             Err(WireError::Closed) => break,
             // The read timeout just means no verdict arrived yet; keep
             // following the stream.
@@ -1468,8 +1445,21 @@ fn tail_cmd(args: &Args) -> Result<i32, String> {
                 if matches!(
                     e.kind(),
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
+                ) =>
+            {
+                continue
+            }
             Err(e) => return Err(format!("tail stream from '{addr}' failed: {e}")),
+        };
+        let cells: Vec<String> = v
+            .bindings
+            .iter()
+            .map(|(t, i)| format!("T{t}@{i}"))
+            .collect();
+        println!("match[{}]{at}: {}", v.monitor, cells.join(" "));
+        seen += 1;
+        if once {
+            break;
         }
     }
     Ok(if seen > 0 { 1 } else { 0 })
@@ -1487,7 +1477,7 @@ fn replay_cmd(args: &Args) -> Result<i32, String> {
 
     let pattern_path = args.arg(0, "pattern file")?;
     let dir = args.arg(1, "log directory")?;
-    let pattern = load_pattern(pattern_path)?;
+    let (_, pattern) = read_pattern(pattern_path)?;
     let name = file_stem(pattern_path);
 
     let recovery = wal::scan(std::path::Path::new(dir))
@@ -1532,15 +1522,9 @@ fn replay_cmd(args: &Args) -> Result<i32, String> {
             // Nor do the watermark records older versions wrote.
             _ => Vec::new(),
         };
-        for (monitor, m) in verdicts {
-            println!("match[{monitor}]: {m}");
-            reported += 1;
-        }
+        reported += print_verdicts(&verdicts);
     }
-    for (monitor, m) in set.flush_guard() {
-        println!("match[{monitor}]: {m}");
-        reported += 1;
-    }
+    reported += print_verdicts(&set.flush_guard());
     let stats = set.ingest_stats();
     println!(
         "\nreplayed {} deliveries ({} records, {} segments) from '{dir}': \
@@ -1550,5 +1534,5 @@ fn replay_cmd(args: &Args) -> Result<i32, String> {
         recovery.segments,
         stats.admitted,
     );
-    Ok(if reported > 0 { 1 } else { 0 })
+    Ok(exit_code(&stats, reported > 0))
 }

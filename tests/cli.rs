@@ -1370,6 +1370,39 @@ fn replay_reruns_a_pattern_over_the_log() {
     assert!(stdout.contains("replayed"), "{stdout}");
 }
 
+/// A log whose only delivery is a trace's second event leaves the guard
+/// waiting for the first: the end-of-log flush is degraded, and `replay`
+/// exits 2 with the warning, like `check`, `ingest` and `serve`.
+#[test]
+fn replay_of_a_log_with_a_gap_exits_degraded() {
+    use ocep_repro::poet::{codec::put_str, EventKind, PoetServer};
+    use ocep_repro::vclock::TraceId;
+    use ocep_repro::wal::{self, Wal, WalOptions};
+
+    let mut poet = PoetServer::new(2);
+    poet.record(TraceId::new(0), EventKind::Unary, "a", "");
+    let second = poet.record(TraceId::new(0), EventKind::Unary, "a", "");
+    let dir = tmp("replay-gap-log");
+    let _ = std::fs::remove_dir_all(&dir);
+    let (mut log, _) = Wal::open(&dir, WalOptions::default()).unwrap();
+    let mut payload = Vec::new();
+    put_str(&mut payload, "sess");
+    ocep_repro::net::wire::put_event_body(&mut payload, &second);
+    log.append(wal::REC_DELIVER, &payload).unwrap();
+    log.sync().unwrap();
+    drop(log);
+
+    let pattern = tmp("replay-gap.pattern");
+    std::fs::write(&pattern, "A := [*, a, *]; pattern := A;").unwrap();
+    let replay = ocep()
+        .args(["replay", pattern.to_str().unwrap(), dir.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(replay.status.code(), Some(2), "{replay:?}");
+    let stderr = String::from_utf8_lossy(&replay.stderr);
+    assert!(stderr.contains("ingestion degraded"), "{stderr}");
+}
+
 #[test]
 fn tail_from_zero_replays_the_verdict_backlog() {
     let (dump, pattern) = demo_dump("net-tail-from");
