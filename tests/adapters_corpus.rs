@@ -674,3 +674,126 @@ fn seeded_mutations_never_panic_the_readers() {
     }
     assert_eq!(got, want, "mutation outcomes changed: {got:#018x?}");
 }
+
+// ── MPI separator pin ───────────────────────────────────────────────
+//
+// The MPI reader's records are whitespace-separated tokens, where
+// "whitespace" is `char::is_whitespace`, multi-byte characters
+// included. The pin below re-spells the committed MPI fixture with
+// every separator the reader accepts and fixes what it must read back.
+
+/// The whitespace members of the MPI reader's test alphabet: every
+/// one-byte separator and the multi-byte ones, line breaks excluded.
+const MPI_SPACES: &[&str] = &[
+    "\t", "\u{b}", "\u{c}", "\r", " ", "\u{85}", "\u{a0}", "\u{1680}", "\u{2003}", "\u{2028}",
+    "\u{3000}",
+];
+
+/// A seeded run of one to three separators.
+fn mpi_gap(rng: &mut Rng) -> String {
+    (0..rng.gen_range(1usize..4))
+        .map(|_| *rng.choose(MPI_SPACES).expect("non-empty"))
+        .collect()
+}
+
+/// `base` with every record re-joined by seeded separator runs, blank,
+/// whitespace-only and `#` comment lines mixed in, seeded CRLF line
+/// endings, and a fifth token on one in eight four-token records.
+/// `mark` appends a character to the tag of the `mark.1`-th tagged
+/// `recv` (0-based) and returns that record's line number.
+fn mpi_scrambled(base: &str, seed: u64, mark: Option<(char, usize)>) -> (String, Option<usize>) {
+    let mut rng = Rng::seed_from_u64(seed);
+    let (mut text, mut line, mut tagged_recvs, mut marked) = (String::new(), 0, 0, None);
+    let mut fifths = 0;
+    for record in base.lines() {
+        // Zero to two filler lines before each record.
+        for _ in 0..rng.gen_range(0usize..3) {
+            match rng.gen_range(0u32..3) {
+                0 => {}
+                1 => text.push_str(&mpi_gap(&mut rng)),
+                _ => {
+                    text.push_str(&mpi_gap(&mut rng));
+                    text.push_str("# filler");
+                    text.push_str(&mpi_gap(&mut rng));
+                    text.push_str("comment 1 send 2");
+                }
+            }
+            text.push_str(if rng.gen_bool(0.3) { "\r\n" } else { "\n" });
+            line += 1;
+        }
+        line += 1;
+        let mut toks: Vec<String> = record.split_whitespace().map(str::to_owned).collect();
+        if toks.len() == 4 && toks[1] == "recv" {
+            if let Some((c, k)) = mark {
+                if tagged_recvs == k {
+                    toks[3].push(c);
+                    marked = Some(line);
+                }
+            }
+            tagged_recvs += 1;
+        }
+        if toks.len() == 4 && rng.gen_range(0u32..8) == 0 {
+            toks.push("fifth".to_owned());
+            fifths += 1;
+        }
+        if rng.gen_bool(0.5) {
+            text.push_str(&mpi_gap(&mut rng));
+        }
+        for (i, tok) in toks.iter().enumerate() {
+            if i > 0 {
+                text.push_str(&mpi_gap(&mut rng));
+            }
+            text.push_str(tok);
+        }
+        if rng.gen_bool(0.5) {
+            text.push_str(&mpi_gap(&mut rng));
+        }
+        text.push_str(if rng.gen_bool(0.3) { "\r\n" } else { "\n" });
+    }
+    assert!(fifths > 0, "seed {seed} gave no five-token record");
+    (text, marked)
+}
+
+#[test]
+fn mpi_separators_are_pinned() {
+    let base = fixtures::mpi_deadlock().text;
+    let adapter = adapters::by_name("mpi").unwrap();
+    let plain = adapter.parse_str(&base).expect("fixture parses");
+    let mut digests = Vec::new();
+    for seed in [1, 2, 3] {
+        let (text, _) = mpi_scrambled(&base, seed, None);
+        let out = adapter
+            .parse_str(&text)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        assert_eq!(out.events, plain.events, "seed {seed}");
+        assert_eq!(out.trace_names, plain.trace_names, "seed {seed}");
+        assert_eq!(out.stats.lines, text.lines().count() as u64, "seed {seed}");
+        let stats = |s: adapters::AdapterStats| (s.records, s.events, s.edges, s.synthesized);
+        assert_eq!(stats(out.stats), stats(plain.stats), "seed {seed}");
+        digests.push(output_digest(&out));
+    }
+    let mut rejected = Vec::new();
+    for (c, k) in [('\u{1c}', 0), ('\u{200b}', 5)] {
+        let (text, marked) = mpi_scrambled(&base, 4, Some((c, k)));
+        let err = adapter.parse_str(&text).unwrap_err();
+        assert_eq!(Some(err.line), marked, "{c:?}: {err}");
+        rejected.push((err.kind, err.line));
+    }
+    assert_eq!(
+        digests,
+        [
+            0x82c0_6b78_3ad5_3984,
+            0x40ae_e9ab_b5b9_6bd0,
+            0x4c5b_c105_70af_dada,
+        ],
+        "separator digests: {digests:#018x?}"
+    );
+    assert_eq!(
+        rejected,
+        [
+            (AdapterErrorKind::Unmatched, 58),
+            (AdapterErrorKind::Unmatched, 68)
+        ],
+        "separator rejections"
+    );
+}
