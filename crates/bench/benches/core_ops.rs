@@ -1,7 +1,8 @@
 //! Micro-benchmarks for the primitive operations the §IV matcher
 //! composes: vector-clock comparison, GP/LS lookup, history insertion
 //! with §VI dedup, pattern parsing, monitor observation, and the
-//! dump/reload path.
+//! dump/reload path — plus the MPI reader, the first stage of the
+//! served pipeline.
 //!
 //! Self-timed (no external bench framework): each benchmark runs a
 //! short warmup, then reports the median of 15 timed batches.
@@ -143,7 +144,31 @@ fn bench_dump_reload() {
     });
 }
 
+/// The MPI reader over the served workloads' input: its first call in
+/// the process (on heap pages not yet touched) and the median of 15
+/// more, each output dropped outside the timed region.
+fn bench_mpi_parse() {
+    let rec = ocep_adapters::testgen::mpi_soak(1, 8, 300_000);
+    let adapter = ocep_adapters::by_name("mpi").expect("mpi reader");
+    let parse = || {
+        let t0 = Instant::now();
+        let out = adapter.parse_str(black_box(&rec.text)).unwrap();
+        (t0.elapsed().as_secs_f64(), out.events.len())
+    };
+    let (cold, events) = parse();
+    let mut samples: Vec<f64> = (0..15).map(|_| parse().0).collect();
+    samples.sort_by(f64::total_cmp);
+    let per_event = |s: f64| s * 1e9 / events as f64;
+    println!(
+        "{:<45} {:>12.1} ns/event ({events} events; first call {:.1})",
+        "adapters/mpi_parse_str",
+        per_event(samples[samples.len() / 2]),
+        per_event(cold),
+    );
+}
+
 fn main() {
+    bench_mpi_parse();
     bench_clock_comparison();
     bench_gp_ls();
     bench_history_insert();
