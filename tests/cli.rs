@@ -1092,6 +1092,60 @@ fn shutdown_handshake_survives_the_server_exiting() {
     });
 }
 
+/// Kills the child daemon when a test fails before reaping it.
+struct Daemon(std::process::Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// A registered pattern is untrusted input. Each of these shapes once
+/// took the daemon down, so the daemon runs as a child here: a stack
+/// overflow aborts the process that hits it, and a cubic compile
+/// stalls every tenant. Each must be answered with a `Fault` naming
+/// the pattern size rule, and the daemon must keep serving.
+#[test]
+fn hostile_registrations_are_refused_and_the_daemon_keeps_serving() {
+    let pattern = tmp("net-hostile-nomatch.ocep");
+    std::fs::write(&pattern, "Z := [*, no_such_event_type, *]; pattern := Z;").unwrap();
+    let port_file = tmp("net-hostile.port");
+    let _ = std::fs::remove_file(&port_file);
+    let mut serve = Daemon(
+        ocep()
+            .args(["serve", pattern.to_str().unwrap(), "--traces", "10"])
+            .args(["--addr", "127.0.0.1:0", "--port-file"])
+            .arg(&port_file)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .unwrap(),
+    );
+    let addr = wait_port(&port_file);
+    let mut client = ocep_repro::net::Client::connect(&addr, 10, "hostile").unwrap();
+    for (name, src) in common::hostile_patterns() {
+        let live = client
+            .register("evil", &[(name.to_owned(), src)])
+            .unwrap_or_else(|e| panic!("registering {name} lost the daemon: {e}"));
+        assert_eq!(live, 0, "{name} was registered");
+        let faults = client.take_faults();
+        assert!(
+            faults.iter().any(|(_, detail)| {
+                detail.contains(&format!("evil/{name}")) && detail.contains("size rule")
+            }),
+            "{name}: {faults:?}"
+        );
+        let stats = client
+            .stats()
+            .unwrap_or_else(|e| panic!("the daemon stopped serving after {name}: {e}"));
+        assert_eq!(stats.admitted, 0);
+    }
+    client.shutdown().unwrap();
+    assert_eq!(serve.0.wait().unwrap().code(), Some(0));
+}
+
 // ------------------------------------------------------- durable log
 
 /// The `match[...]` lines of a serve/replay stdout, in order.
