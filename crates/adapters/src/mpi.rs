@@ -442,7 +442,9 @@ mod tests {
         for case in 0..2_000 {
             let line = scrambled(&mut rng, case % 24).replace('\n', " ");
             let std: Vec<&str> = line.split_whitespace().collect();
-            let starts = std.iter().map(|tok| tok.as_ptr() as usize - line.as_ptr() as usize);
+            let starts = std
+                .iter()
+                .map(|tok| tok.as_ptr() as usize - line.as_ptr() as usize);
             for (k, from) in std::iter::once(0).chain(starts).enumerate() {
                 let from_k = &std[k.saturating_sub(1)..];
                 let mut want = [""; 4];
