@@ -593,11 +593,12 @@ pub fn check_checkpoint_restart(
     }
 
     let bytes = save_set_at(&resumed, &sources, 0);
-    let (mut resumed, embedded, _) = load_set_at(&bytes).map_err(|e| Mismatch {
+    let loaded = load_set_at(&bytes).map_err(|e| Mismatch {
         invariant: Invariant::CheckpointRestore,
         detail: format!("checkpoint failed to restore: {e}"),
     })?;
-    if embedded != [(CASE.to_string(), case.pattern_src.clone())] {
+    let mut resumed = loaded.set;
+    if loaded.sources != [(CASE.to_string(), case.pattern_src.clone())] {
         return Err(Mismatch {
             invariant: Invariant::CheckpointRestore,
             detail: "embedded pattern source changed across the round trip".to_string(),

@@ -84,6 +84,8 @@ pub struct ShardGroup {
     /// Durable deliver count per producer session.
     durable: HashMap<String, u64>,
     recovered_events: u64,
+    /// Logged registrations recovery refused: `(name, parse error)`.
+    refused: Vec<(String, String)>,
     hooks: FaultHooks,
 }
 
@@ -155,6 +157,14 @@ impl ShardGroup {
     #[must_use]
     pub fn wal_append_errors(&self) -> u64 {
         self.wal_append_errors
+    }
+
+    /// Logged registrations [`ShardGroup::recover`] did not restore,
+    /// as `(name, parse error)`: sources an older version accepted that
+    /// no longer parse (the pattern size rule refuses them).
+    #[must_use]
+    pub fn refused(&self) -> &[(String, String)] {
+        &self.refused
     }
 
     /// Events replayed from the log by [`ShardGroup::recover`].
@@ -386,9 +396,10 @@ impl ShardGroup {
         let mut r = Reader::new(payload);
         let ocks_len = r.u32("ocks length").map_err(text)? as usize;
         let ocks = r.bytes(ocks_len, "ocks blob").map_err(text)?;
-        let (set, sources, _lsn) = load_set_at(ocks).map_err(text)?;
-        self.set = set;
-        self.sources = sources.into_iter().collect();
+        let loaded = load_set_at(ocks).map_err(text)?;
+        self.set = loaded.set;
+        self.sources = loaded.sources.into_iter().collect();
+        self.refused.extend(loaded.refused);
         self.history.clear();
         // An lsn, a name, a body length and a one-byte body at the least.
         for i in 0..r.count("verdicts", 17).map_err(text)? {
@@ -419,7 +430,9 @@ impl ShardGroup {
     /// Opens the log under `dir` and rebuilds the group from it: durable
     /// session offsets from every deliver record, state and verdict
     /// history from the newest checkpoint, then everything after it
-    /// replayed through the set. Must run before any frame.
+    /// replayed through the set. Must run before any frame. A logged
+    /// registration whose source no longer parses is left out and
+    /// reported by [`ShardGroup::refused`], not an error.
     ///
     /// # Errors
     ///
@@ -485,8 +498,9 @@ impl ShardGroup {
                     self.last_lsn = rec.lsn;
                     let (name, source) = decode_register(&rec.payload).map_err(at)?;
                     if !self.is_live(&name) {
-                        self.add_monitor(&name, &source, MonitorConfig::default())
-                            .map_err(at)?;
+                        if let Err(e) = self.add_monitor(&name, &source, MonitorConfig::default()) {
+                            self.refused.push((name, e));
+                        }
                     }
                 }
                 REC_UNREGISTER => {
@@ -703,6 +717,46 @@ mod tests {
         assert_eq!(again.recovered_events(), 4);
         assert_eq!(again.ingest_stats(), ref_stats);
         drop(again);
+        let _ = std::fs::remove_dir_all(&tmp);
+    }
+
+    /// A log written before the pattern size rule can hold sources the
+    /// rule refuses, registered and inside a checkpoint. Recovery leaves
+    /// them out, names them, and restores everything else.
+    #[test]
+    fn recovery_reports_logged_sources_the_size_rule_refuses() {
+        let tmp = scratch_dir("refused");
+        let deep = format!(
+            "A := [*, a, *]; pattern := {}A{};",
+            "(".repeat(500),
+            ")".repeat(500)
+        );
+        {
+            let (mut wal, _) = Wal::open(&tmp, WalOptions::default()).unwrap();
+            let (set, _) = build_set(&[("t/old", HB)]);
+            let ocks = save_set_at(&set, &HashMap::from([("t/old".into(), deep.clone())]), 0);
+            let mut checkpoint = Vec::new();
+            put_u32(&mut checkpoint, ocks.len() as u32);
+            checkpoint.extend_from_slice(&ocks);
+            put_u32(&mut checkpoint, 0);
+            wal.append(REC_CHECKPOINT, &checkpoint).unwrap();
+            for (name, src) in [("t/deep", deep.as_str()), ("t/hb", HB)] {
+                let mut register = Vec::new();
+                put_str(&mut register, name);
+                put_str(&mut register, src);
+                wal.append(REC_REGISTER, &register).unwrap();
+            }
+            wal.sync().unwrap();
+        }
+        let mut group = build_group(&ALL);
+        group.recover(&tmp, Durability::Batch).unwrap();
+        let refused: Vec<&str> = group.refused().iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(refused, ["t/old", "t/deep"]);
+        for (name, why) in group.refused() {
+            assert!(why.contains("size rule"), "{name}: {why}");
+        }
+        assert_eq!(group.names().collect::<Vec<_>>(), ["t/hb"]);
+        drop(group);
         let _ = std::fs::remove_dir_all(&tmp);
     }
 

@@ -142,9 +142,6 @@ pub(crate) struct Search<'a> {
     scratch: &'a mut SearchScratch,
     matches: Vec<Match>,
     pub stats: SearchStats,
-    /// Safety valve for adversarial patterns: the search aborts after
-    /// this many recursion nodes (0 = unlimited).
-    node_limit: u64,
     /// [`ObsLevel::Full`] only: take wall-clock timers around the fused
     /// domain-construction + Fig-4 restriction loop. Sampled 1 in
     /// [`DOMAIN_TIME_SAMPLE`] computations and scaled, so the timer's
@@ -165,7 +162,6 @@ impl<'a> Search<'a> {
         history: &'a LeafHistory,
         n_traces: usize,
         seed_leaf: LeafId,
-        node_limit: u64,
         scratch: &'a mut SearchScratch,
     ) -> Self {
         let order = pattern.eval_order(seed_leaf);
@@ -178,7 +174,6 @@ impl<'a> Search<'a> {
             scratch,
             matches: Vec::new(),
             stats: SearchStats::default(),
-            node_limit,
             time_domains: false,
         }
     }
@@ -233,13 +228,6 @@ impl<'a> Search<'a> {
     /// `pos` (the paper's backtracking level).
     fn go(&mut self, pos: usize) -> Outcome {
         self.stats.nodes += 1;
-        if self.node_limit != 0 && self.stats.nodes > self.node_limit {
-            // Abort quietly: report whatever was found so far.
-            return Outcome::Exhausted {
-                conflicts: 0,
-                bound: None,
-            };
-        }
         if pos == self.order.len() {
             return self.complete();
         }

@@ -22,18 +22,15 @@ fn config_is_exposed() {
         MonitorConfig {
             dedup: false,
             policy: SubsetPolicy::PerArrival,
-            node_limit: 7,
             ..MonitorConfig::default()
         },
     );
     assert!(!m.config().dedup);
     assert_eq!(m.config().policy, SubsetPolicy::PerArrival);
-    assert_eq!(m.config().node_limit, 7);
     // Defaults.
     let d = Monitor::new(ab(), 2);
     assert!(d.config().dedup);
     assert_eq!(d.config().policy, SubsetPolicy::Representative);
-    assert_eq!(d.config().node_limit, 0);
 }
 
 #[test]
@@ -133,7 +130,7 @@ fn monitor_and_monitor_set_are_send() {
 
 /// Offset of the OCKP config block's reserved `u64` (once `parallelism`):
 /// it follows magic 4, version 2, the `u32`-prefixed pattern source,
-/// n_traces 4, dedup 1, policy 1 and node_limit 8.
+/// n_traces 4, dedup 1, policy 1 and the node-limit word 8.
 fn config_reserved_slot(src: &str) -> usize {
     4 + 2 + 4 + src.len() + 4 + 1 + 1 + 8
 }
@@ -216,6 +213,20 @@ fn checkpoint_written_by_a_pooled_degraded_monitor_still_loads() {
     assert!(found > 0, "the second half must report something");
     assert_eq!(resumed.stats(), straight.stats());
     assert_eq!(subset(&resumed), subset(&straight));
+}
+
+/// `MonitorConfig::node_limit` is gone; its OCKP word stays, written as
+/// the 0 every default-config checkpoint carried and ignored on load.
+#[test]
+fn the_node_limit_word_is_written_zero_and_ignored_on_load() {
+    const SRC: &str = "A := [*, a, *]; B := [*, b, *]; pattern := A -> B;";
+    let saved = save_at(&Monitor::new(ab(), 2), SRC, 0);
+    let at = config_reserved_slot(SRC) - 8;
+    assert_eq!(u64_at(&saved, at), 0);
+    let mut limited = saved.clone();
+    limited[at..at + 8].copy_from_slice(&50u64.to_le_bytes());
+    let loaded = load_at(&limited).unwrap();
+    assert_eq!(save_at(&loaded.monitor, SRC, 0), saved);
 }
 
 /// `tests/corpus/ockp/parent-guarded/`, written by commit 0c944c5 (see

@@ -260,7 +260,6 @@ fn lim_operator_requires_immediate_precedence() {
         MonitorConfig {
             dedup: false, // keep both a's so the lim check is observable
             policy: SubsetPolicy::PerArrival,
-            node_limit: 0,
             ..MonitorConfig::default()
         },
     );

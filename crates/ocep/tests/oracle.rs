@@ -230,7 +230,6 @@ fn monitor_agrees_with_oracle() {
             MonitorConfig {
                 dedup,
                 policy: SubsetPolicy::PerArrival,
-                node_limit: 0,
                 ..MonitorConfig::default()
             },
         );
@@ -316,7 +315,6 @@ fn every_completing_arrival_is_detected() {
             MonitorConfig {
                 dedup: false,
                 policy: SubsetPolicy::PerArrival,
-                node_limit: 0,
                 ..MonitorConfig::default()
             },
         );

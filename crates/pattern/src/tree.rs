@@ -265,7 +265,8 @@ impl Pattern {
     ///
     /// Returns a [`PatternError`] describing the first lexical, syntactic,
     /// or semantic problem (unknown class, contradictory or cyclic
-    /// constraints, misused operator, …).
+    /// constraints, misused operator, …), or a parse error naming the
+    /// size rule ([`crate::MAX_LEAVES`], [`crate::MAX_DEPTH`]).
     pub fn parse(src: &str) -> Result<Self, PatternError> {
         let program = parse(src)?;
         let compiled = compile(&program)?;

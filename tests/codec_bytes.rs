@@ -421,15 +421,19 @@ fn actual_pins() -> Vec<(String, usize, u64)> {
     // OCKS: the guarded set's reorder buffer is written inline.
     let (set, sources) = busy_set(ObsLevel::Full);
     let full = save_set_at(&set, &sources, 5);
-    let (back, embedded, lsn) = load_set_at(&full).unwrap();
-    assert_eq!(lsn, 5);
-    let embedded: HashMap<String, String> = embedded.into_iter().collect();
-    assert_eq!(save_set_at(&back, &embedded, lsn), full, "OCKS re-encode");
+    let back = load_set_at(&full).unwrap();
+    assert_eq!(back.wal_lsn, 5);
+    let embedded: HashMap<String, String> = back.sources.into_iter().collect();
+    assert_eq!(save_set_at(&back.set, &embedded, 5), full, "OCKS re-encode");
     pins.push(("ocks/busy-set-full-obs/len".to_owned(), full.len(), 0));
     let (set, sources) = busy_set(ObsLevel::Off);
     let off = save_set_at(&set, &sources, 5);
-    let (back, _, lsn) = load_set_at(&off).unwrap();
-    assert_eq!(save_set_at(&back, &sources, lsn), off, "OCKS off re-encode");
+    let back = load_set_at(&off).unwrap();
+    assert_eq!(
+        save_set_at(&back.set, &sources, back.wal_lsn),
+        off,
+        "OCKS off re-encode"
+    );
     pins.push(("ocks/busy-set-off".to_owned(), off.len(), fnv(&off)));
 
     // POET dumps.
