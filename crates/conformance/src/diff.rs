@@ -194,7 +194,6 @@ pub fn check_case_with_metrics(
             dedup: cfg.dedup,
             policy: SubsetPolicy::PerArrival,
             obs: cfg.obs,
-            ..MonitorConfig::default()
         },
     );
     let mut reported = 0usize;
@@ -249,7 +248,6 @@ pub fn check_case_with_metrics(
             dedup: cfg.dedup,
             policy: SubsetPolicy::Representative,
             obs: cfg.obs,
-            ..MonitorConfig::default()
         },
     );
     let mut rep_reported = 0usize;
@@ -329,7 +327,6 @@ pub fn check_case_with_metrics(
                 dedup: cfg.dedup,
                 policy: SubsetPolicy::PerArrival,
                 obs: cfg.obs,
-                ..MonitorConfig::default()
             },
         );
         let mut detected = false;

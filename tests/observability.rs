@@ -39,7 +39,6 @@ fn run_case(case: &conf::Case, dedup: bool, obs: ObsLevel) -> RunResult {
             dedup,
             policy: SubsetPolicy::PerArrival,
             obs,
-            ..MonitorConfig::default()
         },
     );
     let mut matches = Vec::new();
@@ -134,7 +133,6 @@ fn exported_counters_match_a_sequential_recount() {
                     dedup: cfg.dedup,
                     policy: SubsetPolicy::PerArrival,
                     obs: ObsLevel::Off,
-                    ..MonitorConfig::default()
                 },
             );
             for e in &events {
@@ -149,7 +147,6 @@ fn exported_counters_match_a_sequential_recount() {
                     dedup: cfg.dedup,
                     policy: SubsetPolicy::PerArrival,
                     obs: ObsLevel::Full,
-                    ..MonitorConfig::default()
                 },
             );
             // Recount the timing sample alongside the run: arrival
