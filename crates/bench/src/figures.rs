@@ -186,35 +186,10 @@ pub fn fig9(opts: &RunOptions) -> Vec<(usize, BoxPlot)> {
 
 // --------------------------------------------------------------- fig 10
 
-/// Fig 10: the quartile table over all four test cases (µs). Uses each
-/// case's largest Fig 6–9 configuration.
-pub fn fig10(opts: &RunOptions) -> Vec<(&'static str, BoxPlot)> {
-    let cases: Vec<(&'static str, Vec<f64>)> = vec![
-        (
-            "Deadlock",
-            pooled_samples(opts, |rep| {
-                random_walk::generate(&deadlock_params(50, opts.events, 8, 42 + rep))
-            }),
-        ),
-        (
-            "Races",
-            pooled_samples(opts, |rep| {
-                message_race::generate(&race_params(50, opts.events, 42 + rep))
-            }),
-        ),
-        (
-            "Atomicity",
-            pooled_samples(opts, |rep| {
-                atomicity::generate(&atomicity_params(50, opts.events, 42 + rep))
-            }),
-        ),
-        (
-            "Ordering",
-            pooled_samples(opts, |rep| {
-                replicated_service::generate(&ordering_params(500, opts.events, 42 + rep))
-            }),
-        ),
-    ];
+/// Fig 10: the quartile table over all four test cases (µs). It
+/// measures nothing itself: each case's row is the last (largest) row of
+/// its Fig 6–9 series, given in that order.
+pub fn fig10(series: [Vec<(usize, BoxPlot)>; 4]) -> Vec<(&'static str, BoxPlot)> {
     crate::hprintln!("\n=== Fig 10: Detailed Runtime for Test Cases (us) ===");
     crate::hprintln!(
         "{:<12} {:>8} {:>8} {:>8} {:>12} {:>8}",
@@ -226,8 +201,11 @@ pub fn fig10(opts: &RunOptions) -> Vec<(&'static str, BoxPlot)> {
         "Max"
     );
     let mut out = Vec::new();
-    for (name, samples) in cases {
-        let b = BoxPlot::from_samples(&samples);
+    for (name, rows) in ["Deadlock", "Races", "Atomicity", "Ordering"]
+        .into_iter()
+        .zip(series)
+    {
+        let (_, b) = *rows.last().expect("a figure has rows");
         crate::hprintln!("{name:<12} {}", b.fig10_row());
         out.push((name, b));
     }

@@ -20,7 +20,8 @@ EXPERIMENTS:
     fig7                  message-race detection time vs #traces
     fig8                  atomicity-violation detection time vs #traces
     fig9                  ordering-bug detection time vs #traces
-    fig10                 quartile table over all four test cases
+    fig10                 quartile table over all four test cases: the
+                          largest row of fig6-fig9 (run first if needed)
     completeness          SV-D: all violations found, zero false positives
     depgraph              SV-C1: OCEP vs dependency-graph deadlock detector
     ablation-pattern-len  runtime vs deadlock-cycle length
@@ -102,6 +103,7 @@ fn main() {
             opts.events, opts.reps
         );
     }
+    let mut series = Default::default();
     let results = match experiment.as_str() {
         "all" => Json::obj(
             [
@@ -118,9 +120,9 @@ fn main() {
                 "ablation-dedup",
             ]
             .into_iter()
-            .map(|name| (name, run_one(name, &opts))),
+            .map(|name| (name, run_one(name, &opts, &mut series))),
         ),
-        name => run_one(name, &opts),
+        name => run_one(name, &opts, &mut series),
     };
     if json_mode {
         let doc = Json::obj([
@@ -139,9 +141,28 @@ fn main() {
     }
 }
 
+/// Figs 6–9, the per-trace-count series that Fig 10 summarises.
+type Series = Vec<(usize, BoxPlot)>;
+type Figure = fn(&RunOptions) -> Series;
+const SERIES: [(&str, Figure); 4] = [
+    ("fig6", figures::fig6),
+    ("fig7", figures::fig7),
+    ("fig8", figures::fig8),
+    ("fig9", figures::fig9),
+];
+
+/// Series `i` of [`SERIES`], measured on its first use in this run
+/// only, so `all` measures each figure once.
+fn series(i: usize, opts: &RunOptions, done: &mut [Option<Series>; 4]) -> Series {
+    done[i].get_or_insert_with(|| SERIES[i].1(opts)).clone()
+}
+
 /// Runs one named experiment and returns its results as JSON (also
 /// printing the human table unless `--json` suppressed it).
-fn run_one(name: &str, opts: &RunOptions) -> Json {
+fn run_one(name: &str, opts: &RunOptions, done: &mut [Option<Series>; 4]) -> Json {
+    if let Some(i) = SERIES.iter().position(|(n, _)| *n == name) {
+        return series_json("traces", series(i, opts, done));
+    }
     match name {
         "fig3" => {
             let (ocep, window) = figures::fig3();
@@ -150,15 +171,15 @@ fn run_one(name: &str, opts: &RunOptions) -> Json {
                 ("window_covers_old_trace", Json::from(window)),
             ])
         }
-        "fig6" => series_json("traces", figures::fig6(opts)),
-        "fig7" => series_json("traces", figures::fig7(opts)),
-        "fig8" => series_json("traces", figures::fig8(opts)),
-        "fig9" => series_json("traces", figures::fig9(opts)),
-        "fig10" => Json::arr(figures::fig10(opts).into_iter().map(|(case, b)| {
-            let mut pairs = vec![("case".to_owned(), Json::from(case))];
-            pairs.extend(boxplot_pairs(&b));
-            Json::Obj(pairs)
-        })),
+        "fig10" => Json::arr(
+            figures::fig10([0, 1, 2, 3].map(|i| series(i, opts, done)))
+                .into_iter()
+                .map(|(case, b)| {
+                    let mut pairs = vec![("case".to_owned(), Json::from(case))];
+                    pairs.extend(boxplot_pairs(&b));
+                    Json::Obj(pairs)
+                }),
+        ),
         "completeness" => Json::arr(figures::completeness(opts).into_iter().map(|c| {
             Json::obj([
                 ("case", Json::from(c.name)),
@@ -213,7 +234,7 @@ fn boxplot_pairs(b: &BoxPlot) -> Vec<(String, Json)> {
     ]
 }
 
-fn series_json(key: &str, series: Vec<(usize, BoxPlot)>) -> Json {
+fn series_json(key: &str, series: Series) -> Json {
     Json::arr(series.into_iter().map(|(n, b)| {
         let mut pairs = vec![(key.to_owned(), Json::from(n))];
         pairs.extend(boxplot_pairs(&b));

@@ -40,6 +40,32 @@ fn all_json_is_one_line_with_each_paper_experiment_once() {
     }
 }
 
+/// The objects of the flat array `"key":[{…},…]` in a JSON document, with
+/// their first field (the row's label) cut off.
+fn rows<'a>(doc: &'a str, key: &str) -> Vec<&'a str> {
+    let start = doc.find(&format!(r#""{key}":[{{"#)).expect(key) + key.len() + 5;
+    let body = &doc[start..start + doc[start..].find("}]").expect(key)];
+    body.split("},{")
+        .map(|row| row.split_once(',').expect("labelled row").1)
+        .collect()
+}
+
+/// Fig 10 measures nothing itself: its rows are the last (largest) rows
+/// of Figs 6–9 from the same run.
+#[test]
+fn fig10_rows_are_the_last_rows_of_figs_6_to_9() {
+    let out = bench(&["all", "--events", "2000", "--reps", "1", "--json"]);
+    assert_eq!(out.status.code(), Some(0));
+    let doc = String::from_utf8(out.stdout).expect("utf-8");
+    let fig10 = rows(&doc, "fig10");
+    let last: Vec<&str> = ["fig6", "fig7", "fig8", "fig9"]
+        .iter()
+        .map(|fig| *rows(&doc, fig).last().unwrap())
+        .collect();
+    assert_eq!(fig10, last);
+    assert!(doc.contains(r#""fig10":[{"case":"Deadlock","#), "{doc}");
+}
+
 #[test]
 fn deleted_sub_benches_are_unknown_not_aliased() {
     for args in [&["net"][..], &["soak"], &["--net"]] {

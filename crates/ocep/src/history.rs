@@ -5,7 +5,7 @@ use ocep_poet::Event;
 use ocep_vclock::{EventId, TraceId};
 use std::collections::HashMap;
 
-/// The *History* attribute of the pattern tree's leaf nodes (Fig 2):
+/// The *History* attribute of the pattern's leaves (Fig 2's leaf nodes):
 /// for each leaf, the matched events grouped by trace and totally ordered
 /// on each trace.
 ///

@@ -174,7 +174,6 @@ fn oracle_accepts(pattern: &Pattern, events: &[&Event], all: &[Event]) -> bool {
                     return false;
                 }
             }
-            _ => {}
         }
     }
     true

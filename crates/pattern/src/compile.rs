@@ -1,32 +1,21 @@
 //! Compilation of a parsed program into the matcher-facing constraint
-//! graph: leaves, binary causal constraints with transitive closure,
-//! deferred compound constraints, terminating leaves, and evaluation
-//! orders.
+//! graph: leaves, one pairwise relation per leaf pair with its transitive
+//! closure, the compound constraints a matrix cell cannot hold,
+//! terminating leaves, and evaluation orders.
 
 use crate::ast::{Attr, BinOp, ClassDef, Expr, Program};
 use crate::binding::VarId;
-use crate::tree::{LeafId, LeafSpec, PatternNode, ResolvedAttr};
+use crate::tree::{LeafId, LeafSpec, ResolvedAttr};
 use crate::PatternError;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One compiled constraint between pattern leaves.
+/// A compiled constraint a pairwise relation cannot express. The
+/// happens-before half of `<>` and `~>` is in [`crate::Pattern::rel`]
+/// like every `->` and `||`; these entries add what the matcher checks
+/// beyond it. A pattern holds each at most once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Constraint {
-    /// The `from` leaf's event must happen before the `to` leaf's event.
-    Before {
-        /// Earlier leaf.
-        from: LeafId,
-        /// Later leaf.
-        to: LeafId,
-    },
-    /// The two leaves' events must be concurrent.
-    Concurrent {
-        /// One leaf.
-        a: LeafId,
-        /// The other leaf.
-        b: LeafId,
-    },
     /// The leaves' events must be the two endpoints of one point-to-point
     /// message (`<>` in Fig 1): `recv.partner() == send.id()`.
     Partner {
@@ -64,8 +53,8 @@ pub enum Constraint {
 }
 
 /// The pairwise causal requirement between two instantiated leaves,
-/// derived from the binary constraints and their transitive closure. This
-/// is what drives the Fig 4 domain restriction.
+/// derived from the pattern's operators and their transitive closure.
+/// This is what drives the Fig 4 domain restriction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PairRel {
     /// Row leaf must happen before column leaf.
@@ -78,7 +67,6 @@ pub enum PairRel {
 
 pub(crate) struct Compiled {
     pub leaves: Vec<LeafSpec>,
-    pub root: PatternNode,
     pub constraints: Vec<Constraint>,
     pub rel: Vec<Vec<Option<PairRel>>>,
     pub var_names: Vec<String>,
@@ -118,112 +106,59 @@ pub(crate) fn compile(program: &Program) -> Result<Compiled, PatternError> {
         }
     }
 
-    // --- leaf extraction & attribute-variable resolution ------------------
-    let mut builder = LeafBuilder {
-        leaves: Vec::new(),
-        event_var_leaf: HashMap::new(),
-        var_ids: HashMap::new(),
-        var_names: Vec::new(),
-    };
-    let mut constraints = Vec::new();
-    let root = walk(
-        &program.pattern,
-        &classes,
-        &event_var_class,
-        &mut builder,
-        &mut constraints,
-    )?;
+    // --- leaves, attribute variables and the constraint graph -------------
+    let mut g = Graph::default();
+    walk(&program.pattern, &classes, &event_var_class, &mut g)?;
+    // A misused operator anywhere in the expression outranks a
+    // contradiction the walk met before reaching it.
+    if let Some(e) = g.conflict.take() {
+        return Err(e);
+    }
 
-    let k = builder.leaves.len();
+    let k = g.leaves.len();
     if k == 0 {
         return Err(PatternError::Semantic("pattern has no events".into()));
     }
 
-    // --- pairwise relation matrix and its transitive closure --------------
-    let mut rel: Vec<Vec<Option<PairRel>>> = vec![vec![None; k]; k];
-    let set_rel = |rel: &mut Vec<Vec<Option<PairRel>>>,
-                   i: usize,
-                   j: usize,
-                   r: PairRel|
-     -> Result<(), PatternError> {
-        if i == j {
-            return Err(PatternError::Semantic(format!(
-                "constraint relates the event '{}' to itself",
-                builder_name(&builder.leaves, i)
-            )));
-        }
-        match (&rel[i][j], r) {
-            (None, _) => {
-                rel[i][j] = Some(r);
-                rel[j][i] = Some(inverse(r));
-                Ok(())
-            }
-            (Some(existing), _) if *existing == r => Ok(()),
-            (Some(existing), _) => Err(PatternError::Semantic(format!(
-                "contradictory constraints between '{}' and '{}': {existing:?} vs {r:?}",
-                builder_name(&builder.leaves, i),
-                builder_name(&builder.leaves, j)
-            ))),
-        }
-    };
-
-    for c in &constraints {
-        match c {
-            Constraint::Before { from, to }
-            | Constraint::Lim { from, to }
-            | Constraint::Partner {
-                send: from,
-                recv: to,
-            } => set_rel(&mut rel, from.as_usize(), to.as_usize(), PairRel::Before)?,
-            Constraint::Concurrent { a, b } => {
-                set_rel(&mut rel, a.as_usize(), b.as_usize(), PairRel::Concurrent)?
-            }
-            Constraint::WeakPrecede { .. } | Constraint::Entangled { .. } => {}
-        }
-    }
-
     // Transitive closure of Before (Floyd-Warshall); detect cycles and
     // conflicts with Concurrent edges.
-    #[allow(clippy::needless_range_loop)]
     for m in 0..k {
         for i in 0..k {
             for j in 0..k {
-                if rel[i][m] == Some(PairRel::Before) && rel[m][j] == Some(PairRel::Before) {
+                if g.rel[i][m] == Some(PairRel::Before) && g.rel[m][j] == Some(PairRel::Before) {
                     if i == j {
                         return Err(PatternError::Semantic(format!(
                             "precedence cycle through '{}'",
-                            builder_name(&builder.leaves, i)
+                            g.leaves[i].display_name()
                         )));
                     }
-                    set_rel(&mut rel, i, j, PairRel::Before)?;
+                    g.relate(i, j, PairRel::Before)?;
                 }
             }
         }
     }
+    let Graph {
+        leaves,
+        rel,
+        constraints,
+        var_names,
+        ..
+    } = g;
 
     // --- terminating leaves (§V-B): no outgoing Before edge ---------------
-    let mut terminating = Vec::new();
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..k {
-        let has_out = (0..k).any(|j| rel[i][j] == Some(PairRel::Before));
-        if !has_out {
-            terminating.push(LeafId::from_index(i as u32));
-        }
-    }
+    let terminating = (0..k)
+        .filter(|&i| !rel[i].contains(&Some(PairRel::Before)))
+        .map(|i| LeafId::from_index(i as u32))
+        .collect();
 
     // --- evaluation order per terminating leaf ----------------------------
     // Breadth-first over the constraint adjacency from the seed so every
     // newly instantiated level is causally constrained by an earlier one
     // where possible (maximizes Fig 4 pruning).
-    let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); k];
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..k {
-        for j in 0..k {
-            if i != j && rel[i][j].is_some() {
-                adjacency[i].push(j);
-            }
-        }
-    }
+    let mut adjacency: Vec<Vec<usize>> = rel
+        .iter()
+        .map(|row| (0..k).filter(|&j| row[j].is_some()).collect())
+        .collect();
     for c in &constraints {
         let (xs, ys) = match c {
             Constraint::WeakPrecede { from, to } => (from, to),
@@ -265,18 +200,13 @@ pub(crate) fn compile(program: &Program) -> Result<Compiled, PatternError> {
     }
 
     Ok(Compiled {
-        leaves: builder.leaves,
-        root,
+        leaves,
         constraints,
         rel,
-        var_names: builder.var_names,
+        var_names,
         terminating,
         eval_order,
     })
-}
-
-fn builder_name(leaves: &[LeafSpec], i: usize) -> String {
-    leaves[i].display_name().to_owned()
 }
 
 fn inverse(r: PairRel) -> PairRel {
@@ -287,14 +217,22 @@ fn inverse(r: PairRel) -> PairRel {
     }
 }
 
-struct LeafBuilder {
+/// The pattern under construction: its leaves and attribute variables,
+/// the relation matrix (one row and column per leaf so far) and the
+/// compound constraints, each held once.
+#[derive(Default)]
+struct Graph {
     leaves: Vec<LeafSpec>,
     event_var_leaf: HashMap<String, LeafId>,
     var_ids: HashMap<String, VarId>,
     var_names: Vec<String>,
+    rel: Vec<Vec<Option<PairRel>>>,
+    constraints: Vec<Constraint>,
+    /// The first relation the walk found contradicting the matrix.
+    conflict: Option<PatternError>,
 }
 
-impl LeafBuilder {
+impl Graph {
     fn resolve_attr(&mut self, attr: &Attr) -> ResolvedAttr {
         match attr {
             Attr::Wildcard => ResolvedAttr::Wildcard,
@@ -323,79 +261,118 @@ impl LeafBuilder {
             ty,
             text,
         ));
+        for row in &mut self.rel {
+            row.push(None);
+        }
+        self.rel.push(vec![None; self.leaves.len()]);
         id
+    }
+
+    /// Records `i r j` (and its inverse) in the matrix, refusing a leaf
+    /// related to itself or a pair already related differently.
+    fn relate(&mut self, i: usize, j: usize, r: PairRel) -> Result<(), PatternError> {
+        let name = |i: usize| self.leaves[i].display_name();
+        if i == j {
+            return Err(PatternError::Semantic(format!(
+                "constraint relates the event '{}' to itself",
+                name(i)
+            )));
+        }
+        match self.rel[i][j] {
+            None => {
+                self.rel[i][j] = Some(r);
+                self.rel[j][i] = Some(inverse(r));
+                Ok(())
+            }
+            Some(existing) if existing == r => Ok(()),
+            Some(existing) => Err(PatternError::Semantic(format!(
+                "contradictory constraints between '{}' and '{}': {existing:?} vs {r:?}",
+                name(i),
+                name(j)
+            ))),
+        }
+    }
+
+    /// [`Graph::relate`] during the walk: the first refusal is kept and
+    /// every later relation skipped.
+    fn relate_leaves(&mut self, a: LeafId, b: LeafId, r: PairRel) {
+        if self.conflict.is_none() {
+            self.conflict = self.relate(a.as_usize(), b.as_usize(), r).err();
+        }
+    }
+
+    /// Appends `c` unless the pattern already holds it. The scan is
+    /// linear, but the size rule's 4,096 uses bound the list and each
+    /// entry's leaves together, so a whole compile stays in the millions
+    /// of leaf comparisons.
+    fn list(&mut self, c: Constraint) {
+        if !self.constraints.contains(&c) {
+            self.constraints.push(c);
+        }
     }
 }
 
-/// Walks the expression, creating leaves and constraints; returns the
-/// Fig 2 tree node for the sub-expression together with its leaf set.
+/// Walks the expression, creating leaves and recording its relations and
+/// constraints; returns the sub-expression's leaf set in first-occurrence
+/// order (an event variable used twice in it is listed once).
 fn walk(
     expr: &Expr,
     classes: &HashMap<&str, &ClassDef>,
     event_vars: &HashMap<&str, &ClassDef>,
-    builder: &mut LeafBuilder,
-    constraints: &mut Vec<Constraint>,
-) -> Result<PatternNode, PatternError> {
+    g: &mut Graph,
+) -> Result<Vec<LeafId>, PatternError> {
     match expr {
         Expr::Class(name) => {
             let def = classes.get(name.as_str()).ok_or_else(|| {
                 PatternError::Semantic(format!("unknown class '{name}' in pattern"))
             })?;
-            let n = builder
-                .leaves
-                .iter()
-                .filter(|l| l.class_name() == name)
-                .count();
+            let n = g.leaves.iter().filter(|l| l.class_name() == name).count();
             let display = if n == 0 {
                 name.clone()
             } else {
                 format!("{name}#{}", n + 1)
             };
-            Ok(PatternNode::Leaf(builder.new_leaf(def, display)))
+            Ok(vec![g.new_leaf(def, display)])
         }
         Expr::EventVar(var) => {
-            if let Some(&leaf) = builder.event_var_leaf.get(var) {
-                return Ok(PatternNode::Leaf(leaf));
+            if let Some(&leaf) = g.event_var_leaf.get(var) {
+                return Ok(vec![leaf]);
             }
             let def = event_vars.get(var.as_str()).ok_or_else(|| {
                 PatternError::Semantic(format!("event variable '${var}' used but never declared"))
             })?;
-            let leaf = builder.new_leaf(def, format!("${var}"));
-            builder.event_var_leaf.insert(var.clone(), leaf);
-            Ok(PatternNode::Leaf(leaf))
+            let leaf = g.new_leaf(def, format!("${var}"));
+            g.event_var_leaf.insert(var.clone(), leaf);
+            Ok(vec![leaf])
         }
         Expr::Binary { op, lhs, rhs } => {
-            let left = walk(lhs, classes, event_vars, builder, constraints)?;
-            let right = walk(rhs, classes, event_vars, builder, constraints)?;
-            let ls = left.leaf_set();
-            let rs = right.leaf_set();
+            let ls = walk(lhs, classes, event_vars, g)?;
+            let rs = walk(rhs, classes, event_vars, g)?;
+            let single = ls.len() == 1 && rs.len() == 1;
             match op {
                 BinOp::And => {}
-                BinOp::HappensBefore => {
-                    if ls.len() == 1 && rs.len() == 1 {
-                        constraints.push(Constraint::Before {
-                            from: ls[0],
-                            to: rs[0],
-                        });
+                BinOp::HappensBefore if single => g.relate_leaves(ls[0], rs[0], PairRel::Before),
+                BinOp::HappensBefore => g.list(Constraint::WeakPrecede {
+                    from: ls.clone(),
+                    to: rs.clone(),
+                }),
+                // Lamport's strong precedence orders every pair, and
+                // concurrency is all-pairs: both are matrix cells only.
+                BinOp::StrongPrecedes | BinOp::Concurrent => {
+                    let r = if *op == BinOp::Concurrent {
+                        PairRel::Concurrent
                     } else {
-                        constraints.push(Constraint::WeakPrecede {
-                            from: ls.clone(),
-                            to: rs.clone(),
-                        });
-                    }
-                }
-                BinOp::StrongPrecedes => {
-                    // Lamport's strong precedence: every pair ordered —
-                    // fully decomposes into binary constraints.
+                        PairRel::Before
+                    };
                     for &a in &ls {
                         for &b in &rs {
-                            constraints.push(Constraint::Before { from: a, to: b });
+                            g.relate_leaves(a, b, r);
                         }
                     }
                 }
                 BinOp::Entangled => {
                     let shares_leaf = ls.iter().any(|l| rs.contains(l));
-                    if ls.len() == 1 && rs.len() == 1 && !shares_leaf {
+                    if single && !shares_leaf {
                         // Two distinct single events can neither overlap
                         // nor cross: the constraint is unsatisfiable.
                         return Err(PatternError::Semantic(
@@ -403,50 +380,40 @@ fn walk(
                                 .into(),
                         ));
                     }
+                    // Overlapping operands are trivially entangled: no
+                    // constraint needed.
                     if !shares_leaf {
-                        constraints.push(Constraint::Entangled {
+                        g.list(Constraint::Entangled {
                             left: ls.clone(),
                             right: rs.clone(),
                         });
                     }
-                    // Overlapping operands are trivially entangled: no
-                    // constraint needed.
                 }
-                BinOp::Concurrent => {
-                    for &a in &ls {
-                        for &b in &rs {
-                            constraints.push(Constraint::Concurrent { a, b });
+                BinOp::Partner | BinOp::Lim => {
+                    if !single {
+                        return Err(PatternError::Semantic(format!(
+                            "'{op}' requires primitive-event operands"
+                        )));
+                    }
+                    let (from, to) = (ls[0], rs[0]);
+                    g.relate_leaves(from, to, PairRel::Before);
+                    g.list(if *op == BinOp::Partner {
+                        Constraint::Partner {
+                            send: from,
+                            recv: to,
                         }
-                    }
-                }
-                BinOp::Partner => {
-                    if ls.len() != 1 || rs.len() != 1 {
-                        return Err(PatternError::Semantic(
-                            "'<>' requires primitive-event operands".into(),
-                        ));
-                    }
-                    constraints.push(Constraint::Partner {
-                        send: ls[0],
-                        recv: rs[0],
-                    });
-                }
-                BinOp::Lim => {
-                    if ls.len() != 1 || rs.len() != 1 {
-                        return Err(PatternError::Semantic(
-                            "'~>' requires primitive-event operands".into(),
-                        ));
-                    }
-                    constraints.push(Constraint::Lim {
-                        from: ls[0],
-                        to: rs[0],
+                    } else {
+                        Constraint::Lim { from, to }
                     });
                 }
             }
-            Ok(PatternNode::Op {
-                op: *op,
-                lhs: Box::new(left),
-                rhs: Box::new(right),
-            })
+            let mut set = ls;
+            for l in rs {
+                if !set.contains(&l) {
+                    set.push(l);
+                }
+            }
+            Ok(set)
         }
     }
 }

@@ -31,11 +31,12 @@
 //!   groups decomposes into all-pairs concurrency; `->` between groups
 //!   requires some pair ordered and the groups not entangled.
 //!
-//! Parsing produces a [`Pattern`]: the Fig 2 pattern tree plus the
-//! compiled constraint graph the §IV matcher consumes — binary causal
-//! constraints with their transitive closure, attribute-variable sites,
-//! per-terminating-leaf evaluation orders, and the terminating-leaf set of
-//! §V-B.
+//! Parsing produces a [`Pattern`]: the parsed [`Program`] plus the
+//! compiled constraint graph the §IV matcher consumes — one pairwise
+//! causal relation per leaf pair with its transitive closure, the
+//! compound and message constraints a pair cannot express (each held
+//! once), attribute-variable sites, per-terminating-leaf evaluation
+//! orders, and the terminating-leaf set of §V-B.
 //!
 //! A pattern source is untrusted input and §IV's search is exponential
 //! in pattern length, so [`Pattern::parse`] refuses one with more than
@@ -73,7 +74,7 @@ mod tree;
 pub use ast::{Attr, BinOp, ClassDef, Expr, Program};
 pub use binding::{AttrField, Bindings, VarId};
 pub use compile::{Constraint, PairRel};
-pub use tree::{LeafId, LeafSpec, Pattern, PatternNode};
+pub use tree::{LeafId, LeafSpec, Pattern};
 
 /// The most leaves a pattern may have: each class occurrence is a
 /// leaf, and each event variable is one leaf however often it is used.
@@ -81,10 +82,12 @@ pub use tree::{LeafId, LeafSpec, Pattern, PatternNode};
 pub const MAX_LEAVES: usize = 64;
 
 /// The most leaf uses a pattern may have: every class name and every
-/// event-variable reference in the pattern expression. Compile builds
-/// constraints per operator over its operands' leaves, so its work
-/// grows with the uses; the deadlock cycle over [`MAX_LEAVES`]
-/// processes (`k (k - 1)` uses) fits.
+/// event-variable reference in the pattern expression. What compile
+/// keeps does not grow with repetition — one relation per leaf pair and
+/// each compound constraint once — but the parser and compile's walk
+/// visit every use, and each operator relates every leaf pair across
+/// its operands, so their work does; the deadlock cycle over
+/// [`MAX_LEAVES`] processes (`k (k - 1)` uses) fits.
 pub const MAX_USES: usize = 4096;
 
 /// The most operators and parentheses a pattern may nest above any one

@@ -1,9 +1,9 @@
-//! The compiled pattern: Fig 2's pattern tree plus the constraint graph.
+//! The compiled pattern: its leaves and its constraint graph.
 
 use crate::binding::{Bindings, VarId};
 use crate::compile::{compile, Constraint, PairRel};
 use crate::parser::parse;
-use crate::{BinOp, PatternError, Program};
+use crate::{PatternError, Program};
 use ocep_poet::Event;
 use ocep_vclock::TraceId;
 use std::sync::Arc;
@@ -40,7 +40,7 @@ pub(crate) enum ResolvedAttr {
     Var(VarId),
 }
 
-/// A leaf node of the pattern tree: one primitive-event occurrence with
+/// A leaf of the pattern: one primitive-event occurrence with
 /// its resolved `[process, type, text]` specification (Fig 2's *Type*
 /// attribute; *Order* is per-terminating-leaf in
 /// [`Pattern::eval_order`]; *History* lives in the matcher).
@@ -180,54 +180,13 @@ fn parse_trace_name(s: &str) -> Option<TraceId> {
     digits.parse::<u32>().ok().map(TraceId::new)
 }
 
-/// A node of the Fig 2 pattern tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PatternNode {
-    /// A primitive-event occurrence.
-    Leaf(LeafId),
-    /// A compound-event expression.
-    Op {
-        /// The operator.
-        op: BinOp,
-        /// Left child.
-        lhs: Box<PatternNode>,
-        /// Right child.
-        rhs: Box<PatternNode>,
-    },
-}
-
-impl PatternNode {
-    /// The set of leaves in this subtree, in first-occurrence order
-    /// (event-variable leaves may repeat across subtrees but are listed
-    /// once within one subtree).
-    #[must_use]
-    pub fn leaf_set(&self) -> Vec<LeafId> {
-        let mut out = Vec::new();
-        self.collect(&mut out);
-        out
-    }
-
-    fn collect(&self, out: &mut Vec<LeafId>) {
-        match self {
-            PatternNode::Leaf(l) => {
-                if !out.contains(l) {
-                    out.push(*l);
-                }
-            }
-            PatternNode::Op { lhs, rhs, .. } => {
-                lhs.collect(out);
-                rhs.collect(out);
-            }
-        }
-    }
-}
-
 /// A parsed, compiled causal event-pattern.
 ///
 /// See the [crate documentation](crate) for the language. The accessors
-/// expose everything the §IV matcher needs: the leaf table, the binary
-/// constraint closure ([`Pattern::rel`]), deferred compound constraints,
-/// the terminating-leaf set, and a per-seed evaluation order.
+/// expose everything the §IV matcher needs: the leaf table, one closed
+/// pairwise relation per leaf pair ([`Pattern::rel`]), the constraints a
+/// pair cannot express ([`Pattern::constraints`]), the terminating-leaf
+/// set, and a per-seed evaluation order.
 ///
 /// # Example
 ///
@@ -250,7 +209,6 @@ pub struct Pattern {
     program: Program,
     source: String,
     leaves: Vec<LeafSpec>,
-    root: PatternNode,
     constraints: Vec<Constraint>,
     rel: Vec<Vec<Option<PairRel>>>,
     var_names: Vec<String>,
@@ -274,7 +232,6 @@ impl Pattern {
             program,
             source: src.to_owned(),
             leaves: compiled.leaves,
-            root: compiled.root,
             constraints: compiled.constraints,
             rel: compiled.rel,
             var_names: compiled.var_names,
@@ -308,13 +265,9 @@ impl Pattern {
         self.leaves.len()
     }
 
-    /// The root of the Fig 2 pattern tree.
-    #[must_use]
-    pub fn root(&self) -> &PatternNode {
-        &self.root
-    }
-
-    /// All compiled constraints, including deferred compound ones.
+    /// The constraints [`Pattern::rel`] cannot express — `<>`, `~>`,
+    /// weak precedence and entanglement — each once, in the order the
+    /// pattern first states them.
     #[must_use]
     pub fn constraints(&self) -> &[Constraint] {
         &self.constraints

@@ -60,18 +60,18 @@ fn leaf_spec_ty_literal_prefilter() {
 
 #[test]
 fn pattern_tree_root_mirrors_expression_structure() {
-    use ocep_pattern::PatternNode;
+    use ocep_pattern::Expr;
     let p = Pattern::parse("A := [*,a,*]; B := [*,b,*]; pattern := A -> B && A;").unwrap();
-    let PatternNode::Op { op, lhs, .. } = p.root() else {
+    let Expr::Binary { op, lhs, .. } = &p.program().pattern else {
         panic!("root must be an operator node");
     };
     assert_eq!(*op, BinOp::And);
-    let PatternNode::Op { op: inner, .. } = lhs.as_ref() else {
+    let Expr::Binary { op: inner, .. } = lhs.as_ref() else {
         panic!("lhs must be the -> node");
     };
     assert_eq!(*inner, BinOp::HappensBefore);
     // Three distinct leaves: A, B, A#2.
-    assert_eq!(p.root().leaf_set().len(), 3);
+    assert_eq!(p.n_leaves(), 3);
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! uses and depth [`MAX_DEPTH`], refused by the parser before anything
 //! recurses.
 
-use ocep_pattern::{Pattern, MAX_DEPTH, MAX_LEAVES};
+use ocep_pattern::{LeafId, Pattern, MAX_DEPTH, MAX_LEAVES};
 
 /// The stack every thread the daemon spawns gets.
 const THREAD_STACK: usize = 2 << 20;
@@ -88,6 +88,80 @@ fn repeated_uses_are_bounded() {
     assert_refused(repeated(65), "repeated uses");
     let err = Pattern::parse(&repeated(400)).unwrap_err().to_string();
     assert!(err.contains("more than 4096 leaf uses"), "{err}");
+}
+
+/// FNV-1a 64 over what a compiled pattern holds: leaf names, the
+/// relation matrix, the terminating leaves, the evaluation orders and
+/// the constraint list.
+fn digest(p: &Pattern) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    let mut put = |s: String| {
+        for b in (s.len() as u64)
+            .to_le_bytes()
+            .into_iter()
+            .chain(s.into_bytes())
+        {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let id = |i: usize| LeafId::from_index(i as u32);
+    for (i, leaf) in p.leaves().iter().enumerate() {
+        put(leaf.display_name().to_owned());
+        for j in 0..p.n_leaves() {
+            put(format!("{:?}", p.rel(id(i), id(j))));
+        }
+        put(format!("{:?}", p.eval_order(id(i))));
+    }
+    put(format!("{:?}", p.terminating_leaves()));
+    put(format!("{:?}", p.constraints()));
+    h
+}
+
+/// `copies` copies of `expr` joined by a balanced `&&` tree.
+fn conj(expr: &str, copies: usize) -> String {
+    if copies == 1 {
+        return expr.to_owned();
+    }
+    format!(
+        "({} && {})",
+        conj(expr, copies / 2),
+        conj(expr, copies - copies / 2)
+    )
+}
+
+/// Repeating a sub-pattern adds nothing to what compile keeps: each leaf
+/// pair's relation is one matrix cell, so 64 copies of the `||` tree
+/// compile to exactly what one copy does, with an empty list.
+#[test]
+fn repeated_copies_compile_to_one_graph() {
+    let one = Pattern::parse(&repeated(1)).unwrap();
+    let all = Pattern::parse(&repeated(64)).unwrap();
+    assert!(
+        all.constraints().is_empty(),
+        "{:?}",
+        &all.constraints()[..1]
+    );
+    assert_eq!(digest(&all), digest(&one));
+}
+
+/// A constraint a matrix cell cannot hold is listed once however often
+/// the pattern states it.
+#[test]
+fn each_listed_constraint_is_held_once() {
+    let classes = "A := [*, a, *]; A $a; A $b; A $c; A $d;";
+    for (expr, what) in [
+        ("$a <> $b", "partner"),
+        ("$a ~> $b", "limited precedence"),
+        ("($a && $b) -> ($c && $d)", "weak precedence"),
+        ("($a && $b) <-> ($c && $d)", "entanglement"),
+    ] {
+        let one = Pattern::parse(&format!("{classes} pattern := {expr};")).unwrap();
+        let many = Pattern::parse(&format!("{classes} pattern := {};", conj(expr, 1_000)))
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(many.constraints(), one.constraints(), "{what}");
+        assert_eq!(many.constraints().len(), 1, "{what}");
+        assert_eq!(digest(&many), digest(&one), "{what}");
+    }
 }
 
 /// Parses, compiles, displays and drops `src` on a thread with the

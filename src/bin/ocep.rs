@@ -23,7 +23,7 @@ use ocep_repro::ocep::{
     GuardConfig, IngestStats, Match, MetricsSnapshot, MonitorConfig, MonitorSet, ObsLevel,
     OverflowPolicy, SubsetPolicy,
 };
-use ocep_repro::pattern::{Constraint, Pattern};
+use ocep_repro::pattern::{Constraint, LeafId, PairRel, Pattern};
 use ocep_repro::poet::dump;
 use ocep_repro::simulator::workloads::{atomicity, message_race, random_walk, replicated_service};
 
@@ -408,32 +408,32 @@ fn validate(path: &str) -> Result<(), String> {
     if !p.var_names().is_empty() {
         println!("\nattribute variables: {}", p.var_names().join(", "));
     }
-    println!("\nconstraints:");
+    let name = |l: LeafId| p.leaves()[l.as_usize()].display_name();
+    println!("\nrelations:");
+    for (i, a) in p.leaves().iter().enumerate() {
+        for b in &p.leaves()[i + 1..] {
+            let (a, b) = (a.id(), b.id());
+            match p.rel(a, b) {
+                Some(PairRel::Before) => println!("  {} -> {}", name(a), name(b)),
+                Some(PairRel::After) => println!("  {} -> {}", name(b), name(a)),
+                Some(PairRel::Concurrent) => println!("  {} || {}", name(a), name(b)),
+                None => {}
+            }
+        }
+    }
+    let names = |ls: &[LeafId]| ls.iter().map(|l| name(*l)).collect::<Vec<_>>().join(",");
+    if !p.constraints().is_empty() {
+        println!("\nconstraints:");
+    }
     for c in p.constraints() {
-        let name =
-            |l: ocep_repro::pattern::LeafId| p.leaves()[l.as_usize()].display_name().to_owned();
         match c {
-            Constraint::Before { from, to } => {
-                println!("  {} -> {}", name(*from), name(*to));
-            }
-            Constraint::Concurrent { a, b } => {
-                println!("  {} || {}", name(*a), name(*b));
-            }
-            Constraint::Partner { send, recv } => {
-                println!("  {} <> {}", name(*send), name(*recv));
-            }
-            Constraint::Lim { from, to } => {
-                println!("  {} ~> {}", name(*from), name(*to));
-            }
+            Constraint::Partner { send, recv } => println!("  {} <> {}", name(*send), name(*recv)),
+            Constraint::Lim { from, to } => println!("  {} ~> {}", name(*from), name(*to)),
             Constraint::WeakPrecede { from, to } => {
-                let f: Vec<_> = from.iter().map(|l| name(*l)).collect();
-                let t: Vec<_> = to.iter().map(|l| name(*l)).collect();
-                println!("  {{{}}} -> {{{}}} (weak)", f.join(","), t.join(","));
+                println!("  {{{}}} -> {{{}}} (weak)", names(from), names(to));
             }
             Constraint::Entangled { left, right } => {
-                let l: Vec<_> = left.iter().map(|x| name(*x)).collect();
-                let r: Vec<_> = right.iter().map(|x| name(*x)).collect();
-                println!("  {{{}}} <-> {{{}}}", l.join(","), r.join(","));
+                println!("  {{{}}} <-> {{{}}}", names(left), names(right));
             }
         }
     }

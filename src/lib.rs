@@ -8,7 +8,7 @@
 //! * [`vclock`] — vector clocks and the causality algebra (§III).
 //! * [`poet`] — the POET-style partial-order event tracer (§V-A).
 //! * [`simulator`] — deterministic workload simulator (§V-B/C).
-//! * [`pattern`] — the causal pattern language and pattern tree (§III/IV-A).
+//! * [`pattern`] — the causal pattern language and its constraint graph (§III/IV-A).
 //! * [`ocep`] — the online matching engine itself (§IV).
 //! * [`adapters`] — real-stream ingestion adapters (`ocep ingest`):
 //!   OTLP-style span recordings, MPI traces, and agent-session

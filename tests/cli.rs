@@ -425,6 +425,67 @@ fn helpful_errors_for_bad_input() {
     assert!(!out.status.success());
 }
 
+/// `validate` prints the compiled graph: one line per related leaf pair,
+/// the pairs the closure derives included, then the constraints a pair
+/// cannot express — each once, however often the pattern repeats it.
+#[test]
+fn validate_prints_each_relation_once_with_the_closure() {
+    let validate = |name: &str, src: &str| {
+        let path = tmp(name);
+        std::fs::write(&path, src).unwrap();
+        let out = ocep()
+            .args(["validate", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0), "{name}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let chain = validate(
+        "validate-chain.pattern",
+        "A := [*, a, *]; B := [*, b, *]; C := [*, c, *]; B $b; \
+         pattern := A -> $b && $b -> C;",
+    );
+    assert_eq!(
+        chain,
+        "pattern: ((A -> $b) && ($b -> C))\n\
+         \n\
+         events (3):\n  \
+         A  (class A)\n  \
+         $b  (class B)\n  \
+         C  (class C)  [terminating]\n\
+         \n\
+         relations:\n  \
+         A -> $b\n  \
+         A -> C\n  \
+         $b -> C\n\
+         \n\
+         ok: pattern is valid\n"
+    );
+
+    let repeated = validate(
+        "validate-repeated.pattern",
+        &format!(
+            "A := [*, a, *]; B := [*, b, *]; A $a; B $b; pattern := {};",
+            vec!["$a || $b"; 64].join(" && ")
+        ),
+    );
+    let (_, graph) = repeated.split_once("\nrelations:\n").unwrap();
+    assert_eq!(graph, "  $a || $b\n\nok: pattern is valid\n");
+
+    let partner = validate(
+        "validate-partner.pattern",
+        &format!(
+            "S := [*, s, *]; R := [*, r, *]; S $s; R $r; pattern := {};",
+            vec!["$s <> $r"; 64].join(" && ")
+        ),
+    );
+    let (_, graph) = partner.split_once("\nrelations:\n").unwrap();
+    assert_eq!(
+        graph,
+        "  $s -> $r\n\nconstraints:\n  $s <> $r\n\nok: pattern is valid\n"
+    );
+}
+
 /// A flag the subcommand does not declare, or a valued flag with no
 /// value, is a usage error naming the flag and the subcommand — not a
 /// run that silently ignores what was asked.
