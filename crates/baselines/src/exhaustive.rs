@@ -1,8 +1,7 @@
 //! The all-matches oracle.
 
-use ocep_pattern::{Bindings, Constraint, PairRel, Pattern};
+use ocep_pattern::{Bindings, Pattern};
 use ocep_poet::Event;
-use ocep_vclock::{Causality, EventSet};
 
 /// One complete assignment of events to pattern leaves (indexed by leaf).
 pub type Assignment = Vec<Event>;
@@ -10,7 +9,9 @@ pub type Assignment = Vec<Event>;
 /// Enumerates every match of a pattern over a complete recorded
 /// computation. Exponential in the pattern length by design — this is
 /// the ground truth the online matcher is validated against, not a
-/// monitor.
+/// monitor. Each prefix is pruned with [`Pattern::pair_holds`] and each
+/// complete assignment finished with [`Pattern::deferred_hold`], the
+/// checker the engine's own search does not call.
 ///
 /// # Example
 ///
@@ -72,49 +73,24 @@ impl<'p> ExhaustiveMatcher<'p> {
         bindings: &mut Bindings,
         out: &mut Vec<Assignment>,
     ) {
+        let p = self.pattern;
         let pos = stack.len();
-        if pos == self.pattern.n_leaves() {
-            if self.deferred_ok(stack, all) {
+        if pos == p.n_leaves() {
+            if p.deferred_hold(|l| stack[l.as_usize()], |_| all) {
                 out.push(stack.iter().map(|e| (*e).clone()).collect());
             }
             return;
         }
-        let leaf = self.pattern.leaves()[pos].id();
-        'cands: for &cand in &candidates[pos] {
-            // Distinctness.
-            if stack.iter().any(|e| e.id() == cand.id()) {
+        let leaf = p.leaves()[pos].id();
+        for &cand in &candidates[pos] {
+            let consistent = stack
+                .iter()
+                .zip(p.leaves())
+                .all(|(e, l)| e.id() != cand.id() && p.pair_holds(leaf, cand, l.id(), e));
+            if !consistent {
                 continue;
             }
-            // Pairwise causal requirements against earlier leaves.
-            for (q, other) in stack.iter().enumerate() {
-                let other_leaf = self.pattern.leaves()[q].id();
-                if let Some(rel) = self.pattern.rel(leaf, other_leaf) {
-                    let got = cand.stamp().causality(other.stamp());
-                    let ok = matches!(
-                        (rel, got),
-                        (PairRel::Before, Causality::Before)
-                            | (PairRel::After, Causality::After)
-                            | (PairRel::Concurrent, Causality::Concurrent)
-                    );
-                    if !ok {
-                        continue 'cands;
-                    }
-                }
-            }
-            // Partner endpoints.
-            for c in self.pattern.constraints() {
-                if let Constraint::Partner { send, recv } = c {
-                    let (s_pos, r_pos) = (send.as_usize(), recv.as_usize());
-                    if r_pos == pos && s_pos < pos && cand.partner() != Some(stack[s_pos].id()) {
-                        continue 'cands;
-                    }
-                    if s_pos == pos && r_pos < pos && stack[r_pos].partner() != Some(cand.id()) {
-                        continue 'cands;
-                    }
-                }
-            }
-            // Attribute variables.
-            let Some(delta) = self.pattern.leaf_match(leaf, cand, bindings) else {
+            let Some(delta) = p.leaf_match(leaf, cand, bindings) else {
                 continue;
             };
             bindings.apply(&delta);
@@ -123,56 +99,6 @@ impl<'p> ExhaustiveMatcher<'p> {
             stack.pop();
             bindings.retract(&delta);
         }
-    }
-
-    fn deferred_ok(&self, stack: &[&Event], all: &[Event]) -> bool {
-        for c in self.pattern.constraints() {
-            match c {
-                Constraint::Lim { from, to } => {
-                    let a = stack[from.as_usize()];
-                    let b = stack[to.as_usize()];
-                    let spec = &self.pattern.leaves()[from.as_usize()];
-                    let blocked = all.iter().any(|x| {
-                        x.id() != a.id()
-                            && x.id() != b.id()
-                            && spec.matches_shape(x)
-                            && a.stamp().happens_before(x.stamp())
-                            && x.stamp().happens_before(b.stamp())
-                    });
-                    if blocked {
-                        return false;
-                    }
-                }
-                Constraint::WeakPrecede { from, to } => {
-                    let fs: EventSet = from
-                        .iter()
-                        .map(|l| stack[l.as_usize()].stamp().clone())
-                        .collect();
-                    let ts: EventSet = to
-                        .iter()
-                        .map(|l| stack[l.as_usize()].stamp().clone())
-                        .collect();
-                    if !fs.weakly_precedes(&ts) {
-                        return false;
-                    }
-                }
-                Constraint::Entangled { left, right } => {
-                    let ls: EventSet = left
-                        .iter()
-                        .map(|l| stack[l.as_usize()].stamp().clone())
-                        .collect();
-                    let rs: EventSet = right
-                        .iter()
-                        .map(|l| stack[l.as_usize()].stamp().clone())
-                        .collect();
-                    if !ls.entangled(&rs) {
-                        return false;
-                    }
-                }
-                _ => {}
-            }
-        }
-        true
     }
 }
 

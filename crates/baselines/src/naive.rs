@@ -1,9 +1,8 @@
 //! Chronological backtracking without causal pruning — the ablation
 //! baseline.
 
-use ocep_pattern::{Bindings, Constraint, PairRel, Pattern};
+use ocep_pattern::{Bindings, LeafId, Pattern};
 use ocep_poet::Event;
-use ocep_vclock::Causality;
 
 /// An online matcher with the *same* history layout and terminating-event
 /// analysis as OCEP but none of its search intelligence:
@@ -14,6 +13,10 @@ use ocep_vclock::Causality;
 ///   a conflict is reached");
 /// * no conflict-directed backjumping and no Fig 5 jump bounds;
 /// * no §VI history deduplication.
+///
+/// It decides a match with the oracle's checker: [`Pattern::pair_holds`]
+/// against every assigned leaf, then [`Pattern::deferred_hold`] with its
+/// own per-leaf history as the `~>` blockers.
 ///
 /// It stops at the first complete match per arrival (detection
 /// semantics), so timing it against [`ocep_core::Monitor`] isolates the
@@ -48,160 +51,74 @@ impl NaiveMatcher {
         for leaf in self.pattern.matching_leaves(event) {
             self.history[leaf.as_usize()].push(event.clone());
         }
-        let mut detected = false;
-        let terminating: Vec<_> = self.pattern.terminating_leaves().to_vec();
-        for tl in terminating {
+        let (mut nodes, mut found) = (0, 0);
+        let mut assignment: Vec<Option<&Event>> = vec![None; self.pattern.n_leaves()];
+        for &tl in self.pattern.terminating_leaves() {
             if !self.pattern.leaves()[tl.as_usize()].matches_shape(event) {
                 continue;
             }
-            let order = self.pattern.eval_order(tl).to_vec();
-            let mut assignment: Vec<Option<Event>> = vec![None; self.pattern.n_leaves()];
             let mut bindings = Bindings::new(self.pattern.n_vars());
             let Some(delta) = self.pattern.leaf_match(tl, event, &bindings) else {
                 continue;
             };
             bindings.apply(&delta);
-            assignment[tl.as_usize()] = Some(event.clone());
-            if self.descend(&order, 1, &mut assignment, &mut bindings) {
-                detected = true;
-                self.found += 1;
+            assignment[tl.as_usize()] = Some(event);
+            let order = self.pattern.eval_order(tl);
+            if self.descend(order, 1, &mut assignment, &mut bindings, &mut nodes) {
+                found += 1;
             }
+            assignment[tl.as_usize()] = None;
         }
-        detected
+        self.nodes += nodes;
+        self.found += found;
+        found > 0
     }
 
-    fn descend(
-        &mut self,
-        order: &[ocep_pattern::LeafId],
+    /// Tries every stored candidate of `order[pos]`, latest first,
+    /// against the leaves already assigned, counting each in `nodes`.
+    fn descend<'e>(
+        &'e self,
+        order: &[LeafId],
         pos: usize,
-        assignment: &mut Vec<Option<Event>>,
+        assignment: &mut [Option<&'e Event>],
         bindings: &mut Bindings,
+        nodes: &mut u64,
     ) -> bool {
+        let p = &self.pattern;
         if pos == order.len() {
-            return self.deferred_ok(assignment);
+            return p.deferred_hold(
+                |l| assignment[l.as_usize()].expect("assigned"),
+                |l| &self.history[l.as_usize()],
+            );
         }
         let leaf = order[pos];
-        let candidates = self.history[leaf.as_usize()].clone();
-        'cands: for cand in candidates.iter().rev() {
-            self.nodes += 1;
+        for cand in self.history[leaf.as_usize()].iter().rev() {
+            *nodes += 1;
             if assignment.iter().flatten().any(|e| e.id() == cand.id()) {
                 continue;
             }
-            // Check every constraint against already-assigned leaves —
-            // by direct causality comparison, not domain restriction.
-            for (q, &other_leaf) in order[..pos].iter().enumerate() {
-                let _ = q;
-                let Some(other) = &assignment[other_leaf.as_usize()] else {
-                    continue;
-                };
-                if let Some(rel) = self.pattern.rel(leaf, other_leaf) {
-                    let got = cand.stamp().causality(other.stamp());
-                    let ok = matches!(
-                        (rel, got),
-                        (PairRel::Before, Causality::Before)
-                            | (PairRel::After, Causality::After)
-                            | (PairRel::Concurrent, Causality::Concurrent)
-                    );
-                    if !ok {
-                        continue 'cands;
-                    }
-                }
+            // Direct causality comparison against every assigned leaf,
+            // not domain restriction.
+            let consistent = order[..pos].iter().all(|&q| {
+                let other = assignment[q.as_usize()].expect("assigned");
+                p.pair_holds(leaf, cand, q, other)
+            });
+            if !consistent {
+                continue;
             }
-            for c in self.pattern.constraints() {
-                if let Constraint::Partner { send, recv } = c {
-                    if *recv == leaf {
-                        if let Some(s) = &assignment[send.as_usize()] {
-                            if cand.partner() != Some(s.id()) {
-                                continue 'cands;
-                            }
-                        }
-                    } else if *send == leaf {
-                        if let Some(r) = &assignment[recv.as_usize()] {
-                            if r.partner() != Some(cand.id()) {
-                                continue 'cands;
-                            }
-                        }
-                    }
-                }
-            }
-            let Some(delta) = self.pattern.leaf_match(leaf, cand, bindings) else {
+            let Some(delta) = p.leaf_match(leaf, cand, bindings) else {
                 continue;
             };
             bindings.apply(&delta);
-            assignment[leaf.as_usize()] = Some(cand.clone());
-            if self.descend(order, pos + 1, assignment, bindings) {
-                // Leave the assignment in place for the caller to read.
-                bindings.retract(&delta);
-                assignment[leaf.as_usize()] = None;
-                return true;
-            }
+            assignment[leaf.as_usize()] = Some(cand);
+            let complete = self.descend(order, pos + 1, assignment, bindings, nodes);
             assignment[leaf.as_usize()] = None;
             bindings.retract(&delta);
-        }
-        false
-    }
-
-    fn deferred_ok(&self, assignment: &[Option<Event>]) -> bool {
-        for c in self.pattern.constraints() {
-            match c {
-                Constraint::Lim { from, to } => {
-                    let a = assignment[from.as_usize()].as_ref().expect("assigned");
-                    let b = assignment[to.as_usize()].as_ref().expect("assigned");
-                    let blocked = self.history[from.as_usize()].iter().any(|x| {
-                        x.id() != a.id()
-                            && x.id() != b.id()
-                            && a.stamp().happens_before(x.stamp())
-                            && x.stamp().happens_before(b.stamp())
-                    });
-                    if blocked {
-                        return false;
-                    }
-                }
-                Constraint::WeakPrecede { from, to } => {
-                    let fs: ocep_vclock::EventSet = from
-                        .iter()
-                        .map(|l| {
-                            assignment[l.as_usize()]
-                                .as_ref()
-                                .expect("assigned")
-                                .stamp()
-                                .clone()
-                        })
-                        .collect();
-                    let ts: ocep_vclock::EventSet = to
-                        .iter()
-                        .map(|l| {
-                            assignment[l.as_usize()]
-                                .as_ref()
-                                .expect("assigned")
-                                .stamp()
-                                .clone()
-                        })
-                        .collect();
-                    if !fs.weakly_precedes(&ts) {
-                        return false;
-                    }
-                }
-                Constraint::Entangled { left, right } => {
-                    let set = |ids: &[ocep_pattern::LeafId]| -> ocep_vclock::EventSet {
-                        ids.iter()
-                            .map(|l| {
-                                assignment[l.as_usize()]
-                                    .as_ref()
-                                    .expect("assigned")
-                                    .stamp()
-                                    .clone()
-                            })
-                            .collect()
-                    };
-                    if !set(left).entangled(&set(right)) {
-                        return false;
-                    }
-                }
-                _ => {}
+            if complete {
+                return true;
             }
         }
-        true
+        false
     }
 
     /// Total candidate events examined (the ablation metric).

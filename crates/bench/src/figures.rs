@@ -7,12 +7,12 @@ use crate::stats::BoxPlot;
 use crate::RunOptions;
 use ocep_baselines::{DepGraphDetector, SlidingWindowMatcher};
 use ocep_core::{Monitor, MonitorConfig};
-use ocep_pattern::{PairRel, Pattern};
+use ocep_pattern::Pattern;
 use ocep_poet::Event;
 use ocep_simulator::workloads::{
     atomicity, message_race, random_walk, replicated_service, Generated,
 };
-use ocep_vclock::{Causality, TraceId};
+use ocep_vclock::TraceId;
 
 /// The monitor configuration every figure measures: the default engine
 /// at the requested observability level.
@@ -392,48 +392,16 @@ fn run_rep(g: &Generated) -> (Monitor, Vec<ocep_core::Match>) {
     (monitor, reported)
 }
 
-/// Independent re-verification of a reported match against the pattern's
-/// binary constraints and partner requirements.
+/// Independent re-verification of every reported match with the whole
+/// check the oracle decides by ([`Pattern::accepts`]), against the whole
+/// recorded computation.
 fn count_false_positives(g: &Generated, reported: &[ocep_core::Match]) -> usize {
     let pattern = g.pattern();
+    let seen: Vec<Event> = g.poet.store().iter_arrival().cloned().collect();
     reported
         .iter()
-        .filter(|m| !verify_match(&pattern, m.events()))
+        .filter(|m| !pattern.accepts(m.events(), &seen))
         .count()
-}
-
-fn verify_match(pattern: &Pattern, events: &[Event]) -> bool {
-    for i in 0..events.len() {
-        for j in 0..events.len() {
-            if i == j {
-                continue;
-            }
-            if events[i].id() == events[j].id() {
-                return false;
-            }
-            let (li, lj) = (pattern.leaves()[i].id(), pattern.leaves()[j].id());
-            if let Some(rel) = pattern.rel(li, lj) {
-                let got = events[i].stamp().causality(events[j].stamp());
-                let ok = matches!(
-                    (rel, got),
-                    (PairRel::Before, Causality::Before)
-                        | (PairRel::After, Causality::After)
-                        | (PairRel::Concurrent, Causality::Concurrent)
-                );
-                if !ok {
-                    return false;
-                }
-            }
-        }
-    }
-    for c in pattern.constraints() {
-        if let ocep_pattern::Constraint::Partner { send, recv } = c {
-            if events[recv.as_usize()].partner() != Some(events[send.as_usize()].id()) {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 // ------------------------------------------------------------ depgraph

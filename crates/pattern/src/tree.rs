@@ -5,7 +5,7 @@ use crate::compile::{compile, Constraint, PairRel};
 use crate::parser::parse;
 use crate::{PatternError, Program};
 use ocep_poet::Event;
-use ocep_vclock::TraceId;
+use ocep_vclock::{Causality, EventSet, TraceId};
 use std::sync::Arc;
 
 /// Index of a leaf (primitive-event occurrence) in a compiled pattern.
@@ -173,8 +173,11 @@ fn is_trace_name(s: &str, t: TraceId) -> bool {
 /// Parses a canonical trace display name (`T7`).
 fn parse_trace_name(s: &str) -> Option<TraceId> {
     let digits = s.strip_prefix('T')?;
-    // Reject leading zeros/plus signs that parse would accept.
-    if digits.is_empty() || (digits.len() > 1 && digits.starts_with('0')) {
+    // Reject the leading zeros and plus sign that parse would accept.
+    if !digits.bytes().all(|b| b.is_ascii_digit())
+        || digits.is_empty()
+        || (digits.len() > 1 && digits.starts_with('0'))
+    {
         return None;
     }
     digits.parse::<u32>().ok().map(TraceId::new)
@@ -367,6 +370,113 @@ impl Pattern {
             }
         }
         Some(delta)
+    }
+
+    /// True if `a` at leaf `la` and `b` at leaf `lb` satisfy everything
+    /// the pattern asks of that pair: the [`Pattern::rel`] cell, compared
+    /// on the two events' own clocks, and a `<>` between the two leaves.
+    /// Distinctness, attributes and the deferred constraints are checked
+    /// elsewhere ([`Pattern::leaf_match`], [`Pattern::deferred_hold`]).
+    #[must_use]
+    pub fn pair_holds(&self, la: LeafId, a: &Event, lb: LeafId, b: &Event) -> bool {
+        if let Some(rel) = self.rel(la, lb) {
+            let got = a.stamp().causality(b.stamp());
+            let ok = matches!(
+                (rel, got),
+                (PairRel::Before, Causality::Before)
+                    | (PairRel::After, Causality::After)
+                    | (PairRel::Concurrent, Causality::Concurrent)
+            );
+            if !ok {
+                return false;
+            }
+        }
+        self.constraints.iter().all(|c| match *c {
+            Constraint::Partner { send, recv } if (send, recv) == (la, lb) => {
+                b.partner() == Some(a.id())
+            }
+            Constraint::Partner { send, recv } if (send, recv) == (lb, la) => {
+                a.partner() == Some(b.id())
+            }
+            _ => true,
+        })
+    }
+
+    /// True if a complete assignment (`event_of` gives each leaf's
+    /// event) satisfies the constraints no pair decides: `~>` (no event
+    /// of the `from` leaf's shape in `seen(from)` lies strictly causally
+    /// between the two endpoints), compound precedence and entanglement.
+    #[must_use]
+    pub fn deferred_hold<'e>(
+        &self,
+        event_of: impl Fn(LeafId) -> &'e Event,
+        seen: impl Fn(LeafId) -> &'e [Event],
+    ) -> bool {
+        let set = |leaves: &[LeafId]| -> EventSet {
+            leaves
+                .iter()
+                .map(|&l| event_of(l).stamp().clone())
+                .collect()
+        };
+        self.constraints.iter().all(|c| match c {
+            Constraint::Partner { .. } => true,
+            Constraint::Lim { from, to } => {
+                let (a, b) = (event_of(*from).stamp(), event_of(*to).stamp());
+                let spec = &self.leaves[from.as_usize()];
+                !seen(*from).iter().any(|x| {
+                    a.happens_before(x.stamp())
+                        && x.stamp().happens_before(b)
+                        && spec.matches_shape(x)
+                })
+            }
+            Constraint::WeakPrecede { from, to } => set(from).weakly_precedes(&set(to)),
+            Constraint::Entangled { left, right } => set(left).entangled(&set(right)),
+        })
+    }
+
+    /// The whole-match check: true if `events` (indexed by leaf) is a
+    /// match of the pattern over a computation in which `seen` are the
+    /// events observed so far. The events must be distinct, each must
+    /// instantiate its leaf with one consistent set of attribute
+    /// bindings (taken in leaf order), every pair must hold
+    /// ([`Pattern::pair_holds`]) and so must the deferred constraints
+    /// ([`Pattern::deferred_hold`]).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use ocep_pattern::Pattern;
+    /// use ocep_poet::{EventKind, PoetServer};
+    /// use ocep_vclock::TraceId;
+    ///
+    /// let p = Pattern::parse("A := [*, a, *]; B := [*, b, *]; pattern := A -> B;").unwrap();
+    /// let mut poet = PoetServer::new(2);
+    /// let a = poet.record(TraceId::new(0), EventKind::Unary, "a", "");
+    /// let b = poet.record(TraceId::new(0), EventKind::Unary, "b", "");
+    /// let c = poet.record(TraceId::new(1), EventKind::Unary, "b", "");
+    /// let seen = [a.clone(), b.clone(), c.clone()];
+    /// assert!(p.accepts(&[a.clone(), b], &seen));
+    /// // `a` does not happen before the `b` on the other trace.
+    /// assert!(!p.accepts(&[a, c], &seen));
+    /// ```
+    #[must_use]
+    pub fn accepts(&self, events: &[Event], seen: &[Event]) -> bool {
+        if events.len() != self.n_leaves() {
+            return false;
+        }
+        let mut bindings = Bindings::new(self.n_vars());
+        for (i, (spec, e)) in self.leaves.iter().zip(events).enumerate() {
+            for (l, p) in self.leaves.iter().zip(&events[..i]) {
+                if p.id() == e.id() || !self.pair_holds(spec.id, e, l.id, p) {
+                    return false;
+                }
+            }
+            let Some(delta) = self.leaf_match(spec.id, e, &bindings) else {
+                return false;
+            };
+            bindings.apply(&delta);
+        }
+        self.deferred_hold(|l| &events[l.as_usize()], |_| seen)
     }
 
     /// The leaves whose shape (variable-free attributes) accepts `event` —
