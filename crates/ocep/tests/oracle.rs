@@ -402,3 +402,55 @@ fn detection_is_linearization_independent() {
         }
     }
 }
+
+/// A level narrowed to one trace by a bound process variable must blame
+/// the level that bound it. Here `$a` binds `$p` first; `$a` = T0:1 leaves
+/// `$b` no candidate on T0, and only the other `$a`, T1:1, completes the
+/// match. A search that lets `$b`'s empty trace go unblamed jumps past
+/// `$a` and reports nothing.
+#[test]
+fn process_variable_narrowing_blames_its_binder() {
+    let src = "A := [$p, a, *]; B := [$p, b, *]; S := [*, s, *]; \
+               S $s; A $a; B $b; pattern := $a -> $s && $b -> $s;";
+    let mut poet = PoetServer::new(3);
+    let t = TraceId::new;
+    poet.record(t(0), EventKind::Unary, "a", "");
+    poet.record(t(1), EventKind::Unary, "a", "");
+    poet.record(t(1), EventKind::Unary, "b", "");
+    let m0 = poet.record(t(0), EventKind::Send, "m", "");
+    poet.record_receive(t(2), m0.id(), "m", "");
+    let m1 = poet.record(t(1), EventKind::Send, "m", "");
+    poet.record_receive(t(2), m1.id(), "m", "");
+    poet.record(t(2), EventKind::Unary, "s", "");
+    let all: Vec<Event> = poet.store().iter_arrival().cloned().collect();
+
+    let pattern = Pattern::parse(src).unwrap();
+    let truth = oracle_matches(&pattern, &all);
+    let names: Vec<Vec<String>> = truth
+        .iter()
+        .map(|m| m.iter().map(|e| e.id().to_string()).collect())
+        .collect();
+    assert_eq!(
+        names,
+        [["T1:1", "T2:3", "T1:2"]],
+        "leaf order is $a, $s, $b"
+    );
+
+    for policy in [SubsetPolicy::PerArrival, SubsetPolicy::default()] {
+        let mut monitor = Monitor::with_config(
+            Pattern::parse(src).unwrap(),
+            3,
+            MonitorConfig {
+                policy,
+                ..MonitorConfig::default()
+            },
+        );
+        let mut reported = Vec::new();
+        for e in &all {
+            reported.extend(monitor.observe(e));
+        }
+        assert_eq!(reported.len(), 1, "{policy:?}: the oracle's one match");
+        let evs: Vec<&Event> = reported[0].events().iter().collect();
+        assert!(oracle_accepts(&pattern, &evs, &all), "{policy:?}");
+    }
+}
