@@ -630,7 +630,7 @@ pub fn load_at(data: &[u8]) -> Result<LoadedMonitor, CheckpointError> {
         })
     };
 
-    let mut history = LeafHistory::new_for(monitor.pattern(), n_traces, dedup);
+    let mut history = LeafHistory::new(monitor.pattern(), n_traces, dedup);
     for t in 0..n_traces {
         history.relevant[t] = r.u64("relevant counter")?;
     }
@@ -650,8 +650,7 @@ pub fn load_at(data: &[u8]) -> Result<LoadedMonitor, CheckpointError> {
                         e.id()
                     )));
                 }
-                let slot = &mut history.per_leaf[l][t];
-                if let Some(prev) = slot.last() {
+                if let Some(prev) = history.per_leaf[l][t].last() {
                     if prev.index() >= e.index() {
                         return Err(CheckpointError::Invalid(format!(
                             "history for leaf {l} trace {t} is not ascending at {}",
@@ -659,18 +658,7 @@ pub fn load_at(data: &[u8]) -> Result<LoadedMonitor, CheckpointError> {
                         )));
                     }
                 }
-                // Rebuild the derived indexes exactly as observe() does.
-                let pos = slot.len() as u32;
-                if let Some(p) = e.partner() {
-                    history.by_partner[l].insert(p, e.id());
-                }
-                if history.text_indexed[l] {
-                    history.by_text[l][t]
-                        .entry(e.text_arc())
-                        .or_default()
-                        .push(pos);
-                }
-                slot.push(e);
+                history.append(l, e);
             }
         }
     }

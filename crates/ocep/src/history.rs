@@ -29,8 +29,8 @@ pub struct LeafHistory {
     /// `last_relevant[leaf][trace]` — the `relevant` value when that
     /// history last grew.
     pub(crate) last_relevant: Vec<Vec<u64>>,
-    /// `by_partner[leaf]` — for stored receive events, the position of
-    /// the receive keyed by its partner send. Lets the search resolve a
+    /// `by_partner[leaf]` — for stored receive events, the receive's id
+    /// keyed by its partner send. Lets the search resolve a
     /// `<>`-constrained leaf in O(1) instead of scanning candidates.
     pub(crate) by_partner: Vec<HashMap<EventId, EventId>>,
     /// `by_text[leaf][trace]` — ascending slice positions keyed by text
@@ -40,6 +40,10 @@ pub struct LeafHistory {
     pub(crate) by_text: Vec<Vec<HashMap<std::sync::Arc<str>, Vec<u32>>>>,
     /// Which leaves maintain `by_text`.
     pub(crate) text_indexed: Vec<bool>,
+    /// `filled[leaf]` — the traces on which that leaf's history is not
+    /// empty, in the order they filled. The search reads it to tell
+    /// whether narrowing a level to some traces skipped a candidate.
+    pub(crate) filled: Vec<Vec<u32>>,
     pub(crate) dedup: bool,
     /// Leaves whose candidates must never be suppressed: the `from` side
     /// of a `~>` constraint, where "no other occurrence causally between"
@@ -50,7 +54,7 @@ pub struct LeafHistory {
 }
 
 impl LeafHistory {
-    /// Creates empty histories for `n_leaves` leaves over `n_traces`
+    /// Creates empty histories for `pattern`'s leaves over `n_traces`
     /// traces. `dedup` enables the §VI O(1) suppression (disable it only
     /// for the ablation benchmark). Two leaf classes are exempted:
     ///
@@ -65,7 +69,7 @@ impl LeafHistory {
     ///   always program-ordered, never concurrent, so e.g. the pairwise-`||`
     ///   deadlock-cycle patterns keep their full §VI dedup.
     #[must_use]
-    pub fn new_for(pattern: &Pattern, n_traces: usize, dedup: bool) -> Self {
+    pub fn new(pattern: &Pattern, n_traces: usize, dedup: bool) -> Self {
         let n_leaves = pattern.n_leaves();
         let mut dedup_exempt = vec![false; n_leaves];
         for c in pattern.constraints() {
@@ -101,26 +105,9 @@ impl LeafHistory {
             by_partner: vec![HashMap::new(); n_leaves],
             by_text: vec![vec![HashMap::new(); n_traces]; n_leaves],
             text_indexed,
+            filled: vec![Vec::new(); n_leaves],
             dedup,
             dedup_exempt,
-            stored: 0,
-            suppressed: 0,
-        }
-    }
-
-    /// Creates empty histories with no `~>` exemptions — use
-    /// [`LeafHistory::new_for`] when a compiled pattern is available.
-    #[must_use]
-    pub fn new(n_leaves: usize, n_traces: usize, dedup: bool) -> Self {
-        LeafHistory {
-            per_leaf: vec![vec![Vec::new(); n_traces]; n_leaves],
-            relevant: vec![0; n_traces],
-            last_relevant: vec![vec![0; n_traces]; n_leaves],
-            by_partner: vec![HashMap::new(); n_leaves],
-            by_text: vec![vec![HashMap::new(); n_traces]; n_leaves],
-            text_indexed: vec![false; n_leaves],
-            dedup,
-            dedup_exempt: vec![false; n_leaves],
             stored: 0,
             suppressed: 0,
         }
@@ -156,17 +143,7 @@ impl LeafHistory {
                 self.suppressed += 1;
                 continue;
             }
-            let pos = hist.len() as u32;
-            hist.push(event.clone());
-            if let Some(p) = event.partner() {
-                self.by_partner[l].insert(p, event.id());
-            }
-            if self.text_indexed[l] {
-                self.by_text[l][t]
-                    .entry(event.text_arc())
-                    .or_default()
-                    .push(pos);
-            }
+            self.append(l, event.clone());
             self.last_relevant[l][t] = self.relevant[t] + 1;
             self.stored += 1;
             stored_somewhere = true;
@@ -180,16 +157,37 @@ impl LeafHistory {
         stored_somewhere
     }
 
+    /// Appends `event` to leaf `l`'s history on its trace and updates the
+    /// indexes derived from it (`by_partner`, `by_text`, `filled`). The
+    /// caller keeps each history ascending by index.
+    pub(crate) fn append(&mut self, l: usize, event: Event) {
+        let t = event.trace().as_usize();
+        let hist = &mut self.per_leaf[l][t];
+        let pos = hist.len() as u32;
+        if pos == 0 {
+            self.filled[l].push(t as u32);
+        }
+        if let Some(p) = event.partner() {
+            self.by_partner[l].insert(p, event.id());
+        }
+        if self.text_indexed[l] {
+            self.by_text[l][t]
+                .entry(event.text_arc())
+                .or_default()
+                .push(pos);
+        }
+        hist.push(event);
+    }
+
+    /// The traces on which `leaf` has a stored candidate.
+    pub(crate) fn filled(&self, leaf: LeafId) -> &[u32] {
+        &self.filled[leaf.as_usize()]
+    }
+
     /// The stored candidates for `leaf` on trace `t`, ascending by index.
     #[must_use]
     pub fn on_trace(&self, leaf: LeafId, t: TraceId) -> &[Event] {
         &self.per_leaf[leaf.as_usize()][t.as_usize()]
-    }
-
-    /// True if `leaf` has any stored candidate on trace `t`.
-    #[must_use]
-    pub fn has_any(&self, leaf: LeafId, t: TraceId) -> bool {
-        !self.on_trace(leaf, t).is_empty()
     }
 
     /// Total number of stored events across all histories.
@@ -220,36 +218,29 @@ impl LeafHistory {
     }
 
     /// Ascending slice positions of `leaf`'s candidates on `t` whose text
-    /// equals `value` — only available for text-indexed leaves (text
-    /// attribute is a variable).
+    /// equals `value`. Only leaves whose text attribute is a variable
+    /// are indexed; any other leaf reads empty.
     #[must_use]
-    pub fn text_positions(&self, leaf: LeafId, t: TraceId, value: &str) -> Option<&[u32]> {
-        if !self.text_indexed[leaf.as_usize()] {
-            return None;
-        }
-        Some(
-            self.by_text[leaf.as_usize()][t.as_usize()]
-                .get(value)
-                .map(Vec::as_slice)
-                .unwrap_or(&[]),
-        )
+    pub fn text_positions(&self, leaf: LeafId, t: TraceId, value: &str) -> &[u32] {
+        self.by_text[leaf.as_usize()][t.as_usize()]
+            .get(value)
+            .map_or(&[], Vec::as_slice)
     }
 
     /// The stored receive in `leaf`'s history whose partner send is
     /// `send`, if any — the O(1) `<>` resolution.
     #[must_use]
-    pub fn receive_of(&self, leaf: LeafId, send: EventId) -> Option<&Event> {
-        let id = *self.by_partner[leaf.as_usize()].get(&send)?;
-        self.find(leaf, id)
+    pub fn receive_of(&self, leaf: LeafId, send: EventId) -> Option<EventId> {
+        self.by_partner[leaf.as_usize()].get(&send).copied()
     }
 
-    /// The stored event with identifier `id` in `leaf`'s history, found
-    /// by binary search over the trace's index-sorted slice.
+    /// The position of the stored event `id` in `leaf`'s history on its
+    /// trace, found by binary search over the index-sorted slice.
     #[must_use]
-    pub fn find(&self, leaf: LeafId, id: EventId) -> Option<&Event> {
+    pub fn position(&self, leaf: LeafId, id: EventId) -> Option<usize> {
         let slice = self.on_trace(leaf, id.trace());
         let pos = slice.partition_point(|x| x.index() < id.index());
-        slice.get(pos).filter(|x| x.id() == id)
+        slice.get(pos).is_some_and(|x| x.id() == id).then_some(pos)
     }
 }
 
@@ -269,7 +260,7 @@ mod tests {
     #[test]
     fn routes_to_matching_leaf_only() {
         let p = pattern();
-        let mut h = LeafHistory::new(p.n_leaves(), 2, true);
+        let mut h = LeafHistory::new(&p, 2, true);
         let mut poet = PoetServer::new(2);
         let a = poet.record(t(0), EventKind::Unary, "a", "");
         let other = poet.record(t(0), EventKind::Unary, "zzz", "");
@@ -282,7 +273,7 @@ mod tests {
     #[test]
     fn dedup_suppresses_causally_equivalent_repeats() {
         let p = pattern();
-        let mut h = LeafHistory::new(p.n_leaves(), 2, true);
+        let mut h = LeafHistory::new(&p, 2, true);
         let mut poet = PoetServer::new(2);
         for _ in 0..5 {
             let a = poet.record(t(0), EventKind::Unary, "a", "");
@@ -296,7 +287,7 @@ mod tests {
     #[test]
     fn communication_breaks_the_equivalence_block() {
         let p = pattern();
-        let mut h = LeafHistory::new(p.n_leaves(), 2, true);
+        let mut h = LeafHistory::new(&p, 2, true);
         let mut poet = PoetServer::new(2);
         let a1 = poet.record(t(0), EventKind::Unary, "a", "");
         h.observe(&p, &a1);
@@ -312,7 +303,7 @@ mod tests {
         // A unary 'b' between two 'a's is causally relevant for same-trace
         // ordering (a1 -> b -> ... vs b -> a2), so a2 must be kept.
         let p = pattern();
-        let mut h = LeafHistory::new(p.n_leaves(), 2, true);
+        let mut h = LeafHistory::new(&p, 2, true);
         let mut poet = PoetServer::new(2);
         let a1 = poet.record(t(0), EventKind::Unary, "a", "");
         let b = poet.record(t(0), EventKind::Unary, "b", "");
@@ -326,7 +317,7 @@ mod tests {
     #[test]
     fn different_text_is_not_deduplicated() {
         let p = pattern();
-        let mut h = LeafHistory::new(p.n_leaves(), 1, true);
+        let mut h = LeafHistory::new(&p, 1, true);
         let mut poet = PoetServer::new(1);
         let a1 = poet.record(t(0), EventKind::Unary, "a", "x");
         let a2 = poet.record(t(0), EventKind::Unary, "a", "y");
@@ -338,7 +329,7 @@ mod tests {
     #[test]
     fn dedup_disabled_stores_everything() {
         let p = pattern();
-        let mut h = LeafHistory::new(p.n_leaves(), 1, false);
+        let mut h = LeafHistory::new(&p, 1, false);
         let mut poet = PoetServer::new(1);
         for _ in 0..5 {
             let a = poet.record(t(0), EventKind::Unary, "a", "");
@@ -351,7 +342,7 @@ mod tests {
     #[test]
     fn histories_stay_sorted_by_index() {
         let p = pattern();
-        let mut h = LeafHistory::new(p.n_leaves(), 2, true);
+        let mut h = LeafHistory::new(&p, 2, true);
         let mut poet = PoetServer::new(2);
         for i in 0..10 {
             let tr = t(i % 2);
@@ -378,7 +369,7 @@ mod block_head_tests {
     #[test]
     fn unary_never_merges_into_a_send_head() {
         let p = Pattern::parse("A := [*, a, *]; B := [*, b, *]; pattern := A || B;").unwrap();
-        let mut h = LeafHistory::new_for(&p, 2, true);
+        let mut h = LeafHistory::new(&p, 2, true);
         let mut poet = PoetServer::new(2);
         let s = poet.record(TraceId::new(1), EventKind::Send, "b", "");
         poet.record_receive(TraceId::new(0), s.id(), "b", "");

@@ -114,7 +114,7 @@ impl Monitor {
         let pattern = Arc::new(pattern);
         let k = pattern.n_leaves();
         Monitor {
-            history: LeafHistory::new_for(&pattern, n_traces, config.dedup),
+            history: LeafHistory::new(&pattern, n_traces, config.dedup),
             subset: vec![vec![None; n_traces]; k],
             pattern,
             n_traces,

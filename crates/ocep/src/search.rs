@@ -2,12 +2,20 @@
 //!
 //! A search is seeded by one terminating event (Alg 1's precondition: `M`
 //! is a partial match of length one). Levels follow the pattern's
-//! evaluation order; `go_forward` instantiates the current level by
-//! iterating traces and, per trace, the Fig 4 domain latest-first
-//! (`nextMatch`). On a complete match the subset is updated and the
-//! search *advances to the next trace* at the completing level (§IV-C),
-//! which is what bounds the reported subset by one match per
-//! (level, trace) cell.
+//! evaluation order; `go` instantiates the current level by iterating
+//! traces and, per trace, the Fig 4 domain latest-first (`nextMatch`).
+//! On a complete match the subset is updated and the search *advances to
+//! the next trace* at the completing level (§IV-C), which is what bounds
+//! the reported subset by one match per (level, trace) cell.
+//!
+//! Values that earlier levels bound can narrow a level further: a `<>`
+//! partner pins one event, a bound process variable (or a `T<n>` literal)
+//! pins one trace, and a bound text variable picks the text index's
+//! entries for its value. The narrowed candidates run through the same
+//! loop as any others. Whenever the narrowing skips a candidate the loop
+//! would have tried (on a trace neither covered nor empty, or inside a
+//! Fig 4 domain), the levels that bound those values are part of the
+//! level's failure: the skipped candidate would have failed against them.
 //!
 //! Failure handling refines the paper's `bt[][]`/`getTS` machinery into
 //! two sound mechanisms:
@@ -22,25 +30,31 @@
 //!   conflicting events yield an exact bound on which other candidates
 //!   for `e`'s level can ever resolve the conflict (cases a and b of
 //!   Fig 5); the bound is carried upward and fast-forwards the candidate
-//!   cursor at that level.
+//!   cursor at that level. No bound targets a level that narrowed the
+//!   failing one: a replacement there would narrow it differently.
 //!
 //! # Allocation discipline
 //!
-//! The recursion itself is allocation-free: already-instantiated events
-//! are *borrowed* out of the assignment for the Fig 4 restriction rules,
-//! candidate events are O(1) clones (`Arc`-shared timestamps), a failed
-//! subtree's jump bound travels as a `Copy` `Option` rather than a `Vec`,
-//! and the per-level working buffers (`assignment`, `covered`,
-//! `my_bound`, variable bindings) live in a [`SearchScratch`] that the
-//! caller reuses across searches — the monitor keeps one.
+//! The recursion allocates only where a level binds a fresh attribute
+//! variable: [`Pattern::leaf_match`] returns the new bindings as a `Vec`
+//! (and a process variable's value as a new string). Everything else is
+//! borrowed or reused: already-instantiated events are *borrowed* out of
+//! the assignment for the Fig 4 restriction rules, the text index's
+//! positions are read in place, candidate events are O(1) clones
+//! (`Arc`-shared timestamps), a failed subtree's jump bound travels as a
+//! `Copy` `Option` rather than a `Vec`, and the per-level working buffers
+//! (`assignment`, `covered`, `my_bound`, variable bindings) live in a
+//! [`SearchScratch`] that the caller reuses across searches — the monitor
+//! keeps one.
 
 use crate::domain::{restrict, Domain};
 use crate::history::LeafHistory;
 use crate::matching::Match;
 use crate::obs::{ObsLevel, SearchObs};
-use ocep_pattern::{Bindings, Constraint, LeafId, PairRel, Pattern};
+use ocep_pattern::{Bindings, Constraint, LeafId, PairRel, Pattern, VarId};
 use ocep_poet::Event;
-use ocep_vclock::{EventSet, TraceId};
+use ocep_vclock::{EventId, EventSet, TraceId};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Statistics of one arrival's search, merged into the monitor totals.
@@ -206,22 +220,16 @@ impl<'a> Search<'a> {
         };
         // Quick feasibility screen: every leaf needs at least one
         // candidate on some trace.
-        for &leaf in &self.order[1..] {
-            if !(0..self.n_traces).any(|t| self.history.has_any(leaf, TraceId::new(t as u32))) {
-                return (Vec::new(), self.stats);
-            }
+        if self.order[1..]
+            .iter()
+            .any(|&leaf| self.history.filled(leaf).is_empty())
+        {
+            return (Vec::new(), self.stats);
         }
         self.scratch.bindings.apply(&delta);
         self.scratch.assignment[seed_leaf.as_usize()] = Some(seed.clone());
         let _ = self.go(1);
         (std::mem::take(&mut self.matches), self.stats)
-    }
-
-    fn exhausted_all_earlier(&self, pos: usize) -> Outcome {
-        Outcome::Exhausted {
-            conflicts: mask_below(pos),
-            bound: None,
-        }
     }
 
     /// Alg 2 / Alg 3 rolled into one recursive step for eval position
@@ -232,14 +240,24 @@ impl<'a> Search<'a> {
             return self.complete();
         }
         let leaf = self.order[pos];
-        // O(1) `<>` resolution: when this leaf is partner-constrained
-        // against an already-instantiated endpoint, the candidate is
-        // unique — no trace/domain iteration needed.
-        if let Some(unique) = self.partner_candidate(leaf, pos) {
-            return self.try_unique_candidate(leaf, pos, unique);
-        }
+        let history = self.history;
+        let narrowing = self.narrowing(leaf, pos);
         let mut found_any = false;
         let mut conflicts: u64 = 0;
+        // A candidate the narrowing keeps the loop from would fail
+        // against the levels that bound its values, so they share any
+        // failure here when it skips a trace the loop would search (not
+        // covered, not empty) or, below, a position of a domain.
+        if narrowing.blame != 0
+            && history.filled(leaf).iter().any(|&t| {
+                !narrowing.traces.contains(&(t as usize)) && !self.covered(pos, t as usize)
+            })
+        {
+            conflicts |= narrowing.blame;
+        }
+        // Set when a deeper failure does not involve this level: the
+        // backjump past it, carrying that failure's bound.
+        let mut backjump: Option<Option<JumpBound>> = None;
         // Local tallies for counters that would otherwise need `&mut
         // self` while an assigned event is borrowed.
         let mut avoided: u64 = 0;
@@ -261,24 +279,13 @@ impl<'a> Search<'a> {
         let mut my_bound = std::mem::take(&mut self.scratch.my_bound[pos]);
         my_bound.clear();
         my_bound.resize(self.n_traces, None);
-        // A literal or bound process attribute pins the level to one
-        // trace: skip all others outright.
-        let pin = self.pattern.leaves()[leaf.as_usize()]
-            .process_pin(&self.scratch.bindings)
-            .map(ocep_vclock::TraceId::as_usize);
 
-        #[allow(clippy::needless_range_loop)]
-        'traces: for t in 0..self.n_traces {
-            if let Some(pin) = pin {
-                if t != pin {
-                    continue;
-                }
-            }
+        'traces: for t in narrowing.traces.clone() {
             if self.covered(pos, t) {
                 continue;
             }
             let trace = TraceId::new(t as u32);
-            let slice = self.history.on_trace(leaf, trace);
+            let slice = history.on_trace(leaf, trace);
             if slice.is_empty() {
                 continue;
             }
@@ -295,9 +302,7 @@ impl<'a> Search<'a> {
                 let Some(rel) = self.pattern.rel(leaf, other_leaf) else {
                     continue;
                 };
-                let e = self.scratch.assignment[other_leaf.as_usize()]
-                    .as_ref()
-                    .expect("earlier levels are instantiated");
+                let e = self.assigned(other_leaf);
                 avoided += 1;
                 // Deliberate, feature-gated bug used to validate the
                 // conformance harness: drop the happens-before (GP-derived)
@@ -311,9 +316,11 @@ impl<'a> Search<'a> {
                 let individual = restrict(slice, rel, e);
                 if individual.is_empty() {
                     // The conflict involves only e and this history: a
-                    // Fig 5 bound on replacements for e may exist.
+                    // Fig 5 bound on replacements for e may exist — unless
+                    // e's level narrowed this one, when a replacement
+                    // would narrow it elsewhere.
                     match fig5_bound(rel, e, slice) {
-                        Some(b) => {
+                        Some(b) if narrowing.blame & (1 << p) == 0 => {
                             let jb = JumpBound {
                                 target_leaf: other_leaf,
                                 on_trace: e.trace(),
@@ -338,7 +345,7 @@ impl<'a> Search<'a> {
                                 }
                             };
                         }
-                        None => poisoned = true,
+                        _ => poisoned = true,
                     }
                     conflicts |= 1 << p;
                     pruned = Some(true);
@@ -379,55 +386,50 @@ impl<'a> Search<'a> {
                     o.record_domain_width(pos, dom.len() as u64);
                 }
             }
-            // Levels that narrowed this domain excluded candidates; if the
-            // remaining ones all fail, those levels share the blame.
+            // Levels whose rules shrank this domain excluded candidates; if
+            // the remaining ones all fail, those levels share the blame.
             conflicts |= contributors;
             poisoned = true; // candidate-level failures have mixed causes
 
-            // When the leaf's text attribute is a bound variable, the
-            // text index yields the (few) matching candidates directly
-            // instead of scanning the whole domain.
-            let indexed: Option<Vec<usize>> = self.pattern.leaves()[leaf.as_usize()]
-                .text_var()
-                .and_then(|v| self.scratch.bindings.get(v))
-                .and_then(|val| self.history.text_positions(leaf, trace, &val))
-                .map(|positions| {
-                    let lo = positions.partition_point(|&p| (p as usize) < dom.lo);
-                    let hi = positions.partition_point(|&p| (p as usize) < dom.hi);
-                    positions[lo..hi].iter().map(|&p| p as usize).collect()
-                });
-
             // ---- nextMatch: candidates latest-first -----------------------
-            let (mut cursor, floor) = match &indexed {
-                Some(v) => (v.len(), 0),
-                None => (dom.hi, dom.lo),
-            };
+            // The narrowing leaves a window of the domain, or the text
+            // index's entries inside it. The cursor runs over the window's
+            // positions or the list's entries; `at(cursor)` is the slice
+            // position either way.
+            let window = dom.intersect(narrowing.span);
+            let list = narrowing.text.as_deref().map(|text| {
+                let v = history.text_positions(leaf, trace, text);
+                let a = v.partition_point(|&p| (p as usize) < window.lo);
+                &v[a..a + v[a..].partition_point(|&p| (p as usize) < window.hi)]
+            });
+            if list.map_or(window.len(), <[u32]>::len) < dom.len() {
+                conflicts |= narrowing.blame;
+            }
+            let at = |i: usize| list.map_or(i, |v| v[i] as usize);
+            let (floor, mut cursor) =
+                list.map_or((window.lo, window.hi.max(window.lo)), |v| (0, v.len()));
             while cursor > floor {
                 cursor -= 1;
-                let cpos = match &indexed {
-                    Some(v) => v[cursor],
-                    None => {
-                        if let Some(maxidx) = my_bound[t] {
-                            // Fast-forward past candidates a Fig 5 bound
-                            // rules out.
-                            let cand_idx = slice[cursor].index().get();
-                            if cand_idx > maxidx {
-                                self.stats.jump_bounds_applied += 1;
-                                let new_hi = slice[dom.lo..=cursor]
-                                    .partition_point(|x| x.index().get() <= maxidx)
-                                    + dom.lo;
-                                if new_hi <= dom.lo {
-                                    continue 'traces;
-                                }
-                                cursor = new_hi - 1;
+                if let Some(maxidx) = my_bound[t] {
+                    // Fast-forward past candidates a Fig 5 bound rules out.
+                    if slice[at(cursor)].index().get() > maxidx {
+                        self.stats.jump_bounds_applied += 1;
+                        let kept = match list {
+                            Some(v) => v[floor..=cursor]
+                                .partition_point(|&p| slice[p as usize].index().get() <= maxidx),
+                            None => {
+                                slice[floor..=cursor].partition_point(|x| x.index().get() <= maxidx)
                             }
+                        };
+                        if kept == 0 {
+                            continue 'traces;
                         }
-                        cursor
+                        cursor = floor + kept - 1;
                     }
-                };
+                }
                 self.stats.candidates += 1;
                 // O(1): the event's timestamp buffer is Arc-shared.
-                let cand = slice[cpos].clone();
+                let cand = slice[at(cursor)].clone();
                 // Distinctness: one concrete event per leaf.
                 if let Some(p) = self.position_holding(&cand, pos) {
                     conflicts |= 1 << p;
@@ -467,24 +469,14 @@ impl<'a> Search<'a> {
                             // passes through unchanged — its validity
                             // depends only on its target's assignment.
                             self.stats.backjumps += 1;
-                            self.stats.clones_avoided += avoided;
-                            self.stats.clone_bytes_avoided += avoided * self.clone_bytes();
-                            self.scratch.my_bound[pos] = my_bound;
-                            self.stats.domain_ns += domain_ns;
-                            self.stats.prune_gp_ls += prune_gp_ls;
-                            self.stats.prune_intersect += prune_intersect;
                             if obs_on {
                                 if let Some(o) = self.stats.obs.as_deref_mut() {
                                     o.backjump_depth.record(pos as u64);
                                 }
                             }
-                            if found_any {
-                                return Outcome::FoundSome;
-                            }
-                            return Outcome::Exhausted {
-                                conflicts: c | conflicts,
-                                bound,
-                            };
+                            conflicts |= c;
+                            backjump = Some(bound);
+                            break 'traces;
                         }
                         conflicts |= c & mask_below(pos);
                         if let Some(b) = bound {
@@ -512,20 +504,95 @@ impl<'a> Search<'a> {
         self.stats.domain_ns += domain_ns;
         self.stats.prune_gp_ls += prune_gp_ls;
         self.stats.prune_intersect += prune_intersect;
-        if obs_on && !found_any {
-            if let Some(o) = self.stats.obs.as_deref_mut() {
-                o.conflict_size.record(u64::from(conflicts.count_ones()));
+        if found_any {
+            return Outcome::FoundSome;
+        }
+        let bound = match backjump {
+            Some(passed) => passed,
+            None => {
+                if let Some(o) = self.stats.obs.as_deref_mut() {
+                    o.conflict_size.record(u64::from(conflicts.count_ones()));
+                }
+                uniform.filter(|_| !poisoned)
+            }
+        };
+        Outcome::Exhausted { conflicts, bound }
+    }
+
+    /// What the values of earlier levels leave of `leaf`'s candidates at
+    /// eval position `pos`: a `T<n>` literal or a bound process variable
+    /// pins one trace, a bound text variable picks the text index's
+    /// entries for its value, and an instantiated `<>` partner pins its
+    /// counterpart, one position on one trace (none, if the counterpart
+    /// is not stored).
+    fn narrowing(&self, leaf: LeafId, pos: usize) -> Narrowing {
+        let spec = &self.pattern.leaves()[leaf.as_usize()];
+        let bindings = &self.scratch.bindings;
+        let mut n = Narrowing {
+            traces: 0..self.n_traces,
+            span: Domain::full(usize::MAX),
+            text: None,
+            blame: 0,
+        };
+        if let Some(t) = spec.process_pin(bindings) {
+            n.traces = meet(n.traces, t.as_usize()..t.as_usize() + 1);
+            n.blame |= spec.process_var().map_or(0, |v| self.binder(v, pos));
+        }
+        if let Some(v) = spec.text_var() {
+            n.text = bindings.get(v);
+            if n.text.is_some() {
+                n.blame |= self.binder(v, pos);
             }
         }
-        if found_any {
-            Outcome::FoundSome
-        } else {
-            let bound = match uniform {
-                Some(u) if !poisoned => Some(u),
-                _ => None,
-            };
-            Outcome::Exhausted { conflicts, bound }
+        if let Some((p, counterpart)) = self.partner(leaf, pos) {
+            n.blame |= 1 << p;
+            match counterpart.and_then(|id| Some((id.trace(), self.history.position(leaf, id)?))) {
+                Some((t, i)) => {
+                    n.traces = meet(n.traces, t.as_usize()..t.as_usize() + 1);
+                    n.span = Domain { lo: i, hi: i + 1 };
+                }
+                None => n.traces = 0..0,
+            }
         }
+        n
+    }
+
+    /// The eval position, as a conflict bit, of the level that bound
+    /// `v`: the first earlier level whose leaf mentions it.
+    fn binder(&self, v: VarId, pos: usize) -> u64 {
+        let leaves = self.pattern.leaves();
+        self.order[..pos]
+            .iter()
+            .position(|l| leaves[l.as_usize()].mentions(v))
+            .map_or(0, |p| 1 << p)
+    }
+
+    /// For `leaf` `<>`-constrained against an instantiated endpoint: that
+    /// endpoint's eval position and the id of the event `leaf` must take
+    /// — the stored receive of an assigned send (via the partner index)
+    /// or the send named by an assigned receive's partner field.
+    fn partner(&self, leaf: LeafId, pos: usize) -> Option<(usize, Option<EventId>)> {
+        self.pattern.constraints().iter().find_map(|c| {
+            let (other, leaf_is_send) = match c {
+                Constraint::Partner { send, recv } if *recv == leaf => (*send, false),
+                Constraint::Partner { send, recv } if *send == leaf => (*recv, true),
+                _ => return None,
+            };
+            let p = self.order[..pos].iter().position(|l| *l == other)?;
+            let e = self.assigned(other);
+            Some(if leaf_is_send {
+                (p, e.partner())
+            } else {
+                (p, self.history.receive_of(leaf, e.id()))
+            })
+        })
+    }
+
+    /// The event instantiating `leaf`, which an earlier level assigned.
+    fn assigned(&self, leaf: LeafId) -> &Event {
+        self.scratch.assignment[leaf.as_usize()]
+            .as_ref()
+            .expect("earlier levels are instantiated")
     }
 
     /// Heap bytes one avoided `Event` clone would have copied before the
@@ -540,7 +607,10 @@ impl<'a> Search<'a> {
         if !self.deferred_ok() {
             self.stats.deferred_rejections += 1;
             // Deferred constraints span many leaves; blame every level.
-            return self.exhausted_all_earlier(self.order.len());
+            return Outcome::Exhausted {
+                conflicts: mask_below(self.order.len()),
+                bound: None,
+            };
         }
         // O(1) clones throughout: the Match shares every event's
         // timestamp and string buffers with the history.
@@ -553,88 +623,34 @@ impl<'a> Search<'a> {
         self.matches
             .push(Match::new(Arc::clone(self.pattern), events));
         for (p, &leaf) in self.order.iter().enumerate() {
-            let t = self.scratch.assignment[leaf.as_usize()]
-                .as_ref()
-                .expect("complete assignment")
-                .trace()
-                .as_usize();
+            let t = self.assigned(leaf).trace().as_usize();
             self.scratch.covered[p * self.n_traces + t] = true;
         }
         Outcome::FoundSome
     }
 
-    /// Checks `Lim` and `WeakPrecede` constraints on the full assignment.
+    /// Checks the `~>`, weak precedence and entanglement constraints on
+    /// the full assignment.
     fn deferred_ok(&self) -> bool {
-        for c in self.pattern.constraints() {
-            match c {
-                Constraint::Lim { from, to } if !self.lim_ok(*from, *to) => {
-                    return false;
-                }
-                Constraint::WeakPrecede { from, to } => {
-                    let fs: EventSet = from
-                        .iter()
-                        .map(|l| {
-                            self.scratch.assignment[l.as_usize()]
-                                .as_ref()
-                                .expect("complete")
-                                .stamp()
-                                .clone()
-                        })
-                        .collect();
-                    let ts: EventSet = to
-                        .iter()
-                        .map(|l| {
-                            self.scratch.assignment[l.as_usize()]
-                                .as_ref()
-                                .expect("complete")
-                                .stamp()
-                                .clone()
-                        })
-                        .collect();
-                    if !fs.weakly_precedes(&ts) {
-                        return false;
-                    }
-                }
-                Constraint::Entangled { left, right } => {
-                    let ls: EventSet = left
-                        .iter()
-                        .map(|l| {
-                            self.scratch.assignment[l.as_usize()]
-                                .as_ref()
-                                .expect("complete")
-                                .stamp()
-                                .clone()
-                        })
-                        .collect();
-                    let rs: EventSet = right
-                        .iter()
-                        .map(|l| {
-                            self.scratch.assignment[l.as_usize()]
-                                .as_ref()
-                                .expect("complete")
-                                .stamp()
-                                .clone()
-                        })
-                        .collect();
-                    if !ls.entangled(&rs) {
-                        return false;
-                    }
-                }
-                _ => {}
-            }
-        }
-        true
+        let stamps = |leaves: &[LeafId]| -> EventSet {
+            leaves
+                .iter()
+                .map(|&l| self.assigned(l).stamp().clone())
+                .collect()
+        };
+        self.pattern.constraints().iter().all(|c| match c {
+            Constraint::Lim { from, to } => self.lim_ok(*from, *to),
+            Constraint::WeakPrecede { from, to } => stamps(from).weakly_precedes(&stamps(to)),
+            Constraint::Entangled { left, right } => stamps(left).entangled(&stamps(right)),
+            Constraint::Partner { .. } => true,
+        })
     }
 
     /// `from ~> to`: no other stored event of `from`'s leaf strictly
     /// causally between the two assigned events.
     fn lim_ok(&self, from: LeafId, to: LeafId) -> bool {
-        let a = self.scratch.assignment[from.as_usize()]
-            .as_ref()
-            .expect("complete");
-        let b = self.scratch.assignment[to.as_usize()]
-            .as_ref()
-            .expect("complete");
+        let a = self.assigned(from);
+        let b = self.assigned(to);
         for t in 0..self.n_traces {
             let trace = TraceId::new(t as u32);
             let slice = self.history.on_trace(from, trace);
@@ -651,94 +667,12 @@ impl<'a> Search<'a> {
         true
     }
 
-    /// The unique candidate for `leaf` when it is `<>`-constrained
-    /// against an instantiated endpoint: the stored receive of an
-    /// assigned send (via the partner index) or the stored send named by
-    /// an assigned receive's partner field.
-    fn partner_candidate(&self, leaf: LeafId, pos: usize) -> Option<Event> {
-        for c in self.pattern.constraints() {
-            match c {
-                Constraint::Partner { send, recv } if *recv == leaf => {
-                    if let Some(s) = &self.scratch.assignment[send.as_usize()] {
-                        if self.order[..pos].contains(send) {
-                            return self.history.receive_of(leaf, s.id()).cloned();
-                        }
-                    }
-                }
-                Constraint::Partner { send, recv } if *send == leaf => {
-                    if let Some(r) = &self.scratch.assignment[recv.as_usize()] {
-                        if self.order[..pos].contains(recv) {
-                            let sid = r.partner()?;
-                            return self.history.find(leaf, sid).cloned();
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        None
-    }
-
-    /// Tries the single possible candidate for a partner-resolved level:
-    /// validates every constraint directly (no domain computation) and
-    /// descends. Failure blames all earlier levels (coarse but sound —
-    /// the partner chain pins the candidate).
-    fn try_unique_candidate(&mut self, leaf: LeafId, pos: usize, cand: Event) -> Outcome {
-        let t = cand.trace().as_usize();
-        let fail = Outcome::Exhausted {
-            conflicts: mask_below(pos),
-            bound: None,
-        };
-        if self.covered(pos, t) || self.position_holding(&cand, pos).is_some() {
-            return fail;
-        }
-        for &other_leaf in &self.order[..pos] {
-            let Some(rel) = self.pattern.rel(leaf, other_leaf) else {
-                continue;
-            };
-            let other = self.scratch.assignment[other_leaf.as_usize()]
-                .as_ref()
-                .expect("earlier levels are instantiated");
-            let got = cand.stamp().causality(other.stamp());
-            let ok = matches!(
-                (rel, got),
-                (PairRel::Before, ocep_vclock::Causality::Before)
-                    | (PairRel::After, ocep_vclock::Causality::After)
-                    | (PairRel::Concurrent, ocep_vclock::Causality::Concurrent)
-            );
-            if !ok {
-                return fail;
-            }
-        }
-        if self.partner_violation(leaf, &cand, pos).is_some() {
-            return fail;
-        }
-        let Some(delta) = self.pattern.leaf_match(leaf, &cand, &self.scratch.bindings) else {
-            return fail;
-        };
-        self.stats.candidates += 1;
-        self.scratch.bindings.apply(&delta);
-        self.scratch.assignment[leaf.as_usize()] = Some(cand);
-        let out = self.go(pos + 1);
-        self.scratch.assignment[leaf.as_usize()] = None;
-        self.scratch.bindings.retract(&delta);
-        match out {
-            Outcome::FoundSome => Outcome::FoundSome,
-            Outcome::Exhausted { .. } => fail,
-        }
-    }
-
     /// If `cand` is already assigned to an earlier level, returns that
     /// level's eval position.
     fn position_holding(&self, cand: &Event, pos: usize) -> Option<usize> {
-        for (p, &l) in self.order[..pos].iter().enumerate() {
-            if let Some(e) = &self.scratch.assignment[l.as_usize()] {
-                if e.id() == cand.id() {
-                    return Some(p);
-                }
-            }
-        }
-        None
+        self.order[..pos]
+            .iter()
+            .position(|&l| self.assigned(l).id() == cand.id())
     }
 
     /// Checks the `<>` constraints of `leaf` against instantiated
@@ -768,6 +702,27 @@ impl<'a> Search<'a> {
         }
         None
     }
+}
+
+/// What earlier levels' values leave of one level's candidates (see
+/// [`Search::narrowing`]). Each narrowing skips candidates that would
+/// fail against the level that bound its value, so `blame` carries those
+/// levels into a failure at this one whenever a candidate was skipped;
+/// without it the search would backjump past them and miss a match a
+/// different value allows.
+struct Narrowing {
+    /// The traces that can hold a candidate.
+    traces: Range<usize>,
+    /// The slice positions, on those traces, that can hold one.
+    span: Domain,
+    /// The text every candidate carries, looked up in the text index.
+    text: Option<Arc<str>>,
+    /// Eval positions (bits) of the levels that bound those values.
+    blame: u64,
+}
+
+fn meet(a: Range<usize>, b: Range<usize>) -> Range<usize> {
+    a.start.max(b.start)..a.end.min(b.end)
 }
 
 /// Fig 5 bound derivation for a single-constraint empty domain on a trace:

@@ -151,10 +151,14 @@ pub(crate) fn compile(program: &Program) -> Result<Compiled, PatternError> {
         .map(|i| LeafId::from_index(i as u32))
         .collect();
 
-    // --- evaluation order per terminating leaf ----------------------------
-    // Breadth-first over the constraint adjacency from the seed so every
+    // --- evaluation order per seed ----------------------------------------
+    // Breadth-first over the constraint adjacency from the seed, so every
     // newly instantiated level is causally constrained by an earlier one
-    // where possible (maximizes Fig 4 pruning).
+    // where possible (maximizes Fig 4 pruning). Binding first: of the
+    // leaves the walk has reached, one whose process variable an earlier
+    // level bound goes next, so the search visits one trace there. A
+    // bound leaf the walk has not reached is related to no placed level,
+    // and placed early it would scan its whole pinned trace.
     let mut adjacency: Vec<Vec<usize>> = rel
         .iter()
         .map(|row| (0..k).filter(|&j| row[j].is_some()).collect())
@@ -177,17 +181,22 @@ pub(crate) fn compile(program: &Program) -> Result<Compiled, PatternError> {
 
     let mut eval_order = Vec::with_capacity(k);
     for seed in 0..k {
-        let mut order = Vec::with_capacity(k);
+        let mut order: Vec<LeafId> = Vec::with_capacity(k);
         let mut seen = vec![false; k];
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(seed);
+        let mut queue = vec![seed];
         seen[seed] = true;
-        while let Some(i) = queue.pop_front() {
+        while !queue.is_empty() {
+            let bound = |i: &usize| {
+                leaves[*i]
+                    .process_var()
+                    .is_some_and(|v| order.iter().any(|p| leaves[p.as_usize()].mentions(v)))
+            };
+            let i = queue.remove(queue.iter().position(bound).unwrap_or(0));
             order.push(LeafId::from_index(i as u32));
             for &j in &adjacency[i] {
                 if !seen[j] {
                     seen[j] = true;
-                    queue.push_back(j);
+                    queue.push(j);
                 }
             }
         }

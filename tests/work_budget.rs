@@ -37,6 +37,19 @@
 //! 1,754 / 1,204,056 / 1, `served-clean-8` for 4,131 / 850,487 instead
 //! of 4,145 / 947,942, and `served-resend-8` for 4,168 / 2,075,047
 //! instead of 4,182 / 2,172,502.
+//!
+//! Search and observe figures moved with the search's one narrowing
+//! rule. Routing an event no longer formats its trace name for
+//! every leaf (`LeafSpec::matches_shape` compares a process literal in
+//! place), and a bound text variable reads the text index's positions in
+//! place instead of collecting them per trace. With the smaller search
+//! below, `observe_allocs` fell from 68,867 / 12,689 / 12,692 / 357,766 /
+//! 25,275 (in the order of `BUDGETS`) to the figures there. The
+//! breadth-first evaluation order now takes first a reached leaf whose
+//! process variable is bound, so the deadlock cycle is searched along its
+//! variable chain: `nodes` / `candidates` fell from 1,245 / 861 on
+//! `inproc-deadlock-50`, 112 / 49 on both `served-*-8` and 10,912 / 6,816
+//! on `served-tenants-16`; `ingest-otlp-offline` searched the same.
 
 use ocep_repro::adapters::testgen;
 use ocep_repro::conformance::{apply_faults, FaultPlan, ReorderMode};
@@ -112,10 +125,10 @@ const BUDGETS: &[(&str, Budget)] = &[
             table_regrowths: 0,
             encode_allocs: 0,
             decode_allocs: 0,
-            observe_allocs: 68867,
+            observe_allocs: 2739,
             searches: 384,
-            nodes: 1245,
-            candidates: 861,
+            nodes: 912,
+            candidates: 528,
             history_events: 384,
             history_bytes: 104448,
             checkpoint_bytes: 20559,
@@ -138,10 +151,10 @@ const BUDGETS: &[(&str, Budget)] = &[
             table_regrowths: 32,
             encode_allocs: 278,
             decode_allocs: 8385,
-            observe_allocs: 12689,
+            observe_allocs: 436,
             searches: 63,
-            nodes: 112,
-            candidates: 49,
+            nodes: 105,
+            candidates: 42,
             history_events: 63,
             history_bytes: 6552,
             checkpoint_bytes: 2635,
@@ -164,10 +177,10 @@ const BUDGETS: &[(&str, Budget)] = &[
             table_regrowths: 38,
             encode_allocs: 331,
             decode_allocs: 9822,
-            observe_allocs: 12692,
+            observe_allocs: 439,
             searches: 63,
-            nodes: 112,
-            candidates: 49,
+            nodes: 105,
+            candidates: 42,
             history_events: 63,
             history_bytes: 6552,
             checkpoint_bytes: 2635,
@@ -196,10 +209,10 @@ const BUDGETS: &[(&str, Budget)] = &[
             // 357824 with two inline partitions behind the group's own
             // guard, which admitted into a fresh `Vec` per delivery; the
             // one set reuses its admission buffer.
-            observe_allocs: 357766,
+            observe_allocs: 29430,
             searches: 4096,
-            nodes: 10912,
-            candidates: 6816,
+            nodes: 7680,
+            candidates: 3584,
             history_events: 4096,
             history_bytes: 458752,
             checkpoint_bytes: 98274,
@@ -222,7 +235,7 @@ const BUDGETS: &[(&str, Budget)] = &[
             table_regrowths: 0,
             encode_allocs: 0,
             decode_allocs: 0,
-            observe_allocs: 25275,
+            observe_allocs: 4737,
             searches: 600,
             nodes: 1829,
             candidates: 1229,
