@@ -19,13 +19,13 @@
 //! offset, never a panic.
 //!
 //! ```text
-//! magic        [u8;4] = b"OCKP", version u16 = 2
+//! magic        [u8;4] = b"OCKP", version u16 = 3
 //! pattern_src  str (u32 len + utf-8) — the monitored pattern's source
 //! n_traces     u32
 //! config       dedup u8, policy u8, reserved u64 = 0, reserved u64 = 1,
 //!              guard u8 = 0 (older files: 1, capacity u64, overflow u8)
-//! stats        26 × u64 (MonitorStats, fixed order; the fourteenth
-//!              and the last twelve are reserved = 0)
+//! stats        26 × u64: the 13 MonitorStats counters in catalogue
+//!              order (`stats.rs`), then 13 reserved = 0
 //! strings      string table
 //! events       u32 count; per event one record: table-id strings,
 //!              full clock
@@ -34,13 +34,15 @@
 //!              suppressed u64
 //! subset       per leaf×trace: u8 flag [, n_leaves event refs]
 //! guard        (older files, iff config.guard) admitted u32×n;
-//!              u32 buffered + event refs; 12 × u64 guard stats
+//!              u32 buffered + event refs; 12 × u64 IngestStats
+//!              counters in catalogue order (`ingest.rs`)
 //! obs          marker u8; iff 1: level u8, 5 stage histograms,
 //!              arrival histogram, search obs (u32 level count +
 //!              histograms, 2 histograms, 3 × u64), recent ring
 //!              (u32 count; per record: seq u64, event str, stored u8,
 //!              5 × u64); histogram := u32 n (0 or 40) + n × u64 counts,
 //!              sum u64, max u64
+//! wal_lsn      u64 (version ≥ 3) — the durable-log anchor
 //! ```
 //!
 //! Version 2 appends the trailing `obs` section; version-1 checkpoints
@@ -69,16 +71,21 @@
 //! [`load_at`] hands the guard back for the caller to put in front of a
 //! [`MonitorSet`] ([`MonitorSet::install_guard`]).
 //!
+//! Both stats blocks are written by looping over their catalogues
+//! ([`MonitorStats`] and [`IngestStats`](crate::IngestStats) rows, in
+//! order). Adding or deleting a row, or dropping the reserved words,
+//! moves every later word, so it comes with a version bump.
+//!
 //! A guard's capped fault *log* is deliberately not checkpointed (the
 //! counters are); a restored guard starts with an empty log.
 
 use crate::history::LeafHistory;
-use crate::ingest::{AdmissionGuard, GuardConfig, IngestStats, OverflowPolicy};
+use crate::ingest::{AdmissionGuard, GuardConfig, OverflowPolicy};
 use crate::matching::Match;
 use crate::monitor::{Monitor, MonitorConfig, SubsetPolicy};
 use crate::multi::MonitorSet;
 use crate::obs::{ArrivalRecord, Histogram, Metrics, ObsLevel, HIST_BUCKETS, RECENT_CAP};
-use crate::stats::MonitorStats;
+use crate::stats::{CounterBlock, MonitorStats};
 use ocep_pattern::Pattern;
 use ocep_poet::codec::{
     get_event_record, nth, put_event_record, put_str, put_u16, put_u32, put_u32s, put_u64,
@@ -148,68 +155,33 @@ impl<'m> EventTable<'m> {
     }
 }
 
-fn put_stats(buf: &mut Vec<u8>, s: &MonitorStats) {
-    for v in [
-        s.events,
-        s.stored,
-        s.searches,
-        s.matches_found,
-        s.matches_reported,
-        s.nodes,
-        s.candidates,
-        s.domains,
-        s.backjumps,
-        s.jump_bounds,
-        s.deferred_rejections,
-        s.clones_avoided,
-        s.clone_bytes_avoided,
-        RESERVED_STATS_SLOT,
-    ] {
+/// Writes a counter block as one `u64` per catalogue row, in row order.
+fn put_counters(buf: &mut Vec<u8>, block: &impl CounterBlock) {
+    for v in block.values() {
         put_u64(buf, v);
     }
+}
+
+/// Reads the words [`put_counters`] wrote; `what` names them in errors.
+fn read_counters<B: CounterBlock>(r: &mut Reader<'_>, what: &str) -> Result<B, PoetError> {
+    let mut block = B::default();
+    for field in block.fields_mut() {
+        *field = r.u64(what)?;
+    }
+    Ok(block)
+}
+
+/// The OCKP stats block: the monitor counters, then the reserved words.
+fn put_stats(buf: &mut Vec<u8>, s: &MonitorStats) {
+    put_counters(buf, s);
+    put_u64(buf, RESERVED_STATS_SLOT);
     for _ in 0..RESERVED_INGEST_SLOTS {
         put_u64(buf, 0);
     }
 }
 
-fn put_ingest_stats(buf: &mut Vec<u8>, g: &IngestStats) {
-    for v in [
-        g.admitted,
-        g.duplicates_dropped,
-        g.buffered,
-        g.reordered_delivered,
-        g.quarantined_trace_range,
-        g.quarantined_clock_width,
-        g.quarantined_non_monotone,
-        g.overflow_rejected,
-        g.overflow_dropped,
-        g.degraded_flushes,
-        g.degraded_delivered,
-        g.buffered_peak,
-    ] {
-        put_u64(buf, v);
-    }
-}
-
 fn read_stats(r: &mut Reader<'_>) -> Result<MonitorStats, PoetError> {
-    let mut s = MonitorStats::default();
-    for field in [
-        &mut s.events,
-        &mut s.stored,
-        &mut s.searches,
-        &mut s.matches_found,
-        &mut s.matches_reported,
-        &mut s.nodes,
-        &mut s.candidates,
-        &mut s.domains,
-        &mut s.backjumps,
-        &mut s.jump_bounds,
-        &mut s.deferred_rejections,
-        &mut s.clones_avoided,
-        &mut s.clone_bytes_avoided,
-    ] {
-        *field = r.u64("monitor stat")?;
-    }
+    let s = read_counters(r, "monitor stat")?;
     r.u64("reserved monitor stat")?;
     for _ in 0..RESERVED_INGEST_SLOTS {
         r.u64("reserved ingest stat")?;
@@ -331,27 +303,6 @@ fn read_metrics(r: &mut Reader<'_>) -> Result<Metrics, CheckpointError> {
     Ok(m)
 }
 
-fn read_ingest_stats(r: &mut Reader<'_>) -> Result<IngestStats, PoetError> {
-    let mut g = IngestStats::default();
-    for field in [
-        &mut g.admitted,
-        &mut g.duplicates_dropped,
-        &mut g.buffered,
-        &mut g.reordered_delivered,
-        &mut g.quarantined_trace_range,
-        &mut g.quarantined_clock_width,
-        &mut g.quarantined_non_monotone,
-        &mut g.overflow_rejected,
-        &mut g.overflow_dropped,
-        &mut g.degraded_flushes,
-        &mut g.degraded_delivered,
-        &mut g.buffered_peak,
-    ] {
-        *field = r.u64("ingest stat")?;
-    }
-    Ok(g)
-}
-
 fn read_guard_config(r: &mut Reader<'_>) -> Result<GuardConfig, CheckpointError> {
     let capacity = r.u64("guard capacity")? as usize;
     let overflow = match r.u8("guard overflow policy")? {
@@ -387,7 +338,7 @@ fn read_guard(
         guard.buffered_ids.insert(e.id());
         guard.buffer.push(e);
     }
-    guard.stats = read_ingest_stats(r)?;
+    guard.stats = read_counters(r, "ingest stat")?;
     Ok(guard)
 }
 
@@ -751,7 +702,8 @@ const SET_VERSION: u16 = 2;
 ///           OCKP blob (see [`save_at`])
 /// guard     u8 flag; iff 1: capacity u64, overflow u8,
 ///           admitted u32×n_traces, u32 buffered + one record each
-///           (inline strings, full clock), 12 × u64 ingest stats
+///           (inline strings, full clock), 12 × u64 IngestStats
+///           counters in catalogue order
 /// wal_lsn   u64 (version ≥ 2) — durable-log anchor; 0 when log-less
 /// ```
 #[must_use]
@@ -787,7 +739,7 @@ pub fn save_set_at(set: &MonitorSet, sources: &HashMap<String, String>, wal_lsn:
             for e in &g.buffer {
                 put_event_record(&mut buf, e, StrForm::Inline, &mut ClockForm::Full);
             }
-            put_ingest_stats(&mut buf, g.stats());
+            put_counters(&mut buf, g.stats());
         }
         None => buf.push(0),
     }

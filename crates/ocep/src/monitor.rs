@@ -5,7 +5,7 @@ use crate::ingest::IngestStats;
 use crate::matching::Match;
 use crate::obs::{ArrivalRecord, Metrics, MetricsSnapshot, ObsLevel, Stage};
 use crate::search::{Search, SearchScratch, SearchStats};
-use crate::stats::MonitorStats;
+use crate::stats::{CounterBlock, MonitorStats};
 use ocep_pattern::Pattern;
 use ocep_poet::Event;
 use std::collections::HashSet;
@@ -219,7 +219,7 @@ impl Monitor {
             if let (Some(ts), Some(m)) = (ts, self.obs.as_deref_mut()) {
                 m.record_stage(Stage::Search, ns_since(ts));
             }
-            self.stats.absorb_search(&sstats);
+            self.stats.absorb(&sstats.counters);
             if let Some(m) = self.obs.as_deref_mut() {
                 m.absorb_search_counters(
                     sstats.prune_gp_ls,
@@ -367,77 +367,12 @@ impl Monitor {
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut s = MetricsSnapshot::default();
-        let st = &self.stats;
-        s.counter(
-            "ocep_events_total",
-            "Events observed (§V-B arrivals).",
-            st.events,
-        );
-        s.counter(
-            "ocep_stored_total",
-            "Events stored into at least one leaf history.",
-            st.stored,
-        );
-        s.counter(
-            "ocep_searches_total",
-            "Terminating-event searches started.",
-            st.searches,
-        );
-        s.counter(
-            "ocep_matches_found_total",
-            "Complete matches found before subset filtering.",
-            st.matches_found,
-        );
-        s.counter(
-            "ocep_matches_reported_total",
-            "Matches reported to the caller.",
-            st.matches_reported,
-        );
-        s.counter(
-            "ocep_search_nodes_total",
-            "Backtracking nodes explored.",
-            st.nodes,
-        );
-        s.counter(
-            "ocep_search_candidates_total",
-            "Candidate events examined.",
-            st.candidates,
-        );
-        s.counter(
-            "ocep_search_domains_total",
-            "Fig-4 domain computations performed.",
-            st.domains,
-        );
-        s.counter(
-            "ocep_search_backjumps_total",
-            "Conflict-directed backjumps taken.",
-            st.backjumps,
-        );
-        s.counter(
-            "ocep_search_jump_bounds_total",
-            "Fig-5 jump bounds applied to fast-forward a cursor.",
-            st.jump_bounds,
-        );
-        s.counter(
-            "ocep_search_deferred_rejections_total",
-            "Complete assignments rejected by deferred checks.",
-            st.deferred_rejections,
-        );
-        s.counter(
-            "ocep_clones_avoided_total",
-            "Event clones skipped by the zero-copy hot path.",
-            st.clones_avoided,
-        );
-        s.counter(
-            "ocep_clone_bytes_avoided_total",
-            "Timestamp-buffer bytes those skipped clones would have copied.",
-            st.clone_bytes_avoided,
-        );
+        s.record(&self.stats);
 
         // The `ocep_ingest_*` families keep their place in the catalog.
         // Admission is the set's stage: `MonitorSet::metrics` adds its
         // guard's counters to these zeros.
-        s.record_ingest(&IngestStats::default());
+        s.record(&IngestStats::default());
 
         s.gauge(
             "ocep_history_events",

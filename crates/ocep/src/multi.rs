@@ -1,6 +1,7 @@
 //! Monitoring several patterns over one event stream.
 
 use crate::ingest::{AdmissionGuard, GuardConfig, IngestFault, IngestStats};
+use crate::stats::CounterBlock;
 use crate::{Match, Monitor, MonitorConfig, MonitorStats};
 use ocep_pattern::Pattern;
 use ocep_poet::Event;
@@ -270,7 +271,7 @@ impl MonitorSet {
         // The guard's counters land in the `ocep_ingest_*` families
         // every monitor's snapshot reserves (as zeros).
         if let Some(g) = &self.guard {
-            total.record_ingest(g.stats());
+            total.record(g.stats());
         }
         total
     }

@@ -31,6 +31,7 @@
 //! subset merge. See `docs/OBSERVABILITY.md` for the full metric catalog.
 
 use crate::json::Json;
+use crate::stats::CounterBlock;
 use std::fmt::Write as _;
 
 /// How much observability a monitor collects.
@@ -769,69 +770,23 @@ impl MetricsSnapshot {
         );
     }
 
-    /// Records the full admission-guard counter catalog (the
-    /// `ocep_ingest_*` families) from one [`crate::IngestStats`]:
-    /// [`crate::Monitor::metrics`] files zeros to fix the families'
-    /// place in the catalog, [`crate::MonitorSet::metrics`] adds the
-    /// counters of the guard in front of
+    /// Files every counter of `block` as the sample its catalogue row
+    /// names ([`crate::CounterBlock::CATALOGUE`]).
+    /// [`crate::Monitor::metrics`] files its [`crate::MonitorStats`] and
+    /// a zero [`crate::IngestStats`] (which fixes the `ocep_ingest_*`
+    /// families' place in the catalog); [`crate::MonitorSet::metrics`]
+    /// adds the counters of the guard in front of
     /// [`crate::MonitorSet::observe_raw`].
-    pub fn record_ingest(&mut self, g: &crate::ingest::IngestStats) {
-        let ing = "ocep_ingest_events_total";
-        let ing_help = "Admission-guard event outcomes.";
-        self.counter_with(ing, ing_help, &[("outcome", "admitted")], g.admitted);
-        self.counter_with(
-            ing,
-            ing_help,
-            &[("outcome", "duplicate")],
-            g.duplicates_dropped,
-        );
-        self.counter_with(ing, ing_help, &[("outcome", "buffered")], g.buffered);
-        self.counter_with(
-            ing,
-            ing_help,
-            &[("outcome", "reordered")],
-            g.reordered_delivered,
-        );
-        self.counter_with(
-            ing,
-            ing_help,
-            &[("outcome", "degraded_delivered")],
-            g.degraded_delivered,
-        );
-        let q = "ocep_ingest_quarantined_total";
-        let q_help = "Events quarantined by the admission guard, by reason.";
-        self.counter_with(
-            q,
-            q_help,
-            &[("reason", "trace_range")],
-            g.quarantined_trace_range,
-        );
-        self.counter_with(
-            q,
-            q_help,
-            &[("reason", "clock_width")],
-            g.quarantined_clock_width,
-        );
-        self.counter_with(
-            q,
-            q_help,
-            &[("reason", "non_monotone")],
-            g.quarantined_non_monotone,
-        );
-        let ov = "ocep_ingest_overflow_total";
-        let ov_help = "Reorder-buffer overflow actions, by policy.";
-        self.counter_with(ov, ov_help, &[("policy", "rejected")], g.overflow_rejected);
-        self.counter_with(ov, ov_help, &[("policy", "dropped")], g.overflow_dropped);
-        self.counter(
-            "ocep_ingest_degraded_flushes_total",
-            "Flushes that abandoned causal order.",
-            g.degraded_flushes,
-        );
-        self.gauge(
-            "ocep_ingest_buffer_peak",
-            "High-water mark of the reorder buffer.",
-            g.buffered_peak,
-        );
+    pub fn record<B: CounterBlock>(&mut self, block: &B) {
+        for (row, v) in B::CATALOGUE.iter().zip(block.values()) {
+            self.push_sample(
+                row.family,
+                row.help,
+                row.kind,
+                own_labels(row.labels),
+                MetricValue::Int(v),
+            );
+        }
     }
 
     /// Merges another snapshot into this one: same-name families unify,

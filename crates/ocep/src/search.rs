@@ -51,6 +51,7 @@ use crate::domain::{restrict, Domain};
 use crate::history::LeafHistory;
 use crate::matching::Match;
 use crate::obs::{ObsLevel, SearchObs};
+use crate::stats::MonitorStats;
 use ocep_pattern::{Bindings, Constraint, LeafId, PairRel, Pattern, VarId};
 use ocep_poet::Event;
 use ocep_vclock::{EventId, EventSet, TraceId};
@@ -60,19 +61,9 @@ use std::sync::Arc;
 /// Statistics of one arrival's search, merged into the monitor totals.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct SearchStats {
-    pub nodes: u64,
-    pub candidates: u64,
-    pub domains: u64,
-    pub backjumps: u64,
-    pub jump_bounds_applied: u64,
-    pub deferred_rejections: u64,
-    /// Fig 4 restrictions evaluated against a *borrowed* assigned event
-    /// where the matcher previously cloned it (the ablation counter for
-    /// the zero-copy hot path).
-    pub clones_avoided: u64,
-    /// Heap bytes those avoided clones would have copied pre-Arc: one
-    /// `n_traces`-wide `u32` timestamp buffer per restriction.
-    pub clone_bytes_avoided: u64,
+    /// The monitor counters a search adds to: `nodes` through
+    /// `clone_bytes_avoided` (the arrival counters stay zero).
+    pub counters: MonitorStats,
     /// Domains emptied by a single GP/LS rule (Fig 4). Carried as a plain
     /// counter (not inside `obs`) so the recursion's flush points stay
     /// branch-free adds; the registry picks it up after the search.
@@ -235,7 +226,7 @@ impl<'a> Search<'a> {
     /// Alg 2 / Alg 3 rolled into one recursive step for eval position
     /// `pos` (the paper's backtracking level).
     fn go(&mut self, pos: usize) -> Outcome {
-        self.stats.nodes += 1;
+        self.stats.counters.nodes += 1;
         if pos == self.order.len() {
             return self.complete();
         }
@@ -290,8 +281,9 @@ impl<'a> Search<'a> {
                 continue;
             }
             // ---- Fig 4: domain computation with conflict attribution ----
-            self.stats.domains += 1;
-            let dom_t = (self.time_domains && self.stats.domains % DOMAIN_TIME_SAMPLE == 1)
+            self.stats.counters.domains += 1;
+            let dom_t = (self.time_domains
+                && self.stats.counters.domains % DOMAIN_TIME_SAMPLE == 1)
                 .then(std::time::Instant::now);
             // None = domain survived; Some(true) = a single GP/LS rule
             // emptied it; Some(false) = the intersection emptied it.
@@ -413,7 +405,7 @@ impl<'a> Search<'a> {
                 if let Some(maxidx) = my_bound[t] {
                     // Fast-forward past candidates a Fig 5 bound rules out.
                     if slice[at(cursor)].index().get() > maxidx {
-                        self.stats.jump_bounds_applied += 1;
+                        self.stats.counters.jump_bounds += 1;
                         let kept = match list {
                             Some(v) => v[floor..=cursor]
                                 .partition_point(|&p| slice[p as usize].index().get() <= maxidx),
@@ -427,7 +419,7 @@ impl<'a> Search<'a> {
                         cursor = floor + kept - 1;
                     }
                 }
-                self.stats.candidates += 1;
+                self.stats.counters.candidates += 1;
                 // O(1): the event's timestamp buffer is Arc-shared.
                 let cand = slice[at(cursor)].clone();
                 // Distinctness: one concrete event per leaf.
@@ -468,7 +460,7 @@ impl<'a> Search<'a> {
                             // (conflict-directed backjump). The bound
                             // passes through unchanged — its validity
                             // depends only on its target's assignment.
-                            self.stats.backjumps += 1;
+                            self.stats.counters.backjumps += 1;
                             if obs_on {
                                 if let Some(o) = self.stats.obs.as_deref_mut() {
                                     o.backjump_depth.record(pos as u64);
@@ -498,8 +490,8 @@ impl<'a> Search<'a> {
             }
         }
 
-        self.stats.clones_avoided += avoided;
-        self.stats.clone_bytes_avoided += avoided * self.clone_bytes();
+        self.stats.counters.clones_avoided += avoided;
+        self.stats.counters.clone_bytes_avoided += avoided * self.clone_bytes();
         self.scratch.my_bound[pos] = my_bound;
         self.stats.domain_ns += domain_ns;
         self.stats.prune_gp_ls += prune_gp_ls;
@@ -605,7 +597,7 @@ impl<'a> Search<'a> {
     /// match, and mark per-trace coverage (`updateSubset`).
     fn complete(&mut self) -> Outcome {
         if !self.deferred_ok() {
-            self.stats.deferred_rejections += 1;
+            self.stats.counters.deferred_rejections += 1;
             // Deferred constraints span many leaves; blame every level.
             return Outcome::Exhausted {
                 conflicts: mask_below(self.order.len()),

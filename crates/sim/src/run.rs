@@ -17,7 +17,7 @@ use crate::clock::VirtualClock;
 use crate::sched::{Scheduler, Step};
 use ocep_conformance::{nth_case, Action, Case, Fingerprint};
 use ocep_core::ingest::GuardConfig;
-use ocep_core::{save_set_at, Match, MonitorSet};
+use ocep_core::{save_set_at, CounterBlock, Match, MonitorSet};
 use ocep_net::wire::{read_frame, write_frame};
 use ocep_net::{
     Decoded, EngineCore, EngineOp, FaultCode, FaultHooks, Frame, FrameDecoder, Mode, NetClock,
@@ -745,21 +745,7 @@ fn digest_of(fp: &Fingerprint, stats: &StatsReport, crashes: usize, counts: &Fau
         h.eat(b";");
     }
     h.eat(b"|ingest|");
-    let g = &fp.ingest;
-    for v in [
-        g.admitted,
-        g.duplicates_dropped,
-        g.buffered,
-        g.reordered_delivered,
-        g.quarantined_trace_range,
-        g.quarantined_clock_width,
-        g.quarantined_non_monotone,
-        g.overflow_rejected,
-        g.overflow_dropped,
-        g.degraded_flushes,
-        g.degraded_delivered,
-        g.buffered_peak,
-    ] {
+    for v in fp.ingest.values() {
         h.u64(v);
     }
     h.eat(b"|stats|");

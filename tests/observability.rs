@@ -248,3 +248,62 @@ fn fuzz_report_metrics_aggregate_consistently() {
         .count();
     assert_eq!(help_lines, 1);
 }
+
+/// The family names `docs/OBSERVABILITY.md` mentions anywhere.
+fn catalogued_families() -> std::collections::HashSet<String> {
+    let doc = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/docs/OBSERVABILITY.md"
+    ))
+    .expect("read the metric catalogue");
+    doc.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|w| w.starts_with("ocep_"))
+        .map(str::to_owned)
+        .collect()
+}
+
+/// Every family the product exports is named in the metric catalogue of
+/// `docs/OBSERVABILITY.md`: what a bare `Off` monitor files, and what a
+/// daemon serving through a durable log files at shutdown.
+#[test]
+fn every_exported_family_is_in_the_catalogue() {
+    use ocep_repro::net::{EngineCore, NetClock, ServeConfig, SystemClock};
+    use ocep_repro::ocep::{MetricsSnapshot, MonitorSet};
+    use std::sync::Arc;
+
+    let named = catalogued_families();
+    let missing = |s: &MetricsSnapshot| -> Vec<String> {
+        s.families
+            .iter()
+            .map(|f| f.name.clone())
+            .filter(|n| !named.contains(n))
+            .collect()
+    };
+    let src = "A := [*, a, *]; B := [*, b, *]; pattern := A -> B;";
+    let monitor = Monitor::new(Pattern::parse(src).unwrap(), 2);
+    assert_eq!(
+        missing(&monitor.metrics()),
+        Vec::<String>::new(),
+        "Off monitor"
+    );
+
+    let wal_dir = std::env::temp_dir().join(format!("ocep-obs-catalogue-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    let mut set = MonitorSet::new(2);
+    set.add("p", Pattern::parse(src).unwrap());
+    let config = ServeConfig {
+        pattern_sources: [("p".to_owned(), src.to_owned())].into(),
+        wal_dir: Some(wal_dir.clone()),
+        ..ServeConfig::default()
+    };
+    let clock: Arc<dyn NetClock> = Arc::new(SystemClock::new());
+    let mut core = EngineCore::new(set, config, clock);
+    core.recover_wal().expect("open a fresh log");
+    let report = core.finish();
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    assert_eq!(
+        missing(&report.metrics),
+        Vec::<String>::new(),
+        "engine with a log"
+    );
+}
