@@ -64,7 +64,13 @@ impl DepGraphDetector {
     pub fn observe(&mut self, event: &Event) -> Option<Vec<TraceId>> {
         match event.ty() {
             "mpi_block_send" => {
-                let to = parse_trace(event.text())?;
+                // A destination that names no monitored trace is ignored,
+                // like a text that names no trace at all.
+                let to = event
+                    .text()
+                    .parse::<TraceId>()
+                    .ok()
+                    .filter(|t| t.as_usize() < self.n_traces)?;
                 let from = event.trace();
                 self.edges[from.as_usize()].insert(to, event.id());
                 self.find_cycle_through(from)
@@ -84,10 +90,9 @@ impl DepGraphDetector {
 
     /// DFS for a cycle containing `start`.
     fn find_cycle_through(&self, start: TraceId) -> Option<Vec<TraceId>> {
-        let mut stack = vec![start];
         let mut path: Vec<TraceId> = Vec::new();
         let mut visited = vec![false; self.n_traces];
-        // Iterative DFS with an explicit path for cycle extraction.
+        // Recursive DFS with an explicit path for cycle extraction.
         fn dfs(
             edges: &[HashMap<TraceId, ocep_vclock::EventId>],
             node: TraceId,
@@ -108,7 +113,6 @@ impl DepGraphDetector {
             path.pop();
             false
         }
-        let _ = &mut stack;
         if dfs(&self.edges, start, start, &mut visited, &mut path) {
             Some(path)
         } else {
@@ -127,12 +131,6 @@ impl DepGraphDetector {
     pub fn edge_count(&self) -> usize {
         self.edges.iter().map(HashMap::len).sum()
     }
-}
-
-fn parse_trace(text: &str) -> Option<TraceId> {
-    text.strip_prefix('T')
-        .and_then(|s| s.parse::<u32>().ok())
-        .map(TraceId::new)
 }
 
 #[cfg(test)]
@@ -191,6 +189,31 @@ mod tests {
             cycles.extend(det.observe(&e));
         }
         assert!(cycles.is_empty());
+    }
+
+    #[test]
+    fn destination_outside_the_traces_is_ignored() {
+        let mut poet = PoetServer::new(2);
+        poet.record(t(0), ocep_poet::EventKind::Send, "mpi_block_send", "T9");
+        let mut det = DepGraphDetector::new(2);
+        for e in poet.linearization() {
+            assert!(det.observe(&e).is_none());
+        }
+        assert_eq!(det.edge_count(), 0);
+    }
+
+    #[test]
+    fn only_canonical_trace_names_are_destinations() {
+        // `T+1` and `T00` are not trace names, so these sends make no
+        // T0 <-> T1 cycle.
+        let mut poet = PoetServer::new(2);
+        poet.record(t(0), ocep_poet::EventKind::Send, "mpi_block_send", "T+1");
+        poet.record(t(1), ocep_poet::EventKind::Send, "mpi_block_send", "T00");
+        let mut det = DepGraphDetector::new(2);
+        for e in poet.linearization() {
+            assert!(det.observe(&e).is_none());
+        }
+        assert_eq!(det.edge_count(), 0);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!   the last `n²` events and match within the window. Demonstrates the
 //!   omission problem the representative subset avoids.
 //! * [`NaiveMatcher`] — chronological backtracking *without* the Fig 4
-//!   causal domain restriction or Fig 5 backjumping: the ablation
-//!   baseline quantifying what the paper's pruning buys.
+//!   causal domain restriction or conflict-directed backjumping: the
+//!   ablation baseline quantifying what the paper's pruning buys.
 //! * [`DepGraphDetector`] — a wait-for dependency-graph deadlock detector
 //!   with explicit cycle search, standing in for the graph-based tool of
 //!   §V-C1's comparison (whose implementation is not publicly available).

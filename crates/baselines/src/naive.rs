@@ -11,7 +11,7 @@ use ocep_poet::Event;
 ///   tried, latest first (plain "chronological backtracking", which §IV-C
 ///   notes "explores the entire search space until a solution is found or
 ///   a conflict is reached");
-/// * no conflict-directed backjumping and no Fig 5 jump bounds;
+/// * no conflict-directed backjumping;
 /// * no §VI history deduplication.
 ///
 /// It decides a match with the oracle's checker: [`Pattern::pair_holds`]

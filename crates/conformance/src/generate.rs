@@ -392,8 +392,8 @@ fn inject_match(rng: &mut Rng, poet: &mut PoetServer, pattern: &Pattern) {
         trace_of[i] = match &leaf_class(i).process {
             Attr::Literal(s) => {
                 // Only `T<n>` literals within range are realizable.
-                match s.strip_prefix('T').and_then(|d| d.parse::<usize>().ok()) {
-                    Some(t) if t < n => t,
+                match s.parse::<TraceId>() {
+                    Ok(t) if t.as_usize() < n => t.as_usize(),
                     _ => return,
                 }
             }

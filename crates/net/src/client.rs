@@ -36,6 +36,15 @@ fn closed_on_disconnect(e: WireError) -> WireError {
     }
 }
 
+/// The protocol error for a frame that does not answer what the client
+/// is waiting for.
+fn unexpected(frame: &Frame, awaited: &str) -> WireError {
+    WireError::Protocol(format!(
+        "unexpected {} while waiting for {awaited}",
+        frame.type_name()
+    ))
+}
+
 fn connect(
     addr: &str,
     hello: &Frame,
@@ -120,12 +129,7 @@ impl Client {
                     // down and will grant no further credit.
                     return Err(WireError::Closed);
                 }
-                other => {
-                    return Err(WireError::Protocol(format!(
-                        "unexpected {} while waiting for credit",
-                        other.type_name()
-                    )));
-                }
+                other => return Err(unexpected(&other, "credit")),
             }
         }
         Ok(())
@@ -179,9 +183,10 @@ impl Client {
         self.send_data(&Frame::Flush)
     }
 
-    /// Sends a control frame and waits for the server's `StatsReport`
-    /// reply, folding any interleaved acks/faults into local state.
-    fn round_trip(&mut self, frame: &Frame) -> Result<StatsReport, WireError> {
+    /// Sends a control frame and returns the server's reply to it: the
+    /// first frame that is not an ack or a fault, which are folded into
+    /// local state on the way.
+    fn round_trip(&mut self, frame: &Frame) -> Result<Frame, WireError> {
         write_frame(&mut self.writer, frame).map_err(closed_on_disconnect)?;
         self.writer
             .flush()
@@ -190,14 +195,16 @@ impl Client {
             match read_frame(&mut self.reader).map_err(closed_on_disconnect)? {
                 Frame::Ack { credits } => self.credits += credits,
                 Frame::Fault { code, detail } => self.faults.push((code, detail)),
-                Frame::StatsReport(r) => return Ok(r),
-                other => {
-                    return Err(WireError::Protocol(format!(
-                        "unexpected {} while waiting for stats",
-                        other.type_name()
-                    )));
-                }
+                reply => return Ok(reply),
             }
+        }
+    }
+
+    /// A round trip the server answers with a `StatsReport`.
+    fn stats_round_trip(&mut self, frame: &Frame) -> Result<StatsReport, WireError> {
+        match self.round_trip(frame)? {
+            Frame::StatsReport(r) => Ok(r),
+            other => Err(unexpected(&other, "stats")),
         }
     }
 
@@ -207,7 +214,7 @@ impl Client {
     ///
     /// Transport or protocol failures.
     pub fn stats(&mut self) -> Result<StatsReport, WireError> {
-        self.round_trip(&Frame::StatsReq)
+        self.stats_round_trip(&Frame::StatsReq)
     }
 
     /// Asks the server to anchor a checkpoint in its durable log now
@@ -217,7 +224,7 @@ impl Client {
     ///
     /// Transport or protocol failures.
     pub fn checkpoint(&mut self) -> Result<StatsReport, WireError> {
-        self.round_trip(&Frame::CheckpointReq)
+        self.stats_round_trip(&Frame::CheckpointReq)
     }
 
     /// Requests a graceful shutdown: the server drains its guard,
@@ -232,31 +239,16 @@ impl Client {
     /// twice, or after the daemon exited, is a clean condition callers
     /// can match on.
     pub fn shutdown(mut self) -> Result<StatsReport, WireError> {
-        self.round_trip(&Frame::Shutdown)
+        self.stats_round_trip(&Frame::Shutdown)
     }
 
-    /// Sends a tenant-scoped frame and waits for the server's
-    /// `Registered` acknowledgement, folding interleaved acks/faults
-    /// into local state. Per-pattern rejections (duplicate name,
-    /// unparsable source) arrive as faults — check
-    /// [`Client::take_faults`] after the call.
+    /// A tenant-scoped round trip the server answers with `Registered`.
+    /// Per-pattern rejections (duplicate name, unparsable source) arrive
+    /// as faults — check [`Client::take_faults`] after the call.
     fn registration_round_trip(&mut self, frame: &Frame) -> Result<u32, WireError> {
-        write_frame(&mut self.writer, frame).map_err(closed_on_disconnect)?;
-        self.writer
-            .flush()
-            .map_err(|e| closed_on_disconnect(WireError::Io(e)))?;
-        loop {
-            match read_frame(&mut self.reader).map_err(closed_on_disconnect)? {
-                Frame::Ack { credits } => self.credits += credits,
-                Frame::Fault { code, detail } => self.faults.push((code, detail)),
-                Frame::Registered { patterns, .. } => return Ok(patterns),
-                other => {
-                    return Err(WireError::Protocol(format!(
-                        "unexpected {} while waiting for registration ack",
-                        other.type_name()
-                    )));
-                }
-            }
+        match self.round_trip(frame)? {
+            Frame::Registered { patterns, .. } => Ok(patterns),
+            other => Err(unexpected(&other, "registration ack")),
         }
     }
 

@@ -20,9 +20,8 @@
 //!   trace is the contiguous interval obtained by intersecting the Fig 4
 //!   causality rules (`GP`/`LS` bounds from the already-instantiated
 //!   events, computed by O(log) binary search over the history); empty
-//!   domains record their culprit level and a Fig 5 *jump bound*, and
-//!   exhausted levels backjump conflict-directed instead of
-//!   chronologically.
+//!   domains record their culprit level, and exhausted levels backjump
+//!   conflict-directed instead of chronologically.
 //! * Completed matches update the **representative subset** (§IV-B): per
 //!   arrival, at most one match is reported through each (level, trace)
 //!   cell, and globally the subset keeps the most recent match per

@@ -17,21 +17,14 @@
 //! Fig 4 domain), the levels that bound those values are part of the
 //! level's failure: the skipped candidate would have failed against them.
 //!
-//! Failure handling refines the paper's `bt[][]`/`getTS` machinery into
-//! two sound mechanisms:
-//!
-//! * **Conflict-directed backjumping** — every failed subtree reports the
-//!   set of earlier levels its failure depends on; a level whose choice is
-//!   not in that set returns immediately instead of trying further
-//!   candidates (the paper's `goBackward` jump past "repeated failure
-//!   from the same conflicting event").
-//! * **Fig 5 jump bounds** — when a single instantiated event `e` alone
-//!   empties a level's domain on a trace, the vector timestamps of the
-//!   conflicting events yield an exact bound on which other candidates
-//!   for `e`'s level can ever resolve the conflict (cases a and b of
-//!   Fig 5); the bound is carried upward and fast-forwards the candidate
-//!   cursor at that level. No bound targets a level that narrowed the
-//!   failing one: a replacement there would narrow it differently.
+//! Failure handling is conflict-directed backjumping: every failed
+//! subtree reports the set of earlier levels its failure depends on; a
+//! level whose choice is not in that set returns immediately instead of
+//! trying further candidates (the paper's `goBackward` jump past
+//! "repeated failure from the same conflicting event"). The paper's
+//! second refinement, Fig 5's timestamp jump bounds (`getTS`/
+//! `getClosest`), is not implemented: measured, it never fired on the
+//! paper's workloads or the benchmark's (EXPERIMENTS.md).
 //!
 //! # Allocation discipline
 //!
@@ -41,11 +34,10 @@
 //! borrowed or reused: already-instantiated events are *borrowed* out of
 //! the assignment for the Fig 4 restriction rules, the text index's
 //! positions are read in place, candidate events are O(1) clones
-//! (`Arc`-shared timestamps), a failed subtree's jump bound travels as a
-//! `Copy` `Option` rather than a `Vec`, and the per-level working buffers
-//! (`assignment`, `covered`, `my_bound`, variable bindings) live in a
-//! [`SearchScratch`] that the caller reuses across searches — the monitor
-//! keeps one.
+//! (`Arc`-shared timestamps), a failed subtree's outcome is a `Copy`
+//! bitmask, and the working buffers (`assignment`, `covered`, variable
+//! bindings) live in a [`SearchScratch`] that the caller reuses across
+//! searches — the monitor keeps one.
 
 use crate::domain::{restrict, Domain};
 use crate::history::LeafHistory;
@@ -79,16 +71,6 @@ pub(crate) struct SearchStats {
     pub obs: Option<Box<SearchObs>>,
 }
 
-/// A Fig 5 jump bound: candidates for the level holding `target_leaf` on
-/// `on_trace` with index greater than `max_index` are guaranteed to
-/// reproduce the recorded conflict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct JumpBound {
-    target_leaf: LeafId,
-    on_trace: TraceId,
-    max_index: u32,
-}
-
 /// Result of exploring one subtree. `Copy`, so failure propagation never
 /// allocates.
 #[derive(Clone, Copy)]
@@ -96,14 +78,8 @@ enum Outcome {
     /// At least one complete match was recorded below this point.
     FoundSome,
     /// No match; `conflicts` is a bitmask (over eval-order positions) of
-    /// the levels the failure depends on, and `bound` carries the Fig 5
-    /// jump bound for an earlier level when one was derivable. (At most
-    /// one bound can survive a level — it must be *uniform* across every
-    /// failed trace — so an `Option` replaces the old per-subtree `Vec`.)
-    Exhausted {
-        conflicts: u64,
-        bound: Option<JumpBound>,
-    },
+    /// the levels the failure depends on.
+    Exhausted { conflicts: u64 },
 }
 
 /// Reusable per-search working memory (see the module docs on allocation
@@ -117,10 +93,6 @@ pub(crate) struct SearchScratch {
     /// was already found this arrival, so the trace is skipped
     /// (per-trace advance).
     covered: Vec<bool>,
-    /// Per eval position: the Fig 5 fast-forward bound for that level's
-    /// candidates, keyed by trace. Taken out by the level's recursion
-    /// frame and put back on exit.
-    my_bound: Vec<Vec<Option<u32>>>,
     /// Attribute-variable bindings (§III-C).
     bindings: Bindings,
 }
@@ -132,9 +104,6 @@ impl SearchScratch {
         self.assignment.resize(n_leaves, None);
         self.covered.clear();
         self.covered.resize(levels * n_traces, false);
-        if self.my_bound.len() < levels {
-            self.my_bound.resize_with(levels, Vec::new);
-        }
         self.bindings.reset(n_vars);
     }
 }
@@ -247,8 +216,8 @@ impl<'a> Search<'a> {
             conflicts |= narrowing.blame;
         }
         // Set when a deeper failure does not involve this level: the
-        // backjump past it, carrying that failure's bound.
-        let mut backjump: Option<Option<JumpBound>> = None;
+        // backjump past it.
+        let mut backjump = false;
         // Local tallies for counters that would otherwise need `&mut
         // self` while an assigned event is borrowed.
         let mut avoided: u64 = 0;
@@ -256,20 +225,6 @@ impl<'a> Search<'a> {
         let mut domain_ns: u64 = 0;
         let mut prune_gp_ls: u64 = 0;
         let mut prune_intersect: u64 = 0;
-        // Fig 5 bookkeeping. A jump bound may only be emitted when *every*
-        // failed trace at this level was emptied by the same earlier
-        // level's event alone, each with a derivable bound — otherwise a
-        // replacement for that event might succeed through a trace whose
-        // failure had a different cause.
-        let mut uniform: Option<JumpBound> = None;
-        let mut poisoned = false;
-        // Fast-forward bound for *this* level's candidates, learned from
-        // deeper failures, keyed by the trace currently being iterated.
-        // Taken out of the scratch pool (and put back on every exit) so
-        // recursion never allocates it.
-        let mut my_bound = std::mem::take(&mut self.scratch.my_bound[pos]);
-        my_bound.clear();
-        my_bound.resize(self.n_traces, None);
 
         'traces: for t in narrowing.traces.clone() {
             if self.covered(pos, t) {
@@ -307,38 +262,7 @@ impl<'a> Search<'a> {
                 }
                 let individual = restrict(slice, rel, e);
                 if individual.is_empty() {
-                    // The conflict involves only e and this history: a
-                    // Fig 5 bound on replacements for e may exist — unless
-                    // e's level narrowed this one, when a replacement
-                    // would narrow it elsewhere.
-                    match fig5_bound(rel, e, slice) {
-                        Some(b) if narrowing.blame & (1 << p) == 0 => {
-                            let jb = JumpBound {
-                                target_leaf: other_leaf,
-                                on_trace: e.trace(),
-                                max_index: b,
-                            };
-                            uniform = match uniform {
-                                None => Some(jb),
-                                Some(u)
-                                    if u.target_leaf == jb.target_leaf
-                                        && u.on_trace == jb.on_trace =>
-                                {
-                                    // getClosest: the *latest* timestamp
-                                    // that can resolve every conflict.
-                                    Some(JumpBound {
-                                        max_index: u.max_index.max(jb.max_index),
-                                        ..u
-                                    })
-                                }
-                                Some(_) => {
-                                    poisoned = true;
-                                    uniform
-                                }
-                            };
-                        }
-                        _ => poisoned = true,
-                    }
+                    // The conflict involves only e and this history.
                     conflicts |= 1 << p;
                     pruned = Some(true);
                     break;
@@ -348,7 +272,6 @@ impl<'a> Search<'a> {
                     // Intersection conflict: blame every contributor so far
                     // plus this one.
                     conflicts |= contributors | (1 << p);
-                    poisoned = true;
                     pruned = Some(false);
                     break;
                 }
@@ -381,7 +304,6 @@ impl<'a> Search<'a> {
             // Levels whose rules shrank this domain excluded candidates; if
             // the remaining ones all fail, those levels share the blame.
             conflicts |= contributors;
-            poisoned = true; // candidate-level failures have mixed causes
 
             // ---- nextMatch: candidates latest-first -----------------------
             // The narrowing leaves a window of the domain, or the text
@@ -402,23 +324,6 @@ impl<'a> Search<'a> {
                 list.map_or((window.lo, window.hi.max(window.lo)), |v| (0, v.len()));
             while cursor > floor {
                 cursor -= 1;
-                if let Some(maxidx) = my_bound[t] {
-                    // Fast-forward past candidates a Fig 5 bound rules out.
-                    if slice[at(cursor)].index().get() > maxidx {
-                        self.stats.counters.jump_bounds += 1;
-                        let kept = match list {
-                            Some(v) => v[floor..=cursor]
-                                .partition_point(|&p| slice[p as usize].index().get() <= maxidx),
-                            None => {
-                                slice[floor..=cursor].partition_point(|x| x.index().get() <= maxidx)
-                            }
-                        };
-                        if kept == 0 {
-                            continue 'traces;
-                        }
-                        cursor = floor + kept - 1;
-                    }
-                }
                 self.stats.counters.candidates += 1;
                 // O(1): the event's timestamp buffer is Arc-shared.
                 let cand = slice[at(cursor)].clone();
@@ -450,16 +355,11 @@ impl<'a> Search<'a> {
                         // event on trace t, continue with trace t+1.
                         continue 'traces;
                     }
-                    Outcome::Exhausted {
-                        conflicts: c,
-                        bound,
-                    } => {
+                    Outcome::Exhausted { conflicts: c } => {
                         if c & (1 << pos) == 0 {
                             // This level's choice is irrelevant to the
                             // failure: no other candidate here can help
-                            // (conflict-directed backjump). The bound
-                            // passes through unchanged — its validity
-                            // depends only on its target's assignment.
+                            // (conflict-directed backjump).
                             self.stats.counters.backjumps += 1;
                             if obs_on {
                                 if let Some(o) = self.stats.obs.as_deref_mut() {
@@ -467,24 +367,10 @@ impl<'a> Search<'a> {
                                 }
                             }
                             conflicts |= c;
-                            backjump = Some(bound);
+                            backjump = true;
                             break 'traces;
                         }
                         conflicts |= c & mask_below(pos);
-                        if let Some(b) = bound {
-                            if b.target_leaf == leaf && b.on_trace == trace {
-                                let slot = &mut my_bound[t];
-                                *slot = Some(match *slot {
-                                    Some(old) => old.min(b.max_index),
-                                    None => b.max_index,
-                                });
-                            }
-                            // A bound for another level is dropped here: a
-                            // strict-rule bound only arrives with a
-                            // singleton conflict set, which either names
-                            // this level (consumed above) or triggers the
-                            // pass-through backjump branch.
-                        }
                     }
                 }
             }
@@ -492,23 +378,18 @@ impl<'a> Search<'a> {
 
         self.stats.counters.clones_avoided += avoided;
         self.stats.counters.clone_bytes_avoided += avoided * self.clone_bytes();
-        self.scratch.my_bound[pos] = my_bound;
         self.stats.domain_ns += domain_ns;
         self.stats.prune_gp_ls += prune_gp_ls;
         self.stats.prune_intersect += prune_intersect;
         if found_any {
             return Outcome::FoundSome;
         }
-        let bound = match backjump {
-            Some(passed) => passed,
-            None => {
-                if let Some(o) = self.stats.obs.as_deref_mut() {
-                    o.conflict_size.record(u64::from(conflicts.count_ones()));
-                }
-                uniform.filter(|_| !poisoned)
+        if !backjump {
+            if let Some(o) = self.stats.obs.as_deref_mut() {
+                o.conflict_size.record(u64::from(conflicts.count_ones()));
             }
-        };
-        Outcome::Exhausted { conflicts, bound }
+        }
+        Outcome::Exhausted { conflicts }
     }
 
     /// What the values of earlier levels leave of `leaf`'s candidates at
@@ -601,7 +482,6 @@ impl<'a> Search<'a> {
             // Deferred constraints span many leaves; blame every level.
             return Outcome::Exhausted {
                 conflicts: mask_below(self.order.len()),
-                bound: None,
             };
         }
         // O(1) clones throughout: the Match shares every event's
@@ -715,28 +595,6 @@ struct Narrowing {
 
 fn meet(a: Range<usize>, b: Range<usize>) -> Range<usize> {
     a.start.max(b.start)..a.end.min(b.end)
-}
-
-/// Fig 5 bound derivation for a single-constraint empty domain on a trace:
-/// returns the greatest index a replacement candidate for `e`'s level may
-/// have (on `e`'s trace) such that the conflict could be resolved.
-fn fig5_bound(rel: PairRel, e: &Event, slice: &[Event]) -> Option<u32> {
-    match rel {
-        // Candidate x needs e -> x but nothing on this trace follows e:
-        // a replacement e' helps only if e' -> x_max, i.e. its index is at
-        // most GP(x_max, trace(e)) (Fig 5a).
-        PairRel::After => {
-            let x_max = slice.last()?;
-            Some(x_max.clock().entry(e.trace()).get())
-        }
-        // Candidate x needs x -> e but nothing here precedes e: an even
-        // earlier e' has fewer predecessors still — prune the whole trace
-        // (Fig 5b).
-        PairRel::Before => Some(0),
-        // Concurrency conflicts move both interval ends; no single-ended
-        // sound bound (Fig 5c is handled by plain backjumping).
-        PairRel::Concurrent => None,
-    }
 }
 
 fn mask_below(pos: usize) -> u64 {

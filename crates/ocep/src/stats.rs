@@ -184,11 +184,12 @@ counters! {
             "ocep_search_backjumps_total",
             "Conflict-directed backjumps taken.",
         ),
-        /// Fig 5 jump bounds applied to fast-forward a candidate cursor.
+        /// Always 0: the search applies no Fig 5 jump bounds. The row
+        /// keeps its word in the checkpoint layout.
         jump_bounds: CounterRow::total(
             "jump_bounds",
             "ocep_search_jump_bounds_total",
-            "Fig-5 jump bounds applied to fast-forward a cursor.",
+            "Fig-5 jump bounds applied (always 0; kept for the checkpoint layout).",
         ),
         /// Complete assignments rejected by deferred (`~>`/compound-`->`)
         /// checks.

@@ -508,13 +508,12 @@ fn display_of_match_names_leaves() {
 }
 
 #[test]
-fn fig5_jump_bound_fast_forwards_candidates() {
+fn latest_feasible_candidate_is_found_without_chronological_retries() {
     // Level layout (eval order seeded at Z): [Z, $x, Y] with
     // $x -> Y and $x -> Z. T0 holds many 'a' sends; only the earliest
     // two causally precede the single 'y' on T1. When the search tries
     // the latest 'a' first, Y's domain on T1 empties with $x as the sole
-    // culprit — the Fig 5 After-bound must jump the $x cursor straight
-    // back to a2 instead of stepping through a8..a3.
+    // culprit, so each later 'a' costs one candidate before a2 matches.
     let src = "X := [T0, a, *]; Y := [T1, y, *]; Z := [T0, z, *]; X $x; \
                pattern := $x -> Y && $x -> Z;";
     let p = Pattern::parse(src).unwrap();
@@ -536,13 +535,8 @@ fn fig5_jump_bound_fast_forwards_candidates() {
         "2",
         "the latest feasible candidate is a2"
     );
-    assert!(
-        monitor.stats().jump_bounds > 0,
-        "the Fig 5 bound should have fast-forwarded the cursor: {}",
-        monitor.stats()
-    );
-    // And it must have saved work: fewer candidates examined than the
-    // chronological worst case (9 a's x retries).
+    // Fewer candidates examined than the chronological worst case
+    // (9 a's x retries).
     assert!(monitor.stats().candidates < 20, "{}", monitor.stats());
 }
 

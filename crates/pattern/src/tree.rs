@@ -136,8 +136,8 @@ impl LeafSpec {
     #[must_use]
     pub fn process_pin(&self, bindings: &Bindings) -> Option<TraceId> {
         match &self.process {
-            ResolvedAttr::Literal(s) => parse_trace_name(s),
-            ResolvedAttr::Var(v) => bindings.get(*v).and_then(|s| parse_trace_name(&s)),
+            ResolvedAttr::Literal(s) => s.parse().ok(),
+            ResolvedAttr::Var(v) => bindings.get(*v).and_then(|s| s.parse().ok()),
             ResolvedAttr::Wildcard => None,
         }
     }
@@ -181,20 +181,7 @@ fn attr_shape_ok(attr: &ResolvedAttr, actual: &str) -> bool {
 
 /// `s == format!("T{}", t)` without allocating.
 fn is_trace_name(s: &str, t: TraceId) -> bool {
-    parse_trace_name(s) == Some(t)
-}
-
-/// Parses a canonical trace display name (`T7`).
-fn parse_trace_name(s: &str) -> Option<TraceId> {
-    let digits = s.strip_prefix('T')?;
-    // Reject the leading zeros and plus sign that parse would accept.
-    if !digits.bytes().all(|b| b.is_ascii_digit())
-        || digits.is_empty()
-        || (digits.len() > 1 && digits.starts_with('0'))
-    {
-        return None;
-    }
-    digits.parse::<u32>().ok().map(TraceId::new)
+    s.parse() == Ok(t)
 }
 
 /// A parsed, compiled causal event-pattern.

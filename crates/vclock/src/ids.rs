@@ -53,6 +53,45 @@ impl std::fmt::Display for TraceId {
     }
 }
 
+/// Parses a trace's display name, and only that spelling: `T`, then
+/// decimal digits with no sign and no leading zero (`T0`, `T7`, `T12`).
+///
+/// ```
+/// use ocep_vclock::TraceId;
+/// assert_eq!("T12".parse::<TraceId>(), Ok(TraceId::new(12)));
+/// for bad in ["T", "T+1", "T01", "t1", "T1 ", "T99999999999"] {
+///     assert!(bad.parse::<TraceId>().is_err(), "{bad}");
+/// }
+/// ```
+impl std::str::FromStr for TraceId {
+    type Err = ParseTraceIdError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let digits = s.strip_prefix('T').ok_or(ParseTraceIdError)?;
+        // `u32::from_str` alone would also take a `+` sign and leading zeros.
+        if digits.is_empty()
+            || !digits.bytes().all(|b| b.is_ascii_digit())
+            || (digits.len() > 1 && digits.starts_with('0'))
+        {
+            return Err(ParseTraceIdError);
+        }
+        digits.parse().map(TraceId).map_err(|_| ParseTraceIdError)
+    }
+}
+
+/// A string that is not a trace's display name (see [`TraceId`]'s
+/// `FromStr`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ParseTraceIdError;
+
+impl std::fmt::Display for ParseTraceIdError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("not a trace name (T followed by a decimal index)")
+    }
+}
+
+impl std::error::Error for ParseTraceIdError {}
+
 /// The 1-based position of an event on its trace.
 ///
 /// Events on a single trace are totally ordered; the index is the event's

@@ -47,7 +47,7 @@ mod stamped;
 
 pub use clock::VectorClock;
 pub use compound::{CompoundRelation, EventSet};
-pub use ids::{EventId, EventIndex, TraceId};
+pub use ids::{EventId, EventIndex, ParseTraceIdError, TraceId};
 pub use ops::ClockOpCounts;
 pub use pool::ClockPool;
 pub use stamped::{ClockAssigner, StampedEvent};

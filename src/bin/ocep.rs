@@ -1,23 +1,8 @@
 //! `ocep` — command-line front end for the OCEP framework.
 //!
-//! ```text
-//! ocep validate <pattern-file>                 # parse & explain a pattern
-//! ocep check <pattern-file> <dump-file>        # match a pattern over a dump
-//! ocep record-demo <workload> <out-file>       # produce a demo trace dump
-//! ocep info <dump-file>                        # summarize a trace dump
-//! ocep show <dump-file> [--limit N]            # ASCII process-time diagram
-//! ocep analyze <pattern-file> <dump-file>      # offline exhaustive statistics
-//! ocep slice <dump-file> <out-file> T0,T3,...  # project onto involved traces
-//! ocep fuzz [--seed N] [--cases N]             # differential conformance fuzzing
-//! ocep fuzz --replay <dir>                     # re-run a dumped failure
-//! ocep sim [--seed N] [--seeds N] [--faults]   # deterministic whole-system simulation
-//! ocep sim --replay <dir>                      # re-run a dumped sim failure
-//! ocep serve <pattern-file> --traces N         # OCWP daemon over TCP
-//! ocep send <addr> <dump-file>                 # stream a dump to a daemon
-//! ocep ingest <format> <recording>             # external recording -> events
-//! ocep tail <addr> [--once]                    # follow verdicts from a daemon
-//! ocep replay <pattern-file> <wal-dir>         # match a pattern over a durable log
-//! ```
+//! Every subcommand, with its arguments and flags, is listed once in
+//! [`USAGE`] (printed by `ocep --help` and after a usage error); the flags
+//! each one accepts are declared in [`SUBCOMMANDS`].
 
 use ocep_repro::ocep::{
     GuardConfig, IngestStats, Match, MetricsSnapshot, MonitorConfig, MonitorSet, ObsLevel,
@@ -868,10 +853,8 @@ fn slice_cmd(args: &Args) -> Result<(), String> {
         .split(',')
         .map(|s| {
             s.trim()
-                .strip_prefix('T')
-                .and_then(|d| d.parse::<u32>().ok())
-                .map(ocep_repro::vclock::TraceId::new)
-                .ok_or_else(|| format!("bad trace name '{s}' (expected T<n>)"))
+                .parse()
+                .map_err(|_| format!("bad trace name '{s}' (expected T<n>)"))
         })
         .collect::<Result<_, _>>()?;
     let server = load_dump(dump_path)?;
@@ -887,7 +870,7 @@ fn slice_cmd(args: &Args) -> Result<(), String> {
         "sliced {} of {} events onto {} traces -> {out_path}",
         sliced.store().len(),
         server.store().len(),
-        keep.len()
+        sliced.n_traces()
     );
     Ok(())
 }

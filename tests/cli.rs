@@ -690,6 +690,39 @@ fn analyze_and_slice_post_mortem_workflow() {
 }
 
 #[test]
+fn slice_takes_only_canonical_trace_names() {
+    let dump = tmp("names.poet");
+    ocep()
+        .args(["record-demo", "ordering", dump.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let sliced = tmp("names-slice.poet");
+    let slice = |spec: &str| {
+        ocep()
+            .args([
+                "slice",
+                dump.to_str().unwrap(),
+                sliced.to_str().unwrap(),
+                spec,
+            ])
+            .output()
+            .unwrap()
+    };
+    // A sign or a leading zero is not how a trace is named.
+    for spec in ["T+1", "T01", "T1,T+1"] {
+        let out = slice(spec);
+        assert_eq!(out.status.code(), Some(3), "{spec} is a usage error");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("bad trace name"), "{spec}: {err}");
+    }
+    // A repeated name keeps one trace, and the summary counts it once.
+    let out = slice("T1,T1");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("onto 1 traces"), "{text}");
+}
+
+#[test]
 fn check_exports_metrics_in_both_formats() {
     let dump = tmp("metrics.poet");
     let out = ocep()

@@ -50,6 +50,12 @@
 //! variable chain: `nodes` / `candidates` fell from 1,245 / 861 on
 //! `inproc-deadlock-50`, 112 / 49 on both `served-*-8` and 10,912 / 6,816
 //! on `served-tenants-16`; `ingest-otlp-offline` searched the same.
+//!
+//! Deleting the Fig 5 jump bounds left `nodes` and `candidates` where
+//! they were (the bounds never fired here) and took away each monitor's
+//! per-level bound buffers, one allocation the first time its search
+//! reached a level: `observe_allocs` fell from 2,739 / 436 / 439 /
+//! 29,430 / 4,737 to the figures in `BUDGETS`.
 
 use ocep_repro::adapters::testgen;
 use ocep_repro::conformance::{apply_faults, FaultPlan, ReorderMode};
@@ -125,7 +131,7 @@ const BUDGETS: &[(&str, Budget)] = &[
             table_regrowths: 0,
             encode_allocs: 0,
             decode_allocs: 0,
-            observe_allocs: 2739,
+            observe_allocs: 2731,
             searches: 384,
             nodes: 912,
             candidates: 528,
@@ -151,7 +157,7 @@ const BUDGETS: &[(&str, Budget)] = &[
             table_regrowths: 32,
             encode_allocs: 278,
             decode_allocs: 8385,
-            observe_allocs: 436,
+            observe_allocs: 433,
             searches: 63,
             nodes: 105,
             candidates: 42,
@@ -177,7 +183,7 @@ const BUDGETS: &[(&str, Budget)] = &[
             table_regrowths: 38,
             encode_allocs: 331,
             decode_allocs: 9822,
-            observe_allocs: 439,
+            observe_allocs: 436,
             searches: 63,
             nodes: 105,
             candidates: 42,
@@ -209,7 +215,7 @@ const BUDGETS: &[(&str, Budget)] = &[
             // 357824 with two inline partitions behind the group's own
             // guard, which admitted into a fresh `Vec` per delivery; the
             // one set reuses its admission buffer.
-            observe_allocs: 29430,
+            observe_allocs: 29302,
             searches: 4096,
             nodes: 7680,
             candidates: 3584,
@@ -235,7 +241,7 @@ const BUDGETS: &[(&str, Budget)] = &[
             table_regrowths: 0,
             encode_allocs: 0,
             decode_allocs: 0,
-            observe_allocs: 4737,
+            observe_allocs: 4733,
             searches: 600,
             nodes: 1829,
             candidates: 1229,
