@@ -32,8 +32,8 @@ OPTIONS:
     --events N   approximate events per workload (default 40000)
     --reps N     repetitions per configuration (default 5)
     --full       paper scale: 1,000,000 events per test case
-    --obs [LEVEL] collect observability metrics at LEVEL (off, counters,
-                 full; bare --obs means full) — measures instrumentation
+    --obs [LEVEL] collect observability metrics at LEVEL (off or full;
+                 bare --obs means full) — measures instrumentation
                  overhead against the uninstrumented baseline
     --json       emit one machine-readable JSON document on stdout
                  instead of the human tables

@@ -31,7 +31,7 @@ pub struct FuzzConfig {
     /// Stop after this many failures (0 means never stop early).
     pub max_failures: usize,
     /// Observability level forced onto every case's monitors. `Off`
-    /// keeps the generated per-case configs untouched; an enabled level
+    /// keeps the generated per-case configs untouched; `Full`
     /// additionally collects a [`FuzzReport::metrics`] aggregate.
     pub obs: ObsLevel,
 }

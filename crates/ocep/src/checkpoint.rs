@@ -36,9 +36,14 @@
 //! guard        (older files, iff config.guard) admitted u32×n;
 //!              u32 buffered + event refs; 12 × u64 IngestStats
 //!              counters in catalogue order (`ingest.rs`)
-//! obs          marker u8; iff 1: level u8, 5 stage histograms,
-//!              arrival histogram, search obs (u32 level count +
-//!              histograms, 2 histograms, 3 × u64), recent ring
+//! obs          marker u8; iff 1: level u8 (0 off, 2 full; older files:
+//!              1, the retired `counters` level, loads as full),
+//!              5 stage histograms (guard_admit, route_dedup,
+//!              domain_fig4, search, subset_merge — the first and
+//!              third retired: written empty), arrival histogram,
+//!              search obs (u32 level count + histograms, 2 histograms,
+//!              prune_gp_ls u64, prune_intersect u64, reserved u64 = 0),
+//!              recent ring
 //!              (u32 count; per record: seq u64, event str, stored u8,
 //!              5 × u64); histogram := u32 n (0 or 40) + n × u64 counts,
 //!              sum u64, max u64
@@ -76,6 +81,14 @@
 //! order). Adding or deleting a row, or dropping the reserved words,
 //! moves every later word, so it comes with a version bump.
 //!
+//! The metrics section keeps its layout the same way. The `guard_admit`
+//! stage (always empty since admission left the monitor) and the
+//! sampled `domain_fig4` timer are gone: their two stage slots are
+//! written as empty histograms and the timer's search word as `0`, and
+//! all three are dropped on load. A file of the retired `counters` level
+//! (code 1) loads as `Full`, whose timers simply never ran. The same
+//! version bump that drops the reserved stats words drops these.
+//!
 //! A guard's capped fault *log* is deliberately not checkpointed (the
 //! counters are); a restored guard starts with an empty log.
 
@@ -84,7 +97,7 @@ use crate::ingest::{AdmissionGuard, GuardConfig, OverflowPolicy};
 use crate::matching::Match;
 use crate::monitor::{Monitor, MonitorConfig, SubsetPolicy};
 use crate::multi::MonitorSet;
-use crate::obs::{ArrivalRecord, Histogram, Metrics, ObsLevel, HIST_BUCKETS, RECENT_CAP};
+use crate::obs::{ArrivalRecord, Histogram, Metrics, ObsLevel, Stage, HIST_BUCKETS, RECENT_CAP};
 use crate::stats::{CounterBlock, MonitorStats};
 use ocep_pattern::Pattern;
 use ocep_poet::codec::{
@@ -104,6 +117,19 @@ const RESERVED_CONFIG_SLOT: u64 = 1;
 const RESERVED_STATS_SLOT: u64 = 0;
 /// Trailing stats slots that held a per-monitor guard's `IngestStats`.
 const RESERVED_INGEST_SLOTS: usize = 12;
+/// The metrics section's stage-histogram slots, in file order. `None`
+/// marks a retired stage (`guard_admit`, `domain_fig4`): written as an
+/// empty histogram and dropped on load.
+const STAGE_SLOTS: [Option<Stage>; 5] = [
+    None,
+    Some(Stage::RouteDedup),
+    None,
+    Some(Stage::Search),
+    Some(Stage::SubsetMerge),
+];
+/// Written into the metrics section's retired third search word (the
+/// deleted domain timer's nanoseconds).
+const RESERVED_SEARCH_WORD: u64 = 0;
 
 /// Why a checkpoint failed to decode.
 #[derive(Debug)]
@@ -217,8 +243,9 @@ fn read_hist(r: &mut Reader<'_>) -> Result<Histogram, CheckpointError> {
 
 fn put_metrics(buf: &mut Vec<u8>, m: &Metrics) {
     buf.push(m.level().code());
-    for h in &m.stage_ns {
-        put_hist(buf, h);
+    let retired = Histogram::new();
+    for slot in STAGE_SLOTS {
+        put_hist(buf, slot.map_or(&retired, |stage| m.stage_hist(stage)));
     }
     put_hist(buf, &m.arrival_ns);
     put_u32(buf, m.search.domain_width.len() as u32);
@@ -229,7 +256,7 @@ fn put_metrics(buf: &mut Vec<u8>, m: &Metrics) {
     put_hist(buf, &m.search.conflict_size);
     put_u64(buf, m.search.prune_gp_ls);
     put_u64(buf, m.search.prune_intersect);
-    put_u64(buf, m.search.domain_ns);
+    put_u64(buf, RESERVED_SEARCH_WORD);
     // Rotation is an in-memory detail: records go out oldest-first and
     // come back unrotated (RecentRing compares by content).
     let recent = m.recent.records();
@@ -255,8 +282,11 @@ fn read_metrics(r: &mut Reader<'_>) -> Result<Metrics, CheckpointError> {
     let level = ObsLevel::from_code(code)
         .ok_or_else(|| CheckpointError::Invalid(format!("unknown obs level {code}")))?;
     let mut m = Metrics::new(level);
-    for h in &mut m.stage_ns {
-        *h = read_hist(r)?;
+    for slot in STAGE_SLOTS {
+        let h = read_hist(r)?;
+        if let Some(stage) = slot {
+            m.stage_ns[stage as usize] = h;
+        }
     }
     m.arrival_ns = read_hist(r)?;
     let n_levels = r.u32("domain width level count")? as usize;
@@ -273,7 +303,7 @@ fn read_metrics(r: &mut Reader<'_>) -> Result<Metrics, CheckpointError> {
     m.search.conflict_size = read_hist(r)?;
     m.search.prune_gp_ls = r.u64("prune_gp_ls")?;
     m.search.prune_intersect = r.u64("prune_intersect")?;
-    m.search.domain_ns = r.u64("domain_ns")?;
+    r.u64("reserved search word")?;
     let n_recent = r.u32("recent record count")? as usize;
     if n_recent > RECENT_CAP {
         return Err(CheckpointError::Invalid(format!(
@@ -1093,6 +1123,32 @@ mod tests {
         assert_eq!(strip_metrics(&full_bytes).unwrap(), off_bytes);
         // Stripping an already-off checkpoint is the identity.
         assert_eq!(strip_metrics(&off_bytes).unwrap(), off_bytes);
+    }
+
+    #[test]
+    fn retired_counters_level_loads_as_full() {
+        let (_poet, events) = workload(40);
+        let mut off = Monitor::new(Pattern::parse(PATTERN).unwrap(), 3);
+        let config = MonitorConfig {
+            obs: ObsLevel::Full,
+            ..MonitorConfig::default()
+        };
+        let mut full = Monitor::with_config(Pattern::parse(PATTERN).unwrap(), 3, config);
+        for e in &events {
+            off.observe(e);
+            full.observe(e);
+        }
+        let off_bytes = save_at(&off, PATTERN, 0);
+        // The off file ends in marker 0 + wal_lsn; the full one has
+        // marker 1 there, then the level byte.
+        let level_at = off_bytes.len() - 8;
+        let mut counters_bytes = save_at(&full, PATTERN, 0);
+        assert_eq!(counters_bytes[level_at - 1..=level_at], [1, 2]);
+        counters_bytes[level_at] = 1;
+        let LoadedMonitor { monitor, .. } = load_at(&counters_bytes).unwrap();
+        assert_eq!(monitor.config().obs, ObsLevel::Full);
+        assert_eq!(monitor.obs_metrics(), full.obs_metrics());
+        assert_eq!(strip_metrics(&counters_bytes).unwrap(), off_bytes);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::history::LeafHistory;
 use crate::ingest::IngestStats;
 use crate::matching::Match;
 use crate::obs::{ArrivalRecord, Metrics, MetricsSnapshot, ObsLevel, Stage};
-use crate::search::{Search, SearchScratch, SearchStats};
+use crate::search::{Search, SearchScratch};
 use crate::stats::{CounterBlock, MonitorStats};
 use ocep_pattern::Pattern;
 use ocep_poet::Event;
@@ -17,17 +17,12 @@ fn ns_since(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// One in this many searches runs with full introspection (see
-/// [`Monitor::run_search`]); all plain counters remain exact for every
-/// search regardless.
-const OBS_SEARCH_SAMPLE: u64 = 16;
-
-/// One in this many arrivals takes the `Full`-level wall-clock timers
-/// (arrival + per-stage). An `Instant` read serializes the pipeline, so
-/// timing every stage boundary of every arrival costs more than most of
-/// the stages it measures; deterministic sampling keeps the medians
-/// honest at a sixteenth of that cost. Counters stay exact on every
-/// arrival.
+/// One in this many arrivals takes the wall-clock timers (arrival +
+/// per-stage). An `Instant` read serializes the pipeline, so timing
+/// every stage boundary of every arrival costs more than most of the
+/// stages it measures; deterministic sampling keeps the medians honest
+/// at a sixteenth of that cost. Counters and search introspection stay
+/// exact on every arrival.
 pub const OBS_TIMING_SAMPLE: u64 = 16;
 
 /// Which matches a [`Monitor`] reports to its caller.
@@ -181,15 +176,14 @@ impl Monitor {
         reported
     }
 
-    /// Whether the current arrival takes wall-clock timers. `Full`
-    /// observability times one in [`OBS_TIMING_SAMPLE`] arrivals,
-    /// deterministically keyed on the exact arrival counter (which
-    /// [`Monitor::observe`] bumps first, so the very first arrival is
-    /// always in the sample). Everything that is not a timer — counters,
-    /// the arrival ring, search introspection — ignores this gate.
+    /// Whether the current arrival takes wall-clock timers. Observability
+    /// times one in [`OBS_TIMING_SAMPLE`] arrivals, deterministically
+    /// keyed on the exact arrival counter (which [`Monitor::observe`]
+    /// bumps first, so the very first arrival is always in the sample).
+    /// Everything that is not a timer — counters, the arrival ring,
+    /// search introspection — ignores this gate.
     fn stage_timing(&self) -> bool {
-        self.stats.events % OBS_TIMING_SAMPLE == 1
-            && self.obs.as_ref().is_some_and(|m| m.level().timing())
+        self.stats.events % OBS_TIMING_SAMPLE == 1 && self.obs.is_some()
     }
 
     /// The matcher proper, shared by the instrumented and plain variants
@@ -215,21 +209,19 @@ impl Monitor {
             }
             self.stats.searches += 1;
             let ts = timing.then(Instant::now);
-            let (matches, sstats) = self.run_search(tl, event);
+            let (matches, counters) = Search::new(
+                &self.pattern,
+                &self.history,
+                self.n_traces,
+                tl,
+                &mut self.scratch,
+                self.obs.as_deref_mut().map(|m| &mut m.search),
+            )
+            .run(event);
             if let (Some(ts), Some(m)) = (ts, self.obs.as_deref_mut()) {
                 m.record_stage(Stage::Search, ns_since(ts));
             }
-            self.stats.absorb(&sstats.counters);
-            if let Some(m) = self.obs.as_deref_mut() {
-                m.absorb_search_counters(
-                    sstats.prune_gp_ls,
-                    sstats.prune_intersect,
-                    sstats.domain_ns,
-                );
-                if let Some(o) = &sstats.obs {
-                    m.absorb_search(o);
-                }
-            }
+            self.stats.absorb(&counters);
             self.stats.matches_found += matches.len() as u64;
 
             let tm = timing.then(Instant::now);
@@ -265,32 +257,6 @@ impl Monitor {
             }
         }
         reported
-    }
-
-    /// Runs one seeded search (Algs 1–3).
-    fn run_search(&mut self, tl: ocep_pattern::LeafId, event: &Event) -> (Vec<Match>, SearchStats) {
-        // Search introspection (the width/backjump/conflict histograms)
-        // is collected from a 1-in-N sample of searches, profiler-style:
-        // an instrumented search allocates a fresh boxed `SearchObs`
-        // plus its lazily-sized histogram buffers — heap traffic the
-        // plain microsecond-scale search does not have. Counters
-        // (prunes, domains, nodes, `domain_ns`) ride plain `SearchStats`
-        // fields and stay exact for every search. Seeded from the exact
-        // `searches` counter, so sampling is deterministic and the first
-        // search is always covered.
-        let obs_level = match &self.obs {
-            Some(m) if self.stats.searches % OBS_SEARCH_SAMPLE == 1 => m.level(),
-            _ => ObsLevel::Off,
-        };
-        Search::new(
-            &self.pattern,
-            &self.history,
-            self.n_traces,
-            tl,
-            &mut self.scratch,
-        )
-        .with_obs(obs_level)
-        .run(event)
     }
 
     /// The current representative subset: for each `(leaf, trace)` cell
@@ -405,7 +371,7 @@ impl Monitor {
             for stage in Stage::ALL {
                 s.histogram_with(
                     "ocep_stage_ns",
-                    "Per-stage pipeline latency (ns), 1-in-16 sampled arrivals; domain_fig4 is nested inside search.",
+                    "Per-stage pipeline latency (ns), 1-in-16 sampled arrivals.",
                     &[("stage", stage.name())],
                     m.stage_hist(stage),
                 );
@@ -427,30 +393,25 @@ impl Monitor {
                 };
                 s.histogram_with(
                     "ocep_search_domain_width",
-                    "Live Fig-4 domain widths per evaluation level (1-in-16 sampled searches).",
+                    "Live Fig-4 domain widths per evaluation level.",
                     &[("level", &label)],
                     h,
                 );
             }
             s.histogram(
                 "ocep_search_backjump_depth",
-                "Levels conflict-directed backjumps landed on (1-in-16 sampled searches).",
+                "Levels conflict-directed backjumps landed on.",
                 &so.backjump_depth,
             );
             s.histogram(
                 "ocep_search_conflict_size",
-                "Conflict-set sizes (popcount) of exhausted subtrees (1-in-16 sampled searches).",
+                "Conflict-set sizes (popcount) of exhausted subtrees.",
                 &so.conflict_size,
             );
             let pr = "ocep_search_prunes_total";
             let pr_help = "Domains emptied by Fig-4 restriction, by cause.";
             s.counter_with(pr, pr_help, &[("kind", "gp_ls")], so.prune_gp_ls);
             s.counter_with(pr, pr_help, &[("kind", "intersect")], so.prune_intersect);
-            s.counter(
-                "ocep_search_domain_ns_total",
-                "Wall-clock ns in domain construction + Fig-4 restriction (1-in-64 sampled estimate).",
-                so.domain_ns,
-            );
             s.recent = m.recent().records();
         }
         s

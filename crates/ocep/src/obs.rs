@@ -9,10 +9,11 @@
 //!
 //! # Design
 //!
-//! * [`ObsLevel`] selects the cost/insight trade-off per monitor
-//!   ([`crate::MonitorConfig::obs`]). `Off` is the default and is
-//!   zero-cost: every instrumentation site is a branch on an enum (or an
-//!   `Option` that is `None`), and no timer is ever taken.
+//! * [`ObsLevel`] is one switch per monitor ([`crate::MonitorConfig::obs`]).
+//!   `Off` is the default and is zero-cost: every instrumentation site is
+//!   a branch on an `Option` that is `None`, and no timer is ever taken.
+//!   `Full` keeps exact counters and exact search introspection; only the
+//!   wall-clock timers are sampled.
 //! * [`Histogram`] is a fixed-bucket log2 latency histogram: lock-free to
 //!   record into (plain `u64`s, one owner), mergeable across monitors, and
 //!   cheap to serialize.
@@ -26,9 +27,8 @@
 //!   monitors [`MetricsSnapshot::absorb`] into one aggregate.
 //!
 //! Pipeline stage taxonomy (per arrival): route/dedup → backtracking
-//! search (which internally times domain construction +
-//! Fig-4 restriction — the two are one fused loop in `search.rs`) →
-//! subset merge. See `docs/OBSERVABILITY.md` for the full metric catalog.
+//! search → subset merge. See `docs/OBSERVABILITY.md` for the full
+//! metric catalog.
 
 use crate::json::Json;
 use crate::stats::CounterBlock;
@@ -43,31 +43,24 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ObsLevel {
     /// No collection at all. Instrumentation sites reduce to a branch on
-    /// this enum; no timers are taken and no allocation happens.
+    /// an empty `Option`; no timers are taken and no allocation happens.
     #[default]
     Off,
-    /// Counters and search introspection (prune hits, backjump depths,
-    /// domain widths, conflict sizes) but no wall-clock timers.
-    Counters,
-    /// Everything: counters, introspection, per-stage and per-arrival
-    /// latency histograms, and the recent-arrival ring buffer. Timers
-    /// are sampled on one in sixteen arrivals (deterministically, from
-    /// the exact arrival counter) so reading the clock at every stage
-    /// boundary doesn't dominate the stages it measures.
+    /// Everything: search introspection (prune hits, backjump depths,
+    /// domain widths, conflict sizes) on every search, per-stage and
+    /// per-arrival latency histograms, and the recent-arrival ring
+    /// buffer. Only the timers are sampled, on one in sixteen arrivals
+    /// (deterministically, from the exact arrival counter), so reading
+    /// the clock at every stage boundary doesn't dominate the stages it
+    /// measures.
     Full,
 }
 
 impl ObsLevel {
-    /// True when any collection is on.
+    /// True when collection is on.
     #[must_use]
     pub fn enabled(self) -> bool {
         self != ObsLevel::Off
-    }
-
-    /// True when wall-clock timers are taken.
-    #[must_use]
-    pub fn timing(self) -> bool {
-        self == ObsLevel::Full
     }
 
     /// Parses a CLI-style level name.
@@ -75,7 +68,6 @@ impl ObsLevel {
     pub fn from_name(name: &str) -> Option<ObsLevel> {
         match name {
             "off" => Some(ObsLevel::Off),
-            "counters" => Some(ObsLevel::Counters),
             "full" => Some(ObsLevel::Full),
             _ => None,
         }
@@ -86,7 +78,6 @@ impl ObsLevel {
     pub fn name(self) -> &'static str {
         match self {
             ObsLevel::Off => "off",
-            ObsLevel::Counters => "counters",
             ObsLevel::Full => "full",
         }
     }
@@ -96,18 +87,18 @@ impl ObsLevel {
     pub(crate) fn code(self) -> u8 {
         match self {
             ObsLevel::Off => 0,
-            ObsLevel::Counters => 1,
             ObsLevel::Full => 2,
         }
     }
 
-    /// Inverse of [`ObsLevel::code`].
+    /// Inverse of [`ObsLevel::code`]. Code 1 is the retired `counters`
+    /// level: its registry is a `Full` one whose timers never ran, so it
+    /// loads as `Full`.
     #[must_use]
     pub(crate) fn from_code(code: u8) -> Option<ObsLevel> {
         match code {
             0 => Some(ObsLevel::Off),
-            1 => Some(ObsLevel::Counters),
-            2 => Some(ObsLevel::Full),
+            1 | 2 => Some(ObsLevel::Full),
             _ => None,
         }
     }
@@ -286,25 +277,16 @@ impl Histogram {
     }
 }
 
-/// A timed pipeline stage. One latency histogram is kept per stage.
-///
-/// `DomainFig4` is nested inside `Search` wall-clock-wise: domain
-/// construction and the Fig-4 GP/LS restriction are a single fused loop
-/// in the backtracking search, so they are timed together and *inside*
-/// the search stage (its histogram is not disjoint from `Search`'s).
+/// A timed pipeline stage of one monitor's arrival path. One latency
+/// histogram is kept per stage; the stages are disjoint. Admission runs
+/// once in front of the monitors ([`crate::MonitorSet::observe_raw`]),
+/// outside any one monitor's registry, so it is not a stage here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Causal admission guard. Reserved: admission runs once in front
-    /// of the monitors ([`crate::MonitorSet::observe_raw`]), outside any
-    /// one monitor's registry, so nothing records here; the slot keeps
-    /// the stage order and the checkpointed histogram count.
-    GuardAdmit,
     /// Leaf-history routing and §VI O(1) dedup (`LeafHistory::observe`).
     RouteDedup,
-    /// Domain construction + Fig-4 GP/LS restriction (one fused loop,
-    /// timed inside the search).
-    DomainFig4,
-    /// The terminating-event-seeded backtracking search (Algs 1–3).
+    /// The terminating-event-seeded backtracking search (Algs 1–3),
+    /// Fig-4 domain construction and restriction included.
     Search,
     /// Representative-subset maintenance (§IV-B) and match reporting.
     SubsetMerge,
@@ -312,36 +294,17 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages.
-    pub const COUNT: usize = 5;
+    pub const COUNT: usize = 3;
     /// Every stage, in pipeline order.
-    pub const ALL: [Stage; Stage::COUNT] = [
-        Stage::GuardAdmit,
-        Stage::RouteDedup,
-        Stage::DomainFig4,
-        Stage::Search,
-        Stage::SubsetMerge,
-    ];
+    pub const ALL: [Stage; Stage::COUNT] = [Stage::RouteDedup, Stage::Search, Stage::SubsetMerge];
 
     /// Stable label used in exports.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            Stage::GuardAdmit => "guard_admit",
             Stage::RouteDedup => "route_dedup",
-            Stage::DomainFig4 => "domain_fig4",
             Stage::Search => "search",
             Stage::SubsetMerge => "subset_merge",
-        }
-    }
-
-    #[must_use]
-    fn index(self) -> usize {
-        match self {
-            Stage::GuardAdmit => 0,
-            Stage::RouteDedup => 1,
-            Stage::DomainFig4 => 2,
-            Stage::Search => 3,
-            Stage::SubsetMerge => 4,
         }
     }
 }
@@ -350,7 +313,8 @@ impl Stage {
 /// deeper levels share the last slot (labelled `"15+"`).
 pub const MAX_TRACKED_LEVELS: usize = 16;
 
-/// Search introspection accumulated across a monitor's sampled searches.
+/// Search introspection accumulated across every search of a monitor:
+/// the search records straight into its monitor's registry.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SearchObs {
     /// Live (post-restriction, non-empty) domain widths per evaluation
@@ -365,11 +329,6 @@ pub struct SearchObs {
     /// Domains emptied by intersecting individually non-empty
     /// restrictions.
     pub prune_intersect: u64,
-    /// Wall-clock nanoseconds spent in domain construction + Fig-4
-    /// restriction (only accumulated at [`ObsLevel::Full`]). A 1-in-64
-    /// sampled, scaled estimate: timing every computation would make the
-    /// timer the dominant cost of the loop it measures.
-    pub domain_ns: u64,
 }
 
 impl SearchObs {
@@ -380,22 +339,6 @@ impl SearchObs {
             self.domain_width.resize(slot + 1, Histogram::new());
         }
         self.domain_width[slot].record(width);
-    }
-
-    /// Folds another search's introspection into this one (order-free).
-    pub fn merge(&mut self, other: &SearchObs) {
-        if self.domain_width.len() < other.domain_width.len() {
-            self.domain_width
-                .resize(other.domain_width.len(), Histogram::new());
-        }
-        for (a, b) in self.domain_width.iter_mut().zip(other.domain_width.iter()) {
-            a.merge(b);
-        }
-        self.backjump_depth.merge(&other.backjump_depth);
-        self.conflict_size.merge(&other.conflict_size);
-        self.prune_gp_ls += other.prune_gp_ls;
-        self.prune_intersect += other.prune_intersect;
-        self.domain_ns += other.domain_ns;
     }
 }
 
@@ -417,9 +360,8 @@ pub struct ArrivalRecord {
     pub matches_reported: u64,
     /// Backtracking nodes explored.
     pub nodes: u64,
-    /// End-to-end wall-clock nanoseconds for the arrival. 0 below
-    /// [`ObsLevel::Full`], and 0 at `Full` for arrivals outside the
-    /// 1-in-16 timing sample.
+    /// End-to-end wall-clock nanoseconds for the arrival; 0 for arrivals
+    /// outside the 1-in-16 timing sample.
     pub total_ns: u64,
 }
 
@@ -447,8 +389,8 @@ impl RecentRing {
     /// Appends a record whose `event` description is rendered lazily:
     /// the text is written into the evicted slot's string buffer, so a
     /// steady-state push allocates nothing. `rec.event` must arrive
-    /// empty. This keeps the always-on (every arrival, any enabled
-    /// level) ring cost off the allocator.
+    /// empty. This keeps the always-on (every arrival) ring cost off
+    /// the allocator.
     pub fn push_with(&mut self, mut rec: ArrivalRecord, event: std::fmt::Arguments<'_>) {
         use std::fmt::Write as _;
         debug_assert!(rec.event.is_empty());
@@ -506,8 +448,8 @@ impl Eq for RecentRing {}
 ///
 /// Owned by a [`crate::Monitor`] (boxed, only when
 /// [`crate::MonitorConfig::obs`] is not `Off`) and updated single-threaded
-/// from the arrival path; each sampled search's introspection is merged
-/// here when the search returns.
+/// from the arrival path; every search records its introspection into
+/// [`Metrics::search_obs`] as it runs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
     pub(crate) level: ObsLevel,
@@ -535,41 +477,12 @@ impl Metrics {
 
     /// Records a stage duration in nanoseconds.
     pub fn record_stage(&mut self, stage: Stage, ns: u64) {
-        self.stage_ns[stage.index()].record(ns);
+        self.stage_ns[stage as usize].record(ns);
     }
 
     /// Records an end-to-end arrival duration in nanoseconds.
     pub fn record_arrival(&mut self, ns: u64) {
         self.arrival_ns.record(ns);
-    }
-
-    /// Folds a finished search's introspection into the registry.
-    pub fn absorb_search(&mut self, obs: &SearchObs) {
-        self.search.merge(obs);
-    }
-
-    /// Folds the always-on search tallies into the registry. These ride
-    /// plain `u64` fields on the search's stats (not the boxed
-    /// introspection) so the recursion's flush points compile to
-    /// branch-free adds; the nested domain stage is timed from the
-    /// accumulated (sampled) `domain_ns`.
-    pub fn absorb_search_counters(
-        &mut self,
-        prune_gp_ls: u64,
-        prune_intersect: u64,
-        domain_ns: u64,
-    ) {
-        self.search.prune_gp_ls += prune_gp_ls;
-        self.search.prune_intersect += prune_intersect;
-        self.search.domain_ns += domain_ns;
-        if domain_ns > 0 {
-            self.stage_ns[Stage::DomainFig4.index()].record(domain_ns);
-        }
-    }
-
-    /// Appends an arrival record to the post-mortem ring.
-    pub fn push_record(&mut self, rec: ArrivalRecord) {
-        self.recent.push(rec);
     }
 
     /// Appends an arrival record, rendering the event description into
@@ -581,7 +494,7 @@ impl Metrics {
     /// The latency histogram of one stage.
     #[must_use]
     pub fn stage_hist(&self, stage: Stage) -> &Histogram {
-        &self.stage_ns[stage.index()]
+        &self.stage_ns[stage as usize]
     }
 
     /// The end-to-end arrival latency histogram.
@@ -731,17 +644,6 @@ impl MetricsSnapshot {
         );
     }
 
-    /// Adds a labelled gauge sample.
-    pub fn gauge_with(&mut self, name: &str, help: &str, labels: &[(&str, &str)], v: u64) {
-        self.push_sample(
-            name,
-            help,
-            MetricKind::Gauge,
-            own_labels(labels),
-            MetricValue::Int(v),
-        );
-    }
-
     /// Adds an unlabelled histogram.
     pub fn histogram(&mut self, name: &str, help: &str, h: &Histogram) {
         self.push_sample(
@@ -817,7 +719,9 @@ impl MetricsSnapshot {
     /// Histograms expand to cumulative `_bucket{le="..."}` series plus
     /// `_sum` and `_count`; every family gets exactly one `# HELP` and
     /// `# TYPE` line. Empty histogram buckets are elided (the cumulative
-    /// counts stay correct); `le` edges are the log2 bucket boundaries.
+    /// counts stay correct). `le` is inclusive, as Prometheus defines it:
+    /// a bucket's `le` is the largest integer it holds (`upper_edge - 1`,
+    /// so the zeros bucket is `le="0"`), and the top bucket is `+Inf`.
     #[must_use]
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
@@ -839,7 +743,7 @@ impl MetricsSnapshot {
                             let le = if i >= HIST_BUCKETS - 1 {
                                 "+Inf".to_owned()
                             } else {
-                                Histogram::upper_edge(i).to_string()
+                                (Histogram::upper_edge(i) - 1).to_string()
                             };
                             let _ = writeln!(
                                 out,
@@ -1187,23 +1091,16 @@ mod tests {
     }
 
     #[test]
-    fn search_obs_clamps_levels_and_merges() {
+    fn search_obs_clamps_levels() {
         let mut a = SearchObs::default();
+        a.record_domain_width(2, 9);
+        assert_eq!(a.domain_width.len(), 3);
+        assert_eq!(a.domain_width[2].count(), 1);
         a.record_domain_width(0, 5);
         a.record_domain_width(MAX_TRACKED_LEVELS + 7, 3);
         assert_eq!(a.domain_width.len(), MAX_TRACKED_LEVELS);
         assert_eq!(a.domain_width[MAX_TRACKED_LEVELS - 1].count(), 1);
-
-        let mut b = SearchObs::default();
-        b.record_domain_width(2, 9);
-        b.prune_gp_ls = 4;
-        b.prune_intersect = 1;
-        b.backjump_depth.record(3);
-        a.merge(&b);
         assert_eq!(a.domain_width[2].count(), 1);
-        assert_eq!(a.prune_gp_ls, 4);
-        assert_eq!(a.prune_intersect, 1);
-        assert_eq!(a.backjump_depth.count(), 1);
     }
 
     #[test]
@@ -1269,9 +1166,9 @@ mod tests {
     fn prometheus_export_is_well_formed() {
         let mut s = MetricsSnapshot::default();
         s.counter("ocep_events_total", "Events observed.", 42);
-        s.gauge_with(
-            "ocep_ring_depth",
-            "Jobs queued per shard ring.",
+        s.counter_with(
+            "ocep_frames_total",
+            "Frames per shard.",
             &[("shard", "0")],
             7,
         );
@@ -1315,23 +1212,39 @@ mod tests {
         }
         assert!(text.contains("# TYPE ocep_events_total counter"));
         assert!(text.contains("ocep_events_total 42"));
-        assert!(text.contains("ocep_ring_depth{shard=\"0\"} 7"));
+        assert!(text.contains("ocep_frames_total{shard=\"0\"} 7"));
         assert!(text.contains("le=\"+Inf\""));
         assert!(text.contains("ocep_arrival_ns_count 3"));
         assert!(text.contains("ocep_empty_ns_count 0"));
     }
 
     #[test]
+    fn prometheus_le_is_the_largest_value_a_bucket_holds() {
+        let mut s = MetricsSnapshot::default();
+        s.histogram("probe", "Probe.", &hist_of(&[0, 3, 4, 1 << 40]));
+        let text = s.to_prometheus();
+        // Buckets [0, 0], [2, 3] and [4, 7]: every sample counted at or
+        // below an edge is <= it. 2^40 lands in the saturated top bucket.
+        assert!(text.contains("probe_bucket{le=\"0\"} 1\n"), "{text}");
+        assert!(text.contains("probe_bucket{le=\"3\"} 2\n"), "{text}");
+        assert!(text.contains("probe_bucket{le=\"7\"} 3\n"), "{text}");
+        assert!(text.contains("probe_bucket{le=\"+Inf\"} 4\n"), "{text}");
+        assert!(!text.contains("le=\"4\""), "{text}");
+    }
+
+    #[test]
     fn obs_level_names_round_trip() {
-        for lvl in [ObsLevel::Off, ObsLevel::Counters, ObsLevel::Full] {
+        for lvl in [ObsLevel::Off, ObsLevel::Full] {
             assert_eq!(ObsLevel::from_name(lvl.name()), Some(lvl));
             assert_eq!(ObsLevel::from_code(lvl.code()), Some(lvl));
         }
         assert_eq!(ObsLevel::from_name("verbose"), None);
+        assert_eq!(ObsLevel::from_name("counters"), None);
+        // The retired `counters` code loads as `Full`.
+        assert_eq!(ObsLevel::from_code(1), Some(ObsLevel::Full));
         assert_eq!(ObsLevel::from_code(9), None);
         assert!(!ObsLevel::Off.enabled());
-        assert!(ObsLevel::Counters.enabled() && !ObsLevel::Counters.timing());
-        assert!(ObsLevel::Full.timing());
+        assert!(ObsLevel::Full.enabled());
     }
 
     #[test]

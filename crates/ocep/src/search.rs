@@ -42,34 +42,13 @@
 use crate::domain::{restrict, Domain};
 use crate::history::LeafHistory;
 use crate::matching::Match;
-use crate::obs::{ObsLevel, SearchObs};
+use crate::obs::SearchObs;
 use crate::stats::MonitorStats;
 use ocep_pattern::{Bindings, Constraint, LeafId, PairRel, Pattern, VarId};
 use ocep_poet::Event;
 use ocep_vclock::{EventId, EventSet, TraceId};
 use std::ops::Range;
 use std::sync::Arc;
-
-/// Statistics of one arrival's search, merged into the monitor totals.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct SearchStats {
-    /// The monitor counters a search adds to: `nodes` through
-    /// `clone_bytes_avoided` (the arrival counters stay zero).
-    pub counters: MonitorStats,
-    /// Domains emptied by a single GP/LS rule (Fig 4). Carried as a plain
-    /// counter (not inside `obs`) so the recursion's flush points stay
-    /// branch-free adds; the registry picks it up after the search.
-    pub prune_gp_ls: u64,
-    /// Domains emptied by the running intersection (Fig 4).
-    pub prune_intersect: u64,
-    /// Sampled, scaled wall-clock ns in the fused domain + Fig-4 loop
-    /// (see [`DOMAIN_TIME_SAMPLE`]); zero unless timing is enabled.
-    pub domain_ns: u64,
-    /// Search introspection, collected only when the monitor's
-    /// [`ObsLevel`] asks for it (`None` keeps the `Off` path
-    /// allocation-free). Boxed so the common case stays one word.
-    pub obs: Option<Box<SearchObs>>,
-}
 
 /// Result of exploring one subtree. `Copy`, so failure propagation never
 /// allocates.
@@ -115,20 +94,13 @@ pub(crate) struct Search<'a> {
     order: &'a [LeafId],
     scratch: &'a mut SearchScratch,
     matches: Vec<Match>,
-    pub stats: SearchStats,
-    /// [`ObsLevel::Full`] only: take wall-clock timers around the fused
-    /// domain-construction + Fig-4 restriction loop. Sampled 1 in
-    /// [`DOMAIN_TIME_SAMPLE`] computations and scaled, so the timer's
-    /// syscall cost stays off the search's hot path.
-    time_domains: bool,
+    /// The monitor counters a search adds to: `nodes` through
+    /// `clone_bytes_avoided` (the arrival counters stay zero).
+    stats: MonitorStats,
+    /// The monitor's search introspection when its observability is on:
+    /// every search records into it directly.
+    obs: Option<&'a mut SearchObs>,
 }
-
-/// Sampling rate for the per-domain wall-clock timer: one in this many
-/// domain computations is timed and the reading scaled back up, making
-/// `domain_ns` an estimate whose overhead is ~1/64th of timing every
-/// computation (two `Instant` reads per domain would otherwise dominate
-/// the fused Fig-4 loop they are trying to measure).
-const DOMAIN_TIME_SAMPLE: u64 = 64;
 
 impl<'a> Search<'a> {
     pub fn new(
@@ -137,6 +109,7 @@ impl<'a> Search<'a> {
         n_traces: usize,
         seed_leaf: LeafId,
         scratch: &'a mut SearchScratch,
+        obs: Option<&'a mut SearchObs>,
     ) -> Self {
         let order = pattern.eval_order(seed_leaf);
         scratch.prepare(order.len(), n_traces, pattern.n_leaves(), pattern.n_vars());
@@ -147,21 +120,9 @@ impl<'a> Search<'a> {
             order,
             scratch,
             matches: Vec::new(),
-            stats: SearchStats::default(),
-            time_domains: false,
+            stats: MonitorStats::default(),
+            obs,
         }
-    }
-
-    /// Enables search introspection at the given [`ObsLevel`] (builder
-    /// style). `Off` leaves the search untouched; `Counters` collects
-    /// prune/width/backjump distributions; `Full` also times the fused
-    /// domain + Fig-4 loop.
-    pub fn with_obs(mut self, level: ObsLevel) -> Self {
-        if level.enabled() {
-            self.stats.obs = Some(Box::default());
-            self.time_domains = level.timing();
-        }
-        self
     }
 
     fn covered(&self, pos: usize, t: usize) -> bool {
@@ -170,7 +131,7 @@ impl<'a> Search<'a> {
 
     /// Runs the search seeded with `seed` at the order's first leaf and
     /// returns every match found (one per covered (level, trace) cell).
-    pub fn run(mut self, seed: &Event) -> (Vec<Match>, SearchStats) {
+    pub fn run(mut self, seed: &Event) -> (Vec<Match>, MonitorStats) {
         let seed_leaf = self.order[0];
         let Some(delta) = self
             .pattern
@@ -195,7 +156,7 @@ impl<'a> Search<'a> {
     /// Alg 2 / Alg 3 rolled into one recursive step for eval position
     /// `pos` (the paper's backtracking level).
     fn go(&mut self, pos: usize) -> Outcome {
-        self.stats.counters.nodes += 1;
+        self.stats.nodes += 1;
         if pos == self.order.len() {
             return self.complete();
         }
@@ -221,10 +182,6 @@ impl<'a> Search<'a> {
         // Local tallies for counters that would otherwise need `&mut
         // self` while an assigned event is borrowed.
         let mut avoided: u64 = 0;
-        let obs_on = self.stats.obs.is_some();
-        let mut domain_ns: u64 = 0;
-        let mut prune_gp_ls: u64 = 0;
-        let mut prune_intersect: u64 = 0;
 
         'traces: for t in narrowing.traces.clone() {
             if self.covered(pos, t) {
@@ -236,10 +193,7 @@ impl<'a> Search<'a> {
                 continue;
             }
             // ---- Fig 4: domain computation with conflict attribution ----
-            self.stats.counters.domains += 1;
-            let dom_t = (self.time_domains
-                && self.stats.counters.domains % DOMAIN_TIME_SAMPLE == 1)
-                .then(std::time::Instant::now);
+            self.stats.domains += 1;
             // None = domain survived; Some(true) = a single GP/LS rule
             // emptied it; Some(false) = the intersection emptied it.
             let mut pruned: Option<bool> = None;
@@ -280,26 +234,15 @@ impl<'a> Search<'a> {
                 }
                 dom = next;
             }
-            if let Some(t0) = dom_t {
-                domain_ns += u64::try_from(t0.elapsed().as_nanos())
-                    .unwrap_or(u64::MAX)
-                    .saturating_mul(DOMAIN_TIME_SAMPLE);
+            if let Some(o) = self.obs.as_deref_mut() {
+                match pruned {
+                    Some(true) => o.prune_gp_ls += 1,
+                    Some(false) => o.prune_intersect += 1,
+                    None => o.record_domain_width(pos, dom.len() as u64),
+                }
             }
-            match pruned {
-                Some(true) => {
-                    prune_gp_ls += 1;
-                    continue 'traces;
-                }
-                Some(false) => {
-                    prune_intersect += 1;
-                    continue 'traces;
-                }
-                None => {}
-            }
-            if obs_on {
-                if let Some(o) = self.stats.obs.as_deref_mut() {
-                    o.record_domain_width(pos, dom.len() as u64);
-                }
+            if pruned.is_some() {
+                continue 'traces;
             }
             // Levels whose rules shrank this domain excluded candidates; if
             // the remaining ones all fail, those levels share the blame.
@@ -324,7 +267,7 @@ impl<'a> Search<'a> {
                 list.map_or((window.lo, window.hi.max(window.lo)), |v| (0, v.len()));
             while cursor > floor {
                 cursor -= 1;
-                self.stats.counters.candidates += 1;
+                self.stats.candidates += 1;
                 // O(1): the event's timestamp buffer is Arc-shared.
                 let cand = slice[at(cursor)].clone();
                 // Distinctness: one concrete event per leaf.
@@ -360,11 +303,9 @@ impl<'a> Search<'a> {
                             // This level's choice is irrelevant to the
                             // failure: no other candidate here can help
                             // (conflict-directed backjump).
-                            self.stats.counters.backjumps += 1;
-                            if obs_on {
-                                if let Some(o) = self.stats.obs.as_deref_mut() {
-                                    o.backjump_depth.record(pos as u64);
-                                }
+                            self.stats.backjumps += 1;
+                            if let Some(o) = self.obs.as_deref_mut() {
+                                o.backjump_depth.record(pos as u64);
                             }
                             conflicts |= c;
                             backjump = true;
@@ -376,16 +317,13 @@ impl<'a> Search<'a> {
             }
         }
 
-        self.stats.counters.clones_avoided += avoided;
-        self.stats.counters.clone_bytes_avoided += avoided * self.clone_bytes();
-        self.stats.domain_ns += domain_ns;
-        self.stats.prune_gp_ls += prune_gp_ls;
-        self.stats.prune_intersect += prune_intersect;
+        self.stats.clones_avoided += avoided;
+        self.stats.clone_bytes_avoided += avoided * self.clone_bytes();
         if found_any {
             return Outcome::FoundSome;
         }
         if !backjump {
-            if let Some(o) = self.stats.obs.as_deref_mut() {
+            if let Some(o) = self.obs.as_deref_mut() {
                 o.conflict_size.record(u64::from(conflicts.count_ones()));
             }
         }
@@ -478,7 +416,7 @@ impl<'a> Search<'a> {
     /// match, and mark per-trace coverage (`updateSubset`).
     fn complete(&mut self) -> Outcome {
         if !self.deferred_ok() {
-            self.stats.counters.deferred_rejections += 1;
+            self.stats.deferred_rejections += 1;
             // Deferred constraints span many leaves; blame every level.
             return Outcome::Exhausted {
                 conflicts: mask_below(self.order.len()),

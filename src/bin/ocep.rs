@@ -19,7 +19,7 @@ USAGE:
     ocep validate <pattern-file>
     ocep check <pattern-file> <dump-file> [--per-arrival] [--no-dedup] [--stats]
                [--guard] [--guard-capacity N] [--overflow reject|drop-oldest|flush-degraded]
-               [--obs off|counters|full] [--metrics FILE]
+               [--obs off|full] [--metrics FILE]
     ocep check --resume <ckpt-file> <dump-file> [--stats] [--metrics FILE]
     ocep stats <pattern-file> <dump-file> [--obs LEVEL] [--metrics FILE] [monitor flags]
     ocep stats <ckpt-file>
@@ -66,10 +66,12 @@ reorder buffer is bounded by --guard-capacity with an --overflow policy.
 `checkpoint` runs a monitor over (a prefix of) a dump and serializes its
 full matching state; `check --resume` restores it and continues over the
 remainder of the dump, producing the same verdicts as an uninterrupted
-run.
+run. The checkpoint carries the monitor configuration, so `--resume`
+takes no other monitor flag.
 
-`--obs` selects the observability level (per-stage latency histograms,
-search introspection, recent-arrival ring; see docs/OBSERVABILITY.md).
+`--obs full` turns observability on: exact counters and search
+introspection, per-stage latency histograms timed on one arrival in
+16, and a recent-arrival ring (see docs/OBSERVABILITY.md).
 `--metrics FILE` writes the final metrics snapshot — Prometheus text
 format, or JSON when FILE ends in .json — and implies `--obs full`.
 `stats` runs a dump at full observability and pretty-prints the snapshot;
@@ -431,8 +433,9 @@ fn validate(path: &str) -> Result<(), String> {
 /// the export path, if any.
 fn obs_flags(args: &Args) -> Result<(ObsLevel, Option<String>), String> {
     let mut obs = match args.val("--obs") {
-        Some(s) => ObsLevel::from_name(s)
-            .ok_or_else(|| format!("bad --obs '{s}' (expected off|counters|full)"))?,
+        Some(s) => {
+            ObsLevel::from_name(s).ok_or_else(|| format!("bad --obs '{s}' (expected off|full)"))?
+        }
         None => ObsLevel::Off,
     };
     let metrics_path = args.val("--metrics").map(str::to_owned);
@@ -573,9 +576,24 @@ fn load_dump(path: &str) -> Result<ocep_repro::poet::PoetServer, String> {
 
 fn check(args: &Args) -> Result<i32, String> {
     let show_stats = args.has("--stats");
+    let resume = args.val("--resume");
+    if resume.is_some() {
+        // The checkpoint carries the monitor's configuration.
+        let mut given = args
+            .values
+            .iter()
+            .map(|(f, _)| *f)
+            .chain(args.switches.iter().copied());
+        if let Some(flag) = given.find(|f| !matches!(*f, "--resume" | "--stats" | "--metrics")) {
+            return Err(format!(
+                "'{flag}' cannot be combined with --resume: the checkpoint carries the \
+                 monitor configuration (only --stats and --metrics apply)"
+            ));
+        }
+    }
     let (_, metrics_path) = obs_flags(args)?;
 
-    let (mut set, server, skip) = if let Some(ckpt_path) = args.val("--resume") {
+    let (mut set, server, skip) = if let Some(ckpt_path) = resume {
         let dump_path = args.arg(0, "dump file")?;
         let (set, skip) = load_checkpoint(ckpt_path)?;
         println!(
