@@ -726,13 +726,17 @@ impl EngineCore {
         self.send_control(conn, Frame::Ack { credits: 1 });
     }
 
-    /// Ingests one data frame's events: one [`EngineOp::Deliver`] is
-    /// journaled per raw event, and the whole frame goes through
+    /// Ingests one data frame's events: with journaling on, one
+    /// [`EngineOp::Deliver`] is journaled per raw event; the whole frame goes through
     /// [`ShardGroup::deliver_batch`] — bit-identical to delivering it
     /// event by event, with one latency sample per event either way.
     fn ingest(&mut self, events: Vec<ocep_poet::Event>, conn: u64, received_ns: u64) {
-        for e in &events {
-            self.journal_op(EngineOp::Deliver(Box::new(e.clone())));
+        if let Some(j) = &mut self.journal {
+            j.extend(
+                events
+                    .iter()
+                    .map(|e| EngineOp::Deliver(Box::new(e.clone()))),
+            );
         }
         let n = events.len() as u64;
         let out = self.group.deliver_batch(&self.conn_name(conn), events);

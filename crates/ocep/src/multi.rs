@@ -1,6 +1,7 @@
 //! Monitoring several patterns over one event stream.
 
 use crate::ingest::{AdmissionGuard, GuardConfig, IngestFault, IngestStats};
+use crate::obs::{Metrics, ObsLevel};
 use crate::stats::CounterBlock;
 use crate::{Match, Monitor, MonitorConfig, MonitorStats};
 use ocep_pattern::Pattern;
@@ -274,6 +275,18 @@ impl MonitorSet {
             total.record(g.stats());
         }
         total
+    }
+
+    /// Gives every monitor that collects nothing an empty
+    /// [`ObsLevel::Full`] registry, so a set restored from an
+    /// obs-off checkpoint can export full metrics: counters carry over,
+    /// timers and search introspection start here.
+    pub fn enable_obs(&mut self) {
+        for (_, m) in &mut self.entries {
+            if m.obs_metrics().is_none() {
+                m.set_obs_metrics(Some(Box::new(Metrics::new(ObsLevel::Full))));
+            }
+        }
     }
 
     /// Installs an already-built monitor under `name`, preserving its

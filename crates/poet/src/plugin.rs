@@ -221,199 +221,3 @@ mod tests {
         assert_eq!(r.partner(), Some(s.id()));
     }
 }
-
-/// Channel-environment plugin: a FIFO communication channel is itself a
-/// trace (POET's "passive entities such as an object or a communication
-/// channel", §III-A). Routing messages *through* the channel trace makes
-/// channel ordering part of the causal order: two sends into one channel
-/// are never concurrent, even from unrelated threads.
-///
-/// # Example
-///
-/// ```
-/// use ocep_poet::plugin::ChannelPlugin;
-/// use ocep_poet::PoetServer;
-/// use ocep_vclock::TraceId;
-///
-/// let mut poet = PoetServer::new(4); // threads 0,1,2; channel 3
-/// let mut ch = ChannelPlugin::new(&mut poet);
-/// let chan = TraceId::new(3);
-/// let m1 = ch.send(TraceId::new(0), chan, "job-1");
-/// let m2 = ch.send(TraceId::new(1), chan, "job-2");
-/// // Channel serialization: the two enqueues are causally ordered.
-/// assert!(m1.stamp().happens_before(m2.stamp()) || m2.stamp().happens_before(m1.stamp()));
-/// ch.deliver(chan, TraceId::new(2), "job-1");
-/// ```
-#[derive(Debug)]
-pub struct ChannelPlugin<'a> {
-    server: &'a mut PoetServer,
-}
-
-/// Channel event-type names.
-pub mod channel_types {
-    /// A value enqueued into the channel (recorded on the channel trace).
-    pub const CH_ENQUEUE: &str = "ch_enqueue";
-    /// The sender's side of an enqueue.
-    pub const CH_SEND: &str = "ch_send";
-    /// The channel's hand-off of a value to a receiver.
-    pub const CH_DELIVER: &str = "ch_deliver";
-    /// The receiver's side of a delivery.
-    pub const CH_RECV: &str = "ch_recv";
-}
-
-impl<'a> ChannelPlugin<'a> {
-    /// Wraps a server with the channel vocabulary.
-    pub fn new(server: &'a mut PoetServer) -> Self {
-        ChannelPlugin { server }
-    }
-
-    /// Sends `tag` from `thread` into `channel`: a send on the thread
-    /// trace received (enqueued) on the channel trace. Returns the
-    /// enqueue event on the channel, whose position totally orders all
-    /// traffic through the channel.
-    pub fn send(&mut self, thread: TraceId, channel: TraceId, tag: &str) -> Event {
-        let s = self
-            .server
-            .record(thread, EventKind::Send, channel_types::CH_SEND, tag);
-        self.server
-            .record_receive(channel, s.id(), channel_types::CH_ENQUEUE, tag)
-    }
-
-    /// Delivers `tag` from `channel` to `to`: a send on the channel trace
-    /// received on the receiving thread. Returns the receive event.
-    pub fn deliver(&mut self, channel: TraceId, to: TraceId, tag: &str) -> Event {
-        let d = self
-            .server
-            .record(channel, EventKind::Send, channel_types::CH_DELIVER, tag);
-        self.server
-            .record_receive(to, d.id(), channel_types::CH_RECV, tag)
-    }
-}
-
-/// Pthreads-style plugin: a mutex is a trace, like the μC++ plugin's
-/// semaphores (the paper notes a pthreads implementation "will require
-/// additional plugins", §V-C3). `lock` round-trips through the mutex
-/// trace; `unlock` posts back to it — so critical sections protected by
-/// the same mutex are causally serialized, and a skipped lock shows up
-/// as concurrency.
-#[derive(Debug)]
-pub struct PthreadsPlugin<'a> {
-    server: &'a mut PoetServer,
-}
-
-/// Pthreads event-type names.
-pub mod pthread_types {
-    /// Lock request (thread → mutex).
-    pub const MTX_LOCK: &str = "mtx_lock";
-    /// Lock grant (mutex → thread).
-    pub const MTX_GRANT: &str = "mtx_grant";
-    /// Unlock (thread → mutex).
-    pub const MTX_UNLOCK: &str = "mtx_unlock";
-}
-
-impl<'a> PthreadsPlugin<'a> {
-    /// Wraps a server with the pthreads vocabulary.
-    pub fn new(server: &'a mut PoetServer) -> Self {
-        PthreadsPlugin { server }
-    }
-
-    /// Records a full `pthread_mutex_lock`: request, arrival at the
-    /// mutex trace, grant, and the grant's arrival back at the thread.
-    pub fn lock(&mut self, thread: TraceId, mutex: TraceId) -> Event {
-        let req = self.server.record(
-            thread,
-            EventKind::Send,
-            pthread_types::MTX_LOCK,
-            mutex.to_string(),
-        );
-        self.server
-            .record_receive(mutex, req.id(), pthread_types::MTX_LOCK, thread.to_string());
-        let grant = self.server.record(
-            mutex,
-            EventKind::Send,
-            pthread_types::MTX_GRANT,
-            thread.to_string(),
-        );
-        self.server.record_receive(
-            thread,
-            grant.id(),
-            pthread_types::MTX_GRANT,
-            mutex.to_string(),
-        )
-    }
-
-    /// Records a `pthread_mutex_unlock` and its arrival at the mutex.
-    pub fn unlock(&mut self, thread: TraceId, mutex: TraceId) -> Event {
-        let rel = self.server.record(
-            thread,
-            EventKind::Send,
-            pthread_types::MTX_UNLOCK,
-            mutex.to_string(),
-        );
-        self.server.record_receive(
-            mutex,
-            rel.id(),
-            pthread_types::MTX_UNLOCK,
-            thread.to_string(),
-        )
-    }
-
-    /// Records a local step in the critical section.
-    pub fn critical(&mut self, thread: TraceId, what: &str) -> Event {
-        self.server.record(thread, EventKind::Unary, what, "")
-    }
-}
-
-#[cfg(test)]
-mod extended_plugin_tests {
-    use super::*;
-
-    fn t(i: u32) -> TraceId {
-        TraceId::new(i)
-    }
-
-    #[test]
-    fn channel_serializes_unrelated_senders() {
-        let mut poet = PoetServer::new(3); // threads 0,1; channel 2
-        let mut ch = ChannelPlugin::new(&mut poet);
-        let chan = t(2);
-        let e1 = ch.send(t(0), chan, "x");
-        let e2 = ch.send(t(1), chan, "y");
-        assert!(e1.stamp().happens_before(e2.stamp()));
-    }
-
-    #[test]
-    fn channel_delivery_orders_receiver_after_sender() {
-        let mut poet = PoetServer::new(3);
-        let mut ch = ChannelPlugin::new(&mut poet);
-        let chan = t(2);
-        let sent = ch.send(t(0), chan, "x");
-        let got = ch.deliver(chan, t(1), "x");
-        assert!(sent.stamp().happens_before(got.stamp()));
-        assert_eq!(got.ty(), channel_types::CH_RECV);
-    }
-
-    #[test]
-    fn mutex_serializes_critical_sections() {
-        let mut poet = PoetServer::new(3); // threads 0,1; mutex 2
-        let mut pt = PthreadsPlugin::new(&mut poet);
-        let mtx = t(2);
-        pt.lock(t(0), mtx);
-        let c0 = pt.critical(t(0), "write");
-        pt.unlock(t(0), mtx);
-        pt.lock(t(1), mtx);
-        let c1 = pt.critical(t(1), "write");
-        assert!(c0.stamp().happens_before(c1.stamp()));
-    }
-
-    #[test]
-    fn skipped_lock_is_concurrent() {
-        let mut poet = PoetServer::new(3);
-        let mut pt = PthreadsPlugin::new(&mut poet);
-        let mtx = t(2);
-        pt.lock(t(0), mtx);
-        let c0 = pt.critical(t(0), "write");
-        let c1 = pt.critical(t(1), "write"); // no lock!
-        assert!(c0.stamp().concurrent_with(c1.stamp()));
-    }
-}

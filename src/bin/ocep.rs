@@ -5,7 +5,7 @@
 //! each one accepts are declared in [`SUBCOMMANDS`].
 
 use ocep_repro::ocep::{
-    GuardConfig, IngestStats, Match, MetricsSnapshot, MonitorConfig, MonitorSet, ObsLevel,
+    GuardConfig, IngestStats, Match, MetricsSnapshot, Monitor, MonitorConfig, MonitorSet, ObsLevel,
     OverflowPolicy, SubsetPolicy,
 };
 use ocep_repro::pattern::{Constraint, LeafId, PairRel, Pattern};
@@ -18,20 +18,21 @@ ocep — online causal-event-pattern matching (ICDCS 2013 reproduction)
 USAGE:
     ocep validate <pattern-file>
     ocep check <pattern-file> <dump-file> [--per-arrival] [--no-dedup] [--stats]
-               [--guard] [--guard-capacity N] [--overflow reject|drop-oldest|flush-degraded]
-               [--obs off|full] [--metrics FILE]
+               [--metrics FILE]
     ocep check --resume <ckpt-file> <dump-file> [--stats] [--metrics FILE]
-    ocep stats <pattern-file> <dump-file> [--obs LEVEL] [--metrics FILE] [monitor flags]
+    ocep stats <pattern-file> <dump-file> [--per-arrival] [--no-dedup]
+               [--metrics FILE]
     ocep stats <ckpt-file>
+    ocep stats --addr HOST:PORT
     ocep checkpoint <pattern-file> <dump-file> <out-ckpt> [--events N]
-               [--per-arrival] [--no-dedup] [--guard] [--guard-capacity N] [--overflow P]
+               [--per-arrival] [--no-dedup] [--obs off|full]
     ocep record-demo <deadlock|race|atomicity|ordering> <out-file> [--seed N]
     ocep info <dump-file>
     ocep show <dump-file> [--limit N]
     ocep analyze <pattern-file> <dump-file>
     ocep slice <dump-file> <out-file> <T0,T3,...>
     ocep fuzz [--seed N] [--cases N] [--smoke] [--dump-dir DIR]
-              [--obs LEVEL] [--metrics FILE]
+              [--obs off|full] [--metrics FILE]
     ocep fuzz --faults [--seed N] [--cases N] [--smoke]
     ocep fuzz --replay <dir>
     ocep sim [--seed N] [--seeds N] [--clients N] [--tails N] [--events N]
@@ -39,17 +40,20 @@ USAGE:
              [--wal-sabotage]
     ocep sim --replay <dir>
     ocep serve <pattern-file> --traces N [--addr HOST:PORT] [--port-file FILE]
-               [--window N] [--metrics FILE]
-               [--wal DIR] [--durability none|batch|strict] [--checkpoint-every N]
-               [monitor flags]
+               [--window N] [--wal DIR] [--durability none|batch|strict]
+               [--checkpoint-every N] [--per-arrival] [--no-dedup]
+               [--guard-capacity N] [--overflow POLICY] [--obs off|full]
+               [--metrics FILE]
     ocep send <addr> <dump-file> [--batch N] [--name S] [--shutdown]
-    ocep ingest <format> <recording> [--pattern FILE]... [--batch N] [monitor flags]
+    ocep ingest <format> <recording> [--pattern FILE]... [--batch N]
+               [--per-arrival] [--no-dedup] [--guard-capacity N]
+               [--overflow POLICY] [--metrics FILE]
     ocep ingest <format> <recording> --addr HOST:PORT [--batch N] [--name S]
                [--shutdown]
     ocep tail <addr> [--once] [--name S] [--from LSN] [--tenant T]
     ocep register <addr> <tenant> <pattern-file>... --traces N [--unregister]
-    ocep replay <pattern-file> <wal-dir> [--traces N]
-    ocep stats --addr HOST:PORT
+    ocep replay <pattern-file> <wal-dir> [--traces N] [--per-arrival] [--no-dedup]
+               [--guard-capacity N] [--overflow POLICY] [--metrics FILE]
 
 EXIT CODES:
     0  success; `check` found no pattern match
@@ -57,25 +61,32 @@ EXIT CODES:
     2  ingestion degraded: the admission guard quarantined or lost events
     3  usage or runtime error (bad flags, unreadable files, corrupt input)
 
-`check --guard` runs the pattern as a set of one behind the causal
-admission guard (`serve`, `ingest` and `replay` always do): duplicated
-and reordered events are repaired via their vector timestamps,
-malformed events are quarantined into a structured fault stream, and the
-reorder buffer is bounded by --guard-capacity with an --overflow policy.
+`--per-arrival` reports every match, not one representative subset;
+`--no-dedup` stores the events the §VI dedup would suppress. `serve`,
+`ingest` and `replay` read untrusted input through the causal admission
+guard: duplicated and reordered events are repaired via their vector
+timestamps, malformed events are quarantined into a structured fault
+stream, and the reorder buffer is bounded by --guard-capacity N with an
+--overflow POLICY (reject|drop-oldest|flush-degraded). A reloaded dump
+is already in causal order, so `check`, `stats` and `checkpoint` run
+no guard.
 
 `checkpoint` runs a monitor over (a prefix of) a dump and serializes its
 full matching state; `check --resume` restores it and continues over the
 remainder of the dump, producing the same verdicts as an uninterrupted
 run. The checkpoint carries the monitor configuration, so `--resume`
-takes no other monitor flag.
+takes no other monitor flag. Earlier versions' checkpoints, guarded
+ones included, still resume.
 
-`--obs full` turns observability on: exact counters and search
-introspection, per-stage latency histograms timed on one arrival in
-16, and a recent-arrival ring (see docs/OBSERVABILITY.md).
 `--metrics FILE` writes the final metrics snapshot — Prometheus text
-format, or JSON when FILE ends in .json — and implies `--obs full`.
-`stats` runs a dump at full observability and pretty-prints the snapshot;
-given a single checkpoint file it prints the metrics embedded in it.
+format, or JSON when FILE ends in .json — collected at full
+observability: exact counters and search introspection, per-stage
+latency histograms timed on one arrival in 16, and a recent-arrival
+ring (see docs/OBSERVABILITY.md). `--obs off|full` sets the level where
+it is kept: in the `checkpoint` file, in the log checkpoints of `serve
+--wal`, and for the matcher path `fuzz` checks. `stats` runs a dump at full
+observability and pretty-prints the snapshot; given a single
+checkpoint file it prints the metrics embedded in it.
 
 `fuzz` generates seeded random (pattern, execution) cases and checks the
 online monitor against the exhaustive oracle and the naive baseline
@@ -153,8 +164,10 @@ live daemon; the server monitors each as `{tenant}/{name}` beside its
 own pattern, logs the change under `--wal` so a restart restores it,
 and `tail --tenant T` scopes a subscription to that namespace.
 
-A flag the subcommand does not take, or one missing its value, is a
-usage error (exit 3) naming the flag.
+A flag the subcommand does not take, one missing its value, or one the
+chosen mode cannot act on (say `--per-arrival` with `--resume`, or
+`--metrics` with `ingest --addr`) is a usage error (exit 3) naming the
+flag.
 ";
 
 fn main() {
@@ -167,99 +180,83 @@ fn main() {
     }
 }
 
-/// One subcommand and the flags it understands, as space-separated
-/// lists; `monitor` adds the shared [`MONITOR_VALUED`] and
-/// [`MONITOR_SWITCHES`].
+/// One subcommand and the flags it honors, as space-separated lists.
 struct Sub {
     name: &'static str,
-    monitor: bool,
     valued: &'static str,
     switches: &'static str,
-}
-
-impl Sub {
-    fn takes_value(&self, flag: &str) -> bool {
-        listed(self.valued, flag) || (self.monitor && listed(MONITOR_VALUED, flag))
-    }
-
-    fn is_switch(&self, flag: &str) -> bool {
-        listed(self.switches, flag) || (self.monitor && listed(MONITOR_SWITCHES, flag))
-    }
 }
 
 fn listed(flags: &str, flag: &str) -> bool {
     flags.split(' ').any(|f| f == flag)
 }
 
-const fn sub(
-    name: &'static str,
-    monitor: bool,
-    valued: &'static str,
-    switches: &'static str,
-) -> Sub {
+const fn sub(name: &'static str, valued: &'static str, switches: &'static str) -> Sub {
     Sub {
         name,
-        monitor,
         valued,
         switches,
     }
 }
 
-/// The monitor and guard flags (`[monitor flags]` in [`USAGE`]).
-const MONITOR_VALUED: &str = "--guard-capacity --overflow --obs --metrics";
-const MONITOR_SWITCHES: &str = "--per-arrival --no-dedup --guard";
-
 /// Every subcommand with the flags that take a value and its bare
-/// switches — the one place a flag is declared.
+/// switches — the one place a flag is declared. A flag listed here acts
+/// in at least one of the subcommand's modes; [`Args::only`] refuses it
+/// in the others.
 const SUBCOMMANDS: &[Sub] = &[
-    sub("validate", false, "", ""),
-    sub("check", true, "--resume", "--stats"),
-    sub("stats", true, "--addr", ""),
-    sub("checkpoint", true, "--events", ""),
-    sub("record-demo", false, "--seed", ""),
-    sub("info", false, "", ""),
-    sub("show", false, "--limit", ""),
-    sub("analyze", false, "", ""),
-    sub("slice", false, "", ""),
+    sub("validate", "", ""),
+    sub(
+        "check",
+        "--resume --metrics",
+        "--per-arrival --no-dedup --stats",
+    ),
+    sub("stats", "--addr --metrics", "--per-arrival --no-dedup"),
+    sub("checkpoint", "--events --obs", "--per-arrival --no-dedup"),
+    sub("record-demo", "--seed", ""),
+    sub("info", "", ""),
+    sub("show", "--limit", ""),
+    sub("analyze", "", ""),
+    sub("slice", "", ""),
     sub(
         "fuzz",
-        false,
         "--seed --cases --dump-dir --replay --obs --metrics",
         "--smoke --faults",
     ),
     sub(
         "sim",
-        false,
         "--seed --seeds --clients --tails --events --crashes --dump-dir --replay",
         "--faults --sabotage --wal-sabotage",
     ),
     sub(
         "serve",
-        true,
-        "--traces --addr --port-file --window --wal --durability --checkpoint-every",
-        "",
+        "--traces --addr --port-file --window --wal --durability --checkpoint-every \
+         --guard-capacity --overflow --obs --metrics",
+        "--per-arrival --no-dedup",
     ),
-    sub("register", false, "--traces", "--unregister"),
-    sub("send", false, "--batch --name", "--shutdown"),
+    sub("register", "--traces", "--unregister"),
+    sub("send", "--batch --name", "--shutdown"),
     sub(
         "ingest",
-        true,
-        "--pattern --batch --addr --name",
-        "--shutdown",
+        "--pattern --batch --addr --name --guard-capacity --overflow --metrics",
+        "--shutdown --per-arrival --no-dedup",
     ),
-    sub("tail", false, "--name --from --tenant", "--once"),
-    sub("replay", true, "--traces", ""),
+    sub("tail", "--name --from --tenant", "--once"),
+    sub(
+        "replay",
+        "--traces --guard-capacity --overflow --metrics",
+        "--per-arrival --no-dedup",
+    ),
 ];
 
 /// A subcommand's command line, parsed once against its [`Sub`].
 struct Args<'a> {
     pos: Vec<&'a str>,
-    values: Vec<(&'a str, &'a str)>,
-    switches: Vec<&'a str>,
+    /// Every flag in command-line order, with its value if it takes one.
+    flags: Vec<(&'a str, Option<&'a str>)>,
 }
 
 impl<'a> Args<'a> {
-    /// Splits `args` into positionals, valued flags and switches.
+    /// Splits `args` into positionals and flags.
     ///
     /// # Errors
     ///
@@ -267,26 +264,35 @@ impl<'a> Args<'a> {
     fn parse(sub: &Sub, args: &'a [String]) -> Result<Args<'a>, String> {
         let mut out = Args {
             pos: Vec::new(),
-            values: Vec::new(),
-            switches: Vec::new(),
+            flags: Vec::new(),
         };
         let mut rest = args.iter().map(String::as_str);
         while let Some(a) = rest.next() {
             if !a.starts_with("--") {
                 out.pos.push(a);
-            } else if sub.is_switch(a) {
-                out.switches.push(a);
-            } else if sub.takes_value(a) {
+            } else if listed(sub.switches, a) {
+                out.flags.push((a, None));
+            } else if listed(sub.valued, a) {
                 let value = rest
                     .next()
                     .filter(|v| !v.starts_with("--"))
                     .ok_or_else(|| format!("flag '{a}' of 'ocep {}' needs a value", sub.name))?;
-                out.values.push((a, value));
+                out.flags.push((a, Some(value)));
             } else {
                 return Err(format!("unknown flag '{a}' for 'ocep {}'", sub.name));
             }
         }
         Ok(out)
+    }
+
+    /// Refuses the first flag given that is not `accepted` in `mode`:
+    /// the modes of a subcommand share its [`Sub`] lists, but not every
+    /// flag acts in each.
+    fn only(&self, mode: &str, accepted: &str) -> Result<(), String> {
+        match self.flags.iter().find(|(f, _)| !listed(accepted, f)) {
+            Some((flag, _)) => Err(format!("'{flag}' cannot be combined with {mode}")),
+            None => Ok(()),
+        }
     }
 
     /// The `i`-th positional argument, or "missing {what}".
@@ -299,10 +305,10 @@ impl<'a> Args<'a> {
 
     /// Every value given for `flag`, in order.
     fn vals<'s>(&'s self, flag: &'s str) -> impl Iterator<Item = &'a str> + 's {
-        self.values
+        self.flags
             .iter()
             .filter(move |(f, _)| *f == flag)
-            .map(|(_, v)| *v)
+            .filter_map(|(_, v)| *v)
     }
 
     fn val(&self, flag: &str) -> Option<&'a str> {
@@ -310,7 +316,7 @@ impl<'a> Args<'a> {
     }
 
     fn has(&self, switch: &str) -> bool {
-        self.switches.contains(&switch)
+        self.flags.iter().any(|(f, _)| *f == switch)
     }
 
     /// `flag`'s value parsed, or "bad {flag} '{value}'".
@@ -428,8 +434,8 @@ fn validate(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// The observability level requested by `--obs` / `--metrics`
-/// (`--metrics` implies full collection when no level was named), and
+/// The observability level `--obs` names (off when the subcommand has
+/// no `--obs`), raised to full when `--metrics` asks for an export, and
 /// the export path, if any.
 fn obs_flags(args: &Args) -> Result<(ObsLevel, Option<String>), String> {
     let mut obs = match args.val("--obs") {
@@ -464,25 +470,10 @@ fn write_metrics(path: &str, snapshot: &MetricsSnapshot) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses the shared monitor flags (`--per-arrival`, `--no-dedup`,
-/// `--obs`, `--metrics`) into a [`MonitorConfig`], and the admission
-/// guard's configuration when `--guard`, `--guard-capacity` or
-/// `--overflow` asks for one.
-fn monitor_config(args: &Args) -> Result<(MonitorConfig, Option<GuardConfig>), String> {
-    let (obs, _) = obs_flags(args)?;
-    let mut guard_cfg = GuardConfig::default();
-    let mut want_guard = args.has("--guard");
-    if let Some(capacity) = args.num("--guard-capacity")? {
-        guard_cfg.capacity = capacity;
-        want_guard = true;
-    }
-    if let Some(policy) = args.val("--overflow") {
-        guard_cfg.overflow = OverflowPolicy::from_name(policy).ok_or_else(|| {
-            format!("bad --overflow '{policy}' (expected reject|drop-oldest|flush-degraded)")
-        })?;
-        want_guard = true;
-    }
-    let config = MonitorConfig {
+/// The matching configuration `--per-arrival` and `--no-dedup` ask
+/// for, collecting at `obs`.
+fn monitor_config(args: &Args, obs: ObsLevel) -> MonitorConfig {
+    MonitorConfig {
         dedup: !args.has("--no-dedup"),
         policy: if args.has("--per-arrival") {
             SubsetPolicy::PerArrival
@@ -490,34 +481,42 @@ fn monitor_config(args: &Args) -> Result<(MonitorConfig, Option<GuardConfig>), S
             SubsetPolicy::Representative
         },
         obs,
-    };
-    Ok((config, want_guard.then_some(guard_cfg)))
+    }
 }
 
-/// The name of the one pattern in the set `check`, `stats` and
-/// `checkpoint` run.
+/// The admission guard `--guard-capacity` and `--overflow` configure
+/// for the subcommands that read untrusted input (`serve`, `ingest`,
+/// `replay`).
+fn guard_config(args: &Args) -> Result<GuardConfig, String> {
+    let mut guard = GuardConfig::default();
+    if let Some(capacity) = args.num("--guard-capacity")? {
+        guard.capacity = capacity;
+    }
+    if let Some(policy) = args.val("--overflow") {
+        guard.overflow = OverflowPolicy::from_name(policy).ok_or_else(|| {
+            format!("bad --overflow '{policy}' (expected reject|drop-oldest|flush-degraded)")
+        })?;
+    }
+    Ok(guard)
+}
+
+/// The name of the one pattern in the set `check` and `stats` run.
 const PATTERN: &str = "pattern";
 
-/// A set of one pattern, behind an admission guard when a guard flag
-/// asked for one.
-fn single_set(
-    pattern: Pattern,
-    n_traces: usize,
-    (config, guard): (MonitorConfig, Option<GuardConfig>),
-) -> MonitorSet {
+/// An unguarded set of one pattern: a reloaded dump is already in a
+/// clean causal order.
+fn single_set(pattern: Pattern, n_traces: usize, config: MonitorConfig) -> MonitorSet {
     let mut set = MonitorSet::new(n_traces);
     set.add_with_config(PATTERN, pattern, config);
-    if let Some(guard) = guard {
-        set.enable_guard(guard);
-    }
     set
 }
 
 /// Restores a checkpoint file as a set, with the number of dump events
-/// it had consumed. A set checkpoint (`checkpoint` under a guard flag)
-/// is anchored at that position; a monitor checkpoint counted it itself
-/// — and one written when a monitor could own a guard brings the guard
-/// along, which goes in front of the set.
+/// it had consumed. A set checkpoint (what `checkpoint` wrote under a
+/// guard flag in earlier versions) is anchored at that position; a
+/// monitor checkpoint counted it itself — and one written when a
+/// monitor could own a guard brings the guard along, which goes in
+/// front of the set.
 fn load_checkpoint(path: &str) -> Result<(MonitorSet, usize), String> {
     use ocep_repro::ocep::checkpoint;
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read checkpoint '{path}': {e}"))?;
@@ -541,10 +540,10 @@ fn load_checkpoint(path: &str) -> Result<(MonitorSet, usize), String> {
     Ok((set, position))
 }
 
-/// The exit code of a run that fed a set through its admission guard
-/// (`check`, `ingest`, `replay`, `serve`): 2, with a warning, when the
-/// guard quarantined or lost events; else 1 when a pattern matched;
-/// else 0.
+/// The exit code of a run whose set may sit behind an admission guard
+/// (`ingest`, `replay`, `serve`, and `check` resuming a guarded
+/// checkpoint): 2, with a warning, when the guard quarantined or lost
+/// events; else 1 when a pattern matched; else 0.
 fn exit_code(ingest: &IngestStats, matched: bool) -> i32 {
     if ingest.is_degraded() {
         eprintln!(
@@ -579,23 +578,16 @@ fn check(args: &Args) -> Result<i32, String> {
     let resume = args.val("--resume");
     if resume.is_some() {
         // The checkpoint carries the monitor's configuration.
-        let mut given = args
-            .values
-            .iter()
-            .map(|(f, _)| *f)
-            .chain(args.switches.iter().copied());
-        if let Some(flag) = given.find(|f| !matches!(*f, "--resume" | "--stats" | "--metrics")) {
-            return Err(format!(
-                "'{flag}' cannot be combined with --resume: the checkpoint carries the \
-                 monitor configuration (only --stats and --metrics apply)"
-            ));
-        }
+        args.only("--resume", "--resume --stats --metrics")?;
     }
-    let (_, metrics_path) = obs_flags(args)?;
+    let (obs, metrics_path) = obs_flags(args)?;
 
     let (mut set, server, skip) = if let Some(ckpt_path) = resume {
         let dump_path = args.arg(0, "dump file")?;
-        let (set, skip) = load_checkpoint(ckpt_path)?;
+        let (mut set, skip) = load_checkpoint(ckpt_path)?;
+        if metrics_path.is_some() {
+            set.enable_obs();
+        }
         println!(
             "resumed from {ckpt_path}: {} events already observed, {} matches found",
             skip,
@@ -604,8 +596,8 @@ fn check(args: &Args) -> Result<i32, String> {
         (set, load_dump(dump_path)?, skip)
     } else {
         let (_, pattern) = read_pattern(args.arg(0, "pattern file")?)?;
-        let config = monitor_config(args)?;
         let server = load_dump(args.arg(1, "dump file")?)?;
+        let config = monitor_config(args, obs);
         (single_set(pattern, server.n_traces(), config), server, 0)
     };
 
@@ -658,12 +650,13 @@ fn check(args: &Args) -> Result<i32, String> {
 }
 
 /// `ocep stats` — observability front door. With a pattern and a dump,
-/// runs the monitor at full (or `--obs`-selected) collection and
-/// pretty-prints the metrics snapshot; with a single checkpoint file,
-/// prints the metrics embedded in it.
+/// runs the monitor at full collection and pretty-prints the metrics
+/// snapshot; with a single checkpoint file, prints the metrics embedded
+/// in it.
 fn stats_cmd(args: &Args) -> Result<(), String> {
     // `stats --addr HOST:PORT` queries a live `ocep serve` daemon.
     if let Some(addr) = args.val("--addr") {
+        args.only("--addr", "--addr")?;
         let mut tail = ocep_repro::net::Tail::connect(addr, "ocep-stats")
             .map_err(|e| format!("cannot connect to '{addr}': {e}"))?;
         let (s, _) = tail
@@ -677,6 +670,7 @@ fn stats_cmd(args: &Args) -> Result<(), String> {
         return Ok(());
     }
     if let [ckpt_path] = args.pos[..] {
+        args.only("a checkpoint file", "")?;
         let (set, _) = load_checkpoint(ckpt_path)?;
         match set.iter().find_map(|(_, m)| m.obs_metrics()) {
             Some(m) => println!(
@@ -692,22 +686,19 @@ fn stats_cmd(args: &Args) -> Result<(), String> {
         return Ok(());
     }
 
+    let (_, metrics_path) = obs_flags(args)?;
+    ocep_repro::vclock::ops::enable(true);
     let (_, pattern) = read_pattern(args.arg(0, "pattern file (or checkpoint)")?)?;
-    let mut config = monitor_config(args)?;
-    if !config.0.obs.enabled() {
-        config.0.obs = ObsLevel::Full;
-        ocep_repro::vclock::ops::enable(true);
-    }
     let server = load_dump(args.arg(1, "dump file")?)?;
+    let config = monitor_config(args, ObsLevel::Full);
     let mut set = single_set(pattern, server.n_traces(), config);
     for e in server.store().iter_arrival() {
-        let _ = set.observe_raw(e);
+        let _ = set.observe(e);
     }
-    let _ = set.flush_guard();
     let snapshot = set.metrics();
     print!("{}", snapshot.render_text());
-    if let (_, Some(path)) = obs_flags(args)? {
-        write_metrics(&path, &snapshot)?;
+    if let Some(path) = &metrics_path {
+        write_metrics(path, &snapshot)?;
     }
     Ok(())
 }
@@ -715,32 +706,21 @@ fn stats_cmd(args: &Args) -> Result<(), String> {
 /// `ocep checkpoint` — run a monitor over (a prefix of) a dump and
 /// serialize its full matching state for `check --resume`.
 fn checkpoint_cmd(args: &Args) -> Result<(), String> {
+    let (obs, _) = obs_flags(args)?;
     let pattern_path = args.arg(0, "pattern file")?;
     let dump_path = args.arg(1, "dump file")?;
     let out_path = args.arg(2, "output checkpoint file")?;
     let events_limit: Option<usize> = args.num("--events")?;
 
     let (src, pattern) = read_pattern(pattern_path)?;
-    let config = monitor_config(args)?;
     let server = load_dump(dump_path)?;
-    let mut set = single_set(pattern, server.n_traces(), config);
-    let mut observed = 0usize;
-    for e in server.store().iter_arrival() {
-        if events_limit.is_some_and(|n| observed >= n) {
-            break;
-        }
-        let _ = set.observe_raw(e);
-        observed += 1;
+    let mut monitor = Monitor::with_config(pattern, server.n_traces(), monitor_config(args, obs));
+    let prefix = server.store().iter_arrival();
+    let observed = events_limit.map_or(prefix.len(), |n| n.min(prefix.len()));
+    for e in prefix.take(observed) {
+        let _ = monitor.observe(e);
     }
-    let monitor = set.monitor(PATTERN).expect("single_set registered it");
-    // The guard's reorder state lives in the set's checkpoint, anchored
-    // at the dump position; without a guard the monitor's own is whole.
-    let bytes = if set.guard().is_some() {
-        let sources = std::collections::HashMap::from([(PATTERN.to_owned(), src)]);
-        ocep_repro::ocep::save_set_at(&set, &sources, observed as u64)
-    } else {
-        ocep_repro::ocep::save_at(monitor, &src, 0)
-    };
+    let bytes = ocep_repro::ocep::save_at(&monitor, &src, 0);
     std::fs::write(out_path, &bytes).map_err(|e| format!("cannot write '{out_path}': {e}"))?;
     println!(
         "checkpointed after {observed} of {} events: {} matches found, {} history \
@@ -898,6 +878,7 @@ fn fuzz_cmd(args: &Args) -> Result<i32, String> {
     use ocep_repro::conformance as conf;
 
     if let Some(dir) = args.val("--replay") {
+        args.only("--replay", "--replay")?;
         let outcome = conf::replay_dump(std::path::Path::new(dir))
             .map_err(|e| format!("cannot replay '{dir}': {e}"))?;
         match &outcome.result {
@@ -920,8 +901,12 @@ fn fuzz_cmd(args: &Args) -> Result<i32, String> {
 
     let seed: u64 = args.num("--seed")?.unwrap_or(0);
     let smoke = args.has("--smoke");
+    if smoke && args.has("--cases") {
+        return Err("'--cases' cannot be combined with --smoke, the fixed-size run".into());
+    }
 
     if args.has("--faults") {
+        args.only("--faults", "--faults --seed --cases --smoke")?;
         let cases: usize = if smoke {
             400
         } else {
@@ -1035,6 +1020,7 @@ fn sim_cmd(args: &Args) -> Result<i32, String> {
     use ocep_repro::sim;
 
     if let Some(dir) = args.val("--replay") {
+        args.only("--replay", "--replay")?;
         let replay = sim::replay_dump(std::path::Path::new(dir))
             .map_err(|e| format!("cannot replay '{dir}': {e}"))?;
         println!(
@@ -1175,8 +1161,16 @@ fn info(path: &str) -> Result<(), String> {
 fn serve_cmd(args: &Args) -> Result<i32, String> {
     use ocep_repro::net::{ServeConfig, Server};
 
-    if args.val("--checkpoint-every").is_some() && args.val("--wal").is_none() {
-        return Err("--checkpoint-every anchors checkpoints in the log and needs --wal DIR".into());
+    if args.val("--wal").is_none() {
+        for (flag, what) in [
+            ("--checkpoint-every", "anchors checkpoints in the log"),
+            ("--durability", "sets when the log is synced"),
+            ("--obs", "sets the level the log's checkpoints store"),
+        ] {
+            if args.has(flag) {
+                return Err(format!("{flag} {what} and needs --wal DIR"));
+            }
+        }
     }
     let pattern_path = args.arg(0, "pattern file")?;
     let (src, pattern) = read_pattern(pattern_path)?;
@@ -1185,10 +1179,10 @@ fn serve_cmd(args: &Args) -> Result<i32, String> {
         .ok_or("serve needs --traces N (the trace count producers must announce)")?;
     let name = file_stem(pattern_path);
 
-    let (mconfig, guard) = monitor_config(args)?;
+    let (obs, metrics_path) = obs_flags(args)?;
     let mut set = MonitorSet::new(n_traces);
-    set.add_with_config(&name, pattern, mconfig);
-    set.enable_guard(guard.unwrap_or_default());
+    set.add_with_config(&name, pattern, monitor_config(args, obs));
+    set.enable_guard(guard_config(args)?);
 
     let mut sconfig = ServeConfig::default();
     if let Some(window) = args.num("--window")? {
@@ -1230,8 +1224,8 @@ fn serve_cmd(args: &Args) -> Result<i32, String> {
         report.stats.connections,
         report.stats.frames,
     );
-    if let (_, Some(path)) = obs_flags(args)? {
-        write_metrics(&path, &report.metrics)?;
+    if let Some(path) = &metrics_path {
+        write_metrics(path, &report.metrics)?;
     }
     Ok(exit_code(&report.ingest, !report.verdicts.is_empty()))
 }
@@ -1361,6 +1355,16 @@ fn send_cmd(args: &Args) -> Result<i32, String> {
 fn ingest_cmd(args: &Args) -> Result<i32, String> {
     use ocep_repro::adapters;
 
+    let addr = args.val("--addr");
+    if addr.is_some() {
+        // The daemon runs its own monitors and guard.
+        args.only("--addr", "--addr --batch --name --shutdown")?;
+    } else {
+        args.only(
+            "offline matching (no --addr)",
+            "--pattern --batch --per-arrival --no-dedup --guard-capacity --overflow --metrics",
+        )?;
+    }
     let format = args.arg(0, "recording format")?;
     let file = args.arg(1, "recording file")?;
     let adapter = adapters::by_name(format).ok_or_else(|| {
@@ -1380,7 +1384,7 @@ fn ingest_cmd(args: &Args) -> Result<i32, String> {
          ({} message edges, {} synthesized)",
         a.records, a.events, out.n_traces, a.edges, a.synthesized,
     );
-    if let Some(addr) = args.val("--addr") {
+    if let Some(addr) = addr {
         return stream_to_daemon(args, addr, out.n_traces, &out.events, "ocep-ingest", 256);
     }
     let batch: usize = args.num("--batch")?.unwrap_or(256);
@@ -1388,12 +1392,12 @@ fn ingest_cmd(args: &Args) -> Result<i32, String> {
     // Offline: one monitor per --pattern file. With none, `ingest` is a
     // pure validation pass — parse, synthesize clocks, admit, report.
     let patterns: Vec<&str> = args.vals("--pattern").collect();
-    let (mconfig, guard) = monitor_config(args)?;
+    let (obs, metrics_path) = obs_flags(args)?;
     let mut set = MonitorSet::new(out.n_traces);
     for p in &patterns {
-        set.add_with_config(file_stem(p), read_pattern(p)?.1, mconfig);
+        set.add_with_config(file_stem(p), read_pattern(p)?.1, monitor_config(args, obs));
     }
-    set.enable_guard(guard.unwrap_or_default());
+    set.enable_guard(guard_config(args)?);
 
     let mut reported = 0usize;
     for chunk in out.events.chunks(batch.max(1)) {
@@ -1406,6 +1410,9 @@ fn ingest_cmd(args: &Args) -> Result<i32, String> {
         istats.admitted,
         patterns.len(),
     );
+    if let Some(path) = &metrics_path {
+        write_metrics(path, &set.metrics())?;
+    }
     Ok(exit_code(&istats, reported > 0))
 }
 
@@ -1483,6 +1490,7 @@ fn replay_cmd(args: &Args) -> Result<i32, String> {
     use ocep_repro::net::shard::decode_deliver;
     use ocep_repro::wal;
 
+    let (obs, metrics_path) = obs_flags(args)?;
     let pattern_path = args.arg(0, "pattern file")?;
     let dir = args.arg(1, "log directory")?;
     let (_, pattern) = read_pattern(pattern_path)?;
@@ -1509,10 +1517,9 @@ fn replay_cmd(args: &Args) -> Result<i32, String> {
     }
     let n_traces = n_traces.ok_or("log holds no deliveries; pass --traces N")?;
 
-    let (mconfig, guard) = monitor_config(args)?;
     let mut set = MonitorSet::new(n_traces);
-    set.add_with_config(&name, pattern, mconfig);
-    set.enable_guard(guard.unwrap_or_default());
+    set.add_with_config(&name, pattern, monitor_config(args, obs));
+    set.enable_guard(guard_config(args)?);
 
     let mut reported = 0usize;
     let mut delivered = 0u64;
@@ -1542,5 +1549,52 @@ fn replay_cmd(args: &Args) -> Result<i32, String> {
         recovery.segments,
         stats.admitted,
     );
+    if let Some(path) = &metrics_path {
+        write_metrics(path, &set.metrics())?;
+    }
     Ok(exit_code(&stats, reported > 0))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{listed, SUBCOMMANDS, USAGE};
+
+    /// `USAGE` and `SUBCOMMANDS` agree: every flag a subcommand declares
+    /// appears in one of its synopsis lines, and every flag those lines
+    /// name is declared.
+    #[test]
+    fn usage_names_exactly_the_declared_flags() {
+        let synopsis = USAGE.split("EXIT CODES:").next().unwrap();
+        for sub in SUBCOMMANDS {
+            let mut lines = String::new();
+            let mut mine = false;
+            for line in synopsis.lines().map(str::trim_start) {
+                if let Some(rest) = line.strip_prefix("ocep ") {
+                    mine = rest.split(' ').next() == Some(sub.name);
+                }
+                if mine {
+                    lines.push_str(line);
+                    lines.push(' ');
+                }
+            }
+            let named: Vec<&str> = lines
+                .split(|c: char| c.is_whitespace() || c == '[' || c == ']')
+                .filter(|w| w.starts_with("--"))
+                .collect();
+            for flag in sub.valued.split(' ').chain(sub.switches.split(' ')) {
+                assert!(
+                    flag.is_empty() || named.contains(&flag),
+                    "USAGE of '{}' omits {flag}",
+                    sub.name
+                );
+            }
+            for flag in named {
+                assert!(
+                    listed(sub.valued, flag) || listed(sub.switches, flag),
+                    "USAGE of '{}' names {flag}, which it does not declare",
+                    sub.name
+                );
+            }
+        }
+    }
 }
