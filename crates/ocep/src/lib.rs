@@ -92,3 +92,5 @@ pub use stats::{CounterBlock, CounterRow, MonitorStats};
 
 #[cfg(test)]
 mod counter_pins;
+#[cfg(test)]
+mod legacy_pins;
