@@ -5,27 +5,23 @@
 //! §IV-B representative subset, the cumulative [`MonitorStats`] and the
 //! configuration — so a monitor restored from a checkpoint and fed the
 //! remainder of the stream produces bit-identical verdicts to one that
-//! never stopped. The stream position is implied by `stats.events`
-//! (events observed): a resuming driver replays the recorded stream and
-//! skips that many. The admission guard's reorder state belongs to the
-//! set in front of the monitors and travels in the set checkpoint
-//! ([`save_set_at`]).
+//! never stopped. The stream position is implied by `stats.events`: a
+//! resuming driver replays the recorded stream and skips that many. The
+//! admission guard's reorder state belongs to the set in front of the
+//! monitors and travels in the set checkpoint ([`save_set_at`]).
 //!
 //! The byte format is built on the shared codec of the POET dump and
-//! the OCWP wire (`ocep_poet::codec`; `docs/WIRE.md`, "Record grammar"):
-//! little-endian, magic-and-version header, its string table and event
-//! record, and decoding through the offset-tracking [`Reader`] so a
-//! truncated or corrupt checkpoint yields a diagnostic with a byte
-//! offset, never a panic.
+//! the OCWP wire (`ocep_poet::codec`; `docs/WIRE.md`, "Record grammar"),
+//! decoded through the offset-tracking [`Reader`] so a truncated or
+//! corrupt checkpoint yields a diagnostic with a byte offset, never a
+//! panic.
 //!
 //! ```text
-//! magic        [u8;4] = b"OCKP", version u16 = 3
+//! magic        [u8;4] = b"OCKP", version u16 = 4
 //! pattern_src  str (u32 len + utf-8) — the monitored pattern's source
 //! n_traces     u32
-//! config       dedup u8, policy u8, reserved u64 = 0, reserved u64 = 1,
-//!              guard u8 = 0 (older files: 1, capacity u64, overflow u8)
-//! stats        26 × u64: the 13 MonitorStats counters in catalogue
-//!              order (`stats.rs`), then 13 reserved = 0
+//! config       dedup u8, policy u8
+//! stats        10 × u64: MonitorStats in catalogue order (`stats.rs`)
 //! strings      string table
 //! events       u32 count; per event one record: table-id strings,
 //!              full clock
@@ -33,64 +29,35 @@
 //!              per leaf×trace: u32 count + event refs; stored u64,
 //!              suppressed u64
 //! subset       per leaf×trace: u8 flag [, n_leaves event refs]
-//! guard        (older files, iff config.guard) admitted u32×n;
-//!              u32 buffered + event refs; 12 × u64 IngestStats
-//!              counters in catalogue order (`ingest.rs`)
-//! obs          marker u8; iff 1: level u8 (0 off, 2 full; older files:
-//!              1, the retired `counters` level, loads as full),
-//!              5 stage histograms (guard_admit, route_dedup,
-//!              domain_fig4, search, subset_merge — the first and
-//!              third retired: written empty), arrival histogram,
-//!              search obs (u32 level count + histograms, 2 histograms,
-//!              prune_gp_ls u64, prune_intersect u64, reserved u64 = 0),
-//!              recent ring
-//!              (u32 count; per record: seq u64, event str, stored u8,
-//!              5 × u64); histogram := u32 n (0 or 40) + n × u64 counts,
-//!              sum u64, max u64
-//! wal_lsn      u64 (version ≥ 3) — the durable-log anchor
+//! obs          marker u8; iff 1: level u8 = 2, 3 stage histograms
+//!              (route_dedup, search, subset_merge), arrival histogram,
+//!              u32 level count + domain-width histograms, backjump and
+//!              conflict histograms, prune_gp_ls u64, prune_intersect u64,
+//!              recent ring (u32 count; per record: seq u64, event str,
+//!              stored u8, 5 × u64); histogram := u32 n (0 or 40) +
+//!              n × u64 counts, sum u64, max u64
+//! wal_lsn      u64 — the durable-log anchor a recovery replays after
+//!              (`docs/DURABILITY.md`); 0 outside a log
 //! ```
 //!
-//! Version 2 appends the trailing `obs` section; version-1 checkpoints
-//! (which end after `guard`) still load, restoring with metrics off. The
-//! `obs` level lives *inside* the optional section — not in the config
-//! block — so an `Off` checkpoint and a metrics-stripped one (see
-//! [`strip_metrics`]) are byte-identical.
+//! The obs level lives inside the optional section, so an `Off`
+//! checkpoint and a metrics-stripped one ([`strip_metrics`]) are
+//! byte-identical. A [`MonitorStats`] row added or deleted moves every
+//! later word, so it comes with a version bump.
 //!
-//! Version 3 appends a trailing `wal_lsn u64`: the durable-log position
-//! this checkpoint is anchored at (see `docs/DURABILITY.md`). A recovery
-//! replays the log strictly after that LSN. Version 1/2 checkpoints load
-//! with `wal_lsn = 0`, and a checkpoint taken outside a log is saved at 0.
-//!
-//! The two single `reserved` slots held `MonitorConfig::parallelism` and
-//! `MonitorStats::degraded_arrivals` while the §VI worker pool existed.
-//! They are written as `1` and `0` — what every sequential monitor
-//! always wrote — and ignored on load, so the byte format and version
-//! are unchanged. The config block's first `u64` held the deleted
-//! `MonitorConfig::node_limit` the same way: written as `0`, the
-//! default every checkpoint carried, and ignored on load.
-//!
-//! The guard flag, the last twelve stats slots and the `guard` section
-//! date from when a `Monitor` could own an admission guard. [`save_at`]
-//! writes what an unguarded monitor always wrote — flag `0`, twelve
-//! zeros, no section. A file written with the flag set still loads:
-//! [`load_at`] hands the guard back for the caller to put in front of a
-//! [`MonitorSet`] ([`MonitorSet::install_guard`]).
-//!
-//! Both stats blocks are written by looping over their catalogues
-//! ([`MonitorStats`] and [`IngestStats`](crate::IngestStats) rows, in
-//! order). Adding or deleting a row, or dropping the reserved words,
-//! moves every later word, so it comes with a version bump.
-//!
-//! The metrics section keeps its layout the same way. The `guard_admit`
-//! stage (always empty since admission left the monitor) and the
-//! sampled `domain_fig4` timer are gone: their two stage slots are
-//! written as empty histograms and the timer's search word as `0`, and
-//! all three are dropped on load. A file of the retired `counters` level
-//! (code 1) loads as `Full`, whose timers simply never ran. The same
-//! version bump that drops the reserved stats words drops these.
-//!
-//! A guard's capped fault *log* is deliberately not checkpointed (the
-//! counters are); a restored guard starts with an empty log.
+//! Versions 1–3 load through the decoder's one `Legacy` arm into the
+//! same state; every word v4 dropped is read and ignored. Their config
+//! ends with two `u64`s (`node_limit`, `parallelism`) and a guard flag,
+//! followed, when set, by capacity u64 and overflow u8 and, after the
+//! subset, a `guard` section (admitted u32×n, u32 buffered + event refs,
+//! 12 `IngestStats` words) that [`load_at`] hands back for a
+//! [`MonitorSet`]. Their stats block is 26 words: words 9, 11 and 12
+//! held three retired counters (Fig 5 bounds, avoided clones and bytes),
+//! the last 13 were reserved. Version 1 ends after `guard`; version 2
+//! adds `obs`, with level 1 (the retired `counters`, loaded as full),
+//! five stage slots (the first and third retired) and a reserved word
+//! after `prune_intersect`; version 3 adds `wal_lsn`. A guard's fault
+//! log is not checkpointed; a restored guard starts with an empty one.
 
 use crate::history::LeafHistory;
 use crate::ingest::{AdmissionGuard, GuardConfig, OverflowPolicy};
@@ -110,26 +77,53 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"OCKP";
-const VERSION: u16 = 3;
-/// Written into the config block's reserved `u64` (see the module docs).
-const RESERVED_CONFIG_SLOT: u64 = 1;
-/// Written into the stats block's reserved fourteenth `u64`.
-const RESERVED_STATS_SLOT: u64 = 0;
-/// Trailing stats slots that held a per-monitor guard's `IngestStats`.
-const RESERVED_INGEST_SLOTS: usize = 12;
-/// The metrics section's stage-histogram slots, in file order. `None`
-/// marks a retired stage (`guard_admit`, `domain_fig4`): written as an
-/// empty histogram and dropped on load.
-const STAGE_SLOTS: [Option<Stage>; 5] = [
-    None,
-    Some(Stage::RouteDedup),
-    None,
-    Some(Stage::Search),
-    Some(Stage::SubsetMerge),
-];
-/// Written into the metrics section's retired third search word (the
-/// deleted domain timer's nanoseconds).
-const RESERVED_SEARCH_WORD: u64 = 0;
+const VERSION: u16 = 4;
+
+/// Where a version 1–3 file differs from version 4 (see the module
+/// docs): the decoder's one legacy arm, which reads the dropped words and
+/// ignores them.
+struct Legacy {
+    version: u16,
+}
+
+impl Legacy {
+    /// The stats block's words: the 13 counters of the old catalogue,
+    /// then 13 reserved.
+    const STATS_WORDS: usize = 26;
+    /// The word of each live [`MonitorStats`] counter, in catalogue order.
+    const LIVE_STATS: [usize; 10] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 10];
+    /// The metrics section's stage slots; `None` is a retired stage.
+    const STAGE_SLOTS: [Option<Stage>; 5] = [
+        None,
+        Some(Stage::RouteDedup),
+        None,
+        Some(Stage::Search),
+        Some(Stage::SubsetMerge),
+    ];
+
+    /// The config block's tail: `node_limit`, `parallelism`, and the
+    /// guard flag with the guard's config when set.
+    fn guard_config(&self, r: &mut Reader<'_>) -> Result<Option<GuardConfig>, CheckpointError> {
+        r.u64("config.node_limit")?;
+        r.u64("config.parallelism")?;
+        if r.u8("config.guard flag")? == 0 {
+            return Ok(None);
+        }
+        read_guard_config(r).map(Some)
+    }
+
+    fn stats(&self, r: &mut Reader<'_>) -> Result<MonitorStats, PoetError> {
+        let mut words = [0; Self::STATS_WORDS];
+        for w in &mut words {
+            *w = r.u64("monitor stat")?;
+        }
+        let mut s = MonitorStats::default();
+        for (field, &w) in s.fields_mut().zip(&Self::LIVE_STATS) {
+            *field = words[w];
+        }
+        Ok(s)
+    }
+}
 
 /// Why a checkpoint failed to decode.
 #[derive(Debug)]
@@ -197,24 +191,6 @@ fn read_counters<B: CounterBlock>(r: &mut Reader<'_>, what: &str) -> Result<B, P
     Ok(block)
 }
 
-/// The OCKP stats block: the monitor counters, then the reserved words.
-fn put_stats(buf: &mut Vec<u8>, s: &MonitorStats) {
-    put_counters(buf, s);
-    put_u64(buf, RESERVED_STATS_SLOT);
-    for _ in 0..RESERVED_INGEST_SLOTS {
-        put_u64(buf, 0);
-    }
-}
-
-fn read_stats(r: &mut Reader<'_>) -> Result<MonitorStats, PoetError> {
-    let s = read_counters(r, "monitor stat")?;
-    r.u64("reserved monitor stat")?;
-    for _ in 0..RESERVED_INGEST_SLOTS {
-        r.u64("reserved ingest stat")?;
-    }
-    Ok(s)
-}
-
 fn put_hist(buf: &mut Vec<u8>, h: &Histogram) {
     let counts = h.bucket_counts();
     put_u32(buf, counts.len() as u32);
@@ -243,9 +219,8 @@ fn read_hist(r: &mut Reader<'_>) -> Result<Histogram, CheckpointError> {
 
 fn put_metrics(buf: &mut Vec<u8>, m: &Metrics) {
     buf.push(m.level().code());
-    let retired = Histogram::new();
-    for slot in STAGE_SLOTS {
-        put_hist(buf, slot.map_or(&retired, |stage| m.stage_hist(stage)));
+    for stage in Stage::ALL {
+        put_hist(buf, m.stage_hist(stage));
     }
     put_hist(buf, &m.arrival_ns);
     put_u32(buf, m.search.domain_width.len() as u32);
@@ -256,7 +231,6 @@ fn put_metrics(buf: &mut Vec<u8>, m: &Metrics) {
     put_hist(buf, &m.search.conflict_size);
     put_u64(buf, m.search.prune_gp_ls);
     put_u64(buf, m.search.prune_intersect);
-    put_u64(buf, RESERVED_SEARCH_WORD);
     // Rotation is an in-memory detail: records go out oldest-first and
     // come back unrotated (RecentRing compares by content).
     let recent = m.recent.records();
@@ -277,15 +251,25 @@ fn put_metrics(buf: &mut Vec<u8>, m: &Metrics) {
     }
 }
 
-fn read_metrics(r: &mut Reader<'_>) -> Result<Metrics, CheckpointError> {
+fn read_metrics(r: &mut Reader<'_>, legacy: Option<&Legacy>) -> Result<Metrics, CheckpointError> {
     let code = r.u8("obs level")?;
-    let level = ObsLevel::from_code(code)
-        .ok_or_else(|| CheckpointError::Invalid(format!("unknown obs level {code}")))?;
+    let level = match (code, legacy) {
+        // The retired `counters` level: a `Full` registry whose timers
+        // never ran.
+        (1, Some(_)) => Some(ObsLevel::Full),
+        _ => ObsLevel::from_code(code),
+    }
+    .ok_or_else(|| CheckpointError::Invalid(format!("unknown obs level {code}")))?;
     let mut m = Metrics::new(level);
-    for slot in STAGE_SLOTS {
+    let v4_slots = Stage::ALL.map(Some);
+    let slots: &[Option<Stage>] = match legacy {
+        Some(_) => &Legacy::STAGE_SLOTS,
+        None => &v4_slots,
+    };
+    for slot in slots {
         let h = read_hist(r)?;
         if let Some(stage) = slot {
-            m.stage_ns[stage as usize] = h;
+            m.stage_ns[*stage as usize] = h;
         }
     }
     m.arrival_ns = read_hist(r)?;
@@ -303,7 +287,9 @@ fn read_metrics(r: &mut Reader<'_>) -> Result<Metrics, CheckpointError> {
     m.search.conflict_size = read_hist(r)?;
     m.search.prune_gp_ls = r.u64("prune_gp_ls")?;
     m.search.prune_intersect = r.u64("prune_intersect")?;
-    r.u64("reserved search word")?;
+    if legacy.is_some() {
+        r.u64("retired search word")?;
+    }
     let n_recent = r.u32("recent record count")? as usize;
     if n_recent > RECENT_CAP {
         return Err(CheckpointError::Invalid(format!(
@@ -444,11 +430,8 @@ pub fn save_at(monitor: &Monitor, pattern_src: &str, wal_lsn: u64) -> Vec<u8> {
         SubsetPolicy::Representative => 0,
         SubsetPolicy::PerArrival => 1,
     });
-    put_u64(&mut buf, 0); // the deleted node limit; see the module docs
-    put_u64(&mut buf, RESERVED_CONFIG_SLOT);
-    buf.push(0); // guard flag
 
-    put_stats(&mut buf, monitor.stats());
+    put_counters(&mut buf, monitor.stats());
 
     table.strings.put(&mut buf);
 
@@ -556,6 +539,7 @@ pub fn load_at(data: &[u8]) -> Result<LoadedMonitor, CheckpointError> {
             "checkpoint version {version} is not supported (expected 1..={VERSION})"
         ))));
     }
+    let legacy = (version < VERSION).then_some(Legacy { version });
     let pattern_src = r.str("pattern source")?.to_string();
     // The history section alone holds a `u64` per trace.
     let n_traces = r.count("traces", 8)?;
@@ -570,12 +554,9 @@ pub fn load_at(data: &[u8]) -> Result<LoadedMonitor, CheckpointError> {
             )))
         }
     };
-    r.u64("config.node_limit")?;
-    r.u64("config.reserved")?;
-    let guard_cfg = if r.u8("config.guard flag")? != 0 {
-        Some(read_guard_config(&mut r)?)
-    } else {
-        None
+    let guard_cfg = match &legacy {
+        Some(l) => l.guard_config(&mut r)?,
+        None => None,
     };
     let config = MonitorConfig {
         dedup,
@@ -585,7 +566,10 @@ pub fn load_at(data: &[u8]) -> Result<LoadedMonitor, CheckpointError> {
         obs: ObsLevel::Off,
     };
 
-    let stats = read_stats(&mut r)?;
+    let stats = match &legacy {
+        Some(l) => l.stats(&mut r)?,
+        None => read_counters(&mut r, "monitor stat")?,
+    };
 
     let strings = StrTable::get(&mut r)?;
     let mut clock = ClockForm::Full;
@@ -668,12 +652,15 @@ pub fn load_at(data: &[u8]) -> Result<LoadedMonitor, CheckpointError> {
         None => None,
     };
 
-    if version >= 2 && r.u8("obs section marker")? != 0 {
-        let metrics = read_metrics(&mut r)?;
+    if legacy.as_ref().is_none_or(|l| l.version >= 2) && r.u8("obs section marker")? != 0 {
+        let metrics = read_metrics(&mut r, legacy.as_ref())?;
         monitor.set_obs_metrics(Some(Box::new(metrics)));
     }
 
-    let wal_lsn = if version >= 3 { r.u64("wal lsn")? } else { 0 };
+    let wal_lsn = match &legacy {
+        Some(l) if l.version < 3 => 0,
+        _ => r.u64("wal lsn")?,
+    };
 
     monitor.stats = stats;
     r.finish()?;
@@ -1044,14 +1031,23 @@ mod tests {
         assert_eq!(resumed.stats(), m.stats());
     }
 
+    fn legacy_fixture(name: &str) -> Vec<u8> {
+        let path = format!(
+            "{}/../../tests/corpus/ockp/{name}",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+    }
+
+    /// `save_at` of what `bytes` restores to.
+    fn resaved(bytes: &[u8]) -> Vec<u8> {
+        let loaded = load_at(bytes).unwrap();
+        save_at(&loaded.monitor, &loaded.pattern_src, loaded.wal_lsn)
+    }
+
     #[test]
     fn version_1_and_2_checkpoints_still_load() {
-        let (_poet, events) = workload(30);
-        let mut m = Monitor::new(Pattern::parse(PATTERN).unwrap(), 3);
-        for e in &events {
-            m.observe(e);
-        }
-        let v3 = save_at(&m, PATTERN, 0);
+        let v3 = legacy_fixture("parent-guarded/unguarded.ockp");
         assert_eq!(
             v3[v3.len() - 9..],
             [0u8; 9],
@@ -1061,24 +1057,16 @@ mod tests {
         // wal_lsn; a v1 file additionally drops the obs marker byte.
         let mut v2 = v3[..v3.len() - 8].to_vec();
         v2[4..6].copy_from_slice(&2u16.to_le_bytes());
-        let LoadedMonitor {
-            monitor: resumed,
-            pattern_src: src,
-            ..
-        } = load_at(&v2).unwrap();
-        assert_eq!(src, PATTERN);
-        assert_eq!(resumed.stats(), m.stats());
-        assert!(resumed.obs_metrics().is_none());
         let mut v1 = v3[..v3.len() - 9].to_vec();
         v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-        let LoadedMonitor {
-            monitor: resumed,
-            pattern_src: src,
-            ..
-        } = load_at(&v1).unwrap();
-        assert_eq!(src, PATTERN);
-        assert_eq!(resumed.stats(), m.stats());
-        assert!(resumed.obs_metrics().is_none());
+        let want = resaved(&v3);
+        assert_eq!(want[4..6], VERSION.to_le_bytes());
+        for old in [v2, v1] {
+            let loaded = load_at(&old).unwrap();
+            assert!(loaded.monitor.obs_metrics().is_none());
+            assert_eq!(loaded.wal_lsn, 0);
+            assert_eq!(resaved(&old), want);
+        }
     }
 
     #[test]
@@ -1127,28 +1115,29 @@ mod tests {
 
     #[test]
     fn retired_counters_level_loads_as_full() {
-        let (_poet, events) = workload(40);
-        let mut off = Monitor::new(Pattern::parse(PATTERN).unwrap(), 3);
-        let config = MonitorConfig {
-            obs: ObsLevel::Full,
-            ..MonitorConfig::default()
-        };
-        let mut full = Monitor::with_config(Pattern::parse(PATTERN).unwrap(), 3, config);
-        for e in &events {
-            off.observe(e);
-            full.observe(e);
-        }
-        let off_bytes = save_at(&off, PATTERN, 0);
-        // The off file ends in marker 0 + wal_lsn; the full one has
-        // marker 1 there, then the level byte.
-        let level_at = off_bytes.len() - 8;
-        let mut counters_bytes = save_at(&full, PATTERN, 0);
-        assert_eq!(counters_bytes[level_at - 1..=level_at], [1, 2]);
-        counters_bytes[level_at] = 1;
-        let LoadedMonitor { monitor, .. } = load_at(&counters_bytes).unwrap();
+        let off = legacy_fixture("parent-guarded/unguarded.ockp");
+        let full = legacy_fixture("v3/full-obs.ockp");
+        // Both files are of one run: the off one ends in marker 0 +
+        // wal_lsn; the full one has marker 1 there, then the level byte.
+        let level_at = off.len() - 8;
+        assert_eq!(full[level_at - 1..=level_at], [1, 2]);
+        let mut counters = full.clone();
+        counters[level_at] = 1;
+        let LoadedMonitor { monitor, .. } = load_at(&counters).unwrap();
         assert_eq!(monitor.config().obs, ObsLevel::Full);
-        assert_eq!(monitor.obs_metrics(), full.obs_metrics());
-        assert_eq!(strip_metrics(&counters_bytes).unwrap(), off_bytes);
+        assert_eq!(
+            monitor.obs_metrics(),
+            load_at(&full).unwrap().monitor.obs_metrics()
+        );
+        assert_eq!(strip_metrics(&counters).unwrap(), resaved(&off));
+
+        // Version 4 writes level 2 only and refuses the retired code.
+        let v4_off = resaved(&off);
+        let mut v4 = resaved(&full);
+        assert_eq!(v4[v4_off.len() - 9..v4_off.len() - 7], [1, 2]);
+        v4[v4_off.len() - 8] = 1;
+        let err = load_at(&v4).unwrap_err();
+        assert!(err.to_string().contains("unknown obs level 1"), "{err}");
     }
 
     #[test]

@@ -25,10 +25,7 @@ fn monitor_stats() -> MonitorStats {
         candidates: 1_007,
         domains: 1_008,
         backjumps: 1_009,
-        jump_bounds: 1_010,
         deferred_rejections: 1_011,
-        clones_avoided: 1_012,
-        clone_bytes_avoided: 1_013,
     }
 }
 
@@ -51,7 +48,7 @@ fn ingest_stats() -> IngestStats {
 
 /// `(value, family)` for every monitor counter, in checkpoint order;
 /// each is an unlabelled counter.
-const MONITOR_SAMPLES: [(u64, &str); 13] = [
+const MONITOR_SAMPLES: [(u64, &str); 10] = [
     (1_001, "ocep_events_total"),
     (1_002, "ocep_stored_total"),
     (1_003, "ocep_searches_total"),
@@ -61,10 +58,7 @@ const MONITOR_SAMPLES: [(u64, &str); 13] = [
     (1_007, "ocep_search_candidates_total"),
     (1_008, "ocep_search_domains_total"),
     (1_009, "ocep_search_backjumps_total"),
-    (1_010, "ocep_search_jump_bounds_total"),
     (1_011, "ocep_search_deferred_rejections_total"),
-    (1_012, "ocep_clones_avoided_total"),
-    (1_013, "ocep_clone_bytes_avoided_total"),
 ];
 
 /// `(value, family, labels, kind)` of one metric sample.
@@ -194,11 +188,9 @@ fn occurrences(hay: &[u8], needle: &[u8]) -> usize {
     hay.windows(needle.len()).filter(|w| *w == needle).count()
 }
 
-/// The OCKP stats block: the thirteen counters, the reserved
-/// fourteenth word and the twelve reserved ingest words.
+/// The OCKP stats block: the ten counters.
 fn monitor_block() -> Vec<u8> {
-    let mut values: Vec<u64> = MONITOR_SAMPLES.iter().map(|p| p.0).collect();
-    values.extend([0; 13]);
+    let values: Vec<u64> = MONITOR_SAMPLES.iter().map(|p| p.0).collect();
     words(&values)
 }
 
@@ -208,8 +200,7 @@ fn every_counter_reaches_its_own_key() {
         monitor_stats().to_string(),
         "events=1001 stored=1002 searches=1003 found=1004 reported=1005 \
          nodes=1006 candidates=1007 domains=1008 backjumps=1009 \
-         jump_bounds=1010 deferred_rejections=1011 clones_avoided=1012 \
-         clone_bytes_avoided=1013"
+         deferred_rejections=1011"
     );
     // The guard's line sums the quarantine reasons and the overflow
     // actions; the degraded deliveries and the peak are not on it.
@@ -231,6 +222,19 @@ fn every_counter_reaches_its_own_sample() {
     let s = pinned_set().metrics();
     for (value, family, labels, kind) in INGEST_SAMPLES {
         assert_sample(&s, value, family, labels, kind);
+    }
+    // Admission is the set's stage: without a guard there is no
+    // `ocep_ingest_*` family to file.
+    let mut unguarded = MonitorSet::new(2);
+    unguarded.insert_monitor("m", pinned_monitor());
+    for s in [pinned_monitor().metrics(), unguarded.metrics()] {
+        assert!(
+            !s.families
+                .iter()
+                .any(|f| f.name.starts_with("ocep_ingest_")),
+            "{:?}",
+            s.families.iter().map(|f| &f.name).collect::<Vec<_>>()
+        );
     }
 }
 
@@ -262,7 +266,6 @@ fn set_totals_add_every_counter_to_its_own_field() {
         set.total_stats().to_string(),
         "events=2002 stored=2004 searches=2006 found=2008 reported=2010 \
          nodes=2012 candidates=2014 domains=2016 backjumps=2018 \
-         jump_bounds=2020 deferred_rejections=2022 clones_avoided=2024 \
-         clone_bytes_avoided=2026"
+         deferred_rejections=2022"
     );
 }

@@ -1,7 +1,6 @@
 //! The public monitor facade.
 
 use crate::history::LeafHistory;
-use crate::ingest::IngestStats;
 use crate::matching::Match;
 use crate::obs::{ArrivalRecord, Metrics, MetricsSnapshot, ObsLevel, Stage};
 use crate::search::{Search, SearchScratch};
@@ -334,12 +333,12 @@ impl Monitor {
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut s = MetricsSnapshot::default();
         s.record(&self.stats);
+        self.record_state(&mut s);
+        s
+    }
 
-        // The `ocep_ingest_*` families keep their place in the catalog.
-        // Admission is the set's stage: `MonitorSet::metrics` adds its
-        // guard's counters to these zeros.
-        s.record(&IngestStats::default());
-
+    /// Files everything [`Monitor::metrics`] does after the counters.
+    pub(crate) fn record_state(&self, s: &mut MetricsSnapshot) {
         s.gauge(
             "ocep_history_events",
             "Events currently stored across all leaf histories (§VI).",
@@ -414,7 +413,6 @@ impl Monitor {
             s.counter_with(pr, pr_help, &[("kind", "intersect")], so.prune_intersect);
             s.recent = m.recent().records();
         }
-        s
     }
 
     /// Number of events currently stored across all leaf histories (the

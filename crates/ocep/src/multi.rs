@@ -262,17 +262,23 @@ impl MonitorSet {
 
     /// Aggregates every monitor's [`Monitor::metrics`] snapshot into one
     /// (counters and gauges sum, histograms merge; recent arrivals
-    /// concatenate, bounded).
+    /// concatenate, bounded), with the guard's `ocep_ingest_*` families
+    /// when the set has a guard.
     #[must_use]
     pub fn metrics(&self) -> crate::MetricsSnapshot {
         let mut total = crate::MetricsSnapshot::default();
-        for (_, m) in &self.entries {
-            total.absorb(&m.metrics());
+        if !self.entries.is_empty() {
+            total.record(&self.total_stats());
         }
-        // The guard's counters land in the `ocep_ingest_*` families
-        // every monitor's snapshot reserves (as zeros).
+        // Admission is the set's stage: the guard's `ocep_ingest_*`
+        // families follow the monitor counters.
         if let Some(g) = &self.guard {
             total.record(g.stats());
+        }
+        for (_, m) in &self.entries {
+            let mut s = crate::MetricsSnapshot::default();
+            m.record_state(&mut s);
+            total.absorb(&s);
         }
         total
     }

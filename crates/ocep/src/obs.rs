@@ -91,14 +91,12 @@ impl ObsLevel {
         }
     }
 
-    /// Inverse of [`ObsLevel::code`]. Code 1 is the retired `counters`
-    /// level: its registry is a `Full` one whose timers never ran, so it
-    /// loads as `Full`.
+    /// Inverse of [`ObsLevel::code`].
     #[must_use]
     pub(crate) fn from_code(code: u8) -> Option<ObsLevel> {
         match code {
             0 => Some(ObsLevel::Off),
-            1 | 2 => Some(ObsLevel::Full),
+            2 => Some(ObsLevel::Full),
             _ => None,
         }
     }
@@ -674,11 +672,10 @@ impl MetricsSnapshot {
 
     /// Files every counter of `block` as the sample its catalogue row
     /// names ([`crate::CounterBlock::CATALOGUE`]).
-    /// [`crate::Monitor::metrics`] files its [`crate::MonitorStats`] and
-    /// a zero [`crate::IngestStats`] (which fixes the `ocep_ingest_*`
-    /// families' place in the catalog); [`crate::MonitorSet::metrics`]
-    /// adds the counters of the guard in front of
-    /// [`crate::MonitorSet::observe_raw`].
+    /// [`crate::Monitor::metrics`] files its [`crate::MonitorStats`];
+    /// [`crate::MonitorSet::metrics`] files their total and, when the set
+    /// has a guard in front of [`crate::MonitorSet::observe_raw`], the
+    /// guard's [`crate::IngestStats`].
     pub fn record<B: CounterBlock>(&mut self, block: &B) {
         for (row, v) in B::CATALOGUE.iter().zip(block.values()) {
             self.push_sample(
@@ -1240,8 +1237,8 @@ mod tests {
         }
         assert_eq!(ObsLevel::from_name("verbose"), None);
         assert_eq!(ObsLevel::from_name("counters"), None);
-        // The retired `counters` code loads as `Full`.
-        assert_eq!(ObsLevel::from_code(1), Some(ObsLevel::Full));
+        // The retired `counters` code is the legacy checkpoint reader's.
+        assert_eq!(ObsLevel::from_code(1), None);
         assert_eq!(ObsLevel::from_code(9), None);
         assert!(!ObsLevel::Off.enabled());
         assert!(ObsLevel::Full.enabled());

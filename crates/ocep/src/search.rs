@@ -95,7 +95,7 @@ pub(crate) struct Search<'a> {
     scratch: &'a mut SearchScratch,
     matches: Vec<Match>,
     /// The monitor counters a search adds to: `nodes` through
-    /// `clone_bytes_avoided` (the arrival counters stay zero).
+    /// `deferred_rejections` (the arrival counters stay zero).
     stats: MonitorStats,
     /// The monitor's search introspection when its observability is on:
     /// every search records into it directly.
@@ -179,9 +179,6 @@ impl<'a> Search<'a> {
         // Set when a deeper failure does not involve this level: the
         // backjump past it.
         let mut backjump = false;
-        // Local tallies for counters that would otherwise need `&mut
-        // self` while an assigned event is borrowed.
-        let mut avoided: u64 = 0;
 
         'traces: for t in narrowing.traces.clone() {
             if self.covered(pos, t) {
@@ -204,7 +201,6 @@ impl<'a> Search<'a> {
                     continue;
                 };
                 let e = self.assigned(other_leaf);
-                avoided += 1;
                 // Deliberate, feature-gated bug used to validate the
                 // conformance harness: drop the happens-before (GP-derived)
                 // domain restriction, so candidates that do not precede the
@@ -317,8 +313,6 @@ impl<'a> Search<'a> {
             }
         }
 
-        self.stats.clones_avoided += avoided;
-        self.stats.clone_bytes_avoided += avoided * self.clone_bytes();
         if found_any {
             return Outcome::FoundSome;
         }
@@ -404,12 +398,6 @@ impl<'a> Search<'a> {
         self.scratch.assignment[leaf.as_usize()]
             .as_ref()
             .expect("earlier levels are instantiated")
-    }
-
-    /// Heap bytes one avoided `Event` clone would have copied before the
-    /// timestamps became `Arc`-shared: the `n_traces`-wide `u32` buffer.
-    fn clone_bytes(&self) -> u64 {
-        (self.n_traces * std::mem::size_of::<u32>()) as u64
     }
 
     /// All levels instantiated: verify deferred constraints, record the

@@ -184,33 +184,12 @@ counters! {
             "ocep_search_backjumps_total",
             "Conflict-directed backjumps taken.",
         ),
-        /// Always 0: the search applies no Fig 5 jump bounds. The row
-        /// keeps its word in the checkpoint layout.
-        jump_bounds: CounterRow::total(
-            "jump_bounds",
-            "ocep_search_jump_bounds_total",
-            "Fig-5 jump bounds applied (always 0; kept for the checkpoint layout).",
-        ),
         /// Complete assignments rejected by deferred (`~>`/compound-`->`)
         /// checks.
         deferred_rejections: CounterRow::total(
             "deferred_rejections",
             "ocep_search_deferred_rejections_total",
             "Complete assignments rejected by deferred checks.",
-        ),
-        /// `Event` clones the zero-copy hot path skipped (assigned events are
-        /// borrowed for the Fig 4 restriction rules instead of cloned).
-        clones_avoided: CounterRow::total(
-            "clones_avoided",
-            "ocep_clones_avoided_total",
-            "Event clones skipped by the zero-copy hot path.",
-        ),
-        /// Timestamp-buffer bytes those skipped clones would have copied
-        /// before clocks became `Arc`-shared.
-        clone_bytes_avoided: CounterRow::total(
-            "clone_bytes_avoided",
-            "ocep_clone_bytes_avoided_total",
-            "Timestamp-buffer bytes those skipped clones would have copied.",
         ),
     }
 }

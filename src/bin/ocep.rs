@@ -12,6 +12,23 @@ use ocep_repro::pattern::{Constraint, LeafId, PairRel, Pattern};
 use ocep_repro::poet::dump;
 use ocep_repro::simulator::workloads::{atomicity, message_race, random_walk, replicated_service};
 
+/// `print!` and `println!` for the whole binary: a closed stdout (`ocep …
+/// | head -1`) ends the output, not the run, so the exit code stays the
+/// run's own instead of std's broken-pipe panic.
+macro_rules! print {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+macro_rules! println {
+    ($($arg:tt)*) => { print!("{}\n", format_args!($($arg)*)) };
+}
+
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::Write::write_fmt(&mut std::io::stdout(), args) {
+        let closed = e.kind() == std::io::ErrorKind::BrokenPipe;
+        assert!(closed, "failed printing to stdout: {e}");
+    }
+}
+
 const USAGE: &str = "\
 ocep — online causal-event-pattern matching (ICDCS 2013 reproduction)
 

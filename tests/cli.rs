@@ -230,8 +230,9 @@ fn guarded_check_output_is_pinned_to_the_parent() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let fixture = "tests/corpus/ockp/parent-guarded";
     let cli_ckpt = format!("{fixture}/cli-guarded.ocks");
-    // Without a guard flag the file is the monitor's own checkpoint,
-    // byte for byte what the parent wrote.
+    // Without a guard flag the file is the monitor's own checkpoint:
+    // the parent's `unguarded.ockp` state in version 4, byte for byte
+    // the committed `ockp/v4/unguarded.ockp`.
     let plain_ckpt = tmp("pinned-cli-plain.ckpt");
     let cp = ocep()
         .current_dir(root)
@@ -246,7 +247,7 @@ fn guarded_check_output_is_pinned_to_the_parent() {
     assert_eq!(cp.status.code(), Some(0), "{cp:?}");
     assert_eq!(
         std::fs::read(&plain_ckpt).unwrap(),
-        std::fs::read(root.join(fixture).join("unguarded.ockp")).unwrap()
+        std::fs::read(root.join("tests/corpus/ockp/v4/unguarded.ockp")).unwrap()
     );
 
     let mut cases: Vec<_> = std::fs::read_dir(root.join(fixture).join("expected"))
@@ -326,6 +327,51 @@ fn offline_runs_are_pinned_to_the_parent() {
         );
         assert_eq!(got.status.code(), exit.trim().parse().ok(), "{name}: exit");
     }
+}
+
+/// A reader that stops reading (`ocep check … | head -1`) ends the
+/// output, not the run: the exit code is still the run's own (1, it
+/// matched) and nothing panics. The dump matches on every event, so its
+/// output outgrows the pipe and the child is still writing when the pipe
+/// closes.
+#[test]
+fn a_closed_stdout_ends_the_output_not_the_run() {
+    use ocep_repro::poet::{dump, EventKind, PoetServer};
+    use std::io::BufRead as _;
+    let mut poet = PoetServer::new(2);
+    for i in 0..20_000u32 {
+        poet.record(
+            ocep_repro::vclock::TraceId::new(i % 2),
+            EventKind::Unary,
+            "a",
+            "",
+        );
+    }
+    let dump_path = tmp("closed-stdout.poet");
+    let pattern = tmp("closed-stdout.ocep");
+    dump::dump_to_file(poet.store(), &dump_path).unwrap();
+    std::fs::write(&pattern, "A := [*, a, *]; pattern := A;").unwrap();
+
+    let mut child = ocep()
+        .args([
+            "check",
+            pattern.to_str().unwrap(),
+            dump_path.to_str().unwrap(),
+        ])
+        .arg("--per-arrival")
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.starts_with("match: "), "{first}");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
 }
 
 #[test]

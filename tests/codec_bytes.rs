@@ -28,6 +28,14 @@
 //! bytes is one 40-bucket histogram. Every `ockp/off-*` hash and the
 //! stripped-bytes equality are unchanged, which shows the rest of the
 //! checkpoint writer is too.
+//!
+//! The third exception is a format version, OCKP 4, which drops the
+//! slots nothing read: each embedded monitor is 145 bytes shorter with
+//! obs off (the config block's two reserved `u64`s and guard flag, and
+//! 16 stats words — three retired counters and 13 reserved) and 193 with
+//! obs on (also two empty stage histograms and a reserved search word).
+//! The `ockp/*`, `ocks/*` and the two `owal/checkpoint` rows moved by
+//! exactly that per monitor they hold; every other row is unchanged.
 
 use ocep_repro::net::shard::decode_deliver;
 use ocep_repro::net::wire::{self, FaultCode, Frame, Mode, StatsReport, VerdictFrame};
@@ -98,19 +106,19 @@ const PINS: &[(&str, usize, u64)] = &[
     ("wire-delta/tail-tenant", 9, 0xb93244efd83a5691),
     ("wire/registered", 13, 0x4f281414d442626f),
     ("wire-delta/registered", 13, 0x4f281414d442626f),
-    ("ockp/full-obs-8/len", 12238, 0x0000000000000000),
-    ("ockp/off-8", 4792, 0xd31790bb9fb082ef),
-    ("ockp/full-obs-50/len", 22660, 0x0000000000000000),
-    ("ockp/off-50", 15807, 0x2694887d51bb30b7),
-    ("ocks/busy-set-full-obs/len", 1513, 0x0000000000000000),
-    ("ocks/busy-set-off", 1320, 0x0968c74586fa928d),
+    ("ockp/full-obs-8/len", 12045, 0x0000000000000000),
+    ("ockp/off-8", 4647, 0xec36dca9e38e0529),
+    ("ockp/full-obs-50/len", 22467, 0x0000000000000000),
+    ("ockp/off-50", 15662, 0x3086abe3643cf502),
+    ("ocks/busy-set-full-obs/len", 1320, 0x0000000000000000),
+    ("ocks/busy-set-off", 1175, 0x29e4aa3a4a4dd086),
     ("poet/8", 1622, 0x093e391aa302b6d3),
     ("poet/50", 1582, 0xa4d758fc5e30fdf0),
     ("owal/deliver×65", 5819, 0x9d591d41916664bb),
     ("owal/register×1", 53, 0xcfe4a32da21a143a),
     ("owal/unregister×1", 17, 0x84a40230cd46ef24),
-    ("owal/checkpoint×1", 6318, 0x0a326352f38e44e4),
-    ("owal/checkpoint-after-recovery", 6714, 0xd52c2f585ec54c17),
+    ("owal/checkpoint×1", 6028, 0x54f39d5658eac085),
+    ("owal/checkpoint-after-recovery", 6569, 0xbe88931a50d828a6),
 ];
 
 const SRC: &str = "A := [*, msg, *]; B := [*, ack, *]; pattern := A -> B;";

@@ -107,6 +107,8 @@ fn ockp_mutations_never_panic_and_errors_are_located() {
         corpus("ockp/parent-guarded/guarded-ahead.ockp"),
         corpus("ockp/parent-guarded/guarded-gap.ockp"),
         corpus("ockp/parent-guarded/unguarded.ockp"),
+        corpus("ockp/v3/full-obs.ockp"),
+        corpus("ockp/v4/unguarded.ockp"),
     ];
     for seed in &seeds {
         load_at(seed).expect("every seed loads unmutated");
