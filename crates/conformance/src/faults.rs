@@ -21,8 +21,8 @@
 //! * **Quarantine accounting** — every injected corrupt-clock event is
 //!   quarantined and counted, exactly; every injected duplicate is
 //!   dropped, exactly; nothing is silently lost.
-//! * **No panics** — degraded plans (with drops, exercising every
-//!   overflow policy) must still terminate with consistent counters.
+//! * **No panics** — degraded plans (with drops, which can fill the
+//!   reorder buffer) must still terminate with consistent counters.
 //!
 //! Checkpoint/restore rides the same differential style:
 //! [`check_checkpoint_restart`] cuts a run mid-stream, round-trips the
@@ -34,8 +34,7 @@ use crate::case::Case;
 use crate::diff::{CheckConfig, Invariant, Mismatch};
 use crate::fuzz::{case_seed, nth_case};
 use ocep_core::{
-    load_set_at, save_set_at, GuardConfig, Monitor, MonitorConfig, MonitorSet, OverflowPolicy,
-    SubsetPolicy,
+    load_set_at, save_set_at, GuardConfig, Monitor, MonitorConfig, MonitorSet, SubsetPolicy,
 };
 use ocep_pattern::Pattern;
 use ocep_poet::{Event, EventKind};
@@ -398,7 +397,6 @@ pub fn check_fault_case(
     // repairable plan can create (one reorder window's worth).
     let guard_cfg = GuardConfig {
         capacity: (2 * plan.reorder_window + 16).max(32),
-        overflow: degraded_policy(plan),
     };
     let mut guarded_set = guarded_set_for(case, cfg, guard_cfg)?;
     let mut guarded_verdicts: Vec<String> = Vec::new();
@@ -430,24 +428,20 @@ pub fn check_fault_case(
         // Degraded plan: the stream genuinely lost information, so the
         // only demands are panic-freedom (we got here) and conservation:
         // every valid event is admitted (degraded flushes deliver through
-        // the same path), dropped as a duplicate, lost to the overflow
-        // policy, or still buffered.
+        // the same path), dropped as a duplicate, rejected by a full
+        // buffer, or still buffered.
         let sent = faulted.len() as u64 - injected.corrupt;
         let accounted = ingest.admitted
             + ingest.duplicates_dropped
             + ingest.overflow_rejected
-            + ingest.overflow_dropped
             + leftover as u64;
         if accounted != sent {
             return Err(Mismatch {
                 invariant: Invariant::QuarantineAccounting,
                 detail: format!(
                     "degraded plan: {sent} valid events sent but only {accounted} accounted \
-                     for (admitted {}, dup-dropped {}, rejected {}, evicted {})",
-                    ingest.admitted,
-                    ingest.duplicates_dropped,
-                    ingest.overflow_rejected,
-                    ingest.overflow_dropped
+                     for (admitted {}, dup-dropped {}, rejected {})",
+                    ingest.admitted, ingest.duplicates_dropped, ingest.overflow_rejected
                 ),
             });
         }
@@ -548,19 +542,6 @@ pub fn check_fault_case(
         quarantined: ingest.quarantined(),
         degraded: ingest.is_degraded(),
     })
-}
-
-/// Overflow policy a degraded plan exercises, rotated by seed so the
-/// fuzzer covers all three.
-fn degraded_policy(plan: &FaultPlan) -> OverflowPolicy {
-    if plan.drop_p == 0.0 {
-        return OverflowPolicy::Reject;
-    }
-    match plan.seed % 3 {
-        0 => OverflowPolicy::Reject,
-        1 => OverflowPolicy::DropOldest,
-        _ => OverflowPolicy::FlushDegraded,
-    }
 }
 
 /// Cuts a run at `cut`, round-trips the guarded set through a
@@ -695,7 +676,8 @@ pub struct FaultFuzzReport {
 /// Generates the `i`-th fault case of a run: the same case and check
 /// config as [`nth_case`] plus a derived plan.
 /// Every 4th case is degraded (non-zero drop probability) to exercise
-/// the overflow policies; the rest are repairable and checked strictly.
+/// lost events and buffer overflow; the rest are repairable and checked
+/// strictly.
 #[must_use]
 pub fn nth_fault_case(master: u64, i: usize) -> (Case, CheckConfig, FaultPlan) {
     let (case, cfg) = nth_case(master, i);

@@ -3,7 +3,7 @@
 //! to every repairable fault plan (duplicates + causal-safe reorders,
 //! no drops), verdict-preserving under arbitrary in-window shuffles,
 //! exact in its quarantine accounting, and panic-free on lossy degraded
-//! plans under every overflow policy.
+//! plans, whose missing events fill the reorder buffer until it rejects.
 
 use ocep_conformance::{
     check_fault_case, nth_fault_case, run_fault_fuzz, FaultFuzzConfig, FaultPlan, ReorderMode,

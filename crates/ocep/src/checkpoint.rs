@@ -48,19 +48,21 @@
 //! Versions 1–3 load through the decoder's one `Legacy` arm into the
 //! same state; every word v4 dropped is read and ignored. Their config
 //! ends with two `u64`s (`node_limit`, `parallelism`) and a guard flag,
-//! followed, when set, by capacity u64 and overflow u8 and, after the
-//! subset, a `guard` section (admitted u32×n, u32 buffered + event refs,
-//! 12 `IngestStats` words) that [`load_at`] hands back for a
-//! [`MonitorSet`]. Their stats block is 26 words: words 9, 11 and 12
-//! held three retired counters (Fig 5 bounds, avoided clones and bytes),
-//! the last 13 were reserved. Version 1 ends after `guard`; version 2
+//! followed, when set, by capacity u64 and the retired overflow policy
+//! u8 and, after the subset, a `guard` section (admitted u32×n, u32
+//! buffered + event refs, 12 `IngestStats` words) that [`load_at`]
+//! hands back for a [`MonitorSet`]; that guard loads as an OCKS v1–v2
+//! one does (`LegacyGuard`): a rejecting guard, drop-oldest's evictions
+//! counted as rejections. Their stats block is 26 words: words 9, 11
+//! and 12 held three retired counters (Fig 5 bounds, avoided clones and
+//! bytes), the last 13 were reserved. Version 1 ends after `guard`; version 2
 //! adds `obs`, with level 1 (the retired `counters`, loaded as full),
 //! five stage slots (the first and third retired) and a reserved word
 //! after `prune_intersect`; version 3 adds `wal_lsn`. A guard's fault
 //! log is not checkpointed; a restored guard starts with an empty one.
 
 use crate::history::LeafHistory;
-use crate::ingest::{AdmissionGuard, GuardConfig, OverflowPolicy};
+use crate::ingest::{AdmissionGuard, GuardConfig, IngestStats};
 use crate::matching::Match;
 use crate::monitor::{Monitor, MonitorConfig, SubsetPolicy};
 use crate::multi::MonitorSet;
@@ -109,7 +111,7 @@ impl Legacy {
         if r.u8("config.guard flag")? == 0 {
             return Ok(None);
         }
-        read_guard_config(r).map(Some)
+        read_guard_config(r, true).map(Some)
     }
 
     fn stats(&self, r: &mut Reader<'_>) -> Result<MonitorStats, PoetError> {
@@ -319,19 +321,54 @@ fn read_metrics(r: &mut Reader<'_>, legacy: Option<&Legacy>) -> Result<Metrics, 
     Ok(m)
 }
 
-fn read_guard_config(r: &mut Reader<'_>) -> Result<GuardConfig, CheckpointError> {
-    let capacity = r.u64("guard capacity")? as usize;
-    let overflow = match r.u8("guard overflow policy")? {
-        0 => OverflowPolicy::Reject,
-        1 => OverflowPolicy::DropOldest,
-        2 => OverflowPolicy::FlushDegraded,
-        k => {
-            return Err(CheckpointError::Invalid(format!(
+/// Where the guard of an OCKP v1–v3 or OCKS v1–v2 file differs: the
+/// config holds the overflow policy byte after the capacity (0 reject,
+/// 1 drop-oldest, 2 flush-degraded), and the 12-word counter block
+/// holds drop-oldest's evictions ninth, before `degraded_flushes`. The
+/// one legacy arm checks the byte and drops it, and adds the evictions
+/// into `overflow_rejected`: both counted events a full buffer cost the
+/// monitor, so `is_degraded`, the stats line's `ingest_overflow` sum
+/// and conservation read as before. A restored guard rejects on
+/// overflow, whatever policy wrote the file.
+struct LegacyGuard;
+
+impl LegacyGuard {
+    /// The counter block's words, and the live counter each feeds.
+    const INGEST_WORDS: usize = 12;
+    const LIVE_INGEST: [usize; 11] = [0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11];
+    /// The rejection word, and the eviction word folded into it.
+    const REJECTED: usize = 7;
+    const EVICTED: usize = 8;
+
+    fn policy(r: &mut Reader<'_>) -> Result<(), CheckpointError> {
+        match r.u8("guard overflow policy")? {
+            0..=2 => Ok(()),
+            k => Err(CheckpointError::Invalid(format!(
                 "unknown overflow policy {k}"
-            )))
+            ))),
         }
-    };
-    Ok(GuardConfig { capacity, overflow })
+    }
+
+    fn stats(r: &mut Reader<'_>) -> Result<IngestStats, PoetError> {
+        let mut words = [0; Self::INGEST_WORDS];
+        for w in &mut words {
+            *w = r.u64("ingest stat")?;
+        }
+        words[Self::REJECTED] = words[Self::REJECTED].saturating_add(words[Self::EVICTED]);
+        let mut s = IngestStats::default();
+        for (field, &w) in s.fields_mut().zip(&Self::LIVE_INGEST) {
+            *field = words[w];
+        }
+        Ok(s)
+    }
+}
+
+fn read_guard_config(r: &mut Reader<'_>, legacy: bool) -> Result<GuardConfig, CheckpointError> {
+    let capacity = r.u64("guard capacity")? as usize;
+    if legacy {
+        LegacyGuard::policy(r)?;
+    }
+    Ok(GuardConfig { capacity })
 }
 
 /// Reads a guard's reorder state — per-trace admitted counters, the
@@ -341,6 +378,7 @@ fn read_guard(
     r: &mut Reader<'_>,
     n_traces: usize,
     config: GuardConfig,
+    legacy: bool,
     min_event_bytes: usize,
     mut buffered_event: impl FnMut(&mut Reader<'_>) -> Result<Event, CheckpointError>,
 ) -> Result<AdmissionGuard, CheckpointError> {
@@ -354,7 +392,11 @@ fn read_guard(
         guard.buffered_ids.insert(e.id());
         guard.buffer.push(e);
     }
-    guard.stats = read_counters(r, "ingest stat")?;
+    guard.stats = if legacy {
+        LegacyGuard::stats(r)?
+    } else {
+        read_counters(r, "ingest stat")?
+    };
     Ok(guard)
 }
 
@@ -646,7 +688,7 @@ pub fn load_at(data: &[u8]) -> Result<LoadedMonitor, CheckpointError> {
     }
 
     let guard = match guard_cfg {
-        Some(cfg) => Some(read_guard(&mut r, n_traces, cfg, 4, |r| {
+        Some(cfg) => Some(read_guard(&mut r, n_traces, cfg, true, 4, |r| {
             lookup_event(r.u32("guard buffer event ref")?)
         })?),
         None => None,
@@ -696,7 +738,7 @@ pub fn strip_metrics(data: &[u8]) -> Result<Vec<u8>, CheckpointError> {
 // ---------------------------------------------------------------------
 
 const SET_MAGIC: &[u8; 4] = b"OCKS";
-const SET_VERSION: u16 = 2;
+const SET_VERSION: u16 = 3;
 
 /// Serializes a whole [`MonitorSet`] — every registered monitor plus the
 /// set-level admission guard's reorder state and counters — to one
@@ -713,16 +755,20 @@ const SET_VERSION: u16 = 2;
 /// skipped, mirroring the serve daemon's per-file checkpoint policy.
 ///
 /// ```text
-/// magic     [u8;4] = b"OCKS", version u16 = 2
+/// magic     [u8;4] = b"OCKS", version u16 = 3
 /// n_traces  u32
 /// monitors  u32 count; per monitor: name str, u32-len-prefixed
 ///           OCKP blob (see [`save_at`])
-/// guard     u8 flag; iff 1: capacity u64, overflow u8,
-///           admitted u32×n_traces, u32 buffered + one record each
-///           (inline strings, full clock), 12 × u64 IngestStats
-///           counters in catalogue order
-/// wal_lsn   u64 (version ≥ 2) — durable-log anchor; 0 when log-less
+/// guard     u8 flag; iff 1: capacity u64, admitted u32×n_traces,
+///           u32 buffered + one record each (inline strings, full
+///           clock), 11 × u64 IngestStats counters in catalogue order
+/// wal_lsn   u64 — durable-log anchor; 0 when log-less
 /// ```
+///
+/// Versions 1 and 2 load through the one legacy guard arm
+/// (`LegacyGuard`): their guard holds an overflow policy u8 after the
+/// capacity and 12 counter words, the ninth drop-oldest's evictions.
+/// Version 1 has no `wal_lsn` and loads at anchor 0.
 #[must_use]
 pub fn save_set_at(set: &MonitorSet, sources: &HashMap<String, String>, wal_lsn: u64) -> Vec<u8> {
     let monitors: Vec<(&str, &Monitor, &str)> = set
@@ -746,11 +792,6 @@ pub fn save_set_at(set: &MonitorSet, sources: &HashMap<String, String>, wal_lsn:
         Some(g) => {
             buf.push(1);
             put_u64(&mut buf, g.config.capacity as u64);
-            buf.push(match g.config.overflow {
-                OverflowPolicy::Reject => 0,
-                OverflowPolicy::DropOldest => 1,
-                OverflowPolicy::FlushDegraded => 2,
-            });
             put_u32s(&mut buf, &g.admitted);
             put_u32(&mut buf, g.buffer.len() as u32);
             for e in &g.buffer {
@@ -855,9 +896,11 @@ pub fn load_set_at(data: &[u8]) -> Result<LoadedSet, CheckpointError> {
     }
 
     if r.u8("set guard flag")? != 0 {
-        let config = read_guard_config(&mut r)?;
+        let legacy = version < 3;
+        let config = read_guard_config(&mut r, legacy)?;
         let mut clock = ClockForm::Full;
-        let guard = read_guard(&mut r, n_traces, config, clock.min_record_bytes(), |r| {
+        let min_bytes = clock.min_record_bytes();
+        let guard = read_guard(&mut r, n_traces, config, legacy, min_bytes, |r| {
             let rec = get_event_record(r, StrForm::Inline, &mut clock)?;
             checked_event(rec, n_traces, format_args!("buffered event"))
         })?;
@@ -1067,6 +1110,35 @@ mod tests {
             assert_eq!(loaded.wal_lsn, 0);
             assert_eq!(resaved(&old), want);
         }
+    }
+
+    /// The guard of a version-3 file loads whatever overflow policy
+    /// wrote it, into the same rejecting guard, and refuses a byte that
+    /// named none.
+    #[test]
+    fn legacy_guard_policy_byte_is_checked_and_dropped() {
+        let gap = legacy_fixture("parent-guarded/guarded-gap.ockp");
+        // magic, version, pattern source, trace count, the two config
+        // bytes, two legacy words, the guard flag, then the capacity.
+        let src_len = u32::from_le_bytes(gap[6..10].try_into().unwrap()) as usize;
+        let at = 10 + src_len + 4 + 2 + 16 + 1 + 8;
+        assert_eq!(gap[at], 1, "written under drop-oldest");
+        let guard_of = |bytes: &[u8]| {
+            let g = load_at(bytes).unwrap().guard.unwrap();
+            (g.config, g.admitted.clone(), g.buffered(), *g.stats())
+        };
+        let want = guard_of(&gap);
+        assert_eq!(want.0.capacity, 1);
+        assert_eq!(want.3.overflow_rejected, 1, "the eviction, as a rejection");
+        for byte in [0, 2] {
+            let mut other = gap.clone();
+            other[at] = byte;
+            assert_eq!(guard_of(&other), want, "policy byte {byte}");
+        }
+        let mut bad = gap;
+        bad[at] = 3;
+        let err = load_at(&bad).unwrap_err().to_string();
+        assert!(err.contains("unknown overflow policy 3"), "{err}");
     }
 
     #[test]

@@ -39,7 +39,6 @@ fn ingest_stats() -> IngestStats {
         quarantined_clock_width: 2_006,
         quarantined_non_monotone: 2_007,
         overflow_rejected: 2_008,
-        overflow_dropped: 2_009,
         degraded_flushes: 2_010,
         degraded_delivered: 2_011,
         buffered_peak: 2_012,
@@ -70,7 +69,7 @@ type Sample = (
 );
 
 /// Every admission-guard counter's sample, in checkpoint order.
-const INGEST_SAMPLES: [Sample; 12] = [
+const INGEST_SAMPLES: [Sample; 11] = [
     (
         2_001,
         "ocep_ingest_events_total",
@@ -117,12 +116,6 @@ const INGEST_SAMPLES: [Sample; 12] = [
         2_008,
         "ocep_ingest_overflow_total",
         &[("policy", "rejected")],
-        MetricKind::Counter,
-    ),
-    (
-        2_009,
-        "ocep_ingest_overflow_total",
-        &[("policy", "dropped")],
         MetricKind::Counter,
     ),
     (
@@ -202,12 +195,12 @@ fn every_counter_reaches_its_own_key() {
          nodes=1006 candidates=1007 domains=1008 backjumps=1009 \
          deferred_rejections=1011"
     );
-    // The guard's line sums the quarantine reasons and the overflow
-    // actions; the degraded deliveries and the peak are not on it.
+    // The guard's line sums the quarantine reasons; the degraded
+    // deliveries and the peak are not on it.
     assert_eq!(
         ingest_stats().to_string(),
         "ingest_admitted=2001 ingest_duplicates=2002 ingest_buffered=2003 \
-         ingest_reordered=2004 ingest_quarantined=6018 ingest_overflow=4017 \
+         ingest_reordered=2004 ingest_quarantined=6018 ingest_overflow=2008 \
          ingest_degraded_flushes=2010"
     );
 }

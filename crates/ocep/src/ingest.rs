@@ -28,9 +28,10 @@
 //!   Birman–Schiper–Stephenson observation specialized to one-partner
 //!   messages.
 //! * **Bounded memory** — the buffer holds at most
-//!   [`GuardConfig::capacity`] events; on overflow a configurable
-//!   [`OverflowPolicy`] applies. No input can make the guard panic or
-//!   grow without bound.
+//!   [`GuardConfig::capacity`] events; a premature event that finds it
+//!   full is rejected (counted, and recorded as a fault), so what the
+//!   monitor has admitted stays causally closed. No input can make the
+//!   guard panic or grow without bound.
 
 use crate::obs::MetricKind;
 use crate::stats::{counters, CounterRow};
@@ -38,64 +39,17 @@ use ocep_poet::Event;
 use ocep_vclock::EventId;
 use std::collections::HashSet;
 
-/// What to do when a premature event arrives and the reorder buffer is
-/// already at capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OverflowPolicy {
-    /// Drop the incoming event (count it, record a fault). The safest
-    /// default: admitted history stays causally consistent.
-    #[default]
-    Reject,
-    /// Evict the oldest buffered event to make room (count it, record a
-    /// fault). Prefers recent context over old gaps.
-    DropOldest,
-    /// Abandon causal order: deliver everything buffered (plus the
-    /// incoming event) sorted by `(trace, index)` and continue in
-    /// degraded mode. Late gap-fillers arriving afterwards are dropped
-    /// as stale duplicates.
-    FlushDegraded,
-}
-
-impl std::fmt::Display for OverflowPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            OverflowPolicy::Reject => "reject",
-            OverflowPolicy::DropOldest => "drop-oldest",
-            OverflowPolicy::FlushDegraded => "flush-degraded",
-        })
-    }
-}
-
-impl OverflowPolicy {
-    /// Parses the [`Display`](std::fmt::Display) form (for CLI flags and
-    /// checkpoint decoding).
-    #[must_use]
-    pub fn from_name(s: &str) -> Option<Self> {
-        Some(match s {
-            "reject" => OverflowPolicy::Reject,
-            "drop-oldest" => OverflowPolicy::DropOldest,
-            "flush-degraded" => OverflowPolicy::FlushDegraded,
-            _ => return None,
-        })
-    }
-}
-
 /// Configuration of an [`AdmissionGuard`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GuardConfig {
-    /// Maximum number of causally premature events held for reordering.
+    /// Maximum number of causally premature events held for reordering;
+    /// a premature event that finds the buffer full is rejected.
     pub capacity: usize,
-    /// What happens when the buffer is full and another premature event
-    /// arrives.
-    pub overflow: OverflowPolicy,
 }
 
 impl Default for GuardConfig {
     fn default() -> Self {
-        GuardConfig {
-            capacity: 1024,
-            overflow: OverflowPolicy::Reject,
-        }
+        GuardConfig { capacity: 1024 }
     }
 }
 
@@ -110,7 +64,7 @@ pub enum IngestFaultKind {
     /// index is 0 — the local component is not the required monotone
     /// counter.
     NonMonotoneLocal,
-    /// The reorder buffer overflowed and the policy dropped an event.
+    /// The reorder buffer was full and the incoming event was rejected.
     BufferOverflow,
 }
 
@@ -142,8 +96,9 @@ impl std::fmt::Display for IngestFault {
     }
 }
 
-// The labelled families of the catalogue below: each row names its
-// sample's labels (and its stats-line key) and takes the rest from here.
+// The families of the catalogue below with more than one sample: each
+// row names its sample's labels (and its stats-line key) and takes the
+// rest from here.
 const EVENTS: CounterRow = CounterRow {
     key: None,
     family: "ocep_ingest_events_total",
@@ -158,20 +113,13 @@ const QUARANTINED: CounterRow = CounterRow {
     kind: MetricKind::Counter,
     help: "Events quarantined by the admission guard, by reason.",
 };
-const OVERFLOW: CounterRow = CounterRow {
-    key: Some("ingest_overflow"),
-    family: "ocep_ingest_overflow_total",
-    labels: &[],
-    kind: MetricKind::Counter,
-    help: "Reorder-buffer overflow actions, by policy.",
-};
 
 counters! {
     /// Per-category ingestion counters of one [`AdmissionGuard`].
     /// `Display` prints the `ingest_*=N` list `ocep check --stats`
     /// appends to the monitor counters when a guard ran: the
-    /// quarantine reasons and the overflow actions each summed, the
-    /// degraded deliveries and the buffer peak left off.
+    /// quarantine reasons summed, the degraded deliveries and the
+    /// buffer peak left off.
     #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
     pub struct IngestStats {
         /// Events admitted to the monitor (in causal order).
@@ -213,18 +161,16 @@ counters! {
             labels: &[("reason", "non_monotone")],
             ..QUARANTINED
         },
-        /// Incoming events rejected by [`OverflowPolicy::Reject`].
+        /// Premature events rejected because the buffer was full.
         overflow_rejected: CounterRow {
+            key: Some("ingest_overflow"),
+            family: "ocep_ingest_overflow_total",
             labels: &[("policy", "rejected")],
-            ..OVERFLOW
+            kind: MetricKind::Counter,
+            help: "Premature events rejected by a full reorder buffer.",
         },
-        /// Buffered events evicted by [`OverflowPolicy::DropOldest`].
-        overflow_dropped: CounterRow {
-            labels: &[("policy", "dropped")],
-            ..OVERFLOW
-        },
-        /// Times [`OverflowPolicy::FlushDegraded`] (or an explicit flush of a
-        /// non-empty buffer) abandoned causal order.
+        /// Times an explicit flush of a non-empty buffer abandoned causal
+        /// order.
         degraded_flushes: CounterRow::total(
             "ingest_degraded_flushes",
             "ocep_ingest_degraded_flushes_total",
@@ -254,15 +200,13 @@ impl IngestStats {
     }
 
     /// True when ingestion lost or reordered information: something was
-    /// quarantined, dropped by overflow, or flushed out of causal order.
+    /// quarantined, rejected by a full buffer, or flushed out of causal
+    /// order.
     /// (Duplicates and successful reorders are *not* degradation — the
     /// guard fully repaired those.)
     #[must_use]
     pub fn is_degraded(&self) -> bool {
-        self.quarantined() > 0
-            || self.overflow_rejected > 0
-            || self.overflow_dropped > 0
-            || self.degraded_flushes > 0
+        self.quarantined() > 0 || self.overflow_rejected > 0 || self.degraded_flushes > 0
     }
 }
 
@@ -327,7 +271,7 @@ impl AdmissionGuard {
     }
 
     /// Drains the structured fault stream (quarantines and overflow
-    /// drops, capped at a fixed retention; counters are exact).
+    /// rejections, capped at a fixed retention; counters are exact).
     pub fn take_faults(&mut self) -> Vec<IngestFault> {
         std::mem::take(&mut self.faults)
     }
@@ -488,47 +432,23 @@ impl AdmissionGuard {
             }
             return;
         }
-        // Premature: buffer it (or apply the overflow policy).
+        // Premature: buffer it, or reject it when the buffer is full.
         if self.buffered_ids.contains(&event.id()) {
             self.stats.duplicates_dropped += 1;
             return;
         }
         if self.buffer.len() >= self.config.capacity {
-            match self.config.overflow {
-                OverflowPolicy::Reject => {
-                    self.stats.overflow_rejected += 1;
-                    self.fault(
-                        IngestFaultKind::BufferOverflow,
-                        Some(event.id()),
-                        format!(
-                            "buffer at capacity {}; rejected incoming {}",
-                            self.config.capacity,
-                            event.id()
-                        ),
-                    );
-                    return;
-                }
-                OverflowPolicy::DropOldest => {
-                    let evicted = self.buffer.remove(0);
-                    self.buffered_ids.remove(&evicted.id());
-                    self.stats.overflow_dropped += 1;
-                    self.fault(
-                        IngestFaultKind::BufferOverflow,
-                        Some(evicted.id()),
-                        format!(
-                            "buffer at capacity {}; evicted oldest {}",
-                            self.config.capacity,
-                            evicted.id()
-                        ),
-                    );
-                    // Fall through to buffer the incoming event.
-                }
-                OverflowPolicy::FlushDegraded => {
-                    self.buffer.push(event.clone());
-                    self.flush(out);
-                    return;
-                }
-            }
+            self.stats.overflow_rejected += 1;
+            self.fault(
+                IngestFaultKind::BufferOverflow,
+                Some(event.id()),
+                format!(
+                    "buffer at capacity {}; rejected incoming {}",
+                    self.config.capacity,
+                    event.id()
+                ),
+            );
+            return;
         }
         self.buffer.push(event.clone());
         self.buffered_ids.insert(event.id());
@@ -558,8 +478,7 @@ impl AdmissionGuard {
 
     /// Abandons causal order for everything still buffered: delivers the
     /// buffer sorted by `(trace, index)` (so per-trace order at least is
-    /// preserved) and marks the run degraded. Used by the
-    /// [`OverflowPolicy::FlushDegraded`] policy and by end-of-stream
+    /// preserved) and marks the run degraded. Used by end-of-stream
     /// drains. A no-op on an empty buffer.
     pub fn flush(&mut self, out: &mut Vec<Event>) {
         if self.buffer.is_empty() {
@@ -745,13 +664,7 @@ mod tests {
             poet.record(t(0), EventKind::Unary, "a", "");
         }
         let evs: Vec<Event> = poet.store().iter_arrival().cloned().collect();
-        let mut guard = AdmissionGuard::new(
-            1,
-            GuardConfig {
-                capacity: 2,
-                overflow: OverflowPolicy::Reject,
-            },
-        );
+        let mut guard = AdmissionGuard::new(1, GuardConfig { capacity: 2 });
         let out = admit_all(
             &mut guard,
             &[evs[1].clone(), evs[2].clone(), evs[0].clone()],
@@ -768,13 +681,7 @@ mod tests {
             poet.record(t(0), EventKind::Unary, "a", "");
         }
         let evs: Vec<Event> = poet.store().iter_arrival().cloned().collect();
-        let mut guard = AdmissionGuard::new(
-            1,
-            GuardConfig {
-                capacity: 2,
-                overflow: OverflowPolicy::Reject,
-            },
-        );
+        let mut guard = AdmissionGuard::new(1, GuardConfig { capacity: 2 });
         let mut out = Vec::new();
         guard.admit(&evs[1], &mut out); // premature
         guard.admit(&evs[2], &mut out); // premature — buffer now full
@@ -787,64 +694,10 @@ mod tests {
     }
 
     #[test]
-    fn overflow_drop_oldest_evicts_head() {
-        let mut poet = PoetServer::new(1);
-        for _ in 0..4 {
-            poet.record(t(0), EventKind::Unary, "a", "");
-        }
-        let evs: Vec<Event> = poet.store().iter_arrival().cloned().collect();
-        let mut guard = AdmissionGuard::new(
-            1,
-            GuardConfig {
-                capacity: 2,
-                overflow: OverflowPolicy::DropOldest,
-            },
-        );
-        let mut out = Vec::new();
-        guard.admit(&evs[1], &mut out);
-        guard.admit(&evs[2], &mut out);
-        guard.admit(&evs[3], &mut out); // evicts evs[1]
-        assert_eq!(guard.stats().overflow_dropped, 1);
-        guard.admit(&evs[0], &mut out);
-        // evs[1] was evicted, so only evs[0] is deliverable; 2 and 4
-        // stay gapped in the buffer.
-        assert_eq!(ids(&out), vec![evs[0].id()]);
-        assert_eq!(guard.buffered(), 2);
-    }
-
-    #[test]
-    fn overflow_flush_degraded_delivers_sorted_and_continues() {
-        let mut poet = PoetServer::new(1);
-        for _ in 0..4 {
-            poet.record(t(0), EventKind::Unary, "a", "");
-        }
-        let evs: Vec<Event> = poet.store().iter_arrival().cloned().collect();
-        let mut guard = AdmissionGuard::new(
-            1,
-            GuardConfig {
-                capacity: 2,
-                overflow: OverflowPolicy::FlushDegraded,
-            },
-        );
-        let mut out = Vec::new();
-        guard.admit(&evs[3], &mut out);
-        guard.admit(&evs[1], &mut out);
-        guard.admit(&evs[2], &mut out); // overflow: flush all three sorted
-        assert_eq!(ids(&out), vec![evs[1].id(), evs[2].id(), evs[3].id()]);
-        assert_eq!(guard.stats().degraded_flushes, 1);
-        assert_eq!(guard.stats().degraded_delivered, 3);
-        assert!(guard.stats().is_degraded());
-        // The late gap-filler is now stale.
-        guard.admit(&evs[0], &mut out);
-        assert_eq!(out.len(), 3);
-        assert_eq!(guard.stats().duplicates_dropped, 1);
-    }
-
-    #[test]
     fn premature_event_with_quarantined_predecessor_waits_then_overflows() {
         // The predecessor (index 1) arrives corrupt and is quarantined;
         // its successor (index 2) must stay buffered — the guard cannot
-        // know the gap will never fill — and the overflow policy is the
+        // know the gap will never fill — and the buffer's capacity is the
         // bound on that wait.
         let mut poet = PoetServer::new(1);
         poet.record(t(0), EventKind::Unary, "a", "");
@@ -861,13 +714,7 @@ mod tests {
             "",
             None,
         );
-        let mut guard = AdmissionGuard::new(
-            1,
-            GuardConfig {
-                capacity: 1,
-                overflow: OverflowPolicy::Reject,
-            },
-        );
+        let mut guard = AdmissionGuard::new(1, GuardConfig { capacity: 1 });
         let mut out = Vec::new();
         guard.admit(&corrupt, &mut out);
         assert_eq!(guard.stats().quarantined_non_monotone, 1);
@@ -1020,27 +867,19 @@ mod tests {
     /// `admit_batch` must be observationally identical to per-event
     /// `admit`: same delivered events in the same order, same counters,
     /// same fault log — for every batch partition of the same stream,
-    /// under reorder/duplicate/corruption fault plans, across overflow
-    /// policies. This is the contract that lets the serve engine switch
+    /// under reorder/duplicate/corruption fault plans, with and without
+    /// overflow. This is the contract that lets the serve engine switch
     /// `EventBatch` frames to the batch path without perturbing the
     /// deterministic-simulation oracle.
     #[test]
     fn admit_batch_is_bit_identical_to_per_event_admit() {
-        let policies = [
-            OverflowPolicy::Reject,
-            OverflowPolicy::DropOldest,
-            OverflowPolicy::FlushDegraded,
-        ];
         for seed in 0..12u64 {
             let events = seeded_events(0xBA7C_0000 + seed, 2 + (seed % 7) as u32, 80);
             let mut rng = ocep_rng::Rng::seed_from_u64(0xFA_0017 + seed);
             let stream = apply_fault_plan(&events, &mut rng);
-            for policy in policies {
-                // Small capacity so overflow policies actually trigger.
-                let config = GuardConfig {
-                    capacity: 8,
-                    overflow: policy,
-                };
+            // Capacity 8 overflows on some plans; 1,024 never does.
+            for capacity in [8, 1024] {
+                let config = GuardConfig { capacity };
                 let mut reference = AdmissionGuard::new(7, config);
                 let mut ref_out = Vec::new();
                 for e in &stream {
@@ -1054,17 +893,17 @@ mod tests {
                     }
                     assert_eq!(
                         out, ref_out,
-                        "delivery diverged (seed {seed}, {policy}, batch {batch_size})"
+                        "delivery diverged (seed {seed}, capacity {capacity}, batch {batch_size})"
                     );
                     assert_eq!(
                         batched.stats(),
                         reference.stats(),
-                        "stats diverged (seed {seed}, {policy}, batch {batch_size})"
+                        "stats diverged (seed {seed}, capacity {capacity}, batch {batch_size})"
                     );
                     assert_eq!(
                         batched.faults.iter().map(fault_key).collect::<Vec<_>>(),
                         reference.faults.iter().map(fault_key).collect::<Vec<_>>(),
-                        "fault log diverged (seed {seed}, {policy}, batch {batch_size})"
+                        "fault log diverged (seed {seed}, capacity {capacity}, batch {batch_size})"
                     );
                 }
             }

@@ -13,6 +13,12 @@
 //! --events 12 --per-arrival --obs full` wrote over the `parent-guarded`
 //! inputs at the last version-3 writer, the one legacy file with a
 //! metrics section.
+//!
+//! The four guarded states were re-pinned once, when the overflow
+//! policies were deleted: each guard line lost its `overflow` field and
+//! its counter list the drop-oldest eviction word, which the loader
+//! adds into `overflow_rejected` (`guarded-gap`'s one eviction). No
+//! other line of any state moved.
 
 use crate::checkpoint::{load_at, load_set_at};
 use crate::ingest::AdmissionGuard;
@@ -214,11 +220,11 @@ fn legacy_checkpoints_load_to_their_pinned_state() {
     let got: Vec<(&str, u64)> = states.iter().map(|(n, s)| (n.as_str(), fnv(s))).collect();
     let want: [(&str, u64); 6] = [
         ("unguarded", 0xaf22c533d4491781),
-        ("guarded-ahead", 0xbf9ba919367581e9),
-        ("guarded-gap", 0x4b01be6f86ed8885),
+        ("guarded-ahead", 0x2116a980953f5146),
+        ("guarded-gap", 0xb867fdb73026aa4b),
         ("full-obs", 0x34e70cece77484e2),
-        ("cli-guarded", 0x56a5fb8d90e9f4ae),
-        ("parent-shards0 #0", 0xbe897635aae5687d),
+        ("cli-guarded", 0x6beef94da393a875),
+        ("parent-shards0 #0", 0x3c97a6f2bb732d0c),
     ];
     for ((name, state), (got, want)) in states.iter().zip(got.iter().zip(want)) {
         assert_eq!(*got, want, "{name} restores to:\n{state}");

@@ -78,9 +78,7 @@ pub use checkpoint::{
     LoadedMonitor,
 };
 pub use history::LeafHistory;
-pub use ingest::{
-    AdmissionGuard, GuardConfig, IngestFault, IngestFaultKind, IngestStats, OverflowPolicy,
-};
+pub use ingest::{AdmissionGuard, GuardConfig, IngestFault, IngestFaultKind, IngestStats};
 pub use matching::Match;
 pub use monitor::{Monitor, MonitorConfig, SubsetPolicy, OBS_TIMING_SAMPLE};
 pub use multi::MonitorSet;

@@ -6,7 +6,7 @@
 
 use ocep_repro::ocep::{
     GuardConfig, IngestStats, Match, MetricsSnapshot, Monitor, MonitorConfig, MonitorSet, ObsLevel,
-    OverflowPolicy, SubsetPolicy,
+    SubsetPolicy,
 };
 use ocep_repro::pattern::{Constraint, LeafId, PairRel, Pattern};
 use ocep_repro::poet::dump;
@@ -59,18 +59,17 @@ USAGE:
     ocep serve <pattern-file> --traces N [--addr HOST:PORT] [--port-file FILE]
                [--window N] [--wal DIR] [--durability none|batch|strict]
                [--checkpoint-every N] [--per-arrival] [--no-dedup]
-               [--guard-capacity N] [--overflow POLICY] [--obs off|full]
-               [--metrics FILE]
+               [--guard-capacity N] [--obs off|full] [--metrics FILE]
     ocep send <addr> <dump-file> [--batch N] [--name S] [--shutdown]
     ocep ingest <format> <recording> [--pattern FILE]... [--batch N]
                [--per-arrival] [--no-dedup] [--guard-capacity N]
-               [--overflow POLICY] [--metrics FILE]
+               [--metrics FILE]
     ocep ingest <format> <recording> --addr HOST:PORT [--batch N] [--name S]
                [--shutdown]
     ocep tail <addr> [--once] [--name S] [--from LSN] [--tenant T]
     ocep register <addr> <tenant> <pattern-file>... --traces N [--unregister]
     ocep replay <pattern-file> <wal-dir> [--traces N] [--per-arrival] [--no-dedup]
-               [--guard-capacity N] [--overflow POLICY] [--metrics FILE]
+               [--guard-capacity N] [--metrics FILE]
 
 EXIT CODES:
     0  success; `check` found no pattern match
@@ -83,10 +82,10 @@ EXIT CODES:
 `ingest` and `replay` read untrusted input through the causal admission
 guard: duplicated and reordered events are repaired via their vector
 timestamps, malformed events are quarantined into a structured fault
-stream, and the reorder buffer is bounded by --guard-capacity N with an
---overflow POLICY (reject|drop-oldest|flush-degraded). A reloaded dump
-is already in causal order, so `check`, `stats` and `checkpoint` run
-no guard.
+stream, and the reorder buffer holds at most --guard-capacity N events:
+a premature event that finds it full is rejected. A reloaded dump is
+already in causal order, so `check`, `stats` and `checkpoint` run no
+guard.
 
 `checkpoint` runs a monitor over (a prefix of) a dump and serializes its
 full matching state; `check --resume` restores it and continues over the
@@ -247,20 +246,20 @@ const SUBCOMMANDS: &[Sub] = &[
     sub(
         "serve",
         "--traces --addr --port-file --window --wal --durability --checkpoint-every \
-         --guard-capacity --overflow --obs --metrics",
+         --guard-capacity --obs --metrics",
         "--per-arrival --no-dedup",
     ),
     sub("register", "--traces", "--unregister"),
     sub("send", "--batch --name", "--shutdown"),
     sub(
         "ingest",
-        "--pattern --batch --addr --name --guard-capacity --overflow --metrics",
+        "--pattern --batch --addr --name --guard-capacity --metrics",
         "--shutdown --per-arrival --no-dedup",
     ),
     sub("tail", "--name --from --tenant", "--once"),
     sub(
         "replay",
-        "--traces --guard-capacity --overflow --metrics",
+        "--traces --guard-capacity --metrics",
         "--per-arrival --no-dedup",
     ),
 ];
@@ -501,18 +500,12 @@ fn monitor_config(args: &Args, obs: ObsLevel) -> MonitorConfig {
     }
 }
 
-/// The admission guard `--guard-capacity` and `--overflow` configure
-/// for the subcommands that read untrusted input (`serve`, `ingest`,
-/// `replay`).
+/// The admission guard `--guard-capacity` sizes for the subcommands
+/// that read untrusted input (`serve`, `ingest`, `replay`).
 fn guard_config(args: &Args) -> Result<GuardConfig, String> {
     let mut guard = GuardConfig::default();
     if let Some(capacity) = args.num("--guard-capacity")? {
         guard.capacity = capacity;
-    }
-    if let Some(policy) = args.val("--overflow") {
-        guard.overflow = OverflowPolicy::from_name(policy).ok_or_else(|| {
-            format!("bad --overflow '{policy}' (expected reject|drop-oldest|flush-degraded)")
-        })?;
     }
     Ok(guard)
 }
@@ -565,10 +558,9 @@ fn exit_code(ingest: &IngestStats, matched: bool) -> i32 {
     if ingest.is_degraded() {
         eprintln!(
             "warning: ingestion degraded ({} quarantined, {} overflow-rejected, \
-             {} overflow-dropped, {} degraded flushes) — verdicts may be incomplete",
+             {} degraded flushes) — verdicts may be incomplete",
             ingest.quarantined(),
             ingest.overflow_rejected,
-            ingest.overflow_dropped,
             ingest.degraded_flushes
         );
         return 2;
@@ -1379,7 +1371,7 @@ fn ingest_cmd(args: &Args) -> Result<i32, String> {
     } else {
         args.only(
             "offline matching (no --addr)",
-            "--pattern --batch --per-arrival --no-dedup --guard-capacity --overflow --metrics",
+            "--pattern --batch --per-arrival --no-dedup --guard-capacity --metrics",
         )?;
     }
     let format = args.arg(0, "recording format")?;

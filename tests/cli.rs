@@ -213,7 +213,8 @@ fn checkpoint_then_resume_reaches_the_same_verdicts() {
 /// (`generate.rs` beside it is the program that did): a 30-event dump,
 /// two guarded per-monitor OCKP checkpoints taken with events still in
 /// the reorder buffer (`guarded-ahead`: default guard; `guarded-gap`:
-/// one slot, drop-oldest, one eviction already counted) and an
+/// one slot, drop-oldest, one eviction already counted, which loads as
+/// a rejecting guard with one rejection) and an
 /// unguarded one. `cli-guarded.ocks` is the set checkpoint commit
 /// a177727's `ocep checkpoint pattern.ocep stream.poet cli-guarded.ocks
 /// --events 12 --guard --per-arrival` wrote (`checkpoint` has no guard
@@ -733,7 +734,8 @@ fn check_resume_refuses_monitor_flags() {
 /// `ingest` offline and with `--addr`, `replay`): where a mode takes
 /// `--metrics` the file is written with the full families, and every
 /// flag a mode cannot act on exits 3 naming the flag — before any file
-/// is written or any address dialed.
+/// is written or any address dialed. No mode takes `--overflow`: a full
+/// reorder buffer always rejects.
 #[test]
 fn every_monitor_flag_takes_effect_or_is_refused() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -885,9 +887,22 @@ fn every_monitor_flag_takes_effect_or_is_refused() {
             "--overflow",
         ),
         (&["serve", pattern, "--guard"], "--guard"),
+        (&["serve", pattern, "--overflow", "reject"], "--overflow"),
         (
             &["ingest", "mpi", mpi, "--pattern", cycle, "--guard"],
             "--guard",
+        ),
+        (
+            &[
+                "ingest",
+                "mpi",
+                mpi,
+                "--pattern",
+                cycle,
+                "--overflow",
+                "drop-oldest",
+            ],
+            "--overflow",
         ),
         (
             &["ingest", "mpi", mpi, "--pattern", cycle, "--obs", "full"],
@@ -950,6 +965,10 @@ fn every_monitor_flag_takes_effect_or_is_refused() {
             "--guard",
         ),
         (&["replay", pings, wal, "--guard"], "--guard"),
+        (
+            &["replay", pings, wal, "--overflow", "flush-degraded"],
+            "--overflow",
+        ),
         (&["replay", pings, wal, "--obs", "full"], "--obs"),
     ] {
         let _ = std::fs::remove_file(out_ckpt);
